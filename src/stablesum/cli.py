@@ -121,6 +121,14 @@ def _int_list(raw):
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _truncation(raw):
+    if raw == "auto":
+        return raw
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError("need a positive integer or 'auto'")
+    return int(raw)
+
+
 def _sv_from(section, prefix):
     kind = _get(section, f"{prefix}_kind", str, default="constant")
     c = _get(section, f"{prefix}_c", float, default=1.0)
@@ -134,10 +142,11 @@ def _sv_from(section, prefix):
 
 
 def parse_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -172,10 +181,7 @@ def parse_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    trunc_raw = _get(proc, "truncation", str, default="auto")
-    truncation = "auto" if trunc_raw == "auto" else int(trunc_raw)
-    if truncation != "auto" and truncation < 1:
-        raise ConfigError("need truncation >= 1 or 'auto'")
+    truncation = _get(proc, "truncation", _truncation, default="auto")
 
     sim = parser["simulate"] if "simulate" in parser else {}
     simulate_n = _get(sim, "n", int) if sim else None
@@ -310,7 +316,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         import json
         doc = {"config": cfg.raw,
                "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
-                         "wall_ms": r.wall_ms} for r in rows]}
+                         "wall_ms": r.wall_ms, "j_depth": r.j_depth,
+                         "tail_bound": r.tail_bound} for r in rows]}
         _atomic_write(out_dir / "oracle.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for r in rows:
         print(f"N={r.n} distance={r.distance:.6g} past_part={r.past_part:.6g}")

@@ -34,6 +34,7 @@ __all__ = [
     "path_from_innovations",
     "simulate_path",
     "partial_sums",
+    "prefix_weights",
     "window_weights",
     "process_normalizer",
     "normalized_fdd_sample",
@@ -185,21 +186,29 @@ def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:
     return cs[np.asarray(idx, dtype=int)]
 
 
+def prefix_weights(S: np.ndarray, j0: int, j1: int, upper, *, lower=0,
+                   cap: int | None = None) -> np.ndarray:
+    """Weight kernel: for j = j0 .. j1-1 (rows) and each column c, the weight
+    of eps_j in sum_{n = lower_c+1}^{upper_c} X_n under lag cap `cap`,
+
+        sum_{k = lo+1}^{hi} a_k = S[hi] - S[lo],
+        lo = max(lower_c - j, 0),  hi = min(max(upper_c - j, 0), cap),
+
+    and exactly zero where hi <= lo (S[hi] - S[hi]).  S is the coefficient
+    prefix-sum array and must reach index max_c upper_c - j0 (or cap)."""
+    j = np.arange(j0, j1)[:, None]
+    lo = np.maximum(np.asarray(lower) - j, 0)
+    hi = np.clip(np.asarray(upper) - j, 0, cap)
+    return S.take(hi) - S.take(np.minimum(lo, hi))
+
+
 def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     """Total weight of eps_j in S(t_i) under lag truncation M, for
     j = 1-M .. [N t_m]-1: column stack over i of
     sum_{n = max(1, j+1)}^{min([N t_i], j+M)} a_{n-j}, from prefix sums."""
     M = int(M)
     B = [floor_index(N, t) for t in times]
-    S = coefficient_prefix_sums(ell, M)
-    j = np.arange(1 - M, B[-1])
-    k_lo = np.maximum(-j, 0)  # prefix index below the first contributing lag
-    out = np.empty((len(j), len(B)))
-    for col, b in enumerate(B):
-        k_hi = np.clip(b - j, 0, M)
-        w = S[k_hi] - S[np.minimum(k_lo, k_hi)]
-        out[:, col] = np.where(k_hi > k_lo, w, 0.0)
-    return out
+    return prefix_weights(coefficient_prefix_sums(ell, M), 1 - M, B[-1], B, cap=M)
 
 
 def process_normalizer(process: ProcessSpec, alpha: float, N: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from stablesum import cf_oracle
 from stablesum.cf_oracle import (
     JDepthError,
     JPolicy,
@@ -154,6 +156,57 @@ class TestExactFddLogCf:
         out = exact_fdd_log_cf(ell, SYM15, 50, self.FDD1)
         deep = exact_fdd_log_cf(ell, SYM15, 50, self.FDD1, j_depth=3_000_000)
         assert abs(out.value - deep.value) < 1e-6
+
+    def test_batched_grid_matches_single_calls(self):
+        # one call over a frequency grid agrees with one call per vector
+        params = SkewedStableParams(1.5, 1.0, -0.5)
+        fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
+        grid = default_frequency_grid(2)[::8]
+        out = exact_fdd_log_cf(ELL1, params, 100, fdd, freq_grid=grid)
+        assert out.grid_values.shape == (len(grid),)
+        for g, got in zip(grid, out.grid_values):
+            one = exact_fdd_log_cf(ELL1, params, 100, FddSpec(fdd.times, tuple(g)))
+            assert abs(got - one.value) <= out.tail_bound + one.tail_bound
+        alone = exact_fdd_log_cf(ELL1, params, 100, fdd)
+        assert abs(out.value - alone.value) <= out.tail_bound + alone.tail_bound
+
+    def test_shallow_start_certifies_large_n(self):
+        fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
+        out = exact_fdd_log_cf(ELL1, SYM15, 10**6, fdd)
+        assert out.j_depth == 10_000
+        assert out.tail_bound <= 1e-8
+
+    def test_growth_matches_fixed_depth(self):
+        # a shallow floor grows x4 until certified; the past summed round by
+        # round equals one pass at the final depth
+        policy = JPolicy(floor=10)
+        grown = exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1, j_policy=policy)
+        assert grown.j_depth > 10
+        fixed = exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1, j_depth=grown.j_depth,
+                                 j_policy=policy)
+        assert abs(grown.value - fixed.value) < 1e-13
+        assert grown.tail_bound == fixed.tail_bound
+
+    def test_chunk_size_independent(self, monkeypatch):
+        params = SkewedStableParams(1.5, 1.0, -0.5)
+        fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
+        grid = [(2.0, 0.25), (-1.0, 0.5), (0.0, 0.0)]
+        base = exact_fdd_log_cf(ELL1, params, 100, fdd, freq_grid=grid)
+        monkeypatch.setattr(cf_oracle, "_CHUNK_ELEMENTS", 7)
+        tiny = exact_fdd_log_cf(ELL1, params, 100, fdd, freq_grid=grid)
+        assert abs(tiny.window_part - base.window_part) < 1e-13
+        assert abs(tiny.past_part - base.past_part) < 1e-13
+        np.testing.assert_allclose(tiny.grid_values, base.grid_values, rtol=0, atol=1e-13)
+
+    def test_memory_guard_fails_fast(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memory budget"):
+                exact_fdd_log_cf(ELL1, SYM15, 10**9, self.FDD1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     def test_skewed_params_complex_value(self):
         params = SkewedStableParams(1.5, 1.0, -0.5)

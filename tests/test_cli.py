@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import coefficient, constant
@@ -51,6 +53,35 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
+
+    # printable values that survive INI parsing whole: no comment prefixes,
+    # no line breaks, not blank after stripping
+    bad_truncation = st.text(
+        st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                      blacklist_characters=";#"), min_size=1
+    ).filter(lambda s: s.strip() != "" and s.strip() != "auto"
+             and not (s.strip().isascii() and s.strip().isdigit() and int(s.strip()) >= 1))
+
+    @given(bad_truncation)
+    @example("abc")
+    @example("0")
+    @example("-3")
+    @example("1.5")
+    @example("1e4")
+    @example("5%")
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_malformed_truncation_exit_2(self, tmp_path, value):
+        text = BASE.replace("truncation = 200", f"truncation = {value}")
+        code = main(["simulate", "--config", write(tmp_path, text),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_undecodable_config_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(BASE.replace("truncation = 200", "truncation = \xe9").encode("latin-1"))
+        code = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
 
     def test_bad_domain_is_config_error(self, tmp_path):
         bad = BASE.replace("alpha = 1.5", "alpha = 0.5")
@@ -110,6 +141,26 @@ class TestOracle:
         doc = json.loads((tmp_path / "out" / "oracle.json").read_text())
         assert doc["config"]["process"]["innovation"] == "stable"
         assert [row["n"] for row in doc["rows"]] == [20, 50]
+
+    def test_rows_carry_depth_and_bound(self, tmp_path):
+        code = main(["oracle", "--config", write(tmp_path, BASE),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        header = (tmp_path / "out" / "oracle.csv").read_text().split("\n")[0]
+        assert header == "N,distance,past_part,wall_ms"
+        rows = json.loads((tmp_path / "out" / "oracle.json").read_text())["rows"]
+        for row in rows:
+            assert set(row) == {"n", "distance", "past_part", "wall_ms",
+                                "j_depth", "tail_bound"}
+            assert row["j_depth"] == 10_000
+            assert 0.0 <= row["tail_bound"] <= 1e-8
+
+    def test_memory_budget_exit_1(self, tmp_path, capsys):
+        text = BASE.replace("n_list = 20, 50", "n_list = 1000000000")
+        code = main(["oracle", "--config", write(tmp_path, text),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "memory budget" in capsys.readouterr().err
 
     def test_j_policy_tightening_stable(self, tmp_path):
         out1 = tmp_path / "o1"

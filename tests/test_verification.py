@@ -103,7 +103,8 @@ class TestTailRatio:
 
 
 def _oracle_rows():
-    return [SweepRow(100, 0.3, 0.05, 10.0), SweepRow(1000, 0.2, 0.03, 20.0)]
+    return [SweepRow(100, 0.3, 0.05, 10.0, 10_000, 1e-12),
+            SweepRow(1000, 0.2, 0.03, 20.0, 10_000, 1e-12)]
 
 
 def _mc_rows():
