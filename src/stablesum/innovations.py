@@ -15,12 +15,18 @@ Two families are provided, both mean zero by construction:
                     recovery).  Exact tails are what make the stored constants
                     empirically recoverable; x0 is a floor the threshold must
                     clear (x_t >= x0 is validated).
+
+The ParetoTail layout (x1, the tail masses and the interior interval) is
+deterministic, so it is resolved once per spec (ParetoTail.layout) and shared
+by every draw.  Log-power tails are inverted by a safeguarded Newton iteration
+on ln P(|e| > x) in y = ln x; constant h has a closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -28,7 +34,6 @@ from scipy.integrate import quad
 
 from .slowly_varying import SlowlyVaryingSpec, constant, eval_sv
 from .stable_law import (
-    GAUSSIAN_ALPHA_CUTOFF,
     SkewedStableParams,
     StandardStable,
     from_tail_constants,
@@ -48,6 +53,13 @@ __all__ = [
     "pareto_layout",
     "sample_innovations",
 ]
+
+# relative accuracy required of the Pareto tail first-moment quadrature
+_MOMENT_RTOL = 1e-10
+# Newton inversion of log-power tails: stop once every step is below
+# _NEWTON_RTOL * max(|y|, 1) in y = ln x; raise after _NEWTON_MAX_ITER steps
+_NEWTON_RTOL = 1e-13
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,11 @@ class ParetoTail:
                 hi = mid
         return math.sqrt(lo * hi)
 
+    @cached_property
+    def layout(self) -> ParetoLayout:
+        """The sampling layout, resolved on first use and kept with the spec."""
+        return pareto_layout(self)
+
 
 def _check_survival_monotone(spec: ParetoTail) -> None:
     # x^-a h(x) must strictly decrease past x0, i.e. a*ln(e+x) > p*x/(e+x).
@@ -131,14 +148,16 @@ def tail_constants(spec: InnovationSpec) -> TailConstants:
     """Tail constants (alpha, sigma1, sigma2, h) of the innovation law.
 
     ParetoTail stores them; ExactStable derives them from the standard stable
-    tail constant.  At alpha = 2 the power-tail constant degenerates to 0, so
-    the Gaussian branch returns the generalized constants sigma1 = sigma2 =
-    scale^2/2 that make the CF constants round-trip exactly (h == 1).
+    tail constant.  At alpha = 2, and only there, the power-tail constant
+    degenerates to 0, so the Gaussian branch returns the generalized constants
+    sigma1 = sigma2 = scale^2/2 that make the CF constants round-trip exactly
+    (h == 1).  Below 2 the stable formula round-trips to about 3e-12 relative
+    at alpha = 1.99999; its rounding error grows like 1e-16 / (2 - alpha).
     """
     if isinstance(spec, ParetoTail):
         return TailConstants(spec.alpha, spec.sigma1, spec.sigma2, spec.h)
     law = spec.law
-    if law.alpha >= GAUSSIAN_ALPHA_CUTOFF:
+    if law.alpha == 2.0:
         half = 0.5 * law.scale**2
         return TailConstants(law.alpha, half, half, constant(1.0))
     c = stable_tail_constant(law.alpha) * law.scale**law.alpha
@@ -156,14 +175,25 @@ def innovation_cf_params(spec: InnovationSpec) -> SkewedStableParams:
 
 def _tail_first_moment(spec: ParetoTail, weight: float, x1: float) -> float:
     """E[X 1{X > x1}] for one side with survival weight * x^-alpha * h(x):
-    x1 * P(X > x1) + int_x1^inf P(X > x) dx."""
+    x1 * P(X > x1) + int_x1^inf P(X > x) dx.
+
+    The substitution x = x1 * s^(-1/(alpha-1)) turns the slowly decaying
+    integral into x1^(1-alpha)/(alpha-1) * int_0^1 h(x) ds, whose integrand is
+    bounded (p <= 0) or log-singular at s = 0 (p > 0); ln(e + x) is taken in
+    log space so that no power of s overflows."""
     a, h = spec.alpha, spec.h
     head = weight * x1 ** (1.0 - a) * eval_sv(h, x1)
     if h.kind == "constant":
-        return head + weight * h.c * x1 ** (1.0 - a) / (a - 1.0)
-    integral, _ = quad(lambda x: weight * x ** (-a) * eval_sv(h, x),
-                       x1, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
-    return head + integral
+        mean_h = h.c
+    else:
+        ln_x1 = math.log(x1)
+        mean_h, err = quad(
+            lambda s: h.c * np.logaddexp(1.0, ln_x1 - math.log(s) / (a - 1.0)) ** h.p,
+            0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
+        if err > _MOMENT_RTOL * abs(mean_h):
+            raise RuntimeError(f"tail first moment reached only {err / abs(mean_h):.3g} "
+                               f"relative error (target {_MOMENT_RTOL})")
+    return head + weight * x1 ** (1.0 - a) / (a - 1.0) * mean_h
 
 
 @dataclass(frozen=True)
@@ -207,7 +237,7 @@ def sample_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
 
 
 def _sample_pareto_with(spec: ParetoTail, n: int, rng) -> np.ndarray:
-    lay = pareto_layout(spec)
+    lay = spec.layout
     q = rng.random(n)
     left = q < lay.p_left
     right = q >= lay.p_left + lay.p0
@@ -227,25 +257,33 @@ def _sample_pareto_with(spec: ParetoTail, n: int, rng) -> np.ndarray:
 
 
 def _invert_tail_survival(spec: ParetoTail, x1: float, g: np.ndarray) -> np.ndarray:
-    """Solve (x/x1)^-alpha h(x)/h(x1) = g for x >= x1 (vectorized)."""
+    """Solve (x/x1)^-alpha h(x)/h(x1) = g for x >= x1 (vectorized).
+
+    For h = c ln(e+x)^p the root of f(y) = ln surv(e^y) - ln g,
+    f(y) = -a (y - y1) + p (ln ln(e+e^y) - ln ln(e+x1)) - ln g, is found by
+    Newton steps from the constant-h root.  f strictly decreases
+    (_check_survival_monotone), so each draw keeps a bracket [lo, hi] around
+    its root, and a step that leaves it is replaced by a bisection."""
     a, h = spec.alpha, spec.h
     if h.kind == "constant":
         return x1 * g ** (-1.0 / a)
-    h1 = eval_sv(h, x1)
-
-    def surv(x):
-        return (x / x1) ** (-a) * eval_sv(h, x) / h1
-
-    hi = x1 * np.maximum(g, 1e-300) ** (-1.0 / a)
-    for _ in range(200):  # grow until the bracket covers every draw
-        bad = surv(hi) > g
-        if not np.any(bad):
-            break
-        hi[bad] *= 4.0
-    lo = np.full_like(hi, x1)
-    for _ in range(80):  # monotone bisection in log space
-        mid = np.sqrt(lo * hi)
-        below = surv(mid) > g
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.sqrt(lo * hi)
+    p, y1, ln_g = h.p, math.log(x1), np.log(g)
+    lnln_x1 = math.log(y1 + math.log1p(math.exp(1.0 - y1)))
+    y = y1 - ln_g / a
+    lo, hi = np.full_like(y, y1), np.full_like(y, np.inf)
+    for _ in range(_NEWTON_MAX_ITER):
+        # ln(e + e^y) = y + ln(1 + e^(1-y)); every iterate stays in
+        # [y1, inf), so e^(1-y) <= e/x1 cannot overflow
+        t = np.exp(1.0 - y)
+        ln_e_plus = y + np.log1p(t)
+        f = -a * (y - y1) + p * (np.log(ln_e_plus) - lnln_x1) - ln_g
+        df = -a + p / ((1.0 + t) * ln_e_plus)
+        lo = np.where(f > 0.0, y, lo)
+        hi = np.where(f < 0.0, y, hi)
+        step = y - f / df
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        dy, y = step - y, step
+        if np.all(np.abs(dy) <= _NEWTON_RTOL * np.maximum(np.abs(y), 1.0)):
+            return np.exp(y)
+    raise RuntimeError(f"tail inversion did not converge in {_NEWTON_MAX_ITER} "
+                       "Newton steps")

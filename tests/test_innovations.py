@@ -1,8 +1,12 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from stablesum import innovations
 from stablesum.innovations import (
     ParetoTail,
     exact_stable,
@@ -11,7 +15,8 @@ from stablesum.innovations import (
     sample_innovations,
     tail_constants,
 )
-from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv
+from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv, log_power
+from stablesum.stable_law import StandardStable, from_standard
 from stablesum.verification import tail_ratio_check
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
@@ -83,6 +88,69 @@ class TestSampling:
             ParetoTail(1.5, 0.1, 0.1, constant(1.0), x0=1.0)
 
 
+def bisection_inverse(spec, x1, g):
+    """Reference inverse of the log-power tail survival: bracket growth, then
+    80 bisection steps in log space."""
+    a, h = spec.alpha, spec.h
+    h1 = eval_sv(h, x1)
+
+    def surv(x):
+        return (x / x1) ** (-a) * eval_sv(h, x) / h1
+
+    hi = x1 * g ** (-1.0 / a)
+    for _ in range(200):
+        bad = surv(hi) > g
+        if not np.any(bad):
+            break
+        hi[bad] *= 4.0
+    lo = np.full_like(hi, x1)
+    for _ in range(80):
+        mid = np.sqrt(lo * hi)
+        below = surv(mid) > g
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.sqrt(lo * hi)
+
+
+class TestTailInversion:
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("p", [-2.0, 0.5, 0.9, 1.5])
+    def test_newton_matches_bisection(self, alpha, p):
+        spec = ParetoTail(alpha, 1.0, 3.0, log_power(1.0, p))
+        x1 = spec.layout.x1
+        g = np.concatenate([np.geomspace(1e-16, 1.0, 400), [0.5, 1.0]])
+        got = innovations._invert_tail_survival(spec, x1, g)
+        want = bisection_inverse(spec, x1, g)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        spec = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.9))
+        monkeypatch.setattr(innovations, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(RuntimeError):
+            sample_innovations(spec, 1000, 3)
+
+
+class TestTailFirstMoment:
+    @pytest.mark.parametrize("alpha, p", [(1.05, 0.9), (1.2, -2.0)])
+    def test_center_matches_mpmath(self, alpha, p):
+        # heavy tails decay too slowly for quad on [x1, inf); the reference
+        # integrates int_x1^inf x^-a h(x) dx at 40 digits in t = ln(x/x1)
+        spec = ParetoTail(alpha, 1.0, 3.0, log_power(1.0, p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            lay = pareto_layout(spec)
+        with mp.workdps(40):
+            a, x1 = mp.mpf(alpha), mp.mpf(lay.x1)
+            k = 1 / (a - 1)
+            integral = x1 ** (1 - a) * mp.quad(
+                lambda t: mp.exp((1 - a) * t) * mp.log(mp.e + x1 * mp.exp(t)) ** p,
+                [0, k, 4 * k, 16 * k, 64 * k, mp.inf])
+            tail_mean = (spec.sigma2 - spec.sigma1) * (
+                x1 ** (1 - a) * mp.log(mp.e + x1) ** p + integral)
+            want = float(-tail_mean / lay.p0)
+        assert lay.center == pytest.approx(want, rel=1e-10)
+
+
 class TestTailConstants:
     def test_pareto_pass_through(self):
         spec = ParetoTail(1.5, 1.0, 2.0, constant(1.0))
@@ -125,6 +193,15 @@ class TestCfParams:
         p = innovation_cf_params(exact_stable(1.3, 0.6, 2.0))
         assert p.sigma == pytest.approx(2.0**1.3, rel=1e-12)
         assert p.D == pytest.approx(0.6 * math.tan(math.pi * 1.3 / 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.999, 1.9995, 1.99999])
+    def test_exact_stable_round_trip_near_two(self, alpha):
+        # the Gaussian branch of tail_constants belongs to alpha = 2 only
+        p = innovation_cf_params(exact_stable(alpha, 0.7, 1.3))
+        want = from_standard(StandardStable(alpha, 0.7, 1.3))
+        assert p.alpha == alpha
+        assert p.sigma == pytest.approx(want.sigma, rel=1e-9)
+        assert p.D == pytest.approx(want.D, rel=1e-9)
 
     def test_symmetric_pareto(self):
         p = innovation_cf_params(SYM_PARETO)

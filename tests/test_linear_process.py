@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from stablesum import innovations
 from stablesum.innovations import ParetoTail, exact_stable
 from stablesum.linear_process import (
     FddSpec,
@@ -18,7 +19,7 @@ from stablesum.linear_process import (
     truncation_tail,
     window_weights,
 )
-from stablesum.slowly_varying import SlowlyVaryingSpec, coefficient, constant
+from stablesum.slowly_varying import SlowlyVaryingSpec, coefficient, constant, log_power
 
 ELL1 = constant(1.0)
 H1 = constant(1.0)
@@ -167,10 +168,26 @@ class TestNormalizedFdd:
         np.testing.assert_array_equal(a, b)
 
     def test_threads_do_not_change_values(self):
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 40)
-        a = normalized_fdd_sample(proc, 30, self.FDD, 9, 5)
-        b = normalized_fdd_sample(proc, 30, self.FDD, 9, 5, threads=3)
-        np.testing.assert_array_equal(a, b)
+        for innovation in (exact_stable(1.5, 0.0, 1.0),
+                           ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))):
+            proc = ProcessSpec(ELL1, innovation, 40)
+            # threads first, so a Pareto layout is first resolved concurrently
+            b = normalized_fdd_sample(proc, 30, self.FDD, 9, 5, threads=3)
+            a = normalized_fdd_sample(proc, 30, self.FDD, 9, 5)
+            np.testing.assert_array_equal(a, b)
+
+    def test_pareto_layout_resolved_once(self, monkeypatch):
+        calls = []
+        original = innovations.pareto_layout
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(innovations, "pareto_layout", counted)
+        proc = ProcessSpec(ELL1, ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5)), 40)
+        normalized_fdd_sample(proc, 30, self.FDD, 50, 11)
+        assert len(calls) == 1
 
     def test_matches_path_route(self):
         # every replicate row equals simulate_path + partial_sums on the same
