@@ -36,6 +36,7 @@ from .slowly_varying import SlowlyVaryingSpec, constant, eval_sv
 from .stable_law import (
     SkewedStableParams,
     StandardStable,
+    from_standard,
     from_tail_constants,
     sample,
     stable_tail_constant,
@@ -168,7 +169,14 @@ def tail_constants(spec: InnovationSpec) -> TailConstants:
 
 
 def innovation_cf_params(spec: InnovationSpec) -> SkewedStableParams:
-    """CF constants (alpha, sigma, D) of the attractor of the innovation law."""
+    """CF constants (alpha, sigma, D) of the attractor of the innovation law.
+
+    An exact stable law is its own attractor, so its constants come straight
+    from from_standard, with none of the cancellation between the tail
+    constant and Gamma(1-alpha)*cos(pi*alpha/2) that the tail-constant route
+    has near alpha = 2."""
+    if isinstance(spec, ExactStable):
+        return from_standard(spec.law)
     tc = tail_constants(spec)
     return from_tail_constants(tc.alpha, tc.sigma1, tc.sigma2)
 

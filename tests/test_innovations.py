@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
@@ -16,7 +15,7 @@ from stablesum.innovations import (
     tail_constants,
 )
 from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv, log_power
-from stablesum.stable_law import StandardStable, from_standard
+from stablesum.stable_law import StandardStable, from_standard, from_tail_constants
 from stablesum.verification import tail_ratio_check
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
@@ -134,7 +133,11 @@ class TestTailFirstMoment:
     @pytest.mark.parametrize("alpha, p", [(1.05, 0.9), (1.2, -2.0)])
     def test_center_matches_mpmath(self, alpha, p):
         # heavy tails decay too slowly for quad on [x1, inf); the reference
-        # integrates int_x1^inf x^-a h(x) dx at 40 digits in t = ln(x/x1)
+        # integrates int_x1^inf x^-a h(x) dx at 40 digits in t = ln(x/x1);
+        # mpmath is a test dependency, imported here so that a missing install
+        # fails this test and not the collection of the whole module
+        import mpmath as mp
+
         spec = ParetoTail(alpha, 1.0, 3.0, log_power(1.0, p))
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
@@ -196,9 +199,13 @@ class TestCfParams:
 
     @pytest.mark.parametrize("alpha", [1.999, 1.9995, 1.99999])
     def test_exact_stable_round_trip_near_two(self, alpha):
-        # the Gaussian branch of tail_constants belongs to alpha = 2 only
-        p = innovation_cf_params(exact_stable(alpha, 0.7, 1.3))
+        # the Gaussian branch of tail_constants belongs to alpha = 2 only, so
+        # the tail constants still round-trip to the law's CF constants
+        spec = exact_stable(alpha, 0.7, 1.3)
         want = from_standard(StandardStable(alpha, 0.7, 1.3))
+        assert innovation_cf_params(spec) == want
+        tc = tail_constants(spec)
+        p = from_tail_constants(tc.alpha, tc.sigma1, tc.sigma2)
         assert p.alpha == alpha
         assert p.sigma == pytest.approx(want.sigma, rel=1e-9)
         assert p.D == pytest.approx(want.D, rel=1e-9)
