@@ -14,11 +14,22 @@ limit is zero; the whole vector converges to the Levy-increment log-CF
 The infinite past cannot be truncated at any practical depth (the remainder
 decays like J^{1-alpha}), so the past block is summed exactly to depth J and
 closed with the integral of a smooth continuation under the midpoint rule;
-the certified remainder bound |f'(J+1/2)|/24 replaces brute-force depth.
+the remainder bound |f(J+1) - f(J)|/24 replaces brute-force depth.
 J starts shallow (JPolicy.floor) and grows geometrically until the largest
 bound over all evaluated frequency vectors is below tolerance; the vectors
 share the prefix sums, the in-window block and each growth round, and the
 weight blocks are built in row chunks of bounded size.
+
+The closure integrates every frequency vector in one vectorized pass.  The
+variable is t = (X/x)^(alpha-1), X = J + 1/2, on (0, 1], where the
+integrand stays bounded as x -> inf; the spans S(x+b) - S(x) are evaluated
+as arrays (digamma series for constant ell, Euler-Maclaurin with fixed
+Gauss-Legendre nodes for log-power ell).  Each vector's t-range is split at
+the sign changes of its c, where |c|^alpha has a kink; panels are
+integrated by 20- and 40-point Gauss-Legendre, and only those whose
+difference exceeds their share of min(tol/10, midpoint remainder) are
+bisected.  The certified bound is the midpoint remainder plus the summed
+panel estimates, so it shrinks with J.
 """
 
 from __future__ import annotations
@@ -29,21 +40,14 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma
 
 from .linear_process import MEMORY_BUDGET_ELEMENTS, FddSpec, floor_index, prefix_weights
-from .slowly_varying import (
-    SlowlyVaryingSpec,
-    coefficient_prefix_sums,
-    eval_sv,
-    sv_derivative,
-)
+from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
 from .stable_law import SkewedStableParams
 
 __all__ = [
     "v_transform",
-    "inverse_v_transform",
     "AggregatedCoefficients",
     "aggregated_coefficients",
     "ExactFddLogCf",
@@ -63,14 +67,6 @@ def v_transform(u) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty 1-d frequency vector")
     return np.cumsum(arr[::-1])[::-1]
-
-
-def inverse_v_transform(v) -> np.ndarray:
-    """u_i = v_i - v_{i+1} with v_{m+1} = 0."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a nonempty 1-d vector")
-    return np.concatenate([arr[:-1] - arr[1:], arr[-1:]])
 
 
 @dataclass(frozen=True)
@@ -163,66 +159,206 @@ class ExactFddLogCf:
     grid_values: np.ndarray
 
 
-class _PrefixSpan:
-    """Smooth continuation of S(x+B) - S(x) for real x, exact at integers.
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1] by
+    Newton's method on the Legendre recurrence.  Weights come out within
+    2e-14 relative at n = 40 (numpy's leggauss: 7e-13), and no LAPACK call is
+    made, whose first use adds about 1 MiB of resident memory."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    dx = np.inf
+    for _ in range(10):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+        dx = p1 / dp
+        x = x - dx
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-    Constant ell:  c * (digamma(x+B+1) - digamma(x+1)).
-    LogPower ell:  Euler-Maclaurin form  int_x^{x+B} ell(t)/t dt
-                   + [a(x+B) - a(x)]/2 - [a'(x+B) - a'(x)]/12,
-    whose residual is O(a''(x)) and irrelevant at the depths where the
-    continuation is used (x >= 10^4).
+
+# The log-power span integral takes 40 Gauss-Legendre nodes; a closure panel
+# is integrated by G_20 and G_40 on one node set, and |G_40 - G_20| is its
+# error estimate.
+_G20_X, _G20_W = _gauss_legendre(20)
+_G40_X, _G40_W = _gauss_legendre(40)
+_PANEL_X = np.concatenate([_G20_X, _G40_X])
+_PANEL_W = np.zeros((60, 2))
+_PANEL_W[:20, 0], _PANEL_W[20:, 1] = _G20_W, _G40_W
+# below x = e**_LN_SERIES_X the constant-ell span is a plain digamma
+# difference; above, the asymptotic digamma series (first omitted term below
+# 1e-17 relative) avoids subtracting two nearly equal digammas
+_LN_SERIES_X = math.log(100.0)
+# sign of c sampled here (t in (0, 1]) to place the closure's breakpoints
+_SIGN_GRID = np.concatenate([2.0 ** -np.arange(40.0, 7.0, -1.0), np.arange(1, 129) / 128])
+# relative accuracy of _scaled_spans (worst seen 7e-15); a panel whose
+# estimate is within the round-off this leaves in c is accepted
+_SPAN_RTOL = 1e-14
+# no panel is split beyond _MAX_LEVELS rounds or once the pending panels
+# hold more than _MAX_NODES span evaluations; the estimates stay in the bound
+_MAX_LEVELS = 48
+_MAX_NODES = 2**17
+# split points, as fractions of its length, of a failing panel that starts at t = 0
+_LADDER = 4.0 ** -np.arange(1.0, 7.0)
+
+
+def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
+    """x * (S(x+b) - S(x)) at x = exp(lnx) (any shape) for each b in B (new
+    last axis), with S continued smoothly to real x:
+
+    constant ell:  c * (digamma(x+b+1) - digamma(x+1)), exact at integers;
+    log-power ell: the Euler-Maclaurin form  int_x^{x+b} ell(s)/s ds
+                   + [a(x+b) - a(x)]/2 - [a'(x+b) - a'(x)]/12,  a(s) = ell(s)/s,
+                   whose residual is O(a''(x)) and irrelevant at the depths
+                   where the continuation is used.
+
+    The scaled span tends to b*ell(x) as x -> inf; it is evaluated from lnx
+    and r = 1/x, so x itself never overflows.
     """
-
-    def __init__(self, ell: SlowlyVaryingSpec):
-        self.ell = ell
-
-    def __call__(self, x: float, B: int) -> float:
-        if B == 0:
-            return 0.0
-        ell = self.ell
-        if ell.kind == "constant":
-            return ell.c * (digamma(x + B + 1.0) - digamma(x + 1.0))
-        integral, _ = quad(lambda t: eval_sv(ell, t) / t, x, x + B,
-                           epsabs=1e-14, epsrel=1e-11, limit=200)
-        a = lambda t: eval_sv(ell, t) / t
-        ap = lambda t: (sv_derivative(ell, t) * t - eval_sv(ell, t)) / t**2
-        return (integral + 0.5 * (a(x + B) - a(x))
-                - (ap(x + B) - ap(x)) / 12.0)
+    lnx = np.asarray(lnx, dtype=float)[..., None]
+    b = np.asarray(B, dtype=float)
+    r = np.maximum(np.exp(-lnx), 1e-300)  # below 1e-300, r only moves b*ell
+    if ell.kind == "constant":
+        return ell.c * _digamma_span(lnx, r, b)
+    return _euler_maclaurin_span(ell, lnx, r, b)
 
 
-def _past_tail(span, u, B, A, params, J0, tol):
-    """Integral closure of sum_{x > J0} psi(c(-x)) plus its certified bound."""
+def _digamma_span(lnx, r, b):
+    """x * (digamma(x+b+1) - digamma(x+1)) by the asymptotic series
+    digamma(z) ~ ln z - 1/2z - 1/12z^2 + 1/120z^4 - 1/252z^6, written in
+    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels; small x directly."""
+    w1 = r / (1.0 + r)
+    w2 = r / (1.0 + (b + 1.0) * r)
+    s1, s2 = w1 * w1, w2 * w2
+    q = b * w1 * (w2 / r)  # -(w2 - w1) / r
+    out = np.log1p(b * w1) / r + q * (
+        0.5 + (w1 + w2) * (1.0 / 12.0 - (s1 + s2) / 120.0
+                           + (s1 * s1 + s1 * s2 + s2 * s2) / 252.0))
+    small = np.broadcast_to(lnx < _LN_SERIES_X, out.shape)
+    if small.any():
+        x = np.broadcast_to(np.exp(lnx), out.shape)[small]
+        bs = np.broadcast_to(b, out.shape)[small]
+        out[small] = x * (digamma(x + bs + 1.0) - digamma(x + 1.0))
+    return out
 
-    def c_of(x):
-        return sum(ui * span(x, bi) for ui, bi in zip(u, B)) / A
 
-    def f(x):
-        w = c_of(x)
-        mag = params.sigma * abs(w) ** params.alpha
-        return complex(-mag, params.D * mag * math.copysign(1.0, w) if w != 0.0 else 0.0)
+def _euler_maclaurin_span(ell, lnx, r, b):
+    """x times the Euler-Maclaurin span of a log-power ell; the integral is
+    int_0^{ln(1+b/x)} ell(x e^y) dy by 40-point Gauss-Legendre in y = ln(s/x)."""
+    c, p = ell.c, ell.p
+    Y = np.log1p(b * r)
+    y = (0.5 * Y)[..., None] * (1.0 + _G40_X)
+    lam = lnx[..., None] + y + np.log1p(np.e * r[..., None] * np.exp(-y))
+    integral = 0.5 * Y / r * c * ((lam ** p) @ _G40_W)
+    lam0 = lnx + np.log1p(np.e * r)          # ln(e + x)
+    lamb = lnx + np.log1p((np.e + b) * r)    # ln(e + x + b)
+    ell0, ellb = c * lam0 ** p, c * lamb ** p
+    d0 = c * p * lam0 ** (p - 1.0) * r / (1.0 + np.e * r)        # ell'(x)
+    db = c * p * lamb ** (p - 1.0) * r / (1.0 + (np.e + b) * r)  # ell'(x+b)
+    rb = 1.0 + b * r                                             # (x+b)/x
+    xa = ellb / rb - ell0                                # x (a(x+b) - a(x))
+    xap = db / rb - ellb * r / rb**2 - (d0 - ell0 * r)   # x (a'(x+b) - a'(x))
+    return integral + 0.5 * xa - xap / 12.0
 
-    X = J0 + 0.5
 
-    def leg(part):
-        def g(s):
-            if s < 1e-10:
-                return 0.0
-            return part(f(X / s)) * X / s**2
-        return quad(g, 0.0, 1.0, epsabs=0.1 * tol, epsrel=1e-9, limit=400)
+def _psi(w: np.ndarray, params: SkewedStableParams) -> np.ndarray:
+    mag = params.sigma * np.abs(w) ** params.alpha
+    return -mag + 1j * params.D * mag * np.sign(w)
 
-    re, re_err = leg(lambda z: z.real)
-    if params.D == 0.0:
-        im, im_err = 0.0, 0.0
-    else:
-        im, im_err = leg(lambda z: z.imag)
-    # midpoint-rule remainder: |sum_{x>J0} f - int_{J0+1/2} f| <= |f'(J0+1/2)|/24
-    em = abs(f(J0 + 1.0) - f(J0)) / 24.0
-    return complex(re, im), em + re_err + im_err
+
+def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
+                  params: SkewedStableParams, J0: int, tol: float):
+    """Integral closure of sum_{x > J0} psi(c(-x)) for every column of UA at
+    once, and each column's certified bound.
+
+    The sum is replaced by int_X^inf f, X = J0 + 1/2, under the midpoint
+    rule, whose remainder is taken as |f(J0+1) - f(J0)|/24 (about
+    |f'(X)|/24).  With x = X t^(-1/(alpha-1)) the integral is
+    X^(1-alpha)/(alpha-1) int_0^1 psi(x c(x)) dt, whose integrand stays
+    bounded as t -> 0.  Each column's t-range is split where its c changes
+    sign (the kink of |c|^alpha), and G_20/G_40 panels are bisected until
+    each estimate is below its share of min(tol/10, midpoint remainder), so
+    the bound tracks the remainder as J grows.
+    """
+    alpha, F = params.alpha, UA.shape[1]
+    k = 1.0 / (alpha - 1.0)
+    lnX = math.log(J0 + 0.5)
+    scale = (J0 + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
+
+    def spans(t):
+        return _scaled_spans(ell, lnX - k * np.log(t), B)
+
+    f_edge = _psi(prefix_weights(S, -J0 - 1, -J0 + 1, B) @ UA, params)
+    em = np.abs(f_edge[0] - f_edge[1]) / 24.0
+    target = np.minimum(0.1 * tol, em)
+
+    # breakpoints: bracket each sign change of c on _SIGN_GRID, where c is
+    # above its round-off, then narrow each bracket 32-fold per round to
+    # about 1e-11 (a kink that close to a panel end costs nothing)
+    g = spans(_SIGN_GRID)
+    w = g @ UA
+    sg = np.sign(w) * (np.abs(w) > _SPAN_RTOL * (np.abs(g) @ np.abs(UA)))
+    cell, col = np.nonzero(sg[:-1] * sg[1:] < 0.0)
+    lo, s_lo = _SIGN_GRID[cell], sg[cell, col][:, None]
+    width = _SIGN_GRID[cell + 1] - lo
+    for _ in range(6 if col.size else 0):
+        width = width / 32.0
+        g = spans(lo[:, None] + width[:, None] * np.arange(1, 32))
+        same = np.sign(np.sum(g * UA.T[col][:, None], axis=-1)) == s_lo
+        lo = lo + width * np.cumprod(same, axis=1).sum(axis=1)
+    cols = np.arange(F)
+    a, b, col = _panels(np.concatenate([np.zeros(F), np.ones(F), lo + 0.5 * width]),
+                        np.concatenate([cols, cols, col]))
+
+    # psi(w) = sigma |w|^alpha (-1 + i D sgn w), so each panel integrates
+    # |w|^alpha, |w|^alpha sgn w and the round-off that spans accurate to
+    # _SPAN_RTOL leave in |w|^alpha, alpha |w|^(alpha-1) sum_i |u_i g_i| _SPAN_RTOL
+    sigma, D = scale * params.sigma, params.D
+    re, im, err = np.zeros(F), np.zeros(F), np.zeros(F)
+    for level in range(_MAX_LEVELS + 1):
+        half = 0.5 * (b - a)
+        ug = spans((0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X) * UA.T[col][:, None]
+        w = ug.sum(axis=-1)
+        aw = np.abs(w)
+        mag = aw ** alpha
+        noise = alpha * _SPAN_RTOL * aw ** (alpha - 1.0) * np.abs(ug).sum(axis=-1)
+        parts = sigma * half[:, None] * (np.stack([mag, mag * np.sign(w), noise]) @ _PANEL_W)
+        g20, g40 = parts[..., 0], parts[..., 1]
+        q40 = -g40[0] + 1j * D * g40[1]
+        est = np.hypot(g40[0] - g20[0], D * (g40[1] - g20[1]))
+        settled = err + np.bincount(col, est, F) <= target
+        last = level == _MAX_LEVELS or 2 * w.size * len(B) > _MAX_NODES
+        done = ((est <= 2.0 * half * target[col]) | (est <= 2.0 * np.hypot(1.0, D) * g40[2])
+                | settled[col] | last)
+        re += np.bincount(col[done], q40.real[done], F)
+        im += np.bincount(col[done], q40.imag[done], F)
+        err += np.bincount(col[done], est[done], F)
+        if done.all():
+            break
+        a, b, col = a[~done], b[~done], col[~done]
+        # halve each panel; one at t = 0, where a log-power ell leaves a log
+        # singularity, becomes a geometric ladder
+        idx, zero = np.arange(a.size), a == 0.0
+        inner = np.concatenate([0.5 * (a + b)[~zero], (b[zero, None] * _LADDER).ravel()])
+        owner = np.concatenate([idx[~zero], np.repeat(idx[zero], _LADDER.size)])
+        a, b, owner = _panels(np.concatenate([a, b, inner]), np.concatenate([idx, idx, owner]))
+        col = col[owner]
+    return re + 1j * im, em + err
+
+
+def _panels(pts, owner):
+    """Panels (a, b, owner) between consecutive distinct points of each owner."""
+    order = np.lexsort((pts, owner))
+    pts, owner = pts[order], owner[order]
+    keep = (owner[:-1] == owner[1:]) & (pts[:-1] < pts[1:])
+    return pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
 
 
 def _prefix_sums(ell: SlowlyVaryingSpec, N: int, b_m: int, J: int) -> np.ndarray:
-    """Prefix sums to max(N, [N t_m] + J), refused beyond the memory budget."""
-    K = max(N, b_m + J)
+    """Prefix sums to max(N, [N t_m] + J + 1) (the closure reads the first
+    term past depth J), refused beyond the memory budget."""
+    K = max(N, b_m + J + 1)
     if K > MEMORY_BUDGET_ELEMENTS:
         raise ValueError(f"oracle prefix sums need {K} elements, beyond the memory "
                          f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
@@ -249,16 +385,14 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     B = [floor_index(N, t) for t in fdd.times]
     fixed = j_depth is not None
     J = int(j_depth) if fixed else policy.floor
-    span = _PrefixSpan(ell)
-
     S = _prefix_sums(ell, N, B[-1], J)
     A = float(N) ** (1.0 / params.alpha) * S[N]
     UA = U / A
     window = _psi_sums(S, 0, B[-1], B, UA, params)
     past_exact = _psi_sums(S, -J, 0, B, UA, params)
     while True:
-        tails = [_past_tail(span, u, B, A, params, J, policy.tol) for u in U.T]
-        bound = max(b for _, b in tails)
+        tails, bounds = _past_closure(ell, S, UA, B, params, J, policy.tol)
+        bound = float(bounds.max())
         if bound <= policy.tol:
             break
         if fixed or J * policy.growth > policy.max_depth:
@@ -270,7 +404,7 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
         past_exact += _psi_sums(S, -deeper, -J, B, UA, params)
         J = deeper
 
-    past = past_exact + np.array([t for t, _ in tails])
+    past = past_exact + tails
     value = window + past
     return ExactFddLogCf(complex(value[0]), complex(past[0]), complex(window[0]),
                          bound, J, value[1:])

@@ -23,7 +23,6 @@ from scipy.special import ndtr
 __all__ = [
     "SkewedStableParams",
     "StandardStable",
-    "GAUSSIAN_ALPHA_CUTOFF",
     "stable_tail_constant",
     "from_tail_constants",
     "to_standard",
@@ -34,11 +33,6 @@ __all__ = [
     "cdf",
     "CdfQuadratureError",
 ]
-
-# tan(pi*alpha/2) is respectable up to here; beyond it the skew is numerically
-# unidentifiable and the law is indistinguishable from the Gaussian branch.
-GAUSSIAN_ALPHA_CUTOFF = 1.999
-
 
 @dataclass(frozen=True)
 class SkewedStableParams:
@@ -144,9 +138,9 @@ def std_log_cf(std: StandardStable, u):
 def sample(std: StandardStable, n: int, seed) -> np.ndarray:
     """n i.i.d. draws; deterministic given seed.
 
-    Chambers-Mallows-Stuck angle/exponential construction for the S1 law;
-    alpha >= GAUSSIAN_ALPHA_CUTOFF routes to the exact Gaussian branch
-    (variance 2*scale^2).
+    Chambers-Mallows-Stuck angle/exponential construction for the S1 law at
+    every alpha < 2, so the power tail that the tail constants give just below
+    2 is sampled too; alpha = 2 is the exact Gaussian (variance 2*scale^2).
     """
     n = int(n)
     if n < 1:
@@ -157,7 +151,7 @@ def sample(std: StandardStable, n: int, seed) -> np.ndarray:
 
 def _sample_with(std: StandardStable, n: int, rng) -> np.ndarray:
     alpha, beta, scale = std.alpha, std.beta, std.scale
-    if alpha >= GAUSSIAN_ALPHA_CUTOFF:
+    if alpha == 2.0:
         return rng.normal(0.0, math.sqrt(2.0) * scale, n)
     U = np.pi * (rng.random(n) - 0.5)
     W = np.maximum(rng.standard_exponential(n), np.finfo(float).tiny)

@@ -15,7 +15,6 @@ from stablesum.cf_oracle import (
     cf_convergence_sweep,
     default_frequency_grid,
     exact_fdd_log_cf,
-    inverse_v_transform,
     limit_log_cf,
     v_transform,
 )
@@ -27,13 +26,25 @@ from stablesum.linear_process import (
     normalized_fdd_sample,
     partial_sums,
 )
-from stablesum.slowly_varying import SlowlyVaryingSpec, coefficient, constant
+from stablesum.slowly_varying import (
+    SlowlyVaryingSpec,
+    coefficient,
+    constant,
+    eval_sv,
+    sv_derivative,
+)
 from stablesum.stable_law import SkewedStableParams
 from stablesum.verification import ecf
 
 ELL1 = constant(1.0)
 SYM15 = SkewedStableParams(1.5, 1.0, 0.0)
 finite_floats = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+def inverse_v_transform(v) -> np.ndarray:
+    """u_i = v_i - v_{i+1} with v_{m+1} = 0."""
+    arr = np.asarray(v, dtype=float)
+    return np.concatenate([arr[:-1] - arr[1:], arr[-1:]])
 
 
 class TestVTransform:
@@ -214,6 +225,95 @@ class TestExactFddLogCf:
         assert out.value.real < 0.0
         assert out.value.imag != 0.0
         assert abs(np.exp(out.value)) <= 1.0
+
+
+class TestPastClosure:
+    FDD = FddSpec((0.5, 1.0), (1.0, -0.5))
+    # at N = 100 this vector's c changes sign at x = 20782, beyond J = 1e4
+    LATE_SIGN_CHANGE = (1.0, -0.5006)
+
+    def test_bound_shrinks_with_depth(self):
+        bounds = [exact_fdd_log_cf(ELL1, SYM15, 10**6, self.FDD, j_depth=j).tail_bound
+                  for j in (10**4, 10**5, 10**6)]
+        assert bounds[0] > bounds[1] > bounds[2] > 0.0
+
+    def test_batched_bound_shrinks_with_depth(self):
+        grid = default_frequency_grid(2)[::8]
+        bounds = [exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD, j_depth=j,
+                                   freq_grid=grid).tail_bound
+                  for j in (10**4, 10**5, 10**6)]
+        assert bounds[0] > bounds[1] > bounds[2] > 0.0
+
+    def test_matches_independent_reference(self):
+        # the whole log-CF from a direct float64 sum of its terms up to x = K,
+        # past the last sign change of c, and a 30-digit mpmath sum of the
+        # same digamma series beyond K; no oracle code is shared
+        import mpmath as mp
+
+        N, J, K, B = 100, 10_000, 30_000, (50, 100)
+        params = SkewedStableParams(1.5, 1.0, -0.5)
+        out = exact_fdd_log_cf(ELL1, params, N, self.FDD, j_depth=J,
+                               freq_grid=[self.LATE_SIGN_CHANGE])
+        H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, K + B[1] + 1))])
+        A = N ** (1 / 1.5) * H[N]
+
+        def psi(c):
+            mag = np.abs(c) ** 1.5
+            return np.sum(-mag - 0.5j * mag * np.sign(c))
+
+        j = np.arange(B[1])      # in-window: eps_j enters S(t_i) with weight H[b_i - j]
+        x = np.arange(1, K + 1)  # past, j = -x
+        for u, got, changes in ((self.FDD.freqs, out.value, 0),
+                                (self.LATE_SIGN_CHANGE, out.grid_values[0], 1)):
+            window = sum(ui * np.where(b > j, H[np.maximum(b - j, 0)], 0.0) for ui, b in zip(u, B))
+            past = sum(ui * (H[x + b] - H[x]) for ui, b in zip(u, B))
+            assert np.count_nonzero(np.diff(np.sign(past[J - 1:]))) == changes
+
+            def term(y, u=u):
+                c = sum(mp.mpf(ui) * (mp.digamma(y + b + 1) - mp.digamma(y + 1))
+                        for ui, b in zip(u, B)) / A
+                return -abs(c) ** mp.mpf(1.5) * (1 + 0.5j * mp.sign(c))
+
+            with mp.workdps(30):
+                beyond = complex(mp.nsum(term, [K + 1, mp.inf], method="euler-maclaurin"))
+            want = psi(window / A) + psi(past / A) + beyond
+            assert abs(got - want) <= out.tail_bound + 1e-12
+
+    @pytest.mark.parametrize("p", [-1.5, 0.5, 1.0, 2.0])
+    def test_log_power_span_matches_scalar_quad(self, p):
+        # the Euler-Maclaurin span with its integral by fixed Gauss-Legendre
+        # nodes in ln s, against the same form with the integral by quad
+        from scipy.integrate import quad
+
+        ell = SlowlyVaryingSpec("log_power", 1.3, p)
+        a = lambda s: eval_sv(ell, s) / s
+        da = lambda s: (sv_derivative(ell, s) * s - eval_sv(ell, s)) / s**2
+        for x in (1.0, 5.5, 100.0, 10_000.5, 3e5, 1e8, 1e12):
+            for b in (1, 7, 50, 1000, 10**5, 10**6):
+                integral, _ = quad(a, x, x + b, epsabs=1e-14, epsrel=1e-11, limit=200)
+                want = integral + 0.5 * (a(x + b) - a(x)) - (da(x + b) - da(x)) / 12.0
+                got = cf_oracle._scaled_spans(ell, math.log(x), [b])[0] / x
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_gauss_legendre_matches_numpy(self, n):
+        x, w = cf_oracle._gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, want_w, rtol=1e-12)
+        for d in range(0, 2 * n, 2):  # exact for degree < 2n
+            assert w @ x**d == pytest.approx(2.0 / (d + 1), rel=1e-14)
+
+    def test_constant_span_matches_digamma(self):
+        # digamma difference below x = 100, asymptotic series above it
+        import mpmath as mp
+
+        for x in (1.0, 37.2, 99.9, 100.1, 10_000.5, 1e8, 1e20):
+            for b in (1, 50, 10**5):
+                with mp.workdps(40):
+                    want = mp.mpf(x) * (mp.digamma(mp.mpf(x) + b + 1) - mp.digamma(mp.mpf(x) + 1))
+                got = cf_oracle._scaled_spans(ELL1, math.log(x), [b])[0]
+                assert got == pytest.approx(float(want), rel=1e-13)
 
 
 class TestLimitLogCf:

@@ -175,6 +175,17 @@ class TestSample:
             est = np.mean(np.exp(1j * u * x))
             assert abs(est - np.exp(std_log_cf(std, u))) < 0.013
 
+    def test_power_tail_just_below_two(self):
+        # CMS sampling holds for every alpha < 2: at alpha = 1.9995 the tail
+        # constants give P(X > 8) = C_alpha (1 + beta)/2 8^-alpha = 6.6e-6,
+        # about 6.6 of 1e6 draws; a Gaussian of the same scale gives 0
+        alpha, beta = 1.9995, 0.7
+        x = sample(StandardStable(alpha, beta, 1.0), 10**6, 20240601)
+        assert np.all(np.isfinite(x))
+        expected = stable_tail_constant(alpha) * (1 + beta) / 2 * 8.0**-alpha * 10**6
+        assert expected == pytest.approx(6.6, abs=0.1)
+        assert 1 <= np.count_nonzero(x > 8.0) <= 20
+
     def test_sum_stability(self):
         # X1 + X2 with scale c is the same law at scale 2^{1/alpha} c
         alpha, c = 1.5, 0.8
