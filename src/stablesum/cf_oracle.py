@@ -42,7 +42,13 @@ from itertools import product
 import numpy as np
 from scipy.special import digamma
 
-from .linear_process import MEMORY_BUDGET_ELEMENTS, FddSpec, floor_index, prefix_weights
+from .linear_process import (
+    MEMORY_BUDGET_ELEMENTS,
+    FddSpec,
+    floor_index,
+    prefix_weights,
+    thread_map,
+)
 from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
 from .stable_law import SkewedStableParams
 
@@ -440,26 +446,34 @@ class SweepRow:
     wall_ms: float
     j_depth: int
     tail_bound: float
+    log_cf: complex             # exact log-CF at the fdd's own frequencies
 
 
 def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
                          fdd: FddSpec, n_list, *, j_policy: JPolicy | None = None,
-                         freq_grid=None) -> list:
+                         freq_grid=None, threads: int = 1) -> list:
     """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
     the fdd's frequencies and freq_grid when given); past_part tracks the
-    past-block magnitude at the fdd's own frequencies."""
+    past-block magnitude at the fdd's own frequencies and log_cf is the
+    exact value there.  With freq_grid, log_cf shares the depth J certified
+    for the whole grid, so it can differ from a call without the grid by up
+    to the tolerance.
+
+    One exact_fdd_log_cf call per N; the N run on up to `threads` threads
+    (thread_map) and the rows do not depend on the thread count."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
     grid = [] if freq_grid is None else list(freq_grid)
     limits = np.array([limit_log_cf(params, fdd)]
                       + [limit_log_cf(params, FddSpec(fdd.times, tuple(g))) for g in grid])
-    rows = []
-    for n in n_list:
+
+    def row(n):
         t0 = time.perf_counter()
         out = exact_fdd_log_cf(ell, params, n, fdd, j_policy=j_policy, freq_grid=grid)
         dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
         wall = (time.perf_counter() - t0) * 1e3
-        rows.append(SweepRow(n, dist, abs(out.past_part), wall, out.j_depth,
-                             out.tail_bound))
-    return rows
+        return SweepRow(n, dist, abs(out.past_part), wall, out.j_depth,
+                        out.tail_bound, out.value)
+
+    return thread_map(row, n_list, threads)

@@ -5,19 +5,29 @@ Configuration is a flat INI file with sections mirroring the run blocks
 annotated examples.  All randomness flows from the [sweep] seed; a missing
 seed is a configuration error, never an implicit clock seed.
 
+`--threads k` (k >= 1) runs the N of the oracle sweep, and the replicates
+of each Monte-Carlo N, on up to k threads; every output is the same for
+every k.  `verify` computes the exact log-CF once per N, in the oracle
+sweep, and takes its ECF target from the sweep row.
+
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
-failure, 2 configuration error.
+failure, 2 configuration error.  Configuration errors include an [sweep]
+n_list that is not strictly increasing or has an N < 1, reps < 2, a
+negative seed or --seed-override, a j_tolerance that is not finite and
+positive, non-finite [fdd] times or freqs, [simulate] n < 1 or a [simulate]
+t that is not finite and positive; --threads < 1 is a usage error (also
+exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +57,7 @@ from .slowly_varying import (
     SlowlyVaryingSpec,
     h_alpha_info,
 )
-from .stable_law import SkewedStableParams, cdf, from_standard, to_standard
+from .stable_law import SkewedStableParams, cdf, to_standard
 
 __all__ = ["main", "ConfigError", "RunConfig", "parse_config"]
 
@@ -129,6 +139,11 @@ def _truncation(raw):
     return int(raw)
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def _sv_from(section, prefix):
     kind = _get(section, f"{prefix}_kind", str, default="constant")
     c = _get(section, f"{prefix}_c", float, default=1.0)
@@ -186,6 +201,9 @@ def parse_config(path) -> RunConfig:
     sim = parser["simulate"] if "simulate" in parser else {}
     simulate_n = _get(sim, "n", int) if sim else None
     simulate_t = _get(sim, "t", float, default=1.0) if sim else None
+    _require(simulate_n is None or simulate_n >= 1, "need [simulate] n >= 1")
+    _require(simulate_t is None or (math.isfinite(simulate_t) and simulate_t > 0),
+             "need a finite [simulate] t > 0")
 
     fdd = None
     if "fdd" in parser:
@@ -202,6 +220,12 @@ def parse_config(path) -> RunConfig:
     seed = _get(sweep, "seed", int) if sweep else None
     j_tol = _get(sweep, "j_tolerance", float, default=1e-8) if sweep else 1e-8
     sup_grid = _get(sweep, "sup_grid", _bool, default=False) if sweep else False
+    _require(n_list is None or bool(n_list) and min(n_list) >= 1
+             and all(b > a for a, b in zip(n_list, n_list[1:])),
+             "need [sweep] n_list strictly increasing with every N >= 1")
+    _require(reps is None or reps >= 2, "need [sweep] reps >= 2")
+    _require(seed is None or seed >= 0, "need [sweep] seed >= 0")
+    _require(math.isfinite(j_tol) and j_tol > 0, "need a finite [sweep] j_tolerance > 0")
 
     formats = ("csv", "json")
     if "output" in parser:
@@ -283,27 +307,19 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _oracle_params(cfg: RunConfig) -> SkewedStableParams:
-    if isinstance(cfg.innovation, tuple) or not isinstance(cfg.innovation, ExactStable):
+    if not isinstance(cfg.innovation, ExactStable):
         raise ConfigError("the CF oracle needs exactly stable innovations")
-    return from_standard(cfg.innovation.law)
+    return innovation_cf_params(cfg.innovation)
 
 
 def _run_sweep(cfg: RunConfig, threads: int):
     params = _oracle_params(cfg)
     if cfg.fdd is None or cfg.n_list is None:
         raise ConfigError("oracle needs [fdd] and [sweep] n_list")
-    policy = cf_oracle.JPolicy(tol=cfg.j_tolerance)
     grid = cf_oracle.default_frequency_grid(cfg.fdd.m) if cfg.sup_grid else None
-    if threads <= 1:
-        return cf_oracle.cf_convergence_sweep(cfg.ell, params, cfg.fdd, cfg.n_list,
-                                              j_policy=policy, freq_grid=grid)
-
-    def one(n):
-        return cf_oracle.cf_convergence_sweep(cfg.ell, params, cfg.fdd, [n],
-                                              j_policy=policy, freq_grid=grid)[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, cfg.n_list))
+    return cf_oracle.cf_convergence_sweep(
+        cfg.ell, params, cfg.fdd, cfg.n_list,
+        j_policy=cf_oracle.JPolicy(tol=cfg.j_tolerance), freq_grid=grid, threads=threads)
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:
@@ -344,6 +360,13 @@ def _marginal_cdf_target(cfg: RunConfig, N: int, M: int):
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+    """Oracle sweep (stable innovations only) plus Monte Carlo per N.
+
+    The ECF target is the sweep row's exact log-CF for stable innovations
+    and the Levy limit otherwise, so the exact log-CF is computed once per
+    N.  With sup_grid the target shares the depth J certified for the whole
+    grid (within j_tolerance of a grid-free value); no shipped verify config
+    sets sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
     if isinstance(cfg.innovation, tuple):
@@ -353,21 +376,20 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
     stable = isinstance(cfg.innovation, ExactStable)
 
-    oracle_rows = _run_sweep(cfg, threads) if stable else None
+    if stable:
+        oracle_rows = _run_sweep(cfg, threads)
+        targets = [row.log_cf for row in oracle_rows]
+    else:
+        oracle_rows = None
+        limit = cf_oracle.limit_log_cf(innovation_cf_params(cfg.innovation), cfg.fdd)
+        targets = [limit] * len(cfg.n_list)
 
     mc_rows = []
-    for n in cfg.n_list:
+    for n, target in zip(cfg.n_list, targets):
         t0 = time.perf_counter()
         samples = normalized_fdd_sample(process, n, cfg.fdd, cfg.reps, seed,
                                         threads=threads)
         est, _ = verification.ecf(samples, cfg.fdd.freqs)
-        if stable:
-            target = cf_oracle.exact_fdd_log_cf(
-                cfg.ell, from_standard(cfg.innovation.law), n, cfg.fdd,
-                j_policy=cf_oracle.JPolicy(tol=cfg.j_tolerance)).value
-        else:
-            target = cf_oracle.limit_log_cf(innovation_cf_params(cfg.innovation),
-                                            cfg.fdd)
         ecf_distance = abs(est - np.exp(target))
         marginal = _marginal_cdf_target(cfg, n, M)
         ks = verification.ks_distance(samples[:, -1], lambda x: cdf(marginal, x))
@@ -433,12 +455,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "halpha":
         return cmd_halpha(args)
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     try:
         cfg = parse_config(args.config)
         if args.seed_override is not None:
+            _require(args.seed_override >= 0, "need --seed-override >= 0")
             cfg.seed = args.seed_override
         out_dir = Path(args.out_dir)
         if args.command == "simulate":

@@ -38,6 +38,7 @@ __all__ = [
     "window_weights",
     "process_normalizer",
     "normalized_fdd_sample",
+    "thread_map",
     "MEMORY_BUDGET_ELEMENTS",
 ]
 
@@ -70,6 +71,8 @@ class FddSpec:
         object.__setattr__(self, "freqs", freqs)
         if len(times) < 1 or len(times) != len(freqs):
             raise ValueError("need m >= 1 times with matching frequencies")
+        if not all(math.isfinite(x) for x in times + freqs):
+            raise ValueError("need finite times and frequencies")
         if times[0] <= 0.0 or any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("need strictly increasing positive times")
 
@@ -244,17 +247,25 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     alpha = tail_constants(process.innovation).alpha
     A = process_normalizer(process, alpha, N)
     out = np.empty((reps, fdd.m))
+    step = -(-reps // max(threads, 1))
 
-    def fill(r0, r1):
-        for r in range(r0, r1):
+    def fill(r0):
+        for r in range(r0, min(r0 + step, reps)):
             eps = sample_innovations(process.innovation, K, [seed, r])
             out[r] = eps @ W / A
 
-    if threads <= 1:
-        fill(0, reps)
-    else:
-        step = -(-reps // threads)
-        bounds = [(r, min(r + step, reps)) for r in range(0, reps, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    thread_map(fill, range(0, reps, step), threads)
     return out
+
+
+def thread_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], in order, on up to `threads` worker threads.
+
+    With threads <= 1 (or a single item) everything runs inline in the
+    calling thread, with no pool.  Results never depend on the thread count
+    as long as fn(x) depends on x alone."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))

@@ -374,6 +374,13 @@ class TestSweep:
         assert rows[1].distance == pytest.approx(0.031541, abs=2e-5)
         assert all(r.distance < 0.05 for r in rows)
 
+    def test_rows_carry_exact_value_in_order(self):
+        fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
+        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [20, 50, 100], threads=2)
+        assert [r.n for r in rows] == [20, 50, 100]
+        for r in rows:
+            assert r.log_cf == exact_fdd_log_cf(ELL1, SYM15, r.n, fdd).value
+
     def test_nonincreasing_n_rejected(self):
         with pytest.raises(ValueError):
             cf_convergence_sweep(ELL1, SYM15, FddSpec((1.0,), (1.0,)), [100, 100])

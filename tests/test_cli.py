@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from stablesum import cf_oracle
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import coefficient, constant
 
@@ -37,6 +38,14 @@ def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def exit_code(argv):
+    """main's return value, or the status of a usage error (argparse exits)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestParse:
@@ -87,6 +96,43 @@ class TestParse:
         bad = BASE.replace("alpha = 1.5", "alpha = 0.5")
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, bad))
+
+
+# (command, BASE line, its replacement, extra flags): one bad value each
+BAD_INPUTS = [
+    pytest.param("oracle", "n_list = 20, 50", "n_list = 50, 20", [], id="n_list-decreasing"),
+    pytest.param("oracle", "n_list = 20, 50", "n_list = 20, 20", [], id="n_list-repeated"),
+    pytest.param("oracle", "n_list = 20, 50", "n_list = 0, 20", [], id="n_list-zero"),
+    pytest.param("oracle", "n_list = 20, 50", "n_list = -5, 20", [], id="n_list-negative"),
+    pytest.param("verify", "reps = 60", "reps = 1", [], id="reps-1"),
+    pytest.param("oracle", "seed = 4242", "seed = 4242\nj_tolerance = 0", [], id="j_tol-0"),
+    pytest.param("oracle", "seed = 4242", "seed = 4242\nj_tolerance = -1e-8", [],
+                 id="j_tol-negative"),
+    pytest.param("oracle", "seed = 4242", "seed = 4242\nj_tolerance = nan", [], id="j_tol-nan"),
+    pytest.param("oracle", "seed = 4242", "seed = 4242\nj_tolerance = inf", [], id="j_tol-inf"),
+    pytest.param("oracle", "freqs = 1.0, -0.5", "freqs = 1.0, nan", [], id="freqs-nan"),
+    pytest.param("oracle", "freqs = 1.0, -0.5", "freqs = inf, -0.5", [], id="freqs-inf"),
+    pytest.param("simulate", "t = 1.0", "t = 0", [], id="t-zero"),
+    pytest.param("simulate", "t = 1.0", "t = -1.0", [], id="t-negative"),
+    pytest.param("simulate", "t = 1.0", "t = nan", [], id="t-nan"),
+    pytest.param("simulate", "t = 1.0", "t = inf", [], id="t-inf"),
+    pytest.param("simulate", "\nn = 20\n", "\nn = -5\n", [], id="simulate-n-negative"),
+    pytest.param("verify", "seed = 4242", "seed = -1", [], id="seed-negative"),
+    pytest.param("verify", "", "", ["--seed-override", "-1"], id="seed-override-negative"),
+    pytest.param("oracle", "", "", ["--threads", "0"], id="threads-0"),
+    pytest.param("oracle", "", "", ["--threads", "-2"], id="threads-negative"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command, line, replacement, flags", BAD_INPUTS)
+def test_bad_input_exit_2(tmp_path, command, line, replacement, flags, threads):
+    text = BASE.replace(line, replacement) if line else BASE
+    out = tmp_path / "out"
+    argv = [command, "--config", write(tmp_path, text), "--out-dir", str(out),
+            "--threads", str(threads)] + flags
+    assert exit_code(argv) == 2
+    assert not out.exists()
 
 
 class TestSimulate:
@@ -221,6 +267,39 @@ class TestVerify:
         a = strip(json.loads((tmp_path / "a" / "report.json").read_text()))
         b = strip(json.loads((tmp_path / "b" / "report.json").read_text()))
         assert a == b
+
+
+class TestThreads:
+    @staticmethod
+    def outputs(tmp_path, threads):
+        path = write(tmp_path, BASE)
+        out = tmp_path / f"threads{threads}"
+        flags = ["--config", path, "--threads", str(threads)]
+        assert main(["oracle", "--out-dir", str(out / "oracle")] + flags) == 0
+        assert main(["verify", "--out-dir", str(out / "verify")] + flags) == 0
+        oracle = json.loads((out / "oracle" / "oracle.json").read_text())["rows"]
+        report = json.loads((out / "verify" / "report.json").read_text())
+        for row in oracle:
+            del row["wall_ms"]
+        for row in report["rows"]:
+            del row["wall_time_s"]
+        return oracle, report
+
+    def test_thread_count_does_not_change_outputs(self, tmp_path):
+        assert self.outputs(tmp_path, 1) == self.outputs(tmp_path, 3)
+
+    def test_verify_calls_oracle_once_per_n(self, tmp_path, monkeypatch):
+        calls = []
+        original = cf_oracle.exact_fdd_log_cf
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cf_oracle, "exact_fdd_log_cf", counted)
+        assert main(["verify", "--config", write(tmp_path, BASE),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == [20, 50]
 
 
 class TestHalpha:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from stablesum.linear_process import (
     path_from_innovations,
     process_normalizer,
     simulate_path,
+    thread_map,
     truncation_tail,
     window_weights,
 )
@@ -175,6 +178,13 @@ class TestNormalizedFdd:
             b = normalized_fdd_sample(proc, 30, self.FDD, 9, 5, threads=3)
             a = normalized_fdd_sample(proc, 30, self.FDD, 9, 5)
             np.testing.assert_array_equal(a, b)
+
+    def test_thread_map_keeps_order_and_runs_inline_at_one_thread(self):
+        items = list(range(7))
+        for threads in (0, 1, 3):
+            assert thread_map(lambda x: x * x, items, threads) == [x * x for x in items]
+        caller = threading.get_ident()
+        assert set(thread_map(lambda _: threading.get_ident(), items, 1)) == {caller}
 
     def test_pareto_layout_resolved_once(self, monkeypatch):
         calls = []
