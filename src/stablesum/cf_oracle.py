@@ -50,7 +50,7 @@ from .linear_process import (
     thread_map,
 )
 from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
-from .stable_law import SkewedStableParams
+from .stable_law import SkewedStableParams, _gauss_legendre
 
 __all__ = [
     "v_transform",
@@ -163,25 +163,6 @@ class ExactFddLogCf:
     tail_bound: float
     j_depth: int
     grid_values: np.ndarray
-
-
-def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1] by
-    Newton's method on the Legendre recurrence.  Weights come out within
-    2e-14 relative at n = 40 (numpy's leggauss: 7e-13), and no LAPACK call is
-    made, whose first use adds about 1 MiB of resident memory."""
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    dx = np.inf
-    for _ in range(10):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
-        if np.max(np.abs(dx)) <= 1e-15:
-            break
-        dx = p1 / dp
-        x = x - dx
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 # The log-power span integral takes 40 Gauss-Legendre nodes; a closure panel

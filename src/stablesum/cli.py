@@ -14,9 +14,10 @@ Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure, 2 configuration error.  Configuration errors include an [sweep]
 n_list that is not strictly increasing or has an N < 1, reps < 2, a
 negative seed or --seed-override, a j_tolerance that is not finite and
-positive, non-finite [fdd] times or freqs, [simulate] n < 1 or a [simulate]
-t that is not finite and positive; --threads < 1 is a usage error (also
-exit 2).
+positive, non-finite [fdd] times or freqs, [simulate] n < 1, a [simulate]
+t or a [tolerance] max_ks, max_ecf, max_distance_ratio or max_past_ratio
+that is not finite and positive, and a non-finite hook_value; --threads < 1
+is a usage error (also exit 2).
 """
 
 from __future__ import annotations
@@ -123,6 +124,20 @@ def _bool(raw):
     raise ValueError("expected a boolean")
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("need a finite number")
+    return value
+
+
+def _positive(raw):
+    value = _finite(raw)
+    if value <= 0.0:
+        raise ValueError("need a number > 0")
+    return value
+
+
 def _float_list(raw):
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
@@ -190,7 +205,7 @@ def parse_config(path) -> RunConfig:
                                     _sv_from(proc, "h"),
                                     _get(proc, "x0", float, default=1.0))
         elif family in _HOOKS:
-            innovation = ("hook", family, _get(proc, "hook_value", float, default=1.0))
+            innovation = ("hook", family, _get(proc, "hook_value", _finite, default=1.0))
         else:
             raise ConfigError(f"unknown innovation family {family!r}")
     except ValueError as exc:
@@ -200,10 +215,8 @@ def parse_config(path) -> RunConfig:
 
     sim = parser["simulate"] if "simulate" in parser else {}
     simulate_n = _get(sim, "n", int) if sim else None
-    simulate_t = _get(sim, "t", float, default=1.0) if sim else None
+    simulate_t = _get(sim, "t", _positive, default=1.0) if sim else None
     _require(simulate_n is None or simulate_n >= 1, "need [simulate] n >= 1")
-    _require(simulate_t is None or (math.isfinite(simulate_t) and simulate_t > 0),
-             "need a finite [simulate] t > 0")
 
     fdd = None
     if "fdd" in parser:
@@ -218,14 +231,13 @@ def parse_config(path) -> RunConfig:
     n_list = _get(sweep, "n_list", _int_list) if sweep else None
     reps = _get(sweep, "reps", int) if sweep else None
     seed = _get(sweep, "seed", int) if sweep else None
-    j_tol = _get(sweep, "j_tolerance", float, default=1e-8) if sweep else 1e-8
+    j_tol = _get(sweep, "j_tolerance", _positive, default=1e-8) if sweep else 1e-8
     sup_grid = _get(sweep, "sup_grid", _bool, default=False) if sweep else False
     _require(n_list is None or bool(n_list) and min(n_list) >= 1
              and all(b > a for a, b in zip(n_list, n_list[1:])),
              "need [sweep] n_list strictly increasing with every N >= 1")
     _require(reps is None or reps >= 2, "need [sweep] reps >= 2")
     _require(seed is None or seed >= 0, "need [sweep] seed >= 0")
-    _require(math.isfinite(j_tol) and j_tol > 0, "need a finite [sweep] j_tolerance > 0")
 
     formats = ("csv", "json")
     if "output" in parser:
@@ -237,12 +249,12 @@ def parse_config(path) -> RunConfig:
 
     tol = parser["tolerance"] if "tolerance" in parser else {}
     criteria = verification.CriteriaConfig(
-        max_ks=_get(tol, "max_ks", float) if tol else None,
-        max_ecf_distance=_get(tol, "max_ecf", float) if tol else None,
+        max_ks=_get(tol, "max_ks", _positive) if tol else None,
+        max_ecf_distance=_get(tol, "max_ecf", _positive) if tol else None,
         require_decreasing_distance=_get(tol, "require_decreasing", _bool, default=False) if tol else False,
-        max_distance_ratio=_get(tol, "max_distance_ratio", float) if tol else None,
+        max_distance_ratio=_get(tol, "max_distance_ratio", _positive) if tol else None,
         require_decreasing_past=_get(tol, "require_decreasing_past", _bool, default=False) if tol else False,
-        max_past_ratio=_get(tol, "max_past_ratio", float) if tol else None,
+        max_past_ratio=_get(tol, "max_past_ratio", _positive) if tol else None,
     )
 
     raw = {s: dict(parser[s]) for s in parser.sections()}

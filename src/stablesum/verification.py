@@ -45,14 +45,19 @@ def ecf(samples: np.ndarray, u) -> tuple:
 
 
 def ks_distance(samples, cdf) -> float:
-    """sup_x |empirical CDF - cdf(x)| over the sample's jump points."""
+    """sup_x |empirical CDF - cdf(x)| over the sample's jump points.
+
+    cdf maps the sorted sample, as one array, to the array of its values.
+    """
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
     if n == 0:
         raise ValueError("need a nonempty sample")
     if not np.all(np.isfinite(xs)):
         raise ValueError("need finite samples")
-    F = np.fromiter((float(cdf(float(x))) for x in xs), dtype=float, count=n)
+    F = np.asarray(cdf(xs), dtype=float)
+    if F.shape != xs.shape:
+        raise ValueError("cdf must return one value per sample point")
     k = np.arange(1, n + 1)
     d_plus = np.max(k / n - F)
     d_minus = np.max(F - (k - 1) / n)

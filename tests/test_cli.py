@@ -121,6 +121,15 @@ BAD_INPUTS = [
     pytest.param("verify", "", "", ["--seed-override", "-1"], id="seed-override-negative"),
     pytest.param("oracle", "", "", ["--threads", "0"], id="threads-0"),
     pytest.param("oracle", "", "", ["--threads", "-2"], id="threads-negative"),
+] + [
+    pytest.param("verify", "seed = 4242", f"seed = 4242\n\n[tolerance]\n{key} = {value}", [],
+                 id=f"{key}-{value}")
+    for key in ("max_ks", "max_ecf", "max_distance_ratio", "max_past_ratio")
+    for value in ("nan", "inf", "0", "-1")
+] + [
+    pytest.param("simulate", "innovation = stable",
+                 f"innovation = hook_const\nhook_value = {value}", [], id=f"hook_value-{value}")
+    for value in ("nan", "inf")
 ]
 
 

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma, ndtr
 
+from stablesum import stable_law
 from stablesum.stable_law import (
+    CdfQuadratureError,
     SkewedStableParams,
     StandardStable,
+    _sample_with,
     cdf,
     from_standard,
     from_tail_constants,
@@ -40,6 +43,70 @@ def pareto_cf_oracle(alpha, s1, s2, u, x0=1.0):
         return complex(re, sign * im)
 
     return (side(s2, 1.0) + side(s1, -1.0)) * np.exp(-1j * u * mean0)
+
+
+def cms_reference(std, U, W):
+    """Plain Chambers-Mallows-Stuck: libm sin/cos and two powers, as the
+    sampler evaluated it before the half-angle kernel."""
+    alpha, beta = std.alpha, std.beta
+    tb = beta * math.tan(math.pi * alpha / 2.0)
+    B = math.atan(tb) / alpha
+    S = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+    x = (S * np.sin(alpha * (U + B)) / np.cos(U) ** (1.0 / alpha)
+         * (np.cos(U - alpha * (U + B)) / W) ** ((1.0 - alpha) / alpha))
+    return std.scale * x
+
+
+def quad_cdf(std, x):
+    """Scalar Gil-Pelaez CDF by adaptive quad, as cdf evaluated it before
+    the batched rule (alpha < 2)."""
+    alpha, scale = std.alpha, std.scale
+    s = scale**alpha
+    bt = std.beta * math.tan(math.pi * alpha / 2.0)
+    u_max = (40.0 / s) ** (1.0 / alpha)
+
+    def integrand(u):
+        m = s * u**alpha
+        return math.exp(-m) * math.sin(bt * m - u * x) / u
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if abs(x) <= 4.0 * (1.0 + scale):
+            total = quad(lambda y: integrand(math.exp(y)) * math.exp(y),
+                         -45.0, 0.0, epsabs=1e-9, epsrel=1e-9, limit=300)[0]
+            if u_max > 1.0:
+                total += quad(integrand, 1.0, u_max,
+                              epsabs=1e-9, epsrel=1e-9, limit=300)[0]
+        else:
+            delta = 0.1 / abs(x)
+            total = quad(integrand, 0.0, delta, epsabs=1e-9, epsrel=1e-9, limit=200)[0]
+            re_phi = lambda u: math.exp(-s * u**alpha) * math.cos(bt * s * u**alpha) / u
+            im_phi = lambda u: math.exp(-s * u**alpha) * math.sin(bt * s * u**alpha) / u
+            v_sin = quad(re_phi, delta, np.inf, weight="sin", wvar=abs(x),
+                         epsabs=1e-9, limit=300)[0]
+            v_cos = quad(im_phi, delta, np.inf, weight="cos", wvar=abs(x),
+                         epsabs=1e-9, limit=300)[0]
+            total += -math.copysign(1.0, x) * v_sin + v_cos
+    return min(1.0, max(0.0, 0.5 - total / math.pi))
+
+
+class FixedDraws:
+    """Generator stub: every uniform is r and every exponential is w."""
+
+    def __init__(self, r, w):
+        self.r, self.w = r, w
+
+    def random(self, n):
+        return np.full(n, self.r)
+
+    def standard_exponential(self, n):
+        return np.full(n, self.w)
+
+
+# beta = +-1, alpha near 1 and near 2
+CMS_GRID = [(1.0001, -1.0), (1.0001, 0.5), (1.0001, 1.0), (1.1, -0.6),
+            (1.5, -1.0), (1.5, 0.0), (1.5, 1.0), (1.9, 0.6),
+            (1.999999, -1.0), (1.999999, 0.3), (1.999999, 1.0)]
 
 
 class TestFromTailConstants:
@@ -186,6 +253,27 @@ class TestSample:
         assert expected == pytest.approx(6.6, abs=0.1)
         assert 1 <= np.count_nonzero(x > 8.0) <= 20
 
+    @pytest.mark.parametrize("alpha, beta", CMS_GRID)
+    def test_matches_plain_cms(self, alpha, beta):
+        std = StandardStable(alpha, beta, 1.3)
+        n, seed = 10**5, 20240601
+        got = sample(std, n, seed)
+        rng = np.random.default_rng(seed)  # the sampler's draws, in its order
+        U = np.pi * (rng.random(n) - 0.5)
+        W = np.maximum(rng.standard_exponential(n), np.finfo(float).tiny)
+        want = cms_reference(std, U, W)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha, beta", CMS_GRID)
+    @pytest.mark.parametrize("r", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_uniforms_finite(self, alpha, beta, r):
+        # U = -pi/2 or the largest U below pi/2, where tan(U/2) may round to
+        # +-1, with the smallest exponential
+        x = _sample_with(StandardStable(alpha, beta, 1.0), 3,
+                         FixedDraws(r, np.finfo(float).tiny))
+        assert np.all(np.isfinite(x))
+
     def test_sum_stability(self):
         # X1 + X2 with scale c is the same law at scale 2^{1/alpha} c
         alpha, c = 1.5, 0.8
@@ -234,3 +322,45 @@ class TestCdf:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             cdf(StandardStable(1.5, 0.0, 1.0), math.inf)
+        with pytest.raises(ValueError):
+            cdf(StandardStable(1.5, 0.0, 1.0), np.array([0.0, np.nan]))
+
+    def test_array_matches_scalar(self):
+        std = StandardStable(1.3, 0.4, 2.0)
+        xs = np.array([-1e6, -50.0, -3.0, -0.1, 0.0, 0.2, 1.0, 7.5, 30.0, 1e4])
+        got = cdf(std, xs)
+        assert isinstance(cdf(std, 1.0), float)
+        assert got.shape == xs.shape
+        # equal up to the summation order of one matrix product
+        np.testing.assert_allclose(got, [cdf(std, x) for x in xs], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(cdf(std, xs.reshape(2, 5)), got.reshape(2, 5))
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.6])
+    def test_matches_quad_reference(self, alpha, beta):
+        std = StandardStable(alpha, beta, 1.0)
+        mags = [0.0, 1e-3, 0.3, 1.0, 2.5, 6.0, 11.0, 13.0, 20.0, 30.0, 100.0,
+                1e3, 1e4, 1e5]
+        xs = np.array(sorted({sign * m for m in mags for sign in (-1.0, 1.0)}))
+        want = [quad_cdf(std, x) for x in xs]
+        np.testing.assert_allclose(cdf(std, xs), want, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.6])
+    def test_far_tail_leading_term(self, alpha, beta):
+        # from |x| = 1e5 on, P(X > x) and P(X < -x) are C_alpha (1 +- beta)/2
+        # |x|^-alpha up to a second term below 3e-11; quad_cdf misses this by
+        # up to 4.3e-8 at |x| = 1e6 (alpha = 1.1, beta = 0.6)
+        std = StandardStable(alpha, beta, 1.0)
+        c = stable_tail_constant(alpha)
+        for x in (1e5, 1e6):
+            assert 1.0 - cdf(std, x) == pytest.approx(c * (1 + beta) / 2 * x**-alpha, abs=1e-10)
+            assert cdf(std, -x) == pytest.approx(c * (1 - beta) / 2 * x**-alpha, abs=1e-10)
+
+    def test_quadrature_error_raised(self, monkeypatch):
+        # three and two nodes per panel cannot resolve the integrand
+        monkeypatch.setattr(stable_law, "_CDF_RULES", (stable_law._gauss_legendre(3),
+                                                       stable_law._gauss_legendre(2)))
+        with pytest.raises(CdfQuadratureError) as info:
+            cdf(StandardStable(1.5, 0.3, 1.0), np.linspace(-5.0, 5.0, 11))
+        assert info.value.achieved > 1e-6
