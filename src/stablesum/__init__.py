@@ -10,7 +10,6 @@ characteristic-function oracle and by Monte Carlo.
 
 from .slowly_varying import (
     HAlphaConvergenceError,
-    NormalizerInputs,
     SlowlyVaryingSpec,
     big_h,
     coefficient,

@@ -15,10 +15,11 @@ The infinite past cannot be truncated at any practical depth (the remainder
 decays like J^{1-alpha}), so the past block is summed exactly to depth J and
 closed with the integral of a smooth continuation under the midpoint rule;
 the remainder bound |f(J+1) - f(J)|/24 replaces brute-force depth.
-J starts shallow (JPolicy.floor) and grows geometrically until the largest
-bound over all evaluated frequency vectors is below tolerance; the vectors
-share the prefix sums, the in-window block and each growth round, and the
-weight blocks are built in row chunks of bounded size.
+J starts shallow (_J_FLOOR, whatever N) and grows by the factor _J_GROWTH,
+up to _J_MAX, until the largest bound over all evaluated frequency vectors is
+below tolerance; the vectors share the prefix sums, the in-window block and
+each growth round, and the weight blocks are built in row chunks of bounded
+size.
 
 The closure integrates every frequency vector in one vectorized pass.  The
 variable is t = (X/x)^(alpha-1), X = J + 1/2, on (0, 1], where the
@@ -50,7 +51,7 @@ from .linear_process import (
     thread_map,
 )
 from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
-from .stable_law import SkewedStableParams, _gauss_legendre
+from .stable_law import SkewedStableParams, _gauss_legendre, log_cf
 
 __all__ = [
     "v_transform",
@@ -59,7 +60,6 @@ __all__ = [
     "ExactFddLogCf",
     "exact_fdd_log_cf",
     "limit_log_cf",
-    "JPolicy",
     "JDepthError",
     "SweepRow",
     "cf_convergence_sweep",
@@ -139,16 +139,9 @@ class JDepthError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class JPolicy:
-    """Past-depth policy: start at depth floor, whatever N, and multiply the
-    depth by growth until the largest certified remainder bound over all
-    evaluated frequency vectors is below tol (at most max_depth)."""
-
-    tol: float = 1e-8
-    floor: int = 10_000
-    growth: int = 4
-    max_depth: int = 2**25
+_J_FLOOR = 10_000
+_J_GROWTH = 4
+_J_MAX = 2**25
 
 
 @dataclass(frozen=True)
@@ -249,11 +242,6 @@ def _euler_maclaurin_span(ell, lnx, r, b):
     return integral + 0.5 * xa - xap / 12.0
 
 
-def _psi(w: np.ndarray, params: SkewedStableParams) -> np.ndarray:
-    mag = params.sigma * np.abs(w) ** params.alpha
-    return -mag + 1j * params.D * mag * np.sign(w)
-
-
 def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
                   params: SkewedStableParams, J0: int, tol: float):
     """Integral closure of sum_{x > J0} psi(c(-x)) for every column of UA at
@@ -276,7 +264,7 @@ def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
     def spans(t):
         return _scaled_spans(ell, lnX - k * np.log(t), B)
 
-    f_edge = _psi(prefix_weights(S, -J0 - 1, -J0 + 1, B) @ UA, params)
+    f_edge = log_cf(params, prefix_weights(S, -J0 - 1, -J0 + 1, B) @ UA)
     em = np.abs(f_edge[0] - f_edge[1]) / 24.0
     target = np.minimum(0.1 * tol, em)
 
@@ -354,16 +342,15 @@ def _prefix_sums(ell: SlowlyVaryingSpec, N: int, b_m: int, J: int) -> np.ndarray
 
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
                      fdd: FddSpec, *, j_depth: int | None = None,
-                     j_policy: JPolicy | None = None, freq_grid=None) -> ExactFddLogCf:
+                     tol: float = 1e-8, freq_grid=None) -> ExactFddLogCf:
     """Exact joint log-CF of (A_N^{-1} S(t_1), ..., A_N^{-1} S(t_m)) at the
     fdd frequencies, for exactly stable innovations (h == 1, H_alpha == 1),
     and at each extra frequency vector of freq_grid (see grid_values).
 
     Returns the value together with its past/in-window split and the certified
     bound on the neglected past remainder.  A fixed j_depth raises JDepthError
-    when it cannot certify the policy tolerance.
+    when it cannot certify tol.
     """
-    policy = j_policy or JPolicy()
     N = int(N)
     grid = [] if freq_grid is None else list(freq_grid)
     U = np.column_stack([fdd.freqs] + [np.asarray(g, dtype=float) for g in grid])
@@ -371,22 +358,22 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
         raise ValueError(f"need frequency vectors of length m = {fdd.m}")
     B = [floor_index(N, t) for t in fdd.times]
     fixed = j_depth is not None
-    J = int(j_depth) if fixed else policy.floor
+    J = int(j_depth) if fixed else _J_FLOOR
     S = _prefix_sums(ell, N, B[-1], J)
     A = float(N) ** (1.0 / params.alpha) * S[N]
     UA = U / A
     window = _psi_sums(S, 0, B[-1], B, UA, params)
     past_exact = _psi_sums(S, -J, 0, B, UA, params)
     while True:
-        tails, bounds = _past_closure(ell, S, UA, B, params, J, policy.tol)
+        tails, bounds = _past_closure(ell, S, UA, B, params, J, tol)
         bound = float(bounds.max())
-        if bound <= policy.tol:
+        if bound <= tol:
             break
-        if fixed or J * policy.growth > policy.max_depth:
+        if fixed or J * _J_GROWTH > _J_MAX:
             raise JDepthError(
                 f"past depth J={J} certifies only {bound:.3g} "
-                f"(tolerance {policy.tol})", bound)
-        deeper = J * policy.growth
+                f"(tolerance {tol})", bound)
+        deeper = J * _J_GROWTH
         S = _prefix_sums(ell, N, B[-1], deeper)
         past_exact += _psi_sums(S, -deeper, -J, B, UA, params)
         J = deeper
@@ -408,15 +395,18 @@ def limit_log_cf(params: SkewedStableParams, fdd: FddSpec) -> complex:
     return complex(re, im)
 
 
-def default_frequency_grid(m: int, *, values=(-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0),
-                           cap: int = 64) -> list:
+_GRID_VALUES = (-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0)
+_GRID_CAP = 64
+
+
+def default_frequency_grid(m: int) -> list:
     """Per-coordinate grid for sup-distances; an even stride keeps the point
-    count at cap when the full product would exceed it."""
-    full = list(product(values, repeat=m))
-    if len(full) <= cap:
+    count at _GRID_CAP when the full product would exceed it."""
+    full = list(product(_GRID_VALUES, repeat=m))
+    if len(full) <= _GRID_CAP:
         return [np.array(g) for g in full]
-    stride = len(full) / cap
-    return [np.array(full[int(k * stride)]) for k in range(cap)]
+    stride = len(full) / _GRID_CAP
+    return [np.array(full[int(k * stride)]) for k in range(_GRID_CAP)]
 
 
 @dataclass(frozen=True)
@@ -431,7 +421,7 @@ class SweepRow:
 
 
 def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
-                         fdd: FddSpec, n_list, *, j_policy: JPolicy | None = None,
+                         fdd: FddSpec, n_list, *, tol: float = 1e-8,
                          freq_grid=None, threads: int = 1) -> list:
     """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
     the fdd's frequencies and freq_grid when given); past_part tracks the
@@ -451,7 +441,7 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
 
     def row(n):
         t0 = time.perf_counter()
-        out = exact_fdd_log_cf(ell, params, n, fdd, j_policy=j_policy, freq_grid=grid)
+        out = exact_fdd_log_cf(ell, params, n, fdd, tol=tol, freq_grid=grid)
         dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
         wall = (time.perf_counter() - t0) * 1e3
         return SweepRow(n, dist, abs(out.past_part), wall, out.j_depth,

@@ -214,7 +214,7 @@ def parse_config(path) -> RunConfig:
     truncation = _get(proc, "truncation", _truncation, default="auto")
 
     sim = parser["simulate"] if "simulate" in parser else {}
-    simulate_n = _get(sim, "n", int) if sim else None
+    simulate_n = _get(sim, "n", int)
     simulate_t = _get(sim, "t", _positive, default=1.0) if sim else None
     _require(simulate_n is None or simulate_n >= 1, "need [simulate] n >= 1")
 
@@ -228,11 +228,11 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(str(exc)) from exc
 
     sweep = parser["sweep"] if "sweep" in parser else {}
-    n_list = _get(sweep, "n_list", _int_list) if sweep else None
-    reps = _get(sweep, "reps", int) if sweep else None
-    seed = _get(sweep, "seed", int) if sweep else None
-    j_tol = _get(sweep, "j_tolerance", _positive, default=1e-8) if sweep else 1e-8
-    sup_grid = _get(sweep, "sup_grid", _bool, default=False) if sweep else False
+    n_list = _get(sweep, "n_list", _int_list)
+    reps = _get(sweep, "reps", int)
+    seed = _get(sweep, "seed", int)
+    j_tol = _get(sweep, "j_tolerance", _positive, default=1e-8)
+    sup_grid = _get(sweep, "sup_grid", _bool, default=False)
     _require(n_list is None or bool(n_list) and min(n_list) >= 1
              and all(b > a for a, b in zip(n_list, n_list[1:])),
              "need [sweep] n_list strictly increasing with every N >= 1")
@@ -249,12 +249,12 @@ def parse_config(path) -> RunConfig:
 
     tol = parser["tolerance"] if "tolerance" in parser else {}
     criteria = verification.CriteriaConfig(
-        max_ks=_get(tol, "max_ks", _positive) if tol else None,
-        max_ecf_distance=_get(tol, "max_ecf", _positive) if tol else None,
-        require_decreasing_distance=_get(tol, "require_decreasing", _bool, default=False) if tol else False,
-        max_distance_ratio=_get(tol, "max_distance_ratio", _positive) if tol else None,
-        require_decreasing_past=_get(tol, "require_decreasing_past", _bool, default=False) if tol else False,
-        max_past_ratio=_get(tol, "max_past_ratio", _positive) if tol else None,
+        max_ks=_get(tol, "max_ks", _positive),
+        max_ecf_distance=_get(tol, "max_ecf", _positive),
+        require_decreasing_distance=_get(tol, "require_decreasing", _bool, default=False),
+        max_distance_ratio=_get(tol, "max_distance_ratio", _positive),
+        require_decreasing_past=_get(tol, "require_decreasing_past", _bool, default=False),
+        max_past_ratio=_get(tol, "max_past_ratio", _positive),
     )
 
     raw = {s: dict(parser[s]) for s in parser.sections()}
@@ -331,7 +331,7 @@ def _run_sweep(cfg: RunConfig, threads: int):
     grid = cf_oracle.default_frequency_grid(cfg.fdd.m) if cfg.sup_grid else None
     return cf_oracle.cf_convergence_sweep(
         cfg.ell, params, cfg.fdd, cfg.n_list,
-        j_policy=cf_oracle.JPolicy(tol=cfg.j_tolerance), freq_grid=grid, threads=threads)
+        tol=cfg.j_tolerance, freq_grid=grid, threads=threads)
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from .innovations import ExactStable, InnovationSpec, sample_innovations, tail_constants
 from .slowly_varying import (
-    NormalizerInputs,
     SlowlyVaryingSpec,
     big_h,
     coefficient,
@@ -138,14 +137,18 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
     return direct + rem
 
 
+_M_FLOOR = 10_000
+_M_CAP = 10**8
+_M_BUDGET_RATIO = 1e-3
+
+
 def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
-                             alpha: float, *, budget_ratio: float = 1e-3,
-                             floor: int = 10_000, cap: int = 10**8) -> int:
-    """Smallest power-of-two multiple of the floor whose truncation tail is
-    below budget_ratio times the full series."""
+                             alpha: float) -> int:
+    """Smallest power-of-two multiple of _M_FLOOR whose truncation tail is
+    below _M_BUDGET_RATIO times the full series (at most _M_CAP)."""
     full = truncation_tail(ell, innovation, alpha, 0)
-    M = floor
-    while M < cap and truncation_tail(ell, innovation, alpha, M) >= budget_ratio * full:
+    M = _M_FLOOR
+    while M < _M_CAP and truncation_tail(ell, innovation, alpha, M) >= _M_BUDGET_RATIO * full:
         M *= 2
     return M
 
@@ -222,7 +225,7 @@ def process_normalizer(process: ProcessSpec, alpha: float, N: int) -> float:
         s_n = coefficient_prefix_sums(process.ell, int(N))[-1]
         return float(N) ** (1.0 / alpha) * s_n
     tc = tail_constants(process.innovation)
-    return normalizer(NormalizerInputs(process.ell, tc.h, alpha, int(N)))
+    return normalizer(process.ell, tc.h, alpha, N)
 
 
 def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,

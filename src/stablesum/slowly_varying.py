@@ -33,7 +33,6 @@ __all__ = [
     "solve_h_alpha",
     "HAlphaResult",
     "HAlphaConvergenceError",
-    "NormalizerInputs",
     "normalizer",
 ]
 
@@ -113,7 +112,7 @@ def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int) -> np.ndarray:
     return out
 
 
-def big_h_from_callable(h_fn, t: float, *, rtol: float = 1e-12) -> float:
+def big_h_from_callable(h_fn, t: float) -> float:
     """Truncated-second-moment transform -int_1^t s^2 d(h(s)/s^2) for a scalar
     callable h.  Integration by parts: h(1) - h(t) + 2*int_1^t h(s)/s ds, with
     the ds-integral evaluated as int_0^{ln t} h(e^y) dy.
@@ -123,7 +122,7 @@ def big_h_from_callable(h_fn, t: float, *, rtol: float = 1e-12) -> float:
     if t == 1.0:
         return 0.0
     integral, _ = quad(lambda y: h_fn(math.exp(y)), 0.0, math.log(t),
-                       epsabs=1e-14, epsrel=rtol, limit=200)
+                       epsabs=1e-14, epsrel=1e-12, limit=200)
     return h_fn(1.0) - h_fn(t) + 2.0 * integral
 
 
@@ -157,8 +156,12 @@ class HAlphaResult:
     iterations: int
 
 
-def solve_h_alpha(big_h_fn, alpha: float, N: float, *, rel_tol: float = 1e-12,
-                  max_iter: int = 200) -> HAlphaResult:
+# relative step that ends the fixed-point iteration; iteration and bisection cap
+_H_REL_TOL = 1e-12
+_H_MAX_ITER = 200
+
+
+def solve_h_alpha(big_h_fn, alpha: float, N: float) -> HAlphaResult:
     """Fixed point x* of x -> H(N^{1/alpha} x^{1/alpha}) for a scalar callable H.
 
     Plain iteration from x0 = H(N^{1/alpha}); the map's derivative vanishes for
@@ -179,22 +182,22 @@ def solve_h_alpha(big_h_fn, alpha: float, N: float, *, rel_tol: float = 1e-12,
     x = big_h_fn(root)
     ok = math.isfinite(x) and x > 0.0
     if ok:
-        for it in range(1, max_iter + 1):
+        for it in range(1, _H_MAX_ITER + 1):
             try:
                 x_new = step(x)
             except ValueError:
                 break
             if not (math.isfinite(x_new) and x_new > 0.0):
                 break
-            if abs(x_new - x) <= rel_tol * abs(x_new):
+            if abs(x_new - x) <= _H_REL_TOL * abs(x_new):
                 resid = abs(step(x_new) - x_new) / x_new
                 return HAlphaResult(x_new, resid, it)
             x = x_new
 
-    return _bisect_h_alpha(step, x if ok else 1.0, alpha, max_iter)
+    return _bisect_h_alpha(step, x if ok else 1.0, alpha)
 
 
-def _bisect_h_alpha(step, x_guess, alpha, max_iter):
+def _bisect_h_alpha(step, x_guess, alpha):
     def g(x):
         try:
             return x - step(x)
@@ -218,7 +221,7 @@ def _bisect_h_alpha(step, x_guess, alpha, max_iter):
             f"(alpha={alpha}); last iterate {x_guess:.6g}, residual {resid:.3g}",
             x_guess, resid)
     lo, hi = bracket
-    for it in range(max_iter):
+    for it in range(_H_MAX_ITER):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm is None or gm == 0.0:
@@ -229,7 +232,7 @@ def _bisect_h_alpha(step, x_guess, alpha, max_iter):
             lo = mid
     x = 0.5 * (lo + hi)
     resid = abs(step(x) - x) / x
-    return HAlphaResult(x, resid, max_iter)
+    return HAlphaResult(x, resid, _H_MAX_ITER)
 
 
 def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
@@ -250,25 +253,15 @@ def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
     return solve_h_alpha(lambda t: big_h(h, alpha, t), alpha, N)
 
 
-@dataclass(frozen=True)
-class NormalizerInputs:
-    ell: SlowlyVaryingSpec
-    h: SlowlyVaryingSpec
-    alpha: float
-    N: int
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if int(self.N) < 1:
-            raise ValueError("need N >= 1")
-
-
-def normalizer(inputs: NormalizerInputs) -> float:
+def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: int) -> float:
     """A_N = N^{1/alpha} * H_alpha(N)^{1/alpha} * sum_{i<=N} ell(i)/i."""
-    N = int(inputs.N)
-    s_n = coefficient_prefix_sums(inputs.ell, N)[-1]
-    ha = h_alpha(inputs.h, inputs.alpha, N)
-    return N ** (1.0 / inputs.alpha) * ha ** (1.0 / inputs.alpha) * s_n
+    _check_alpha(alpha)
+    N = int(N)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    s_n = coefficient_prefix_sums(ell, N)[-1]
+    ha = h_alpha(h, alpha, N)
+    return N ** (1.0 / alpha) * ha ** (1.0 / alpha) * s_n
 
 
 def _check_alpha(alpha: float) -> None:

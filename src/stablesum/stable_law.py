@@ -219,6 +219,9 @@ _CDF_PANEL_PHASE = 8.0
 # log-spaced panels in y = ln v below v0: edges relative to ln v0
 _CDF_Y_EDGES = np.array([-30.0, -16.0, -7.0, -3.0, -1.0, 0.0])
 _CDF_CHUNK = 1 << 15  # points x nodes per block: two 256 KiB float64 arrays
+# refuse node sets beyond this size (about 10 MiB of work arrays); alpha = 1.001
+# with |beta| = 1 needs 143976 nodes, and the need grows like 1/(alpha - 1)
+_CDF_MAX_NODES = 150_000
 # tail series: at most _CDF_SERIES_MAX terms, up to the first below
 # _CDF_SERIES_STOP at the cutoff
 _CDF_SERIES_MAX = 60
@@ -237,8 +240,9 @@ def cdf(std: StandardStable, x):
     which sits near the S1 shift beta tan(pi alpha/2) with unit width, and
     the Gaussian-like body of alpha near 2, which is below e^-36 there.
     The node counts aim at an absolute error of 1e-9; CdfQuadratureError is
-    raised when the achieved error exceeds 1e-6.  alpha = 2 delegates to the
-    exact Gaussian CDF.
+    raised when the achieved error exceeds 1e-6, and ValueError when a body
+    needs more than _CDF_MAX_NODES nodes (alpha near 1 with beta away from
+    0).  alpha = 2 delegates to the exact Gaussian CDF.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -324,8 +328,13 @@ def _gil_pelaez(alpha: float, bt: float, x_max: float, x: np.ndarray) -> tuple:
     omega = x_max + alpha * abs(bt) * v_max ** (alpha - 1.0)
     width = min(2.0, _CDF_PANEL_PHASE / omega)
     v0 = min(1.0, width)
+    n_panels = math.ceil((v_max - v0) / width)
+    n_nodes = (len(_CDF_Y_EDGES) - 1 + n_panels) * sum(len(r[0]) for r in _CDF_RULES)
+    if n_nodes > _CDF_MAX_NODES:
+        raise ValueError(f"cdf quadrature needs {n_nodes} nodes, beyond the budget "
+                         f"of {_CDF_MAX_NODES} nodes")
     y_edges = math.log(v0) + _CDF_Y_EDGES
-    v_edges = np.linspace(v0, v_max, math.ceil((v_max - v0) / width) + 1)
+    v_edges = np.linspace(v0, v_max, n_panels + 1)
     nodes, weights = [], []
     for rule in _CDF_RULES:
         y, wy = _gl_panels(y_edges, rule)

@@ -10,7 +10,6 @@ from scipy.special import zeta
 from stablesum import cf_oracle
 from stablesum.cf_oracle import (
     JDepthError,
-    JPolicy,
     aggregated_coefficients,
     cf_convergence_sweep,
     default_frequency_grid,
@@ -157,8 +156,7 @@ class TestExactFddLogCf:
 
     def test_insufficient_j_raises(self):
         with pytest.raises(JDepthError) as err:
-            exact_fdd_log_cf(ELL1, SYM15, 1000, self.FDD1, j_depth=5,
-                             j_policy=JPolicy(tol=1e-12))
+            exact_fdd_log_cf(ELL1, SYM15, 1000, self.FDD1, j_depth=5, tol=1e-12)
         assert err.value.achieved > 1e-12
 
     def test_log_power_ell_continuation(self):
@@ -187,14 +185,13 @@ class TestExactFddLogCf:
         assert out.j_depth == 10_000
         assert out.tail_bound <= 1e-8
 
-    def test_growth_matches_fixed_depth(self):
+    def test_growth_matches_fixed_depth(self, monkeypatch):
         # a shallow floor grows x4 until certified; the past summed round by
         # round equals one pass at the final depth
-        policy = JPolicy(floor=10)
-        grown = exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1, j_policy=policy)
+        monkeypatch.setattr(cf_oracle, "_J_FLOOR", 10)
+        grown = exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1)
         assert grown.j_depth > 10
-        fixed = exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1, j_depth=grown.j_depth,
-                                 j_policy=policy)
+        fixed = exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1, j_depth=grown.j_depth)
         assert abs(grown.value - fixed.value) < 1e-13
         assert grown.tail_bound == fixed.tail_bound
 
@@ -394,7 +391,7 @@ class TestSweep:
         assert rows[0].distance >= base[0].distance
 
     def test_grid_cap(self):
-        grid = default_frequency_grid(3, cap=64)
+        grid = default_frequency_grid(3)
         assert len(grid) == 64
 
 

@@ -164,6 +164,17 @@ class TestSimulate:
         want = coefficient(constant(1.0), np.arange(1.0, 21.0))
         np.testing.assert_allclose(xs, want, rtol=1e-15)
 
+    def test_hook_const_sums_all_lags(self, tmp_path):
+        # constant innovations give X_n = value * sum_{i<=M} a_i at every n
+        text = BASE.replace("innovation = stable", "innovation = hook_const\nhook_value = 2.5")
+        code = main(["simulate", "--config", write(tmp_path, text),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        lines = (tmp_path / "out" / "simulate.csv").read_text().strip().split("\n")[1:]
+        xs = np.array([float(line.split(",")[1]) for line in lines])
+        assert xs.shape == (20,)
+        np.testing.assert_allclose(xs, 2.5 * np.sum(1.0 / np.arange(1.0, 201.0)), rtol=1e-13)
+
     def test_deterministic_output(self, tmp_path):
         path = write(tmp_path, BASE)
         main(["simulate", "--config", path, "--out-dir", str(tmp_path / "a")])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stablesum.slowly_varying import (
     HAlphaConvergenceError,
-    NormalizerInputs,
     SlowlyVaryingSpec,
     big_h,
     big_h_from_callable,
@@ -199,32 +198,28 @@ class TestHAlpha:
 
 class TestNormalizer:
     def test_unit(self):
-        inputs = NormalizerInputs(constant(1.0), constant(1.0), 1.5, 1)
-        assert normalizer(inputs) == pytest.approx(1.0, rel=1e-14)
+        assert normalizer(constant(1.0), constant(1.0), 1.5, 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_two(self):
-        inputs = NormalizerInputs(constant(1.0), constant(1.0), 1.5, 2)
-        assert normalizer(inputs) == pytest.approx(2.0 ** (2.0 / 3.0) * 1.5, rel=1e-12)
+        assert normalizer(constant(1.0), constant(1.0), 1.5, 2) == pytest.approx(
+            2.0 ** (2.0 / 3.0) * 1.5, rel=1e-12)
 
     def test_alpha2_unit_has_no_fixed_point(self):
         # with the cutoff-1 transform H(t) = 2 ln t, x = ln(Nx) is insolvable
         # at N = 1, so the advertised trivial value 1 cannot exist
         with pytest.raises(HAlphaConvergenceError):
-            normalizer(NormalizerInputs(constant(1.0), constant(1.0), 2.0, 1))
+            normalizer(constant(1.0), constant(1.0), 2.0, 1)
 
     def test_monotone_in_n(self):
-        inputs = [NormalizerInputs(constant(1.0), constant(1.0), 1.5, n)
-                  for n in range(1, 1001)]
-        vals = [normalizer(i) for i in inputs]
+        vals = [normalizer(constant(1.0), constant(1.0), 1.5, n) for n in range(1, 1001)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_n_alpha2(self):
-        vals = [normalizer(NormalizerInputs(constant(1.0), constant(1.0), 2.0, n))
-                for n in range(3, 400)]
+        vals = [normalizer(constant(1.0), constant(1.0), 2.0, n) for n in range(3, 400)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NormalizerInputs(constant(1.0), constant(1.0), 1.0, 10)
+            normalizer(constant(1.0), constant(1.0), 1.0, 10)
         with pytest.raises(ValueError):
-            NormalizerInputs(constant(1.0), constant(1.0), 1.5, 0)
+            normalizer(constant(1.0), constant(1.0), 1.5, 0)

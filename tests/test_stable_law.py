@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,6 +357,24 @@ class TestCdf:
         for x in (1e5, 1e6):
             assert 1.0 - cdf(std, x) == pytest.approx(c * (1 + beta) / 2 * x**-alpha, abs=1e-10)
             assert cdf(std, -x) == pytest.approx(c * (1 - beta) / 2 * x**-alpha, abs=1e-10)
+
+    def test_node_budget(self):
+        # alpha = 1.001, beta = 1 needs 143976 nodes in the band of |x| near
+        # the cutoff and keeps its values; alpha = 1.0001 needs ten times as
+        # many and is refused before they are allocated
+        xs = np.array([-1200.0, -635.0, 0.0, 1200.0])
+        np.testing.assert_allclose(
+            cdf(StandardStable(1.001, 1.0, 1.0), xs),
+            [7.638334409421077e-14, 0.6640680551457625, 0.999000999000771, 0.9996553229574501],
+            rtol=0, atol=1e-12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget of 150000 nodes"):
+                cdf(StandardStable(1.0001, 1.0, 1.0), xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_quadrature_error_raised(self, monkeypatch):
         # three and two nodes per panel cannot resolve the integrand
