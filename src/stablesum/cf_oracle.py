@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import digamma
 
 from .linear_process import (
     MEMORY_BUDGET_ELEMENTS,
@@ -216,7 +215,8 @@ def _digamma_span(lnx, r, b):
         0.5 + (w1 + w2) * (1.0 / 12.0 - (s1 + s2) / 120.0
                            + (s1 * s1 + s1 * s2 + s2 * s2) / 252.0))
     small = np.broadcast_to(lnx < _LN_SERIES_X, out.shape)
-    if small.any():
+    if small.any():  # the closure has x >= J >= _J_FLOOR unless j_depth is pinned
+        from scipy.special import digamma
         x = np.broadcast_to(np.exp(lnx), out.shape)[small]
         bs = np.broadcast_to(b, out.shape)[small]
         out[small] = x * (digamma(x + bs + 1.0) - digamma(x + 1.0))

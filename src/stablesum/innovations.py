@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .slowly_varying import SlowlyVaryingSpec, constant, eval_sv
 from .stable_law import (
@@ -194,6 +193,7 @@ def _tail_first_moment(spec: ParetoTail, weight: float, x1: float) -> float:
     if h.kind == "constant":
         mean_h = h.c
     else:
+        from scipy.integrate import quad
         ln_x1 = math.log(x1)
         mean_h, err = quad(
             lambda s: h.c * np.logaddexp(1.0, ln_x1 - math.log(s) / (a - 1.0)) ** h.p,

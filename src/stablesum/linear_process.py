@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.integrate import quad
 
 from .innovations import ExactStable, InnovationSpec, sample_innovations, tail_constants
 from .slowly_varying import (
@@ -106,6 +105,38 @@ def _big_h_vector(h: SlowlyVaryingSpec, alpha: float, t: np.ndarray) -> np.ndarr
     return np.interp(np.log(t), np.log(grid), vals)
 
 
+# exact terms per truncation tail; a quad integral closes the rest
+_TAIL_BLOCK = 1_000_000
+
+
+def _tail_terms(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
+                lo: int, hi: int) -> np.ndarray:
+    """|a_i|^alpha H(|a_i|^-1) for lags i = lo+1 .. hi."""
+    a = coefficient(ell, np.arange(lo + 1, hi + 1, dtype=float))
+    return a**alpha * _big_h_vector(h, alpha, np.maximum(1.0 / a, 1.0))
+
+
+def _block_tail(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
+                terms: np.ndarray, cut: int) -> float:
+    """Sum of the block `terms` (lags up to `cut`) plus the quad remainder
+    beyond `cut`; a block holding a term below 1e-16 is the whole tail,
+    summed over its terms of at least 1e-16."""
+    keep = terms >= 1e-16
+    if not keep.all():
+        return float(np.sum(terms[keep]))
+    direct = float(np.sum(terms))
+
+    def f(x):
+        ax = eval_sv(ell, x) / x
+        return ax**alpha * big_h(h, alpha, max(1.0 / ax, 1.0))
+
+    from scipy.integrate import quad
+    X = cut + 0.5
+    rem, _ = quad(lambda s: 0.0 if s < 1e-10 else f(X / s) * X / s**2,
+                  0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
+    return direct + rem
+
+
 def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
                     alpha: float, M: int) -> float:
     """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series.
@@ -118,23 +149,8 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
     if M < 0:
         raise ValueError("need M >= 0")
     h = tail_constants(innovation).h
-    cut = M + 1_000_000
-    i = np.arange(M + 1, cut + 1, dtype=float)
-    a = coefficient(ell, i)
-    terms = a**alpha * _big_h_vector(h, alpha, np.maximum(1.0 / a, 1.0))
-    keep = terms >= 1e-16
-    if not keep.all():
-        return float(np.sum(terms[keep]))
-    direct = float(np.sum(terms))
-
-    def f(x):
-        ax = eval_sv(ell, x) / x
-        return ax**alpha * big_h(h, alpha, max(1.0 / ax, 1.0))
-
-    X = cut + 0.5
-    rem, _ = quad(lambda s: 0.0 if s < 1e-10 else f(X / s) * X / s**2,
-                  0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
-    return direct + rem
+    cut = M + _TAIL_BLOCK
+    return _block_tail(ell, h, alpha, _tail_terms(ell, h, alpha, M, cut), cut)
 
 
 _M_FLOOR = 10_000
@@ -145,10 +161,22 @@ _M_BUDGET_RATIO = 1e-3
 def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
                              alpha: float) -> int:
     """Smallest power-of-two multiple of _M_FLOOR whose truncation tail is
-    below _M_BUDGET_RATIO times the full series (at most _M_CAP)."""
-    full = truncation_tail(ell, innovation, alpha, 0)
+    below _M_BUDGET_RATIO times the full series (at most _M_CAP).
+
+    Each candidate's tail is truncation_tail(M), read off one buffer of
+    terms that holds lags lo+1 .. lo+len(terms) and gains only the lags the
+    next M needs."""
+    h = tail_constants(innovation).h
+    lo, terms = 0, _tail_terms(ell, h, alpha, 0, _M_FLOOR + _TAIL_BLOCK)
+    full = _block_tail(ell, h, alpha, terms[:_TAIL_BLOCK], _TAIL_BLOCK)
     M = _M_FLOOR
-    while M < _M_CAP and truncation_tail(ell, innovation, alpha, M) >= _M_BUDGET_RATIO * full:
+    while M < _M_CAP:
+        cut = M + _TAIL_BLOCK
+        if cut > lo + len(terms):
+            new = _tail_terms(ell, h, alpha, max(M, lo + len(terms)), cut)
+            lo, terms = M, np.concatenate([terms[M - lo:], new])
+        if _block_tail(ell, h, alpha, terms[M - lo:cut - lo], cut) < _M_BUDGET_RATIO * full:
+            break
         M *= 2
     return M
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "SlowlyVaryingSpec",
@@ -121,6 +120,7 @@ def big_h_from_callable(h_fn, t: float) -> float:
         raise ValueError("need t >= 1")
     if t == 1.0:
         return 0.0
+    from scipy.integrate import quad
     integral, _ = quad(lambda y: h_fn(math.exp(y)), 0.0, math.log(t),
                        epsabs=1e-14, epsrel=1e-12, limit=200)
     return h_fn(1.0) - h_fn(t) + 2.0 * integral

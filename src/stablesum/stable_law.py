@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln, ndtr
 
 __all__ = [
     "SkewedStableParams",
@@ -88,7 +86,7 @@ def stable_tail_constant(alpha: float) -> float:
     alpha = 2 (no power tail)."""
     if not (1.0 < alpha < 2.0):
         raise ValueError("need alpha in (1, 2)")
-    return 2.0 * _gamma(alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
+    return 2.0 * math.gamma(alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
 def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> SkewedStableParams:
@@ -109,7 +107,7 @@ def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> SkewedSta
     if alpha == 2.0:
         return SkewedStableParams(2.0, sigma1 + sigma2, 0.0)
     total = sigma1 + sigma2
-    sigma = total * abs(_gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0))
+    sigma = total * abs(math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0))
     D = (sigma2 - sigma1) / total * math.tan(math.pi * alpha / 2.0)
     return SkewedStableParams(alpha, sigma, D)
 
@@ -248,6 +246,7 @@ def cdf(std: StandardStable, x):
     if not np.all(np.isfinite(arr)):
         raise ValueError("need finite x")
     if std.alpha == 2.0:
+        from scipy.special import ndtr
         out = ndtr(arr / (std.scale * math.sqrt(2.0)))
     else:
         flat, err = _stable_cdf(std.alpha, std.beta, arr.ravel() / std.scale)
@@ -368,6 +367,10 @@ def _gil_pelaez(alpha: float, bt: float, x_max: float, x: np.ndarray) -> tuple:
     return 0.5 - vals[:, 0] / math.pi, err
 
 
+# log Gamma at the _CDF_SERIES_MAX + 1 scalars of the tail series
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def _tail_series(alpha: float, bt: float, cut: float, x: np.ndarray) -> tuple:
     """F(x) for |x| > cut from the tail expansion of the S1 law, and its error.
 
@@ -381,7 +384,7 @@ def _tail_series(alpha: float, bt: float, cut: float, x: np.ndarray) -> tuple:
     """
     lam, th0 = math.hypot(1.0, bt), math.atan(bt) / alpha
     k = np.arange(1, _CDF_SERIES_MAX + 2)
-    log_env = k * math.log(lam) + gammaln(k * alpha) - gammaln(k + 1.0) - math.log(math.pi)
+    log_env = k * math.log(lam) + _lgamma(k * alpha) - _lgamma(k + 1.0) - math.log(math.pi)
     log_term = log_env - k * alpha * math.log(cut)
     below = np.flatnonzero(log_term < math.log(_CDF_SERIES_STOP))
     n_terms = min(int(below[0] if below.size else np.argmin(log_term)) + 1,

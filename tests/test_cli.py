@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,31 @@ class TestThreads:
         assert main(["verify", "--config", write(tmp_path, BASE),
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == [20, 50]
+
+
+class TestImportFootprint:
+    """Exact-stable runs with constant ell import numpy alone: scipy is
+    loaded only by the code paths that need quadrature or special functions."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from stablesum import cli\n"
+        "if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:\n"
+        "    sys.exit('run failed')\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+
+    @pytest.mark.parametrize("command", [None, "oracle", "verify", "simulate"])
+    def test_no_scipy_module_loaded(self, tmp_path, command):
+        argv = [] if command is None else [
+            command, "--config", write(tmp_path, BASE + "\n[tolerance]\nmax_ks = 1.0\n"),
+            "--out-dir", str(tmp_path / "out")]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestHalpha:

@@ -66,6 +66,22 @@ class TestTruncationTail:
         assert truncation_tail(ELL1, spec, 1.5, M) < 1e-3 * full
         assert M >= 10**4
 
+    @pytest.mark.parametrize("ell, spec, alpha, want", [
+        (ELL1, exact_stable(1.5, 0.0, 1.0), 1.5, 640_000),
+        (log_power(1.0, -2.0), ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5)), 1.5, 10_000),
+        (log_power(1.0, 1.0), exact_stable(1.7, 0.0, 1.0), 1.7, 2_560_000),
+    ])
+    def test_default_depth_is_first_passing_candidate(self, ell, spec, alpha, want):
+        # the one-pass depth equals the first M = 1e4 * 2^k whose own
+        # truncation_tail is below 1e-3 of the full series, also past M = 1e6
+        # where consecutive candidates share no lags
+        M = default_truncation_depth(ell, spec, alpha)
+        assert M == want
+        full = truncation_tail(ell, spec, alpha, 0)
+        assert truncation_tail(ell, spec, alpha, M) < 1e-3 * full
+        if M > 10_000:
+            assert truncation_tail(ell, spec, alpha, M // 2) >= 1e-3 * full
+
 
 class TestPath:
     def test_constant_innovations(self):
