@@ -50,7 +50,7 @@ from .linear_process import (
     thread_map,
 )
 from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
-from .stable_law import SkewedStableParams, _gauss_legendre, log_cf
+from .stable_law import _PANEL_X, SkewedStableParams, _gauss_legendre, log_cf, panel_quad
 
 __all__ = [
     "v_transform",
@@ -157,29 +157,20 @@ class ExactFddLogCf:
     grid_values: np.ndarray
 
 
-# The log-power span integral takes 40 Gauss-Legendre nodes; a closure panel
-# is integrated by G_20 and G_40 on one node set, and |G_40 - G_20| is its
-# error estimate.
-_G20_X, _G20_W = _gauss_legendre(20)
+# the log-power span integral takes 40 Gauss-Legendre nodes
 _G40_X, _G40_W = _gauss_legendre(40)
-_PANEL_X = np.concatenate([_G20_X, _G40_X])
-_PANEL_W = np.zeros((60, 2))
-_PANEL_W[:20, 0], _PANEL_W[20:, 1] = _G20_W, _G40_W
-# below x = e**_LN_SERIES_X the constant-ell span is a plain digamma
-# difference; above, the asymptotic digamma series (first omitted term below
-# 1e-17 relative) avoids subtracting two nearly equal digammas
-_LN_SERIES_X = math.log(100.0)
+# the constant-ell span comes from the asymptotic digamma series (first
+# omitted term below 1e-17 relative) at x >= _DIGAMMA_SHIFT, and below from
+# the series at x + _DIGAMMA_SHIFT and the digamma recurrence
+_DIGAMMA_SHIFT = 100
 # sign of c sampled here (t in (0, 1]) to place the closure's breakpoints
 _SIGN_GRID = np.concatenate([2.0 ** -np.arange(40.0, 7.0, -1.0), np.arange(1, 129) / 128])
 # relative accuracy of _scaled_spans (worst seen 7e-15); a panel whose
 # estimate is within the round-off this leaves in c is accepted
 _SPAN_RTOL = 1e-14
-# no panel is split beyond _MAX_LEVELS rounds or once the pending panels
-# hold more than _MAX_NODES span evaluations; the estimates stay in the bound
-_MAX_LEVELS = 48
+# no panel is split once the pending panels hold more than _MAX_NODES span
+# evaluations; the estimates stay in the bound
 _MAX_NODES = 2**17
-# split points, as fractions of its length, of a failing panel that starts at t = 0
-_LADDER = 4.0 ** -np.arange(1.0, 7.0)
 
 
 def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
@@ -206,7 +197,10 @@ def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
 def _digamma_span(lnx, r, b):
     """x * (digamma(x+b+1) - digamma(x+1)) by the asymptotic series
     digamma(z) ~ ln z - 1/2z - 1/12z^2 + 1/120z^4 - 1/252z^6, written in
-    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels; small x directly."""
+    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels.  Below x =
+    _DIGAMMA_SHIFT = K the recurrence digamma(z) = digamma(z+K) -
+    sum_{i<K} 1/(z+i) moves the series to x + K, and the sum becomes
+    sum_{i<K} b / ((x+1+i) (x+b+1+i)), which does not cancel either."""
     w1 = r / (1.0 + r)
     w2 = r / (1.0 + (b + 1.0) * r)
     s1, s2 = w1 * w1, w2 * w2
@@ -214,12 +208,15 @@ def _digamma_span(lnx, r, b):
     out = np.log1p(b * w1) / r + q * (
         0.5 + (w1 + w2) * (1.0 / 12.0 - (s1 + s2) / 120.0
                            + (s1 * s1 + s1 * s2 + s2 * s2) / 252.0))
-    small = np.broadcast_to(lnx < _LN_SERIES_X, out.shape)
+    small = np.broadcast_to(lnx < math.log(_DIGAMMA_SHIFT), out.shape)
     if small.any():  # the closure has x >= J >= _J_FLOOR unless j_depth is pinned
-        from scipy.special import digamma
         x = np.broadcast_to(np.exp(lnx), out.shape)[small]
         bs = np.broadcast_to(b, out.shape)[small]
-        out[small] = x * (digamma(x + bs + 1.0) - digamma(x + 1.0))
+        xk = x + _DIGAMMA_SHIFT
+        span = _digamma_span(np.log(xk), 1.0 / xk, bs) / xk
+        for i in range(_DIGAMMA_SHIFT):
+            span += bs / ((x + 1.0 + i) * (x + bs + 1.0 + i))
+        out[small] = x * span
     return out
 
 
@@ -252,9 +249,9 @@ def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
     |f'(X)|/24).  With x = X t^(-1/(alpha-1)) the integral is
     X^(1-alpha)/(alpha-1) int_0^1 psi(x c(x)) dt, whose integrand stays
     bounded as t -> 0.  Each column's t-range is split where its c changes
-    sign (the kink of |c|^alpha), and G_20/G_40 panels are bisected until
-    each estimate is below its share of min(tol/10, midpoint remainder), so
-    the bound tracks the remainder as J grows.
+    sign (the kink of |c|^alpha), and G_20/G_40 panels are bisected
+    (panel_quad) until each estimate is below its share of min(tol/10,
+    midpoint remainder), so the bound tracks the remainder as J grows.
     """
     alpha, F = params.alpha, UA.shape[1]
     k = 1.0 / (alpha - 1.0)
@@ -283,51 +280,31 @@ def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
         same = np.sign(np.sum(g * UA.T[col][:, None], axis=-1)) == s_lo
         lo = lo + width * np.cumprod(same, axis=1).sum(axis=1)
     cols = np.arange(F)
-    a, b, col = _panels(np.concatenate([np.zeros(F), np.ones(F), lo + 0.5 * width]),
-                        np.concatenate([cols, cols, col]))
+    pts = np.concatenate([np.zeros(F), np.ones(F), lo + 0.5 * width])
 
     # psi(w) = sigma |w|^alpha (-1 + i D sgn w), so each panel integrates
     # |w|^alpha, |w|^alpha sgn w and the round-off that spans accurate to
     # _SPAN_RTOL leave in |w|^alpha, alpha |w|^(alpha-1) sum_i |u_i g_i| _SPAN_RTOL
-    sigma, D = scale * params.sigma, params.D
-    re, im, err = np.zeros(F), np.zeros(F), np.zeros(F)
-    for level in range(_MAX_LEVELS + 1):
-        half = 0.5 * (b - a)
-        ug = spans((0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X) * UA.T[col][:, None]
+    D = params.D
+
+    def integrand(t, col):
+        ug = spans(t) * UA.T[col][:, None]
         w = ug.sum(axis=-1)
         aw = np.abs(w)
         mag = aw ** alpha
         noise = alpha * _SPAN_RTOL * aw ** (alpha - 1.0) * np.abs(ug).sum(axis=-1)
-        parts = sigma * half[:, None] * (np.stack([mag, mag * np.sign(w), noise]) @ _PANEL_W)
-        g20, g40 = parts[..., 0], parts[..., 1]
-        q40 = -g40[0] + 1j * D * g40[1]
+        return np.stack([mag, mag * np.sign(w), noise])
+
+    # a panel within round-off, or past the node budget, is accepted as it is
+    def judge(g20, g40, half):
         est = np.hypot(g40[0] - g20[0], D * (g40[1] - g20[1]))
-        settled = err + np.bincount(col, est, F) <= target
-        last = level == _MAX_LEVELS or 2 * w.size * len(B) > _MAX_NODES
-        done = ((est <= 2.0 * half * target[col]) | (est <= 2.0 * np.hypot(1.0, D) * g40[2])
-                | settled[col] | last)
-        re += np.bincount(col[done], q40.real[done], F)
-        im += np.bincount(col[done], q40.imag[done], F)
-        err += np.bincount(col[done], est[done], F)
-        if done.all():
-            break
-        a, b, col = a[~done], b[~done], col[~done]
-        # halve each panel; one at t = 0, where a log-power ell leaves a log
-        # singularity, becomes a geometric ladder
-        idx, zero = np.arange(a.size), a == 0.0
-        inner = np.concatenate([0.5 * (a + b)[~zero], (b[zero, None] * _LADDER).ravel()])
-        owner = np.concatenate([idx[~zero], np.repeat(idx[zero], _LADDER.size)])
-        a, b, owner = _panels(np.concatenate([a, b, inner]), np.concatenate([idx, idx, owner]))
-        col = col[owner]
-    return re + 1j * im, em + err
+        return est, ((est <= 2.0 * np.hypot(1.0, D) * g40[2])
+                     | (2 * half.size * _PANEL_X.size * len(B) > _MAX_NODES))
 
-
-def _panels(pts, owner):
-    """Panels (a, b, owner) between consecutive distinct points of each owner."""
-    order = np.lexsort((pts, owner))
-    pts, owner = pts[order], owner[order]
-    keep = (owner[:-1] == owner[1:]) & (pts[:-1] < pts[1:])
-    return pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
+    q, err = panel_quad(integrand, rtol=0.0, atol=target,
+                        pts=pts, owner=np.concatenate([cols, cols, col]),
+                        scale=scale * params.sigma, judge=judge)
+    return -q[0] + 1j * (D * q[1]), em + err
 
 
 def _prefix_sums(ell: SlowlyVaryingSpec, N: int, b_m: int, J: int) -> np.ndarray:

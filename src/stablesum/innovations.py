@@ -31,12 +31,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slowly_varying import SlowlyVaryingSpec, constant, eval_sv
+from .slowly_varying import SlowlyVaryingSpec, constant, eval_sv, eval_sv_log
 from .stable_law import (
     SkewedStableParams,
     StandardStable,
     from_standard,
     from_tail_constants,
+    panel_quad,
     sample,
     stable_tail_constant,
 )
@@ -186,18 +187,16 @@ def _tail_first_moment(spec: ParetoTail, weight: float, x1: float) -> float:
 
     The substitution x = x1 * s^(-1/(alpha-1)) turns the slowly decaying
     integral into x1^(1-alpha)/(alpha-1) * int_0^1 h(x) ds, whose integrand is
-    bounded (p <= 0) or log-singular at s = 0 (p > 0); ln(e + x) is taken in
-    log space so that no power of s overflows."""
+    bounded (p <= 0) or log-singular at s = 0 (p > 0), and panel_quad
+    integrates it; h is evaluated from ln x, so that no power of s overflows."""
     a, h = spec.alpha, spec.h
     head = weight * x1 ** (1.0 - a) * eval_sv(h, x1)
     if h.kind == "constant":
         mean_h = h.c
     else:
-        from scipy.integrate import quad
         ln_x1 = math.log(x1)
-        mean_h, err = quad(
-            lambda s: h.c * np.logaddexp(1.0, ln_x1 - math.log(s) / (a - 1.0)) ** h.p,
-            0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
+        value, err = panel_quad(lambda s, _: eval_sv_log(h, ln_x1 - np.log(s) / (a - 1.0)))
+        mean_h, err = float(value[0]), float(err[0])
         if err > _MOMENT_RTOL * abs(mean_h):
             raise RuntimeError(f"tail first moment reached only {err / abs(mean_h):.3g} "
                                f"relative error (target {_MOMENT_RTOL})")

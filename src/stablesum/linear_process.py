@@ -17,11 +17,13 @@ from .innovations import ExactStable, InnovationSpec, sample_innovations, tail_c
 from .slowly_varying import (
     SlowlyVaryingSpec,
     big_h,
+    big_h_log,
     coefficient,
     coefficient_prefix_sums,
-    eval_sv,
+    eval_sv_log,
     normalizer,
 )
+from .stable_law import panel_quad
 
 __all__ = [
     "ProcessSpec",
@@ -90,60 +92,50 @@ def floor_index(N, t) -> int:
     return k
 
 
-def _big_h_vector(h: SlowlyVaryingSpec, alpha: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized H over t >= 1; the alpha = 2 log-power branch interpolates
-    log-spaced quadrature values (H is smooth and slowly varying)."""
-    if alpha < 2.0:
-        return eval_sv(h, t)
-    if h.kind == "constant":
-        return 2.0 * h.c * np.log(t)
-    lo, hi = float(np.min(t)), float(np.max(t))
-    if lo == hi:
-        return np.full(t.shape, big_h(h, alpha, lo))
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 256))
-    vals = np.array([big_h(h, alpha, g) for g in grid])
-    return np.interp(np.log(t), np.log(grid), vals)
-
-
-# exact terms per truncation tail; a quad integral closes the rest
-_TAIL_BLOCK = 1_000_000
+# exact terms per truncation tail; a panel_quad integral closes the rest
+_TAIL_BLOCK = 10_000
 
 
 def _tail_terms(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
                 lo: int, hi: int) -> np.ndarray:
     """|a_i|^alpha H(|a_i|^-1) for lags i = lo+1 .. hi."""
     a = coefficient(ell, np.arange(lo + 1, hi + 1, dtype=float))
-    return a**alpha * _big_h_vector(h, alpha, np.maximum(1.0 / a, 1.0))
+    return a**alpha * big_h(h, alpha, np.maximum(1.0 / a, 1.0))
 
 
 def _block_tail(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
                 terms: np.ndarray, cut: int) -> float:
-    """Sum of the block `terms` (lags up to `cut`) plus the quad remainder
-    beyond `cut`; a block holding a term below 1e-16 is the whole tail,
-    summed over its terms of at least 1e-16."""
+    """Sum of the block `terms` (lags up to `cut`) plus the remainder beyond
+    `cut`; a block holding a term below 1e-16 is the whole tail, summed over
+    its terms of at least 1e-16.
+
+    The remainder sum_{i > cut} f(i), f(x) = a(x)^alpha H(1/a(x)), is taken
+    as int_X^inf f, X = cut + 1/2 (midpoint rule).  With x = X t^(-k),
+    k = 1/(alpha-1), it is k X^(1-alpha) int_0^1 ell(x)^alpha H(x/ell(x)) dt,
+    whose integrand is bounded up to a log as t -> 0.  ln x reaches about
+    1e3 on panel_quad's ladder, so the integrand is evaluated from ln x."""
     keep = terms >= 1e-16
     if not keep.all():
         return float(np.sum(terms[keep]))
-    direct = float(np.sum(terms))
+    k = 1.0 / (alpha - 1.0)
+    lnX = math.log(cut + 0.5)
 
-    def f(x):
-        ax = eval_sv(ell, x) / x
-        return ax**alpha * big_h(h, alpha, max(1.0 / ax, 1.0))
+    def integrand(t, _):
+        lnx = lnX - k * np.log(t)
+        ell_x = eval_sv_log(ell, lnx)
+        return ell_x**alpha * big_h_log(h, alpha, np.maximum(lnx - np.log(ell_x), 0.0))
 
-    from scipy.integrate import quad
-    X = cut + 0.5
-    rem, _ = quad(lambda s: 0.0 if s < 1e-10 else f(X / s) * X / s**2,
-                  0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
-    return direct + rem
+    rem, _ = panel_quad(integrand)
+    return float(np.sum(terms)) + k * (cut + 0.5) ** (1.0 - alpha) * float(rem[0])
 
 
 def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
                     alpha: float, M: int) -> float:
     """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series.
 
-    Exact summation over a bounded block, then a midpoint-rule integral for
-    the smooth remainder (the H argument is clamped to >= 1; only lags with
-    a_i < 1 matter in any tail regime this diagnostic inspects).
+    The _TAIL_BLOCK lags past M are summed exactly and the rest is closed by
+    an integral (_block_tail).  The H argument is clamped to >= 1; only lags
+    with a_i < 1 matter in any tail regime this diagnostic inspects.
     """
     M = int(M)
     if M < 0:
@@ -161,7 +153,8 @@ _M_BUDGET_RATIO = 1e-3
 def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
                              alpha: float) -> int:
     """Smallest power-of-two multiple of _M_FLOOR whose truncation tail is
-    below _M_BUDGET_RATIO times the full series (at most _M_CAP).
+    below _M_BUDGET_RATIO times the full series; _M_CAP when no candidate
+    below _M_CAP passes.
 
     Each candidate's tail is truncation_tail(M), read off one buffer of
     terms that holds lags lo+1 .. lo+len(terms) and gains only the lags the
@@ -176,9 +169,9 @@ def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
             new = _tail_terms(ell, h, alpha, max(M, lo + len(terms)), cut)
             lo, terms = M, np.concatenate([terms[M - lo:], new])
         if _block_tail(ell, h, alpha, terms[M - lo:cut - lo], cut) < _M_BUDGET_RATIO * full:
-            break
+            return M
         M *= 2
-    return M
+    return _M_CAP
 
 
 def path_from_innovations(ell: SlowlyVaryingSpec, M: int, eps: np.ndarray,

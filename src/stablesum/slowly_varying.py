@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stable_law import panel_quad
+
 __all__ = [
     "SlowlyVaryingSpec",
     "constant",
@@ -111,6 +113,36 @@ def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int) -> np.ndarray:
     return out
 
 
+def eval_sv_log(spec: SlowlyVaryingSpec, lnx):
+    """The spec at x = exp(lnx) for an array lnx, with ln(e + x) taken as
+    logaddexp(1, lnx), so that x itself never overflows."""
+    lnx = np.asarray(lnx, dtype=float)
+    if spec.kind == "constant":
+        return np.full(lnx.shape, spec.c)
+    return spec.c * np.logaddexp(1.0, lnx) ** spec.p
+
+
+def _big_h_integral(h_log, lnt):
+    """h(1) - h(t) + 2 int_0^{ln t} h(e^y) dy at every ln t >= 0 of an array,
+    with h_log(y) = h(e^y) vectorized.
+
+    The integral is a cumulative sum over the unit cells [j, j+1] below
+    ln t plus the cell [floor(ln t), ln t], all in one panel_quad call, so
+    each value depends on its own t alone and not on the rest of the array.
+    h(e^y) is analytic within pi of the real axis for both families, so
+    G_20 already settles a unit cell."""
+    lnt = np.asarray(lnt, dtype=float)
+    y = lnt.ravel()
+    k = np.floor(y)
+    n_cells = int(k.max(initial=0.0))
+    j = np.arange(n_cells + y.size)
+    pts = np.concatenate([j[:n_cells], k, j[:n_cells] + 1.0, y])
+    integral, _ = panel_quad(lambda t, _: h_log(t), pts=pts, owner=np.concatenate([j, j]))
+    cells = np.concatenate([[0.0], np.cumsum(integral[:n_cells])])
+    out = h_log(np.zeros(1)) - h_log(y) + 2.0 * (cells[k.astype(int)] + integral[n_cells:])
+    return out.reshape(lnt.shape)
+
+
 def big_h_from_callable(h_fn, t: float) -> float:
     """Truncated-second-moment transform -int_1^t s^2 d(h(s)/s^2) for a scalar
     callable h.  Integration by parts: h(1) - h(t) + 2*int_1^t h(s)/s ds, with
@@ -118,26 +150,30 @@ def big_h_from_callable(h_fn, t: float) -> float:
     """
     if t < 1.0:
         raise ValueError("need t >= 1")
-    if t == 1.0:
-        return 0.0
-    from scipy.integrate import quad
-    integral, _ = quad(lambda y: h_fn(math.exp(y)), 0.0, math.log(t),
-                       epsabs=1e-14, epsrel=1e-12, limit=200)
-    return h_fn(1.0) - h_fn(t) + 2.0 * integral
+    h_log = np.vectorize(lambda y: h_fn(math.exp(y)), otypes=[float])
+    return float(_big_h_integral(h_log, math.log(t)))
 
 
-def big_h(h: SlowlyVaryingSpec, alpha: float, t: float) -> float:
-    """H(t): h(t) itself for alpha in (1,2); the Stieltjes transform of h for
-    alpha = 2 (lower integration limit 1; only behavior at infinity matters).
+def big_h_log(h: SlowlyVaryingSpec, alpha: float, lnt):
+    """H(e^lnt) for an array lnt >= 0, from lnt itself (see big_h)."""
+    if alpha < 2.0:
+        return eval_sv_log(h, lnt)
+    if h.kind == "constant":
+        return 2.0 * h.c * np.asarray(lnt, dtype=float)
+    return _big_h_integral(lambda y: eval_sv_log(h, y), lnt)
+
+
+def big_h(h: SlowlyVaryingSpec, alpha: float, t):
+    """H(t) at t >= 1 (scalar or array): h(t) itself for alpha in (1,2); the
+    Stieltjes transform of h for alpha = 2 (lower integration limit 1; only
+    behavior at infinity matters), whole arrays in one pass.
     """
     _check_alpha(alpha)
-    if t < 1.0:
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 1.0):
         raise ValueError("need t >= 1")
-    if alpha < 2.0:
-        return eval_sv(h, t)
-    if h.kind == "constant":
-        return 2.0 * h.c * math.log(t)
-    return big_h_from_callable(lambda s: eval_sv(h, s), t)
+    out = eval_sv(h, arr) if alpha < 2.0 else big_h_log(h, alpha, np.log(arr))
+    return float(out) if arr.ndim == 0 else out
 
 
 class HAlphaConvergenceError(RuntimeError):

@@ -20,6 +20,11 @@ ill-conditioned.
 
 cdf evaluates a whole array in one pass: Gil-Pelaez on fixed Gauss-Legendre
 panels in the body and the stable tail series beyond it (see cdf).
+
+panel_quad is the package's one adaptive quadrature: G_20/G_40 panels on
+[0, 1], bisected where they fail, with a geometric ladder at t = 0.  The
+oracle's past-tail closure, the truncation-tail remainder, the Pareto tail
+first moment and H at alpha = 2 all go through it.
 """
 
 from __future__ import annotations
@@ -201,6 +206,12 @@ def _sample_with(std: StandardStable, n: int, rng) -> np.ndarray:
     return e
 
 
+# log Gamma at the _CDF_SERIES_MAX + 1 scalars of the tail series, and erfc
+# for the Gaussian CDF at alpha = 2
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 class CdfQuadratureError(RuntimeError):
     """CDF inversion failed to reach tolerance; carries the achieved bound."""
 
@@ -240,14 +251,14 @@ def cdf(std: StandardStable, x):
     The node counts aim at an absolute error of 1e-9; CdfQuadratureError is
     raised when the achieved error exceeds 1e-6, and ValueError when a body
     needs more than _CDF_MAX_NODES nodes (alpha near 1 with beta away from
-    0).  alpha = 2 delegates to the exact Gaussian CDF.
+    0).  alpha = 2 is the exact Gaussian CDF, from math.erfc.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("need finite x")
     if std.alpha == 2.0:
-        from scipy.special import ndtr
-        out = ndtr(arr / (std.scale * math.sqrt(2.0)))
+        # Phi(x / (scale sqrt 2)) = erfc(-x / (2 scale)) / 2
+        out = 0.5 * _erfc(arr / (-2.0 * std.scale))
     else:
         flat, err = _stable_cdf(std.alpha, std.beta, arr.ravel() / std.scale)
         if err > _CDF_ABS_TOL:
@@ -302,6 +313,79 @@ def _gauss_legendre(n: int):
 
 # Gauss-Legendre nodes per CDF panel: the value rule and the check rule
 _CDF_RULES = (_gauss_legendre(14), _gauss_legendre(10))
+
+# panel_quad integrates a panel by G_20 and G_40 on one node set: column 0 of
+# _PANEL_W weights the G_20 nodes, column 1 the G_40 nodes
+_G20, _G40 = _gauss_legendre(20), _gauss_legendre(40)
+_PANEL_X = np.concatenate([_G20[0], _G40[0]])
+_PANEL_W = np.zeros((60, 2))
+_PANEL_W[:20, 0], _PANEL_W[20:, 1] = _G20[1], _G40[1]
+# split points, as fractions of its length, of a failing panel that starts at t = 0
+_LADDER = 4.0 ** -np.arange(1.0, 7.0)
+# rounds of halving after which every pending panel is accepted
+_PANEL_MAX_LEVELS = 48
+
+
+def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0),
+               scale=1.0, judge=None):
+    """Integrals of fn over the span of each owner's points (by default one
+    owner on [0, 1]) by G_20/G_40 panels, halved until they fit a budget.
+
+    fn(t, owner) gets the nodes t (P x 60) of P panels and the owner of each
+    panel, and returns the integrand there: shape (P, 60), or (k, P, 60) for
+    k integrands.  A panel's integrals are scale times G_40; its estimate is
+    sum_k |G_40 - G_20|, unless judge(g20, g40, half) gives the estimates and
+    a mask of panels to accept as they are (g20, g40 are k x P).  An owner's
+    budget is atol + rtol |its G_40 total over accepted and pending panels|.
+    A panel is accepted when its estimate is within 2 * half times the budget
+    (its share of a unit span), when the estimates of its owner, accepted and
+    pending, add up to within the budget, when judge accepts it, or after
+    _PANEL_MAX_LEVELS rounds.  Every other panel is halved; one that starts
+    at t = 0, where a log singularity may sit, becomes a geometric ladder.
+
+    Returns the accepted G_40 totals per owner, shape (n_owner,) or
+    (k, n_owner), and the summed estimates per owner."""
+    owner = np.asarray(owner)
+    n = int(owner.max()) + 1
+    a, b, col = _panels(np.asarray(pts, dtype=float), owner)
+    value, err = 0.0, np.zeros(n)
+    for level in range(_PANEL_MAX_LEVELS + 1):
+        half = 0.5 * (b - a)
+        vals = fn((0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X, col)
+        parts = scale * half[:, None] * (vals @ _PANEL_W)
+        g20, g40 = np.atleast_2d(parts[..., 0]), np.atleast_2d(parts[..., 1])
+        if judge is None:
+            est, ok = np.abs(g40 - g20).sum(axis=0), False
+        else:
+            est, ok = judge(g20, g40, half)
+        budget = atol
+        if rtol:
+            pending = np.stack([np.bincount(col, g, n) for g in g40])
+            budget = atol + rtol * np.abs(value + pending).sum(axis=0)
+        budget = np.broadcast_to(budget, (n,))
+        settled = err + np.bincount(col, est, n) <= budget
+        done = ((est <= 2.0 * half * budget[col]) | ok | settled[col]
+                | (level == _PANEL_MAX_LEVELS))
+        value = value + np.stack([np.bincount(col[done], g[done], n) for g in g40])
+        err += np.bincount(col[done], est[done], n)
+        if done.all():
+            break
+        a, b, col = a[~done], b[~done], col[~done]
+        idx, zero = np.arange(a.size), a == 0.0
+        inner = np.concatenate([0.5 * (a + b)[~zero], (b[zero, None] * _LADDER).ravel()])
+        origin = np.concatenate([idx[~zero], np.repeat(idx[zero], _LADDER.size)])
+        a, b, origin = _panels(np.concatenate([a, b, inner]),
+                               np.concatenate([idx, idx, origin]))
+        col = col[origin]
+    return (value if vals.ndim == 3 else value[0]), err
+
+
+def _panels(pts, owner):
+    """Panels (a, b, owner) between consecutive distinct points of each owner."""
+    order = np.lexsort((pts, owner))
+    pts, owner = pts[order], owner[order]
+    keep = (owner[:-1] == owner[1:]) & (pts[:-1] < pts[1:])
+    return pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
 
 
 def _gl_panels(edges: np.ndarray, rule: tuple) -> tuple:
@@ -367,8 +451,6 @@ def _gil_pelaez(alpha: float, bt: float, x_max: float, x: np.ndarray) -> tuple:
     return 0.5 - vals[:, 0] / math.pi, err
 
 
-# log Gamma at the _CDF_SERIES_MAX + 1 scalars of the tail series
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _tail_series(alpha: float, bt: float, cut: float, x: np.ndarray) -> tuple:

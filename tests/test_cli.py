@@ -327,28 +327,77 @@ class TestThreads:
 
 
 class TestImportFootprint:
-    """Exact-stable runs with constant ell import numpy alone: scipy is
-    loaded only by the code paths that need quadrature or special functions."""
+    """numpy is the only runtime dependency: no run loads a scipy module,
+    including the ones that need quadrature (log-power h with an automatic
+    truncation depth, H and the Gaussian CDF at alpha = 2, and the digamma
+    span below x = 100 that a pinned small j_depth reaches)."""
 
-    SCRIPT = (
-        "import sys\n"
+    CLI = (
         "from stablesum import cli\n"
         "if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:\n"
         "    sys.exit('run failed')\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
+    PINNED_DEPTH = (
+        "from stablesum.cf_oracle import exact_fdd_log_cf\n"
+        "from stablesum.linear_process import FddSpec\n"
+        "from stablesum.slowly_varying import constant\n"
+        "from stablesum.stable_law import SkewedStableParams\n"
+        "exact_fdd_log_cf(constant(1.0), SkewedStableParams(1.5, 1.0, 0.0), 20,\n"
+        "                 FddSpec((0.5, 1.0), (1.0, -0.5)), j_depth=20, tol=1.0)\n"
+    )
+    LOG_POWER_H = """
+[process]
+ell_kind = log_power
+ell_c = 1.0
+ell_p = -2.0
+innovation = pareto
+alpha = {alpha}
+sigma1 = 1.0
+sigma2 = 2.0
+h_kind = log_power
+h_c = 1.0
+h_p = 0.5
+truncation = auto
+
+[fdd]
+times = 0.5, 1.0
+freqs = 1.0, -0.5
+
+[sweep]
+n_list = 50
+reps = 20
+seed = 4242
+
+[tolerance]
+max_ks = 1.0
+"""
+
+    @staticmethod
+    def scipy_modules(code, argv=()):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        script = ("import sys\n" + code + "print(sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')))\n")
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip().splitlines()[-1]
 
     @pytest.mark.parametrize("command", [None, "oracle", "verify", "simulate"])
     def test_no_scipy_module_loaded(self, tmp_path, command):
         argv = [] if command is None else [
             command, "--config", write(tmp_path, BASE + "\n[tolerance]\nmax_ks = 1.0\n"),
             "--out-dir", str(tmp_path / "out")]
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT] + argv, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().splitlines()[-1] == "[]"
+        assert self.scipy_modules(self.CLI, argv) == "[]"
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_no_scipy_in_log_power_h_verify(self, tmp_path, alpha):
+        argv = ["verify", "--config", write(tmp_path, self.LOG_POWER_H.format(alpha=alpha)),
+                "--out-dir", str(tmp_path / "out")]
+        assert self.scipy_modules(self.CLI, argv) == "[]"
+
+    def test_no_scipy_at_pinned_depth(self):
+        assert self.scipy_modules(self.PINNED_DEPTH) == "[]"
 
 
 class TestHalpha:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 from stablesum import innovations
+from stablesum import linear_process as lp
 from stablesum.innovations import ParetoTail, exact_stable
 from stablesum.linear_process import (
     FddSpec,
@@ -22,7 +23,7 @@ from stablesum.linear_process import (
     truncation_tail,
     window_weights,
 )
-from stablesum.slowly_varying import SlowlyVaryingSpec, coefficient, constant, log_power
+from stablesum.slowly_varying import SlowlyVaryingSpec, big_h, coefficient, constant, log_power
 
 ELL1 = constant(1.0)
 H1 = constant(1.0)
@@ -81,6 +82,45 @@ class TestTruncationTail:
         assert truncation_tail(ell, spec, alpha, M) < 1e-3 * full
         if M > 10_000:
             assert truncation_tail(ell, spec, alpha, M // 2) >= 1e-3 * full
+
+    def test_default_depth_capped(self):
+        # at alpha = 1.2 no candidate below the 1e8 cap passes; the loop used
+        # to double once more and return 163840000
+        spec = ParetoTail(1.2, 1.0, 1.0, constant(1.0))
+        assert default_truncation_depth(ELL1, spec, 1.2) == lp._M_CAP == 10**8
+
+
+class TestAlpha2LogPower:
+    """alpha = 2 with log-power h: H is a whole-array integral with no
+    interpolation, so a lag's H does not depend on the array it is in."""
+
+    ELL = log_power(1.0, 0.5)
+    SPEC = ParetoTail(2.0, 1.0, 1.0, log_power(1.0, 0.5))
+
+    def test_default_depth(self):
+        assert default_truncation_depth(self.ELL, self.SPEC, 2.0) == 160_000
+
+    def test_lag_h_independent_of_array(self):
+        h = self.SPEC.h
+        t = 1.0 / coefficient(self.ELL, np.arange(1.0, 200_001.0))
+        whole = big_h(h, 2.0, np.maximum(t, 1.0))
+        for lo, hi in ((0, 10), (10_000, 20_000), (150_000, 150_001), (199_990, 200_000)):
+            part = big_h(h, 2.0, np.maximum(t[lo:hi], 1.0))
+            np.testing.assert_allclose(part, whole[lo:hi], rtol=1e-14, atol=0.0)
+
+    def test_h_matches_mpmath(self):
+        import mpmath as mp
+
+        t = np.array([1.7, 30.0, 5e4, 3e8, 1e12])
+        got = big_h(self.SPEC.h, 2.0, t)
+        with mp.workdps(30):
+            def h(s):
+                return mp.log(mp.e + s) ** mp.mpf(0.5)
+
+            for ti, g in zip(t, got):
+                y = mp.log(mp.mpf(ti))
+                want = h(1) - h(mp.mpf(ti)) + 2 * mp.quad(lambda u: h(mp.exp(u)), [0, 1, 3, y])
+                assert g == pytest.approx(float(want), rel=1e-12)
 
 
 class TestPath:
