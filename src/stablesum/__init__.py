@@ -28,7 +28,6 @@ from .stable_law import (
     from_tail_constants,
     log_cf,
     sample,
-    std_log_cf,
     to_standard,
 )
 from .innovations import (
@@ -44,18 +43,16 @@ from .linear_process import (
     FddSpec,
     ProcessSpec,
     normalized_fdd_sample,
-    partial_sums,
     path_from_innovations,
     simulate_path,
     truncation_tail,
 )
 from .cf_oracle import (
-    aggregated_coefficients,
     cf_convergence_sweep,
     exact_fdd_log_cf,
     limit_log_cf,
     v_transform,
 )
-from .verification import build_report, ecf, ks_distance, tail_ratio_check
+from .verification import build_report, ecf, ks_distance
 
 __version__ = "0.1.0"

@@ -50,12 +50,10 @@ from .linear_process import (
     thread_map,
 )
 from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
-from .stable_law import _PANEL_X, SkewedStableParams, _gauss_legendre, log_cf, panel_quad
+from .stable_law import _G40, _PANEL_X, SkewedStableParams, log_cf, panel_quad
 
 __all__ = [
     "v_transform",
-    "AggregatedCoefficients",
-    "aggregated_coefficients",
     "ExactFddLogCf",
     "exact_fdd_log_cf",
     "limit_log_cf",
@@ -72,40 +70,6 @@ def v_transform(u) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty 1-d frequency vector")
     return np.cumsum(arr[::-1])[::-1]
-
-
-@dataclass(frozen=True)
-class AggregatedCoefficients:
-    """Aggregated weights a_j^{[N t_i]} on j in [-J, [N t_m]-1].
-
-    table[i-1, :] holds sum_{n = max(j+1, [N t_{i-1}]+1)}^{[N t_i]} a_{n-j};
-    prefix is the backing coefficient prefix-sum array.
-    """
-
-    b_indices: tuple
-    j_depth: int
-    table: np.ndarray
-    prefix: np.ndarray
-
-    @property
-    def j_grid(self) -> np.ndarray:
-        return np.arange(-self.j_depth, self.b_indices[-1])
-
-    def value(self, i: int, j: int) -> float:
-        return float(self.table[i - 1, j + self.j_depth])
-
-
-def aggregated_coefficients(ell: SlowlyVaryingSpec, N: int, times, J: int) -> AggregatedCoefficients:
-    """Closed-form aggregated coefficients from prefix sums, O(1) per (i, j)."""
-    J = int(J)
-    if J < 0:
-        raise ValueError("need J >= 0")
-    B = [floor_index(N, t) for t in times]
-    if any(b2 < b1 for b1, b2 in zip(B, B[1:])):
-        raise ValueError("need nondecreasing [N t_i]")
-    S = coefficient_prefix_sums(ell, B[-1] + J) if B[-1] + J >= 1 else np.zeros(1)
-    table = prefix_weights(S, -J, B[-1], B, lower=[0] + B[:-1]).T
-    return AggregatedCoefficients(tuple(B), J, table, S)
 
 
 # cap on rows x max(m, F) of one weight block W (rows x m) and of c = W @ U
@@ -157,8 +121,6 @@ class ExactFddLogCf:
     grid_values: np.ndarray
 
 
-# the log-power span integral takes 40 Gauss-Legendre nodes
-_G40_X, _G40_W = _gauss_legendre(40)
 # the constant-ell span comes from the asymptotic digamma series (first
 # omitted term below 1e-17 relative) at x >= _DIGAMMA_SHIFT, and below from
 # the series at x + _DIGAMMA_SHIFT and the digamma recurrence
@@ -224,10 +186,11 @@ def _euler_maclaurin_span(ell, lnx, r, b):
     """x times the Euler-Maclaurin span of a log-power ell; the integral is
     int_0^{ln(1+b/x)} ell(x e^y) dy by 40-point Gauss-Legendre in y = ln(s/x)."""
     c, p = ell.c, ell.p
+    nodes, weights = _G40
     Y = np.log1p(b * r)
-    y = (0.5 * Y)[..., None] * (1.0 + _G40_X)
+    y = (0.5 * Y)[..., None] * (1.0 + nodes)
     lam = lnx[..., None] + y + np.log1p(np.e * r[..., None] * np.exp(-y))
-    integral = 0.5 * Y / r * c * ((lam ** p) @ _G40_W)
+    integral = 0.5 * Y / r * c * ((lam ** p) @ weights)
     lam0 = lnx + np.log1p(np.e * r)          # ln(e + x)
     lamb = lnx + np.log1p((np.e + b) * r)    # ln(e + x + b)
     ell0, ellb = c * lam0 ** p, c * lamb ** p

@@ -16,14 +16,22 @@ n_list that is not strictly increasing or has an N < 1, reps < 2, a
 negative seed or --seed-override, a j_tolerance that is not finite and
 positive, non-finite [fdd] times or freqs, [simulate] n < 1, a [simulate]
 t or a [tolerance] max_ks, max_ecf, max_distance_ratio or max_past_ratio
-that is not finite and positive, and a non-finite hook_value; --threads < 1
-is a usage error (also exit 2).
+that is not finite and positive, and a non-finite hook_value; for halpha, an
+alpha outside (1, 2], an --n that is not a finite number >= 1 and a bad
+--c or --p.  --threads < 1 is a usage error (also exit 2).  A run whose
+prefix sums, path or replicate samples would exceed the memory budget
+exits 1 before it allocates them.
+
+The innovation families hook_zero, hook_const and hook_impulse are
+deterministic inputs for `simulate` (the Hook type); alpha, and every
+quantity derived from it, comes from the innovation law alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
 import os
 import sys
@@ -37,12 +45,13 @@ import numpy as np
 from . import cf_oracle, verification
 from .innovations import (
     ExactStable,
+    InnovationSpec,
     ParetoTail,
     exact_stable,
     innovation_cf_params,
-    tail_constants,
 )
 from .linear_process import (
+    _M_FLOOR,
     FddSpec,
     ProcessSpec,
     default_truncation_depth,
@@ -58,7 +67,7 @@ from .slowly_varying import (
     SlowlyVaryingSpec,
     h_alpha_info,
 )
-from .stable_law import SkewedStableParams, cdf, to_standard
+from .stable_law import SkewedStableParams, StandardStable, cdf, to_standard
 
 __all__ = ["main", "ConfigError", "RunConfig", "parse_config"]
 
@@ -68,6 +77,23 @@ class ConfigError(Exception):
 
 
 _HOOKS = ("hook_zero", "hook_const", "hook_impulse")
+
+
+@dataclass(frozen=True)
+class Hook:
+    """Deterministic innovations for `simulate`: all zero (hook_zero), all
+    `value` (hook_const) or a unit impulse at j = 0 (hook_impulse)."""
+
+    kind: str
+    value: float
+
+    def innovations(self, n_out: int, M: int) -> np.ndarray:
+        """eps_{1-M} .. eps_{n_out-1}, the input of path_from_innovations."""
+        eps = np.full(n_out + M - 1, self.value if self.kind == "hook_const" else 0.0)
+        if self.kind == "hook_impulse":
+            eps[M - 1] = 1.0  # j = 0 sits at index M-1
+        return eps
+
 
 _KNOWN_KEYS = {
     "process": {"ell_kind", "ell_c", "ell_p", "innovation", "alpha", "beta",
@@ -86,8 +112,8 @@ _KNOWN_KEYS = {
 @dataclass
 class RunConfig:
     ell: SlowlyVaryingSpec
-    innovation: object          # InnovationSpec or ("hook", kind, value)
-    truncation: object          # int or "auto"
+    innovation: InnovationSpec | Hook
+    truncation: int | str       # an int or "auto"
     simulate_n: int | None
     simulate_t: float | None
     fdd: FddSpec | None
@@ -159,14 +185,17 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _sv_spec(kind: str, c: float, p: float) -> SlowlyVaryingSpec:
+    """The spec of the given kind; a constant ignores p."""
+    return SlowlyVaryingSpec(kind, c, 0.0 if kind == "constant" else p)
+
+
 def _sv_from(section, prefix):
     kind = _get(section, f"{prefix}_kind", str, default="constant")
     c = _get(section, f"{prefix}_c", float, default=1.0)
     p = _get(section, f"{prefix}_p", float, default=0.0)
     try:
-        if kind == "constant":
-            return SlowlyVaryingSpec("constant", c)
-        return SlowlyVaryingSpec(kind, c, p)
+        return _sv_spec(kind, c, p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -205,7 +234,7 @@ def parse_config(path) -> RunConfig:
                                     _sv_from(proc, "h"),
                                     _get(proc, "x0", float, default=1.0))
         elif family in _HOOKS:
-            innovation = ("hook", family, _get(proc, "hook_value", _finite, default=1.0))
+            innovation = Hook(family, _get(proc, "hook_value", _finite, default=1.0))
         else:
             raise ConfigError(f"unknown innovation family {family!r}")
     except ValueError as exc:
@@ -278,10 +307,9 @@ def _atomic_write(path: Path, text: str) -> None:
 def _resolve_truncation(cfg: RunConfig) -> int:
     if cfg.truncation != "auto":
         return int(cfg.truncation)
-    if isinstance(cfg.innovation, tuple):
-        return 10_000
-    alpha = tail_constants(cfg.innovation).alpha
-    return default_truncation_depth(cfg.ell, cfg.innovation, alpha)
+    if isinstance(cfg.innovation, Hook):
+        return _M_FLOOR
+    return default_truncation_depth(cfg.ell, cfg.innovation)
 
 
 def _require_seed(cfg: RunConfig) -> int:
@@ -298,20 +326,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if n_out < 1:
         raise ConfigError("need [N*t] >= 1")
     M = _resolve_truncation(cfg)
-    if isinstance(cfg.innovation, tuple):
-        _, kind, value = cfg.innovation
-        K = n_out + M - 1
-        if kind == "hook_zero":
-            eps = np.zeros(K)
-        elif kind == "hook_const":
-            eps = np.full(K, value)
-        else:  # impulse at j = 0, i.e. array index M-1
-            eps = np.zeros(K)
-            eps[M - 1] = 1.0
-        path = path_from_innovations(cfg.ell, M, eps, n_out)
+    if isinstance(cfg.innovation, Hook):
+        path = path_from_innovations(cfg.ell, M, cfg.innovation.innovations(n_out, M), n_out)
     else:
-        process = ProcessSpec(cfg.ell, cfg.innovation, M)
-        path = simulate_path(process, n, t, _require_seed(cfg))
+        path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, t, _require_seed(cfg))
     lines = ["n,x"] + [f"{i},{float(x)!r}" for i, x in enumerate(path, start=1)]
     _atomic_write(out_dir / "simulate.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_dir / 'simulate.csv'} ({n_out} rows)")
@@ -341,7 +359,6 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         lines += [f"{r.n},{r.distance!r},{r.past_part!r},{r.wall_ms:.3f}" for r in rows]
         _atomic_write(out_dir / "oracle.csv", "\n".join(lines) + "\n")
     if "json" in cfg.formats:
-        import json
         doc = {"config": cfg.raw,
                "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
                          "wall_ms": r.wall_ms, "j_depth": r.j_depth,
@@ -354,16 +371,13 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
 def _marginal_cdf_target(cfg: RunConfig, N: int, M: int):
     """CDF of the predicted marginal law of A_N^{-1} S(t_m)."""
-    from .stable_law import StandardStable
-
     fdd = cfg.fdd
     if isinstance(cfg.innovation, ExactStable):
         # a nonnegative-weight sum of i.i.d. stables keeps beta and scales by
         # the l^alpha norm of the weights
         law = cfg.innovation.law
         W = window_weights(cfg.ell, N, fdd.times, M)[:, -1]
-        A = process_normalizer(ProcessSpec(cfg.ell, cfg.innovation, M),
-                               law.alpha, N)
+        A = process_normalizer(ProcessSpec(cfg.ell, cfg.innovation, M), N)
         agg = float(np.sum(np.abs(W / A) ** law.alpha)) ** (1.0 / law.alpha)
         return StandardStable(law.alpha, law.beta, law.scale * agg)
     params = innovation_cf_params(cfg.innovation)
@@ -381,7 +395,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     sets sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
-    if isinstance(cfg.innovation, tuple):
+    if isinstance(cfg.innovation, Hook):
         raise ConfigError("verify needs a random innovation family")
     seed = _require_seed(cfg)
     M = _resolve_truncation(cfg)
@@ -423,19 +437,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
 def cmd_halpha(args) -> int:
     try:
-        if args.kind == "constant":
-            spec = SlowlyVaryingSpec("constant", args.c)
-        else:
-            spec = SlowlyVaryingSpec(args.kind, args.c, args.p)
-        if not (1.0 < args.alpha <= 2.0):
-            raise ValueError("need alpha in (1, 2]")
-        if args.n < 1:
-            raise ValueError("need N >= 1")
+        result = h_alpha_info(_sv_spec(args.kind, args.c, args.p), args.alpha, args.n)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = h_alpha_info(spec, args.alpha, args.n)
     except HAlphaConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"last_iterate={exc.last_iterate!r}")

@@ -33,7 +33,6 @@ __all__ = [
     "default_truncation_depth",
     "path_from_innovations",
     "simulate_path",
-    "partial_sums",
     "prefix_weights",
     "window_weights",
     "process_normalizer",
@@ -129,9 +128,9 @@ def _block_tail(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
     return float(np.sum(terms)) + k * (cut + 0.5) ** (1.0 - alpha) * float(rem[0])
 
 
-def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
-                    alpha: float, M: int) -> float:
-    """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series.
+def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) -> float:
+    """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series,
+    with alpha and h the tail constants of the innovation law.
 
     The _TAIL_BLOCK lags past M are summed exactly and the rest is closed by
     an integral (_block_tail).  The H argument is clamped to >= 1; only lags
@@ -140,7 +139,7 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
     M = int(M)
     if M < 0:
         raise ValueError("need M >= 0")
-    h = tail_constants(innovation).h
+    alpha, _, _, h = tail_constants(innovation)
     cut = M + _TAIL_BLOCK
     return _block_tail(ell, h, alpha, _tail_terms(ell, h, alpha, M, cut), cut)
 
@@ -150,16 +149,15 @@ _M_CAP = 10**8
 _M_BUDGET_RATIO = 1e-3
 
 
-def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec,
-                             alpha: float) -> int:
+def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec) -> int:
     """Smallest power-of-two multiple of _M_FLOOR whose truncation tail is
     below _M_BUDGET_RATIO times the full series; _M_CAP when no candidate
-    below _M_CAP passes.
+    below _M_CAP passes.  alpha and h come from the innovation law.
 
     Each candidate's tail is truncation_tail(M), read off one buffer of
     terms that holds lags lo+1 .. lo+len(terms) and gains only the lags the
     next M needs."""
-    h = tail_constants(innovation).h
+    alpha, _, _, h = tail_constants(innovation)
     lo, terms = 0, _tail_terms(ell, h, alpha, 0, _M_FLOOR + _TAIL_BLOCK)
     full = _block_tail(ell, h, alpha, terms[:_TAIL_BLOCK], _TAIL_BLOCK)
     M = _M_FLOOR
@@ -203,16 +201,6 @@ def simulate_path(process: ProcessSpec, N: int, T: float, seed) -> np.ndarray:
     return path_from_innovations(process.ell, M, eps, n_out)
 
 
-def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:
-    """S(t_i) = sum_{n<=[N t_i]} X_n; an empty index range sums to zero."""
-    path = np.asarray(path, dtype=float)
-    idx = [floor_index(N, t) for t in times]
-    if idx and max(idx) > len(path):
-        raise ValueError("time grid reaches beyond the simulated path")
-    cs = np.concatenate([[0.0], np.cumsum(path)])
-    return cs[np.asarray(idx, dtype=int)]
-
-
 def prefix_weights(S: np.ndarray, j0: int, j1: int, upper, *, lower=0,
                    cap: int | None = None) -> np.ndarray:
     """Weight kernel: for j = j0 .. j1-1 (rows) and each column c, the weight
@@ -238,15 +226,16 @@ def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     return prefix_weights(coefficient_prefix_sums(ell, M), 1 - M, B[-1], B, cap=M)
 
 
-def process_normalizer(process: ProcessSpec, alpha: float, N: int) -> float:
-    """A_N for the process.  Exact-stable innovations scale exactly, so their
-    implicit slowly varying factor is identically 1; heavy-tailed families go
-    through the H_alpha fixed point with their stored h."""
+def process_normalizer(process: ProcessSpec, N: int) -> float:
+    """A_N for the process, at the alpha of its innovation law.  Exact-stable
+    innovations scale exactly, so their implicit slowly varying factor is
+    identically 1; heavy-tailed families go through the H_alpha fixed point
+    with their stored h."""
+    alpha, _, _, h = tail_constants(process.innovation)
     if isinstance(process.innovation, ExactStable):
         s_n = coefficient_prefix_sums(process.ell, int(N))[-1]
         return float(N) ** (1.0 / alpha) * s_n
-    tc = tail_constants(process.innovation)
-    return normalizer(process.ell, tc.h, alpha, N)
+    return normalizer(process.ell, h, alpha, N)
 
 
 def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
@@ -255,21 +244,24 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
 
     Replicate r draws its innovations from the counter-derived seed
     (seed, r), so results are independent of execution order and any degree
-    of parallelism.  Each row equals simulate_path + partial_sums on the same
-    seed (asserted in tests); the weighted-sum form avoids rebuilding the
-    whole path per replicate.
+    of parallelism.  Each row equals the partial sums of simulate_path on the
+    same seed (asserted in tests); the weighted-sum form avoids rebuilding
+    the whole path per replicate.  reps x m beyond MEMORY_BUDGET_ELEMENTS is
+    refused before anything is drawn.
     """
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
+    if reps * fdd.m > MEMORY_BUDGET_ELEMENTS:
+        raise ValueError(f"{reps} x {fdd.m} replicate samples exceed the memory "
+                         f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
     M = int(process.truncation)
     B_m = floor_index(N, fdd.times[-1])
     K = B_m + M - 1
     if K + 1 > MEMORY_BUDGET_ELEMENTS:
         raise ValueError("replicate innovation buffer exceeds the memory budget")
     W = window_weights(process.ell, N, fdd.times, M)
-    alpha = tail_constants(process.innovation).alpha
-    A = process_normalizer(process, alpha, N)
+    A = process_normalizer(process, N)
     out = np.empty((reps, fdd.m))
     step = -(-reps // max(threads, 1))
 

@@ -24,11 +24,9 @@ __all__ = [
     "constant",
     "log_power",
     "eval_sv",
-    "sv_derivative",
     "coefficient",
     "coefficient_prefix_sums",
     "big_h",
-    "big_h_from_callable",
     "h_alpha",
     "h_alpha_info",
     "solve_h_alpha",
@@ -76,16 +74,6 @@ def eval_sv(spec: SlowlyVaryingSpec, x):
         out = np.full(arr.shape, spec.c)
     else:
         out = spec.c * np.log(np.e + arr) ** spec.p
-    return float(out) if arr.ndim == 0 else out
-
-
-def sv_derivative(spec: SlowlyVaryingSpec, x):
-    """d/dx of the spec (used by continuation corrections)."""
-    arr = np.asarray(x, dtype=float)
-    if spec.kind == "constant":
-        out = np.zeros(arr.shape)
-    else:
-        out = spec.c * spec.p * np.log(np.e + arr) ** (spec.p - 1.0) / (np.e + arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -143,17 +131,6 @@ def _big_h_integral(h_log, lnt):
     return out.reshape(lnt.shape)
 
 
-def big_h_from_callable(h_fn, t: float) -> float:
-    """Truncated-second-moment transform -int_1^t s^2 d(h(s)/s^2) for a scalar
-    callable h.  Integration by parts: h(1) - h(t) + 2*int_1^t h(s)/s ds, with
-    the ds-integral evaluated as int_0^{ln t} h(e^y) dy.
-    """
-    if t < 1.0:
-        raise ValueError("need t >= 1")
-    h_log = np.vectorize(lambda y: h_fn(math.exp(y)), otypes=[float])
-    return float(_big_h_integral(h_log, math.log(t)))
-
-
 def big_h_log(h: SlowlyVaryingSpec, alpha: float, lnt):
     """H(e^lnt) for an array lnt >= 0, from lnt itself (see big_h)."""
     if alpha < 2.0:
@@ -204,9 +181,7 @@ def solve_h_alpha(big_h_fn, alpha: float, N: float) -> HAlphaResult:
     slowly varying H so no damping is needed.  Falls back to bisection on
     x - H(...) if the iteration leaves the domain or fails to settle.
     """
-    _check_alpha(alpha)
-    if N < 1.0:
-        raise ValueError("need N >= 1")
+    _check_alpha_n(alpha, N)
     root = N ** (1.0 / alpha)
 
     def step(x):
@@ -283,7 +258,9 @@ def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
 
 
 def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
-    """As h_alpha, also reporting the residual and iteration count."""
+    """As h_alpha, also reporting the residual and iteration count; a ValueError
+    for alpha outside (1, 2] or an N that is not a finite number >= 1."""
+    _check_alpha_n(alpha, N)
     if h.kind == "constant" and alpha < 2.0:
         return HAlphaResult(h.c, 0.0, 0)  # constant map: fixed point is h itself
     return solve_h_alpha(lambda t: big_h(h, alpha, t), alpha, N)
@@ -303,3 +280,9 @@ def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: in
 def _check_alpha(alpha: float) -> None:
     if not (1.0 < alpha <= 2.0):
         raise ValueError("need alpha in (1, 2]")
+
+
+def _check_alpha_n(alpha: float, N: float) -> None:
+    _check_alpha(alpha)
+    if not (1.0 <= N < math.inf):
+        raise ValueError("need a finite N >= 1")

@@ -42,7 +42,6 @@ __all__ = [
     "to_standard",
     "from_standard",
     "log_cf",
-    "std_log_cf",
     "sample",
     "cdf",
     "CdfQuadratureError",
@@ -142,11 +141,6 @@ def log_cf(params: SkewedStableParams, u, t: float = 1.0):
     mag = params.sigma * np.abs(arr) ** params.alpha
     out = t * (-mag + 1j * params.D * mag * np.sign(arr))  # exactly t-linear
     return complex(out) if arr.ndim == 0 else out
-
-
-def std_log_cf(std: StandardStable, u):
-    """log CF of the StandardStable law (t = 1)."""
-    return log_cf(from_standard(std), u, 1.0)
 
 
 def sample(std: StandardStable, n: int, seed) -> np.ndarray:

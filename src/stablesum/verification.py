@@ -10,8 +10,6 @@ import numpy as np
 __all__ = [
     "ecf",
     "ks_distance",
-    "TailRatioResult",
-    "tail_ratio_check",
     "MCRow",
     "ReportRow",
     "CriteriaConfig",
@@ -62,46 +60,6 @@ def ks_distance(samples, cdf) -> float:
     d_plus = np.max(k / n - F)
     d_minus = np.max(F - (k - 1) / n)
     return float(max(d_plus, d_minus, 0.0))
-
-
-@dataclass(frozen=True)
-class TailRatioResult:
-    levels: tuple
-    sigma2_hat: tuple
-    sigma1_hat: tuple
-    right_exceedances: tuple
-    left_exceedances: tuple
-    warnings: tuple
-
-
-def tail_ratio_check(samples, alpha: float, h, levels) -> TailRatioResult:
-    """Empirical tail constants P(e > x)*x^alpha/h(x) at empirical quantiles.
-
-    At x = quantile(level) the right estimate targets sigma2; the mirrored
-    left estimate targets sigma1.  Levels with fewer than 100 exceedances get
-    a diagnostic warning attached.
-    """
-    from .slowly_varying import eval_sv
-
-    samples = np.asarray(samples, dtype=float)
-    levels = tuple(float(l) for l in levels)
-    if any(not (0.0 < l < 1.0) for l in levels):
-        raise ValueError("need quantile levels strictly inside (0, 1)")
-    n = len(samples)
-    s2, s1, nr, nl, warns = [], [], [], [], []
-    for level in levels:
-        xr = float(np.quantile(samples, level))
-        cr = int(np.sum(samples > xr))
-        s2.append(cr / n * xr**alpha / eval_sv(h, xr) if xr > 0 else float("nan"))
-        nr.append(cr)
-        xl = -float(np.quantile(samples, 1.0 - level))
-        cl = int(np.sum(samples <= -xl))
-        s1.append(cl / n * xl**alpha / eval_sv(h, xl) if xl > 0 else float("nan"))
-        nl.append(cl)
-        if min(cr, cl) < 100:
-            warns.append(f"level {level}: only {min(cr, cl)} exceedances")
-    return TailRatioResult(levels, tuple(s2), tuple(s1), tuple(nr), tuple(nl),
-                           tuple(warns))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,130 @@
+"""Reference helpers that only the tests use: aggregated coefficients, path
+partial sums, the standard-parametrization log-CF, empirical tail constants,
+the slowly varying derivative and H for a scalar callable.
+
+No CLI or library path needs them; the tests check the package against
+them."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from stablesum.linear_process import floor_index, prefix_weights
+from stablesum.slowly_varying import (
+    SlowlyVaryingSpec,
+    _big_h_integral,
+    coefficient_prefix_sums,
+    eval_sv,
+)
+from stablesum.stable_law import StandardStable, from_standard, log_cf
+
+
+@dataclass(frozen=True)
+class AggregatedCoefficients:
+    """Aggregated weights a_j^{[N t_i]} on j in [-J, [N t_m]-1].
+
+    table[i-1, :] holds sum_{n = max(j+1, [N t_{i-1}]+1)}^{[N t_i]} a_{n-j};
+    prefix is the backing coefficient prefix-sum array.
+    """
+
+    b_indices: tuple
+    j_depth: int
+    table: np.ndarray
+    prefix: np.ndarray
+
+    @property
+    def j_grid(self) -> np.ndarray:
+        return np.arange(-self.j_depth, self.b_indices[-1])
+
+    def value(self, i: int, j: int) -> float:
+        return float(self.table[i - 1, j + self.j_depth])
+
+
+def aggregated_coefficients(ell: SlowlyVaryingSpec, N: int, times, J: int) -> AggregatedCoefficients:
+    """Closed-form aggregated coefficients from prefix sums, O(1) per (i, j)."""
+    J = int(J)
+    if J < 0:
+        raise ValueError("need J >= 0")
+    B = [floor_index(N, t) for t in times]
+    if any(b2 < b1 for b1, b2 in zip(B, B[1:])):
+        raise ValueError("need nondecreasing [N t_i]")
+    S = coefficient_prefix_sums(ell, B[-1] + J) if B[-1] + J >= 1 else np.zeros(1)
+    table = prefix_weights(S, -J, B[-1], B, lower=[0] + B[:-1]).T
+    return AggregatedCoefficients(tuple(B), J, table, S)
+
+
+def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:
+    """S(t_i) = sum_{n<=[N t_i]} X_n; an empty index range sums to zero."""
+    path = np.asarray(path, dtype=float)
+    idx = [floor_index(N, t) for t in times]
+    if idx and max(idx) > len(path):
+        raise ValueError("time grid reaches beyond the simulated path")
+    cs = np.concatenate([[0.0], np.cumsum(path)])
+    return cs[np.asarray(idx, dtype=int)]
+
+
+def std_log_cf(std: StandardStable, u):
+    """log CF of the StandardStable law (t = 1)."""
+    return log_cf(from_standard(std), u, 1.0)
+
+
+@dataclass(frozen=True)
+class TailRatioResult:
+    levels: tuple
+    sigma2_hat: tuple
+    sigma1_hat: tuple
+    right_exceedances: tuple
+    left_exceedances: tuple
+    warnings: tuple
+
+
+def tail_ratio_check(samples, alpha: float, h, levels) -> TailRatioResult:
+    """Empirical tail constants P(e > x)*x^alpha/h(x) at empirical quantiles.
+
+    At x = quantile(level) the right estimate targets sigma2; the mirrored
+    left estimate targets sigma1.  Levels with fewer than 100 exceedances get
+    a diagnostic warning attached.
+    """
+    samples = np.asarray(samples, dtype=float)
+    levels = tuple(float(l) for l in levels)
+    if any(not (0.0 < l < 1.0) for l in levels):
+        raise ValueError("need quantile levels strictly inside (0, 1)")
+    n = len(samples)
+    s2, s1, nr, nl, warns = [], [], [], [], []
+    for level in levels:
+        xr = float(np.quantile(samples, level))
+        cr = int(np.sum(samples > xr))
+        s2.append(cr / n * xr**alpha / eval_sv(h, xr) if xr > 0 else float("nan"))
+        nr.append(cr)
+        xl = -float(np.quantile(samples, 1.0 - level))
+        cl = int(np.sum(samples <= -xl))
+        s1.append(cl / n * xl**alpha / eval_sv(h, xl) if xl > 0 else float("nan"))
+        nl.append(cl)
+        if min(cr, cl) < 100:
+            warns.append(f"level {level}: only {min(cr, cl)} exceedances")
+    return TailRatioResult(levels, tuple(s2), tuple(s1), tuple(nr), tuple(nl),
+                           tuple(warns))
+
+
+def sv_derivative(spec: SlowlyVaryingSpec, x):
+    """d/dx of the spec."""
+    arr = np.asarray(x, dtype=float)
+    if spec.kind == "constant":
+        out = np.zeros(arr.shape)
+    else:
+        out = spec.c * spec.p * np.log(np.e + arr) ** (spec.p - 1.0) / (np.e + arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def big_h_from_callable(h_fn, t: float) -> float:
+    """Truncated-second-moment transform -int_1^t s^2 d(h(s)/s^2) for a scalar
+    callable h.  Integration by parts: h(1) - h(t) + 2*int_1^t h(s)/s ds, with
+    the ds-integral evaluated as int_0^{ln t} h(e^y) dy.
+    """
+    if t < 1.0:
+        raise ValueError("need t >= 1")
+    h_log = np.vectorize(lambda y: h_fn(math.exp(y)), otypes=[float])
+    return float(_big_h_integral(h_log, math.log(t)))

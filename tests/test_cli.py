@@ -292,6 +292,13 @@ class TestVerify:
         b = strip(json.loads((tmp_path / "b" / "report.json").read_text()))
         assert a == b
 
+    def test_replicate_budget_exit_1(self, tmp_path, capsys):
+        text = BASE.replace("reps = 60", "reps = 10000000000")
+        code = main(["verify", "--config", write(tmp_path, text),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "memory budget" in capsys.readouterr().err
+
 
 class TestThreads:
     @staticmethod
@@ -417,6 +424,20 @@ class TestHalpha:
 
     def test_invalid_alpha_exit_2(self):
         assert main(["halpha", "--alpha", "0.5", "--n", "100"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "1.5", "--n", "nan"],
+        ["--alpha", "1.5", "--kind", "log_power", "--c", "1", "--p", "-2", "--n", "nan"],
+        ["--alpha", "2", "--n", "inf"],
+        ["--alpha", "2", "--n", "1e400"],
+    ])
+    def test_non_finite_n_exit_2(self, capsys, argv):
+        # the constant-h shortcut printed h_alpha=1.0 for N = nan; the solver
+        # exited 1 on the others
+        assert main(["halpha", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
 
     def test_no_fixed_point_exit_1(self):
         assert main(["halpha", "--alpha", "2.0", "--kind", "constant",

@@ -16,7 +16,8 @@ from stablesum.innovations import (
 )
 from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv, log_power
 from stablesum.stable_law import StandardStable, from_standard, from_tail_constants
-from stablesum.verification import tail_ratio_check
+
+from reference import tail_ratio_check
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
 

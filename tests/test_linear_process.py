@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from stablesum.linear_process import (
     default_truncation_depth,
     floor_index,
     normalized_fdd_sample,
-    partial_sums,
     path_from_innovations,
     process_normalizer,
     simulate_path,
@@ -24,6 +24,8 @@ from stablesum.linear_process import (
     window_weights,
 )
 from stablesum.slowly_varying import SlowlyVaryingSpec, big_h, coefficient, constant, log_power
+
+from reference import partial_sums
 
 ELL1 = constant(1.0)
 H1 = constant(1.0)
@@ -45,26 +47,26 @@ class TestTruncationTail:
     def test_integral_comparison(self):
         # sum_{i>M} i^{-1.5} ~ 2 M^{-1/2}: 0.02 at M = 1e4
         spec = ParetoTail(1.5, 0.5, 0.5, H1)
-        got = truncation_tail(ELL1, spec, 1.5, 10**4)
+        got = truncation_tail(ELL1, spec, 10**4)
         assert got == pytest.approx(float(zeta(1.5, 10**4 + 1)), rel=1e-9)
         assert got == pytest.approx(2.0 * 10**-2, rel=0.01)
 
     def test_m_scaling(self):
         spec = ParetoTail(1.5, 0.5, 0.5, H1)
-        ratio = (truncation_tail(ELL1, spec, 1.5, 10**8)
-                 / truncation_tail(ELL1, spec, 1.5, 10**4))
+        ratio = (truncation_tail(ELL1, spec, 10**8)
+                 / truncation_tail(ELL1, spec, 10**4))
         assert ratio == pytest.approx(1e-2, rel=0.01)
 
     def test_monotone_in_m(self):
         spec = ParetoTail(1.5, 0.5, 0.5, H1)
-        tails = [truncation_tail(ELL1, spec, 1.5, m) for m in (10, 100, 1000)]
+        tails = [truncation_tail(ELL1, spec, m) for m in (10, 100, 1000)]
         assert tails[0] > tails[1] > tails[2]
 
     def test_default_depth_policy(self):
         spec = exact_stable(1.5, 0.0, 1.0)
-        M = default_truncation_depth(ELL1, spec, 1.5)
-        full = truncation_tail(ELL1, spec, 1.5, 0)
-        assert truncation_tail(ELL1, spec, 1.5, M) < 1e-3 * full
+        M = default_truncation_depth(ELL1, spec)
+        full = truncation_tail(ELL1, spec, 0)
+        assert truncation_tail(ELL1, spec, M) < 1e-3 * full
         assert M >= 10**4
 
     @pytest.mark.parametrize("ell, spec, alpha, want", [
@@ -76,18 +78,18 @@ class TestTruncationTail:
         # the one-pass depth equals the first M = 1e4 * 2^k whose own
         # truncation_tail is below 1e-3 of the full series, also past M = 1e6
         # where consecutive candidates share no lags
-        M = default_truncation_depth(ell, spec, alpha)
+        M = default_truncation_depth(ell, spec)
         assert M == want
-        full = truncation_tail(ell, spec, alpha, 0)
-        assert truncation_tail(ell, spec, alpha, M) < 1e-3 * full
+        full = truncation_tail(ell, spec, 0)
+        assert truncation_tail(ell, spec, M) < 1e-3 * full
         if M > 10_000:
-            assert truncation_tail(ell, spec, alpha, M // 2) >= 1e-3 * full
+            assert truncation_tail(ell, spec, M // 2) >= 1e-3 * full
 
     def test_default_depth_capped(self):
         # at alpha = 1.2 no candidate below the 1e8 cap passes; the loop used
         # to double once more and return 163840000
         spec = ParetoTail(1.2, 1.0, 1.0, constant(1.0))
-        assert default_truncation_depth(ELL1, spec, 1.2) == lp._M_CAP == 10**8
+        assert default_truncation_depth(ELL1, spec) == lp._M_CAP == 10**8
 
 
 class TestAlpha2LogPower:
@@ -98,7 +100,7 @@ class TestAlpha2LogPower:
     SPEC = ParetoTail(2.0, 1.0, 1.0, log_power(1.0, 0.5))
 
     def test_default_depth(self):
-        assert default_truncation_depth(self.ELL, self.SPEC, 2.0) == 160_000
+        assert default_truncation_depth(self.ELL, self.SPEC) == 160_000
 
     def test_lag_h_independent_of_array(self):
         h = self.SPEC.h
@@ -261,7 +263,7 @@ class TestNormalizedFdd:
         proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 25)
         N, reps, seed = 20, 6, 99
         rows = normalized_fdd_sample(proc, N, self.FDD, reps, seed)
-        A = process_normalizer(proc, 1.5, N)
+        A = process_normalizer(proc, N)
         for r in range(reps):
             path = simulate_path(proc, N, self.FDD.times[-1], [seed, r])
             want = partial_sums(path, N, self.FDD.times) / A
@@ -272,15 +274,27 @@ class TestNormalizedFdd:
         M, N = 10, 12
         eps = np.zeros(N + M - 1)
         path = path_from_innovations(ELL1, M, eps, N)
-        A = process_normalizer(ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), M),
-                               1.5, N)
+        A = process_normalizer(ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), M), N)
         np.testing.assert_array_equal(partial_sums(path, N, self.FDD.times) / A,
                                       [0.0, 0.0])
+
+    def test_replicate_budget_fails_fast(self):
+        # reps x m beyond the budget is refused before the samples array is
+        # allocated (at reps = 1e10 numpy asked for 149 GiB)
+        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memory budget of 150000000 elements"):
+                normalized_fdd_sample(proc, 20, self.FDD, 10**10, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_pareto_normalizer_uses_h_alpha(self):
         # alpha = 2 heavy-tail family scales by sqrt(N H_alpha(N)), not sqrt(N)
         proc_pareto = ProcessSpec(ELL1, ParetoTail(2.0, 0.5, 0.5, H1), 10)
         proc_gauss = ProcessSpec(ELL1, exact_stable(2.0, 0.0, 1.0), 10)
-        a_pareto = process_normalizer(proc_pareto, 2.0, 1000)
-        a_gauss = process_normalizer(proc_gauss, 2.0, 1000)
+        a_pareto = process_normalizer(proc_pareto, 1000)
+        a_gauss = process_normalizer(proc_gauss, 1000)
         assert a_pareto > 2.0 * a_gauss

@@ -114,7 +114,7 @@ class TestTruncationTail:
     @pytest.mark.parametrize("M", [0, 10_000, 640_000])
     def test_matches_long_block(self, ell, spec, alpha, M):
         want = _long_block_tail(ell, tail_constants(spec).h, alpha, M)
-        assert truncation_tail(ell, spec, alpha, M) == pytest.approx(want, rel=1e-9)
+        assert truncation_tail(ell, spec, M) == pytest.approx(want, rel=1e-9)
 
     def test_matches_mpmath_sum(self):
         # sum_{i>=1} a_i^1.3 with a_i = 2 ln(e+i)^-0.7 / i: 1000 terms at
@@ -134,5 +134,5 @@ class TestTruncationTail:
             rest = (integral - f(K) / 2 - mp.diff(f, K, 1) / 12
                     + mp.diff(f, K, 3) / 720 - mp.diff(f, K, 5) / 30240)
             want = float(head + rest)
-        got = truncation_tail(log_power(2.0, -0.7), exact_stable(1.3, 0.5, 1.0), 1.3, 0)
+        got = truncation_tail(log_power(2.0, -0.7), exact_stable(1.3, 0.5, 1.0), 0)
         assert got == pytest.approx(want, rel=1e-9)

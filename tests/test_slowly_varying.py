@@ -10,7 +10,6 @@ from stablesum.slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
     big_h,
-    big_h_from_callable,
     coefficient,
     coefficient_prefix_sums,
     constant,
@@ -20,6 +19,8 @@ from stablesum.slowly_varying import (
     normalizer,
     solve_h_alpha,
 )
+
+from reference import big_h_from_callable
 
 
 class TestEval:

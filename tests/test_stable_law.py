@@ -21,9 +21,10 @@ from stablesum.stable_law import (
     log_cf,
     sample,
     stable_tail_constant,
-    std_log_cf,
     to_standard,
 )
+
+from reference import std_log_cf
 
 
 def pareto_cf_oracle(alpha, s1, s2, u, x0=1.0):

@@ -18,8 +18,9 @@ from stablesum.verification import (
     ks_distance,
     report_rows_to_csv,
     report_to_json,
-    tail_ratio_check,
 )
+
+from reference import tail_ratio_check
 
 
 class TestEcf:
