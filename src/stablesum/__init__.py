@@ -53,6 +53,6 @@ from .cf_oracle import (
     limit_log_cf,
     v_transform,
 )
-from .verification import build_report, ecf, ks_distance
+from .verification import ecf, ks_distance
 
 __version__ = "0.1.0"

@@ -16,11 +16,13 @@ n_list that is not strictly increasing or has an N < 1, reps < 2, a
 negative seed or --seed-override, a j_tolerance that is not finite and
 positive, non-finite [fdd] times or freqs, [simulate] n < 1, a [simulate]
 t or a [tolerance] max_ks, max_ecf, max_distance_ratio or max_past_ratio
-that is not finite and positive, and a non-finite hook_value; for halpha, an
-alpha outside (1, 2], an --n that is not a finite number >= 1 and a bad
---c or --p.  --threads < 1 is a usage error (also exit 2).  A run whose
-prefix sums, path or replicate samples would exceed the memory budget
-exits 1 before it allocates them.
+that is not finite and positive, a non-finite hook_value, and in verify an
+[N t_m] < 1 or a [tolerance] criterion whose column the innovation family
+does not produce; for halpha, an alpha outside (1, 2], an --n that is not a
+finite number >= 1, a bad --c or --p and an h whose H overflows.
+--threads < 1 is a usage error (also exit 2).  A run whose prefix sums,
+path or replicate samples would exceed the memory budget exits 1 before it
+allocates them.
 
 The innovation families hook_zero, hook_const and hook_impulse are
 deterministic inputs for `simulate` (the Hook type); alpha, and every
@@ -386,45 +388,59 @@ def _marginal_cdf_target(cfg: RunConfig, N: int, M: int):
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    """Oracle sweep (stable innovations only) plus Monte Carlo per N.
+    """Oracle sweep (stable innovations only) plus Monte Carlo per N, one
+    ReportRow per N, verdicted against the [tolerance] criteria.
 
-    The ECF target is the sweep row's exact log-CF for stable innovations
-    and the Levy limit otherwise, so the exact log-CF is computed once per
-    N.  With sup_grid the target shares the depth J certified for the whole
-    grid (within j_tolerance of a grid-free value); no shipped verify config
-    sets sup_grid."""
+    The columns the criteria read are checked against the ones the
+    innovation family produces (the oracle's distance and past part exist
+    for exactly stable innovations only) before any work, as is [N t_m] >= 1
+    for every N.  The ECF target is the sweep row's exact log-CF for stable
+    innovations and the Levy limit otherwise, so the exact log-CF is
+    computed once per N.  With sup_grid the target shares the depth J
+    certified for the whole grid (within j_tolerance of a grid-free value);
+    no shipped verify config sets sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
     if isinstance(cfg.innovation, Hook):
         raise ConfigError("verify needs a random innovation family")
+    stable = isinstance(cfg.innovation, ExactStable)
+    produced = {"ecf_distance", "ks_marginal"}
+    if stable:
+        produced |= {"oracle_distance", "past_part"}
+    absent = sorted(cfg.criteria.columns() - produced)
+    _require(not absent, f"[tolerance] criteria read {absent}, which only the oracle "
+                         "sweep of exactly stable innovations produces")
+    _require(floor_index(cfg.n_list[0], cfg.fdd.times[-1]) >= 1,
+             "need [N t_m] >= 1 for every N of [sweep] n_list")
     seed = _require_seed(cfg)
     M = _resolve_truncation(cfg)
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
-    stable = isinstance(cfg.innovation, ExactStable)
 
     if stable:
-        oracle_rows = _run_sweep(cfg, threads)
-        targets = [row.log_cf for row in oracle_rows]
+        sweep = _run_sweep(cfg, threads)
     else:
-        oracle_rows = None
+        sweep = [None] * len(cfg.n_list)
         limit = cf_oracle.limit_log_cf(innovation_cf_params(cfg.innovation), cfg.fdd)
-        targets = [limit] * len(cfg.n_list)
 
-    mc_rows = []
-    for n, target in zip(cfg.n_list, targets):
+    rows = []
+    for n, orow in zip(cfg.n_list, sweep):
         t0 = time.perf_counter()
         samples = normalized_fdd_sample(process, n, cfg.fdd, cfg.reps, seed,
                                         threads=threads)
         est, _ = verification.ecf(samples, cfg.fdd.freqs)
-        ecf_distance = abs(est - np.exp(target))
+        target = limit if orow is None else orow.log_cf
         marginal = _marginal_cdf_target(cfg, n, M)
         ks = verification.ks_distance(samples[:, -1], lambda x: cdf(marginal, x))
-        mc_rows.append(verification.MCRow(n, float(ecf_distance), float(ks),
-                                          time.perf_counter() - t0))
+        wall = time.perf_counter() - t0
+        distance, past, oracle_s = ((None, None, 0.0) if orow is None else
+                                    (orow.distance, orow.past_part, orow.wall_ms / 1e3))
+        rows.append(verification.ReportRow(n, distance, past, float(abs(est - np.exp(target))),
+                                           float(ks), oracle_s + wall))
 
     metadata = {"config": cfg.raw, "seed": seed, "reps": cfg.reps,
                 "truncation": M, "n_list": list(cfg.n_list)}
-    report = verification.build_report(oracle_rows, mc_rows, cfg.criteria, metadata)
+    report = verification.ConvergenceReport(
+        metadata, rows, verification.evaluate_verdicts(rows, cfg.criteria))
     if "json" in cfg.formats:
         _atomic_write(out_dir / "report.json", verification.report_to_json(report))
     if "csv" in cfg.formats:

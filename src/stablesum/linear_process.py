@@ -95,24 +95,28 @@ def floor_index(N, t) -> int:
 _TAIL_BLOCK = 10_000
 
 
-def _tail_terms(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
-                lo: int, hi: int) -> np.ndarray:
-    """|a_i|^alpha H(|a_i|^-1) for lags i = lo+1 .. hi."""
-    a = coefficient(ell, np.arange(lo + 1, hi + 1, dtype=float))
-    return a**alpha * big_h(h, alpha, np.maximum(1.0 / a, 1.0))
+def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) -> float:
+    """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series,
+    with alpha and h the tail constants of the innovation law.  The H
+    argument is clamped to >= 1; only lags with a_i < 1 matter in any tail
+    regime this diagnostic inspects.
 
-
-def _block_tail(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
-                terms: np.ndarray, cut: int) -> float:
-    """Sum of the block `terms` (lags up to `cut`) plus the remainder beyond
-    `cut`; a block holding a term below 1e-16 is the whole tail, summed over
-    its terms of at least 1e-16.
-
-    The remainder sum_{i > cut} f(i), f(x) = a(x)^alpha H(1/a(x)), is taken
-    as int_X^inf f, X = cut + 1/2 (midpoint rule).  With x = X t^(-k),
-    k = 1/(alpha-1), it is k X^(1-alpha) int_0^1 ell(x)^alpha H(x/ell(x)) dt,
-    whose integrand is bounded up to a log as t -> 0.  ln x reaches about
-    1e3 on panel_quad's ladder, so the integrand is evaluated from ln x."""
+    The _TAIL_BLOCK lags past M are summed exactly; a block holding a term
+    below 1e-16 is the whole tail, summed over its terms of at least 1e-16.
+    Otherwise the remainder sum_{i > cut} f(i), f(x) = a(x)^alpha H(1/a(x)),
+    cut = M + _TAIL_BLOCK, is taken as int_X^inf f, X = cut + 1/2 (midpoint
+    rule).  With x = X t^(-k), k = 1/(alpha-1), it is
+    k X^(1-alpha) int_0^1 ell(x)^alpha H(x/ell(x)) dt, whose integrand is
+    bounded up to a log as t -> 0.  ln x reaches about 1e3 on panel_quad's
+    ladder, so the integrand is evaluated from ln x.
+    """
+    M = int(M)
+    if M < 0:
+        raise ValueError("need M >= 0")
+    alpha, _, _, h = tail_constants(innovation)
+    cut = M + _TAIL_BLOCK
+    a = coefficient(ell, np.arange(M + 1, cut + 1, dtype=float))
+    terms = a**alpha * big_h(h, alpha, np.maximum(1.0 / a, 1.0))
     keep = terms >= 1e-16
     if not keep.all():
         return float(np.sum(terms[keep]))
@@ -128,22 +132,6 @@ def _block_tail(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float,
     return float(np.sum(terms)) + k * (cut + 0.5) ** (1.0 - alpha) * float(rem[0])
 
 
-def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) -> float:
-    """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series,
-    with alpha and h the tail constants of the innovation law.
-
-    The _TAIL_BLOCK lags past M are summed exactly and the rest is closed by
-    an integral (_block_tail).  The H argument is clamped to >= 1; only lags
-    with a_i < 1 matter in any tail regime this diagnostic inspects.
-    """
-    M = int(M)
-    if M < 0:
-        raise ValueError("need M >= 0")
-    alpha, _, _, h = tail_constants(innovation)
-    cut = M + _TAIL_BLOCK
-    return _block_tail(ell, h, alpha, _tail_terms(ell, h, alpha, M, cut), cut)
-
-
 _M_FLOOR = 10_000
 _M_CAP = 10**8
 _M_BUDGET_RATIO = 1e-3
@@ -152,21 +140,11 @@ _M_BUDGET_RATIO = 1e-3
 def default_truncation_depth(ell: SlowlyVaryingSpec, innovation: InnovationSpec) -> int:
     """Smallest power-of-two multiple of _M_FLOOR whose truncation tail is
     below _M_BUDGET_RATIO times the full series; _M_CAP when no candidate
-    below _M_CAP passes.  alpha and h come from the innovation law.
-
-    Each candidate's tail is truncation_tail(M), read off one buffer of
-    terms that holds lags lo+1 .. lo+len(terms) and gains only the lags the
-    next M needs."""
-    alpha, _, _, h = tail_constants(innovation)
-    lo, terms = 0, _tail_terms(ell, h, alpha, 0, _M_FLOOR + _TAIL_BLOCK)
-    full = _block_tail(ell, h, alpha, terms[:_TAIL_BLOCK], _TAIL_BLOCK)
+    below _M_CAP passes.  alpha and h come from the innovation law."""
+    budget = _M_BUDGET_RATIO * truncation_tail(ell, innovation, 0)
     M = _M_FLOOR
     while M < _M_CAP:
-        cut = M + _TAIL_BLOCK
-        if cut > lo + len(terms):
-            new = _tail_terms(ell, h, alpha, max(M, lo + len(terms)), cut)
-            lo, terms = M, np.concatenate([terms[M - lo:], new])
-        if _block_tail(ell, h, alpha, terms[M - lo:cut - lo], cut) < _M_BUDGET_RATIO * full:
+        if truncation_tail(ell, innovation, M) < budget:
             return M
         M *= 2
     return _M_CAP
@@ -201,18 +179,18 @@ def simulate_path(process: ProcessSpec, N: int, T: float, seed) -> np.ndarray:
     return path_from_innovations(process.ell, M, eps, n_out)
 
 
-def prefix_weights(S: np.ndarray, j0: int, j1: int, upper, *, lower=0,
+def prefix_weights(S: np.ndarray, j0: int, j1: int, upper, *,
                    cap: int | None = None) -> np.ndarray:
     """Weight kernel: for j = j0 .. j1-1 (rows) and each column c, the weight
-    of eps_j in sum_{n = lower_c+1}^{upper_c} X_n under lag cap `cap`,
+    of eps_j in sum_{n = 1}^{upper_c} X_n under lag cap `cap`,
 
         sum_{k = lo+1}^{hi} a_k = S[hi] - S[lo],
-        lo = max(lower_c - j, 0),  hi = min(max(upper_c - j, 0), cap),
+        lo = max(-j, 0),  hi = min(max(upper_c - j, 0), cap),
 
     and exactly zero where hi <= lo (S[hi] - S[hi]).  S is the coefficient
     prefix-sum array and must reach index max_c upper_c - j0 (or cap)."""
     j = np.arange(j0, j1)[:, None]
-    lo = np.maximum(np.asarray(lower) - j, 0)
+    lo = np.maximum(-j, 0)
     hi = np.clip(np.asarray(upper) - j, 0, cap)
     return S.take(hi) - S.take(np.minimum(lo, hi))
 

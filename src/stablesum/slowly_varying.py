@@ -136,7 +136,7 @@ def big_h_log(h: SlowlyVaryingSpec, alpha: float, lnt):
     if alpha < 2.0:
         return eval_sv_log(h, lnt)
     if h.kind == "constant":
-        return 2.0 * h.c * np.asarray(lnt, dtype=float)
+        return 2.0 * (h.c * np.asarray(lnt, dtype=float))  # 2.0 * h.c would overflow unflagged
     return _big_h_integral(lambda y: eval_sv_log(h, y), lnt)
 
 
@@ -259,11 +259,17 @@ def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
 
 def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
     """As h_alpha, also reporting the residual and iteration count; a ValueError
-    for alpha outside (1, 2] or an N that is not a finite number >= 1."""
+    for alpha outside (1, 2], an N that is not a finite number >= 1, or an h
+    whose H overflows a double on the way to the fixed point."""
     _check_alpha_n(alpha, N)
     if h.kind == "constant" and alpha < 2.0:
         return HAlphaResult(h.c, 0.0, 0)  # constant map: fixed point is h itself
-    return solve_h_alpha(lambda t: big_h(h, alpha, t), alpha, N)
+    try:
+        with np.errstate(over="raise"):
+            return solve_h_alpha(lambda t: big_h(h, alpha, t), alpha, N)
+    except FloatingPointError as exc:
+        raise ValueError("H overflows a double before its fixed point is reached "
+                         f"({exc})") from exc
 
 
 def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: int) -> float:

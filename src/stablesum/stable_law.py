@@ -133,13 +133,11 @@ def from_standard(std: StandardStable) -> SkewedStableParams:
     return SkewedStableParams(std.alpha, std.scale**std.alpha, D)
 
 
-def log_cf(params: SkewedStableParams, u, t: float = 1.0):
-    """log E e^{iuZ_t} = -t*sigma*|u|^alpha*(1 - i*D*sgn u); real part <= 0."""
-    if not (t > 0.0):
-        raise ValueError("need t > 0")
+def log_cf(params: SkewedStableParams, u):
+    """log E e^{iuZ_1} = -sigma*|u|^alpha*(1 - i*D*sgn u); real part <= 0."""
     arr = np.asarray(u, dtype=float)
     mag = params.sigma * np.abs(arr) ** params.alpha
-    out = t * (-mag + 1j * params.D * mag * np.sign(arr))  # exactly t-linear
+    out = -mag + 1j * params.D * mag * np.sign(arr)
     return complex(out) if arr.ndim == 0 else out
 
 

@@ -1,4 +1,10 @@
-"""Statistical verification machinery and convergence reports."""
+"""Statistical verification machinery and convergence reports.
+
+`verify` turns each N of its grid into one ReportRow (the Monte-Carlo ECF
+and KS distances, plus the oracle sweep's distance and past part for exactly
+stable innovations) and verdicts the rows against the [tolerance] criteria.
+Each criterion is one entry of _CRITERIA: the CriteriaConfig field that
+enables it, its verdict key, the ReportRow column it reads and its test."""
 
 from __future__ import annotations
 
@@ -10,11 +16,9 @@ import numpy as np
 __all__ = [
     "ecf",
     "ks_distance",
-    "MCRow",
     "ReportRow",
     "CriteriaConfig",
     "ConvergenceReport",
-    "build_report",
     "report_to_json",
     "report_rows_to_csv",
     "REPORT_CSV_HEADER",
@@ -63,15 +67,11 @@ def ks_distance(samples, cdf) -> float:
 
 
 @dataclass(frozen=True)
-class MCRow:
-    n: int
-    ecf_distance: float
-    ks_marginal: float
-    wall_time_s: float
-
-
-@dataclass(frozen=True)
 class ReportRow:
+    """One N of a verify run: the oracle sweep's distance and past part
+    (None off the exactly stable family), the Monte-Carlo ECF and KS
+    distances, and the N's wall time."""
+
     n: int
     oracle_distance: float | None
     past_part: float | None
@@ -82,7 +82,7 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class CriteriaConfig:
-    """Thresholds to verdict against; None disables a check."""
+    """Thresholds to verdict against; None (or False) disables a check."""
 
     max_ks: float | None = None
     max_ecf_distance: float | None = None
@@ -90,6 +90,42 @@ class CriteriaConfig:
     max_distance_ratio: float | None = None
     require_decreasing_past: bool = False
     max_past_ratio: float | None = None
+
+    def columns(self) -> set:
+        """The ReportRow columns that the configured criteria read."""
+        return {column for _, column, _, _ in _configured(self)}
+
+
+def _decreasing(col, _):
+    return all(a > b for a, b in zip(col, col[1:]))
+
+
+def _ratio_below(col, ratio):
+    return col[-1] < ratio * col[0]
+
+
+def _max_below(col, bound):
+    return max(col) < bound
+
+
+# one entry per criterion: CriteriaConfig field, verdict key, the ReportRow
+# column it reads, and its test of that column against the field's value
+_CRITERIA = (
+    ("require_decreasing_distance", "distance_decreasing", "oracle_distance", _decreasing),
+    ("max_distance_ratio", "distance_ratio", "oracle_distance", _ratio_below),
+    ("require_decreasing_past", "past_decreasing", "past_part", _decreasing),
+    ("max_past_ratio", "past_ratio", "past_part", _ratio_below),
+    ("max_ks", "ks_max", "ks_marginal", _max_below),
+    ("max_ecf_distance", "ecf_max", "ecf_distance", _max_below),
+)
+
+
+def _configured(criteria: CriteriaConfig):
+    """(verdict key, column, test, value) of each enabled criterion."""
+    for name, key, column, test in _CRITERIA:
+        value = getattr(criteria, name)
+        if value is not None and value is not False:
+            yield key, column, test, value
 
 
 @dataclass
@@ -103,77 +139,16 @@ class ConvergenceReport:
         return all(self.verdicts.values())
 
 
-def _column(rows, name):
-    vals = [getattr(r, name) for r in rows]
-    return None if any(v is None for v in vals) else vals
-
-
 def evaluate_verdicts(rows, criteria: CriteriaConfig) -> dict:
-    """Pass/fail flags recomputable from the rows alone."""
+    """Pass/fail flag of each configured criterion, recomputable from the
+    rows alone; a ValueError if a row lacks a column a criterion reads."""
     verdicts = {}
-    dist = _column(rows, "oracle_distance")
-    past = _column(rows, "past_part")
-    ks = _column(rows, "ks_marginal")
-    ecf_d = _column(rows, "ecf_distance")
-
-    def need(col, label):
-        if col is None:
-            raise ValueError(f"criterion {label!r} configured but its column is absent")
-        return col
-
-    if criteria.require_decreasing_distance:
-        col = need(dist, "require_decreasing_distance")
-        verdicts["distance_decreasing"] = all(a > b for a, b in zip(col, col[1:]))
-    if criteria.max_distance_ratio is not None:
-        col = need(dist, "max_distance_ratio")
-        verdicts["distance_ratio"] = col[-1] < criteria.max_distance_ratio * col[0]
-    if criteria.require_decreasing_past:
-        col = need(past, "require_decreasing_past")
-        verdicts["past_decreasing"] = all(a > b for a, b in zip(col, col[1:]))
-    if criteria.max_past_ratio is not None:
-        col = need(past, "max_past_ratio")
-        verdicts["past_ratio"] = col[-1] < criteria.max_past_ratio * col[0]
-    if criteria.max_ks is not None:
-        col = need(ks, "max_ks")
-        verdicts["ks_max"] = max(col) < criteria.max_ks
-    if criteria.max_ecf_distance is not None:
-        col = need(ecf_d, "max_ecf_distance")
-        verdicts["ecf_max"] = max(col) < criteria.max_ecf_distance
+    for key, column, test, value in _configured(criteria):
+        col = [getattr(r, column) for r in rows]
+        if any(v is None for v in col):
+            raise ValueError(f"criterion {key!r} reads the absent column {column!r}")
+        verdicts[key] = test(col, value)
     return verdicts
-
-
-def build_report(oracle_rows, mc_rows, criteria: CriteriaConfig,
-                 metadata: dict | None = None) -> ConvergenceReport:
-    """Merge oracle-sweep and Monte-Carlo rows on their N grids and verdict.
-
-    Either result set may be None (its columns are reported absent); when both
-    are present their N grids must agree.
-    """
-    if oracle_rows is None and mc_rows is None:
-        raise ValueError("need at least one result set")
-    o_ns = [r.n for r in oracle_rows] if oracle_rows else None
-    m_ns = [r.n for r in mc_rows] if mc_rows else None
-    if o_ns is not None and m_ns is not None and o_ns != m_ns:
-        raise ValueError("oracle and Monte-Carlo N grids differ")
-    ns = o_ns if o_ns is not None else m_ns
-    if len(set(ns)) != len(ns):
-        raise ValueError("duplicate N in result rows")
-
-    rows = []
-    for idx, n in enumerate(ns):
-        orow = oracle_rows[idx] if oracle_rows else None
-        mrow = mc_rows[idx] if mc_rows else None
-        rows.append(ReportRow(
-            n=n,
-            oracle_distance=orow.distance if orow else None,
-            past_part=orow.past_part if orow else None,
-            ecf_distance=mrow.ecf_distance if mrow else None,
-            ks_marginal=mrow.ks_marginal if mrow else None,
-            wall_time_s=(orow.wall_ms / 1e3 if orow else 0.0)
-                        + (mrow.wall_time_s if mrow else 0.0),
-        ))
-    verdicts = evaluate_verdicts(rows, criteria)
-    return ConvergenceReport(dict(metadata or {}), rows, verdicts)
 
 
 def report_to_json(report: ConvergenceReport, *, include_timing: bool = True) -> str:

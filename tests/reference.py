@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stablesum.linear_process import floor_index, prefix_weights
+from stablesum.linear_process import floor_index
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     _big_h_integral,
@@ -52,7 +52,11 @@ def aggregated_coefficients(ell: SlowlyVaryingSpec, N: int, times, J: int) -> Ag
     if any(b2 < b1 for b1, b2 in zip(B, B[1:])):
         raise ValueError("need nondecreasing [N t_i]")
     S = coefficient_prefix_sums(ell, B[-1] + J) if B[-1] + J >= 1 else np.zeros(1)
-    table = prefix_weights(S, -J, B[-1], B, lower=[0] + B[:-1]).T
+    # column i sums a_{n-j} over n = [N t_{i-1}]+1 .. [N t_i]: S[hi] - S[lo]
+    j = np.arange(-J, B[-1])[:, None]
+    hi = np.maximum(np.asarray(B) - j, 0)
+    lo = np.minimum(np.maximum(np.asarray([0] + B[:-1]) - j, 0), hi)
+    table = (S.take(hi) - S.take(lo)).T
     return AggregatedCoefficients(tuple(B), J, table, S)
 
 
@@ -68,7 +72,7 @@ def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:
 
 def std_log_cf(std: StandardStable, u):
     """log CF of the StandardStable law (t = 1)."""
-    return log_cf(from_standard(std), u, 1.0)
+    return log_cf(from_standard(std), u)
 
 
 @dataclass(frozen=True)

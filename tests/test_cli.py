@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stablesum import cf_oracle
+from stablesum import cf_oracle, cli
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import coefficient, constant
 
@@ -36,6 +37,9 @@ n_list = 20, 50
 reps = 60
 seed = 4242
 """
+
+PARETO = BASE.replace("innovation = stable",
+                      "innovation = pareto\nsigma1 = 1.0\nsigma2 = 1.0")
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -245,9 +249,7 @@ class TestOracle:
             assert abs(ra["distance"] - rb["distance"]) < 1e-8
 
     def test_pareto_rejected(self, tmp_path):
-        text = BASE.replace("innovation = stable",
-                            "innovation = pareto\nsigma1 = 1.0\nsigma2 = 1.0")
-        code = main(["oracle", "--config", write(tmp_path, text),
+        code = main(["oracle", "--config", write(tmp_path, PARETO),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
@@ -291,6 +293,43 @@ class TestVerify:
         a = strip(json.loads((tmp_path / "a" / "report.json").read_text()))
         b = strip(json.loads((tmp_path / "b" / "report.json").read_text()))
         assert a == b
+
+    @pytest.mark.parametrize("criterion", ["require_decreasing = true",
+                                           "max_distance_ratio = 0.5",
+                                           "require_decreasing_past = true",
+                                           "max_past_ratio = 0.5"])
+    def test_oracle_criterion_off_stable_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                criterion):
+        # the oracle's columns exist for exactly stable innovations only; the
+        # mismatch is refused before the depth search, the sweep or sampling
+        calls = []
+        for module, name in ((cli, "default_truncation_depth"),
+                             (cli, "normalized_fdd_sample"),
+                             (cf_oracle, "cf_convergence_sweep")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
+        text = (PARETO.replace("truncation = 200", "truncation = auto")
+                + f"\n[tolerance]\nmax_ks = 1.0\n{criterion}\n")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", write(tmp_path, text), "--out-dir", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("family", ["stable", "pareto"])
+    def test_empty_window_exit_2(self, tmp_path, capsys, family):
+        # [1 * 0.5] = 0: stable innovations failed on a zero scale, Pareto
+        # scored an identically zero sample
+        text = (BASE if family == "stable" else PARETO).replace(
+            "n_list = 20, 50", "n_list = 1, 2").replace(
+            "times = 0.5, 1.0", "times = 0.25, 0.5")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", write(tmp_path, text), "--out-dir", str(out)])
+        assert code == 2
+        assert "[N t_m] >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replicate_budget_exit_1(self, tmp_path, capsys):
         text = BASE.replace("reps = 60", "reps = 10000000000")
@@ -437,6 +476,23 @@ class TestHalpha:
         assert main(["halpha", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "1.5", "--kind", "log_power", "--c", "1e308", "--p", "2"],
+        ["--alpha", "1.5", "--kind", "log_power", "--c", "1e304", "--p", "2"],
+        ["--alpha", "2", "--kind", "log_power", "--c", "1e307", "--p", "2"],
+        ["--alpha", "2", "--kind", "constant", "--c", "1e308"],
+    ])
+    def test_overflowing_h_exit_2(self, capsys, argv):
+        # H(N^{1/alpha}) or a later iterate overflows: once a RuntimeWarning
+        # and exit 1 (residual inf); at alpha = 2 the quadrature of an
+        # overflowing h never settled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["halpha", *argv, "--n", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "overflow" in captured.err
         assert captured.out == ""
 
     def test_no_fixed_point_exit_1(self):

@@ -189,13 +189,13 @@ class TestConversion:
 
 class TestLogCf:
     def test_zero_frequency(self):
-        assert log_cf(SkewedStableParams(1.5, 1.0, 0.0), 0.0, 1.0) == 0.0
+        assert log_cf(SkewedStableParams(1.5, 1.0, 0.0), 0.0) == 0.0
 
     def test_unit(self):
-        assert log_cf(SkewedStableParams(1.5, 1.0, 0.0), 1.0, 1.0) == -1.0
+        assert log_cf(SkewedStableParams(1.5, 1.0, 0.0), 1.0) == -1.0
 
     def test_hand_value(self):
-        got = log_cf(SkewedStableParams(1.5, 2.0, -1.0), -1.0, 3.0)
+        got = log_cf(SkewedStableParams(1.5, 6.0, -1.0), -1.0)
         assert got == pytest.approx(-6.0 * (1.0 - 1.0j))
 
     def test_modulus_bounded(self):
@@ -203,12 +203,7 @@ class TestLogCf:
         for params in (SkewedStableParams(1.2, 0.7, 1.0),
                        SkewedStableParams(1.5, 2.0, -1.0),
                        SkewedStableParams(2.0, 1.0, 0.0)):
-            assert np.all(np.abs(np.exp(log_cf(params, grid, 1.0))) <= 1.0 + 1e-15)
-
-    def test_time_scaling_exact(self):
-        params = SkewedStableParams(1.7, 0.9, 0.5)
-        for u in (-2.0, 0.3, 5.0):
-            assert log_cf(params, u, 3.5) == 3.5 * log_cf(params, u, 1.0)
+            assert np.all(np.abs(np.exp(log_cf(params, grid))) <= 1.0 + 1e-15)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

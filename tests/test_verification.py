@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from stablesum.cf_oracle import SweepRow
 from stablesum.innovations import ParetoTail, sample_innovations
 from stablesum.slowly_varying import constant
 from stablesum.stable_law import StandardStable, cdf, sample
 from stablesum.verification import (
     REPORT_CSV_HEADER,
+    ConvergenceReport,
     CriteriaConfig,
-    MCRow,
-    build_report,
+    ReportRow,
     ecf,
     evaluate_verdicts,
     ks_distance,
@@ -104,56 +103,67 @@ class TestTailRatio:
         assert res.warnings  # 2 exceedances only
 
 
-def _oracle_rows():
-    return [SweepRow(100, 0.3, 0.05, 10.0, 10_000, 1e-12, complex(-0.9, 0.0)),
-            SweepRow(1000, 0.2, 0.03, 20.0, 10_000, 1e-12, complex(-0.8, 0.0))]
+def _rows(mc=True):
+    """Two N of a stable verify run; mc=False leaves the Monte-Carlo columns
+    absent."""
+    ecf_ks = [(0.01, 0.015), (0.012, 0.013)] if mc else [(None, None)] * 2
+    return [ReportRow(100, 0.3, 0.05, *ecf_ks[0], 1.01),
+            ReportRow(1000, 0.2, 0.03, *ecf_ks[1], 2.02)]
 
 
-def _mc_rows():
-    return [MCRow(100, 0.01, 0.015, 1.0), MCRow(1000, 0.012, 0.013, 2.0)]
+def _report(criteria, rows=None, metadata=None):
+    rows = _rows() if rows is None else rows
+    return ConvergenceReport(dict(metadata or {}), rows, evaluate_verdicts(rows, criteria))
 
 
 class TestReport:
     def test_oracle_only_marks_mc_absent(self):
-        rep = build_report(_oracle_rows(), None, CriteriaConfig(require_decreasing_distance=True))
+        rep = _report(CriteriaConfig(require_decreasing_distance=True), _rows(mc=False))
         assert all(r.ecf_distance is None and r.ks_marginal is None for r in rep.rows)
         assert rep.verdicts == {"distance_decreasing": True}
         assert rep.passed
 
     def test_deterministic_body(self):
-        a = build_report(_oracle_rows(), _mc_rows(), CriteriaConfig(max_ks=0.02), {"seed": 1})
-        b = build_report(_oracle_rows(), _mc_rows(), CriteriaConfig(max_ks=0.02), {"seed": 1})
+        a = _report(CriteriaConfig(max_ks=0.02), metadata={"seed": 1})
+        b = _report(CriteriaConfig(max_ks=0.02), metadata={"seed": 1})
         assert (report_to_json(a, include_timing=False)
                 == report_to_json(b, include_timing=False))
 
     def test_verdicts_recomputable_from_rows(self):
         criteria = CriteriaConfig(max_ks=0.02, require_decreasing_distance=True,
                                   max_distance_ratio=0.9)
-        rep = build_report(_oracle_rows(), _mc_rows(), criteria)
-        assert rep.verdicts == evaluate_verdicts(rep.rows, criteria)
+        rep = _report(criteria)
         assert rep.verdicts == {"distance_decreasing": True, "distance_ratio": True,
                                 "ks_max": True}
 
+    def test_every_criterion_verdicts_its_column(self):
+        criteria = CriteriaConfig(max_ks=0.014, max_ecf_distance=0.02,
+                                  require_decreasing_distance=True, max_distance_ratio=0.5,
+                                  require_decreasing_past=True, max_past_ratio=0.7)
+        assert evaluate_verdicts(_rows(), criteria) == {
+            "ks_max": False, "ecf_max": True, "distance_decreasing": True,
+            "distance_ratio": False, "past_decreasing": True, "past_ratio": True}
+        assert criteria.columns() == {"ks_marginal", "ecf_distance", "oracle_distance",
+                                      "past_part"}
+
+    def test_columns_of_configured_criteria_only(self):
+        assert CriteriaConfig().columns() == set()
+        assert CriteriaConfig(max_ks=0.1).columns() == {"ks_marginal"}
+        assert CriteriaConfig(require_decreasing_past=True).columns() == {"past_part"}
+        assert CriteriaConfig(require_decreasing_distance=False,
+                              max_distance_ratio=0.9).columns() == {"oracle_distance"}
+
     def test_failing_verdict(self):
-        rep = build_report(_oracle_rows(), _mc_rows(), CriteriaConfig(max_ks=0.01))
+        rep = _report(CriteriaConfig(max_ks=0.01))
         assert not rep.passed
 
-    def test_inconsistent_grids_rejected(self):
-        bad = [MCRow(100, 0.01, 0.015, 1.0), MCRow(2000, 0.012, 0.013, 2.0)]
-        with pytest.raises(ValueError):
-            build_report(_oracle_rows(), bad, CriteriaConfig())
-
     def test_criterion_without_column_rejected(self):
-        with pytest.raises(ValueError):
-            build_report(_oracle_rows(), None, CriteriaConfig(max_ks=0.02))
+        with pytest.raises(ValueError, match="ks_marginal"):
+            evaluate_verdicts(_rows(mc=False), CriteriaConfig(max_ks=0.02))
 
     def test_csv_schema(self):
-        rep = build_report(_oracle_rows(), None, CriteriaConfig())
+        rep = _report(CriteriaConfig(), _rows(mc=False))
         text = report_rows_to_csv(rep)
         lines = text.strip().split("\n")
         assert lines[0] == REPORT_CSV_HEADER
         assert lines[1].startswith("100,0.3,0.05,,,")
-
-    def test_needs_some_rows(self):
-        with pytest.raises(ValueError):
-            build_report(None, None, CriteriaConfig())
