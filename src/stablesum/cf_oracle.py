@@ -11,6 +11,25 @@ limit is zero; the whole vector converges to the Levy-increment log-CF
 
     -sum_i (t_i - t_{i-1}) * sigma * |v_i|^alpha * (1 - i*D*sgn v_i).
 
+No array in it grows with N.  A_N takes sum_{i<=N} a_i from
+slowly_varying.coefficient_sum, and the prefix sums the exact rows read are
+held on a union of short index intervals (_PrefixSums), each anchored at
+coefficient_sum: the exact S[k] up to _SUM_ANCHOR and its smooth
+continuation beyond (digamma for constant ell, Euler-Maclaurin for
+log-power ell).
+
+The in-window block splits into stretches [B_{k-1}, B_k) of the window,
+B_k = [N t_k], B_0 = 0.  On a stretch c is smooth but near its kink B_k and
+near its own zeros, where |c|^alpha has a kink.  Rows within _L of a
+stretch end (the kink, and the seam with the previous stretch or the past)
+and, per vector, within _L of a sign change of its c are summed term by
+term; the rest of each vector's stretch is closed by the midpoint
+Euler-Maclaurin form, its integral by G_20/G_40 panels in u = ln(B_k - x)
+and its end corrections from the exact rows next to each end.  That
+closure's estimate sits at the round-off of the continuation (about 1e-15
+of the log-CF), and a stretch of at most 2 _L rows is summed whole, so the
+oracle's cost no longer grows with N.
+
 The infinite past cannot be truncated at any practical depth (the remainder
 decays like J^{1-alpha}), so the past block is summed exactly to depth J and
 closed with the integral of a smooth continuation under the midpoint rule;
@@ -19,18 +38,20 @@ J starts shallow (_J_FLOOR, whatever N) and grows by the factor _J_GROWTH,
 up to _J_MAX, until the largest bound over all evaluated frequency vectors is
 below tolerance; the vectors share the prefix sums, the in-window block and
 each growth round, and the weight blocks are built in row chunks of bounded
-size.
+size.  The J-deep rows are the one allocation that grows, and the prefix
+sums are refused beyond MEMORY_BUDGET_ELEMENTS.
 
-The closure integrates every frequency vector in one vectorized pass.  The
-variable is t = (X/x)^(alpha-1), X = J + 1/2, on (0, 1], where the
+The past closure integrates every frequency vector in one vectorized pass.
+The variable is t = (X/x)^(alpha-1), X = J + 1/2, on (0, 1], where the
 integrand stays bounded as x -> inf; the spans S(x+b) - S(x) are evaluated
 as arrays (digamma series for constant ell, Euler-Maclaurin with fixed
-Gauss-Legendre nodes for log-power ell).  Each vector's t-range is split at
-the sign changes of its c, where |c|^alpha has a kink; panels are
+Gauss-Legendre nodes for log-power ell), once per distinct panel.  Each
+vector's t-range is split at the sign changes of its c; panels are
 integrated by 20- and 40-point Gauss-Legendre, and only those whose
 difference exceeds their share of min(tol/10, midpoint remainder) are
 bisected.  The certified bound is the midpoint remainder plus the summed
-panel estimates, so it shrinks with J.
+panel estimates, so it shrinks with J; tail_bound adds the window
+closure's estimate to it.
 """
 
 from __future__ import annotations
@@ -49,8 +70,13 @@ from .linear_process import (
     prefix_weights,
     thread_map,
 )
-from .slowly_varying import SlowlyVaryingSpec, coefficient_prefix_sums
-from .stable_law import _G40, _PANEL_X, SkewedStableParams, log_cf, panel_quad
+from .slowly_varying import (
+    SlowlyVaryingSpec,
+    _scaled_spans,
+    coefficient_prefix_sums,
+    coefficient_sum,
+)
+from .stable_law import _PANEL_X, SkewedStableParams, log_cf, panel_quad
 
 __all__ = [
     "v_transform",
@@ -105,13 +131,21 @@ class JDepthError(RuntimeError):
 _J_FLOOR = 10_000
 _J_GROWTH = 4
 _J_MAX = 2**25
+# rows within _L of a kink of c are summed term by term, and a stretch of at
+# most 2 _L rows whole.  A window closure costs about as much as 2e4 to 3e4
+# rows summed term by term (for one frequency vector or for 65), so short
+# stretches stay exact where closing them would not pay.  The closure
+# evaluates S only beyond _L > slowly_varying._SUM_ANCHOR, where its
+# continuation holds.
+_L = 4096
 
 
 @dataclass(frozen=True)
 class ExactFddLogCf:
     """value, past_part and window_part are at the fdd's own frequencies;
     grid_values holds the log-CF at each freq_grid vector, in order;
-    tail_bound is the largest certified past-remainder bound of them all."""
+    tail_bound is the largest, over them all, of the certified
+    past-remainder bound plus the window closure's estimate."""
 
     value: complex
     past_part: complex
@@ -121,11 +155,7 @@ class ExactFddLogCf:
     grid_values: np.ndarray
 
 
-# the constant-ell span comes from the asymptotic digamma series (first
-# omitted term below 1e-17 relative) at x >= _DIGAMMA_SHIFT, and below from
-# the series at x + _DIGAMMA_SHIFT and the digamma recurrence
-_DIGAMMA_SHIFT = 100
-# sign of c sampled here (t in (0, 1]) to place the closure's breakpoints
+# sign of c sampled here (t in (0, 1]) to place the closures' breakpoints
 _SIGN_GRID = np.concatenate([2.0 ** -np.arange(40.0, 7.0, -1.0), np.arange(1, 129) / 128])
 # relative accuracy of _scaled_spans (worst seen 7e-15); a panel whose
 # estimate is within the round-off this leaves in c is accepted
@@ -135,74 +165,66 @@ _SPAN_RTOL = 1e-14
 _MAX_NODES = 2**17
 
 
-def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
-    """x * (S(x+b) - S(x)) at x = exp(lnx) (any shape) for each b in B (new
-    last axis), with S continued smoothly to real x:
-
-    constant ell:  c * (digamma(x+b+1) - digamma(x+1)), exact at integers;
-    log-power ell: the Euler-Maclaurin form  int_x^{x+b} ell(s)/s ds
-                   + [a(x+b) - a(x)]/2 - [a'(x+b) - a'(x)]/12,  a(s) = ell(s)/s,
-                   whose residual is O(a''(x)) and irrelevant at the depths
-                   where the continuation is used.
-
-    The scaled span tends to b*ell(x) as x -> inf; it is evaluated from lnx
-    and r = 1/x, so x itself never overflows.
-    """
-    lnx = np.asarray(lnx, dtype=float)[..., None]
-    b = np.asarray(B, dtype=float)
-    r = np.maximum(np.exp(-lnx), 1e-300)  # below 1e-300, r only moves b*ell
-    if ell.kind == "constant":
-        return ell.c * _digamma_span(lnx, r, b)
-    return _euler_maclaurin_span(ell, lnx, r, b)
-
-
-def _digamma_span(lnx, r, b):
-    """x * (digamma(x+b+1) - digamma(x+1)) by the asymptotic series
-    digamma(z) ~ ln z - 1/2z - 1/12z^2 + 1/120z^4 - 1/252z^6, written in
-    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels.  Below x =
-    _DIGAMMA_SHIFT = K the recurrence digamma(z) = digamma(z+K) -
-    sum_{i<K} 1/(z+i) moves the series to x + K, and the sum becomes
-    sum_{i<K} b / ((x+1+i) (x+b+1+i)), which does not cancel either."""
-    w1 = r / (1.0 + r)
-    w2 = r / (1.0 + (b + 1.0) * r)
-    s1, s2 = w1 * w1, w2 * w2
-    q = b * w1 * (w2 / r)  # -(w2 - w1) / r
-    out = np.log1p(b * w1) / r + q * (
-        0.5 + (w1 + w2) * (1.0 / 12.0 - (s1 + s2) / 120.0
-                           + (s1 * s1 + s1 * s2 + s2 * s2) / 252.0))
-    small = np.broadcast_to(lnx < math.log(_DIGAMMA_SHIFT), out.shape)
-    if small.any():  # the closure has x >= J >= _J_FLOOR unless j_depth is pinned
-        x = np.broadcast_to(np.exp(lnx), out.shape)[small]
-        bs = np.broadcast_to(b, out.shape)[small]
-        xk = x + _DIGAMMA_SHIFT
-        span = _digamma_span(np.log(xk), 1.0 / xk, bs) / xk
-        for i in range(_DIGAMMA_SHIFT):
-            span += bs / ((x + 1.0 + i) * (x + bs + 1.0 + i))
-        out[small] = x * span
-    return out
+def _sign_changes(spans, W: np.ndarray):
+    """Points t in (0, 1) at the sign changes of the columns of
+    w = spans(t) @ W, and the column of each.  A change is bracketed on
+    _SIGN_GRID, where w is above its round-off, and the bracket is narrowed
+    32-fold per round to about 1e-11 (a kink that close to a panel end
+    costs nothing)."""
+    g = spans(_SIGN_GRID)
+    w = g @ W
+    sg = np.sign(w) * (np.abs(w) > _SPAN_RTOL * (np.abs(g) @ np.abs(W)))
+    cell, col = np.nonzero(sg[:-1] * sg[1:] < 0.0)
+    lo, s_lo = _SIGN_GRID[cell], sg[cell, col][:, None]
+    width = _SIGN_GRID[cell + 1] - lo
+    for _ in range(6 if col.size else 0):
+        width = width / 32.0
+        g = spans(lo[:, None] + width[:, None] * np.arange(1, 32))
+        same = np.sign(np.sum(g * W.T[col][:, None], axis=-1)) == s_lo
+        lo = lo + width * np.cumprod(same, axis=1).sum(axis=1)
+    return lo + 0.5 * width, col
 
 
-def _euler_maclaurin_span(ell, lnx, r, b):
-    """x times the Euler-Maclaurin span of a log-power ell; the integral is
-    int_0^{ln(1+b/x)} ell(x e^y) dy by 40-point Gauss-Legendre in y = ln(s/x)."""
-    c, p = ell.c, ell.p
-    nodes, weights = _G40
-    Y = np.log1p(b * r)
-    y = (0.5 * Y)[..., None] * (1.0 + nodes)
-    lam = lnx[..., None] + y + np.log1p(np.e * r[..., None] * np.exp(-y))
-    integral = 0.5 * Y / r * c * ((lam ** p) @ weights)
-    lam0 = lnx + np.log1p(np.e * r)          # ln(e + x)
-    lamb = lnx + np.log1p((np.e + b) * r)    # ln(e + x + b)
-    ell0, ellb = c * lam0 ** p, c * lamb ** p
-    d0 = c * p * lam0 ** (p - 1.0) * r / (1.0 + np.e * r)        # ell'(x)
-    db = c * p * lamb ** (p - 1.0) * r / (1.0 + (np.e + b) * r)  # ell'(x+b)
-    rb = 1.0 + b * r                                             # (x+b)/x
-    xa = ellb / rb - ell0                                # x (a(x+b) - a(x))
-    xap = db / rb - ellb * r / rb**2 - (d0 - ell0 * r)   # x (a'(x+b) - a'(x))
-    return integral + 0.5 * xa - xap / 12.0
+def _psi_parts(alpha: float, g: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The panel_quad integrands of psi(w), w = sum_i W_i g_i over the last
+    axis of g (P x nodes x m; W holds one row per panel):
+    psi(w) = sigma |w|^alpha (-1 + i D sgn w), so |w|^alpha, |w|^alpha sgn w,
+    and the round-off that g accurate to _SPAN_RTOL leaves in |w|^alpha,
+    alpha |w|^(alpha-1) sum_i |W_i g_i| _SPAN_RTOL."""
+    ug = g * W[:, None]
+    w = ug.sum(axis=-1)
+    aw = np.abs(w)
+    mag = aw ** alpha
+    noise = alpha * _SPAN_RTOL * aw ** (alpha - 1.0) * np.abs(ug).sum(axis=-1)
+    return np.stack([mag, mag * np.sign(w), noise])
 
 
-def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
+def _distinct(t: np.ndarray, *tags):
+    """(first, inverse) over the distinct panels among the node rows t:
+    rows with the same end nodes (and tags) are one panel, as the panels of
+    different columns often are, and need their spans only once."""
+    keys = [t[:, 0], t[:, -1], *tags]
+    order = np.lexsort(keys)
+    new = np.arange(order.size) == 0
+    for key in keys:
+        new[1:] |= key[order][1:] != key[order][:-1]
+    inverse = np.empty(order.size, dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _judge(D: float, m: int):
+    """panel_quad judge for _psi_parts: a panel's estimate combines its real
+    and imaginary gaps, and a panel within round-off, or past the node
+    budget, is accepted as it is."""
+    def judge(g20, g40, half):
+        est = np.hypot(g40[0] - g20[0], D * (g40[1] - g20[1]))
+        return est, ((est <= 2.0 * np.hypot(1.0, D) * g40[2])
+                     | (2 * half.size * _PANEL_X.size * m > _MAX_NODES))
+    return judge
+
+
+def _past_closure(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
                   params: SkewedStableParams, J0: int, tol: float):
     """Integral closure of sum_{x > J0} psi(c(-x)) for every column of UA at
     once, and each column's certified bound.
@@ -226,58 +248,184 @@ def _past_closure(ell: SlowlyVaryingSpec, S: np.ndarray, UA: np.ndarray, B,
 
     f_edge = log_cf(params, prefix_weights(S, -J0 - 1, -J0 + 1, B) @ UA)
     em = np.abs(f_edge[0] - f_edge[1]) / 24.0
-    target = np.minimum(0.1 * tol, em)
-
-    # breakpoints: bracket each sign change of c on _SIGN_GRID, where c is
-    # above its round-off, then narrow each bracket 32-fold per round to
-    # about 1e-11 (a kink that close to a panel end costs nothing)
-    g = spans(_SIGN_GRID)
-    w = g @ UA
-    sg = np.sign(w) * (np.abs(w) > _SPAN_RTOL * (np.abs(g) @ np.abs(UA)))
-    cell, col = np.nonzero(sg[:-1] * sg[1:] < 0.0)
-    lo, s_lo = _SIGN_GRID[cell], sg[cell, col][:, None]
-    width = _SIGN_GRID[cell + 1] - lo
-    for _ in range(6 if col.size else 0):
-        width = width / 32.0
-        g = spans(lo[:, None] + width[:, None] * np.arange(1, 32))
-        same = np.sign(np.sum(g * UA.T[col][:, None], axis=-1)) == s_lo
-        lo = lo + width * np.cumprod(same, axis=1).sum(axis=1)
+    t, col = _sign_changes(spans, UA)
     cols = np.arange(F)
-    pts = np.concatenate([np.zeros(F), np.ones(F), lo + 0.5 * width])
-
-    # psi(w) = sigma |w|^alpha (-1 + i D sgn w), so each panel integrates
-    # |w|^alpha, |w|^alpha sgn w and the round-off that spans accurate to
-    # _SPAN_RTOL leave in |w|^alpha, alpha |w|^(alpha-1) sum_i |u_i g_i| _SPAN_RTOL
-    D = params.D
 
     def integrand(t, col):
-        ug = spans(t) * UA.T[col][:, None]
-        w = ug.sum(axis=-1)
-        aw = np.abs(w)
-        mag = aw ** alpha
-        noise = alpha * _SPAN_RTOL * aw ** (alpha - 1.0) * np.abs(ug).sum(axis=-1)
-        return np.stack([mag, mag * np.sign(w), noise])
+        first, inverse = _distinct(t)
+        return _psi_parts(alpha, spans(t[first])[inverse], UA.T[col])
 
-    # a panel within round-off, or past the node budget, is accepted as it is
-    def judge(g20, g40, half):
-        est = np.hypot(g40[0] - g20[0], D * (g40[1] - g20[1]))
-        return est, ((est <= 2.0 * np.hypot(1.0, D) * g40[2])
-                     | (2 * half.size * _PANEL_X.size * len(B) > _MAX_NODES))
-
-    q, err = panel_quad(integrand, rtol=0.0, atol=target,
-                        pts=pts, owner=np.concatenate([cols, cols, col]),
-                        scale=scale * params.sigma, judge=judge)
-    return -q[0] + 1j * (D * q[1]), em + err
+    q, err = panel_quad(integrand, rtol=0.0, atol=np.minimum(0.1 * tol, em),
+                        pts=np.concatenate([np.zeros(F), np.ones(F), t]),
+                        owner=np.concatenate([cols, cols, col]),
+                        scale=scale * params.sigma, judge=_judge(params.D, len(B)))
+    return -q[0] + 1j * (params.D * q[1]), em + err
 
 
-def _prefix_sums(ell: SlowlyVaryingSpec, N: int, b_m: int, J: int) -> np.ndarray:
-    """Prefix sums to max(N, [N t_m] + J + 1) (the closure reads the first
-    term past depth J), refused beyond the memory budget."""
-    K = max(N, b_m + J + 1)
-    if K > MEMORY_BUDGET_ELEMENTS:
-        raise ValueError(f"oracle prefix sums need {K} elements, beyond the memory "
-                         f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
-    return coefficient_prefix_sums(ell, K)
+def _window_plan(ell: SlowlyVaryingSpec, UA: np.ndarray, B):
+    """How _window takes the window: (rows, kinks, pieces).
+
+    The window splits into stretches [B_{k-1}, B_k), B_0 = 0, on each of
+    which c is smooth but near the kink B_k and near its own zeros, where
+    |c|^alpha has a kink.  A stretch of at most 2 _L rows is summed term by
+    term.  A longer one is summed term by term within _L of its ends (the
+    kink, and the seam with the previous stretch or the past), and so is,
+    for each column, every row within _L of a sign change of its c in the
+    interior [B_{k-1} + _L, B_k - _L); the rest of each column's interior
+    falls into pieces [p, q) that _window closes by quadrature.
+
+    rows are the ranges summed for every column, merged where they meet;
+    kinks (f, r0, r1) the ranges summed for column f alone; pieces
+    (k, f, p, q) the pieces of column f on stretch k."""
+    rows, kinks, pieces = [], [], []
+    Bf = np.asarray(B, dtype=float)
+    for k, (lo, hi) in enumerate(zip([0] + B[:-1], B)):
+        ranges = [(lo, hi)]
+        if hi - lo > 2 * _L:
+            a, b = lo + _L, hi - _L
+            ranges = [(lo, a), (b, hi)]
+            u0, u1 = math.log(hi - b + 0.5), math.log(hi - a + 0.5)
+            t, col = np.zeros(0), np.zeros(0, dtype=int)
+            if k < len(B) - 1:  # on the last stretch c has one term and one sign
+                t, col = _sign_changes(lambda t: coefficient_sum(
+                    ell, np.exp(u0 + t * (u1 - u0))[..., None] + (Bf[k:] - hi)), UA[k:])
+            zero = np.floor(hi - np.exp(u0 + t * (u1 - u0))).astype(int)
+            for f in range(UA.shape[1]):
+                p = a
+                for x in np.sort(zero[col == f]):
+                    r0, r1 = max(p, x - _L), min(b, x + _L)
+                    if r0 > p:
+                        pieces.append((k, f, p, r0))
+                    if r1 > r0:
+                        kinks.append((f, r0, r1))
+                    p = max(p, r1)
+                if b > p:
+                    pieces.append((k, f, p, b))
+        for j0, j1 in ranges:
+            if rows and rows[-1][1] == j0:
+                rows[-1] = (rows[-1][0], j1)
+            else:
+                rows.append((j0, j1))
+    return rows, kinks, pieces
+
+
+def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
+            params: SkewedStableParams, plan):
+    """sum_{0 <= j < B_m} psi(c_j) for every column of UA, and each column's
+    closure estimate; S holds the rows and kinks of plan (_window_plan).
+
+    Each piece [p, q) is summed by the midpoint Euler-Maclaurin form
+
+        sum_{p <= j < q} f(j) = int_{p-1/2}^{q-1/2} f
+                                - [f'(q - 1/2) - f'(p - 1/2)]/24 + R,
+
+    the integral by _window_closure and f' from the three exact rows g_0,
+    g_1, g_2 outward of each end: f' = +-(2 g_0 - 3 g_1 + g_2) - 23/24 f'''.
+    R is 7/5760 of the f''' differences, so each end adds at most
+    (23/576 + 7/5760) |f'''| to the error, with f''' taken from the four
+    rows' third difference; the estimate adds the panel estimates."""
+    rows, kinks, pieces = plan
+    F = UA.shape[1]
+    total, est = np.zeros(F, dtype=complex), np.zeros(F)
+    for lo, hi in rows:
+        total += _psi_sums(S, lo, hi, B, UA, params)
+    for f, r0, r1 in kinks:
+        total[f] += _psi_sums(S, r0, r1, B, UA[:, [f]], params)[0]
+    if not pieces:
+        return total, est
+    k, col, p, q = np.array(pieces).T
+    W = UA.T[col]
+    for ends in (p[:, None] - np.arange(1, 5), q[:, None] + np.arange(4)):
+        # the four rows outward of each end; the weight of eps_j in S(t_i)
+        # is S[B_i - j] in the window (prefix_weights)
+        g = log_cf(params, np.einsum("nrm,nm->nr",
+                                     S.take(np.maximum(np.asarray(B) - ends[..., None], 0)), W))
+        np.add.at(total, col, (2.0 * g[:, 0] - 3.0 * g[:, 1] + g[:, 2]) / 24.0)
+        np.add.at(est, col, np.abs(g[:, 0] - 3.0 * g[:, 1] + 3.0 * g[:, 2] - g[:, 3])
+                  * (23.0 / 576.0 + 7.0 / 5760.0))
+    value, err = _window_closure(ell, W, B, params, k, p, q)
+    np.add.at(total, col, value)
+    np.add.at(est, col, err)
+    return total, est
+
+
+def _window_closure(ell: SlowlyVaryingSpec, W: np.ndarray, B,
+                    params: SkewedStableParams, k, p, q):
+    """int_{p-1/2}^{q-1/2} psi(c(x)) dx for each piece (stretch k, rows
+    [p, q), weights W of its column), and each piece's summed panel
+    estimates.
+
+    On stretch k, c(x) = sum_{i>=k} W_i S(B_i - x) with S continued to real
+    arguments by coefficient_sum.  The variable is u = ln(B_k - x): the
+    continuation is singular only where some B_i - x <= 0, which is pi off
+    the real u axis, so a few G_20/G_40 panels cover a range of ln(N/_L);
+    no piece holds a sign change of c.  Panels are bisected until
+    their estimates are within _SPAN_RTOL of the piece's integral or the
+    round-off of the integrand (_judge)."""
+    m = len(B)
+    Bf = np.asarray(B, dtype=float)
+    # weights of the columns i < k are zero, and their arguments are kept
+    # in range
+    W = W * (np.arange(m) >= k[:, None])
+    off = Bf - Bf[k][:, None]
+
+    def integrand(u, piece):
+        first, inverse = _distinct(u, k[piece])
+        y = np.exp(u[first])[..., None]
+        g = coefficient_sum(ell, np.maximum(y + off[piece[first]][:, None], y))
+        return _psi_parts(params.alpha, g[inverse], W[piece]) * np.exp(u)
+
+    pieces = np.arange(k.size)
+    val, err = panel_quad(integrand, rtol=_SPAN_RTOL, atol=0.0,
+                          pts=np.concatenate([np.log(Bf[k] - q + 0.5), np.log(Bf[k] - p + 0.5)]),
+                          owner=np.concatenate([pieces, pieces]),
+                          scale=params.sigma, judge=_judge(params.D, m))
+    return -val[0] + 1j * (params.D * val[1]), err
+
+
+class _PrefixSums:
+    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals, read
+    like an array through take().  Each merged interval [lo, hi] holds
+    coefficient_sum(lo) plus the partial sums of a_k past lo, so no array
+    spans the gaps between the intervals."""
+
+    def __init__(self, ell: SlowlyVaryingSpec, spans):
+        merged = []
+        for lo, hi in sorted(spans):
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        lo, hi = np.array(merged).T
+        size = int(np.sum(hi - lo + 1))
+        if size > MEMORY_BUDGET_ELEMENTS:
+            raise ValueError(f"oracle prefix sums need {size} elements, beyond the memory "
+                             f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
+        parts = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo, hi)]
+        if lo.size > 1:  # the first interval starts at 0, where S is 0
+            for part, anchor in zip(parts[1:], coefficient_sum(ell, lo[1:])):
+                part += anchor
+        self._values = np.concatenate(parts)
+        self._starts = lo
+        # value of index i in interval s sits at i - shift[s]
+        self._shift = lo - np.concatenate([[0], np.cumsum(hi - lo + 1)[:-1]])
+
+    def take(self, idx):
+        if self._starts.size == 1:  # one interval, from 0
+            return self._values.take(idx)
+        seg = np.searchsorted(self._starts, idx, side="right") - 1
+        return self._values.take(idx - self._shift.take(seg))
+
+
+def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
+    """S at every index that prefix_weights(S, j0, j1, B) reads for the row
+    ranges (j0, j1) in rows: B_i - j clipped at 0, and -j for j < 0.  Index
+    0 is always held, so intervals that reach it are plain partial sums."""
+    spans = [(0, 1)]
+    for j0, j1 in rows:
+        spans.append((max(1 - j1, 0), max(-j0, 0)))
+        spans += [(max(b - j1 + 1, 0), max(b - j0, 0)) for b in B]
+    return _PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans])
 
 
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
@@ -287,9 +435,10 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     fdd frequencies, for exactly stable innovations (h == 1, H_alpha == 1),
     and at each extra frequency vector of freq_grid (see grid_values).
 
-    Returns the value together with its past/in-window split and the certified
-    bound on the neglected past remainder.  A fixed j_depth raises JDepthError
-    when it cannot certify tol.
+    Returns the value together with its past/in-window split and the
+    certified bound on the past remainder plus the window closure's
+    estimate.  A fixed j_depth raises JDepthError when its past remainder
+    cannot certify tol.
     """
     N = int(N)
     grid = [] if freq_grid is None else list(freq_grid)
@@ -299,10 +448,10 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     B = [floor_index(N, t) for t in fdd.times]
     fixed = j_depth is not None
     J = int(j_depth) if fixed else _J_FLOOR
-    S = _prefix_sums(ell, N, B[-1], J)
-    A = float(N) ** (1.0 / params.alpha) * S[N]
-    UA = U / A
-    window = _psi_sums(S, 0, B[-1], B, UA, params)
+    UA = U / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
+    rows, kinks, _ = plan = _window_plan(ell, UA, B)
+    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-J - 1, 0)])
+    window, window_est = _window(ell, S, UA, B, params, plan)
     past_exact = _psi_sums(S, -J, 0, B, UA, params)
     while True:
         tails, bounds = _past_closure(ell, S, UA, B, params, J, tol)
@@ -314,14 +463,14 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
                 f"past depth J={J} certifies only {bound:.3g} "
                 f"(tolerance {tol})", bound)
         deeper = J * _J_GROWTH
-        S = _prefix_sums(ell, N, B[-1], deeper)
+        S = _prefix_sums(ell, B, [(-deeper - 1, -J)])
         past_exact += _psi_sums(S, -deeper, -J, B, UA, params)
         J = deeper
 
     past = past_exact + tails
     value = window + past
     return ExactFddLogCf(complex(value[0]), complex(past[0]), complex(window[0]),
-                         bound, J, value[1:])
+                         float((bounds + window_est).max()), J, value[1:])
 
 
 def limit_log_cf(params: SkewedStableParams, fdd: FddSpec) -> complex:

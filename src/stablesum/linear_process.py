@@ -20,6 +20,7 @@ from .slowly_varying import (
     big_h_log,
     coefficient,
     coefficient_prefix_sums,
+    coefficient_sum,
     eval_sv_log,
     normalizer,
 )
@@ -205,14 +206,14 @@ def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
 
 
 def process_normalizer(process: ProcessSpec, N: int) -> float:
-    """A_N for the process, at the alpha of its innovation law.  Exact-stable
+    """A_N for the process, at the alpha of its innovation law, with
+    sum_{i<=N} a_i from coefficient_sum (no N-length array).  Exact-stable
     innovations scale exactly, so their implicit slowly varying factor is
     identically 1; heavy-tailed families go through the H_alpha fixed point
     with their stored h."""
     alpha, _, _, h = tail_constants(process.innovation)
     if isinstance(process.innovation, ExactStable):
-        s_n = coefficient_prefix_sums(process.ell, int(N))[-1]
-        return float(N) ** (1.0 / alpha) * s_n
+        return float(N) ** (1.0 / alpha) * coefficient_sum(process.ell, int(N))
     return normalizer(process.ell, h, alpha, N)
 
 

@@ -8,6 +8,11 @@ varying at infinity.  Two symbolic families are supported:
 
 ln(e + x) rather than ln(x) keeps evaluation total on [0, inf) (a_1 must be
 finite); the asymptotics are unchanged.
+
+coefficient_sum gives S(y) = sum_{i<=y} a_i at any y >= 0 without an
+array of y terms: the partial sums up to _SUM_ANCHOR, and beyond it the
+smooth continuation of _scaled_spans, which the CF oracle's closures
+integrate.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable_law import panel_quad
+from .stable_law import _G40, panel_quad
 
 __all__ = [
     "SlowlyVaryingSpec",
@@ -26,6 +31,7 @@ __all__ = [
     "eval_sv",
     "coefficient",
     "coefficient_prefix_sums",
+    "coefficient_sum",
     "big_h",
     "h_alpha",
     "h_alpha_info",
@@ -86,20 +92,112 @@ def coefficient(ell: SlowlyVaryingSpec, i):
     return float(out) if arr.ndim == 0 else out
 
 
-def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int) -> np.ndarray:
-    """Cumulative sums S_k = sum_{i<=k} a_i for k = 0..K (S_0 = 0).
-
-    Single vectorized pass; K = 1e7 runs in well under a second.
-    """
-    K = int(K)
-    if K < 1:
-        raise ValueError("need K >= 1")
-    a = coefficient(ell, np.arange(1, K + 1, dtype=float))
-    out = np.empty(K + 1)
+def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int, *, start: int = 0) -> np.ndarray:
+    """Cumulative sums sum_{start < i <= k} a_i for k = start..K (the first
+    is 0), in one vectorized pass; start = 0 gives S_k = sum_{i<=k} a_i."""
+    K, start = int(K), int(start)
+    if not 0 <= start < K:
+        raise ValueError("need 0 <= start < K")
+    a = coefficient(ell, np.arange(start + 1, K + 1, dtype=float))
+    out = np.empty(K - start + 1)
     out[0] = 0.0
     np.cumsum(a, out=out[1:])
     return out
 
+
+# S(y) is summed term by term up to y = _SUM_ANCHOR and continued beyond it
+# from S[_SUM_ANCHOR]; from there on, the first term the Euler-Maclaurin
+# form omits, a'''(y)/720, is below 1e-14 of S
+_SUM_ANCHOR = 1000
+
+
+def coefficient_sum(ell: SlowlyVaryingSpec, y):
+    """S(y) = sum_{i <= y} a_i (scalar or array): term by term at integers
+    0 <= y <= K = _SUM_ANCHOR, and beyond K the continuation
+    S[K] + (S(y) - S(K)) of _scaled_spans, smooth in real y.  For constant
+    ell it is c (digamma(y+1) + gamma), exact at integers; for log-power
+    ell it matches the partial sums at integers to about 1e-15 relative."""
+    arr = np.asarray(y, dtype=float)
+    K = _SUM_ANCHOR
+    far = arr > K
+    S = coefficient_prefix_sums(ell, K if far.any() else max(int(arr.max(initial=0.0)), 1))
+    out = np.array(S.take(np.where(far, 0.0, arr).astype(int)))
+    if far.any():
+        out[far] = S[K] + _scaled_spans(ell, math.log(K), arr[far] - K) / K
+    return float(out) if arr.ndim == 0 else out
+
+
+# the constant-ell span comes from the asymptotic digamma series (first
+# omitted term below 1e-17 relative) at x >= _DIGAMMA_SHIFT, and below from
+# the series at x + _DIGAMMA_SHIFT and the digamma recurrence
+_DIGAMMA_SHIFT = 100
+
+
+def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
+    """x * (S(x+b) - S(x)) at x = exp(lnx) (any shape) for each b in B (new
+    last axis), with S continued smoothly to real x:
+
+    constant ell:  c * (digamma(x+b+1) - digamma(x+1)), exact at integers;
+    log-power ell: the Euler-Maclaurin form  int_x^{x+b} ell(s)/s ds
+                   + [a(x+b) - a(x)]/2 + [a'(x+b) - a'(x)]/12,  a(s) = ell(s)/s,
+                   whose residual is about [a'''(x+b) - a'''(x)]/720, below
+                   1e-14 of S(x) for x >= _SUM_ANCHOR.
+
+    The scaled span tends to b*ell(x) as x -> inf; it is evaluated from lnx
+    and r = 1/x, so x itself never overflows.
+    """
+    lnx = np.asarray(lnx, dtype=float)[..., None]
+    b = np.asarray(B, dtype=float)
+    r = np.maximum(np.exp(-lnx), 1e-300)  # below 1e-300, r only moves b*ell
+    if ell.kind == "constant":
+        return ell.c * _digamma_span(lnx, r, b)
+    return _euler_maclaurin_span(ell, lnx, r, b)
+
+
+def _digamma_span(lnx, r, b):
+    """x * (digamma(x+b+1) - digamma(x+1)) by the asymptotic series
+    digamma(z) ~ ln z - 1/2z - 1/12z^2 + 1/120z^4 - 1/252z^6, written in
+    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels.  Below x =
+    _DIGAMMA_SHIFT = K the recurrence digamma(z) = digamma(z+K) -
+    sum_{i<K} 1/(z+i) moves the series to x + K, and the sum becomes
+    sum_{i<K} b / ((x+1+i) (x+b+1+i)), which does not cancel either."""
+    w1 = r / (1.0 + r)
+    w2 = r / (1.0 + (b + 1.0) * r)
+    s1, s2 = w1 * w1, w2 * w2
+    q = b * w1 * (w2 / r)  # -(w2 - w1) / r
+    out = np.log1p(b * w1) / r + q * (
+        0.5 + (w1 + w2) * (1.0 / 12.0 - (s1 + s2) / 120.0
+                           + (s1 * s1 + s1 * s2 + s2 * s2) / 252.0))
+    small = np.broadcast_to(lnx < math.log(_DIGAMMA_SHIFT), out.shape)
+    if small.any():  # only a pinned j_depth below 100 reaches it
+        x = np.broadcast_to(np.exp(lnx), out.shape)[small]
+        bs = np.broadcast_to(b, out.shape)[small]
+        xk = x + _DIGAMMA_SHIFT
+        span = _digamma_span(np.log(xk), 1.0 / xk, bs) / xk
+        for i in range(_DIGAMMA_SHIFT):
+            span += bs / ((x + 1.0 + i) * (x + bs + 1.0 + i))
+        out[small] = x * span
+    return out
+
+
+def _euler_maclaurin_span(ell, lnx, r, b):
+    """x times the Euler-Maclaurin span of a log-power ell; the integral is
+    int_0^{ln(1+b/x)} ell(x e^y) dy by 40-point Gauss-Legendre in y = ln(s/x)."""
+    c, p = ell.c, ell.p
+    nodes, weights = _G40
+    Y = np.log1p(b * r)
+    y = (0.5 * Y)[..., None] * (1.0 + nodes)
+    lam = lnx[..., None] + y + np.log1p(np.e * r[..., None] * np.exp(-y))
+    integral = 0.5 * Y / r * c * ((lam ** p) @ weights)
+    lam0 = lnx + np.log1p(np.e * r)          # ln(e + x)
+    lamb = lnx + np.log1p((np.e + b) * r)    # ln(e + x + b)
+    ell0, ellb = c * lam0 ** p, c * lamb ** p
+    d0 = c * p * lam0 ** (p - 1.0) * r / (1.0 + np.e * r)        # ell'(x)
+    db = c * p * lamb ** (p - 1.0) * r / (1.0 + (np.e + b) * r)  # ell'(x+b)
+    rb = 1.0 + b * r                                             # (x+b)/x
+    xa = ellb / rb - ell0                                # x (a(x+b) - a(x))
+    xap = db / rb - ellb * r / rb**2 - (d0 - ell0 * r)   # x (a'(x+b) - a'(x))
+    return integral + 0.5 * xa + xap / 12.0
 
 def eval_sv_log(spec: SlowlyVaryingSpec, lnx):
     """The spec at x = exp(lnx) for an array lnx, with ln(e + x) taken as
@@ -278,7 +376,7 @@ def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: in
     N = int(N)
     if N < 1:
         raise ValueError("need N >= 1")
-    s_n = coefficient_prefix_sums(ell, N)[-1]
+    s_n = coefficient_sum(ell, N)
     ha = h_alpha(h, alpha, N)
     return N ** (1.0 / alpha) * ha ** (1.0 / alpha) * s_n
 

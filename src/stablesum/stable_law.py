@@ -23,8 +23,8 @@ panels in the body and the stable tail series beyond it (see cdf).
 
 panel_quad is the package's one adaptive quadrature: G_20/G_40 panels on
 [0, 1], bisected where they fail, with a geometric ladder at t = 0.  The
-oracle's past-tail closure, the truncation-tail remainder, the Pareto tail
-first moment and H at alpha = 2 all go through it.
+oracle's past-tail and window closures, the truncation-tail remainder, the
+Pareto tail first moment and H at alpha = 2 all go through it.
 """
 
 from __future__ import annotations
@@ -334,6 +334,8 @@ def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0),
     pending, add up to within the budget, when judge accepts it, or after
     _PANEL_MAX_LEVELS rounds.  Every other panel is halved; one that starts
     at t = 0, where a log singularity may sit, becomes a geometric ladder.
+    A panel whose integrals are not finite raises a ValueError that names
+    it, since no halving would settle it.
 
     Returns the accepted G_40 totals per owner, shape (n_owner,) or
     (k, n_owner), and the summed estimates per owner."""
@@ -343,8 +345,14 @@ def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0),
     value, err = 0.0, np.zeros(n)
     for level in range(_PANEL_MAX_LEVELS + 1):
         half = 0.5 * (b - a)
-        vals = fn((0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X, col)
-        parts = scale * half[:, None] * (vals @ _PANEL_W)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            vals = fn((0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X, col)
+            parts = scale * half[:, None] * (vals @ _PANEL_W)
+        finite = np.isfinite(parts)
+        if not finite.all():  # halving would never settle it
+            i = np.flatnonzero(~finite.all(axis=-1).reshape(-1, a.size).all(axis=0))[0]
+            raise ValueError(f"non-finite integral on the quadrature panel "
+                             f"[{a[i]:.6g}, {b[i]:.6g}] of owner {col[i]}")
         g20, g40 = np.atleast_2d(parts[..., 0]), np.atleast_2d(parts[..., 1])
         if judge is None:
             est, ok = np.abs(g40 - g20).sum(axis=0), False

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: aggregated coefficients, path
 partial sums, the standard-parametrization log-CF, empirical tail constants,
-the slowly varying derivative and H for a scalar callable.
+the slowly varying derivative, H for a scalar callable and the oracle's
+in-window block summed term by term.
 
 No CLI or library path needs them; the tests check the package against
 them."""
@@ -12,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stablesum.linear_process import floor_index
+from stablesum.linear_process import floor_index, prefix_weights
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     _big_h_integral,
     coefficient_prefix_sums,
     eval_sv,
 )
-from stablesum.stable_law import StandardStable, from_standard, log_cf
+from stablesum.stable_law import SkewedStableParams, StandardStable, from_standard, log_cf
 
 
 @dataclass(frozen=True)
@@ -132,3 +133,25 @@ def big_h_from_callable(h_fn, t: float) -> float:
         raise ValueError("need t >= 1")
     h_log = np.vectorize(lambda y: h_fn(math.exp(y)), otypes=[float])
     return float(_big_h_integral(h_log, math.log(t)))
+
+
+def exact_window_sum(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
+                     times, UA: np.ndarray) -> tuple:
+    """The in-window block sum_{0 <= j < [N t_m]} psi(c_j), c = W @ UA, of the
+    exact log-CF, term by term from the whole prefix-sum array, in the row
+    blocks and order of the oracle before it closed the window by
+    quadrature; UA holds the frequency vectors divided by A_N.  Also returns
+    sum_j |psi(c_j)| per column, which sizes the sum's round-off."""
+    B = [floor_index(N, t) for t in times]
+    S = coefficient_prefix_sums(ell, B[-1])
+    rows = max(1, 2**16 // max(UA.shape))
+    re, im, size = (np.zeros(UA.shape[1]) for _ in range(3))
+    for lo in range(0, B[-1], rows):
+        c = prefix_weights(S, lo, min(lo + rows, B[-1]), B) @ UA
+        mag = np.abs(c) ** params.alpha
+        re -= mag.sum(axis=0)
+        if params.D != 0.0:
+            im += (mag * np.sign(c)).sum(axis=0)
+        size += mag.sum(axis=0)
+    return (params.sigma * (re + 1j * params.D * im),
+            params.sigma * math.hypot(1.0, params.D) * size)

@@ -26,13 +26,14 @@ from stablesum.linear_process import (
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     coefficient,
+    coefficient_sum,
     constant,
     eval_sv,
 )
 from stablesum.stable_law import SkewedStableParams
 from stablesum.verification import ecf
 
-from reference import aggregated_coefficients, partial_sums, sv_derivative
+from reference import aggregated_coefficients, exact_window_sum, partial_sums, sv_derivative
 
 ELL1 = constant(1.0)
 SYM15 = SkewedStableParams(1.5, 1.0, 0.0)
@@ -205,15 +206,31 @@ class TestExactFddLogCf:
         assert abs(tiny.past_part - base.past_part) < 1e-13
         np.testing.assert_allclose(tiny.grid_values, base.grid_values, rtol=0, atol=1e-13)
 
-    def test_memory_guard_fails_fast(self):
+    @pytest.mark.parametrize("N", [10**9, 10**12])
+    def test_large_n_in_flat_memory(self, N):
+        # no array grows with N: the window is closed by quadrature
+        fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="memory budget"):
-                exact_fdd_log_cf(ELL1, SYM15, 10**9, self.FDD1)
+            out = exact_fdd_log_cf(ELL1, SYM15, N, fdd)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 50 * 2**20
+        assert peak < 16 * 2**20
+        assert out.j_depth == 10_000 and out.tail_bound <= 1e-8
+        assert -0.4 < out.value.real < -0.25  # toward the limit -0.5 like 1/log N
+
+    def test_past_rows_memory_guard_fails_fast(self):
+        # the J-deep past rows are what still grows: they are refused before
+        # anything that size is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memory budget"):
+                exact_fdd_log_cf(ELL1, SYM15, 100, self.FDD1, j_depth=10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_skewed_params_complex_value(self):
         params = SkewedStableParams(1.5, 1.0, -0.5)
@@ -287,7 +304,7 @@ class TestPastClosure:
         for x in (1.0, 5.5, 100.0, 10_000.5, 3e5, 1e8, 1e12):
             for b in (1, 7, 50, 1000, 10**5, 10**6):
                 integral, _ = quad(a, x, x + b, epsabs=1e-14, epsrel=1e-11, limit=200)
-                want = integral + 0.5 * (a(x + b) - a(x)) - (da(x + b) - da(x)) / 12.0
+                want = integral + 0.5 * (a(x + b) - a(x)) + (da(x + b) - da(x)) / 12.0
                 got = cf_oracle._scaled_spans(ell, math.log(x), [b])[0] / x
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -310,6 +327,90 @@ class TestPastClosure:
                     want = mp.mpf(x) * (mp.digamma(mp.mpf(x) + b + 1) - mp.digamma(mp.mpf(x) + 1))
                 got = cf_oracle._scaled_spans(ELL1, math.log(x), [b])[0]
                 assert got == pytest.approx(float(want), rel=1e-13)
+
+
+def window_closure(ell, params, N, times, U):
+    """The oracle's in-window block at the columns of U and its closure
+    estimate, with A_N from coefficient_sum; also UA = U / A_N and the kinks
+    (per-column sign changes) it summed term by term."""
+    B = [floor_index(N, t) for t in times]
+    UA = np.asarray(U, dtype=float) / (N ** (1.0 / params.alpha) * coefficient_sum(ell, N))
+    rows, kinks, _ = plan = cf_oracle._window_plan(ell, UA, B)
+    S = cf_oracle._prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks])
+    value, estimate = cf_oracle._window(ell, S, UA, B, params, plan)
+    return value, estimate, UA, kinks
+
+
+class TestWindowClosure:
+    """The window closure against the in-window block summed term by term
+    (reference.exact_window_sum).  The reference carries its own round-off,
+    at most rows * eps * sum_j |psi(c_j)| (a float64 sum of `rows` terms,
+    each from prefix sums of up to `rows` terms), so the test asserts
+    |closure - reference| <= closure estimate + that round-off."""
+
+    PARAMS = SkewedStableParams(1.5, 1.0, -0.5)
+    TIMES = {1: (1.0,), 2: (0.5, 1.0), 3: (0.3, 0.7, 1.0)}
+    # the fdd-like vector first; for m > 1 some c changes sign inside a
+    # stretch's interior at every N (with one term, m = 1, c cannot)
+    VECTORS = {1: [(1.0,), (-2.0,)],
+               2: [(1.0, -0.5), (1.0, -0.85), (1.0, -0.7), (-2.0, 2.0), (1.0, -1.8)],
+               3: [(1.0, -0.5, 0.25), (2.0, -1.0, -0.5), (-1.0, 2.0, -1.5), (0.5, 1.0, -0.88)]}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log_power", 1.0, 1.0)],
+                             ids=["constant", "log_power"])
+    def test_matches_term_by_term_sum(self, ell, N, m):
+        U = np.array(self.VECTORS[m]).T
+        got, estimate, UA, kinks = window_closure(ell, self.PARAMS, N, self.TIMES[m], U)
+        want, size = exact_window_sum(ell, self.PARAMS, N, self.TIMES[m], UA)
+        roundoff = floor_index(N, self.TIMES[m][-1]) * np.finfo(float).eps * size
+        assert np.all(np.abs(got - want) <= estimate + roundoff)
+        assert np.all(estimate < 1e-13)
+
+    @pytest.mark.parametrize("N", [10**5, 10**6])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sign_changes_inside_interiors(self, m, N):
+        # some vectors' c change sign inside an interior at these N
+        U = np.array(self.VECTORS[m]).T
+        ell = SlowlyVaryingSpec("log_power", 1.0, 1.0)
+        got, estimate, UA, kinks = window_closure(ell, self.PARAMS, N, self.TIMES[m], U)
+        want, size = exact_window_sum(ell, self.PARAMS, N, self.TIMES[m], UA)
+        assert len({f for f, *_ in kinks}) >= 2
+        assert np.all(np.abs(got - want) <= estimate + N * np.finfo(float).eps * size)
+
+    def test_sign_change_rows_summed_exactly(self, monkeypatch):
+        # with _L = 1000 at N = 1e4 the second vector's c changes sign 83
+        # rows into an interior, where the sum and the integral of
+        # |c|^alpha part by 3e-12; the rows within _L of a sign change are
+        # summed term by term
+        monkeypatch.setattr(cf_oracle, "_L", 1000)
+        U = np.array(self.VECTORS[3]).T
+        ell = SlowlyVaryingSpec("log_power", 1.0, 1.0)
+        got, estimate, UA, kinks = window_closure(ell, self.PARAMS, 10**4, self.TIMES[3], U)
+        want, _ = exact_window_sum(ell, self.PARAMS, 10**4, self.TIMES[3], UA)
+        assert {f for f, *_ in kinks} == {1, 2}
+        assert np.all(np.abs(got - want) < 1e-13)
+
+    def test_exact_when_l_covers_the_window(self, monkeypatch):
+        # with _L at least the window length every row is summed term by
+        # term, as before the closure: the same value, bit for bit
+        N, fdd = 10**5, FddSpec((0.5, 1.0), (1.0, -0.5))
+        monkeypatch.setattr(cf_oracle, "_L", N)
+        params = self.PARAMS
+        out = exact_fdd_log_cf(ELL1, params, N, fdd)
+        UA = np.array(fdd.freqs)[:, None] / (N ** (1 / 1.5) * coefficient_sum(ELL1, N))
+        want, _ = exact_window_sum(ELL1, params, N, fdd.times, UA)
+        assert out.window_part == want[0]
+
+    def test_short_stretches_summed_whole(self):
+        # every stretch of at most 2 _L rows is summed term by term
+        U = np.array(self.VECTORS[2]).T
+        N = 4 * cf_oracle._L
+        got, estimate, UA, kinks = window_closure(ELL1, self.PARAMS, N, self.TIMES[2], U)
+        want, _ = exact_window_sum(ELL1, self.PARAMS, N, self.TIMES[2], UA)
+        assert np.array_equal(got, want)
+        assert not estimate.any() and not kinks
 
 
 class TestLimitLogCf:

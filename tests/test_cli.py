@@ -229,12 +229,17 @@ class TestOracle:
             assert row["j_depth"] == 10_000
             assert 0.0 <= row["tail_bound"] <= 1e-8
 
-    def test_memory_budget_exit_1(self, tmp_path, capsys):
+    def test_large_n_exit_0(self, tmp_path, capsys):
+        # N = 1e9 was refused on memory; the window closure needs no array
+        # that grows with N
         text = BASE.replace("n_list = 20, 50", "n_list = 1000000000")
         code = main(["oracle", "--config", write(tmp_path, text),
                      "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        assert "memory budget" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        row, = json.loads((tmp_path / "out" / "oracle.json").read_text())["rows"]
+        assert row["n"] == 10**9 and row["j_depth"] == 10_000
+        assert 0.0 < row["distance"] < 0.1 and row["tail_bound"] <= 1e-8
 
     def test_j_policy_tightening_stable(self, tmp_path):
         out1 = tmp_path / "o1"
@@ -330,6 +335,19 @@ class TestVerify:
         assert code == 2
         assert "[N t_m] >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_truncation_tail_exit_1(self, tmp_path, capsys):
+        # truncation = auto with an h that overflows H at alpha = 2: the
+        # truncation tail names the non-finite panel instead of halving it
+        # until memory runs out
+        text = PARETO.replace("alpha = 1.5", "alpha = 2.0").replace(
+            "truncation = 200", "truncation = auto\nh_kind = log_power\nh_c = 1e307\nh_p = 2")
+        text += "\n[tolerance]\nmax_ks = 1.0\n"
+        code = main(["verify", "--config", write(tmp_path, text),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: non-finite integral") and "allocate" not in err
 
     def test_replicate_budget_exit_1(self, tmp_path, capsys):
         text = BASE.replace("reps = 60", "reps = 10000000000")

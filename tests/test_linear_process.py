@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -23,7 +24,14 @@ from stablesum.linear_process import (
     truncation_tail,
     window_weights,
 )
-from stablesum.slowly_varying import SlowlyVaryingSpec, big_h, coefficient, constant, log_power
+from stablesum.slowly_varying import (
+    SlowlyVaryingSpec,
+    big_h,
+    coefficient,
+    coefficient_prefix_sums,
+    constant,
+    log_power,
+)
 
 from reference import partial_sums
 
@@ -290,6 +298,21 @@ class TestNormalizedFdd:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_stable_normalizer_builds_no_n_array(self):
+        # sum_{i<=N} a_i comes from coefficient_sum: the partial sums up to
+        # 1000, bit for bit, and the continuation beyond, in flat memory
+        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 10)
+        S = coefficient_prefix_sums(ELL1, 1000)
+        assert process_normalizer(proc, 1000) == 1000 ** (1 / 1.5) * S[1000]
+        tracemalloc.start()
+        try:
+            A = process_normalizer(proc, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert A == pytest.approx(1e8 * (12 * math.log(10) + 0.5772156649015329), rel=1e-12)
 
     def test_pareto_normalizer_uses_h_alpha(self):
         # alpha = 2 heavy-tail family scales by sqrt(N H_alpha(N)), not sqrt(N)

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import digamma, ndtr
 
-from stablesum import cf_oracle
+from stablesum import slowly_varying
 from stablesum.innovations import ParetoTail, _tail_first_moment, exact_stable, tail_constants
 from stablesum.linear_process import truncation_tail
 from stablesum.slowly_varying import big_h, coefficient, constant, eval_sv, log_power
@@ -37,6 +37,31 @@ class TestPanelQuad:
                               pts=[0.0, 0.5, 0.25, 1.0], owner=[0, 0, 1, 1])
         np.testing.assert_allclose(val, [[0.5, 0.75], [0.125, 0.46875]], rtol=1e-15)
         assert err.shape == (2,)
+
+
+    def test_non_finite_panel_raises(self):
+        # a panel whose integral overflows is named at once, not halved for
+        # _PANEL_MAX_LEVELS rounds while the panel count doubles
+        with pytest.raises(ValueError, match=r"non-finite integral on the quadrature panel \[0.5, 1\]"):
+            panel_quad(lambda t, _: np.where(t > 0.5, 1e308, 0.0) * 10.0,
+                       pts=[0.0, 0.5, 1.0], owner=[0, 0, 0])
+
+    def test_overflowing_truncation_tail_fails_fast(self):
+        # H at alpha = 2 with h = 1e307 ln(e + x)^2 overflows; the path of
+        # `verify` with truncation = auto ran out of memory here
+        import time
+        import tracemalloc
+
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="non-finite integral"):
+                truncation_tail(constant(1.0), ParetoTail(2.0, 1.0, 1.0, log_power(1e307, 2.0)), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 50 * 2**20
 
 
 class TestBigHAlpha2:
@@ -71,7 +96,7 @@ class TestDigammaSpan:
     def test_below_100_matches_digamma(self):
         x = np.array([0.5, 1.0, 3.7, 10.0, 55.5, 99.9])[:, None]
         b = np.array([0.0, 1.0, 5.0, 1e3, 1e5])
-        got = cf_oracle._digamma_span(np.log(x), 1.0 / x, b)
+        got = slowly_varying._digamma_span(np.log(x), 1.0 / x, b)
         want = x * (digamma(x + b + 1.0) - digamma(x + 1.0))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 

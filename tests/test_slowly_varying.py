@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablesum import slowly_varying
 from stablesum.slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
     big_h,
     coefficient,
     coefficient_prefix_sums,
+    coefficient_sum,
     constant,
     eval_sv,
     h_alpha,
@@ -114,6 +116,56 @@ class TestPrefixSums:
         S = coefficient_prefix_sums(spec, K)
         k = data.draw(st.integers(1, K))
         assert abs(S[k] - S[k - 1] - coefficient(spec, k)) <= 1e-14 * max(1.0, S[k])
+
+
+class TestCoefficientSum:
+    SPECS = [constant(1.0), constant(2.5), SlowlyVaryingSpec("log_power", 1.0, 1.0),
+             SlowlyVaryingSpec("log_power", 1.3, -2.0), SlowlyVaryingSpec("log_power", 2.0, 0.5)]
+
+    def test_offset_prefix_sums(self):
+        spec = SlowlyVaryingSpec("log_power", 1.3, -0.7)
+        whole = coefficient_prefix_sums(spec, 5000)
+        part = coefficient_prefix_sums(spec, 5000, start=3000)
+        assert part.shape == (2001,) and part[0] == 0.0
+        # the difference of two 5000-term sums carries their round-off
+        np.testing.assert_allclose(part, whole[3000:] - whole[3000], rtol=0.0,
+                                   atol=5000 * np.finfo(float).eps * whole[-1])
+        with pytest.raises(ValueError):
+            coefficient_prefix_sums(spec, 10, start=10)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_term_by_term_up_to_anchor(self, spec):
+        # up to _SUM_ANCHOR it is the prefix-sum array itself, bit for bit
+        K = slowly_varying._SUM_ANCHOR
+        S = coefficient_prefix_sums(spec, K)
+        np.testing.assert_array_equal(coefficient_sum(spec, np.arange(K + 1.0)), S)
+        assert coefficient_sum(spec, 7) == S[7] and isinstance(coefficient_sum(spec, 7), float)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_continuation_matches_partial_sums(self, spec):
+        # beyond the anchor, the continuation at integers against partial sums
+        # added exactly (math.fsum)
+        for y in (1001, 1500, 12_345, 300_000):
+            want = math.fsum(coefficient(spec, np.arange(1.0, y + 1.0)).tolist())
+            assert coefficient_sum(spec, y) == pytest.approx(want, rel=2e-15)
+
+    def test_continuation_smooth_between_integers(self):
+        # constant ell: c (digamma(y + 1) + gamma) at real y
+        import mpmath as mp
+
+        for y in (1000.5, 2.5e4 + 0.25, 1e9 + 0.5, 1e12):
+            want = float(mp.digamma(mp.mpf(y) + 1) + mp.euler)
+            assert coefficient_sum(constant(1.0), y) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", SPECS[2:])
+    def test_log_power_span_matches_partial_sums(self, spec):
+        # the Euler-Maclaurin span against the sum it continues, added
+        # exactly; its a'(x)/12 term enters with a plus sign
+        for x in (1000, 10_000):
+            for b in (1, 10, 1000, 100_000):
+                want = math.fsum(coefficient(spec, np.arange(x + 1.0, x + b + 1.0)).tolist())
+                got = slowly_varying._scaled_spans(spec, math.log(x), [b])[0] / x
+                assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestBigH:
