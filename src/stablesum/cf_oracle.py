@@ -30,16 +30,18 @@ closure's estimate sits at the round-off of the continuation (about 1e-15
 of the log-CF), and a stretch of at most 2 _L rows is summed whole, so the
 oracle's cost no longer grows with N.
 
-The infinite past cannot be truncated at any practical depth (the remainder
-decays like J^{1-alpha}), so the past block is summed exactly to depth J and
-closed with the integral of a smooth continuation under the midpoint rule;
-the remainder bound |f(J+1) - f(J)|/24 replaces brute-force depth.
-J starts shallow (_J_FLOOR, whatever N) and grows by the factor _J_GROWTH,
-up to _J_MAX, until the largest bound over all evaluated frequency vectors is
-below tolerance; the vectors share the prefix sums, the in-window block and
-each growth round, and the weight blocks are built in row chunks of bounded
-size.  The J-deep rows are the one allocation that grows, and the prefix
-sums are refused beyond MEMORY_BUDGET_ELEMENTS.
+The past block (j = -x < 0) has a remainder beyond depth J that decays only
+like J^{1-alpha}, so it cannot be truncated at any practical depth.  Its
+rows x <= J, J = _J_DEPTH, are summed term by term, and the rest, x > J, is
+one more piece, with a single end at the seam j = -J, closed in the same
+midpoint Euler-Maclaurin form as the window pieces: the integral
+int_{J+1/2}^inf by _past_closure, the end correction and its estimate from
+the exact rows -J..-J+3 by _end_terms, which reads the rows of both
+closures through prefix_weights.  The depth is fixed: at J = 1e4 the past
+closure's estimate sits near 1e-15 of the log-CF, as the window's does.
+The vectors share the prefix sums, the exact rows and the distinct panels
+of the closures, and the weight blocks are built in row chunks of bounded
+size; the prefix sums are refused beyond MEMORY_BUDGET_ELEMENTS.
 
 The past closure integrates every frequency vector in one vectorized pass.
 The variable is t = (X/x)^(alpha-1), X = J + 1/2, on (0, 1], where the
@@ -47,11 +49,11 @@ integrand stays bounded as x -> inf; the spans S(x+b) - S(x) are evaluated
 as arrays (digamma series for constant ell, Euler-Maclaurin with fixed
 Gauss-Legendre nodes for log-power ell), once per distinct panel.  Each
 vector's t-range is split at the sign changes of its c; panels are
-integrated by 20- and 40-point Gauss-Legendre, and only those whose
-difference exceeds their share of min(tol/10, midpoint remainder) are
-bisected.  The certified bound is the midpoint remainder plus the summed
-panel estimates, so it shrinks with J; tail_bound adds the window
-closure's estimate to it.
+integrated by 20- and 40-point Gauss-Legendre and bisected until their
+estimates are within _SPAN_RTOL of the integral or the integrand's
+round-off, as in the window closure.  tail_bound adds up the estimates of
+both closures and their end corrections, and a call whose tail_bound
+exceeds tol raises instead of returning.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ __all__ = [
     "ExactFddLogCf",
     "exact_fdd_log_cf",
     "limit_log_cf",
-    "JDepthError",
     "SweepRow",
     "cf_convergence_sweep",
     "default_frequency_grid",
@@ -111,26 +112,38 @@ def _psi_sums(S: np.ndarray, j0: int, j1: int, B, U: np.ndarray,
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     re = np.zeros(U.shape[1])
     im = np.zeros(U.shape[1])
-    for lo in range(j0, j1, rows):
-        c = prefix_weights(S, lo, min(lo + rows, j1), B) @ U
-        mag = np.abs(c) ** params.alpha
-        re -= mag.sum(axis=0)
-        if params.D != 0.0:
-            im += (mag * np.sign(c)).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        for lo in range(j0, j1, rows):
+            c = prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
+            mag = np.abs(c) ** params.alpha
+            re -= mag.sum(axis=0)
+            if params.D != 0.0:
+                im += (mag * np.sign(c)).sum(axis=0)
+    if not np.isfinite(re).all():
+        raise ValueError(f"non-finite log-CF term psi(c_j) in the rows {j0} <= j < {j1}")
     return params.sigma * (re + 1j * params.D * im)
 
 
-class JDepthError(RuntimeError):
-    """Requested past depth cannot certify the truncation tolerance."""
+def _end_terms(S, B, W: np.ndarray, params: SkewedStableParams, rows: np.ndarray):
+    """The midpoint Euler-Maclaurin terms at the ends of closed pieces, one
+    per row of rows (n x 4, the exact rows outward of the end, nearest
+    first) and of W (n x m, the weights of its piece's column), and their
+    estimates.  With g_0..g_3 the terms psi(c_j) on those rows,
+    2 g_0 - 3 g_1 + g_2 = -+f' + 23/24 f''' at the end gives its correction
+    -+f'/24; with the remainder's 7/5760 f''' the end adds at most
+    (23/576 + 7/5760) |f'''|, f''' from the rows' third difference."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        g = log_cf(params, np.einsum("nrm,nm->nr", prefix_weights(S, rows, B), W))
+    if not np.isfinite(g).all():
+        raise ValueError(f"non-finite log-CF term psi(c_j) at row j = {rows[~np.isfinite(g)][0]}")
+    return ((2.0 * g[:, 0] - 3.0 * g[:, 1] + g[:, 2]) / 24.0,
+            np.abs(g[:, 0] - 3.0 * g[:, 1] + 3.0 * g[:, 2] - g[:, 3])
+            * (23.0 / 576.0 + 7.0 / 5760.0))
 
-    def __init__(self, message, achieved):
-        super().__init__(message)
-        self.achieved = achieved
 
-
-_J_FLOOR = 10_000
-_J_GROWTH = 4
-_J_MAX = 2**25
+# depth of the past summed term by term; the closure beyond it has an
+# estimate near 1e-15 of the log-CF there, so a deeper J would gain nothing
+_J_DEPTH = 10_000
 # rows within _L of a kink of c are summed term by term, and a stretch of at
 # most 2 _L rows whole.  A window closure costs about as much as 2e4 to 3e4
 # rows summed term by term (for one frequency vector or for 65), so short
@@ -144,8 +157,9 @@ _L = 4096
 class ExactFddLogCf:
     """value, past_part and window_part are at the fdd's own frequencies;
     grid_values holds the log-CF at each freq_grid vector, in order;
-    tail_bound is the largest, over them all, of the certified
-    past-remainder bound plus the window closure's estimate."""
+    tail_bound is the largest, over them all, of the summed estimates of
+    the window and past closures; j_depth is the past depth summed term by
+    term."""
 
     value: complex
     past_part: complex
@@ -160,9 +174,9 @@ _SIGN_GRID = np.concatenate([2.0 ** -np.arange(40.0, 7.0, -1.0), np.arange(1, 12
 # relative accuracy of _scaled_spans (worst seen 7e-15); a panel whose
 # estimate is within the round-off this leaves in c is accepted
 _SPAN_RTOL = 1e-14
-# no panel is split once the pending panels hold more than _MAX_NODES span
-# evaluations; the estimates stay in the bound
-_MAX_NODES = 2**17
+# no panel is split once the halved panels' P x 60 x m arrays in _psi_parts
+# would pass this many doubles (4 MiB each); the estimates stay in tail_bound
+_MAX_PANEL_ELEMENTS = 2**19
 
 
 def _sign_changes(spans, W: np.ndarray):
@@ -170,8 +184,12 @@ def _sign_changes(spans, W: np.ndarray):
     w = spans(t) @ W, and the column of each.  A change is bracketed on
     _SIGN_GRID, where w is above its round-off, and the bracket is narrowed
     32-fold per round to about 1e-11 (a kink that close to a panel end
-    costs nothing)."""
-    g = spans(_SIGN_GRID)
+    costs nothing).  Spans that overflow raise a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        g = spans(_SIGN_GRID)
+    if not np.isfinite(g).all():
+        t = _SIGN_GRID[~np.isfinite(g).reshape(_SIGN_GRID.size, -1).all(axis=1)][0]
+        raise ValueError(f"non-finite coefficient weight S(x + b) - S(x) at t = {t:.3g}")
     w = g @ W
     sg = np.sign(w) * (np.abs(w) > _SPAN_RTOL * (np.abs(g) @ np.abs(W)))
     cell, col = np.nonzero(sg[:-1] * sg[1:] < 0.0)
@@ -215,39 +233,36 @@ def _distinct(t: np.ndarray, *tags):
 
 def _judge(D: float, m: int):
     """panel_quad judge for _psi_parts: a panel's estimate combines its real
-    and imaginary gaps, and a panel within round-off, or past the node
-    budget, is accepted as it is."""
+    and imaginary gaps, and a panel within round-off, or one whose halves
+    would pass _MAX_PANEL_ELEMENTS, is accepted as it is."""
     def judge(g20, g40, half):
         est = np.hypot(g40[0] - g20[0], D * (g40[1] - g20[1]))
         return est, ((est <= 2.0 * np.hypot(1.0, D) * g40[2])
-                     | (2 * half.size * _PANEL_X.size * m > _MAX_NODES))
+                     | (2 * half.size * _PANEL_X.size * m > _MAX_PANEL_ELEMENTS))
     return judge
 
 
-def _past_closure(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
-                  params: SkewedStableParams, J0: int, tol: float):
-    """Integral closure of sum_{x > J0} psi(c(-x)) for every column of UA at
-    once, and each column's certified bound.
+def _past_closure(ell: SlowlyVaryingSpec, UA: np.ndarray, B,
+                  params: SkewedStableParams, J: int):
+    """int_X^inf psi(c(-x)) dx, X = J + 1/2, for every column of UA at once,
+    and each column's summed panel estimates: the integral of the past
+    piece x > J, which _past closes like a window piece.
 
-    The sum is replaced by int_X^inf f, X = J0 + 1/2, under the midpoint
-    rule, whose remainder is taken as |f(J0+1) - f(J0)|/24 (about
-    |f'(X)|/24).  With x = X t^(-1/(alpha-1)) the integral is
+    With x = X t^(-1/(alpha-1)) the integral is
     X^(1-alpha)/(alpha-1) int_0^1 psi(x c(x)) dt, whose integrand stays
     bounded as t -> 0.  Each column's t-range is split where its c changes
     sign (the kink of |c|^alpha), and G_20/G_40 panels are bisected
-    (panel_quad) until each estimate is below its share of min(tol/10,
-    midpoint remainder), so the bound tracks the remainder as J grows.
-    """
+    (panel_quad) until their estimates are within _SPAN_RTOL of the
+    column's integral or the round-off of the integrand (_judge), as in
+    _window_closure."""
     alpha, F = params.alpha, UA.shape[1]
     k = 1.0 / (alpha - 1.0)
-    lnX = math.log(J0 + 0.5)
-    scale = (J0 + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
+    lnX = math.log(J + 0.5)
+    scale = (J + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
 
     def spans(t):
         return _scaled_spans(ell, lnX - k * np.log(t), B)
 
-    f_edge = log_cf(params, prefix_weights(S, -J0 - 1, -J0 + 1, B) @ UA)
-    em = np.abs(f_edge[0] - f_edge[1]) / 24.0
     t, col = _sign_changes(spans, UA)
     cols = np.arange(F)
 
@@ -255,11 +270,22 @@ def _past_closure(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
         first, inverse = _distinct(t)
         return _psi_parts(alpha, spans(t[first])[inverse], UA.T[col])
 
-    q, err = panel_quad(integrand, rtol=0.0, atol=np.minimum(0.1 * tol, em),
+    q, err = panel_quad(integrand, rtol=_SPAN_RTOL, atol=0.0,
                         pts=np.concatenate([np.zeros(F), np.ones(F), t]),
                         owner=np.concatenate([cols, cols, col]),
                         scale=scale * params.sigma, judge=_judge(params.D, len(B)))
-    return -q[0] + 1j * (params.D * q[1]), em + err
+    return -q[0] + 1j * (params.D * q[1]), err
+
+
+def _past(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B, params: SkewedStableParams):
+    """sum_{j < 0} psi(c_j) for every column of UA, and each column's
+    closure estimate: the rows -J <= j < 0 (J = _J_DEPTH, held by S) term
+    by term, and j < -J as a window piece with one end, at j = -J."""
+    J = _J_DEPTH
+    seam, seam_est = _end_terms(S, B, UA.T, params,
+                                np.broadcast_to(np.arange(-J, -J + 4), (UA.shape[1], 4)))
+    tail, tail_est = _past_closure(ell, UA, B, params, J)
+    return _psi_sums(S, -J, 0, B, UA, params) + seam + tail, seam_est + tail_est
 
 
 def _window_plan(ell: SlowlyVaryingSpec, UA: np.ndarray, B):
@@ -319,11 +345,9 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
         sum_{p <= j < q} f(j) = int_{p-1/2}^{q-1/2} f
                                 - [f'(q - 1/2) - f'(p - 1/2)]/24 + R,
 
-    the integral by _window_closure and f' from the three exact rows g_0,
-    g_1, g_2 outward of each end: f' = +-(2 g_0 - 3 g_1 + g_2) - 23/24 f'''.
-    R is 7/5760 of the f''' differences, so each end adds at most
-    (23/576 + 7/5760) |f'''| to the error, with f''' taken from the four
-    rows' third difference; the estimate adds the panel estimates."""
+    the integral by _window_closure and the end terms, with R, by
+    _end_terms from the exact rows outward of each end; the estimate adds
+    the panel estimates to those of the end terms."""
     rows, kinks, pieces = plan
     F = UA.shape[1]
     total, est = np.zeros(F, dtype=complex), np.zeros(F)
@@ -336,13 +360,9 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
     k, col, p, q = np.array(pieces).T
     W = UA.T[col]
     for ends in (p[:, None] - np.arange(1, 5), q[:, None] + np.arange(4)):
-        # the four rows outward of each end; the weight of eps_j in S(t_i)
-        # is S[B_i - j] in the window (prefix_weights)
-        g = log_cf(params, np.einsum("nrm,nm->nr",
-                                     S.take(np.maximum(np.asarray(B) - ends[..., None], 0)), W))
-        np.add.at(total, col, (2.0 * g[:, 0] - 3.0 * g[:, 1] + g[:, 2]) / 24.0)
-        np.add.at(est, col, np.abs(g[:, 0] - 3.0 * g[:, 1] + 3.0 * g[:, 2] - g[:, 3])
-                  * (23.0 / 576.0 + 7.0 / 5760.0))
+        correction, err = _end_terms(S, B, W, params, ends)
+        np.add.at(total, col, correction)
+        np.add.at(est, col, err)
     value, err = _window_closure(ell, W, B, params, k, p, q)
     np.add.at(total, col, value)
     np.add.at(est, col, err)
@@ -418,8 +438,8 @@ class _PrefixSums:
 
 
 def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
-    """S at every index that prefix_weights(S, j0, j1, B) reads for the row
-    ranges (j0, j1) in rows: B_i - j clipped at 0, and -j for j < 0.  Index
+    """S at every index that prefix_weights(S, j, B) reads for j0 <= j < j1,
+    (j0, j1) in rows: B_i - j clipped at 0, and -j for j < 0.  Index
     0 is always held, so intervals that reach it are plain partial sums."""
     spans = [(0, 1)]
     for j0, j1 in rows:
@@ -429,16 +449,14 @@ def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
 
 
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
-                     fdd: FddSpec, *, j_depth: int | None = None,
-                     tol: float = 1e-8, freq_grid=None) -> ExactFddLogCf:
+                     fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None) -> ExactFddLogCf:
     """Exact joint log-CF of (A_N^{-1} S(t_1), ..., A_N^{-1} S(t_m)) at the
     fdd frequencies, for exactly stable innovations (h == 1, H_alpha == 1),
     and at each extra frequency vector of freq_grid (see grid_values).
 
-    Returns the value together with its past/in-window split and the
-    certified bound on the past remainder plus the window closure's
-    estimate.  A fixed j_depth raises JDepthError when its past remainder
-    cannot certify tol.
+    Returns the value together with its past/in-window split and tail_bound,
+    the largest summed estimate of the window and past closures; raises a
+    RuntimeError when tail_bound exceeds tol.
     """
     N = int(N)
     grid = [] if freq_grid is None else list(freq_grid)
@@ -446,39 +464,31 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     if U.shape[0] != fdd.m:
         raise ValueError(f"need frequency vectors of length m = {fdd.m}")
     B = [floor_index(N, t) for t in fdd.times]
-    fixed = j_depth is not None
-    J = int(j_depth) if fixed else _J_FLOOR
     UA = U / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
-    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-J - 1, 0)])
+    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
     window, window_est = _window(ell, S, UA, B, params, plan)
-    past_exact = _psi_sums(S, -J, 0, B, UA, params)
-    while True:
-        tails, bounds = _past_closure(ell, S, UA, B, params, J, tol)
-        bound = float(bounds.max())
-        if bound <= tol:
-            break
-        if fixed or J * _J_GROWTH > _J_MAX:
-            raise JDepthError(
-                f"past depth J={J} certifies only {bound:.3g} "
-                f"(tolerance {tol})", bound)
-        deeper = J * _J_GROWTH
-        S = _prefix_sums(ell, B, [(-deeper - 1, -J)])
-        past_exact += _psi_sums(S, -deeper, -J, B, UA, params)
-        J = deeper
-
-    past = past_exact + tails
+    past, past_est = _past(ell, S, UA, B, params)
+    bound = float((window_est + past_est).max())
+    if not bound <= tol:
+        raise RuntimeError(f"the exact log-CF at N = {N} certifies only {bound:.3g} "
+                           f"(tolerance {tol})")
     value = window + past
     return ExactFddLogCf(complex(value[0]), complex(past[0]), complex(window[0]),
-                         float((bounds + window_est).max()), J, value[1:])
+                         bound, _J_DEPTH, value[1:])
 
 
 def limit_log_cf(params: SkewedStableParams, fdd: FddSpec) -> complex:
-    """Levy-limit log-CF: -sum_i (t_i - t_{i-1}) sigma |v_i|^alpha (1 - iD sgn v_i)."""
+    """Levy-limit log-CF: -sum_i (t_i - t_{i-1}) sigma |v_i|^alpha (1 - iD sgn v_i);
+    a ValueError when a term overflows."""
     v = v_transform(fdd.freqs)
     t = np.asarray(fdd.times)
     dt = np.diff(np.concatenate([[0.0], t]))
-    mag = params.sigma * np.abs(v) ** params.alpha
+    with np.errstate(over="ignore"):  # raised below instead
+        mag = params.sigma * np.abs(v) ** params.alpha
+    if not np.isfinite(mag).all():
+        raise ValueError(f"non-finite limit log-CF term sigma |v_i|^alpha at the "
+                         f"frequencies {tuple(fdd.freqs)}")
     re = -float(np.sum(dt * mag))
     im = params.D * float(np.sum(dt * mag * np.sign(v)))
     return complex(re, im)
@@ -515,9 +525,9 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
     """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
     the fdd's frequencies and freq_grid when given); past_part tracks the
     past-block magnitude at the fdd's own frequencies and log_cf is the
-    exact value there.  With freq_grid, log_cf shares the depth J certified
-    for the whole grid, so it can differ from a call without the grid by up
-    to the tolerance.
+    exact value there.  The past depth is fixed, so with freq_grid log_cf
+    differs from a call without the grid only within both calls' tail_bound
+    and round-off.  A row whose tail_bound exceeds tol raises.
 
     One exact_fdd_log_cf call per N; the N run on up to `threads` threads
     (thread_map) and the rows do not depend on the thread count."""

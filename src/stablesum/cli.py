@@ -396,9 +396,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     for exactly stable innovations only) before any work, as is [N t_m] >= 1
     for every N.  The ECF target is the sweep row's exact log-CF for stable
     innovations and the Levy limit otherwise, so the exact log-CF is
-    computed once per N.  With sup_grid the target shares the depth J
-    certified for the whole grid (within j_tolerance of a grid-free value);
-    no shipped verify config sets sup_grid."""
+    computed once per N.  With sup_grid the target comes from the call over
+    the whole grid, at the same fixed past depth as a grid-free call and
+    within both calls' tail_bound and round-off of its value; no shipped
+    verify config sets sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
     if isinstance(cfg.innovation, Hook):

@@ -180,17 +180,18 @@ def simulate_path(process: ProcessSpec, N: int, T: float, seed) -> np.ndarray:
     return path_from_innovations(process.ell, M, eps, n_out)
 
 
-def prefix_weights(S: np.ndarray, j0: int, j1: int, upper, *,
-                   cap: int | None = None) -> np.ndarray:
-    """Weight kernel: for j = j0 .. j1-1 (rows) and each column c, the weight
-    of eps_j in sum_{n = 1}^{upper_c} X_n under lag cap `cap`,
+def prefix_weights(S: np.ndarray, j, upper, *, cap: int | None = None) -> np.ndarray:
+    """Weight kernel: for each row j of the integer array j (any shape) and
+    each column c (a new last axis), the weight of eps_j in
+    sum_{n = 1}^{upper_c} X_n under lag cap `cap`,
 
         sum_{k = lo+1}^{hi} a_k = S[hi] - S[lo],
         lo = max(-j, 0),  hi = min(max(upper_c - j, 0), cap),
 
-    and exactly zero where hi <= lo (S[hi] - S[hi]).  S is the coefficient
-    prefix-sum array and must reach index max_c upper_c - j0 (or cap)."""
-    j = np.arange(j0, j1)[:, None]
+    and exactly zero where hi <= lo (S[hi] - S[hi]), on both sides of
+    j = 0.  S is the coefficient prefix-sum array and must reach index
+    max_c upper_c - min j (or cap)."""
+    j = np.asarray(j)[..., None]
     lo = np.maximum(-j, 0)
     hi = np.clip(np.asarray(upper) - j, 0, cap)
     return S.take(hi) - S.take(np.minimum(lo, hi))
@@ -202,7 +203,7 @@ def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     sum_{n = max(1, j+1)}^{min([N t_i], j+M)} a_{n-j}, from prefix sums."""
     M = int(M)
     B = [floor_index(N, t) for t in times]
-    return prefix_weights(coefficient_prefix_sums(ell, M), 1 - M, B[-1], B, cap=M)
+    return prefix_weights(coefficient_prefix_sums(ell, M), np.arange(1 - M, B[-1]), B, cap=M)
 
 
 def process_normalizer(process: ProcessSpec, N: int) -> float:

@@ -127,12 +127,6 @@ def coefficient_sum(ell: SlowlyVaryingSpec, y):
     return float(out) if arr.ndim == 0 else out
 
 
-# the constant-ell span comes from the asymptotic digamma series (first
-# omitted term below 1e-17 relative) at x >= _DIGAMMA_SHIFT, and below from
-# the series at x + _DIGAMMA_SHIFT and the digamma recurrence
-_DIGAMMA_SHIFT = 100
-
-
 def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
     """x * (S(x+b) - S(x)) at x = exp(lnx) (any shape) for each b in B (new
     last axis), with S continued smoothly to real x:
@@ -157,27 +151,16 @@ def _scaled_spans(ell: SlowlyVaryingSpec, lnx, B) -> np.ndarray:
 def _digamma_span(lnx, r, b):
     """x * (digamma(x+b+1) - digamma(x+1)) by the asymptotic series
     digamma(z) ~ ln z - 1/2z - 1/12z^2 + 1/120z^4 - 1/252z^6, written in
-    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels.  Below x =
-    _DIGAMMA_SHIFT = K the recurrence digamma(z) = digamma(z+K) -
-    sum_{i<K} 1/(z+i) moves the series to x + K, and the sum becomes
-    sum_{i<K} b / ((x+1+i) (x+b+1+i)), which does not cancel either."""
+    w1 = 1/(x+1), w2 = 1/(x+b+1) so that no term cancels.  Its first
+    omitted term is below 1e-17 relative for x >= 100; every caller has
+    x >= _SUM_ANCHOR."""
     w1 = r / (1.0 + r)
     w2 = r / (1.0 + (b + 1.0) * r)
     s1, s2 = w1 * w1, w2 * w2
     q = b * w1 * (w2 / r)  # -(w2 - w1) / r
-    out = np.log1p(b * w1) / r + q * (
+    return np.log1p(b * w1) / r + q * (
         0.5 + (w1 + w2) * (1.0 / 12.0 - (s1 + s2) / 120.0
                            + (s1 * s1 + s1 * s2 + s2 * s2) / 252.0))
-    small = np.broadcast_to(lnx < math.log(_DIGAMMA_SHIFT), out.shape)
-    if small.any():  # only a pinned j_depth below 100 reaches it
-        x = np.broadcast_to(np.exp(lnx), out.shape)[small]
-        bs = np.broadcast_to(b, out.shape)[small]
-        xk = x + _DIGAMMA_SHIFT
-        span = _digamma_span(np.log(xk), 1.0 / xk, bs) / xk
-        for i in range(_DIGAMMA_SHIFT):
-            span += bs / ((x + 1.0 + i) * (x + bs + 1.0 + i))
-        out[small] = x * span
-    return out
 
 
 def _euler_maclaurin_span(ell, lnx, r, b):

@@ -147,7 +147,7 @@ def exact_window_sum(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     rows = max(1, 2**16 // max(UA.shape))
     re, im, size = (np.zeros(UA.shape[1]) for _ in range(3))
     for lo in range(0, B[-1], rows):
-        c = prefix_weights(S, lo, min(lo + rows, B[-1]), B) @ UA
+        c = prefix_weights(S, np.arange(lo, min(lo + rows, B[-1])), B) @ UA
         mag = np.abs(c) ** params.alpha
         re -= mag.sum(axis=0)
         if params.D != 0.0:

@@ -8,9 +8,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import digamma, ndtr
+from scipy.special import ndtr
 
-from stablesum import slowly_varying
 from stablesum.innovations import ParetoTail, _tail_first_moment, exact_stable, tail_constants
 from stablesum.linear_process import truncation_tail
 from stablesum.slowly_varying import big_h, coefficient, constant, eval_sv, log_power
@@ -90,15 +89,6 @@ class TestTailFirstMoment:
                       0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)[0]
         want = 3.0 * x1 ** (1.0 - alpha) * (eval_sv(spec.h, x1) + mean_h / (alpha - 1.0))
         assert _tail_first_moment(spec, 3.0, x1) == pytest.approx(want, rel=1e-10)
-
-
-class TestDigammaSpan:
-    def test_below_100_matches_digamma(self):
-        x = np.array([0.5, 1.0, 3.7, 10.0, 55.5, 99.9])[:, None]
-        b = np.array([0.0, 1.0, 5.0, 1e3, 1e5])
-        got = slowly_varying._digamma_span(np.log(x), 1.0 / x, b)
-        want = x * (digamma(x + b + 1.0) - digamma(x + 1.0))
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 class TestGaussianCdf:
