@@ -5,11 +5,12 @@ vector is a (countable) exact sum
 
     sum_j psi(A_N^{-1} * sum_i u_i * <weight of eps_j in S(t_i)>)
 
-with psi(w) = -sigma*|w|^alpha*(1 - i*D*sgn w).  The sum splits into the
-in-window block (j inside [0, [N t_m])) and the past block (j < 0), whose
-limit is zero; the whole vector converges to the Levy-increment log-CF
-
-    -sum_i (t_i - t_{i-1}) * sigma * |v_i|^alpha * (1 - i*D*sgn v_i).
+with psi the innovation's log-CF, psi(w) = -sigma*|w|^alpha*(1 - i*D*sgn w),
+which the oracle reads from stable_law alone: log_cf_parts for its real and
+imaginary parts, log_cf_slope for the round-off an error in w leaves in it.
+The sum splits into the in-window block (j inside [0, [N t_m])) and the past
+block (j < 0), whose limit is zero; the whole vector converges to the
+Levy-increment log-CF sum_i (t_i - t_{i-1}) * psi(v_i).
 
 No array in it grows with N.  A_N takes sum_{i<=N} a_i from
 slowly_varying.coefficient_sum, and the prefix sums the exact rows read are
@@ -24,34 +25,27 @@ near its own zeros, where |c|^alpha has a kink.  Rows within _L of a
 stretch end (the kink, and the seam with the previous stretch or the past)
 and, per vector, within _L of a sign change of its c are summed term by
 term; the rest of each vector's stretch is closed by the midpoint
-Euler-Maclaurin form, its integral by G_20/G_40 panels in u = ln(B_k - x)
-and its end corrections from the exact rows next to each end.  That
-closure's estimate sits at the round-off of the continuation (about 1e-15
-of the log-CF), and a stretch of at most 2 _L rows is summed whole, so the
-oracle's cost no longer grows with N.
+Euler-Maclaurin form (_window), its integral in u = ln(B_k - x) and its end
+corrections from the exact rows next to each end (_end_terms).  A stretch
+of at most 2 _L rows is summed whole, so the oracle's cost no longer grows
+with N.
 
-The past block (j = -x < 0) has a remainder beyond depth J that decays only
-like J^{1-alpha}, so it cannot be truncated at any practical depth.  Its
-rows x <= J, J = _J_DEPTH, are summed term by term, and the rest, x > J, is
-one more piece, with a single end at the seam j = -J, closed in the same
-midpoint Euler-Maclaurin form as the window pieces: the integral
-int_{J+1/2}^inf by _past_closure, the end correction and its estimate from
-the exact rows -J..-J+3 by _end_terms, which reads the rows of both
-closures through prefix_weights.  The depth is fixed: at J = 1e4 the past
-closure's estimate sits near 1e-15 of the log-CF, as the window's does.
-The vectors share the prefix sums, the exact rows and the distinct panels
-of the closures, and the weight blocks are built in row chunks of bounded
-size; the prefix sums are refused beyond MEMORY_BUDGET_ELEMENTS.
+The past block (j = -x < 0) decays only like J^{1-alpha} beyond depth J, so
+it cannot be truncated.  Its rows x <= J = _J_DEPTH are summed term by term,
+and the rest, x > J, is one more piece with a single end at the seam
+j = -J: its integral in t = (X/x)^(alpha-1), X = J + 1/2, where the
+integrand stays bounded as x -> inf (_past_closure), and its end correction
+from the exact rows -J..-J+3.
 
-The past closure integrates every frequency vector in one vectorized pass.
-The variable is t = (X/x)^(alpha-1), X = J + 1/2, on (0, 1], where the
-integrand stays bounded as x -> inf; the spans S(x+b) - S(x) are evaluated
-as arrays (digamma series for constant ell, Euler-Maclaurin with fixed
-Gauss-Legendre nodes for log-power ell), once per distinct panel.  Each
-vector's t-range is split at the sign changes of its c; panels are
-integrated by 20- and 40-point Gauss-Legendre and bisected until their
-estimates are within _SPAN_RTOL of the integral or the integrand's
-round-off, as in the window closure.  tail_bound adds up the estimates of
+Both integrals go through one integrator, _closure: each caller gives its
+change of variable, its spans S(x+b) - S(x) as arrays, its Jacobian and its
+breakpoints (for the past, the sign changes of each vector's c).  Its
+G_20/G_40 panels are bisected until their estimates are within _SPAN_RTOL
+of the integral or the integrand's round-off, about 1e-15 of the log-CF;
+at J = 1e4 the seam's estimate is as small.  The vectors share the prefix
+sums, the exact rows and the distinct panels of the closures, and the
+weight blocks are built in row chunks of bounded size; the prefix sums are
+refused beyond MEMORY_BUDGET_ELEMENTS.  tail_bound adds up the estimates of
 both closures and their end corrections, and a call whose tail_bound
 exceeds tol raises instead of returning.
 """
@@ -78,7 +72,8 @@ from .slowly_varying import (
     coefficient_prefix_sums,
     coefficient_sum,
 )
-from .stable_law import _PANEL_X, SkewedStableParams, log_cf, panel_quad
+from .stable_law import (_PANEL_X, SkewedStableParams, log_cf, log_cf_parts, log_cf_slope,
+                         panel_quad)
 
 __all__ = [
     "v_transform",
@@ -115,13 +110,12 @@ def _psi_sums(S: np.ndarray, j0: int, j1: int, B, U: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         for lo in range(j0, j1, rows):
             c = prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
-            mag = np.abs(c) ** params.alpha
-            re -= mag.sum(axis=0)
-            if params.D != 0.0:
-                im += (mag * np.sign(c)).sum(axis=0)
+            g_re, g_im = log_cf_parts(params, c)
+            re += g_re.sum(axis=0)
+            im += g_im.sum(axis=0)
     if not np.isfinite(re).all():
         raise ValueError(f"non-finite log-CF term psi(c_j) in the rows {j0} <= j < {j1}")
-    return params.sigma * (re + 1j * params.D * im)
+    return re + 1j * im
 
 
 def _end_terms(S, B, W: np.ndarray, params: SkewedStableParams, rows: np.ndarray):
@@ -174,7 +168,7 @@ _SIGN_GRID = np.concatenate([2.0 ** -np.arange(40.0, 7.0, -1.0), np.arange(1, 12
 # relative accuracy of _scaled_spans (worst seen 7e-15); a panel whose
 # estimate is within the round-off this leaves in c is accepted
 _SPAN_RTOL = 1e-14
-# no panel is split once the halved panels' P x 60 x m arrays in _psi_parts
+# no panel is split once the halved panels' P x 60 x m arrays in _closure
 # would pass this many doubles (4 MiB each); the estimates stay in tail_bound
 _MAX_PANEL_ELEMENTS = 2**19
 
@@ -203,43 +197,53 @@ def _sign_changes(spans, W: np.ndarray):
     return lo + 0.5 * width, col
 
 
-def _psi_parts(alpha: float, g: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The panel_quad integrands of psi(w), w = sum_i W_i g_i over the last
-    axis of g (P x nodes x m; W holds one row per panel):
-    psi(w) = sigma |w|^alpha (-1 + i D sgn w), so |w|^alpha, |w|^alpha sgn w,
-    and the round-off that g accurate to _SPAN_RTOL leaves in |w|^alpha,
-    alpha |w|^(alpha-1) sum_i |W_i g_i| _SPAN_RTOL."""
-    ug = g * W[:, None]
-    w = ug.sum(axis=-1)
-    aw = np.abs(w)
-    mag = aw ** alpha
-    noise = alpha * _SPAN_RTOL * aw ** (alpha - 1.0) * np.abs(ug).sum(axis=-1)
-    return np.stack([mag, mag * np.sign(w), noise])
-
-
-def _distinct(t: np.ndarray, *tags):
+def _distinct(t: np.ndarray, key: np.ndarray):
     """(first, inverse) over the distinct panels among the node rows t:
-    rows with the same end nodes (and tags) are one panel, as the panels of
+    rows with the same end nodes and key are one panel, as the panels of
     different columns often are, and need their spans only once."""
-    keys = [t[:, 0], t[:, -1], *tags]
+    keys = [t[:, 0], t[:, -1], key]
     order = np.lexsort(keys)
     new = np.arange(order.size) == 0
-    for key in keys:
-        new[1:] |= key[order][1:] != key[order][:-1]
+    for k in keys:
+        new[1:] |= k[order][1:] != k[order][:-1]
     inverse = np.empty(order.size, dtype=int)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
 
 
-def _judge(D: float, m: int):
-    """panel_quad judge for _psi_parts: a panel's estimate combines its real
-    and imaginary gaps, and a panel within round-off, or one whose halves
-    would pass _MAX_PANEL_ELEMENTS, is accepted as it is."""
+def _judge(m: int):
+    """panel_quad judge for _closure: a panel's estimate combines its real
+    and imaginary gaps, and a panel within twice its round-off (the third
+    integrand), or one whose halves would pass _MAX_PANEL_ELEMENTS, is
+    accepted as it is."""
     def judge(g20, g40, half):
-        est = np.hypot(g40[0] - g20[0], D * (g40[1] - g20[1]))
-        return est, ((est <= 2.0 * np.hypot(1.0, D) * g40[2])
+        est = np.hypot(g40[0] - g20[0], g40[1] - g20[1])
+        return est, ((est <= 2.0 * g40[2])
                      | (2 * half.size * _PANEL_X.size * m > _MAX_PANEL_ELEMENTS))
     return judge
+
+
+def _closure(params: SkewedStableParams, W: np.ndarray, key, pts, owner, spans, jacobian):
+    """int psi(w(t)) jacobian(t) dt over the span of each owner's pts, and
+    each owner's summed panel estimates; w(t) = spans(t, key) @ W, with one
+    row of W and of key per owner, and spans gets the nodes of the distinct
+    panels (_distinct, with the key) and their keys.  The integrands are
+    Re psi, Im psi and the round-off |psi'(w)| _SPAN_RTOL sum_i |W_i g_i|
+    that spans accurate to _SPAN_RTOL leave; panel_quad bisects panels
+    until their estimates are within _SPAN_RTOL of the owner's integral or
+    twice that round-off (_judge)."""
+    def integrand(t, o):
+        first, inverse = _distinct(t, key[o])
+        ug = spans(t[first], key[o[first]])[inverse] * W[o][:, None]
+        w = ug.sum(axis=-1)
+        out = np.empty((3,) + w.shape)
+        out[0], out[1] = log_cf_parts(params, w)
+        out[2] = log_cf_slope(params, w) * _SPAN_RTOL * np.abs(ug).sum(axis=-1)
+        return out * jacobian(t)
+
+    val, err = panel_quad(integrand, rtol=_SPAN_RTOL, atol=0.0, pts=pts, owner=owner,
+                          judge=_judge(W.shape[1]))
+    return val[0] + 1j * val[1], err
 
 
 def _past_closure(ell: SlowlyVaryingSpec, UA: np.ndarray, B,
@@ -248,33 +252,21 @@ def _past_closure(ell: SlowlyVaryingSpec, UA: np.ndarray, B,
     and each column's summed panel estimates: the integral of the past
     piece x > J, which _past closes like a window piece.
 
-    With x = X t^(-1/(alpha-1)) the integral is
-    X^(1-alpha)/(alpha-1) int_0^1 psi(x c(x)) dt, whose integrand stays
-    bounded as t -> 0.  Each column's t-range is split where its c changes
-    sign (the kink of |c|^alpha), and G_20/G_40 panels are bisected
-    (panel_quad) until their estimates are within _SPAN_RTOL of the
-    column's integral or the round-off of the integrand (_judge), as in
-    _window_closure."""
-    alpha, F = params.alpha, UA.shape[1]
-    k = 1.0 / (alpha - 1.0)
-    lnX = math.log(J + 0.5)
-    scale = (J + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
+    With x = X t^(-1/(alpha-1)) and the homogeneity psi(lambda w) =
+    lambda^alpha psi(w), which holds exactly for the stable law, the
+    integral is X^(1-alpha)/(alpha-1) int_0^1 psi(x c(x)) dt, whose
+    integrand stays bounded as t -> 0 (_closure).  Each column's t-range is
+    split where its c changes sign (the kink of |c|^alpha)."""
+    F, k = UA.shape[1], 1.0 / (params.alpha - 1.0)
+    lnX, scale = math.log(J + 0.5), (J + 0.5) ** (1.0 - params.alpha) / (params.alpha - 1.0)
 
     def spans(t):
         return _scaled_spans(ell, lnX - k * np.log(t), B)
 
     t, col = _sign_changes(spans, UA)
     cols = np.arange(F)
-
-    def integrand(t, col):
-        first, inverse = _distinct(t)
-        return _psi_parts(alpha, spans(t[first])[inverse], UA.T[col])
-
-    q, err = panel_quad(integrand, rtol=_SPAN_RTOL, atol=0.0,
-                        pts=np.concatenate([np.zeros(F), np.ones(F), t]),
-                        owner=np.concatenate([cols, cols, col]),
-                        scale=scale * params.sigma, judge=_judge(params.D, len(B)))
-    return -q[0] + 1j * (params.D * q[1]), err
+    return _closure(params, UA.T, np.zeros(F), np.concatenate([np.zeros(F), np.ones(F), t]),
+                    np.concatenate([cols, cols, col]), lambda t, _: spans(t), lambda t: scale)
 
 
 def _past(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B, params: SkewedStableParams):
@@ -340,14 +332,19 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
     """sum_{0 <= j < B_m} psi(c_j) for every column of UA, and each column's
     closure estimate; S holds the rows and kinks of plan (_window_plan).
 
-    Each piece [p, q) is summed by the midpoint Euler-Maclaurin form
+    Each piece [p, q) of stretch k is summed by the midpoint Euler-Maclaurin
+    form
 
         sum_{p <= j < q} f(j) = int_{p-1/2}^{q-1/2} f
                                 - [f'(q - 1/2) - f'(p - 1/2)]/24 + R,
 
-    the integral by _window_closure and the end terms, with R, by
-    _end_terms from the exact rows outward of each end; the estimate adds
-    the panel estimates to those of the end terms."""
+    the end terms, with R, by _end_terms from the exact rows outward of each
+    end, and the integral by _closure in u = ln(B_k - x), keyed by k.  On
+    stretch k, c(x) = sum_{i>=k} W_i S(B_i - x) with S continued to real
+    arguments by coefficient_sum, which is singular only where some
+    B_i - x <= 0, pi off the real u axis, so a few panels cover a range of
+    ln(N/_L); no piece holds a sign change of c.  The estimate adds the
+    panel estimates to those of the end terms."""
     rows, kinks, pieces = plan
     F = UA.shape[1]
     total, est = np.zeros(F, dtype=complex), np.zeros(F)
@@ -363,44 +360,21 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
         correction, err = _end_terms(S, B, W, params, ends)
         np.add.at(total, col, correction)
         np.add.at(est, col, err)
-    value, err = _window_closure(ell, W, B, params, k, p, q)
+    Bf = np.asarray(B, dtype=float)
+
+    # on stretch k the columns i < k get zero weight, and spans keeps their
+    # arguments in range
+    def spans(u, stretch):
+        y = np.exp(u)[..., None]
+        return coefficient_sum(ell, np.maximum(y + (Bf - Bf[stretch][:, None])[:, None], y))
+
+    ids = np.arange(k.size)
+    value, err = _closure(params, W * (np.arange(len(B)) >= k[:, None]), k,
+                          np.log(np.concatenate([Bf[k] - q, Bf[k] - p]) + 0.5),
+                          np.concatenate([ids, ids]), spans, np.exp)
     np.add.at(total, col, value)
     np.add.at(est, col, err)
     return total, est
-
-
-def _window_closure(ell: SlowlyVaryingSpec, W: np.ndarray, B,
-                    params: SkewedStableParams, k, p, q):
-    """int_{p-1/2}^{q-1/2} psi(c(x)) dx for each piece (stretch k, rows
-    [p, q), weights W of its column), and each piece's summed panel
-    estimates.
-
-    On stretch k, c(x) = sum_{i>=k} W_i S(B_i - x) with S continued to real
-    arguments by coefficient_sum.  The variable is u = ln(B_k - x): the
-    continuation is singular only where some B_i - x <= 0, which is pi off
-    the real u axis, so a few G_20/G_40 panels cover a range of ln(N/_L);
-    no piece holds a sign change of c.  Panels are bisected until
-    their estimates are within _SPAN_RTOL of the piece's integral or the
-    round-off of the integrand (_judge)."""
-    m = len(B)
-    Bf = np.asarray(B, dtype=float)
-    # weights of the columns i < k are zero, and their arguments are kept
-    # in range
-    W = W * (np.arange(m) >= k[:, None])
-    off = Bf - Bf[k][:, None]
-
-    def integrand(u, piece):
-        first, inverse = _distinct(u, k[piece])
-        y = np.exp(u[first])[..., None]
-        g = coefficient_sum(ell, np.maximum(y + off[piece[first]][:, None], y))
-        return _psi_parts(params.alpha, g[inverse], W[piece]) * np.exp(u)
-
-    pieces = np.arange(k.size)
-    val, err = panel_quad(integrand, rtol=_SPAN_RTOL, atol=0.0,
-                          pts=np.concatenate([np.log(Bf[k] - q + 0.5), np.log(Bf[k] - p + 0.5)]),
-                          owner=np.concatenate([pieces, pieces]),
-                          scale=params.sigma, judge=_judge(params.D, m))
-    return -val[0] + 1j * (params.D * val[1]), err
 
 
 class _PrefixSums:
@@ -479,19 +453,15 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
 
 
 def limit_log_cf(params: SkewedStableParams, fdd: FddSpec) -> complex:
-    """Levy-limit log-CF: -sum_i (t_i - t_{i-1}) sigma |v_i|^alpha (1 - iD sgn v_i);
-    a ValueError when a term overflows."""
-    v = v_transform(fdd.freqs)
-    t = np.asarray(fdd.times)
-    dt = np.diff(np.concatenate([[0.0], t]))
+    """Levy-limit log-CF: sum_i (t_i - t_{i-1}) psi(v_i); a ValueError when
+    a term overflows."""
+    dt = np.diff(np.concatenate([[0.0], fdd.times]))
     with np.errstate(over="ignore"):  # raised below instead
-        mag = params.sigma * np.abs(v) ** params.alpha
-    if not np.isfinite(mag).all():
-        raise ValueError(f"non-finite limit log-CF term sigma |v_i|^alpha at the "
+        re, im = log_cf_parts(params, v_transform(fdd.freqs))
+    if not np.isfinite(re).all():
+        raise ValueError(f"non-finite limit log-CF term psi(v_i) at the "
                          f"frequencies {tuple(fdd.freqs)}")
-    re = -float(np.sum(dt * mag))
-    im = params.D * float(np.sum(dt * mag * np.sign(v)))
-    return complex(re, im)
+    return complex(float(np.sum(dt * re)), float(np.sum(dt * im)))
 
 
 _GRID_VALUES = (-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0)

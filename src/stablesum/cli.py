@@ -12,9 +12,10 @@ sweep, and takes its ECF target from the sweep row.
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure, 2 configuration error.  Configuration errors include an [sweep]
-n_list that is not strictly increasing or has an N < 1, reps < 2, a
-negative seed or --seed-override, a j_tolerance that is not finite and
-positive, non-finite [fdd] times or freqs, [simulate] n < 1, a [simulate]
+n_list that is not strictly increasing or has an N < 1, an N or [N t_m]
+above 2**53 (so also a [simulate] n or [n t]), reps < 2, a negative seed
+or --seed-override, a j_tolerance that is not finite and positive,
+non-finite [fdd] times or freqs, [simulate] n < 1, a [simulate]
 t or a [tolerance] max_ks, max_ecf, max_distance_ratio or max_past_ratio
 that is not finite and positive, a non-finite hook_value, and in verify an
 [N t_m] < 1 or a [tolerance] criterion whose column the innovation family
@@ -54,6 +55,7 @@ from .innovations import (
 )
 from .linear_process import (
     _M_FLOOR,
+    MAX_INDEX,
     FddSpec,
     ProcessSpec,
     default_truncation_depth,
@@ -248,6 +250,9 @@ def parse_config(path) -> RunConfig:
     simulate_n = _get(sim, "n", int)
     simulate_t = _get(sim, "t", _positive, default=1.0) if sim else None
     _require(simulate_n is None or simulate_n >= 1, "need [simulate] n >= 1")
+    _require(simulate_n is None or (simulate_n <= MAX_INDEX
+                                    and simulate_n * simulate_t <= MAX_INDEX),
+             "need [simulate] n and [n t] <= 2**53")
 
     fdd = None
     if "fdd" in parser:
@@ -267,6 +272,9 @@ def parse_config(path) -> RunConfig:
     _require(n_list is None or bool(n_list) and min(n_list) >= 1
              and all(b > a for a, b in zip(n_list, n_list[1:])),
              "need [sweep] n_list strictly increasing with every N >= 1")
+    _require(n_list is None or n_list[-1] <= MAX_INDEX, "need every N of [sweep] n_list <= 2**53")
+    _require(n_list is None or fdd is None or n_list[-1] * fdd.times[-1] <= MAX_INDEX,
+             "need [N t_m] <= 2**53 for every N of [sweep] n_list")
     _require(reps is None or reps >= 2, "need [sweep] reps >= 2")
     _require(seed is None or seed >= 0, "need [sweep] seed >= 0")
 

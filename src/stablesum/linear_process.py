@@ -40,6 +40,7 @@ __all__ = [
     "normalized_fdd_sample",
     "thread_map",
     "MEMORY_BUDGET_ELEMENTS",
+    "MAX_INDEX",
 ]
 
 # refuse path/innovation buffers beyond this many doubles (~1.2 GB)
@@ -81,15 +82,24 @@ class FddSpec:
         return len(self.times)
 
 
+# the largest N t that floor_index takes: every integer up to it is a double
+MAX_INDEX = 2**53
+
+
 def floor_index(N, t) -> int:
-    """[N*t] with a relative 1e-9 snap so values like 3*(1/3) floor to 1."""
-    y = float(N) * float(t)
-    if y < 0.0:
-        raise ValueError("need N*t >= 0")
-    k = math.floor(y)
-    if (k + 1) - y < 1e-9 * max(1.0, y):
-        k += 1
-    return k
+    """[N t] for a time t read as a double, in exact integer arithmetic:
+    the largest [N t'] over the reals t' within half an ulp of t, any of
+    which t may stand for.  So 3 * (1/3) floors to 1 although the double
+    1/3 is below one third; it differs from [N t] only where N t sits within
+    N ulp(t)/2 below an integer, never for int N <= 2**40 and
+    t = k / 2**j, j <= 11.  A ValueError beyond MAX_INDEX."""
+    t = float(t)
+    if not 0.0 <= float(N) * t <= MAX_INDEX:
+        raise ValueError(f"need 0 <= N*t <= 2**53, got {float(N) * t:.6g}")
+    a, b = t.as_integer_ratio()
+    c, d = math.ulp(t).as_integer_ratio()
+    # the largest integer below N (a/b + c/2d) = N (2ad + bc) / 2bd
+    return max(0, -(-int(N) * (2 * a * d + b * c) // (2 * b * d)) - 1)
 
 
 # exact terms per truncation tail; a panel_quad integral closes the rest

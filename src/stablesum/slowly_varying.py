@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +85,16 @@ def eval_sv(spec: SlowlyVaryingSpec, x):
 
 
 def coefficient(ell: SlowlyVaryingSpec, i):
-    """Coefficient a_i = ell(i)/i for i >= 1 (scalar or array)."""
+    """Coefficient a_i = ell(i)/i for i >= 1 (scalar or array); a
+    ValueError names the first i whose a_i overflows a double."""
     arr = np.asarray(i, dtype=float)
     if np.any(arr < 1.0):
         raise ValueError("need i >= 1")
-    out = eval_sv(ell, arr) / arr
+    with np.errstate(over="ignore"):  # raised below instead
+        out = eval_sv(ell, arr) / arr
+    if not np.isfinite(np.max(out, initial=0.0)):
+        raise ValueError(f"non-finite coefficient a_i = ell(i)/i at i = "
+                         f"{np.min(arr[~np.isfinite(out)]):.0f}")
     return float(out) if arr.ndim == 0 else out
 
 
@@ -111,16 +117,25 @@ def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int, *, start: int = 0) -
 _SUM_ANCHOR = 1000
 
 
+@lru_cache(maxsize=32)
+def _anchor_sums(ell: SlowlyVaryingSpec) -> np.ndarray:
+    """S[0..K], K = _SUM_ANCHOR, built once per ell (the spec is frozen)
+    and read-only, since every caller shares it."""
+    S = coefficient_prefix_sums(ell, _SUM_ANCHOR)
+    S.flags.writeable = False
+    return S
+
+
 def coefficient_sum(ell: SlowlyVaryingSpec, y):
     """S(y) = sum_{i <= y} a_i (scalar or array): term by term at integers
     0 <= y <= K = _SUM_ANCHOR, and beyond K the continuation
-    S[K] + (S(y) - S(K)) of _scaled_spans, smooth in real y.  For constant
-    ell it is c (digamma(y+1) + gamma), exact at integers; for log-power
-    ell it matches the partial sums at integers to about 1e-15 relative."""
+    S[K] + (S(y) - S(K)) of _scaled_spans, smooth in real y, from the
+    anchor S[0..K] that _anchor_sums keeps per ell.  For constant ell it is
+    c (digamma(y+1) + gamma), exact at integers; for log-power ell it
+    matches the partial sums at integers to about 1e-15 relative."""
     arr = np.asarray(y, dtype=float)
     K = _SUM_ANCHOR
-    far = arr > K
-    S = coefficient_prefix_sums(ell, K if far.any() else max(int(arr.max(initial=0.0)), 1))
+    far, S = arr > K, _anchor_sums(ell)
     out = np.array(S.take(np.where(far, 0.0, arr).astype(int)))
     if far.any():
         out[far] = S[K] + _scaled_spans(ell, math.log(K), arr[far] - K) / K

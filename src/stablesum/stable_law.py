@@ -1,8 +1,9 @@
 """The alpha-stable law in two parametrizations.
 
 SkewedStableParams carries the characteristic-function constants (alpha,
-sigma, D) with log CF  -t*sigma*|u|^alpha*(1 - i*D*sgn u); StandardStable is
-the sampling-side S1 parametrization (alpha, beta, scale) with CF
+sigma, D) with log CF  -t*sigma*|u|^alpha*(1 - i*D*sgn u), written once, in
+log_cf_parts (its slope in log_cf_slope); StandardStable is the
+sampling-side S1 parametrization (alpha, beta, scale) with CF
 exp(-scale^alpha*|u|^alpha*(1 - i*beta*tan(pi*alpha/2)*sgn u)) for alpha < 2
 and exp(-scale^2 u^2) for alpha = 2 (a Gaussian with variance 2*scale^2).
 
@@ -42,6 +43,8 @@ __all__ = [
     "to_standard",
     "from_standard",
     "log_cf",
+    "log_cf_parts",
+    "log_cf_slope",
     "sample",
     "cdf",
     "CdfQuadratureError",
@@ -136,9 +139,32 @@ def from_standard(std: StandardStable) -> SkewedStableParams:
 def log_cf(params: SkewedStableParams, u):
     """log E e^{iuZ_1} = -sigma*|u|^alpha*(1 - i*D*sgn u); real part <= 0."""
     arr = np.asarray(u, dtype=float)
-    mag = params.sigma * np.abs(arr) ** params.alpha
-    out = -mag + 1j * params.D * mag * np.sign(arr)
+    re, im = log_cf_parts(params, arr)
+    out = re + 1j * im
     return complex(out) if arr.ndim == 0 else out
+
+
+def log_cf_parts(params: SkewedStableParams, u):
+    """Re and Im of log_cf, -sigma*|u|^alpha and sigma*D*|u|^alpha*sgn u, as
+    real arrays, so that sums of them stay real; at D = 0 no sign pass is
+    made and Im is a zero with every axis of length 1, which broadcasts
+    against u and its sums."""
+    arr = np.asarray(u, dtype=float)
+    re = np.abs(arr)
+    re **= params.alpha
+    re *= -params.sigma
+    if params.D == 0.0:
+        return re, np.zeros((1,) * arr.ndim)
+    return re, -params.D * re * np.sign(arr)
+
+
+def log_cf_slope(params: SkewedStableParams, u):
+    """|d log_cf / du| = alpha*sigma*|u|^(alpha-1)*hypot(1, D), which turns
+    an error in u into one in log_cf."""
+    arr = np.abs(np.asarray(u, dtype=float))
+    arr **= params.alpha - 1.0
+    arr *= params.alpha * params.sigma * math.hypot(1.0, params.D)
+    return arr
 
 
 def sample(std: StandardStable, n: int, seed) -> np.ndarray:
@@ -318,14 +344,13 @@ _LADDER = 4.0 ** -np.arange(1.0, 7.0)
 _PANEL_MAX_LEVELS = 48
 
 
-def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0),
-               scale=1.0, judge=None):
+def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0), judge=None):
     """Integrals of fn over the span of each owner's points (by default one
     owner on [0, 1]) by G_20/G_40 panels, halved until they fit a budget.
 
     fn(t, owner) gets the nodes t (P x 60) of P panels and the owner of each
     panel, and returns the integrand there: shape (P, 60), or (k, P, 60) for
-    k integrands.  A panel's integrals are scale times G_40; its estimate is
+    k integrands.  A panel's integrals are G_40; its estimate is
     sum_k |G_40 - G_20|, unless judge(g20, g40, half) gives the estimates and
     a mask of panels to accept as they are (g20, g40 are k x P).  An owner's
     budget is atol + rtol |its G_40 total over accepted and pending panels|.
@@ -347,7 +372,7 @@ def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0),
         half = 0.5 * (b - a)
         with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
             vals = fn((0.5 * (a + b))[:, None] + half[:, None] * _PANEL_X, col)
-            parts = scale * half[:, None] * (vals @ _PANEL_W)
+            parts = half[:, None] * (vals @ _PANEL_W)
         finite = np.isfinite(parts)
         if not finite.all():  # halving would never settle it
             i = np.flatnonzero(~finite.all(axis=-1).reshape(-1, a.size).all(axis=0))[0]

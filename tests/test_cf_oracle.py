@@ -37,6 +37,9 @@ from reference import aggregated_coefficients, exact_window_sum, partial_sums, s
 
 ELL1 = constant(1.0)
 SYM15 = SkewedStableParams(1.5, 1.0, 0.0)
+# the reference comparisons run each law: a unit and a non-unit sigma, both
+# skewed, so that a misplaced sigma or D shows
+LAWS = (SkewedStableParams(1.5, 1.0, -0.5), SkewedStableParams(1.5, 2.0, -0.5))
 EPS = np.finfo(float).eps
 finite_floats = st.floats(-20.0, 20.0, allow_nan=False)
 
@@ -459,7 +462,7 @@ class TestWindowClosure:
     each from prefix sums of up to `rows` terms), so the test asserts
     |closure - reference| <= closure estimate + that round-off."""
 
-    PARAMS = SkewedStableParams(1.5, 1.0, -0.5)
+    PARAMS = LAWS[0]
     TIMES = {1: (1.0,), 2: (0.5, 1.0), 3: (0.3, 0.7, 1.0)}
     # the fdd-like vector first; for m > 1 some c changes sign inside a
     # stretch's interior at every N (with one term, m = 1, c cannot)
@@ -473,11 +476,12 @@ class TestWindowClosure:
                              ids=["constant", "log_power"])
     def test_matches_term_by_term_sum(self, ell, N, m):
         U = np.array(self.VECTORS[m]).T
-        got, estimate, UA, kinks = window_closure(ell, self.PARAMS, N, self.TIMES[m], U)
-        want, size = exact_window_sum(ell, self.PARAMS, N, self.TIMES[m], UA)
-        roundoff = floor_index(N, self.TIMES[m][-1]) * np.finfo(float).eps * size
-        assert np.all(np.abs(got - want) <= estimate + roundoff)
-        assert np.all(estimate < 1e-13)
+        for params in LAWS:
+            got, estimate, UA, kinks = window_closure(ell, params, N, self.TIMES[m], U)
+            want, size = exact_window_sum(ell, params, N, self.TIMES[m], UA)
+            roundoff = floor_index(N, self.TIMES[m][-1]) * np.finfo(float).eps * size
+            assert np.all(np.abs(got - want) <= estimate + roundoff)
+            assert np.all(estimate < 1e-13)
 
     @pytest.mark.parametrize("N", [10**5, 10**6])
     @pytest.mark.parametrize("m", [2, 3])
@@ -534,37 +538,37 @@ class TestPastReference:
     K + [N t_m] the length of the longest prefix-sum array either reads,
     so the test asserts |past - reference| <= estimate + that round-off."""
 
-    PARAMS = SkewedStableParams(1.5, 1.0, -0.5)
     K = 30_000
 
-    def check(self, ell, N, times, U, beyond):
-        got, estimate, UA = past_block(ell, self.PARAMS, N, times, U)
+    def check(self, ell, params, N, times, U, beyond):
+        got, estimate, UA = past_block(ell, params, N, times, U)
         B = np.array([floor_index(N, t) for t in times])
         S = coefficient_prefix_sums(ell, self.K + B[-1])
         x = np.arange(1, self.K + 1)[:, None]
-        terms = log_cf(self.PARAMS, (S[x + B] - S[x]) @ UA)
-        tail = beyond(B, UA)
+        terms = log_cf(params, (S[x + B] - S[x]) @ UA)
+        tail = beyond(params, B, UA)
         want = np.array([math.fsum(t.real) + 1j * math.fsum(t.imag) for t in terms.T]) + tail
         scale = np.abs(terms).sum(axis=0) + np.abs(tail)
         assert np.all(np.abs(got - want) <= estimate + (self.K + B[-1]) * EPS * scale)
         assert np.all(estimate < 1e-13)
 
-    def mpmath_beyond(self, B, UA):
-        return np.array([mp_past_beyond(self.PARAMS, B, w, self.K) for w in UA.T])
+    def mpmath_beyond(self, params, B, UA):
+        return np.array([mp_past_beyond(params, B, w, self.K) for w in UA.T])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("N", [10**2, 10**4, 10**6])
     def test_constant_ell_matches_mpmath(self, N, m):
         # at N = 1e4 and 1e6 some of these vectors' c change sign beyond K
         U = np.array(TestWindowClosure.VECTORS[m]).T
-        self.check(ELL1, N, TestWindowClosure.TIMES[m], U, self.mpmath_beyond)
+        for params in LAWS:
+            self.check(ELL1, params, N, TestWindowClosure.TIMES[m], U, self.mpmath_beyond)
 
     def test_constant_ell_grid_matches_mpmath(self):
         # the 65-vector m = 2 grid at N = 100, where the bare midpoint
         # closure was off by 2.7e-11
         fdd = TestPastClosure.FDD
         U = np.column_stack([fdd.freqs] + default_frequency_grid(2))
-        self.check(ELL1, 100, fdd.times, U, self.mpmath_beyond)
+        self.check(ELL1, LAWS[0], 100, fdd.times, U, self.mpmath_beyond)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("N", [10**2, 10**4, 10**6])
@@ -576,12 +580,13 @@ class TestPastReference:
         times = TestWindowClosure.TIMES[m]
         U = np.column_stack([TestWindowClosure.VECTORS[m][0]] + default_frequency_grid(m))
 
-        def beyond(B, UA):
-            seam, _ = seam_term(ell, self.PARAMS, N, times, UA, self.K)
-            tail, _ = cf_oracle._past_closure(ell, UA, list(B), self.PARAMS, self.K)
+        def beyond(params, B, UA):
+            seam, _ = seam_term(ell, params, N, times, UA, self.K)
+            tail, _ = cf_oracle._past_closure(ell, UA, list(B), params, self.K)
             return seam + tail
 
-        self.check(ell, N, times, U, beyond)
+        for params in LAWS:
+            self.check(ell, params, N, times, U, beyond)
 
 
 class TestLimitLogCf:
@@ -592,8 +597,10 @@ class TestLimitLogCf:
         assert limit_log_cf(SYM15, FddSpec((1.0,), (1.0,))) == -1.0
 
     def test_two_point_hand_value(self):
-        got = limit_log_cf(SYM15, FddSpec((1.0, 2.0), (1.0, -1.0)))
-        assert got == pytest.approx(-1.0)
+        # v = (0, -1): psi(-1) = -sigma (1 + i D)
+        fdd = FddSpec((1.0, 2.0), (1.0, -1.0))
+        assert limit_log_cf(SYM15, fdd) == pytest.approx(-1.0)
+        assert limit_log_cf(LAWS[1], fdd) == pytest.approx(-2.0 + 1.0j)
 
     def test_alpha2_quadratic(self):
         params = SkewedStableParams(2.0, 0.7, 0.0)

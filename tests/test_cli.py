@@ -127,6 +127,13 @@ BAD_INPUTS = [
     pytest.param("simulate", "\nn = 20\n", "\nn = -5\n", [], id="simulate-n-negative"),
     pytest.param("verify", "seed = 4242", "seed = -1", [], id="seed-negative"),
     pytest.param("verify", "", "", ["--seed-override", "-1"], id="seed-override-negative"),
+    pytest.param("oracle", "n_list = 20, 50", "n_list = 20, 1000000000000000000000", [],
+                 id="n_list-beyond-2**53"),
+    pytest.param("oracle", "times = 0.5, 1.0", "times = 0.5, 1e300", [], id="n_t_m-beyond-2**53"),
+    pytest.param("simulate", "\nn = 20\n", "\nn = 9007199254740994\n", [],
+                 id="simulate-n-beyond-2**53"),
+    pytest.param("simulate", "n = 20\nt = 1.0", "n = 2251799813685249\nt = 4.0", [],
+                 id="simulate-n-t-beyond-2**53"),
     pytest.param("oracle", "", "", ["--threads", "0"], id="threads-0"),
     pytest.param("oracle", "", "", ["--threads", "-2"], id="threads-negative"),
 ] + [
@@ -271,6 +278,8 @@ class TestOracle:
         (("freqs = 1.0, -0.5", "freqs = 1e300, 1.0"), "non-finite limit log-CF term"),
         (("ell_kind = constant", "ell_kind = log_power\nell_p = 200"),
          "non-finite coefficient weight"),
+        (("ell_kind = constant", "ell_kind = log_power\nell_p = 400"),
+         "non-finite coefficient a_i = ell(i)/i at i = 362"),
     ])
     def test_non_finite_terms_exit_1(self, tmp_path, capsys, change, named):
         # an overflowing term or weight is named in one error line, with no

@@ -50,6 +50,24 @@ class TestFloorIndex:
     def test_below_one(self):
         assert floor_index(3, 0.1) == 0
 
+    def test_large_products_not_snapped(self):
+        # N t near 1e9 and beyond, where a snap relative to N t spans a whole row
+        assert floor_index(10**9 + 1, 1.0) == 1_000_000_001
+        assert floor_index(10**12, 1.0) == 10**12
+        assert floor_index(1_800_000_001, 0.5) == 900_000_000
+
+    @given(st.integers(1, 2**40), st.integers(0, 11), st.data())
+    def test_dyadic_times_exact(self, N, j, data):
+        k = data.draw(st.integers(0, 2 ** (j + 1)))
+        assert floor_index(N, k / 2**j) == (N * k) >> j
+
+    def test_beyond_2_53_refused(self):
+        assert floor_index(2**53, 1.0) == 2**53
+        with pytest.raises(ValueError, match=r"need 0 <= N\*t <= 2\*\*53"):
+            floor_index(2**53 + 2, 1.0)
+        with pytest.raises(ValueError, match=r"need 0 <= N\*t <= 2\*\*53"):
+            floor_index(20, 1e300)
+
 
 class TestTruncationTail:
     def test_integral_comparison(self):
