@@ -22,8 +22,8 @@ that is not finite and positive, a non-finite hook_value, and in verify an
 does not produce; for halpha, an alpha outside (1, 2], an --n that is not a
 finite number >= 1, a bad --c or --p and an h whose H overflows.
 --threads < 1 is a usage error (also exit 2).  A run whose prefix sums,
-path or replicate samples would exceed the memory budget exits 1 before it
-allocates them.
+path or replicate sampling (at its peak) would exceed the memory budget
+exits 1 before it allocates them.
 
 The innovation families hook_zero, hook_const and hook_impulse are
 deterministic inputs for `simulate` (the Hook type); alpha, and every

@@ -18,8 +18,16 @@ Two families are provided, both mean zero by construction:
 
 The ParetoTail layout (x1, the tail masses and the interior interval) is
 deterministic, so it is resolved once per spec (ParetoTail.layout) and shared
-by every draw.  Log-power tails are inverted by a safeguarded Newton iteration
-on ln P(|e| > x) in y = ln x; constant h has a closed form.
+by every draw.  A Pareto sample takes one uniform per draw: the interior
+formula is applied to every draw, the tail draws are gathered once, and one
+inversion call serves both tails, the sign going in with the scatter.
+Constant h inverts in closed form.  Log-power tails are inverted in
+y = ln x by a safeguarded Newton iteration that starts from a per-spec root
+table (ParetoTail._tail_roots, built on first use: 4097 nodes uniform in
+ln(1 + z), z = -ln g, over the sampler's range g >= 1e-300, cubic Hermite
+with the closed-form slope).  The start is within about 3e-14 relative of
+the root, so the unchanged stop rule ends practically every draw after its
+first step, and each draw's value depends on its own uniform alone.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ __all__ = [
     "ParetoLayout",
     "pareto_layout",
     "sample_innovations",
+    "sample_peak_arrays",
 ]
 
 # relative accuracy required of the Pareto tail first-moment quadrature
@@ -61,6 +70,10 @@ _MOMENT_RTOL = 1e-10
 # _NEWTON_RTOL * max(|y|, 1) in y = ln x; raise after _NEWTON_MAX_ITER steps
 _NEWTON_RTOL = 1e-13
 _NEWTON_MAX_ITER = 100
+# floor of the conditional tail survival level g of a draw
+_G_FLOOR = 1e-300
+# nodes of the per-spec root table that starts the log-power inversion
+_TABLE_NODES = 4097
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,11 @@ class ParetoTail:
     def layout(self) -> ParetoLayout:
         """The sampling layout, resolved on first use and kept with the spec."""
         return pareto_layout(self)
+
+    @cached_property
+    def _tail_roots(self) -> _TailRoots:
+        """The root table of the log-power tail inversion, built on first use."""
+        return _tail_root_table(self)
 
 
 def _check_survival_monotone(spec: ParetoTail) -> None:
@@ -243,54 +261,112 @@ def sample_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
     return _sample_pareto_with(spec, n, rng)
 
 
+def sample_peak_arrays(spec: InnovationSpec) -> int:
+    """Bound on the arrays of n doubles that sample_innovations(spec, n, .)
+    holds at once, output included, counted from the samplers: ten in the
+    CMS kernel of stable_law.sample; in the Pareto sampler the output and the
+    uniforms, plus about 13 per tail draw (indices, conditional levels,
+    table start and the Newton step's terms), with every draw counted as a
+    tail draw."""
+    return 10 if isinstance(spec, ExactStable) else 15
+
+
 def _sample_pareto_with(spec: ParetoTail, n: int, rng) -> np.ndarray:
     lay = spec.layout
     q = rng.random(n)
-    left = q < lay.p_left
-    right = q >= lay.p_left + lay.p0
-    out = np.empty(n)
-    interior = ~(left | right)
-    # uniform interior stretch balancing the mean
-    out[interior] = lay.center + lay.width * (
-        2.0 * (q[interior] - lay.p_left) / lay.p0 - 1.0)
-    # conditional survival levels g in (0, 1] per tail
-    if np.any(left):
-        g = np.maximum(q[left] / lay.p_left, 1e-300)
-        out[left] = -_invert_tail_survival(spec, lay.x1, g)
-    if np.any(right):
-        g = np.maximum((1.0 - q[right]) / lay.p_right, 1e-300)
-        out[right] = _invert_tail_survival(spec, lay.x1, g)
+    # uniform interior stretch balancing the mean, formed for every draw;
+    # the tail draws are overwritten below
+    out = lay.center + lay.width * (2.0 * (q - lay.p_left) / lay.p0 - 1.0)
+    tails = np.flatnonzero((q < lay.p_left) | (q >= lay.p_left + lay.p0))
+    q = q[tails]
+    right = q >= lay.p_left
+    # conditional survival level g in (0, 1] within each draw's own tail
+    g = np.where(right, 1.0 - q, q) / np.where(right, lay.p_right, lay.p_left)
+    x = _invert_tail_survival(spec, np.maximum(g, _G_FLOOR, out=g))
+    out[tails] = np.where(right, x, -x)
     return out
 
 
-def _invert_tail_survival(spec: ParetoTail, x1: float, g: np.ndarray) -> np.ndarray:
-    """Solve (x/x1)^-alpha h(x)/h(x1) = g for x >= x1 (vectorized).
+def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:
+    """Solve (x/x1)^-alpha h(x)/h(x1) = g for x >= x1, x1 = spec.layout.x1
+    (vectorized, g in [_G_FLOOR, 1]).
 
-    For h = c ln(e+x)^p the root of f(y) = ln surv(e^y) - ln g,
-    f(y) = -a (y - y1) + p (ln ln(e+e^y) - ln ln(e+x1)) - ln g, is found by
-    Newton steps from the constant-h root.  f strictly decreases
-    (_check_survival_monotone), so each draw keeps a bracket [lo, hi] around
-    its root, and a step that leaves it is replaced by a bisection."""
-    a, h = spec.alpha, spec.h
+    Constant h has the closed form x1 g^(-1/alpha).  For h = c ln(e+x)^p the
+    root y(z) of f(y) = z - a (y - y1) + p (ln ln(e+e^y) - ln ln(e+x1)) in
+    y = ln x, z = -ln g, starts from the spec's root table (_tail_roots: the
+    cubic Hermite interpolant of y(z) on _TABLE_NODES nodes uniform in
+    ln(1 + z) over [0, -ln _G_FLOOR]) and is finished by _newton_tail, whose
+    stop rule certifies the start in one step for practically every draw."""
+    a, h, x1 = spec.alpha, spec.h, spec.layout.x1
     if h.kind == "constant":
         return x1 * g ** (-1.0 / a)
-    p, y1, ln_g = h.p, math.log(x1), np.log(g)
+    z = -np.log(g)
+    return np.exp(_newton_tail(spec, z, spec._tail_roots.start(z)))
+
+
+class _TailRoots(NamedTuple):
+    """Cubic Hermite pieces of the log-power tail root y(z): on node interval
+    k, y = c0 + u (c1 + u (c2 + u c3)) with u = ln(1 + z) * per_step - k;
+    coef holds the rows c0..c3."""
+
+    per_step: float
+    coef: np.ndarray
+
+    def start(self, z: np.ndarray) -> np.ndarray:
+        u = np.log1p(z) * self.per_step
+        k = np.minimum(u.astype(np.intp), _TABLE_NODES - 2)
+        u -= k
+        c0, c1, c2, c3 = self.coef.take(k, axis=1)
+        return c0 + u * (c1 + u * (c2 + u * c3))
+
+
+def _tail_root_table(spec: ParetoTail) -> _TailRoots:
+    """The root y(z) at _TABLE_NODES nodes uniform in s = ln(1 + z), each
+    solved by _newton_tail from the constant-h root y1 + z/alpha, with the
+    closed-form slope dy/ds = (1 + z) dy/dz = -(1 + z)/f'(y)."""
+    a, y1 = spec.alpha, math.log(spec.layout.x1)
+    step = math.log1p(-math.log(_G_FLOOR)) / (_TABLE_NODES - 1)
+    z = np.expm1(step * np.arange(_TABLE_NODES))
+    y = _newton_tail(spec, z, y1 + z / a)
+    _, df = _tail_f(spec, z, y)
+    m = -step * (1.0 + z) / df
+    d = np.diff(y)
+    m0, m1 = m[:-1], m[1:]
+    coef = np.stack([y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+    return _TailRoots(1.0 / step, coef)
+
+
+def _tail_f(spec: ParetoTail, z: np.ndarray, y: np.ndarray):
+    """f(y) and f'(y) for the log-power tail root (see _invert_tail_survival)."""
+    a, p, y1 = spec.alpha, spec.h.p, math.log(spec.layout.x1)
     lnln_x1 = math.log(y1 + math.log1p(math.exp(1.0 - y1)))
-    y = y1 - ln_g / a
-    lo, hi = np.full_like(y, y1), np.full_like(y, np.inf)
+    # ln(e + e^y) = y + ln(1 + e^(1-y)); every iterate stays in [y1, inf),
+    # so e^(1-y) <= e/x1 cannot overflow
+    t = np.exp(1.0 - y)
+    ln_e_plus = y + np.log1p(t)
+    f = z - a * (y - y1) + p * (np.log(ln_e_plus) - lnln_x1)
+    return f, p / ((1.0 + t) * ln_e_plus) - a
+
+
+def _newton_tail(spec: ParetoTail, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton iteration for f(y) = 0 from the start y, per draw.
+
+    f strictly decreases (_check_survival_monotone), so each draw keeps a
+    bracket [lo, hi] around its root, and a step that leaves it is replaced
+    by a bisection.  A draw stops at the first step below
+    _NEWTON_RTOL * max(|y|, 1) and keeps that iterate, so its root depends on
+    its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps."""
+    lo, hi, moving = math.log(spec.layout.x1), np.inf, True
     for _ in range(_NEWTON_MAX_ITER):
-        # ln(e + e^y) = y + ln(1 + e^(1-y)); every iterate stays in
-        # [y1, inf), so e^(1-y) <= e/x1 cannot overflow
-        t = np.exp(1.0 - y)
-        ln_e_plus = y + np.log1p(t)
-        f = -a * (y - y1) + p * (np.log(ln_e_plus) - lnln_x1) - ln_g
-        df = -a + p / ((1.0 + t) * ln_e_plus)
+        f, df = _tail_f(spec, z, y)
         lo = np.where(f > 0.0, y, lo)
         hi = np.where(f < 0.0, y, hi)
         step = y - f / df
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        dy, y = step - y, step
-        if np.all(np.abs(dy) <= _NEWTON_RTOL * np.maximum(np.abs(y), 1.0)):
-            return np.exp(y)
+        step = np.where(moving, step, y)
+        moving = np.abs(step - y) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
+        y = step
+        if not moving.any():
+            return y
     raise RuntimeError(f"tail inversion did not converge in {_NEWTON_MAX_ITER} "
                        "Newton steps")

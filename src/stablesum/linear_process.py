@@ -13,7 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .innovations import ExactStable, InnovationSpec, sample_innovations, tail_constants
+from .innovations import (
+    ExactStable,
+    InnovationSpec,
+    sample_innovations,
+    sample_peak_arrays,
+    tail_constants,
+)
 from .slowly_varying import (
     SlowlyVaryingSpec,
     big_h,
@@ -236,20 +242,25 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     (seed, r), so results are independent of execution order and any degree
     of parallelism.  Each row equals the partial sums of simulate_path on the
     same seed (asserted in tests); the weighted-sum form avoids rebuilding
-    the whole path per replicate.  reps x m beyond MEMORY_BUDGET_ELEMENTS is
-    refused before anything is drawn.
+    the whole path per replicate.  A run whose peak memory would exceed
+    MEMORY_BUDGET_ELEMENTS doubles is refused before anything is built or
+    drawn.  The peak is the larger of two phases: window_weights (the
+    M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K the
+    innovation count) and sampling (W, the reps x m samples and, for each
+    replicate in flight, sample_peak_arrays arrays of K).
     """
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
-    if reps * fdd.m > MEMORY_BUDGET_ELEMENTS:
-        raise ValueError(f"{reps} x {fdd.m} replicate samples exceed the memory "
+    M, m = int(process.truncation), fdd.m
+    K = floor_index(N, fdd.times[-1]) + M - 1
+    in_flight = min(max(threads, 1), reps)
+    peak = max(M + 1 + K * (2 + 4 * m),
+               K * m + reps * m + in_flight * sample_peak_arrays(process.innovation) * K)
+    if peak > MEMORY_BUDGET_ELEMENTS:
+        raise ValueError(f"{reps} replicates of {K} innovations on {in_flight} thread(s) "
+                         f"hold about {peak} elements at their peak, beyond the memory "
                          f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
-    M = int(process.truncation)
-    B_m = floor_index(N, fdd.times[-1])
-    K = B_m + M - 1
-    if K + 1 > MEMORY_BUDGET_ELEMENTS:
-        raise ValueError("replicate innovation buffer exceeds the memory budget")
     W = window_weights(process.ell, N, fdd.times, M)
     A = process_normalizer(process, N)
     out = np.empty((reps, fdd.m))

@@ -396,6 +396,32 @@ class TestVerify:
         assert "memory budget" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text", [
+        BASE.replace("truncation = 200", "truncation = 100000000"),
+        PARETO.replace("alpha = 1.5", "alpha = 1.0001").replace("truncation = 200",
+                                                                "truncation = auto"),
+    ], ids=["stable-1e8", "pareto-auto"])
+    def test_sampling_peak_refused_under_address_limit(self, tmp_path, text):
+        # M = 1e8 passed the old one-array check and then failed to allocate
+        # (or was killed); the peak count refuses it before window_weights
+        import resource
+
+        limit = 1500 * 2**20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        config = write(tmp_path, text + "\n[tolerance]\nmax_ks = 1.0\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "stablesum", "verify", "--config", config,
+             "--out-dir", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "memory budget" in done.stderr
+        assert "Unable to allocate" not in done.stderr
+
 class TestThreads:
     @staticmethod
     def outputs(tmp_path, threads):

@@ -90,44 +90,73 @@ class TestSampling:
 
 def bisection_inverse(spec, x1, g):
     """Reference inverse of the log-power tail survival: bracket growth, then
-    80 bisection steps in log space."""
+    80 bisection steps in y = ln x (x itself would overflow in lo * hi near
+    g = 1e-300)."""
     a, h = spec.alpha, spec.h
-    h1 = eval_sv(h, x1)
+    h1, y1 = eval_sv(h, x1), np.log(x1)
 
-    def surv(x):
-        return (x / x1) ** (-a) * eval_sv(h, x) / h1
+    def surv(y):
+        return np.exp(-a * (y - y1)) * eval_sv(h, np.exp(y)) / h1
 
-    hi = x1 * g ** (-1.0 / a)
+    hi = y1 - np.log(g) / a
     for _ in range(200):
         bad = surv(hi) > g
         if not np.any(bad):
             break
-        hi[bad] *= 4.0
-    lo = np.full_like(hi, x1)
+        hi[bad] += np.log(4.0)
+    lo = np.full_like(hi, y1)
     for _ in range(80):
-        mid = np.sqrt(lo * hi)
+        mid = 0.5 * (lo + hi)
         below = surv(mid) > g
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return np.sqrt(lo * hi)
+    return np.exp(0.5 * (lo + hi))
 
 
 class TestTailInversion:
     @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9])
-    @pytest.mark.parametrize("p", [-2.0, 0.5, 0.9, 1.5])
+    @pytest.mark.parametrize("p", [-2.0, 0.0, 0.5, 0.9, 1.5])
     def test_newton_matches_bisection(self, alpha, p):
+        # down to the sampler's floor g = 1e-300, the last interval of the
+        # root table
         spec = ParetoTail(alpha, 1.0, 3.0, log_power(1.0, p))
-        x1 = spec.layout.x1
-        g = np.concatenate([np.geomspace(1e-16, 1.0, 400), [0.5, 1.0]])
-        got = innovations._invert_tail_survival(spec, x1, g)
-        want = bisection_inverse(spec, x1, g)
+        g = np.concatenate([np.geomspace(1e-300, 1.0, 1200), [1e-16, 0.5, 1.0]])
+        got = innovations._invert_tail_survival(spec, g)
+        want = bisection_inverse(spec, spec.layout.x1, g)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # the root table is solved from the constant-h start, which takes
+        # more than one step: the cap is hit while the table is built
         spec = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.9))
         monkeypatch.setattr(innovations, "_NEWTON_MAX_ITER", 1)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="did not converge in 1 Newton steps"):
             sample_innovations(spec, 1000, 3)
+        assert "_tail_roots" not in vars(spec)
+
+    def test_table_start_converges_in_one_step(self, monkeypatch):
+        # on the law of bench/configs/verify_pareto_logh.ini the table start
+        # is certified by the first Newton step for every draw
+        spec = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))
+        spec._tail_roots
+        monkeypatch.setattr(innovations, "_NEWTON_MAX_ITER", 1)
+        x = sample_innovations(spec, 10**5, 11)
+        assert np.all(np.isfinite(x))
+
+    def test_draw_depends_on_its_own_uniform(self):
+        # each draw leaves the Newton loop on its own step, so a prefix of a
+        # longer sample is the shorter sample, bit for bit
+        spec = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))
+        long = sample_innovations(spec, 10**5, 5)
+        for k in (1, 7, 1000, 33333):
+            np.testing.assert_array_equal(long[:k], sample_innovations(spec, k, 5))
+        # also where draws need different step counts: from the constant-h
+        # start, as the root table is built
+        z = np.geomspace(1e-3, 690.0, 500)
+        y = math.log(spec.layout.x1) + z / spec.alpha
+        whole = innovations._newton_tail(spec, z, y)
+        for k in (1, 50, 499):
+            np.testing.assert_array_equal(whole[:k], innovations._newton_tail(spec, z[:k], y[:k]))
 
 
 class TestTailFirstMoment:

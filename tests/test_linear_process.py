@@ -317,6 +317,51 @@ class TestNormalizedFdd:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("innovation", [
+        exact_stable(1.5, 0.3, 1.0),
+        exact_stable(2.0, 0.0, 1.0),
+        ParetoTail(1.0001, 1.0, 1.0, constant(1.0)),
+        ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
+    ])
+    def test_sampler_peak_within_its_count(self, innovation):
+        # the guard's per-replicate count bounds what the sampler holds, up
+        # to 64 KiB of objects that do not grow with n; the log-power law
+        # has a tail mass of 0.68, the largest here
+        n = 200_000
+        innovations.sample_innovations(innovation, 10, 1)  # layout and root table
+        tracemalloc.start()
+        try:
+            innovations.sample_innovations(innovation, n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * innovations.sample_peak_arrays(innovation) * n + 2**16
+
+    @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (0.2, 0.5, 1.0)])
+    def test_window_weights_peak_within_its_count(self, times):
+        # the guard's window phase, up to 64 KiB that does not grow with K
+        N, M = 1000, 100_000
+        K = N + M - 1
+        tracemalloc.start()
+        try:
+            window_weights(log_power(1.0, -2.0), N, times, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (M + 1 + K * (2 + 4 * len(times))) + 2**16
+
+    @pytest.mark.parametrize("threads, refused", [(1, False), (2, True)])
+    def test_budget_counts_replicates_in_flight(self, monkeypatch, threads, refused):
+        # K = 89 innovations, m = 2: window phase 90 + 89 * 10 = 980; sampling
+        # phase 89 * 2 + 4 * 2 + threads * 10 * 89 = 1076 or 1966
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1500)
+        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 70)
+        if refused:
+            with pytest.raises(ValueError, match="hold about 1966 elements"):
+                normalized_fdd_sample(proc, 20, self.FDD, 4, 1, threads=threads)
+        else:
+            assert normalized_fdd_sample(proc, 20, self.FDD, 4, 1, threads=threads).shape == (4, 2)
+
     def test_stable_normalizer_builds_no_n_array(self):
         # sum_{i<=N} a_i comes from coefficient_sum: the partial sums up to
         # 1000, bit for bit, and the continuation beyond, in flat memory
