@@ -44,10 +44,11 @@ G_20/G_40 panels are bisected until their estimates are within _SPAN_RTOL
 of the integral or the integrand's round-off, about 1e-15 of the log-CF;
 at J = 1e4 the seam's estimate is as small.  The vectors share the prefix
 sums, the exact rows and the distinct panels of the closures, and the
-weight blocks are built in row chunks of bounded size; the prefix sums are
-refused beyond MEMORY_BUDGET_ELEMENTS.  tail_bound adds up the estimates of
-both closures and their end corrections, and a call whose tail_bound
-exceeds tol raises instead of returning.
+weight blocks are built in row chunks of bounded size; prefix sums whose
+peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are refused.
+tail_bound adds up the estimates of both closures and their end
+corrections, and a call whose tail_bound exceeds tol raises instead of
+returning.
 """
 
 from __future__ import annotations
@@ -59,13 +60,7 @@ from itertools import product
 
 import numpy as np
 
-from .linear_process import (
-    MEMORY_BUDGET_ELEMENTS,
-    FddSpec,
-    floor_index,
-    prefix_weights,
-    thread_map,
-)
+from .linear_process import FddSpec, floor_index, prefix_weights, require_budget, thread_map
 from .slowly_varying import (
     SlowlyVaryingSpec,
     _scaled_spans,
@@ -241,7 +236,7 @@ def _closure(params: SkewedStableParams, W: np.ndarray, key, pts, owner, spans, 
         out[2] = log_cf_slope(params, w) * _SPAN_RTOL * np.abs(ug).sum(axis=-1)
         return out * jacobian(t)
 
-    val, err = panel_quad(integrand, rtol=_SPAN_RTOL, atol=0.0, pts=pts, owner=owner,
+    val, err = panel_quad(integrand, rtol=_SPAN_RTOL, pts=pts, owner=owner,
                           judge=_judge(W.shape[1]))
     return val[0] + 1j * val[1], err
 
@@ -392,9 +387,9 @@ class _PrefixSums:
                 merged.append([lo, hi])
         lo, hi = np.array(merged).T
         size = int(np.sum(hi - lo + 1))
-        if size > MEMORY_BUDGET_ELEMENTS:
-            raise ValueError(f"oracle prefix sums need {size} elements, beyond the memory "
-                             f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
+        # a part is built from three arrays of its length (log-power ell),
+        # and the parts are joined into a second copy: three times the size
+        require_budget(3 * size, f"the {size} oracle prefix sums")
         parts = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo, hi)]
         if lo.size > 1:  # the first interval starts at 0, where S is 0
             for part, anchor in zip(parts[1:], coefficient_sum(ell, lo[1:])):

@@ -1,9 +1,12 @@
 """Command-line entry point: simulate | oracle | verify | halpha.
 
 Configuration is a flat INI file with sections mirroring the run blocks
-(process, simulate, fdd, sweep, output, tolerance); see scripts/configs/ for
-annotated examples.  All randomness flows from the [sweep] seed; a missing
-seed is a configuration error, never an implicit clock seed.
+(process, simulate, fdd, sweep, tolerance); see scripts/configs/ for
+annotated examples.  [simulate] n is the length of the simulated path.  The
+[tolerance] keys are the fields of verification.CriteriaConfig, one per
+verdict criterion.  All randomness flows from the [sweep] seed; a missing
+seed is a configuration error, never an implicit clock seed.  `oracle`
+writes oracle.csv and oracle.json, `verify` report.csv and report.json.
 
 `--threads k` (k >= 1) runs the N of the oracle sweep, and the replicates
 of each Monte-Carlo N, on up to k threads; every output is the same for
@@ -11,19 +14,19 @@ every k.  `verify` computes the exact log-CF once per N, in the oracle
 sweep, and takes its ECF target from the sweep row.
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
-failure, 2 configuration error.  Configuration errors include an [sweep]
-n_list that is not strictly increasing or has an N < 1, an N or [N t_m]
-above 2**53 (so also a [simulate] n or [n t]), reps < 2, a negative seed
+failure, 2 configuration error.  Configuration errors include an unknown
+section or key, an [sweep] n_list that is not strictly increasing or has an
+N < 1, an N, [N t_m] or [simulate] n above 2**53, reps < 2, a negative seed
 or --seed-override, a j_tolerance that is not finite and positive,
-non-finite [fdd] times or freqs, [simulate] n < 1, a [simulate]
-t or a [tolerance] max_ks, max_ecf, max_distance_ratio or max_past_ratio
-that is not finite and positive, a non-finite hook_value, and in verify an
-[N t_m] < 1 or a [tolerance] criterion whose column the innovation family
-does not produce; for halpha, an alpha outside (1, 2], an --n that is not a
-finite number >= 1, a bad --c or --p and an h whose H overflows.
---threads < 1 is a usage error (also exit 2).  A run whose prefix sums,
-path or replicate sampling (at its peak) would exceed the memory budget
-exits 1 before it allocates them.
+non-finite [fdd] times or freqs, [simulate] n < 1, a [tolerance] max_ks,
+max_ecf, max_distance_ratio or max_past_ratio that is not finite and
+positive, a non-finite hook_value, and in verify an [N t_m] < 1 or a
+[tolerance] criterion whose column the innovation family does not produce;
+for halpha, an alpha outside (1, 2], an --n that is not a finite number
+>= 1, a bad --c or --p and an h whose H overflows.  --threads < 1 is a
+usage error (also exit 2).  A run whose prefix sums, path or replicate
+sampling would exceed the memory budget at its peak exits 1 before it
+allocates them.
 
 The innovation families hook_zero, hook_const and hook_impulse are
 deterministic inputs for `simulate` (the Hook type); alpha, and every
@@ -40,7 +43,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,7 @@ from .innovations import (
 from .linear_process import (
     _M_FLOOR,
     MAX_INDEX,
+    PATH_PEAK_ARRAYS,
     FddSpec,
     ProcessSpec,
     default_truncation_depth,
@@ -63,6 +67,7 @@ from .linear_process import (
     normalized_fdd_sample,
     path_from_innovations,
     process_normalizer,
+    require_budget,
     simulate_path,
     window_weights,
 )
@@ -99,17 +104,16 @@ class Hook:
         return eps
 
 
+# [tolerance] holds the fields of CriteriaConfig, one per verdict criterion
+_CRITERIA_FIELDS = fields(verification.CriteriaConfig)
 _KNOWN_KEYS = {
     "process": {"ell_kind", "ell_c", "ell_p", "innovation", "alpha", "beta",
                 "scale", "sigma1", "sigma2", "h_kind", "h_c", "h_p", "x0",
                 "hook_value", "truncation"},
-    "simulate": {"n", "t"},
+    "simulate": {"n"},
     "fdd": {"times", "freqs"},
     "sweep": {"n_list", "reps", "seed", "j_tolerance", "sup_grid"},
-    "output": {"formats"},
-    "tolerance": {"max_ks", "max_ecf", "require_decreasing",
-                  "max_distance_ratio", "require_decreasing_past",
-                  "max_past_ratio"},
+    "tolerance": {f.name for f in _CRITERIA_FIELDS},
 }
 
 
@@ -119,14 +123,12 @@ class RunConfig:
     innovation: InnovationSpec | Hook
     truncation: int | str       # an int or "auto"
     simulate_n: int | None
-    simulate_t: float | None
     fdd: FddSpec | None
     n_list: list | None
     reps: int | None
     seed: int | None
     j_tolerance: float
     sup_grid: bool
-    formats: tuple
     criteria: verification.CriteriaConfig
     raw: dict
 
@@ -246,13 +248,9 @@ def parse_config(path) -> RunConfig:
 
     truncation = _get(proc, "truncation", _truncation, default="auto")
 
-    sim = parser["simulate"] if "simulate" in parser else {}
-    simulate_n = _get(sim, "n", int)
-    simulate_t = _get(sim, "t", _positive, default=1.0) if sim else None
-    _require(simulate_n is None or simulate_n >= 1, "need [simulate] n >= 1")
-    _require(simulate_n is None or (simulate_n <= MAX_INDEX
-                                    and simulate_n * simulate_t <= MAX_INDEX),
-             "need [simulate] n and [n t] <= 2**53")
+    simulate_n = _get(parser["simulate"] if "simulate" in parser else {}, "n", int)
+    _require(simulate_n is None or 1 <= simulate_n <= MAX_INDEX,
+             "need 1 <= [simulate] n <= 2**53")
 
     fdd = None
     if "fdd" in parser:
@@ -278,27 +276,15 @@ def parse_config(path) -> RunConfig:
     _require(reps is None or reps >= 2, "need [sweep] reps >= 2")
     _require(seed is None or seed >= 0, "need [sweep] seed >= 0")
 
-    formats = ("csv", "json")
-    if "output" in parser:
-        fmts = _get(parser["output"], "formats", str, default="csv, json")
-        formats = tuple(tok.strip() for tok in fmts.split(",") if tok.strip())
-        bad = set(formats) - {"csv", "json"}
-        if bad:
-            raise ConfigError(f"unknown output format(s): {sorted(bad)}")
-
+    # a flag (default False) is a boolean, a threshold a positive number
     tol = parser["tolerance"] if "tolerance" in parser else {}
-    criteria = verification.CriteriaConfig(
-        max_ks=_get(tol, "max_ks", _positive),
-        max_ecf_distance=_get(tol, "max_ecf", _positive),
-        require_decreasing_distance=_get(tol, "require_decreasing", _bool, default=False),
-        max_distance_ratio=_get(tol, "max_distance_ratio", _positive),
-        require_decreasing_past=_get(tol, "require_decreasing_past", _bool, default=False),
-        max_past_ratio=_get(tol, "max_past_ratio", _positive),
-    )
+    criteria = verification.CriteriaConfig(**{
+        f.name: _get(tol, f.name, _bool if f.default is False else _positive, default=f.default)
+        for f in _CRITERIA_FIELDS})
 
     raw = {s: dict(parser[s]) for s in parser.sections()}
-    return RunConfig(ell, innovation, truncation, simulate_n, simulate_t, fdd,
-                     n_list, reps, seed, j_tol, sup_grid, formats, criteria, raw)
+    return RunConfig(ell, innovation, truncation, simulate_n, fdd,
+                     n_list, reps, seed, j_tol, sup_grid, criteria, raw)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -331,18 +317,16 @@ def _require_seed(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.simulate_n is None:
         raise ConfigError("simulate needs [simulate] n")
-    n, t = cfg.simulate_n, cfg.simulate_t
-    n_out = floor_index(n, t)
-    if n_out < 1:
-        raise ConfigError("need [N*t] >= 1")
-    M = _resolve_truncation(cfg)
+    n, M = cfg.simulate_n, _resolve_truncation(cfg)
     if isinstance(cfg.innovation, Hook):
-        path = path_from_innovations(cfg.ell, M, cfg.innovation.innovations(n_out, M), n_out)
+        require_budget(PATH_PEAK_ARRAYS * (n + M - 1),
+                       f"the {n} values and {n + M - 1} innovations of a path")
+        path = path_from_innovations(cfg.ell, M, cfg.innovation.innovations(n, M), n)
     else:
-        path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, t, _require_seed(cfg))
+        path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
     lines = ["n,x"] + [f"{i},{float(x)!r}" for i, x in enumerate(path, start=1)]
     _atomic_write(out_dir / "simulate.csv", "\n".join(lines) + "\n")
-    print(f"wrote {out_dir / 'simulate.csv'} ({n_out} rows)")
+    print(f"wrote {out_dir / 'simulate.csv'} ({n} rows)")
     return 0
 
 
@@ -364,16 +348,14 @@ def _run_sweep(cfg: RunConfig, threads: int):
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     rows = _run_sweep(cfg, threads)
-    if "csv" in cfg.formats:
-        lines = ["N,distance,past_part,wall_ms"]
-        lines += [f"{r.n},{r.distance!r},{r.past_part!r},{r.wall_ms:.3f}" for r in rows]
-        _atomic_write(out_dir / "oracle.csv", "\n".join(lines) + "\n")
-    if "json" in cfg.formats:
-        doc = {"config": cfg.raw,
-               "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
-                         "wall_ms": r.wall_ms, "j_depth": r.j_depth,
-                         "tail_bound": r.tail_bound} for r in rows]}
-        _atomic_write(out_dir / "oracle.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    lines = ["N,distance,past_part,wall_ms"]
+    lines += [f"{r.n},{r.distance!r},{r.past_part!r},{r.wall_ms:.3f}" for r in rows]
+    _atomic_write(out_dir / "oracle.csv", "\n".join(lines) + "\n")
+    doc = {"config": cfg.raw,
+           "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
+                     "wall_ms": r.wall_ms, "j_depth": r.j_depth,
+                     "tail_bound": r.tail_bound} for r in rows]}
+    _atomic_write(out_dir / "oracle.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for r in rows:
         print(f"N={r.n} distance={r.distance:.6g} past_part={r.past_part:.6g}")
     return 0
@@ -450,10 +432,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                 "truncation": M, "n_list": list(cfg.n_list)}
     report = verification.ConvergenceReport(
         metadata, rows, verification.evaluate_verdicts(rows, cfg.criteria))
-    if "json" in cfg.formats:
-        _atomic_write(out_dir / "report.json", verification.report_to_json(report))
-    if "csv" in cfg.formats:
-        _atomic_write(out_dir / "report.csv", verification.report_rows_to_csv(report))
+    _atomic_write(out_dir / "report.json", verification.report_to_json(report))
+    _atomic_write(out_dir / "report.csv", verification.report_rows_to_csv(report))
     passed = report.passed
     n_pass = sum(report.verdicts.values())
     print(f"verdict={'PASS' if passed else 'FAIL'} ({n_pass}/{len(report.verdicts)} criteria)")

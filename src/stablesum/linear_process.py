@@ -46,11 +46,25 @@ __all__ = [
     "normalized_fdd_sample",
     "thread_map",
     "MEMORY_BUDGET_ELEMENTS",
+    "PATH_PEAK_ARRAYS",
+    "require_budget",
     "MAX_INDEX",
 ]
 
 # refuse path/innovation buffers beyond this many doubles (~1.2 GB)
 MEMORY_BUDGET_ELEMENTS = 150_000_000
+# arrays of K = n + M - 1 doubles that path_from_innovations holds at its
+# peak, its innovations included (tracemalloc: 3 for constant ell, 4 for
+# log-power ell)
+PATH_PEAK_ARRAYS = 4
+
+
+def require_budget(peak: int, what: str) -> None:
+    """A ValueError when `what` (plural) would hold more than
+    MEMORY_BUDGET_ELEMENTS doubles at its peak; called before allocating."""
+    if peak > MEMORY_BUDGET_ELEMENTS:
+        raise ValueError(f"{what} hold about {peak} elements at their peak, beyond the "
+                         f"memory budget of {MEMORY_BUDGET_ELEMENTS} elements")
 
 
 @dataclass(frozen=True)
@@ -177,23 +191,24 @@ def path_from_innovations(ell: SlowlyVaryingSpec, M: int, eps: np.ndarray,
     """
     M, n_out = int(M), int(n_out)
     eps = np.asarray(eps, dtype=float)
-    if eps.shape != (n_out + M - 1,):
-        raise ValueError(f"need len(eps) == n_out + M - 1 = {n_out + M - 1}")
+    if n_out < 1 or eps.shape != (n_out + M - 1,):
+        raise ValueError(f"need n_out >= 1 and len(eps) == n_out + M - 1 = {n_out + M - 1}")
     a = coefficient(ell, np.arange(1, M + 1, dtype=float))
     # direct (FFT-free) convolution: X_n = sum_{i=1..M} a_i eps_{n-i}
     return np.convolve(eps, a, mode="valid")
 
 
-def simulate_path(process: ProcessSpec, N: int, T: float, seed) -> np.ndarray:
-    """One path X_1..X_[NT]; innovations are drawn once, deterministically."""
-    n_out = floor_index(N, T)
-    if n_out < 1:
-        raise ValueError("need [N*T] >= 1")
-    M = int(process.truncation)
-    if n_out + M > MEMORY_BUDGET_ELEMENTS:
-        raise ValueError("requested path exceeds the memory budget")
-    eps = sample_innovations(process.innovation, n_out + M - 1, seed)
-    return path_from_innovations(process.ell, M, eps, n_out)
+def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
+    """One path X_1..X_n; innovations are drawn once, deterministically.
+    The sampler's peak, sample_peak_arrays arrays of K = n + M - 1, is the
+    run's (it is above PATH_PEAK_ARRAYS) and is refused beyond the memory
+    budget before anything is drawn."""
+    n, M = int(n), int(process.truncation)
+    K = n + M - 1
+    require_budget(K * sample_peak_arrays(process.innovation),
+                   f"the {n} values and {K} innovations of a path")
+    eps = sample_innovations(process.innovation, K, seed)
+    return path_from_innovations(process.ell, M, eps, n)
 
 
 def prefix_weights(S: np.ndarray, j, upper, *, cap: int | None = None) -> np.ndarray:
@@ -255,12 +270,9 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     M, m = int(process.truncation), fdd.m
     K = floor_index(N, fdd.times[-1]) + M - 1
     in_flight = min(max(threads, 1), reps)
-    peak = max(M + 1 + K * (2 + 4 * m),
-               K * m + reps * m + in_flight * sample_peak_arrays(process.innovation) * K)
-    if peak > MEMORY_BUDGET_ELEMENTS:
-        raise ValueError(f"{reps} replicates of {K} innovations on {in_flight} thread(s) "
-                         f"hold about {peak} elements at their peak, beyond the memory "
-                         f"budget of {MEMORY_BUDGET_ELEMENTS} elements")
+    require_budget(max(M + 1 + K * (2 + 4 * m),
+                       K * m + reps * m + in_flight * sample_peak_arrays(process.innovation) * K),
+                   f"{reps} replicates of {K} innovations on {in_flight} thread(s)")
     W = window_weights(process.ell, N, fdd.times, M)
     A = process_normalizer(process, N)
     out = np.empty((reps, fdd.m))

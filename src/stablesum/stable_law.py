@@ -344,7 +344,7 @@ _LADDER = 4.0 ** -np.arange(1.0, 7.0)
 _PANEL_MAX_LEVELS = 48
 
 
-def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0), judge=None):
+def panel_quad(fn, *, rtol=1e-12, pts=(0.0, 1.0), owner=(0, 0), judge=None):
     """Integrals of fn over the span of each owner's points (by default one
     owner on [0, 1]) by G_20/G_40 panels, halved until they fit a budget.
 
@@ -353,14 +353,14 @@ def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0), judge=
     k integrands.  A panel's integrals are G_40; its estimate is
     sum_k |G_40 - G_20|, unless judge(g20, g40, half) gives the estimates and
     a mask of panels to accept as they are (g20, g40 are k x P).  An owner's
-    budget is atol + rtol |its G_40 total over accepted and pending panels|.
-    A panel is accepted when its estimate is within 2 * half times the budget
-    (its share of a unit span), when the estimates of its owner, accepted and
-    pending, add up to within the budget, when judge accepts it, or after
-    _PANEL_MAX_LEVELS rounds.  Every other panel is halved; one that starts
-    at t = 0, where a log singularity may sit, becomes a geometric ladder.
-    A panel whose integrals are not finite raises a ValueError that names
-    it, since no halving would settle it.
+    budget is rtol (> 0) times |its G_40 total over accepted and pending
+    panels|.  A panel is accepted when its estimate is within 2 * half times
+    the budget (its share of a unit span), when the estimates of its owner,
+    accepted and pending, add up to within the budget, when judge accepts
+    it, or after _PANEL_MAX_LEVELS rounds.  Every other panel is halved; one
+    that starts at t = 0, where a log singularity may sit, becomes a
+    geometric ladder.  A panel whose integrals are not finite raises a
+    ValueError that names it, since no halving would settle it.
 
     Returns the accepted G_40 totals per owner, shape (n_owner,) or
     (k, n_owner), and the summed estimates per owner."""
@@ -383,11 +383,8 @@ def panel_quad(fn, *, rtol=1e-12, atol=0.0, pts=(0.0, 1.0), owner=(0, 0), judge=
             est, ok = np.abs(g40 - g20).sum(axis=0), False
         else:
             est, ok = judge(g20, g40, half)
-        budget = atol
-        if rtol:
-            pending = np.stack([np.bincount(col, g, n) for g in g40])
-            budget = atol + rtol * np.abs(value + pending).sum(axis=0)
-        budget = np.broadcast_to(budget, (n,))
+        pending = np.stack([np.bincount(col, g, n) for g in g40])
+        budget = rtol * np.abs(value + pending).sum(axis=0)
         settled = err + np.bincount(col, est, n) <= budget
         done = ((est <= 2.0 * half * budget[col]) | ok | settled[col]
                 | (level == _PANEL_MAX_LEVELS))

@@ -3,13 +3,15 @@
 `verify` turns each N of its grid into one ReportRow (the Monte-Carlo ECF
 and KS distances, plus the oracle sweep's distance and past part for exactly
 stable innovations) and verdicts the rows against the [tolerance] criteria.
-Each criterion is one entry of _CRITERIA: the CriteriaConfig field that
-enables it, its verdict key, the ReportRow column it reads and its test."""
+Each criterion is one entry of _CRITERIA: its [tolerance] key, its verdict
+key, the ReportRow column it reads and its test.  CriteriaConfig is built
+from the table, one field per key, and the CLI reads the [tolerance] keys
+and their types from the fields, so each key is spelled once."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
@@ -80,22 +82,6 @@ class ReportRow:
     wall_time_s: float
 
 
-@dataclass(frozen=True)
-class CriteriaConfig:
-    """Thresholds to verdict against; None (or False) disables a check."""
-
-    max_ks: float | None = None
-    max_ecf_distance: float | None = None
-    require_decreasing_distance: bool = False
-    max_distance_ratio: float | None = None
-    require_decreasing_past: bool = False
-    max_past_ratio: float | None = None
-
-    def columns(self) -> set:
-        """The ReportRow columns that the configured criteria read."""
-        return {column for _, column, _, _ in _configured(self)}
-
-
 def _decreasing(col, _):
     return all(a > b for a, b in zip(col, col[1:]))
 
@@ -108,16 +94,32 @@ def _max_below(col, bound):
     return max(col) < bound
 
 
-# one entry per criterion: CriteriaConfig field, verdict key, the ReportRow
-# column it reads, and its test of that column against the field's value
+# one entry per criterion: its [tolerance] key, which is also its
+# CriteriaConfig field, its verdict key, the ReportRow column it reads, and
+# its test of that column against the key's value
 _CRITERIA = (
-    ("require_decreasing_distance", "distance_decreasing", "oracle_distance", _decreasing),
+    ("require_decreasing", "distance_decreasing", "oracle_distance", _decreasing),
     ("max_distance_ratio", "distance_ratio", "oracle_distance", _ratio_below),
     ("require_decreasing_past", "past_decreasing", "past_part", _decreasing),
     ("max_past_ratio", "past_ratio", "past_part", _ratio_below),
     ("max_ks", "ks_max", "ks_marginal", _max_below),
-    ("max_ecf_distance", "ecf_max", "ecf_distance", _max_below),
+    ("max_ecf", "ecf_max", "ecf_distance", _max_below),
 )
+
+
+def _columns(self) -> set:
+    """The ReportRow columns that the configured criteria read."""
+    return {column for _, column, _, _ in _configured(self)}
+
+
+# thresholds to verdict against, one field per _CRITERIA key: a flag
+# (default False) for a _decreasing test, else a number or None; None (or
+# False) disables a check
+CriteriaConfig = make_dataclass(
+    "CriteriaConfig",
+    [(key, bool, field(default=False)) if test is _decreasing
+     else (key, "float | None", field(default=None)) for key, _, _, test in _CRITERIA],
+    namespace={"__module__": __name__, "columns": _columns}, frozen=True)
 
 
 def _configured(criteria: CriteriaConfig):

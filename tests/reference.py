@@ -1,7 +1,7 @@
-"""Reference helpers that only the tests use: aggregated coefficients, path
-partial sums, the standard-parametrization log-CF, empirical tail constants,
-the slowly varying derivative, H for a scalar callable and the oracle's
-in-window block summed term by term.
+"""Reference helpers that only the tests use: aggregated coefficients,
+compensated prefix sums, path partial sums, the standard-parametrization
+log-CF, empirical tail constants, the slowly varying derivative, H for a
+scalar callable and the oracle's in-window block summed term by term.
 
 No CLI or library path needs them; the tests check the package against
 them."""
@@ -17,6 +17,7 @@ from stablesum.linear_process import floor_index, prefix_weights
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     _big_h_integral,
+    coefficient,
     coefficient_prefix_sums,
     eval_sv,
 )
@@ -59,6 +60,19 @@ def aggregated_coefficients(ell: SlowlyVaryingSpec, N: int, times, J: int) -> Ag
     lo = np.minimum(np.maximum(np.asarray([0] + B[:-1]) - j, 0), hi)
     table = (S.take(hi) - S.take(lo)).T
     return AggregatedCoefficients(tuple(B), J, table, S)
+
+
+def compensated_prefix_sums(ell: SlowlyVaryingSpec, K: int) -> np.ndarray:
+    """S[0..K], S[k] = sum_{i<=k} a_i, each within about one rounding of the
+    exact sum of the a_i as rounded: the float64 cumsum plus the cumulated
+    rounding errors of its additions, each taken exactly by TwoSum.  A
+    plain cumsum is off by up to K eps S[K]."""
+    a = coefficient(ell, np.arange(1.0, K + 1.0))
+    s = np.cumsum(a)
+    prev = np.concatenate([[0.0], s[:-1]])
+    b = s - prev
+    err = (prev - (s - b)) + (a - b)
+    return np.concatenate([[0.0], s + np.cumsum(err)])
 
 
 def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from stablesum import cf_oracle, stable_law
+from stablesum import cf_oracle, linear_process, stable_law
 from stablesum.cf_oracle import (
     cf_convergence_sweep,
     default_frequency_grid,
@@ -25,7 +25,6 @@ from stablesum.linear_process import (
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     coefficient,
-    coefficient_prefix_sums,
     coefficient_sum,
     constant,
     eval_sv,
@@ -33,7 +32,13 @@ from stablesum.slowly_varying import (
 from stablesum.stable_law import SkewedStableParams, log_cf
 from stablesum.verification import ecf
 
-from reference import aggregated_coefficients, exact_window_sum, partial_sums, sv_derivative
+from reference import (
+    aggregated_coefficients,
+    compensated_prefix_sums,
+    exact_window_sum,
+    partial_sums,
+    sv_derivative,
+)
 
 ELL1 = constant(1.0)
 SYM15 = SkewedStableParams(1.5, 1.0, 0.0)
@@ -257,6 +262,28 @@ class TestExactFddLogCf:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log_power", 1.0, 1.0)],
+                             ids=["constant", "log_power"])
+    @pytest.mark.parametrize("spans", [[(0, 300_000)],
+                                       [(0, 1), (100_000, 250_000), (400_000, 500_000)]],
+                             ids=["one", "three"])
+    def test_prefix_sums_peak_within_its_count(self, monkeypatch, ell, spans):
+        # the guard counts three times the size: one element fewer in the
+        # budget refuses the prefix sums, and building them holds no more,
+        # up to 64 KiB that does not grow with the size
+        count = 3 * sum(hi - lo + 1 for lo, hi in spans)
+        monkeypatch.setattr(linear_process, "MEMORY_BUDGET_ELEMENTS", count - 1)
+        with pytest.raises(ValueError, match=f"hold about {count} elements"):
+            cf_oracle._PrefixSums(ell, spans)
+        monkeypatch.setattr(linear_process, "MEMORY_BUDGET_ELEMENTS", count)
+        tracemalloc.start()
+        try:
+            cf_oracle._PrefixSums(ell, spans)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + 2**16
 
     def test_skewed_params_complex_value(self):
         params = SkewedStableParams(1.5, 1.0, -0.5)
@@ -530,26 +557,32 @@ class TestWindowClosure:
 
 class TestPastReference:
     """The past block against references that share no closure code with
-    it: its rows to depth K = 3e4 summed term by term from one float64
-    prefix-sum array, and beyond K an mpmath sum of the digamma series
-    (constant ell, mp_past_beyond) or, for log-power ell, the rows summed by
-    math.fsum and the oracle's own closure moved out to depth K.  Both
-    sides carry round-off of at most rows * eps * sum_j |psi(c_j)|, rows =
-    K + [N t_m] the length of the longest prefix-sum array either reads,
-    so the test asserts |past - reference| <= estimate + that round-off."""
+    it: its rows to depth K = 3e4 summed by math.fsum from compensated
+    prefix sums, each within about one rounding of the exact sum, and
+    beyond K an mpmath sum of the digamma series (constant ell,
+    mp_past_beyond) or, for log-power ell, the oracle's own closure moved
+    out to depth K.  The oracle's prefix sums and spans are accurate to
+    _SPAN_RTOL of S, which moves a row's psi(c) by at most |psi'(c)|
+    _SPAN_RTOL sum_i |w_i| (S[x + b_i] + S[x]), and the tail beyond K by
+    alpha _SPAN_RTOL |tail|; its row sums add log2(K) eps sum |psi|.  So
+    the test asserts |past - reference| <= estimate + that round-off, which
+    at N = 1e6 is below the seam's end term in every case."""
 
     K = 30_000
 
     def check(self, ell, params, N, times, U, beyond):
         got, estimate, UA = past_block(ell, params, N, times, U)
         B = np.array([floor_index(N, t) for t in times])
-        S = coefficient_prefix_sums(ell, self.K + B[-1])
+        S = compensated_prefix_sums(ell, self.K + B[-1])
         x = np.arange(1, self.K + 1)[:, None]
-        terms = log_cf(params, (S[x + B] - S[x]) @ UA)
+        c = (S[x + B] - S[x]) @ UA
+        terms = log_cf(params, c)
         tail = beyond(params, B, UA)
         want = np.array([math.fsum(t.real) + 1j * math.fsum(t.imag) for t in terms.T]) + tail
-        scale = np.abs(terms).sum(axis=0) + np.abs(tail)
-        assert np.all(np.abs(got - want) <= estimate + (self.K + B[-1]) * EPS * scale)
+        moved = stable_law.log_cf_slope(params, c) * ((S[x + B] + S[x]) @ np.abs(UA))
+        roundoff = (cf_oracle._SPAN_RTOL * (moved.sum(axis=0) + params.alpha * np.abs(tail))
+                    + math.log2(self.K) * EPS * (np.abs(terms).sum(axis=0) + np.abs(tail)))
+        assert np.all(np.abs(got - want) <= estimate + roundoff)
         assert np.all(estimate < 1e-13)
 
     def mpmath_beyond(self, params, B, UA):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stablesum import cf_oracle, cli
+from stablesum import linear_process as lp
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import coefficient, constant
+from stablesum.verification import CriteriaConfig
 
 BASE = """
 [process]
@@ -26,7 +29,6 @@ truncation = 200
 
 [simulate]
 n = 20
-t = 1.0
 
 [fdd]
 times = 0.5, 1.0
@@ -100,6 +102,33 @@ class TestParse:
         code = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, line, replacement", [
+        ("simulate", "\nn = 20\n", "\nn = 20\nt = 1.0\n"),
+        ("oracle", "seed = 4242", "seed = 4242\n\n[output]\nformats = csv"),
+    ], ids=["simulate-t", "output"])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, command, line, replacement):
+        # the path length is [simulate] n alone, and every run writes both
+        # its CSV and its JSON: t and [output] are unknown
+        code = main([command, "--config", write(tmp_path, BASE.replace(line, replacement)),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: unknown") and err.count("\n") == 1
+        assert cli._KNOWN_KEYS.keys() == {"process", "simulate", "fdd", "sweep", "tolerance"}
+        assert sum(map(len, cli._KNOWN_KEYS.values())) == 29
+
+    def test_tolerance_keys_are_the_criteria(self, tmp_path):
+        # each [tolerance] key sets the CriteriaConfig field of its name
+        keys = ["max_ks", "max_ecf", "require_decreasing", "max_distance_ratio",
+                "require_decreasing_past", "max_past_ratio"]
+        assert cli._KNOWN_KEYS["tolerance"] == set(keys)
+        values = ["0.5", "0.25", "true", "0.75", "yes", "0.125"]
+        text = BASE + "\n[tolerance]\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys, values))
+        assert parse_config(write(tmp_path, text)).criteria == CriteriaConfig(
+            max_ks=0.5, max_ecf=0.25, require_decreasing=True, max_distance_ratio=0.75,
+            require_decreasing_past=True, max_past_ratio=0.125)
+        assert parse_config(write(tmp_path, BASE, "bare.ini")).criteria == CriteriaConfig()
+
     def test_bad_domain_is_config_error(self, tmp_path):
         bad = BASE.replace("alpha = 1.5", "alpha = 0.5")
         with pytest.raises(ConfigError):
@@ -120,10 +149,6 @@ BAD_INPUTS = [
     pytest.param("oracle", "seed = 4242", "seed = 4242\nj_tolerance = inf", [], id="j_tol-inf"),
     pytest.param("oracle", "freqs = 1.0, -0.5", "freqs = 1.0, nan", [], id="freqs-nan"),
     pytest.param("oracle", "freqs = 1.0, -0.5", "freqs = inf, -0.5", [], id="freqs-inf"),
-    pytest.param("simulate", "t = 1.0", "t = 0", [], id="t-zero"),
-    pytest.param("simulate", "t = 1.0", "t = -1.0", [], id="t-negative"),
-    pytest.param("simulate", "t = 1.0", "t = nan", [], id="t-nan"),
-    pytest.param("simulate", "t = 1.0", "t = inf", [], id="t-inf"),
     pytest.param("simulate", "\nn = 20\n", "\nn = -5\n", [], id="simulate-n-negative"),
     pytest.param("verify", "seed = 4242", "seed = -1", [], id="seed-negative"),
     pytest.param("verify", "", "", ["--seed-override", "-1"], id="seed-override-negative"),
@@ -132,7 +157,8 @@ BAD_INPUTS = [
     pytest.param("oracle", "times = 0.5, 1.0", "times = 0.5, 1e300", [], id="n_t_m-beyond-2**53"),
     pytest.param("simulate", "\nn = 20\n", "\nn = 9007199254740994\n", [],
                  id="simulate-n-beyond-2**53"),
-    pytest.param("simulate", "n = 20\nt = 1.0", "n = 2251799813685249\nt = 4.0", [],
+    # no t, so no [n t]: refused as an unknown key
+    pytest.param("simulate", "\nn = 20\n", "\nn = 2251799813685249\nt = 4.0\n", [],
                  id="simulate-n-t-beyond-2**53"),
     pytest.param("oracle", "", "", ["--threads", "0"], id="threads-0"),
     pytest.param("oracle", "", "", ["--threads", "-2"], id="threads-negative"),
@@ -141,6 +167,10 @@ BAD_INPUTS = [
                  id=f"{key}-{value}")
     for key in ("max_ks", "max_ecf", "max_distance_ratio", "max_past_ratio")
     for value in ("nan", "inf", "0", "-1")
+] + [
+    # [simulate] t is no key: the path length is [simulate] n, whatever t says
+    pytest.param("simulate", "\nn = 20\n", f"\nn = 20\nt = {value}\n", [], id=f"t-{name}")
+    for name, value in (("zero", "0"), ("negative", "-1.0"), ("nan", "nan"), ("inf", "inf"))
 ] + [
     pytest.param("simulate", "innovation = stable",
                  f"innovation = hook_const\nhook_value = {value}", [], id=f"hook_value-{value}")
@@ -196,6 +226,39 @@ class TestSimulate:
         main(["simulate", "--config", path, "--out-dir", str(tmp_path / "b")])
         assert ((tmp_path / "a" / "simulate.csv").read_bytes()
                 == (tmp_path / "b" / "simulate.csv").read_bytes())
+
+    @pytest.mark.parametrize("innovation", ["stable", "hook_impulse"])
+    def test_path_peak_refused_under_address_limit(self, tmp_path, innovation):
+        # n = 30, M = 1e8: the one-array check passed the stable path, the
+        # hook route had none, and both failed to allocate 763 MiB
+        text = BASE.replace("truncation = 200", "truncation = 100000000").replace(
+            "\nn = 20\n", "\nn = 30\n").replace("innovation = stable", f"innovation = {innovation}")
+        refused_under_address_limit(tmp_path, "simulate", text)
+
+    @pytest.mark.parametrize("ell", ["constant", "log_power\nell_p = -2.0"],
+                             ids=["constant", "log_power"])
+    def test_hook_path_peak_within_its_count(self, tmp_path, monkeypatch, ell):
+        # the hook route counts PATH_PEAK_ARRAYS arrays of K = n + M - 1: one
+        # element fewer in the budget refuses it before the innovations are
+        # built, and the route holds no more than that count, up to 64 KiB
+        # that does not grow with K
+        n, M = 30, 200_000
+        count = lp.PATH_PEAK_ARRAYS * (n + M - 1)
+        cfg = parse_config(write(tmp_path, BASE.replace("ell_kind = constant", f"ell_kind = {ell}")
+                                 .replace("innovation = stable", "innovation = hook_impulse")
+                                 .replace("truncation = 200", f"truncation = {M}")
+                                 .replace("\nn = 20\n", f"\nn = {n}\n")))
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
+        with pytest.raises(ValueError, match=f"hold about {count} elements"):
+            cli.cmd_simulate(cfg, tmp_path / "refused")
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_simulate(cfg, tmp_path / "out") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + 2**16
 
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         text = BASE.replace("seed = 4242", "")
@@ -404,23 +467,30 @@ class TestVerify:
     def test_sampling_peak_refused_under_address_limit(self, tmp_path, text):
         # M = 1e8 passed the old one-array check and then failed to allocate
         # (or was killed); the peak count refuses it before window_weights
-        import resource
+        refused_under_address_limit(tmp_path, "verify", text + "\n[tolerance]\nmax_ks = 1.0\n")
 
-        limit = 1500 * 2**20
 
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+def refused_under_address_limit(tmp_path, command, text):
+    """Runs the CLI in a subprocess whose address space is capped at 1500
+    MiB: the run must exit 1 naming the memory budget, not fail to
+    allocate."""
+    import resource
 
-        src = Path(__file__).resolve().parents[1] / "src"
-        config = write(tmp_path, text + "\n[tolerance]\nmax_ks = 1.0\n")
-        done = subprocess.run(
-            [sys.executable, "-m", "stablesum", "verify", "--config", config,
-             "--out-dir", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap,
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 1, done.stderr
-        assert "memory budget" in done.stderr
-        assert "Unable to allocate" not in done.stderr
+    limit = 1500 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "stablesum", command, "--config", write(tmp_path, text),
+         "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "memory budget" in done.stderr
+    assert "Unable to allocate" not in done.stderr
+
 
 class TestThreads:
     @staticmethod

@@ -186,13 +186,45 @@ class TestPath:
 
     def test_simulate_deterministic(self):
         proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 50)
-        np.testing.assert_array_equal(simulate_path(proc, 20, 1.0, 77),
-                                      simulate_path(proc, 20, 1.0, 77))
+        np.testing.assert_array_equal(simulate_path(proc, 20, 77),
+                                      simulate_path(proc, 20, 77))
 
     def test_memory_guard(self):
         proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 10**9)
         with pytest.raises(ValueError):
-            simulate_path(proc, 10**9, 1.0, 1)
+            simulate_path(proc, 10**9, 1)
+
+    def test_empty_path_rejected(self):
+        # n = 0 passes the length check of eps (M - 1 values), and the
+        # convolution would return two values
+        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 5)
+        with pytest.raises(ValueError, match="n_out >= 1"):
+            simulate_path(proc, 0, 1)
+
+    @pytest.mark.parametrize("ell", [ELL1, log_power(1.0, -2.0)], ids=["constant", "log_power"])
+    @pytest.mark.parametrize("innovation", [
+        exact_stable(1.5, 0.3, 1.0),
+        ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
+    ], ids=["stable", "pareto"])
+    def test_peak_within_its_count(self, monkeypatch, ell, innovation):
+        # the guard counts sample_peak_arrays arrays of K = n + M - 1: one
+        # element fewer in the budget refuses the path, and the path holds
+        # no more than that count, up to 64 KiB that does not grow with K
+        n, M = 30, 200_000
+        count = innovations.sample_peak_arrays(innovation) * (n + M - 1)
+        proc = ProcessSpec(ell, innovation, M)
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
+        with pytest.raises(ValueError, match=f"hold about {count} elements"):
+            simulate_path(proc, n, 3)
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count)
+        innovations.sample_innovations(innovation, 10, 1)  # layout and root table
+        tracemalloc.start()
+        try:
+            simulate_path(proc, n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + 2**16
 
 
 class TestPartialSums:
@@ -291,7 +323,7 @@ class TestNormalizedFdd:
         rows = normalized_fdd_sample(proc, N, self.FDD, reps, seed)
         A = process_normalizer(proc, N)
         for r in range(reps):
-            path = simulate_path(proc, N, self.FDD.times[-1], [seed, r])
+            path = simulate_path(proc, floor_index(N, self.FDD.times[-1]), [seed, r])
             want = partial_sums(path, N, self.FDD.times) / A
             np.testing.assert_allclose(rows[r], want, rtol=1e-12, atol=1e-14)
 

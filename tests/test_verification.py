@@ -118,7 +118,7 @@ def _report(criteria, rows=None, metadata=None):
 
 class TestReport:
     def test_oracle_only_marks_mc_absent(self):
-        rep = _report(CriteriaConfig(require_decreasing_distance=True), _rows(mc=False))
+        rep = _report(CriteriaConfig(require_decreasing=True), _rows(mc=False))
         assert all(r.ecf_distance is None and r.ks_marginal is None for r in rep.rows)
         assert rep.verdicts == {"distance_decreasing": True}
         assert rep.passed
@@ -130,15 +130,15 @@ class TestReport:
                 == report_to_json(b, include_timing=False))
 
     def test_verdicts_recomputable_from_rows(self):
-        criteria = CriteriaConfig(max_ks=0.02, require_decreasing_distance=True,
+        criteria = CriteriaConfig(max_ks=0.02, require_decreasing=True,
                                   max_distance_ratio=0.9)
         rep = _report(criteria)
         assert rep.verdicts == {"distance_decreasing": True, "distance_ratio": True,
                                 "ks_max": True}
 
     def test_every_criterion_verdicts_its_column(self):
-        criteria = CriteriaConfig(max_ks=0.014, max_ecf_distance=0.02,
-                                  require_decreasing_distance=True, max_distance_ratio=0.5,
+        criteria = CriteriaConfig(max_ks=0.014, max_ecf=0.02,
+                                  require_decreasing=True, max_distance_ratio=0.5,
                                   require_decreasing_past=True, max_past_ratio=0.7)
         assert evaluate_verdicts(_rows(), criteria) == {
             "ks_max": False, "ecf_max": True, "distance_decreasing": True,
@@ -150,7 +150,7 @@ class TestReport:
         assert CriteriaConfig().columns() == set()
         assert CriteriaConfig(max_ks=0.1).columns() == {"ks_marginal"}
         assert CriteriaConfig(require_decreasing_past=True).columns() == {"past_part"}
-        assert CriteriaConfig(require_decreasing_distance=False,
+        assert CriteriaConfig(require_decreasing=False,
                               max_distance_ratio=0.9).columns() == {"oracle_distance"}
 
     def test_failing_verdict(self):
