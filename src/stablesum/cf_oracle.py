@@ -60,7 +60,7 @@ from itertools import product
 
 import numpy as np
 
-from .linear_process import FddSpec, floor_index, prefix_weights, require_budget, thread_map
+from .linear_process import FddSpec, floor_index, prefix_weights, require_budget
 from .slowly_varying import (
     SlowlyVaryingSpec,
     _scaled_spans,
@@ -486,7 +486,7 @@ class SweepRow:
 
 def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
                          fdd: FddSpec, n_list, *, tol: float = 1e-8,
-                         freq_grid=None, threads: int = 1) -> list:
+                         freq_grid=None) -> list:
     """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
     the fdd's frequencies and freq_grid when given); past_part tracks the
     past-block magnitude at the fdd's own frequencies and log_cf is the
@@ -494,8 +494,7 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
     differs from a call without the grid only within both calls' tail_bound
     and round-off.  A row whose tail_bound exceeds tol raises.
 
-    One exact_fdd_log_cf call per N; the N run on up to `threads` threads
-    (thread_map) and the rows do not depend on the thread count."""
+    One exact_fdd_log_cf call per N, in order."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
@@ -511,4 +510,4 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
         return SweepRow(n, dist, abs(out.past_part), wall, out.j_depth,
                         out.tail_bound, out.value)
 
-    return thread_map(row, n_list, threads)
+    return [row(n) for n in n_list]

@@ -8,10 +8,11 @@ verdict criterion.  All randomness flows from the [sweep] seed; a missing
 seed is a configuration error, never an implicit clock seed.  `oracle`
 writes oracle.csv and oracle.json, `verify` report.csv and report.json.
 
-`--threads k` (k >= 1) runs the N of the oracle sweep, and the replicates
-of each Monte-Carlo N, on up to k threads; every output is the same for
-every k.  `verify` computes the exact log-CF once per N, in the oracle
-sweep, and takes its ECF target from the sweep row.
+`--threads k` (k >= 1) sets the replicates of `verify` only: those of each
+Monte-Carlo N run on up to k threads, and every output is the same for
+every k.  `simulate` and `oracle` accept the flag and run on one thread.
+`verify` computes the exact log-CF once per N, in the oracle sweep, and
+takes its ECF target from the sweep row.
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure, 2 configuration error.  Configuration errors include an unknown
@@ -336,18 +337,18 @@ def _oracle_params(cfg: RunConfig) -> SkewedStableParams:
     return innovation_cf_params(cfg.innovation)
 
 
-def _run_sweep(cfg: RunConfig, threads: int):
+def _run_sweep(cfg: RunConfig):
     params = _oracle_params(cfg)
     if cfg.fdd is None or cfg.n_list is None:
         raise ConfigError("oracle needs [fdd] and [sweep] n_list")
     grid = cf_oracle.default_frequency_grid(cfg.fdd.m) if cfg.sup_grid else None
     return cf_oracle.cf_convergence_sweep(
         cfg.ell, params, cfg.fdd, cfg.n_list,
-        tol=cfg.j_tolerance, freq_grid=grid, threads=threads)
+        tol=cfg.j_tolerance, freq_grid=grid)
 
 
-def cmd_oracle(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    rows = _run_sweep(cfg, threads)
+def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
+    rows = _run_sweep(cfg)
     lines = ["N,distance,past_part,wall_ms"]
     lines += [f"{r.n},{r.distance!r},{r.past_part!r},{r.wall_ms:.3f}" for r in rows]
     _atomic_write(out_dir / "oracle.csv", "\n".join(lines) + "\n")
@@ -368,7 +369,7 @@ def _marginal_cdf_target(cfg: RunConfig, N: int, M: int):
         # a nonnegative-weight sum of i.i.d. stables keeps beta and scales by
         # the l^alpha norm of the weights
         law = cfg.innovation.law
-        W = window_weights(cfg.ell, N, fdd.times, M)[:, -1]
+        W = window_weights(cfg.ell, N, fdd.times[-1:], M)[:, 0]
         A = process_normalizer(ProcessSpec(cfg.ell, cfg.innovation, M), N)
         agg = float(np.sum(np.abs(W / A) ** law.alpha)) ** (1.0 / law.alpha)
         return StandardStable(law.alpha, law.beta, law.scale * agg)
@@ -408,7 +409,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
 
     if stable:
-        sweep = _run_sweep(cfg, threads)
+        sweep = _run_sweep(cfg)
     else:
         sweep = [None] * len(cfg.n_list)
         limit = cf_oracle.limit_log_cf(innovation_cf_params(cfg.innovation), cfg.fdd)
@@ -492,7 +493,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "oracle":
-            return cmd_oracle(cfg, out_dir, args.threads)
+            return cmd_oracle(cfg, out_dir)
         return cmd_verify(cfg, out_dir, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

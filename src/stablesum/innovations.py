@@ -16,18 +16,20 @@ Two families are provided, both mean zero by construction:
                     empirically recoverable; x0 is a floor the threshold must
                     clear (x_t >= x0 is validated).
 
+The survival (s1+s2) x^-a h(x) is written once, in ln x (_log_survival):
+the mass check at x0, the monotonicity check, the threshold and the tail
+inversion all read it, and log-power roots are found by one safeguarded
+Newton iteration (_newton_tail) in the offset ln(x / x_ref).
+
 The ParetoTail layout (x1, the tail masses and the interior interval) is
 deterministic, so it is resolved once per spec (ParetoTail.layout) and shared
 by every draw.  A Pareto sample takes one uniform per draw: the interior
 formula is applied to every draw, the tail draws are gathered once, and one
 inversion call serves both tails, the sign going in with the scatter.
-Constant h inverts in closed form.  Log-power tails are inverted in
-y = ln x by a safeguarded Newton iteration that starts from a per-spec root
-table (ParetoTail._tail_roots, built on first use: 4097 nodes uniform in
-ln(1 + z), z = -ln g, over the sampler's range g >= 1e-300, cubic Hermite
-with the closed-form slope).  The start is within about 3e-14 relative of
-the root, so the unchanged stop rule ends practically every draw after its
-first step, and each draw's value depends on its own uniform alone.
+Constant h inverts in closed form.  Log-power Newton starts from a per-spec
+root table (ParetoTail._tail_roots, built on first use) within about 3e-14
+of the root, so practically every draw stops after its first step, and each
+draw's value depends on its own uniform alone.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ __all__ = [
 
 # relative accuracy required of the Pareto tail first-moment quadrature
 _MOMENT_RTOL = 1e-10
-# Newton inversion of log-power tails: stop once every step is below
-# _NEWTON_RTOL * max(|y|, 1) in y = ln x; raise after _NEWTON_MAX_ITER steps
+# log-power Newton roots: stop once every step is below
+# _NEWTON_RTOL * max(|w|, 1) in w = ln(x / x_ref); raise after _NEWTON_MAX_ITER steps
 _NEWTON_RTOL = 1e-13
 _NEWTON_MAX_ITER = 100
 # floor of the conditional tail survival level g of a draw
@@ -96,35 +98,44 @@ class ParetoTail:
     def __post_init__(self):
         if not (1.0 < self.alpha <= 2.0):
             raise ValueError("need alpha in (1, 2]")
-        if self.sigma1 < 0.0 or self.sigma2 < 0.0 or self.sigma1 + self.sigma2 <= 0.0:
-            raise ValueError("need sigma1, sigma2 >= 0 with sigma1 + sigma2 > 0")
+        try:
+            from_tail_constants(self.alpha, self.sigma1, self.sigma2)
+        except ValueError:
+            raise ValueError("need sigma1, sigma2 >= 0 with sigma1 + sigma2 > 0 and a "
+                             "finite CF scale") from None
         if not (self.x0 > 0.0):
             raise ValueError("need x0 > 0")
-        _check_survival_monotone(self)
-        if self._two_sided_tail(self.x0) < 1.0 - 1e-12:
+        # S must decrease past x0, so its log-slope must be negative at x0 and
+        # at x* = e*(p/a - 1), where a*ln(e+x) - p*x/(e+x) is least; and
+        # ln S(x0) is _log_survival plus its constant at x_ref = 1
+        x_star = math.e * (self.h.p / self.alpha - 1.0)
+        log_s, slope = _log_survival(self, np.log([self.x0, max(x_star, self.x0)]), 0.0)
+        if np.any(slope >= 0.0):
+            raise ValueError("survival x^-alpha h(x) is not monotone past x0; "
+                             "reduce the log-power exponent")
+        log_s += math.log(self.sigma1 + self.sigma2) + math.log(self.h.c)
+        if log_s[0] < math.log1p(-1e-12):
             raise ValueError("tail constants carry less than unit mass beyond "
                              "x0; exact tails need (s1+s2)*x0^-a*h(x0) >= 1")
+        if not math.isfinite(self.threshold):
+            raise ValueError("need (s1+s2)*c and the support threshold within the double range")
 
-    def _two_sided_tail(self, x: float) -> float:
-        return (self.sigma1 + self.sigma2) * x ** (-self.alpha) * eval_sv(self.h, x)
-
-    @property
+    @cached_property
     def threshold(self) -> float:
-        """Support threshold x_t: the point where the two-sided tail mass
-        (s1+s2)*x^-a*h(x) equals 1."""
-        total = self.sigma1 + self.sigma2
-        if self.h.kind == "constant":
-            return (total * self.h.c) ** (1.0 / self.alpha)
-        lo = hi = self.x0
-        while self._two_sided_tail(hi) > 1.0:
-            lo, hi = hi, hi * 4.0
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if self._two_sided_tail(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return math.sqrt(lo * hi)
+        """Support threshold x_t, where S(x) = (s1+s2)*x^-a*h(x) = 1 (inf beyond
+        the double range): x_c = ((s1+s2) c)^(1/a) for constant h, else x_c e^w
+        with w >= ln(x0/x_c) the root of ln S(x_c e^w) = 0 (_newton_tail, level
+        ln((s1+s2) c x_c^-a), x_c's rounding error), which keeps the digits
+        that e^(ln x_t) would round away."""
+        total, c, a = self.sigma1 + self.sigma2, self.h.c, self.alpha
+        x_c = (total * c) ** (1.0 / a)
+        if self.h.kind == "constant" or not math.isfinite(x_c):
+            return x_c
+        y_c = math.log(x_c)
+        z = math.log(total * c / x_c / x_c ** (a - 1.0))
+        w = _newton_tail(self, z, 0.0, math.log(self.x0) - y_c, y_c)
+        with np.errstate(over="ignore"):
+            return float(x_c * np.exp(w))
 
     @cached_property
     def layout(self) -> ParetoLayout:
@@ -135,22 +146,6 @@ class ParetoTail:
     def _tail_roots(self) -> _TailRoots:
         """The root table of the log-power tail inversion, built on first use."""
         return _tail_root_table(self)
-
-
-def _check_survival_monotone(spec: ParetoTail) -> None:
-    # x^-a h(x) must strictly decrease past x0, i.e. a*ln(e+x) > p*x/(e+x).
-    # For p > 0 the left-minus-right gap is minimized at x* = e*(p/a - 1).
-    if spec.h.kind != "log_power" or spec.h.p <= 0.0:
-        return
-    p, a = spec.h.p, spec.alpha
-    candidates = [spec.x0]
-    x_star = math.e * (p / a - 1.0)
-    if x_star > spec.x0:
-        candidates.append(x_star)
-    for x in candidates:
-        if a * math.log(math.e + x) <= p * x / (math.e + x):
-            raise ValueError("survival x^-alpha h(x) is not monotone past x0; "
-                             "reduce the log-power exponent")
 
 
 InnovationSpec = Union[ExactStable, ParetoTail]
@@ -263,12 +258,12 @@ def sample_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
 
 def sample_peak_arrays(spec: InnovationSpec) -> int:
     """Bound on the arrays of n doubles that sample_innovations(spec, n, .)
-    holds at once, output included, counted from the samplers: ten in the
-    CMS kernel of stable_law.sample; in the Pareto sampler the output and the
-    uniforms, plus about 13 per tail draw (indices, conditional levels,
-    table start and the Newton step's terms), with every draw counted as a
-    tail draw."""
-    return 10 if isinstance(spec, ExactStable) else 15
+    holds at once, output included: ten in the CMS kernel; in the Pareto
+    sampler the output plus, per tail draw (every draw counted as one), a
+    side flag, index, uniform and level, and then the root, its negation and
+    the scatter (constant h: 7.125 in all) or -ln g, the table start's
+    position, node, four coefficient rows and two Horner terms (14.125)."""
+    return 10 if isinstance(spec, ExactStable) else 8 if spec.h.kind == "constant" else 15
 
 
 def _sample_pareto_with(spec: ParetoTail, n: int, rng) -> np.ndarray:
@@ -288,29 +283,30 @@ def _sample_pareto_with(spec: ParetoTail, n: int, rng) -> np.ndarray:
 
 
 def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:
-    """Solve (x/x1)^-alpha h(x)/h(x1) = g for x >= x1, x1 = spec.layout.x1
-    (vectorized, g in [_G_FLOOR, 1]).
-
-    Constant h has the closed form x1 g^(-1/alpha).  For h = c ln(e+x)^p the
-    root y(z) of f(y) = z - a (y - y1) + p (ln ln(e+e^y) - ln ln(e+x1)) in
-    y = ln x, z = -ln g, starts from the spec's root table (_tail_roots: the
-    cubic Hermite interpolant of y(z) on _TABLE_NODES nodes uniform in
-    ln(1 + z) over [0, -ln _G_FLOOR]) and is finished by _newton_tail, whose
-    stop rule certifies the start in one step for practically every draw."""
+    """Solve S(x) / S(x1) = g for x >= x1 = spec.layout.x1, vectorized over
+    g in [_G_FLOOR, 1]: x1 g^(-1/alpha) for constant h, else x1 e^w with w
+    the root of z + ln(S(x1 e^w) / S(x1)), z = -ln g, started from the spec's
+    root table (_tail_roots: cubic Hermite in w(z) on _TABLE_NODES nodes
+    uniform in ln(1 + z) over [0, -ln _G_FLOOR]) and finished by
+    _newton_tail, whose stop rule certifies the start in one step for
+    practically every draw."""
     a, h, x1 = spec.alpha, spec.h, spec.layout.x1
     if h.kind == "constant":
         return x1 * g ** (-1.0 / a)
     z = -np.log(g)
-    return np.exp(_newton_tail(spec, z, spec._tail_roots.start(z)))
+    w = spec._tail_roots.start(z)
+    z -= spec._tail_roots.level
+    return x1 * np.exp(_newton_tail(spec, z, w, 0.0, math.log(x1)))
 
 
 class _TailRoots(NamedTuple):
-    """Cubic Hermite pieces of the log-power tail root y(z): on node interval
-    k, y = c0 + u (c1 + u (c2 + u c3)) with u = ln(1 + z) * per_step - k;
-    coef holds the rows c0..c3."""
+    """Cubic Hermite pieces of the log-power tail root w(z): on node interval
+    k, w = c0 + u (c1 + u (c2 + u c3)) with u = ln(1 + z) * per_step - k;
+    coef holds the rows c0..c3, level is _log_survival at x1 itself."""
 
     per_step: float
     coef: np.ndarray
+    level: float
 
     def start(self, z: np.ndarray) -> np.ndarray:
         u = np.log1p(z) * self.per_step
@@ -321,52 +317,53 @@ class _TailRoots(NamedTuple):
 
 
 def _tail_root_table(spec: ParetoTail) -> _TailRoots:
-    """The root y(z) at _TABLE_NODES nodes uniform in s = ln(1 + z), each
-    solved by _newton_tail from the constant-h root y1 + z/alpha, with the
-    closed-form slope dy/ds = (1 + z) dy/dz = -(1 + z)/f'(y)."""
-    a, y1 = spec.alpha, math.log(spec.layout.x1)
+    """The root w(z) at _TABLE_NODES nodes uniform in s = ln(1 + z), each
+    solved by _newton_tail from the constant-h root z/alpha, with the
+    closed-form slope dw/ds = (1 + z) dw/dz = -(1 + z)/f'(w)."""
+    y1 = math.log(spec.layout.x1)
+    level = float(_log_survival(spec, 0.0, y1)[0])
     step = math.log1p(-math.log(_G_FLOOR)) / (_TABLE_NODES - 1)
     z = np.expm1(step * np.arange(_TABLE_NODES))
-    y = _newton_tail(spec, z, y1 + z / a)
-    _, df = _tail_f(spec, z, y)
+    w = _newton_tail(spec, z - level, z / spec.alpha, 0.0, y1)
+    _, df = _log_survival(spec, w, y1)
     m = -step * (1.0 + z) / df
-    d = np.diff(y)
+    d = np.diff(w)
     m0, m1 = m[:-1], m[1:]
-    coef = np.stack([y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
-    return _TailRoots(1.0 / step, coef)
+    coef = np.stack([w[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+    return _TailRoots(1.0 / step, coef, level)
 
 
-def _tail_f(spec: ParetoTail, z: np.ndarray, y: np.ndarray):
-    """f(y) and f'(y) for the log-power tail root (see _invert_tail_survival)."""
-    a, p, y1 = spec.alpha, spec.h.p, math.log(spec.layout.x1)
-    lnln_x1 = math.log(y1 + math.log1p(math.exp(1.0 - y1)))
-    # ln(e + e^y) = y + ln(1 + e^(1-y)); every iterate stays in [y1, inf),
-    # so e^(1-y) <= e/x1 cannot overflow
+def _log_survival(spec: ParetoTail, w, y_ref: float):
+    """ln S(x) - ln((s1+s2) c x_ref^-a) = p ln ln(e + x) - a w at
+    x = x_ref e^w, x_ref = e^y_ref, and its slope in w, for the two-sided
+    survival S(x) = (s1+s2) x^-a c ln(e + x)^p (p = 0: constant h).  From
+    y = ln x alone, ln(e + x) = y + ln(1 + e^(1-y)), so no power of x
+    overflows; below y = -36 it is 1 in doubles, and y is held there."""
+    a, p = spec.alpha, spec.h.p
+    y = np.maximum(y_ref + w, -36.0)
     t = np.exp(1.0 - y)
     ln_e_plus = y + np.log1p(t)
-    f = z - a * (y - y1) + p * (np.log(ln_e_plus) - lnln_x1)
-    return f, p / ((1.0 + t) * ln_e_plus) - a
+    return p * np.log(ln_e_plus) - a * w, p / ((1.0 + t) * ln_e_plus) - a
 
 
-def _newton_tail(spec: ParetoTail, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton iteration for f(y) = 0 from the start y, per draw.
-
-    f strictly decreases (_check_survival_monotone), so each draw keeps a
-    bracket [lo, hi] around its root, and a step that leaves it is replaced
-    by a bisection.  A draw stops at the first step below
-    _NEWTON_RTOL * max(|y|, 1) and keeps that iterate, so its root depends on
-    its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps."""
-    lo, hi, moving = math.log(spec.layout.x1), np.inf, True
+def _newton_tail(spec: ParetoTail, z, w, lo: float, y_ref: float):
+    """Safeguarded Newton iteration for the root w >= lo of the decreasing
+    f(w) = z + _log_survival(spec, w, y_ref) from the start w, per element
+    of z.  Each element keeps a bracket [lo, hi] around its root, a step
+    that leaves it is replaced by a bisection, and it stops at the first
+    step below _NEWTON_RTOL * max(|w|, 1), keeping that iterate, so its root
+    depends on its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps."""
+    hi, moving = np.inf, True
     for _ in range(_NEWTON_MAX_ITER):
-        f, df = _tail_f(spec, z, y)
-        lo = np.where(f > 0.0, y, lo)
-        hi = np.where(f < 0.0, y, hi)
-        step = y - f / df
+        f, df = _log_survival(spec, w, y_ref)
+        f += z
+        lo = np.where(f > 0.0, w, lo)
+        hi = np.where(f < 0.0, w, hi)
+        step = w - f / df
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        step = np.where(moving, step, y)
-        moving = np.abs(step - y) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
-        y = step
+        step = np.where(moving, step, w)
+        moving = np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
+        w = step
         if not moving.any():
-            return y
-    raise RuntimeError(f"tail inversion did not converge in {_NEWTON_MAX_ITER} "
-                       "Newton steps")
+            return w
+    raise RuntimeError(f"log-survival root did not converge in {_NEWTON_MAX_ITER} Newton steps")

@@ -44,7 +44,6 @@ __all__ = [
     "window_weights",
     "process_normalizer",
     "normalized_fdd_sample",
-    "thread_map",
     "MEMORY_BUDGET_ELEMENTS",
     "PATH_PEAK_ARRAYS",
     "require_budget",
@@ -255,14 +254,16 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
 
     Replicate r draws its innovations from the counter-derived seed
     (seed, r), so results are independent of execution order and any degree
-    of parallelism.  Each row equals the partial sums of simulate_path on the
-    same seed (asserted in tests); the weighted-sum form avoids rebuilding
-    the whole path per replicate.  A run whose peak memory would exceed
-    MEMORY_BUDGET_ELEMENTS doubles is refused before anything is built or
-    drawn.  The peak is the larger of two phases: window_weights (the
-    M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K the
-    innovation count) and sampling (W, the reps x m samples and, for each
-    replicate in flight, sample_peak_arrays arrays of K).
+    of parallelism.  The replicates run in up to `threads` chunks on a
+    thread pool, the package's only one; at threads <= 1 they run inline in
+    the calling thread.  Each row equals the partial sums of simulate_path
+    on the same seed (asserted in tests); the weighted-sum form avoids
+    rebuilding the whole path per replicate.  A run whose peak memory would
+    exceed MEMORY_BUDGET_ELEMENTS doubles is refused before anything is
+    built or drawn.  The peak is the larger of two phases: window_weights
+    (the M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K
+    the innovation count) and sampling (W, the reps x m samples and, for
+    each replicate in flight, sample_peak_arrays arrays of K).
     """
     reps = int(reps)
     if reps < 1:
@@ -277,24 +278,17 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     A = process_normalizer(process, N)
     out = np.empty((reps, fdd.m))
     step = -(-reps // max(threads, 1))
+    starts = range(0, reps, step)
 
     def fill(r0):
         for r in range(r0, min(r0 + step, reps)):
             eps = sample_innovations(process.innovation, K, [seed, r])
             out[r] = eps @ W / A
 
-    thread_map(fill, range(0, reps, step), threads)
+    if len(starts) == 1:  # threads <= 1 or a single replicate: no pool
+        fill(0)
+    else:
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            list(pool.map(fill, starts))
     return out
 
-
-def thread_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], in order, on up to `threads` worker threads.
-
-    With threads <= 1 (or a single item) everything runs inline in the
-    calling thread, with no pool.  Results never depend on the thread count
-    as long as fn(x) depends on x alone."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -684,7 +684,7 @@ class TestSweep:
 
     def test_rows_carry_exact_value_in_order(self):
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
-        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [20, 50, 100], threads=2)
+        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [20, 50, 100])
         assert [r.n for r in rows] == [20, 50, 100]
         for r in rows:
             assert r.log_cf == exact_fdd_log_cf(ELL1, SYM15, r.n, fdd).value

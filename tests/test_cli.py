@@ -175,6 +175,15 @@ BAD_INPUTS = [
     pytest.param("simulate", "innovation = stable",
                  f"innovation = hook_const\nhook_value = {value}", [], id=f"hook_value-{value}")
     for value in ("nan", "inf")
+] + [
+    # laws whose CF scale is not a finite positive double
+    pytest.param("verify", "scale = 1.0", f"scale = {value}", [], id=f"scale-{value}")
+    for value in ("1e300", "1e-320")
+] + [
+    pytest.param("verify", "innovation = stable",
+                 f"innovation = pareto\nsigma1 = {s1}\nsigma2 = {s2}", [],
+                 id=f"pareto-sigma1-{s1}-sigma2-{s2}")
+    for s1, s2 in (("nan", "1.0"), ("1.0", "inf"), ("1e308", "1.0"))
 ]
 
 
@@ -450,6 +459,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: non-finite integral") and "allocate" not in err
+
+    @pytest.mark.parametrize("law", [
+        "x0 = 1e-300", "x0 = 1e-300\nh_kind = log_power\nh_p = 0.5",
+        "h_kind = log_power\nh_c = 1e300", "h_kind = log_power\nh_c = 1e300\nh_p = 0.5",
+        "h_kind = log_power\nh_c = 1e230\nh_p = 0.5",
+    ], ids=["x0-constant", "x0-log_power", "h_c-1e300", "h_c-1e300-p", "h_c-1e230-p"])
+    def test_extreme_pareto_laws_run_without_warning(self, tmp_path, capsys, law):
+        # x0^-a overflowed in the mass check, and the x-form bisection put a
+        # threshold beyond 2**512 at inf (tail masses 0, or non-finite samples)
+        text = PARETO.replace("truncation = 200", f"truncation = 200\n{law}")
+        path = write(tmp_path, text + "\n[tolerance]\nmax_ks = 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", path, "--out-dir", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+        assert all(np.isfinite([r["ecf_distance"], r["ks_marginal"]]).all() for r in rows)
 
     def test_replicate_budget_exit_1(self, tmp_path, capsys):
         text = BASE.replace("reps = 60", "reps = 10000000000")

@@ -84,7 +84,7 @@ class TestSampling:
 
     def test_infeasible_threshold_rejected(self):
         # tails too light to carry unit mass beyond x0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"exact tails need \(s1\+s2\)\*x0\^-a\*h\(x0\) >= 1"):
             ParetoTail(1.5, 0.1, 0.1, constant(1.0), x0=1.0)
 
 
@@ -153,10 +153,79 @@ class TestTailInversion:
         # also where draws need different step counts: from the constant-h
         # start, as the root table is built
         z = np.geomspace(1e-3, 690.0, 500)
-        y = math.log(spec.layout.x1) + z / spec.alpha
-        whole = innovations._newton_tail(spec, z, y)
+        y1 = math.log(spec.layout.x1)
+        whole = innovations._newton_tail(spec, z, y1 + z / spec.alpha, y1, y1)
         for k in (1, 50, 499):
-            np.testing.assert_array_equal(whole[:k], innovations._newton_tail(spec, z[:k], y[:k]))
+            part = innovations._newton_tail(spec, z[:k], y1 + z[:k] / spec.alpha, y1, y1)
+            np.testing.assert_array_equal(whole[:k], part)
+
+
+def bisection_threshold(spec):
+    """Reference support threshold: bracket growth by 4 from x0, then 200
+    bisection steps at the geometric midpoint, in x (finite only up to
+    2**512, where lo * hi overflows)."""
+    def mass(x):
+        return (spec.sigma1 + spec.sigma2) * x ** (-spec.alpha) * eval_sv(spec.h, x)
+
+    lo = hi = spec.x0
+    while mass(hi) > 1.0:
+        lo, hi = hi, hi * 4.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if mass(mid) > 1.0 else (lo, mid)
+    return math.sqrt(lo * hi)
+
+
+def log_mass(spec, x):
+    """ln((s1+s2) x^-a h(x)) at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        return float(mp.log(spec.sigma1 + spec.sigma2) - spec.alpha * mp.log(x)
+                     + mp.log(spec.h.c) + spec.h.p * mp.log(mp.log(mp.e + x)))
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("alpha, s1, s2, c, p, x0", [
+        (1.5, 1.0, 2.0, 1.0, 0.5, 1.0),
+        (1.2, 1.0, 1.0, 1.0, 3.0, 1.0),
+        (1.05, 1.0, 3.0, 1.0, -2.0, 1.0),
+        (1.9, 0.3, 3.0, 2.0, 0.9, 0.5),
+        (2.0, 1.0, 1.0, 1e100, 2.0, 1.0),
+    ])
+    def test_matches_bisection(self, alpha, s1, s2, c, p, x0):
+        # the Newton root of ln S agrees with the x-form bisection wherever
+        # that is finite
+        spec = ParetoTail(alpha, s1, s2, log_power(c, p), x0=x0)
+        assert spec.threshold == pytest.approx(bisection_threshold(spec), rel=1e-14, abs=0.0)
+        assert abs(log_mass(spec, spec.threshold)) < 1e-13
+
+    @pytest.mark.parametrize("c, p", [(1e230, 0.5), (1e300, 0.0), (1e300, 0.5)])
+    def test_beyond_2_512_solves_in_logs(self, c, p):
+        # the x-form bisection overflowed here: sqrt(lo * hi) was inf near
+        # 2**512 (1.3e154) and beyond
+        spec = ParetoTail(1.5, 1.0, 2.0, log_power(c, p))
+        assert 1e153 < spec.threshold < math.inf
+        assert abs(log_mass(spec, spec.threshold)) < 1e-13
+        assert math.isinf(bisection_threshold(spec))
+        lay = spec.layout
+        assert lay.p_left > 0.0 and lay.p_right > 0.0 and math.isfinite(lay.x1)
+
+    @pytest.mark.parametrize("h", [constant(1.0), log_power(1.0, 0.5)],
+                             ids=["constant", "log_power"])
+    def test_tiny_x0_accepted(self, h):
+        # x0^-a overflowed a double in the x-form mass check
+        tiny = ParetoTail(1.5, 1.0, 2.0, h, x0=1e-300)
+        plain = ParetoTail(1.5, 1.0, 2.0, h)
+        assert tiny.threshold == pytest.approx(plain.threshold, rel=1e-15, abs=0.0)
+        assert abs(log_mass(tiny, tiny.threshold)) < 1e-13
+
+    @pytest.mark.parametrize("h, s", [(log_power(1e308, 3.0), 1.0), (constant(1e300), 1e300)],
+                             ids=["log_power", "constant"])
+    def test_threshold_beyond_double_range_rejected(self, h, s):
+        with pytest.raises(ValueError, match="within the double range"):
+            ParetoTail(1.01, s, s, h)
 
 
 class TestTailFirstMoment:
@@ -270,7 +339,7 @@ class TestValidation:
 
     def test_nonmonotone_survival_rejected(self):
         # steep positive log power destroys monotonicity of x^-a h(x)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not monotone past x0; reduce the log-power"):
             ParetoTail(1.01, 1.0, 1.0, SlowlyVaryingSpec("log_power", 1.0, 8.0))
 
     def test_sample_size(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -20,7 +21,6 @@ from stablesum.linear_process import (
     path_from_innovations,
     process_normalizer,
     simulate_path,
-    thread_map,
     truncation_tail,
     window_weights,
 )
@@ -286,21 +286,28 @@ class TestNormalizedFdd:
         b = normalized_fdd_sample(proc, 30, self.FDD, 8, 123)
         np.testing.assert_array_equal(a, b)
 
-    def test_threads_do_not_change_values(self):
+    def test_threads_do_not_change_values(self, monkeypatch):
+        # one thread draws every replicate inline in the caller, more use the
+        # pool; the values are the same either way
+        idents = []
+        draw = lp.sample_innovations
+
+        def recorded(*args):
+            idents.append(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(lp, "sample_innovations", recorded)
         for innovation in (exact_stable(1.5, 0.0, 1.0),
                            ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))):
             proc = ProcessSpec(ELL1, innovation, 40)
             # threads first, so a Pareto layout is first resolved concurrently
             b = normalized_fdd_sample(proc, 30, self.FDD, 9, 5, threads=3)
+            assert threading.get_ident() not in idents
+            idents.clear()
             a = normalized_fdd_sample(proc, 30, self.FDD, 9, 5)
+            assert set(idents) == {threading.get_ident()}
+            idents.clear()
             np.testing.assert_array_equal(a, b)
-
-    def test_thread_map_keeps_order_and_runs_inline_at_one_thread(self):
-        items = list(range(7))
-        for threads in (0, 1, 3):
-            assert thread_map(lambda x: x * x, items, threads) == [x * x for x in items]
-        caller = threading.get_ident()
-        assert set(thread_map(lambda _: threading.get_ident(), items, 1)) == {caller}
 
     def test_pareto_layout_resolved_once(self, monkeypatch):
         calls = []
@@ -354,11 +361,12 @@ class TestNormalizedFdd:
         exact_stable(2.0, 0.0, 1.0),
         ParetoTail(1.0001, 1.0, 1.0, constant(1.0)),
         ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
+        ParetoTail(1.0001, 1.0, 1.0, log_power(1.0, 3.0)),
     ])
     def test_sampler_peak_within_its_count(self, innovation):
         # the guard's per-replicate count bounds what the sampler holds, up
-        # to 64 KiB of objects that do not grow with n; the log-power law
-        # has a tail mass of 0.68, the largest here
+        # to 64 KiB of objects that do not grow with n; the log-power laws
+        # have a tail mass of 0.68 and 0.69, the largest here
         n = 200_000
         innovations.sample_innovations(innovation, 10, 1)  # layout and root table
         tracemalloc.start()
@@ -368,6 +376,25 @@ class TestNormalizedFdd:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * innovations.sample_peak_arrays(innovation) * n + 2**16
+
+    @pytest.mark.parametrize("h, count", [(constant(1.0), 8), (log_power(1.0, 0.5), 15)],
+                             ids=["constant", "log_power"])
+    def test_pareto_peak_counts_every_draw_as_a_tail_draw(self, h, count):
+        # with an interior mass of 2e-13 every draw is a tail draw, the case
+        # the count is derived for: 7.125 and 14.125 arrays of n, rounded up
+        spec = ParetoTail(1.0001, 1.0, 1.0, h)
+        assert innovations.sample_peak_arrays(spec) == count
+        innovations.sample_innovations(spec, 10, 1)
+        vars(spec)["layout"] = dataclasses.replace(spec.layout, p_left=0.5 - 1e-13,
+                                                   p_right=0.5 - 1e-13, p0=2e-13)
+        n = 200_000
+        tracemalloc.start()
+        try:
+            innovations.sample_innovations(spec, n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * (count - 1) * n < peak <= 8 * count * n + 2**16
 
     @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (0.2, 0.5, 1.0)])
     def test_window_weights_peak_within_its_count(self, times):
