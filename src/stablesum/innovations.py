@@ -13,8 +13,8 @@ Two families are provided, both mean zero by construction:
                     construction with no centering shift distorting the tails
                     (an additive shift would bias finite-quantile tail-constant
                     recovery).  Exact tails are what make the stored constants
-                    empirically recoverable; x0 is a floor the threshold must
-                    clear (x_t >= x0 is validated).
+                    empirically recoverable; x_t >= x0 (to the mass check's
+                    1e-12 tolerance).
 
 The survival (s1+s2) x^-a h(x) is written once, in ln x (_log_survival):
 the mass check at x0, the monotonicity check, the threshold and the tail
@@ -117,23 +117,25 @@ class ParetoTail:
         if log_s[0] < math.log1p(-1e-12):
             raise ValueError("tail constants carry less than unit mass beyond "
                              "x0; exact tails need (s1+s2)*x0^-a*h(x0) >= 1")
-        if not math.isfinite(self.threshold):
+        if not (0.0 < self.threshold < math.inf):
             raise ValueError("need (s1+s2)*c and the support threshold within the double range")
 
     @cached_property
     def threshold(self) -> float:
-        """Support threshold x_t, where S(x) = (s1+s2)*x^-a*h(x) = 1 (inf beyond
-        the double range): x_c = ((s1+s2) c)^(1/a) for constant h, else x_c e^w
-        with w >= ln(x0/x_c) the root of ln S(x_c e^w) = 0 (_newton_tail, level
-        ln((s1+s2) c x_c^-a), x_c's rounding error), which keeps the digits
-        that e^(ln x_t) would round away."""
+        """Support threshold x_t, where S(x) = (s1+s2)*x^-a*h(x) = 1 (0 or inf
+        beyond the double range): x_c = ((s1+s2) c)^(1/a) for constant h, else
+        x_c e^w, w the root of ln S(x_c e^w) = 0 above lo = ln(x0/x_c), unique
+        as S decreases past x0 from S(x0) >= 1 (the law checks), by
+        _newton_tail from max(0, lo) (S may also reach 1 below x0) at level
+        ln((s1+s2) c x_c^-a), which keeps the digits e^(ln x_t) rounds away."""
         total, c, a = self.sigma1 + self.sigma2, self.h.c, self.alpha
         x_c = (total * c) ** (1.0 / a)
-        if self.h.kind == "constant" or not math.isfinite(x_c):
+        if self.h.kind == "constant" or not (0.0 < x_c < math.inf):
             return x_c
         y_c = math.log(x_c)
         z = math.log(total * c / x_c / x_c ** (a - 1.0))
-        w = _newton_tail(self, z, 0.0, math.log(self.x0) - y_c, y_c)
+        lo = math.log(self.x0) - y_c
+        w = _newton_tail(self, z, max(0.0, lo), lo, y_c)
         with np.errstate(over="ignore"):
             return float(x_c * np.exp(w))
 

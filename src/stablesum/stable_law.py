@@ -86,11 +86,9 @@ class StandardStable:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError("need scale > 0")
         try:
-            sigma = self.scale ** self.alpha   # the CF scale of from_standard
-        except OverflowError:
-            sigma = math.inf
-        if not 0.0 < sigma < math.inf:
-            raise ValueError("need scale^alpha, the CF scale, a finite double > 0")
+            from_standard(self)
+        except (ValueError, OverflowError):
+            raise ValueError("need scale^alpha, the CF scale, a finite double > 0") from None
 
 
 def stable_tail_constant(alpha: float) -> float:

@@ -153,10 +153,10 @@ class TestTailInversion:
         # also where draws need different step counts: from the constant-h
         # start, as the root table is built
         z = np.geomspace(1e-3, 690.0, 500)
-        y1 = math.log(spec.layout.x1)
-        whole = innovations._newton_tail(spec, z, y1 + z / spec.alpha, y1, y1)
+        level, y1 = spec._tail_roots.level, math.log(spec.layout.x1)
+        whole = innovations._newton_tail(spec, z - level, z / spec.alpha, 0.0, y1)
         for k in (1, 50, 499):
-            part = innovations._newton_tail(spec, z[:k], y1 + z[:k] / spec.alpha, y1, y1)
+            part = innovations._newton_tail(spec, z[:k] - level, z[:k] / spec.alpha, 0.0, y1)
             np.testing.assert_array_equal(whole[:k], part)
 
 
@@ -193,11 +193,15 @@ class TestThreshold:
         (1.05, 1.0, 3.0, 1.0, -2.0, 1.0),
         (1.9, 0.3, 3.0, 2.0, 0.9, 0.5),
         (2.0, 1.0, 1.0, 1e100, 2.0, 1.0),
+        # S rises below x0 = 1000 and S = 1 there too, near 0.039: the root
+        # is sought above x0 alone
+        (1.2, 0.00916, 0.00916, 1.0, 8.0, 1000.0),
     ])
     def test_matches_bisection(self, alpha, s1, s2, c, p, x0):
         # the Newton root of ln S agrees with the x-form bisection wherever
         # that is finite
         spec = ParetoTail(alpha, s1, s2, log_power(c, p), x0=x0)
+        assert spec.threshold >= x0
         assert spec.threshold == pytest.approx(bisection_threshold(spec), rel=1e-14, abs=0.0)
         assert abs(log_mass(spec, spec.threshold)) < 1e-13
 
@@ -221,11 +225,16 @@ class TestThreshold:
         assert tiny.threshold == pytest.approx(plain.threshold, rel=1e-15, abs=0.0)
         assert abs(log_mass(tiny, tiny.threshold)) < 1e-13
 
-    @pytest.mark.parametrize("h, s", [(log_power(1e308, 3.0), 1.0), (constant(1e300), 1e300)],
-                             ids=["log_power", "constant"])
-    def test_threshold_beyond_double_range_rejected(self, h, s):
+    @pytest.mark.parametrize("alpha, h, s, x0", [
+        (1.01, log_power(1e308, 3.0), 1.0, 1.0),
+        (1.01, constant(1e300), 1e300, 1.0),
+        # (s1+s2)*c underflows to 0 while ln S(x0) >= 0 passes the mass check
+        (1.5, log_power(1e-200, 0.5), 1e-200, 1e-300),
+        (1.5, constant(1e-200), 1e-200, 1e-300),
+    ], ids=["log_power", "constant", "log_power_underflow", "constant_underflow"])
+    def test_threshold_beyond_double_range_rejected(self, alpha, h, s, x0):
         with pytest.raises(ValueError, match="within the double range"):
-            ParetoTail(1.01, s, s, h)
+            ParetoTail(alpha, s, s, h, x0=x0)
 
 
 class TestTailFirstMoment:
