@@ -21,8 +21,9 @@ N < 1, an N, [N t_m] or [simulate] n above 2**53, reps < 2, a negative seed
 or --seed-override, a j_tolerance that is not finite and positive,
 non-finite [fdd] times or freqs, [simulate] n < 1, a [tolerance] max_ks,
 max_ecf, max_distance_ratio or max_past_ratio that is not finite and
-positive, a non-finite hook_value, and in verify an [N t_m] < 1 or a
-[tolerance] criterion whose column the innovation family does not produce;
+positive, a non-finite hook_value, and in verify an [N t_m] < 1, a
+[tolerance] criterion whose column the innovation family does not produce
+or a Pareto h whose H overflows on the way to H_alpha(N);
 for halpha, an alpha outside (1, 2], an --n that is not a finite number
 >= 1, a bad --c or --p and an h whose H overflows.  --threads < 1 is a
 usage error (also exit 2).  A run whose prefix sums, path or replicate
@@ -56,17 +57,16 @@ from .innovations import (
     ParetoTail,
     exact_stable,
     innovation_cf_params,
+    tail_constants,
 )
 from .linear_process import (
     _M_FLOOR,
     MAX_INDEX,
-    PATH_PEAK_ARRAYS,
     FddSpec,
     ProcessSpec,
     default_truncation_depth,
     floor_index,
     normalized_fdd_sample,
-    path_from_innovations,
     process_normalizer,
     require_budget,
     simulate_path,
@@ -75,6 +75,8 @@ from .linear_process import (
 from .slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
+    coefficient,
+    coefficient_sum,
     h_alpha_info,
 )
 from .stable_law import SkewedStableParams, StandardStable, cdf, to_standard
@@ -89,6 +91,11 @@ class ConfigError(Exception):
 _HOOKS = ("hook_zero", "hook_const", "hook_impulse")
 
 
+# simulate works in blocks of this many rows (the CSV text, the impulse
+# coefficients), so that the path's n values are its only array that grows
+_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True)
 class Hook:
     """Deterministic innovations for `simulate`: all zero (hook_zero), all
@@ -97,12 +104,18 @@ class Hook:
     kind: str
     value: float
 
-    def innovations(self, n_out: int, M: int) -> np.ndarray:
-        """eps_{1-M} .. eps_{n_out-1}, the input of path_from_innovations."""
-        eps = np.full(n_out + M - 1, self.value if self.kind == "hook_const" else 0.0)
+    def path(self, ell: SlowlyVaryingSpec, M: int, n: int) -> np.ndarray:
+        """X_1..X_n under lag cap M, in closed form: zeros; value * S(M) at
+        every n; or a_1..a_min(n, M), then zeros."""
+        if self.kind == "hook_const":
+            return np.full(n, self.value * coefficient_sum(ell, M))
+        out = np.zeros(n)
         if self.kind == "hook_impulse":
-            eps[M - 1] = 1.0  # j = 0 sits at index M-1
-        return eps
+            k = min(n, M)
+            for start in range(0, k, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, k)
+                out[start:stop] = coefficient(ell, np.arange(start + 1.0, stop + 1.0))
+        return out
 
 
 # [tolerance] holds the fields of CriteriaConfig, one per verdict criterion
@@ -288,12 +301,13 @@ def parse_config(path) -> RunConfig:
                      n_list, reps, seed, j_tol, sup_grid, criteria, raw)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Writes the strings of chunks, in turn, to path, or leaves it as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -320,15 +334,21 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("simulate needs [simulate] n")
     n, M = cfg.simulate_n, _resolve_truncation(cfg)
     if isinstance(cfg.innovation, Hook):
-        require_budget(PATH_PEAK_ARRAYS * (n + M - 1),
-                       f"the {n} values and {n + M - 1} innovations of a path")
-        path = path_from_innovations(cfg.ell, M, cfg.innovation.innovations(n, M), n)
+        require_budget(n, f"the {n} values of a path")
+        path = cfg.innovation.path(cfg.ell, M, n)
     else:
         path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
-    lines = ["n,x"] + [f"{i},{float(x)!r}" for i, x in enumerate(path, start=1)]
-    _atomic_write(out_dir / "simulate.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "simulate.csv", _path_csv(path))
     print(f"wrote {out_dir / 'simulate.csv'} ({n} rows)")
     return 0
+
+
+def _path_csv(path: np.ndarray):
+    """The lines of simulate.csv, _BLOCK_ROWS rows to a string."""
+    yield "n,x\n"
+    for start in range(0, len(path), _BLOCK_ROWS):
+        block = path[start:start + _BLOCK_ROWS].tolist()
+        yield "".join(f"{i},{x!r}\n" for i, x in enumerate(block, start=start + 1))
 
 
 def _oracle_params(cfg: RunConfig) -> SkewedStableParams:
@@ -351,12 +371,12 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     rows = _run_sweep(cfg)
     lines = ["N,distance,past_part,wall_ms"]
     lines += [f"{r.n},{r.distance!r},{r.past_part!r},{r.wall_ms:.3f}" for r in rows]
-    _atomic_write(out_dir / "oracle.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "oracle.csv", ["\n".join(lines) + "\n"])
     doc = {"config": cfg.raw,
            "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
                      "wall_ms": r.wall_ms, "j_depth": r.j_depth,
                      "tail_bound": r.tail_bound} for r in rows]}
-    _atomic_write(out_dir / "oracle.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / "oracle.json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     for r in rows:
         print(f"N={r.n} distance={r.distance:.6g} past_part={r.past_part:.6g}")
     return 0
@@ -406,6 +426,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
              "need [N t_m] >= 1 for every N of [sweep] n_list")
     seed = _require_seed(cfg)
     M = _resolve_truncation(cfg)
+    if not stable:  # an h whose H overflows a double is refused before any sampling
+        alpha, _, _, h = tail_constants(cfg.innovation)
+        try:
+            for n in cfg.n_list:
+                h_alpha_info(h, alpha, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
 
     if stable:
@@ -433,8 +460,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                 "truncation": M, "n_list": list(cfg.n_list)}
     report = verification.ConvergenceReport(
         metadata, rows, verification.evaluate_verdicts(rows, cfg.criteria))
-    _atomic_write(out_dir / "report.json", verification.report_to_json(report))
-    _atomic_write(out_dir / "report.csv", verification.report_rows_to_csv(report))
+    _atomic_write(out_dir / "report.json", [verification.report_to_json(report)])
+    _atomic_write(out_dir / "report.csv", [verification.report_rows_to_csv(report)])
     passed = report.passed
     n_pass = sum(report.verdicts.values())
     print(f"verdict={'PASS' if passed else 'FAIL'} ({n_pass}/{len(report.verdicts)} criteria)")

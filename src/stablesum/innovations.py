@@ -18,8 +18,8 @@ Two families are provided, both mean zero by construction:
 
 The survival (s1+s2) x^-a h(x) is written once, in ln x (_log_survival):
 the mass check at x0, the monotonicity check, the threshold and the tail
-inversion all read it, and log-power roots are found by one safeguarded
-Newton iteration (_newton_tail) in the offset ln(x / x_ref).
+inversion all read it, and slowly_varying.newton_root, the package's one
+safeguarded Newton iteration, finds log-power roots in ln(x / x_ref).
 
 The ParetoTail layout (x1, the tail masses and the interior interval) is
 deterministic, so it is resolved once per spec (ParetoTail.layout) and shared
@@ -41,7 +41,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slowly_varying import SlowlyVaryingSpec, constant, eval_sv, eval_sv_log
+from .slowly_varying import (SlowlyVaryingSpec, constant, eval_sv, eval_sv_log, log_sv_slope,
+                             newton_root)
 from .stable_law import (
     SkewedStableParams,
     StandardStable,
@@ -68,10 +69,6 @@ __all__ = [
 
 # relative accuracy required of the Pareto tail first-moment quadrature
 _MOMENT_RTOL = 1e-10
-# log-power Newton roots: stop once every step is below
-# _NEWTON_RTOL * max(|w|, 1) in w = ln(x / x_ref); raise after _NEWTON_MAX_ITER steps
-_NEWTON_RTOL = 1e-13
-_NEWTON_MAX_ITER = 100
 # floor of the conditional tail survival level g of a draw
 _G_FLOOR = 1e-300
 # nodes of the per-spec root table that starts the log-power inversion
@@ -126,7 +123,7 @@ class ParetoTail:
         beyond the double range): x_c = ((s1+s2) c)^(1/a) for constant h, else
         x_c e^w, w the root of ln S(x_c e^w) = 0 above lo = ln(x0/x_c), unique
         as S decreases past x0 from S(x0) >= 1 (the law checks), by
-        _newton_tail from max(0, lo) (S may also reach 1 below x0) at level
+        newton_root from max(0, lo) (S may also reach 1 below x0) at level
         ln((s1+s2) c x_c^-a), which keeps the digits e^(ln x_t) rounds away."""
         total, c, a = self.sigma1 + self.sigma2, self.h.c, self.alpha
         x_c = (total * c) ** (1.0 / a)
@@ -135,7 +132,7 @@ class ParetoTail:
         y_c = math.log(x_c)
         z = math.log(total * c / x_c / x_c ** (a - 1.0))
         lo = math.log(self.x0) - y_c
-        w = _newton_tail(self, z, max(0.0, lo), lo, y_c)
+        w = newton_root(lambda w: _log_survival(self, w, y_c), z, max(0.0, lo), lo)
         with np.errstate(over="ignore"):
             return float(x_c * np.exp(w))
 
@@ -290,7 +287,7 @@ def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:
     the root of z + ln(S(x1 e^w) / S(x1)), z = -ln g, started from the spec's
     root table (_tail_roots: cubic Hermite in w(z) on _TABLE_NODES nodes
     uniform in ln(1 + z) over [0, -ln _G_FLOOR]) and finished by
-    _newton_tail, whose stop rule certifies the start in one step for
+    newton_root, whose stop rule certifies the start in one step for
     practically every draw."""
     a, h, x1 = spec.alpha, spec.h, spec.layout.x1
     if h.kind == "constant":
@@ -298,7 +295,8 @@ def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:
     z = -np.log(g)
     w = spec._tail_roots.start(z)
     z -= spec._tail_roots.level
-    return x1 * np.exp(_newton_tail(spec, z, w, 0.0, math.log(x1)))
+    y1 = math.log(x1)
+    return x1 * np.exp(newton_root(lambda w: _log_survival(spec, w, y1), z, w, 0.0))
 
 
 class _TailRoots(NamedTuple):
@@ -320,13 +318,13 @@ class _TailRoots(NamedTuple):
 
 def _tail_root_table(spec: ParetoTail) -> _TailRoots:
     """The root w(z) at _TABLE_NODES nodes uniform in s = ln(1 + z), each
-    solved by _newton_tail from the constant-h root z/alpha, with the
+    solved by newton_root from the constant-h root z/alpha, with the
     closed-form slope dw/ds = (1 + z) dw/dz = -(1 + z)/f'(w)."""
     y1 = math.log(spec.layout.x1)
     level = float(_log_survival(spec, 0.0, y1)[0])
     step = math.log1p(-math.log(_G_FLOOR)) / (_TABLE_NODES - 1)
     z = np.expm1(step * np.arange(_TABLE_NODES))
-    w = _newton_tail(spec, z - level, z / spec.alpha, 0.0, y1)
+    w = newton_root(lambda w: _log_survival(spec, w, y1), z - level, z / spec.alpha, 0.0)
     _, df = _log_survival(spec, w, y1)
     m = -step * (1.0 + z) / df
     d = np.diff(w)
@@ -338,34 +336,7 @@ def _tail_root_table(spec: ParetoTail) -> _TailRoots:
 def _log_survival(spec: ParetoTail, w, y_ref: float):
     """ln S(x) - ln((s1+s2) c x_ref^-a) = p ln ln(e + x) - a w at
     x = x_ref e^w, x_ref = e^y_ref, and its slope in w, for the two-sided
-    survival S(x) = (s1+s2) x^-a c ln(e + x)^p (p = 0: constant h).  From
-    y = ln x alone, ln(e + x) = y + ln(1 + e^(1-y)), so no power of x
-    overflows; below y = -36 it is 1 in doubles, and y is held there."""
-    a, p = spec.alpha, spec.h.p
-    y = np.maximum(y_ref + w, -36.0)
-    t = np.exp(1.0 - y)
-    ln_e_plus = y + np.log1p(t)
-    return p * np.log(ln_e_plus) - a * w, p / ((1.0 + t) * ln_e_plus) - a
-
-
-def _newton_tail(spec: ParetoTail, z, w, lo: float, y_ref: float):
-    """Safeguarded Newton iteration for the root w >= lo of the decreasing
-    f(w) = z + _log_survival(spec, w, y_ref) from the start w, per element
-    of z.  Each element keeps a bracket [lo, hi] around its root, a step
-    that leaves it is replaced by a bisection, and it stops at the first
-    step below _NEWTON_RTOL * max(|w|, 1), keeping that iterate, so its root
-    depends on its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps."""
-    hi, moving = np.inf, True
-    for _ in range(_NEWTON_MAX_ITER):
-        f, df = _log_survival(spec, w, y_ref)
-        f += z
-        lo = np.where(f > 0.0, w, lo)
-        hi = np.where(f < 0.0, w, hi)
-        step = w - f / df
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        step = np.where(moving, step, w)
-        moving = np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
-        w = step
-        if not moving.any():
-            return w
-    raise RuntimeError(f"log-survival root did not converge in {_NEWTON_MAX_ITER} Newton steps")
+    survival S(x) = (s1+s2) x^-a c ln(e + x)^p (p = 0: constant h), from
+    y = ln x alone (log_sv_slope), so no power of x overflows."""
+    g, dg = log_sv_slope(spec.h, y_ref + w)
+    return g - spec.alpha * w, dg - spec.alpha

@@ -45,17 +45,12 @@ __all__ = [
     "process_normalizer",
     "normalized_fdd_sample",
     "MEMORY_BUDGET_ELEMENTS",
-    "PATH_PEAK_ARRAYS",
     "require_budget",
     "MAX_INDEX",
 ]
 
 # refuse path/innovation buffers beyond this many doubles (~1.2 GB)
 MEMORY_BUDGET_ELEMENTS = 150_000_000
-# arrays of K = n + M - 1 doubles that path_from_innovations holds at its
-# peak, its innovations included (tracemalloc: 3 for constant ell, 4 for
-# log-power ell)
-PATH_PEAK_ARRAYS = 4
 
 
 def require_budget(peak: int, what: str) -> None:
@@ -127,9 +122,12 @@ _TAIL_BLOCK = 10_000
 
 def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) -> float:
     """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series,
-    with alpha and h the tail constants of the innovation law.  The H
-    argument is clamped to >= 1; only lags with a_i < 1 matter in any tail
-    regime this diagnostic inspects.
+    with alpha and h the tail constants of the innovation law.  An exact
+    stable law has H == 1, as in process_normalizer: at alpha = 2 the series
+    is the Gaussian's own sum a_i^2, not the one with the truncated second
+    moment H = 2 ln t of a Pareto tail with h == 1 (below 2, H = h == 1).
+    The H argument is clamped to >= 1; only lags with a_i < 1 matter in any
+    tail regime this diagnostic inspects.
 
     The _TAIL_BLOCK lags past M are summed exactly; a block holding a term
     below 1e-16 is the whole tail, summed over its terms of at least 1e-16.
@@ -144,9 +142,12 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
     if M < 0:
         raise ValueError("need M >= 0")
     alpha, _, _, h = tail_constants(innovation)
+    stable = isinstance(innovation, ExactStable)
     cut = M + _TAIL_BLOCK
     a = coefficient(ell, np.arange(M + 1, cut + 1, dtype=float))
-    terms = a**alpha * big_h(h, alpha, np.maximum(1.0 / a, 1.0))
+    terms = a**alpha
+    if not stable:
+        terms *= big_h(h, alpha, np.maximum(1.0 / a, 1.0))
     keep = terms >= 1e-16
     if not keep.all():
         return float(np.sum(terms[keep]))
@@ -156,6 +157,8 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
     def integrand(t, _):
         lnx = lnX - k * np.log(t)
         ell_x = eval_sv_log(ell, lnx)
+        if stable:
+            return ell_x**alpha
         return ell_x**alpha * big_h_log(h, alpha, np.maximum(lnx - np.log(ell_x), 0.0))
 
     rem, _ = panel_quad(integrand)
@@ -200,8 +203,9 @@ def path_from_innovations(ell: SlowlyVaryingSpec, M: int, eps: np.ndarray,
 def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
     """One path X_1..X_n; innovations are drawn once, deterministically.
     The sampler's peak, sample_peak_arrays arrays of K = n + M - 1, is the
-    run's (it is above PATH_PEAK_ARRAYS) and is refused beyond the memory
-    budget before anything is drawn."""
+    run's (the convolution then holds the K innovations, the M coefficients
+    and the n values) and is refused beyond the memory budget before
+    anything is drawn."""
     n, M = int(n), int(process.truncation)
     K = n + M - 1
     require_budget(K * sample_peak_arrays(process.innovation),

@@ -12,7 +12,9 @@ finite); the asymptotics are unchanged.
 coefficient_sum gives S(y) = sum_{i<=y} a_i at any y >= 0 without an
 array of y terms: the partial sums up to _SUM_ANCHOR, and beyond it the
 smooth continuation of _scaled_spans, which the CF oracle's closures
-integrate.
+integrate.  H_alpha(N) is the largest root of ln N + ln H(e^s) - alpha s
+in s = ln t, found by newton_root, the package's one safeguarded Newton
+iteration, which also solves the Pareto threshold and tail inversion.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "big_h",
     "h_alpha",
     "h_alpha_info",
-    "solve_h_alpha",
     "HAlphaResult",
     "HAlphaConvergenceError",
     "normalizer",
@@ -206,6 +207,16 @@ def eval_sv_log(spec: SlowlyVaryingSpec, lnx):
     return spec.c * np.logaddexp(1.0, lnx) ** spec.p
 
 
+def log_sv_slope(spec: SlowlyVaryingSpec, y):
+    """ln(f(e^y) / c) = p ln ln(e + e^y) and its slope in y, for an array y.
+    From y alone, ln(e + x) = y + ln(1 + e^(1-y)), so no power of x
+    overflows; below y = -36 it is 1 in doubles, and y is held there."""
+    y = np.maximum(y, -36.0)
+    t = np.exp(1.0 - y)
+    ln_e_plus = y + np.log1p(t)
+    return spec.p * np.log(ln_e_plus), spec.p / ((1.0 + t) * ln_e_plus)
+
+
 def _big_h_integral(h_log, lnt):
     """h(1) - h(t) + 2 int_0^{ln t} h(e^y) dy at every ln t >= 0 of an array,
     with h_log(y) = h(e^y) vectorized.
@@ -260,92 +271,85 @@ class HAlphaConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HAlphaResult:
+    """The fixed point, its relative residual and the evaluations of F it took."""
+
     value: float
     residual: float
     iterations: int
 
 
-# relative step that ends the fixed-point iteration; iteration and bisection cap
-_H_REL_TOL = 1e-12
-_H_MAX_ITER = 200
+# safeguarded Newton: stop once every step is below
+# _NEWTON_RTOL * max(|w|, 1); raise after _NEWTON_MAX_ITER steps
+_NEWTON_RTOL = 1e-13
+_NEWTON_MAX_ITER = 100
 
 
-def solve_h_alpha(big_h_fn, alpha: float, N: float) -> HAlphaResult:
-    """Fixed point x* of x -> H(N^{1/alpha} x^{1/alpha}) for a scalar callable H.
-
-    Plain iteration from x0 = H(N^{1/alpha}); the map's derivative vanishes for
-    slowly varying H so no damping is needed.  Falls back to bisection on
-    x - H(...) if the iteration leaves the domain or fails to settle.
-    """
-    _check_alpha_n(alpha, N)
-    root = N ** (1.0 / alpha)
-
-    def step(x):
-        t = root * x ** (1.0 / alpha)
-        if t < 1.0:
-            raise ValueError("iterate left the domain t >= 1")
-        return big_h_fn(t)
-
-    x = big_h_fn(root)
-    ok = math.isfinite(x) and x > 0.0
-    if ok:
-        for it in range(1, _H_MAX_ITER + 1):
-            try:
-                x_new = step(x)
-            except ValueError:
-                break
-            if not (math.isfinite(x_new) and x_new > 0.0):
-                break
-            if abs(x_new - x) <= _H_REL_TOL * abs(x_new):
-                resid = abs(step(x_new) - x_new) / x_new
-                return HAlphaResult(x_new, resid, it)
-            x = x_new
-
-    return _bisect_h_alpha(step, x if ok else 1.0, alpha)
+def newton_root(fn, z, w, lo, hi=np.inf):
+    """Safeguarded Newton iteration for the root in [lo, hi] of the
+    decreasing f(w) = z + fn(w)[0], fn(w) returning the function and its
+    slope, from the start w, per element of z.  Each element keeps a
+    bracket [lo, hi] around its root, a step that leaves it is replaced by
+    a bisection, and it stops at the first step below
+    _NEWTON_RTOL * max(|w|, 1), keeping that iterate, so its root depends
+    on its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps."""
+    moving = True
+    for _ in range(_NEWTON_MAX_ITER):
+        f, df = fn(w)
+        f = f + z
+        lo = np.where(f > 0.0, w, lo)
+        hi = np.where(f < 0.0, w, hi)
+        step = w - f / df
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        step = np.where(moving, step, w)
+        moving = np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
+        w = step
+        if not moving.any():
+            return w
+    raise RuntimeError(f"root did not converge in {_NEWTON_MAX_ITER} Newton steps")
 
 
-def _bisect_h_alpha(step, x_guess, alpha):
-    def g(x):
-        try:
-            return x - step(x)
-        except ValueError:
-            return None
+def _log_big_h(h: SlowlyVaryingSpec, alpha: float, s):
+    """ln H(e^s) and its slope in s: ln c + log_sv_slope for alpha < 2 (H = h);
+    at alpha = 2, H from big_h_log, held at H(1) = 0 below s = 0 (ln H = -inf
+    where H <= 0), and dH/ds = 2 h(t) - t h'(t) = h(t) (2 - d ln h / ds)."""
+    g, dg = log_sv_slope(h, s)
+    if alpha < 2.0:
+        return math.log(h.c) + g, dg
+    H = big_h_log(h, alpha, np.maximum(s, 0.0))
+    return np.log(np.maximum(H, 0.0)), eval_sv_log(h, s) * (2.0 - dg) / H
 
-    grid = x_guess * np.logspace(-9, 9, 145)
-    vals = [(x, g(x)) for x in grid]
-    vals = [(x, v) for x, v in vals if v is not None and math.isfinite(v)]
-    bracket = None
-    for (x0, g0), (x1, g1) in zip(vals, vals[1:]):
-        if g0 == 0.0:
-            return HAlphaResult(x0, 0.0, 0)
-        if g0 * g1 < 0.0:
-            bracket = (x0, x1)
-            # prefer the largest root: keep scanning
-    if bracket is None:
-        resid = abs(g(x_guess)) / x_guess if g(x_guess) is not None else math.inf
-        raise HAlphaConvergenceError(
-            "no fixed point of x -> H(N^{1/alpha} x^{1/alpha}) found "
-            f"(alpha={alpha}); last iterate {x_guess:.6g}, residual {resid:.3g}",
-            x_guess, resid)
-    lo, hi = bracket
-    for it in range(_H_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm is None or gm == 0.0:
+
+def _bracket_largest_root(f, s0: float, floor: bool):
+    """(lo, hi) with f(lo) > 0 >= f(hi), from a walk with doubling steps
+    from s0: to the right while f > 0 or f rises, else to the left from s0
+    until f > 0.  With floor (f defined for s > 0 only, and -inf at 0+),
+    the left walk halves s rather than cross 0, and where it meets f rising
+    while negative it gives (None, hi): there is no root."""
+    f0 = f(s0)
+    s, f_s, step = s0, f0, 1.0
+    while True:
+        t, step = s + step, 2.0 * step
+        f_t = f(t)
+        if f_s > 0.0 >= f_t:
+            return s, t
+        if not (f_t > 0.0 or f_t > f_s):
             break
-        if g(lo) * gm < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    x = 0.5 * (lo + hi)
-    resid = abs(step(x) - x) / x
-    return HAlphaResult(x, resid, _H_MAX_ITER)
+        s, f_s = t, f_t
+    s, f_s, step = s0, f0, 1.0
+    while True:
+        t, step = max(s - step, 0.5 * s) if floor else s - step, 2.0 * step
+        f_t = f(t)
+        if f_t > 0.0:
+            return t, s
+        if floor and f_t <= f_s:
+            return None, s
+        s, f_s = t, f_t
 
 
 def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
     """The implicitly defined slowly varying factor H_alpha(N).
 
-    Concrete finite-N representative: the fixed point of
+    Concrete finite-N representative: the largest fixed point of
     x -> H(N^{1/alpha} x^{1/alpha}).  Asymptotic equivalence only defines
     H_alpha up to a slowly varying perturbation; the fixed point is a
     reproducible choice, not a canonical one.
@@ -354,18 +358,47 @@ def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
 
 
 def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
-    """As h_alpha, also reporting the residual and iteration count; a ValueError
-    for alpha outside (1, 2], an N that is not a finite number >= 1, or an h
-    whose H overflows a double on the way to the fixed point."""
-    _check_alpha_n(alpha, N)
+    """As h_alpha, also reporting the residual and the evaluations of F; a
+    ValueError for alpha outside (1, 2], an N that is not a finite number
+    >= 1, or an h whose H overflows a double on the way to the fixed point.
+
+    In s = ln t, t = (N x)^{1/alpha}, the fixed point x = H(t) is a root of
+    F(s) = ln N + ln H(e^s) - alpha s.  The largest is bracketed from
+    s0 = ln N / alpha (at least 1/2 at alpha = 2, where s > 0) and finished
+    by newton_root; where there is none, HAlphaConvergenceError."""
+    _check_alpha(alpha)
+    if not (1.0 <= N < math.inf):
+        raise ValueError("need a finite N >= 1")
     if h.kind == "constant" and alpha < 2.0:
         return HAlphaResult(h.c, 0.0, 0)  # constant map: fixed point is h itself
+    ln_n, evals = math.log(N), 0
+
+    def F(s):
+        nonlocal evals
+        evals += 1
+        log_h, slope = _log_big_h(h, alpha, s)
+        return ln_n + log_h - alpha * s, slope - alpha
+
+    def fixed_point(s):  # x = H(e^s) and its residual |H((N x)^{1/alpha}) / x - 1|
+        x = float(np.exp(_log_big_h(h, alpha, s)[0]))
+        log_h = _log_big_h(h, alpha, (ln_n + math.log(x)) / alpha)[0]
+        return x, abs(float(np.expm1(log_h - math.log(x))))
+
     try:
-        with np.errstate(over="raise"):
-            return solve_h_alpha(lambda t: big_h(h, alpha, t), alpha, N)
-    except FloatingPointError as exc:
+        with np.errstate(over="raise", divide="ignore"):
+            s0 = ln_n / alpha if alpha < 2.0 else max(0.5 * ln_n, 0.5)
+            lo, hi = _bracket_largest_root(lambda s: F(s)[0], s0, alpha == 2.0)
+            if lo is None:
+                x, resid = fixed_point(hi)
+                raise HAlphaConvergenceError(
+                    "no fixed point of x -> H(N^{1/alpha} x^{1/alpha}) found "
+                    f"(alpha={alpha}); last iterate {x:.6g}, residual {resid:.3g}",
+                    x, resid)
+            x, resid = fixed_point(float(newton_root(F, 0.0, lo, lo, hi)))
+    except (FloatingPointError, ValueError) as exc:  # panel_quad: a non-finite integral
         raise ValueError("H overflows a double before its fixed point is reached "
                          f"({exc})") from exc
+    return HAlphaResult(x, resid, evals)
 
 
 def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: int) -> float:
@@ -382,9 +415,3 @@ def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: in
 def _check_alpha(alpha: float) -> None:
     if not (1.0 < alpha <= 2.0):
         raise ValueError("need alpha in (1, 2]")
-
-
-def _check_alpha_n(alpha: float, N: float) -> None:
-    _check_alpha(alpha)
-    if not (1.0 <= N < math.inf):
-        raise ValueError("need a finite N >= 1")

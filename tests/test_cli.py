@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from stablesum import cf_oracle, cli
 from stablesum import linear_process as lp
+from stablesum.innovations import sample_peak_arrays
 from stablesum.cli import ConfigError, main, parse_config
-from stablesum.slowly_varying import coefficient, constant
+from stablesum.slowly_varying import coefficient, constant, log_power
 from stablesum.verification import CriteriaConfig
 
 BASE = """
@@ -184,6 +185,11 @@ BAD_INPUTS = [
                  f"innovation = pareto\nsigma1 = {s1}\nsigma2 = {s2}", [],
                  id=f"pareto-sigma1-{s1}-sigma2-{s2}")
     for s1, s2 in (("nan", "1.0"), ("1.0", "inf"), ("1e308", "1.0"))
+] + [
+    # a Pareto h whose H_alpha(N) overflows a double: once exit 1 after sampling
+    pytest.param("verify", "innovation = stable",
+                 "innovation = pareto\nsigma1 = 1.0\nsigma2 = 2.0\nh_kind = log_power\n"
+                 "h_c = 1e307\nh_p = 0.5", [], id="pareto-h-overflow"),
 ]
 
 
@@ -236,31 +242,74 @@ class TestSimulate:
         assert ((tmp_path / "a" / "simulate.csv").read_bytes()
                 == (tmp_path / "b" / "simulate.csv").read_bytes())
 
-    @pytest.mark.parametrize("innovation", ["stable", "hook_impulse"])
+    @pytest.mark.parametrize("innovation", ["stable", "pareto\nsigma1 = 1.0\nsigma2 = 1.0"],
+                             ids=["stable", "pareto"])
     def test_path_peak_refused_under_address_limit(self, tmp_path, innovation):
-        # n = 30, M = 1e8: the one-array check passed the stable path, the
-        # hook route had none, and both failed to allocate 763 MiB
+        # n = 30, M = 1e8: the one-array check passed the stable path, and
+        # it failed to allocate 763 MiB
         text = BASE.replace("truncation = 200", "truncation = 100000000").replace(
             "\nn = 20\n", "\nn = 30\n").replace("innovation = stable", f"innovation = {innovation}")
         refused_under_address_limit(tmp_path, "simulate", text)
 
-    @pytest.mark.parametrize("ell", ["constant", "log_power\nell_p = -2.0"],
+    def test_hook_impulse_closed_form_under_address_limit(self, tmp_path):
+        # n = 30, M = 1e8: the impulse path is a_1..a_30, with no innovation
+        # array of n + M - 1 (once refused on the memory budget)
+        text = BASE.replace("truncation = 200", "truncation = 100000000").replace(
+            "\nn = 20\n", "\nn = 30\n").replace("innovation = stable", "innovation = hook_impulse")
+        done = run_under_address_limit(tmp_path, "simulate", text)
+        assert done.returncode == 0, done.stderr
+        lines = (tmp_path / "out" / "simulate.csv").read_text().splitlines()
+        assert len(lines) == 31
+        xs = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        np.testing.assert_array_equal(xs, coefficient(constant(1.0), np.arange(1.0, 31.0)))
+
+    @pytest.mark.parametrize("kind", ["hook_zero", "hook_const", "hook_impulse"])
+    @pytest.mark.parametrize("ell", [constant(1.0), log_power(1.0, -2.0)],
                              ids=["constant", "log_power"])
-    def test_hook_path_peak_within_its_count(self, tmp_path, monkeypatch, ell):
-        # the hook route counts PATH_PEAK_ARRAYS arrays of K = n + M - 1: one
-        # element fewer in the budget refuses it before the innovations are
-        # built, and the route holds no more than that count, up to 64 KiB
-        # that does not grow with K
-        n, M = 30, 200_000
-        count = lp.PATH_PEAK_ARRAYS * (n + M - 1)
-        cfg = parse_config(write(tmp_path, BASE.replace("ell_kind = constant", f"ell_kind = {ell}")
-                                 .replace("innovation = stable", "innovation = hook_impulse")
-                                 .replace("truncation = 200", f"truncation = {M}")
+    def test_hook_path_matches_convolution(self, kind, ell):
+        # the closed forms against the convolution of the hook innovations:
+        # bit for bit on both sides of n = M, the constant to a few ulps (a
+        # sum in another order)
+        hook = cli.Hook(kind, 2.5)
+        for n, M in ((20, 200), (700, 300)):
+            eps = np.full(n + M - 1, hook.value if kind == "hook_const" else 0.0)
+            if kind == "hook_impulse":
+                eps[M - 1] = 1.0
+            want = lp.path_from_innovations(ell, M, eps, n)
+            if kind == "hook_const":
+                np.testing.assert_allclose(hook.path(ell, M, n), want, rtol=1e-14)
+            else:
+                np.testing.assert_array_equal(hook.path(ell, M, n), want)
+
+    def test_hook_path_counts_its_values(self, tmp_path, monkeypatch):
+        # the hook route holds its n values, and a block of the CSV and of
+        # the coefficients: n - 1 in the budget refuses it
+        n = 200_000
+        cfg = parse_config(write(tmp_path, BASE.replace("innovation = stable", "innovation = hook_impulse")
+                                 .replace("truncation = 200", f"truncation = {n}")
                                  .replace("\nn = 20\n", f"\nn = {n}\n")))
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
-        with pytest.raises(ValueError, match=f"hold about {count} elements"):
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", n - 1)
+        with pytest.raises(ValueError, match=f"hold about {n} elements"):
             cli.cmd_simulate(cfg, tmp_path / "refused")
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count)
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", n)
+        cli.cmd_simulate(cfg, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            assert cli.cmd_simulate(cfg, tmp_path / "out") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 2**16
+
+    def test_stable_run_within_its_count(self, tmp_path):
+        # the CSV is written in blocks: at n = 2e5 and M = 10 the run peaked
+        # at 29.0 MB, about 145 B a row of text, against the 16.0 MB that the
+        # budget counts; now the sampler's peak is the run's
+        n, M = 200_000, 10
+        cfg = parse_config(write(tmp_path, BASE.replace("truncation = 200", f"truncation = {M}")
+                                 .replace("\nn = 20\n", f"\nn = {n}\n")))
+        count = sample_peak_arrays(cfg.innovation) * (n + M - 1)
+        cli.cmd_simulate(cfg, tmp_path / "warm")
         tracemalloc.start()
         try:
             assert cli.cmd_simulate(cfg, tmp_path / "out") == 0
@@ -268,6 +317,10 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * count + 2**16
+        # the bytes of the former one-string CSV, across the block seams
+        path = lp.simulate_path(lp.ProcessSpec(cfg.ell, cfg.innovation, M), n, cfg.seed)
+        want = "n,x\n" + "".join(f"{i},{float(x)!r}\n" for i, x in enumerate(path, start=1))
+        assert (tmp_path / "out" / "simulate.csv").read_text() == want
 
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         text = BASE.replace("seed = 4242", "")
@@ -496,10 +549,9 @@ class TestVerify:
         refused_under_address_limit(tmp_path, "verify", text + "\n[tolerance]\nmax_ks = 1.0\n")
 
 
-def refused_under_address_limit(tmp_path, command, text):
+def run_under_address_limit(tmp_path, command, text):
     """Runs the CLI in a subprocess whose address space is capped at 1500
-    MiB: the run must exit 1 naming the memory budget, not fail to
-    allocate."""
+    MiB, writing to tmp_path / "out"."""
     import resource
 
     limit = 1500 * 2**20
@@ -513,6 +565,13 @@ def refused_under_address_limit(tmp_path, command, text):
          "--out-dir", str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap,
         capture_output=True, text=True, timeout=120)
+    return done
+
+
+def refused_under_address_limit(tmp_path, command, text):
+    """As run_under_address_limit: the run must exit 1 naming the memory
+    budget, not fail to allocate."""
+    done = run_under_address_limit(tmp_path, command, text)
     assert done.returncode == 1, done.stderr
     assert "memory budget" in done.stderr
     assert "Unable to allocate" not in done.stderr

@@ -111,6 +111,19 @@ class TestTruncationTail:
         if M > 10_000:
             assert truncation_tail(ell, spec, M // 2) >= 1e-3 * full
 
+    def test_gaussian_series_is_sum_of_squares(self):
+        # a Gaussian has H == 1: its series is sum a_i^2, met by an exact
+        # block to 2e6; with the alpha = 2 Pareto H = 2 ln t of h == 1 the
+        # automatic depth was 640000, the Gaussian's own series needs 40000
+        ell, gauss = log_power(1.0, 1.0), exact_stable(2.0, 0.0, 1.0)
+        end = 2 * 10**6
+        a = coefficient(ell, np.arange(1.0, end + 1.0))
+        rest = truncation_tail(ell, gauss, end)
+        for M in (0, 40_000):
+            want = math.fsum((a[M:] ** 2).tolist()) + rest
+            assert truncation_tail(ell, gauss, M) == pytest.approx(want, rel=1e-10)
+        assert default_truncation_depth(ell, gauss) == 40_000
+
     def test_default_depth_capped(self):
         # at alpha = 1.2 no candidate below the 1e8 cap passes; the loop used
         # to double once more and return 163840000

@@ -18,8 +18,8 @@ from stablesum.slowly_varying import (
     eval_sv,
     h_alpha,
     h_alpha_info,
+    log_power,
     normalizer,
-    solve_h_alpha,
 )
 
 from reference import big_h_from_callable
@@ -196,10 +196,45 @@ class TestHAlpha:
     def test_constant_fixed_point(self):
         assert h_alpha(constant(1.0), 1.5, 10**6) == 1.0
 
-    def test_pure_log_variant_unit_fixed_point(self):
-        # x = (1/alpha)(ln N + ln x) has x = 1 when ln N = alpha
-        res = solve_h_alpha(math.log, 1.5, math.exp(1.5))
-        assert res.value == pytest.approx(1.0, rel=1e-9)
+    def test_log_power_closed_form_fixed_point(self):
+        # h = ln(e + x) has the fixed point x = 2 where (N x)^(1/alpha) =
+        # e^2 - e, so at N = (e^2 - e)^alpha / 2
+        N = (math.e**2 - math.e) ** 1.5 / 2.0
+        assert h_alpha(log_power(1.0, 1.0), 1.5, N) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("h, alpha, N", [
+        (log_power(1.0, 3.0), 1.1, 1),        # slow contraction: once 2e-12 off
+        (log_power(0.01, -3.0), 1.5, 10),     # root at t < 1: once "no root"
+        (log_power(1.0, -2.0), 1.5, 10**8),
+        (constant(10.0), 2.0, 1),             # once the bisection, 200 "iterations"
+        (log_power(1.0, 1.0), 2.0, 10**4),
+        (log_power(0.01, 0.0), 2.0, 1000),    # largest root left of ln N / alpha
+    ])
+    def test_largest_root_matches_mpmath(self, h, alpha, N):
+        # the largest root of x = H((N x)^(1/alpha)) at 30 digits, with the
+        # alpha = 2 transform h(1) - h(t) + 2 int_0^{ln t} h(e^y) dy
+        import mpmath as mp
+
+        with mp.workdps(30):
+            def hh(x):
+                return h.c * mp.log(mp.e + x) ** mp.mpf(h.p)
+
+            def big(t):
+                if alpha < 2.0:
+                    return hh(t)
+                return hh(1) - hh(t) + 2 * mp.quad(lambda y: hh(mp.exp(y)), [0, mp.log(t)])
+
+            res = h_alpha_info(h, alpha, N)
+            def g(x):
+                return x - big((N * x) ** (1 / mp.mpf(alpha)))
+
+            want = mp.findroot(g, mp.mpf(res.value))
+            # no root beyond it: x exceeds H((N x)^(1/alpha)) from there on
+            assert all(g(want * k) > 0 for k in (1.001, 1.1, 10, 1e6))
+        assert type(res.value) is float
+        assert res.value == pytest.approx(float(want), rel=1e-14)
+        assert res.residual <= 1e-14
+        assert 1 <= res.iterations <= 20
 
     def test_bisection_oracle_alpha2(self):
         # brute-force bisection on x - H(N^{1/2} x^{1/2}) over (1e-6, 1e6)
