@@ -281,11 +281,14 @@ class TestSimulate:
             else:
                 np.testing.assert_array_equal(hook.path(ell, M, n), want)
 
-    def test_hook_path_counts_its_values(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ell", ["constant", "log_power\nell_p = -2.0"],
+                             ids=["constant", "log_power"])
+    def test_hook_path_peak_within_its_count(self, tmp_path, monkeypatch, ell):
         # the hook route holds its n values, and a block of the CSV and of
         # the coefficients: n - 1 in the budget refuses it
         n = 200_000
-        cfg = parse_config(write(tmp_path, BASE.replace("innovation = stable", "innovation = hook_impulse")
+        cfg = parse_config(write(tmp_path, BASE.replace("ell_kind = constant", f"ell_kind = {ell}")
+                                 .replace("innovation = stable", "innovation = hook_impulse")
                                  .replace("truncation = 200", f"truncation = {n}")
                                  .replace("\nn = 20\n", f"\nn = {n}\n")))
         monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", n - 1)
