@@ -18,7 +18,6 @@ from .slowly_varying import (
     eval_sv,
     h_alpha,
     log_power,
-    normalizer,
 )
 from .stable_law import (
     SkewedStableParams,
@@ -34,16 +33,16 @@ from .innovations import (
     ExactStable,
     InnovationSpec,
     ParetoTail,
+    TailConstants,
     exact_stable,
-    innovation_cf_params,
     sample_innovations,
-    tail_constants,
 )
 from .linear_process import (
     FddSpec,
     ProcessSpec,
     normalized_fdd_sample,
     path_from_innovations,
+    process_normalizer,
     simulate_path,
     truncation_tail,
 )

@@ -25,10 +25,10 @@ positive, a non-finite hook_value, and in verify an [N t_m] < 1, a
 [tolerance] criterion whose column the innovation family does not produce
 or a Pareto h whose H overflows on the way to H_alpha(N);
 for halpha, an alpha outside (1, 2], an --n that is not a finite number
->= 1, a bad --c or --p and an h whose H overflows.  --threads < 1 is a
-usage error (also exit 2).  A run whose prefix sums, path or replicate
-sampling would exceed the memory budget at its peak exits 1 before it
-allocates them.
+>= 1, a bad --c or --p (at alpha = 2, p > 6.2923864) and an h whose H
+overflows.  --threads < 1 is a usage error (also exit 2).  A run whose
+prefix sums, path or replicate sampling would exceed the memory budget at
+its peak exits 1 before it allocates them.
 
 The innovation families hook_zero, hook_const and hook_impulse are
 deterministic inputs for `simulate` (the Hook type); alpha, and every
@@ -51,14 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cf_oracle, verification
-from .innovations import (
-    ExactStable,
-    InnovationSpec,
-    ParetoTail,
-    exact_stable,
-    innovation_cf_params,
-    tail_constants,
-)
+from .innovations import InnovationSpec, ParetoTail, exact_stable
 from .linear_process import (
     _M_FLOOR,
     MAX_INDEX,
@@ -79,7 +72,7 @@ from .slowly_varying import (
     coefficient_sum,
     h_alpha_info,
 )
-from .stable_law import SkewedStableParams, StandardStable, cdf, to_standard
+from .stable_law import SkewedStableParams, cdf, to_standard
 
 __all__ = ["main", "ConfigError", "RunConfig", "parse_config"]
 
@@ -103,6 +96,8 @@ class Hook:
 
     kind: str
     value: float
+
+    has_exact_log_cf = False
 
     def path(self, ell: SlowlyVaryingSpec, M: int, n: int) -> np.ndarray:
         """X_1..X_n under lag cap M, in closed form: zeros; value * S(M) at
@@ -351,19 +346,14 @@ def _path_csv(path: np.ndarray):
         yield "".join(f"{i},{x!r}\n" for i, x in enumerate(block, start=start + 1))
 
 
-def _oracle_params(cfg: RunConfig) -> SkewedStableParams:
-    if not isinstance(cfg.innovation, ExactStable):
-        raise ConfigError("the CF oracle needs exactly stable innovations")
-    return innovation_cf_params(cfg.innovation)
-
-
 def _run_sweep(cfg: RunConfig):
-    params = _oracle_params(cfg)
+    if not cfg.innovation.has_exact_log_cf:
+        raise ConfigError("the CF oracle needs exactly stable innovations")
     if cfg.fdd is None or cfg.n_list is None:
         raise ConfigError("oracle needs [fdd] and [sweep] n_list")
     grid = cf_oracle.default_frequency_grid(cfg.fdd.m) if cfg.sup_grid else None
     return cf_oracle.cf_convergence_sweep(
-        cfg.ell, params, cfg.fdd, cfg.n_list,
+        cfg.ell, cfg.innovation.cf_params, cfg.fdd, cfg.n_list,
         tol=cfg.j_tolerance, freq_grid=grid)
 
 
@@ -383,18 +373,13 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _marginal_cdf_target(cfg: RunConfig, N: int, M: int):
-    """CDF of the predicted marginal law of A_N^{-1} S(t_m)."""
-    fdd = cfg.fdd
-    if isinstance(cfg.innovation, ExactStable):
-        # a nonnegative-weight sum of i.i.d. stables keeps beta and scales by
-        # the l^alpha norm of the weights
-        law = cfg.innovation.law
-        W = window_weights(cfg.ell, N, fdd.times[-1:], M)[:, 0]
-        A = process_normalizer(ProcessSpec(cfg.ell, cfg.innovation, M), N)
-        agg = float(np.sum(np.abs(W / A) ** law.alpha)) ** (1.0 / law.alpha)
-        return StandardStable(law.alpha, law.beta, law.scale * agg)
-    params = innovation_cf_params(cfg.innovation)
-    t_m = fdd.times[-1]
+    """The predicted marginal law of A_N^{-1} S(t_m): exact for a law with
+    an exact log-CF, the Levy limit otherwise."""
+    law, t_m = cfg.innovation, cfg.fdd.times[-1]
+    if law.has_exact_log_cf:
+        W = window_weights(cfg.ell, N, (t_m,), M)[:, 0]
+        return law.weighted_sum(W / process_normalizer(ProcessSpec(cfg.ell, law, M), N))
+    params = law.cf_params
     return to_standard(SkewedStableParams(params.alpha, params.sigma * t_m, params.D))
 
 
@@ -415,9 +400,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
     if isinstance(cfg.innovation, Hook):
         raise ConfigError("verify needs a random innovation family")
-    stable = isinstance(cfg.innovation, ExactStable)
+    exact = cfg.innovation.has_exact_log_cf
     produced = {"ecf_distance", "ks_marginal"}
-    if stable:
+    if exact:
         produced |= {"oracle_distance", "past_part"}
     absent = sorted(cfg.criteria.columns() - produced)
     _require(not absent, f"[tolerance] criteria read {absent}, which only the oracle "
@@ -426,20 +411,18 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
              "need [N t_m] >= 1 for every N of [sweep] n_list")
     seed = _require_seed(cfg)
     M = _resolve_truncation(cfg)
-    if not stable:  # an h whose H overflows a double is refused before any sampling
-        alpha, _, _, h = tail_constants(cfg.innovation)
-        try:
-            for n in cfg.n_list:
-                h_alpha_info(h, alpha, n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:  # an h whose H overflows a double is refused before any sampling
+        for n in cfg.n_list:
+            cfg.innovation.h_alpha(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
 
-    if stable:
+    if exact:
         sweep = _run_sweep(cfg)
     else:
         sweep = [None] * len(cfg.n_list)
-        limit = cf_oracle.limit_log_cf(innovation_cf_params(cfg.innovation), cfg.fdd)
+        limit = cf_oracle.limit_log_cf(cfg.innovation.cf_params, cfg.fdd)
 
     rows = []
     for n, orow in zip(cfg.n_list, sweep):

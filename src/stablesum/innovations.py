@@ -1,8 +1,15 @@
-"""Innovation families in the domain of attraction of an alpha-stable law.
+"""Innovation laws in the domain of attraction of an alpha-stable law.
+
+Each family answers for itself what the package asks of an innovation law:
+alpha, tail_constants, cf_params (its attractor's CF constants), big_h and
+big_h_log (H at t and at ln t), h_alpha(N), has_exact_log_cf, and draw(n,
+seed) with peak_arrays, the arrays of n doubles that draw holds at once.
+sample_innovations is the one checked entry point to draw.
 
 Two families are provided, both mean zero by construction:
 
-    ExactStable  -- wraps a StandardStable law, sampled exactly (CMS).
+    ExactStable  -- wraps a StandardStable law, sampled exactly (CMS); its own
+                    attractor: H == H_alpha == 1, an exact log-CF, weighted_sum.
     ParetoTail   -- tails realized exactly: P(e > x) = s2*x^-a*h(x) and
                     P(e <= -x) = s1*x^-a*h(x) for all x >= x1, where
                     x1 = kappa * x_t, x_t solves (s1+s2)*x_t^-a*h(x_t) = 1 and
@@ -14,7 +21,7 @@ Two families are provided, both mean zero by construction:
                     (an additive shift would bias finite-quantile tail-constant
                     recovery).  Exact tails are what make the stored constants
                     empirically recoverable; x_t >= x0 (to the mass check's
-                    1e-12 tolerance).
+                    1e-12 tolerance).  H and H_alpha are those of its h.
 
 The survival (s1+s2) x^-a h(x) is written once, in ln x (_log_survival):
 the mass check at x0, the monotonicity check, the threshold and the tail
@@ -41,8 +48,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slowly_varying import (SlowlyVaryingSpec, constant, eval_sv, eval_sv_log, log_sv_slope,
-                             newton_root)
+from .slowly_varying import (SlowlyVaryingSpec, big_h, big_h_log, constant, eval_sv, eval_sv_log,
+                             h_alpha_info, log_sv_slope, newton_root)
 from .stable_law import (
     SkewedStableParams,
     StandardStable,
@@ -59,12 +66,9 @@ __all__ = [
     "InnovationSpec",
     "exact_stable",
     "TailConstants",
-    "tail_constants",
-    "innovation_cf_params",
     "ParetoLayout",
     "pareto_layout",
     "sample_innovations",
-    "sample_peak_arrays",
 ]
 
 # relative accuracy required of the Pareto tail first-moment quadrature
@@ -75,9 +79,64 @@ _G_FLOOR = 1e-300
 _TABLE_NODES = 4097
 
 
+class TailConstants(NamedTuple):
+    alpha: float
+    sigma1: float
+    sigma2: float
+    h: SlowlyVaryingSpec
+
+
 @dataclass(frozen=True)
 class ExactStable:
     law: StandardStable
+
+    has_exact_log_cf = True
+    # the CMS kernel holds ten arrays of n doubles at once, output included
+    peak_arrays = 10
+
+    @property
+    def alpha(self) -> float:
+        return self.law.alpha
+
+    @property
+    def tail_constants(self) -> TailConstants:
+        """From the standard stable tail constant; at alpha = 2 only, where it
+        degenerates to 0, the generalized sigma1 = sigma2 = scale^2/2 (h == 1)
+        that round-trip the CF constants exactly.  Below 2 the round trip is
+        good to about 3e-12 relative at alpha = 1.99999, its rounding error
+        growing like 1e-16 / (2 - alpha)."""
+        law = self.law
+        if law.alpha == 2.0:
+            half = 0.5 * law.scale**2
+            return TailConstants(law.alpha, half, half, constant(1.0))
+        c = stable_tail_constant(law.alpha) * law.scale**law.alpha
+        return TailConstants(law.alpha, c * (1.0 - law.beta) / 2.0,
+                             c * (1.0 + law.beta) / 2.0, constant(1.0))
+
+    @property
+    def cf_params(self) -> SkewedStableParams:
+        """Its own attractor's, by from_standard: no cancellation between the
+        tail constant and Gamma(1-alpha)*cos(pi*alpha/2) near alpha = 2."""
+        return from_standard(self.law)
+
+    def draw(self, n: int, seed) -> np.ndarray:
+        return sample(self.law, n, seed)
+
+    def h_alpha(self, N) -> float:
+        return 1.0
+
+    def big_h(self, t):
+        """H == 1: at alpha = 2 the Gaussian's sum a_i^2, not 2 ln t as for h == 1."""
+        return np.ones_like(t)
+
+    big_h_log = big_h
+
+    def weighted_sum(self, w) -> StandardStable:
+        """The law of sum_j w_j eps_j for nonnegative weights w: it keeps beta
+        and scales by the l^alpha norm of w."""
+        law = self.law
+        agg = float(np.sum(np.abs(w) ** law.alpha)) ** (1.0 / law.alpha)
+        return StandardStable(law.alpha, law.beta, law.scale * agg)
 
 
 def exact_stable(alpha: float, beta: float, scale: float) -> ExactStable:
@@ -91,6 +150,8 @@ class ParetoTail:
     sigma2: float
     h: SlowlyVaryingSpec
     x0: float = 1.0
+
+    has_exact_log_cf = False
 
     def __post_init__(self):
         if not (1.0 < self.alpha <= 2.0):
@@ -146,51 +207,48 @@ class ParetoTail:
         """The root table of the log-power tail inversion, built on first use."""
         return _tail_root_table(self)
 
+    @property
+    def tail_constants(self) -> TailConstants:
+        return TailConstants(self.alpha, self.sigma1, self.sigma2, self.h)
+
+    @property
+    def cf_params(self) -> SkewedStableParams:
+        return from_tail_constants(self.alpha, self.sigma1, self.sigma2)
+
+    @property
+    def peak_arrays(self) -> int:
+        """The output plus, per tail draw (every draw counted as one), a side
+        flag, index, uniform and level, and then the root, its negation and
+        the scatter (constant h: 7.125 in all) or -ln g, the table start's
+        position, node, four coefficient rows and two Horner terms (14.125)."""
+        return 8 if self.h.kind == "constant" else 15
+
+    def draw(self, n: int, seed) -> np.ndarray:
+        lay = self.layout
+        q = np.random.default_rng(seed).random(n)
+        # uniform interior stretch balancing the mean, formed for every draw;
+        # the tail draws are overwritten below
+        out = lay.center + lay.width * (2.0 * (q - lay.p_left) / lay.p0 - 1.0)
+        tails = np.flatnonzero((q < lay.p_left) | (q >= lay.p_left + lay.p0))
+        q = q[tails]
+        right = q >= lay.p_left
+        # conditional survival level g in (0, 1] within each draw's own tail
+        g = np.where(right, 1.0 - q, q) / np.where(right, lay.p_right, lay.p_left)
+        x = _invert_tail_survival(self, np.maximum(g, _G_FLOOR, out=g))
+        out[tails] = np.where(right, x, -x)
+        return out
+
+    def h_alpha(self, N) -> float:
+        return h_alpha_info(self.h, self.alpha, N).value
+
+    def big_h(self, t):
+        return big_h(self.h, self.alpha, t)
+
+    def big_h_log(self, lnt):
+        return big_h_log(self.h, self.alpha, lnt)
+
 
 InnovationSpec = Union[ExactStable, ParetoTail]
-
-
-class TailConstants(NamedTuple):
-    alpha: float
-    sigma1: float
-    sigma2: float
-    h: SlowlyVaryingSpec
-
-
-def tail_constants(spec: InnovationSpec) -> TailConstants:
-    """Tail constants (alpha, sigma1, sigma2, h) of the innovation law.
-
-    ParetoTail stores them; ExactStable derives them from the standard stable
-    tail constant.  At alpha = 2, and only there, the power-tail constant
-    degenerates to 0, so the Gaussian branch returns the generalized constants
-    sigma1 = sigma2 = scale^2/2 that make the CF constants round-trip exactly
-    (h == 1).  Below 2 the stable formula round-trips to about 3e-12 relative
-    at alpha = 1.99999; its rounding error grows like 1e-16 / (2 - alpha).
-    """
-    if isinstance(spec, ParetoTail):
-        return TailConstants(spec.alpha, spec.sigma1, spec.sigma2, spec.h)
-    law = spec.law
-    if law.alpha == 2.0:
-        half = 0.5 * law.scale**2
-        return TailConstants(law.alpha, half, half, constant(1.0))
-    c = stable_tail_constant(law.alpha) * law.scale**law.alpha
-    return TailConstants(law.alpha,
-                         c * (1.0 - law.beta) / 2.0,
-                         c * (1.0 + law.beta) / 2.0,
-                         constant(1.0))
-
-
-def innovation_cf_params(spec: InnovationSpec) -> SkewedStableParams:
-    """CF constants (alpha, sigma, D) of the attractor of the innovation law.
-
-    An exact stable law is its own attractor, so its constants come straight
-    from from_standard, with none of the cancellation between the tail
-    constant and Gamma(1-alpha)*cos(pi*alpha/2) that the tail-constant route
-    has near alpha = 2."""
-    if isinstance(spec, ExactStable):
-        return from_standard(spec.law)
-    tc = tail_constants(spec)
-    return from_tail_constants(tc.alpha, tc.sigma1, tc.sigma2)
 
 
 def _tail_first_moment(spec: ParetoTail, weight: float, x1: float) -> float:
@@ -228,57 +286,36 @@ class ParetoLayout:
     width: float
 
 
+@np.errstate(over="raise")
 def pareto_layout(spec: ParetoTail) -> ParetoLayout:
+    """The layout of the least x1 = 2^k x_t (k >= 1) whose interior balance
+    fits; a ValueError where h overflows a double on the exact tails."""
     x1 = 2.0 * spec.threshold
-    for _ in range(64):
-        p_left = spec.sigma1 * x1 ** (-spec.alpha) * eval_sv(spec.h, x1)
-        p_right = spec.sigma2 * x1 ** (-spec.alpha) * eval_sv(spec.h, x1)
-        p0 = 1.0 - p_left - p_right
-        tail_mean = (_tail_first_moment(spec, spec.sigma2, x1)
-                     - _tail_first_moment(spec, spec.sigma1, x1))
-        center = -tail_mean / p0
-        if abs(center) < 0.9 * x1:
-            width = 0.5 * (x1 - abs(center))
-            return ParetoLayout(x1, p_left, p_right, p0, center, width)
-        x1 *= 2.0  # extreme skew: push the exact-tail zone out
+    try:
+        for _ in range(64):
+            p_left = spec.sigma1 * x1 ** (-spec.alpha) * eval_sv(spec.h, x1)
+            p_right = spec.sigma2 * x1 ** (-spec.alpha) * eval_sv(spec.h, x1)
+            p0 = 1.0 - p_left - p_right
+            tail_mean = (_tail_first_moment(spec, spec.sigma2, x1)
+                         - _tail_first_moment(spec, spec.sigma1, x1))
+            center = -tail_mean / p0
+            if abs(center) < 0.9 * x1:
+                width = 0.5 * (x1 - abs(center))
+                return ParetoLayout(x1, p_left, p_right, p0, center, width)
+            x1 *= 2.0  # extreme skew: push the exact-tail zone out
+    except (FloatingPointError, ValueError) as exc:  # panel_quad: a non-finite integral
+        raise ValueError(f"h overflows a double on the exact tails beyond x1 = {x1:.6g} "
+                         f"({exc})") from exc
     raise RuntimeError("could not place the interior balance interval")
 
 
 def sample_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
-    """n i.i.d. mean-zero innovations; deterministic given seed."""
+    """n i.i.d. mean-zero innovations by the family's draw; deterministic
+    given seed."""
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    if isinstance(spec, ExactStable):
-        return sample(spec.law, n, seed)
-    rng = np.random.default_rng(seed)
-    return _sample_pareto_with(spec, n, rng)
-
-
-def sample_peak_arrays(spec: InnovationSpec) -> int:
-    """Bound on the arrays of n doubles that sample_innovations(spec, n, .)
-    holds at once, output included: ten in the CMS kernel; in the Pareto
-    sampler the output plus, per tail draw (every draw counted as one), a
-    side flag, index, uniform and level, and then the root, its negation and
-    the scatter (constant h: 7.125 in all) or -ln g, the table start's
-    position, node, four coefficient rows and two Horner terms (14.125)."""
-    return 10 if isinstance(spec, ExactStable) else 8 if spec.h.kind == "constant" else 15
-
-
-def _sample_pareto_with(spec: ParetoTail, n: int, rng) -> np.ndarray:
-    lay = spec.layout
-    q = rng.random(n)
-    # uniform interior stretch balancing the mean, formed for every draw;
-    # the tail draws are overwritten below
-    out = lay.center + lay.width * (2.0 * (q - lay.p_left) / lay.p0 - 1.0)
-    tails = np.flatnonzero((q < lay.p_left) | (q >= lay.p_left + lay.p0))
-    q = q[tails]
-    right = q >= lay.p_left
-    # conditional survival level g in (0, 1] within each draw's own tail
-    g = np.where(right, 1.0 - q, q) / np.where(right, lay.p_right, lay.p_left)
-    x = _invert_tail_survival(spec, np.maximum(g, _G_FLOOR, out=g))
-    out[tails] = np.where(right, x, -x)
-    return out
+    return spec.draw(n, seed)
 
 
 def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:

@@ -13,22 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .innovations import (
-    ExactStable,
-    InnovationSpec,
-    sample_innovations,
-    sample_peak_arrays,
-    tail_constants,
-)
+from .innovations import InnovationSpec, sample_innovations
 from .slowly_varying import (
     SlowlyVaryingSpec,
-    big_h,
-    big_h_log,
     coefficient,
     coefficient_prefix_sums,
     coefficient_sum,
     eval_sv_log,
-    normalizer,
 )
 from .stable_law import panel_quad
 
@@ -122,12 +113,9 @@ _TAIL_BLOCK = 10_000
 
 def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) -> float:
     """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series,
-    with alpha and h the tail constants of the innovation law.  An exact
-    stable law has H == 1, as in process_normalizer: at alpha = 2 the series
-    is the Gaussian's own sum a_i^2, not the one with the truncated second
-    moment H = 2 ln t of a Pareto tail with h == 1 (below 2, H = h == 1).
-    The H argument is clamped to >= 1; only lags with a_i < 1 matter in any
-    tail regime this diagnostic inspects.
+    with alpha and H those of the innovation law (H == 1 for an exact stable
+    law: the factor 1.0 is exact).  The H argument is clamped to >= 1; only
+    lags with a_i < 1 matter in any tail regime this diagnostic inspects.
 
     The _TAIL_BLOCK lags past M are summed exactly; a block holding a term
     below 1e-16 is the whole tail, summed over its terms of at least 1e-16.
@@ -141,13 +129,10 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
     M = int(M)
     if M < 0:
         raise ValueError("need M >= 0")
-    alpha, _, _, h = tail_constants(innovation)
-    stable = isinstance(innovation, ExactStable)
+    alpha = innovation.alpha
     cut = M + _TAIL_BLOCK
     a = coefficient(ell, np.arange(M + 1, cut + 1, dtype=float))
-    terms = a**alpha
-    if not stable:
-        terms *= big_h(h, alpha, np.maximum(1.0 / a, 1.0))
+    terms = a**alpha * innovation.big_h(np.maximum(1.0 / a, 1.0))
     keep = terms >= 1e-16
     if not keep.all():
         return float(np.sum(terms[keep]))
@@ -157,9 +142,7 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
     def integrand(t, _):
         lnx = lnX - k * np.log(t)
         ell_x = eval_sv_log(ell, lnx)
-        if stable:
-            return ell_x**alpha
-        return ell_x**alpha * big_h_log(h, alpha, np.maximum(lnx - np.log(ell_x), 0.0))
+        return ell_x**alpha * innovation.big_h_log(np.maximum(lnx - np.log(ell_x), 0.0))
 
     rem, _ = panel_quad(integrand)
     return float(np.sum(terms)) + k * (cut + 0.5) ** (1.0 - alpha) * float(rem[0])
@@ -202,13 +185,13 @@ def path_from_innovations(ell: SlowlyVaryingSpec, M: int, eps: np.ndarray,
 
 def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
     """One path X_1..X_n; innovations are drawn once, deterministically.
-    The sampler's peak, sample_peak_arrays arrays of K = n + M - 1, is the
+    The sampler's peak, the law's peak_arrays arrays of K = n + M - 1, is the
     run's (the convolution then holds the K innovations, the M coefficients
     and the n values) and is refused beyond the memory budget before
     anything is drawn."""
     n, M = int(n), int(process.truncation)
     K = n + M - 1
-    require_budget(K * sample_peak_arrays(process.innovation),
+    require_budget(K * process.innovation.peak_arrays,
                    f"the {n} values and {K} innovations of a path")
     eps = sample_innovations(process.innovation, K, seed)
     return path_from_innovations(process.ell, M, eps, n)
@@ -241,15 +224,15 @@ def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
 
 
 def process_normalizer(process: ProcessSpec, N: int) -> float:
-    """A_N for the process, at the alpha of its innovation law, with
-    sum_{i<=N} a_i from coefficient_sum (no N-length array).  Exact-stable
-    innovations scale exactly, so their implicit slowly varying factor is
-    identically 1; heavy-tailed families go through the H_alpha fixed point
-    with their stored h."""
-    alpha, _, _, h = tail_constants(process.innovation)
-    if isinstance(process.innovation, ExactStable):
-        return float(N) ** (1.0 / alpha) * coefficient_sum(process.ell, int(N))
-    return normalizer(process.ell, h, alpha, N)
+    """A_N = N^{1/alpha} H_alpha(N)^{1/alpha} sum_{i<=N} a_i, at the alpha
+    and H_alpha of the innovation law (H_alpha == 1 for an exact stable
+    law; the factor 1.0 is exact), with sum_{i<=N} a_i from coefficient_sum
+    (no N-length array)."""
+    N, law = int(N), process.innovation
+    if N < 1:
+        raise ValueError("need N >= 1")
+    return N ** (1.0 / law.alpha) * law.h_alpha(N) ** (1.0 / law.alpha) * coefficient_sum(
+        process.ell, N)
 
 
 def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
@@ -267,7 +250,7 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     built or drawn.  The peak is the larger of two phases: window_weights
     (the M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K
     the innovation count) and sampling (W, the reps x m samples and, for
-    each replicate in flight, sample_peak_arrays arrays of K).
+    each replicate in flight, the law's peak_arrays arrays of K).
     """
     reps = int(reps)
     if reps < 1:
@@ -276,7 +259,7 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     K = floor_index(N, fdd.times[-1]) + M - 1
     in_flight = min(max(threads, 1), reps)
     require_budget(max(M + 1 + K * (2 + 4 * m),
-                       K * m + reps * m + in_flight * sample_peak_arrays(process.innovation) * K),
+                       K * m + reps * m + in_flight * process.innovation.peak_arrays * K),
                    f"{reps} replicates of {K} innovations on {in_flight} thread(s)")
     W = window_weights(process.ell, N, fdd.times, M)
     A = process_normalizer(process, N)

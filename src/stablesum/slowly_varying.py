@@ -1,4 +1,4 @@
-"""Slowly varying functions, harmonic-type coefficients and the normalizer.
+"""Slowly varying functions, harmonic-type coefficients and H_alpha.
 
 The moving-average coefficients have the form a_i = ell(i)/i with ell slowly
 varying at infinity.  Two symbolic families are supported:
@@ -40,7 +40,6 @@ __all__ = [
     "h_alpha_info",
     "HAlphaResult",
     "HAlphaConvergenceError",
-    "normalizer",
 ]
 
 _KINDS = ("constant", "log_power")
@@ -357,10 +356,17 @@ def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
     return h_alpha_info(h, alpha, N).value
 
 
+# at alpha = 2, H is nondecreasing iff t h'/h <= 2; for log-power h that is
+# p t/((e+t) ln(e+t)) <= 2, whose left side peaks at 0.3178444328993727 p
+_P_MAX_ALPHA2 = 6.292386441241165
+
+
 def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
     """As h_alpha, also reporting the residual and the evaluations of F; a
     ValueError for alpha outside (1, 2], an N that is not a finite number
-    >= 1, or an h whose H overflows a double on the way to the fixed point.
+    >= 1, a log-power h steeper than p = _P_MAX_ALPHA2 at alpha = 2 (its H
+    decreases somewhere) or an h whose H overflows a double on the way to
+    the fixed point.
 
     In s = ln t, t = (N x)^{1/alpha}, the fixed point x = H(t) is a root of
     F(s) = ln N + ln H(e^s) - alpha s.  The largest is bracketed from
@@ -369,6 +375,9 @@ def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
     _check_alpha(alpha)
     if not (1.0 <= N < math.inf):
         raise ValueError("need a finite N >= 1")
+    if alpha == 2.0 and h.p > _P_MAX_ALPHA2:
+        raise ValueError(f"need p <= {_P_MAX_ALPHA2:.7f} at alpha = 2, where "
+                         "H(t) = h(1) - h(t) + 2 int_1^t h(x)/x dx must not decrease")
     if h.kind == "constant" and alpha < 2.0:
         return HAlphaResult(h.c, 0.0, 0)  # constant map: fixed point is h itself
     ln_n, evals = math.log(N), 0
@@ -399,17 +408,6 @@ def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
         raise ValueError("H overflows a double before its fixed point is reached "
                          f"({exc})") from exc
     return HAlphaResult(x, resid, evals)
-
-
-def normalizer(ell: SlowlyVaryingSpec, h: SlowlyVaryingSpec, alpha: float, N: int) -> float:
-    """A_N = N^{1/alpha} * H_alpha(N)^{1/alpha} * sum_{i<=N} ell(i)/i."""
-    _check_alpha(alpha)
-    N = int(N)
-    if N < 1:
-        raise ValueError("need N >= 1")
-    s_n = coefficient_sum(ell, N)
-    ha = h_alpha(h, alpha, N)
-    return N ** (1.0 / alpha) * ha ** (1.0 / alpha) * s_n
 
 
 def _check_alpha(alpha: float) -> None:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from stablesum import cf_oracle, cli
 from stablesum import linear_process as lp
-from stablesum.innovations import sample_peak_arrays
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import coefficient, constant, log_power
 from stablesum.verification import CriteriaConfig
@@ -235,6 +234,19 @@ class TestSimulate:
         assert xs.shape == (20,)
         np.testing.assert_allclose(xs, 2.5 * np.sum(1.0 / np.arange(1.0, 201.0)), rtol=1e-13)
 
+    def test_h_overflowing_on_the_exact_tails_exit_1(self, tmp_path, capsys):
+        # the Pareto layout names h: once three overflow RuntimeWarnings and
+        # then "error: non-finite integral on the quadrature panel"
+        text = PARETO.replace("sigma2 = 1.0",
+                              "sigma2 = 2.0\nh_kind = log_power\nh_c = 1e307\nh_p = 0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", write(tmp_path, text),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: h overflows a double on the exact tails")
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_output(self, tmp_path):
         path = write(tmp_path, BASE)
         main(["simulate", "--config", path, "--out-dir", str(tmp_path / "a")])
@@ -311,7 +323,7 @@ class TestSimulate:
         n, M = 200_000, 10
         cfg = parse_config(write(tmp_path, BASE.replace("truncation = 200", f"truncation = {M}")
                                  .replace("\nn = 20\n", f"\nn = {n}\n")))
-        count = sample_peak_arrays(cfg.innovation) * (n + M - 1)
+        count = cfg.innovation.peak_arrays * (n + M - 1)
         cli.cmd_simulate(cfg, tmp_path / "warm")
         tracemalloc.start()
         try:
@@ -723,6 +735,33 @@ class TestHalpha:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and "overflow" in captured.err
         assert captured.out == ""
+
+    def test_alpha2_constant_prints_plain_floats(self, capsys):
+        # twin of the CI probe: the largest root of one Newton solve, printed
+        # as plain floats with a count of evaluations, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["halpha", "--alpha", "2", "--c", "10", "--n", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("h_alpha=35.77")
+        assert out.split("iterations=")[1].strip().isdigit()
+        assert "np.float64(" not in out
+
+    @pytest.mark.parametrize("c, n", [("1e4", "10"), ("1", "1")])
+    def test_steep_h_at_alpha2_exit_2(self, capsys, c, n):
+        # p = 8 > 6.2923864: H(t) = h(1) - h(t) + 2 int_1^t h/x decreases
+        # somewhere; once exit 0 with h_alpha = 0.4249 and residual 8e-6
+        # (c = 1e4, N = 10), or exit 1 (c = 1, N = 1)
+        argv = ["halpha", "--alpha", "2", "--kind", "log_power", "--c", c, "--p", "8", "--n", n]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: need p <= 6.2923864 at alpha = 2")
+        assert captured.out == ""
+
+    def test_steep_bound_still_solves(self, capsys):
+        assert main(["halpha", "--alpha", "2", "--kind", "log_power",
+                     "--c", "1e4", "--p", "6.29", "--n", "10"]) == 0
+        assert capsys.readouterr().out.startswith("h_alpha=")
 
     def test_no_fixed_point_exit_1(self):
         assert main(["halpha", "--alpha", "2.0", "--kind", "constant",

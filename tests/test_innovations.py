@@ -9,10 +9,8 @@ from stablesum import innovations, slowly_varying
 from stablesum.innovations import (
     ParetoTail,
     exact_stable,
-    innovation_cf_params,
     pareto_layout,
     sample_innovations,
-    tail_constants,
 )
 from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv, log_power, newton_root
 from stablesum.stable_law import StandardStable, from_standard, from_tail_constants
@@ -37,7 +35,7 @@ class TestSampling:
         # a ~1 sigma band (fixed seed); the sound 4-width bound follows
         x = sample_innovations(SYM_PARETO, 10**6, 4)
         assert abs(np.mean(x)) < 0.02
-        width = innovation_cf_params(SYM_PARETO).sigma ** (2.0 / 3.0) * 10**-2
+        width = SYM_PARETO.cf_params.sigma ** (2.0 / 3.0) * 10**-2
         for seed in (1, 2, 3):
             y = sample_innovations(SYM_PARETO, 10**6, seed)
             assert abs(np.mean(y)) < 4.0 * width
@@ -46,7 +44,7 @@ class TestSampling:
         # |mean| < 4 * dispersion / n^{1-1/alpha} at the stable-CLT rate
         spec = ParetoTail(1.5, 1.0, 2.0, constant(1.0))
         x = sample_innovations(spec, 10**6, 17)
-        scale_est = innovation_cf_params(spec).sigma ** (1.0 / 1.5)
+        scale_est = spec.cf_params.sigma ** (1.0 / 1.5)
         assert abs(np.mean(x)) < 4.0 * scale_est / 10**6 ** (1.0 - 1.0 / 1.5)
 
     def test_layout_geometry(self):
@@ -268,12 +266,12 @@ class TestTailFirstMoment:
 class TestTailConstants:
     def test_pareto_pass_through(self):
         spec = ParetoTail(1.5, 1.0, 2.0, constant(1.0))
-        tc = tail_constants(spec)
+        tc = spec.tail_constants
         assert (tc.alpha, tc.sigma1, tc.sigma2) == (1.5, 1.0, 2.0)
         assert tc.h == constant(1.0)
 
     def test_exact_stable_symmetric(self):
-        tc = tail_constants(exact_stable(1.5, 0.0, 1.0))
+        tc = exact_stable(1.5, 0.0, 1.0).tail_constants
         assert tc.sigma1 == tc.sigma2
 
     def test_exact_stable_empirical(self):
@@ -282,7 +280,7 @@ class TestTailConstants:
         # pre-asymptotic at the 0.99 quantile, so sigma1 is held to the
         # deeper level only.
         spec = exact_stable(1.5, 0.5, 1.0)
-        tc = tail_constants(spec)
+        tc = spec.tail_constants
         x = sample_innovations(spec, 10**6, 41)
         result = tail_ratio_check(x, 1.5, tc.h, [0.99, 0.999])
         for got in result.sigma2_hat:
@@ -293,18 +291,18 @@ class TestTailConstants:
             tc.sigma2 / tc.sigma1, rel=0.25)
 
     def test_gaussian_constants(self):
-        tc = tail_constants(exact_stable(2.0, 0.0, 1.5))
+        tc = exact_stable(2.0, 0.0, 1.5).tail_constants
         assert tc.sigma1 == tc.sigma2 == pytest.approx(0.5 * 1.5**2)
 
 
 class TestCfParams:
     def test_exact_stable_round_trip(self):
-        p = innovation_cf_params(exact_stable(1.5, 0.0, 1.0))
+        p = exact_stable(1.5, 0.0, 1.0).cf_params
         assert p.sigma == pytest.approx(1.0, rel=1e-6)
         assert p.D == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_stable_round_trip_skewed(self):
-        p = innovation_cf_params(exact_stable(1.3, 0.6, 2.0))
+        p = exact_stable(1.3, 0.6, 2.0).cf_params
         assert p.sigma == pytest.approx(2.0**1.3, rel=1e-12)
         assert p.D == pytest.approx(0.6 * math.tan(math.pi * 1.3 / 2.0), rel=1e-12)
 
@@ -314,15 +312,15 @@ class TestCfParams:
         # the tail constants still round-trip to the law's CF constants
         spec = exact_stable(alpha, 0.7, 1.3)
         want = from_standard(StandardStable(alpha, 0.7, 1.3))
-        assert innovation_cf_params(spec) == want
-        tc = tail_constants(spec)
+        assert spec.cf_params == want
+        tc = spec.tail_constants
         p = from_tail_constants(tc.alpha, tc.sigma1, tc.sigma2)
         assert p.alpha == alpha
         assert p.sigma == pytest.approx(want.sigma, rel=1e-9)
         assert p.D == pytest.approx(want.D, rel=1e-9)
 
     def test_symmetric_pareto(self):
-        p = innovation_cf_params(SYM_PARETO)
+        p = SYM_PARETO.cf_params
         assert p.D == 0.0
         assert p.sigma == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
@@ -330,7 +328,7 @@ class TestCfParams:
         # partial sums of the pareto family land on the attractor CF:
         # ECF of S_n / n^{1/alpha} at u -> exp(sigma-weighted exponent)
         spec = SYM_PARETO
-        p = innovation_cf_params(spec)
+        p = spec.cf_params
         n, reps = 4000, 4000
         x = sample_innovations(spec, n * reps, 77).reshape(reps, n)
         s = x.sum(axis=1) / n ** (1.0 / spec.alpha)
@@ -357,3 +355,13 @@ class TestValidation:
     def test_sample_size(self):
         with pytest.raises(ValueError):
             sample_innovations(SYM_PARETO, 0, 1)
+
+    def test_h_overflowing_on_the_exact_tails_is_named(self):
+        # h(x1) = 1e307 ln(e + x1)^0.5 overflows a double: the layout once
+        # warned three times and then met a non-finite quadrature panel
+        spec = ParetoTail(1.5, 1.0, 2.0, log_power(1e307, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: pareto_layout(spec), lambda: sample_innovations(spec, 10, 1)):
+                with pytest.raises(ValueError, match="^h overflows a double on the exact tails"):
+                    call()

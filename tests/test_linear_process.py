@@ -220,11 +220,11 @@ class TestPath:
         ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
     ], ids=["stable", "pareto"])
     def test_peak_within_its_count(self, monkeypatch, ell, innovation):
-        # the guard counts sample_peak_arrays arrays of K = n + M - 1: one
+        # the guard counts the law's peak_arrays arrays of K = n + M - 1: one
         # element fewer in the budget refuses the path, and the path holds
         # no more than that count, up to 64 KiB that does not grow with K
         n, M = 30, 200_000
-        count = innovations.sample_peak_arrays(innovation) * (n + M - 1)
+        count = innovation.peak_arrays * (n + M - 1)
         proc = ProcessSpec(ell, innovation, M)
         monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
         with pytest.raises(ValueError, match=f"hold about {count} elements"):
@@ -388,7 +388,7 @@ class TestNormalizedFdd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * innovations.sample_peak_arrays(innovation) * n + 2**16
+        assert peak <= 8 * innovation.peak_arrays * n + 2**16
 
     @pytest.mark.parametrize("h, count", [(constant(1.0), 8), (log_power(1.0, 0.5), 15)],
                              ids=["constant", "log_power"])
@@ -396,7 +396,7 @@ class TestNormalizedFdd:
         # with an interior mass of 2e-13 every draw is a tail draw, the case
         # the count is derived for: 7.125 and 14.125 arrays of n, rounded up
         spec = ParetoTail(1.0001, 1.0, 1.0, h)
-        assert innovations.sample_peak_arrays(spec) == count
+        assert spec.peak_arrays == count
         innovations.sample_innovations(spec, 10, 1)
         vars(spec)["layout"] = dataclasses.replace(spec.layout, p_left=0.5 - 1e-13,
                                                    p_right=0.5 - 1e-13, p0=2e-13)

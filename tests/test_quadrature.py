@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from stablesum.innovations import ParetoTail, _tail_first_moment, exact_stable, tail_constants
+from stablesum.innovations import ParetoTail, _tail_first_moment, exact_stable
 from stablesum.linear_process import truncation_tail
 from stablesum.slowly_varying import big_h, coefficient, constant, eval_sv, log_power
 from stablesum.stable_law import StandardStable, cdf, panel_quad
@@ -128,7 +128,7 @@ class TestTruncationTail:
     ])
     @pytest.mark.parametrize("M", [0, 10_000, 640_000])
     def test_matches_long_block(self, ell, spec, alpha, M):
-        want = _long_block_tail(ell, tail_constants(spec).h, alpha, M)
+        want = _long_block_tail(ell, spec.tail_constants.h, alpha, M)
         assert truncation_tail(ell, spec, M) == pytest.approx(want, rel=1e-9)
 
     def test_matches_mpmath_sum(self):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesum import slowly_varying
+from stablesum.innovations import ParetoTail
+from stablesum.linear_process import ProcessSpec, process_normalizer
 from stablesum.slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
@@ -19,7 +21,6 @@ from stablesum.slowly_varying import (
     h_alpha,
     h_alpha_info,
     log_power,
-    normalizer,
 )
 
 from reference import big_h_from_callable
@@ -284,30 +285,49 @@ class TestHAlpha:
             assert gaps[0] > gaps[1] > gaps[2]
 
 
+def _pareto(alpha):
+    """Constant ell = 1 and a Pareto-tail law with h == 1, whose A_N carries
+    the H_alpha of that h."""
+    return ProcessSpec(constant(1.0), ParetoTail(alpha, 0.5, 0.5, constant(1.0)), 1)
+
+
+class TestSteepH:
+    def test_refused_past_the_bound_at_alpha2(self):
+        # H is nondecreasing iff p t/((e+t) ln(e+t)) <= 2 for all t >= 1
+        g = max(t / ((math.e + t) * math.log(math.e + t)) for t in np.linspace(5.8, 5.9, 1001))
+        assert slowly_varying._P_MAX_ALPHA2 == pytest.approx(2.0 / g, rel=1e-9)
+        with pytest.raises(ValueError, match="need p <= 6.2923864 at alpha = 2"):
+            h_alpha_info(log_power(1e4, 8.0), 2.0, 10)
+        assert h_alpha_info(log_power(1e4, 6.29), 2.0, 10).residual < 1e-12
+
+    def test_alpha_below_2_unchanged(self):
+        assert h_alpha_info(log_power(1.0, 8.0), 1.5, 10).residual < 1e-12
+
+
 class TestNormalizer:
     def test_unit(self):
-        assert normalizer(constant(1.0), constant(1.0), 1.5, 1) == pytest.approx(1.0, rel=1e-14)
+        assert process_normalizer(_pareto(1.5), 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_two(self):
-        assert normalizer(constant(1.0), constant(1.0), 1.5, 2) == pytest.approx(
+        assert process_normalizer(_pareto(1.5), 2) == pytest.approx(
             2.0 ** (2.0 / 3.0) * 1.5, rel=1e-12)
 
     def test_alpha2_unit_has_no_fixed_point(self):
         # with the cutoff-1 transform H(t) = 2 ln t, x = ln(Nx) is insolvable
         # at N = 1, so the advertised trivial value 1 cannot exist
         with pytest.raises(HAlphaConvergenceError):
-            normalizer(constant(1.0), constant(1.0), 2.0, 1)
+            process_normalizer(_pareto(2.0), 1)
 
     def test_monotone_in_n(self):
-        vals = [normalizer(constant(1.0), constant(1.0), 1.5, n) for n in range(1, 1001)]
+        vals = [process_normalizer(_pareto(1.5), n) for n in range(1, 1001)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_n_alpha2(self):
-        vals = [normalizer(constant(1.0), constant(1.0), 2.0, n) for n in range(3, 400)]
+        vals = [process_normalizer(_pareto(2.0), n) for n in range(3, 400)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            normalizer(constant(1.0), constant(1.0), 1.0, 10)
+            process_normalizer(_pareto(1.0), 10)
         with pytest.raises(ValueError):
-            normalizer(constant(1.0), constant(1.0), 1.5, 0)
+            process_normalizer(_pareto(1.5), 0)
