@@ -23,7 +23,8 @@ non-finite [fdd] times or freqs, [simulate] n < 1, a [tolerance] max_ks,
 max_ecf, max_distance_ratio or max_past_ratio that is not finite and
 positive, a non-finite hook_value, and in verify an [N t_m] < 1, a
 [tolerance] criterion whose column the innovation family does not produce
-or a Pareto h whose H overflows on the way to H_alpha(N);
+or a Pareto h whose H overflows on the way to H_alpha(N); in simulate, a
+Pareto h that overflows a double on the exact tails;
 for halpha, an alpha outside (1, 2], an --n that is not a finite number
 >= 1, a bad --c or --p (at alpha = 2, p > 6.2923864) and an h whose H
 overflows.  --threads < 1 is a usage error (also exit 2).  A run whose
@@ -220,8 +221,8 @@ def parse_config(path) -> RunConfig:
                                        interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:  # its message may span lines
+        raise ConfigError("cannot parse config: " + " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
@@ -332,6 +333,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         require_budget(n, f"the {n} values of a path")
         path = cfg.innovation.path(cfg.ell, M, n)
     else:
+        try:  # a law whose draws overflow a double is refused before any sampling
+            cfg.innovation.check_draws()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
     _atomic_write(out_dir / "simulate.csv", _path_csv(path))
     print(f"wrote {out_dir / 'simulate.csv'} ({n} rows)")

@@ -3,7 +3,8 @@
 Each family answers for itself what the package asks of an innovation law:
 alpha, tail_constants, cf_params (its attractor's CF constants), big_h and
 big_h_log (H at t and at ln t), h_alpha(N), has_exact_log_cf, and draw(n,
-seed) with peak_arrays, the arrays of n doubles that draw holds at once.
+seed) with peak_arrays, the arrays of n doubles that draw holds at once, and
+check_draws(), a ValueError where its draws would overflow a double.
 sample_innovations is the one checked entry point to draw.
 
 Two families are provided, both mean zero by construction:
@@ -122,6 +123,9 @@ class ExactStable:
     def draw(self, n: int, seed) -> np.ndarray:
         return sample(self.law, n, seed)
 
+    def check_draws(self) -> None:
+        """CMS draws share no resolved state: nothing to check."""
+
     def h_alpha(self, N) -> float:
         return 1.0
 
@@ -222,6 +226,11 @@ class ParetoTail:
         the scatter (constant h: 7.125 in all) or -ln g, the table start's
         position, node, four coefficient rows and two Horner terms (14.125)."""
         return 8 if self.h.kind == "constant" else 15
+
+    def check_draws(self) -> None:
+        """Resolves the layout: a ValueError where h overflows a double on
+        the exact tails."""
+        self.layout
 
     def draw(self, n: int, seed) -> np.ndarray:
         lay = self.layout
