@@ -49,6 +49,13 @@ peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are refused.
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
+
+A sweep's frequency vectors are evaluated once per ray: every term is
+psi(c_j) with c_j linear in the vector, so the sums at lam u are those at
+u times |lam|^alpha (the stable law's homogeneity), conjugated for lam < 0
+(psi(-w) = conj psi(w), true of any real law).  The 65 vectors of the
+m = 2 sup grid lie on 14 rays; the 64 of the strided m = 3 grid on 64,
+none of them folded.
 """
 
 from __future__ import annotations
@@ -82,11 +89,12 @@ __all__ = [
 
 
 def v_transform(u) -> np.ndarray:
-    """v_i = sum_{j=i}^m u_j (reverse cumulative sum); invertible."""
+    """v_i = sum_{j=i}^m u_j (reverse cumulative sum); invertible.  A 2-d u
+    holds one frequency vector per column."""
     arr = np.asarray(u, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a nonempty 1-d frequency vector")
-    return np.cumsum(arr[::-1])[::-1]
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError("need a nonempty frequency vector, or a 2-d array of them")
+    return np.cumsum(arr[::-1], axis=0)[::-1]
 
 
 # cap on rows x max(m, F) of one weight block W (rows x m) and of c = W @ U
@@ -192,11 +200,10 @@ def _sign_changes(spans, W: np.ndarray):
     return lo + 0.5 * width, col
 
 
-def _distinct(t: np.ndarray, key: np.ndarray):
-    """(first, inverse) over the distinct panels among the node rows t:
-    rows with the same end nodes and key are one panel, as the panels of
-    different columns often are, and need their spans only once."""
-    keys = [t[:, 0], t[:, -1], key]
+def _distinct(*keys):
+    """(first, inverse) over the distinct tuples of the equal-length arrays
+    keys: entry i repeats entry first[inverse[i]], the first of its tuple
+    (lexsort is stable)."""
     order = np.lexsort(keys)
     new = np.arange(order.size) == 0
     for k in keys:
@@ -228,7 +235,9 @@ def _closure(params: SkewedStableParams, W: np.ndarray, key, pts, owner, spans, 
     until their estimates are within _SPAN_RTOL of the owner's integral or
     twice that round-off (_judge)."""
     def integrand(t, o):
-        first, inverse = _distinct(t, key[o])
+        # rows with the same end nodes and key are one panel, as the panels
+        # of different columns often are, and need their spans only once
+        first, inverse = _distinct(t[:, 0], t[:, -1], key[o])
         ug = spans(t[first], key[o[first]])[inverse] * W[o][:, None]
         w = ug.sum(axis=-1)
         out = np.empty((3,) + w.shape)
@@ -417,46 +426,95 @@ def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
     return _PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans])
 
 
+def _frequency_matrix(fdd: FddSpec, freq_grid) -> np.ndarray:
+    """The fdd's own frequencies, then each vector of freq_grid, as columns."""
+    grid = [] if freq_grid is None else freq_grid
+    U = np.column_stack([fdd.freqs] + [np.asarray(g, dtype=float) for g in grid])
+    if U.shape[0] != fdd.m:
+        raise ValueError(f"need frequency vectors of length m = {fdd.m}")
+    return U
+
+
+def _rays(U: np.ndarray):
+    """(first, inverse, lam) over the rays of the columns of U: column f is
+    lam[f] times column first[inverse[f]], the first column of its ray.  Two
+    columns share a ray when they agree after dividing each by its first
+    nonzero entry, and that entry lies in the same band [2^(64k - 32),
+    2^(64k + 32)) of magnitudes: so |lam| < 2^64, and |lam|^alpha neither
+    overflows nor scales up a sum whose terms underflowed.  An all-zero
+    column has lam 1."""
+    lead = U[np.argmax(U != 0.0, axis=0), np.arange(U.shape[1])]
+    lead = np.where(lead == 0.0, 1.0, lead)
+    first, inverse = _distinct(*(U / lead), np.floor(np.log2(np.abs(lead)) / 64.0 + 0.5))
+    return first, inverse, lead / lead[first][inverse]
+
+
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
                      fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None) -> ExactFddLogCf:
     """Exact joint log-CF of (A_N^{-1} S(t_1), ..., A_N^{-1} S(t_m)) at the
     fdd frequencies, for exactly stable innovations (h == 1, H_alpha == 1),
     and at each extra frequency vector of freq_grid (see grid_values).
 
+    Every term is psi(c_j), c_j linear in the frequency vector, so the sum
+    at lam u is |lam|^alpha times the sum at u, conjugated for lam < 0.  The
+    scale is the stable law's homogeneity psi(lam w) = lam^alpha psi(w)
+    (lam > 0); the sign is psi(-w) = conj psi(w), which holds for any real
+    law.  So the sums are taken once per ray (_rays), at its first vector,
+    the fdd's own vector as given, and the other vectors of the ray take
+    them scaled, as do the closure estimates.
+
     Returns the value together with its past/in-window split and tail_bound,
     the largest summed estimate of the window and past closures; raises a
-    RuntimeError when tail_bound exceeds tol.
+    RuntimeError when tail_bound exceeds tol, and a ValueError when a term,
+    scaled or not, is not finite.
     """
     N = int(N)
-    grid = [] if freq_grid is None else list(freq_grid)
-    U = np.column_stack([fdd.freqs] + [np.asarray(g, dtype=float) for g in grid])
-    if U.shape[0] != fdd.m:
-        raise ValueError(f"need frequency vectors of length m = {fdd.m}")
+    U = _frequency_matrix(fdd, freq_grid)
     B = [floor_index(N, t) for t in fdd.times]
-    UA = U / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
+    first, inverse, lam = _rays(U)
+    UA = U[:, first] / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
     S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
     window, window_est = _window(ell, S, UA, B, params, plan)
     past, past_est = _past(ell, S, UA, B, params)
-    bound = float((window_est + past_est).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        scale = np.abs(lam) ** params.alpha
+
+        def unfold(x):
+            x = x[inverse] * scale
+            return np.where(lam < 0.0, x.conj(), x)
+
+        window, past = unfold(window), unfold(past)
+        value = window + past
+        bound = float(((window_est + past_est)[inverse] * scale).max())
+    if not np.isfinite(value).all():
+        freqs = tuple(U[:, np.argmin(np.isfinite(value))].tolist())
+        raise ValueError(f"non-finite log-CF term psi(c_j) at the frequencies {freqs}")
     if not bound <= tol:
         raise RuntimeError(f"the exact log-CF at N = {N} certifies only {bound:.3g} "
                            f"(tolerance {tol})")
-    value = window + past
     return ExactFddLogCf(complex(value[0]), complex(past[0]), complex(window[0]),
                          bound, _J_DEPTH, value[1:])
+
+
+def _limit_log_cfs(params: SkewedStableParams, times, U: np.ndarray) -> np.ndarray:
+    """Levy-limit log-CF sum_i (t_i - t_{i-1}) psi(v_i) of each column of U
+    (v = v_transform(U)), in one log_cf_parts call; a ValueError when a term
+    overflows."""
+    dt = np.diff(np.concatenate([[0.0], times]))[:, None]
+    with np.errstate(over="ignore"):  # raised below instead
+        re, im = log_cf_parts(params, v_transform(U))
+    finite = np.isfinite(re).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"non-finite limit log-CF term psi(v_i) at the "
+                         f"frequencies {tuple(U[:, np.argmin(finite)].tolist())}")
+    return (dt * re).sum(axis=0) + 1j * (dt * im).sum(axis=0)
 
 
 def limit_log_cf(params: SkewedStableParams, fdd: FddSpec) -> complex:
     """Levy-limit log-CF: sum_i (t_i - t_{i-1}) psi(v_i); a ValueError when
     a term overflows."""
-    dt = np.diff(np.concatenate([[0.0], fdd.times]))
-    with np.errstate(over="ignore"):  # raised below instead
-        re, im = log_cf_parts(params, v_transform(fdd.freqs))
-    if not np.isfinite(re).all():
-        raise ValueError(f"non-finite limit log-CF term psi(v_i) at the "
-                         f"frequencies {tuple(fdd.freqs)}")
-    return complex(float(np.sum(dt * re)), float(np.sum(dt * im)))
+    return complex(_limit_log_cfs(params, fdd.times, np.array(fdd.freqs)[:, None])[0])
 
 
 _GRID_VALUES = (-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0)
@@ -494,13 +552,13 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
     differs from a call without the grid only within both calls' tail_bound
     and round-off.  A row whose tail_bound exceeds tol raises.
 
-    One exact_fdd_log_cf call per N, in order."""
+    One exact_fdd_log_cf call per N, in order, and the limits of all the
+    vectors in one pass."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
     grid = [] if freq_grid is None else list(freq_grid)
-    limits = np.array([limit_log_cf(params, fdd)]
-                      + [limit_log_cf(params, FddSpec(fdd.times, tuple(g))) for g in grid])
+    limits = _limit_log_cfs(params, fdd.times, _frequency_matrix(fdd, grid))
 
     def row(n):
         t0 = time.perf_counter()

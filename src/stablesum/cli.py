@@ -59,12 +59,11 @@ from .linear_process import (
     FddSpec,
     ProcessSpec,
     default_truncation_depth,
+    fdd_weights,
     floor_index,
     normalized_fdd_sample,
-    process_normalizer,
     require_budget,
     simulate_path,
-    window_weights,
 )
 from .slowly_varying import (
     HAlphaConvergenceError,
@@ -377,15 +376,16 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _marginal_cdf_target(cfg: RunConfig, N: int, M: int):
+def _marginal_cdf_target(cfg: RunConfig, W: np.ndarray, A: float):
     """The predicted marginal law of A_N^{-1} S(t_m): exact for a law with
-    an exact log-CF, the Levy limit otherwise."""
-    law, t_m = cfg.innovation, cfg.fdd.times[-1]
+    an exact log-CF, from the last column of the window weights W and A_N,
+    and the Levy limit otherwise."""
+    law = cfg.innovation
     if law.has_exact_log_cf:
-        W = window_weights(cfg.ell, N, (t_m,), M)[:, 0]
-        return law.weighted_sum(W / process_normalizer(ProcessSpec(cfg.ell, law, M), N))
+        return law.weighted_sum(W[:, -1] / A)
     params = law.cf_params
-    return to_standard(SkewedStableParams(params.alpha, params.sigma * t_m, params.D))
+    return to_standard(SkewedStableParams(params.alpha, params.sigma * cfg.fdd.times[-1],
+                                          params.D))
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
@@ -397,10 +397,11 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     for exactly stable innovations only) before any work, as is [N t_m] >= 1
     for every N.  The ECF target is the sweep row's exact log-CF for stable
     innovations and the Levy limit otherwise, so the exact log-CF is
-    computed once per N.  With sup_grid the target comes from the call over
-    the whole grid, at the same fixed past depth as a grid-free call and
-    within both calls' tail_bound and round-off of its value; no shipped
-    verify config sets sup_grid."""
+    computed once per N; so are the window weights and A_N, which give the
+    samples and the exact marginal law.  With sup_grid the target comes
+    from the call over the whole grid, at the same fixed past depth as a
+    grid-free call and within both calls' tail_bound and round-off of its
+    value; no shipped verify config sets sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
     if isinstance(cfg.innovation, Hook):
@@ -432,11 +433,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     rows = []
     for n, orow in zip(cfg.n_list, sweep):
         t0 = time.perf_counter()
+        weights = fdd_weights(process, n, cfg.fdd, cfg.reps, threads=threads)
         samples = normalized_fdd_sample(process, n, cfg.fdd, cfg.reps, seed,
-                                        threads=threads)
+                                        threads=threads, weights=weights)
         est, _ = verification.ecf(samples, cfg.fdd.freqs)
         target = limit if orow is None else orow.log_cf
-        marginal = _marginal_cdf_target(cfg, n, M)
+        marginal = _marginal_cdf_target(cfg, *weights)
         ks = verification.ks_distance(samples[:, -1], lambda x: cdf(marginal, x))
         wall = time.perf_counter() - t0
         distance, past, oracle_s = ((None, None, 0.0) if orow is None else

@@ -34,6 +34,7 @@ __all__ = [
     "prefix_weights",
     "window_weights",
     "process_normalizer",
+    "fdd_weights",
     "normalized_fdd_sample",
     "MEMORY_BUDGET_ELEMENTS",
     "require_budget",
@@ -235,23 +236,15 @@ def process_normalizer(process: ProcessSpec, N: int) -> float:
         process.ell, N)
 
 
-def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
-                          seed, *, threads: int = 1) -> np.ndarray:
-    """reps x m matrix of A_N^{-1} S(t_i) over independent replicates.
-
-    Replicate r draws its innovations from the counter-derived seed
-    (seed, r), so results are independent of execution order and any degree
-    of parallelism.  The replicates run in up to `threads` chunks on a
-    thread pool, the package's only one; at threads <= 1 they run inline in
-    the calling thread.  Each row equals the partial sums of simulate_path
-    on the same seed (asserted in tests); the weighted-sum form avoids
-    rebuilding the whole path per replicate.  A run whose peak memory would
-    exceed MEMORY_BUDGET_ELEMENTS doubles is refused before anything is
-    built or drawn.  The peak is the larger of two phases: window_weights
-    (the M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K
-    the innovation count) and sampling (W, the reps x m samples and, for
-    each replicate in flight, the law's peak_arrays arrays of K).
-    """
+def fdd_weights(process: ProcessSpec, N: int, fdd: FddSpec, reps: int, *,
+                threads: int = 1):
+    """(W, A_N) of normalized_fdd_sample: window_weights at the fdd times
+    and process_normalizer.  Refused before anything is built or drawn when
+    the peak memory of the whole sample would exceed MEMORY_BUDGET_ELEMENTS
+    doubles.  The peak is the larger of two phases: window_weights (the
+    M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K the
+    innovation count) and sampling (W, the reps x m samples and, for each
+    replicate in flight, the law's peak_arrays arrays of K)."""
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
@@ -261,8 +254,25 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
     require_budget(max(M + 1 + K * (2 + 4 * m),
                        K * m + reps * m + in_flight * process.innovation.peak_arrays * K),
                    f"{reps} replicates of {K} innovations on {in_flight} thread(s)")
-    W = window_weights(process.ell, N, fdd.times, M)
-    A = process_normalizer(process, N)
+    return window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N)
+
+
+def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
+                          seed, *, threads: int = 1, weights=None) -> np.ndarray:
+    """reps x m matrix of A_N^{-1} S(t_i) over independent replicates, from
+    weights = fdd_weights(process, N, fdd, reps, threads=threads), built
+    here when not given (a caller that also reads W passes them).
+
+    Replicate r draws its innovations from the counter-derived seed
+    (seed, r), so results are independent of execution order and any degree
+    of parallelism.  The replicates run in up to `threads` chunks on a
+    thread pool, the package's only one; at threads <= 1 they run inline in
+    the calling thread.  Each row equals the partial sums of simulate_path
+    on the same seed (asserted in tests); the weighted-sum form avoids
+    rebuilding the whole path per replicate.
+    """
+    W, A = fdd_weights(process, N, fdd, reps, threads=threads) if weights is None else weights
+    K = W.shape[0]
     out = np.empty((reps, fdd.m))
     step = -(-reps // max(threads, 1))
     starts = range(0, reps, step)
@@ -278,4 +288,3 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
         with ThreadPoolExecutor(max_workers=len(starts)) as pool:
             list(pool.map(fill, starts))
     return out
-

@@ -356,6 +356,8 @@ def h_alpha(h: SlowlyVaryingSpec, alpha: float, N: float) -> float:
     return h_alpha_info(h, alpha, N).value
 
 
+# h_alpha_info returns a fixed point only within this relative residual
+_H_ALPHA_RESIDUAL_TOL = 1e-12
 # at alpha = 2, H is nondecreasing iff t h'/h <= 2; for log-power h that is
 # p t/((e+t) ln(e+t)) <= 2, whose left side peaks at 0.3178444328993727 p
 _P_MAX_ALPHA2 = 6.292386441241165
@@ -371,7 +373,8 @@ def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
     In s = ln t, t = (N x)^{1/alpha}, the fixed point x = H(t) is a root of
     F(s) = ln N + ln H(e^s) - alpha s.  The largest is bracketed from
     s0 = ln N / alpha (at least 1/2 at alpha = 2, where s > 0) and finished
-    by newton_root; where there is none, HAlphaConvergenceError."""
+    by newton_root; where there is none, or where the residual of the root
+    found exceeds _H_ALPHA_RESIDUAL_TOL, HAlphaConvergenceError."""
     _check_alpha(alpha)
     if not (1.0 <= N < math.inf):
         raise ValueError("need a finite N >= 1")
@@ -407,6 +410,11 @@ def h_alpha_info(h: SlowlyVaryingSpec, alpha: float, N: float) -> HAlphaResult:
     except (FloatingPointError, ValueError) as exc:  # panel_quad: a non-finite integral
         raise ValueError("H overflows a double before its fixed point is reached "
                          f"({exc})") from exc
+    if not resid <= _H_ALPHA_RESIDUAL_TOL:
+        raise HAlphaConvergenceError(
+            f"the fixed point of x -> H(N^{{1/alpha}} x^{{1/alpha}}) (alpha={alpha}) has "
+            f"residual {resid:.3g}, above {_H_ALPHA_RESIDUAL_TOL:g}; last iterate {x:.6g}",
+            x, resid)
     return HAlphaResult(x, resid, evals)
 
 

@@ -293,6 +293,88 @@ class TestExactFddLogCf:
         assert abs(np.exp(out.value)) <= 1.0
 
 
+class TestRayFold:
+    """A call evaluates each ray of its frequency vectors once, at the ray's
+    first vector, and scales: psi(lam w) = |lam|^alpha psi(w), conjugated
+    for lam < 0."""
+
+    FDD = {1: FddSpec((1.0,), (1.0,)), 2: FddSpec((0.5, 1.0), (1.0, -0.5))}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 0.7])
+    def test_grid_values_match_one_vector_calls(self, beta, m):
+        # the default grid, a negative multiple of the fdd vector and a zero
+        # vector; tail_bound is the largest of the one-vector calls' bounds,
+        # up to their round-off (they are differences of quadratures)
+        params = exact_stable(1.5, beta, 1.0).cf_params
+        fdd = self.FDD[m]
+        u = np.array(fdd.freqs)
+        grid = default_frequency_grid(m) + [-3.0 * u, np.zeros(m)]
+        out = exact_fdd_log_cf(ELL1, params, 1000, fdd, freq_grid=grid)
+        ones = [exact_fdd_log_cf(ELL1, params, 1000, FddSpec(fdd.times, tuple(g)))
+                for g in [u] + grid]
+        for got, one in zip([out.value, *out.grid_values], ones):
+            assert abs(got - one.value) <= (out.tail_bound + one.tail_bound
+                                            + 1e-14 * abs(one.value))
+        assert out.grid_values[-1] == 0.0
+        largest = max(abs(one.value) for one in ones)
+        assert abs(out.tail_bound - max(one.tail_bound for one in ones)) <= 2 * EPS * largest
+
+    @pytest.mark.parametrize("m, rays", [(1, 1), (2, 14), (3, 65)])
+    def test_past_takes_one_column_per_ray(self, monkeypatch, m, rays):
+        # the default grid lies on 8 rays at m = 1 (all on the fdd's), 14 at
+        # m = 2 (the fdd's among them) and 64 at m = 3 (none the fdd's)
+        seen = []
+        past = cf_oracle._past
+
+        def counting(ell, S, UA, B, params):
+            seen.append(UA.shape[1])
+            return past(ell, S, UA, B, params)
+
+        monkeypatch.setattr(cf_oracle, "_past", counting)
+        fdd = self.FDD.get(m, FddSpec((0.2, 0.7, 1.0), (1.0, -0.5, 0.25)))
+        exact_fdd_log_cf(ELL1, SYM15, 100, fdd, freq_grid=default_frequency_grid(m))
+        assert seen == [rays]
+
+    def test_single_vector_unchanged(self):
+        # a call without a grid is its own ray at lam = 1: the values of the
+        # direct evaluation, bit for bit
+        fdd = self.FDD[2]
+        out = exact_fdd_log_cf(ELL1, SYM15, 1000, fdd)
+        assert out.value == complex(-0.21850310504723994, 0.0)
+        assert out.past_part == complex(-0.009459626735988233, 0.0)
+        assert out.window_part == complex(-0.2090434783112517, 0.0)
+        assert out.tail_bound == 2.0973674525993093e-20
+        out = exact_fdd_log_cf(ELL1, exact_stable(1.5, 0.7, 1.0).cf_params, 1000, fdd)
+        assert out.value == complex(-0.21850310504723994, 0.018965231591585884)
+        assert out.past_part == complex(-0.009459626735988233, -0.006621738715191762)
+        assert out.window_part == complex(-0.2090434783112517, 0.025586970306777646)
+        assert out.tail_bound == 2.46789573497925e-20
+
+    @pytest.mark.filterwarnings("error")
+    def test_multiples_far_apart_not_folded(self):
+        # the grid's (2, -1) is 2e210 times the fdd vector: scaled from its
+        # sums, which underflow, |lam|^alpha would overflow; each is
+        # evaluated as given, as without the fold
+        fdd = FddSpec((0.5, 1.0), (1e-210, -5e-211))
+        out = exact_fdd_log_cf(ELL1, SYM15, 100, fdd, freq_grid=[(2.0, -1.0)])
+        one = exact_fdd_log_cf(ELL1, SYM15, 100, FddSpec(fdd.times, (2.0, -1.0)))
+        assert abs(out.grid_values[0] - one.value) <= 1e-14 * abs(one.value)
+        assert out.value == exact_fdd_log_cf(ELL1, SYM15, 100, fdd).value
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_scaled_term_named(self):
+        # the log-CF at the fdd vector is -4.7e303; 1e7 times it, in the same
+        # band, its scaled sums overflow, as its terms do in a direct
+        # evaluation
+        fdd = FddSpec((0.5, 1.0), (1e203, -5e202))
+        with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) at the "
+                                             r"frequencies \(1e\+210, -5e\+209\)"):
+            exact_fdd_log_cf(ELL1, SYM15, 20, fdd, freq_grid=[(1e210, -5e209)])
+        with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) in the rows"):
+            exact_fdd_log_cf(ELL1, SYM15, 20, FddSpec(fdd.times, (1e210, -5e209)))
+
+
 def past_block(ell, params, N, times, U):
     """The oracle's past block at the columns of U and its closure estimate
     (cf_oracle._past at depth _J_DEPTH), with A_N from coefficient_sum;

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from test_contracts import BASE, PARETO, TOL, Row, contract, edited, run, write
+from test_contracts import BASE, PARETO, TOL, Row, contract, edited, printed, run, write
 
-from stablesum import cf_oracle, cli
+from stablesum import cf_oracle, cli, slowly_varying
 from stablesum import linear_process as lp
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import coefficient, constant, log_power
@@ -389,3 +389,11 @@ class TestHalpha:
     test_steep_h_at_alpha2_exit_2 = contract("TestHalpha.test_steep_h_at_alpha2_exit_2")
     test_steep_bound_still_solves = contract("TestHalpha.test_steep_bound_still_solves")
     test_no_fixed_point_exit_1 = contract("TestHalpha.test_no_fixed_point_exit_1")
+
+    def test_residual_above_the_gate_exit_1(self, tmp_path, monkeypatch):
+        # a root whose residual exceeds 1e-12 exits 1 with its iterate and
+        # residual, as a missing root does
+        monkeypatch.setattr(slowly_varying, "newton_root", lambda fn, z, w, lo, hi: w)
+        run(Row("", "halpha", argv="--alpha 1.5 --kind log_power --c 1 --p 2 --n 10000",
+                code=1, err=r"error: .* has residual .* above 1e-12",
+                check=printed(r"^last_iterate=\d", r"^residual=\d")), tmp_path)

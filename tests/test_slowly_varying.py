@@ -263,6 +263,15 @@ class TestHAlpha:
                 res = h_alpha_info(h, alpha, 10**4)
                 assert res.residual < 1e-10
 
+    def test_residual_above_the_gate_raises(self, monkeypatch):
+        # a root is returned only within _H_ALPHA_RESIDUAL_TOL: with Newton
+        # stopped at its start, the bracket end, the iterate is refused
+        monkeypatch.setattr(slowly_varying, "newton_root", lambda fn, z, w, lo, hi: w)
+        with pytest.raises(HAlphaConvergenceError, match="residual .* above 1e-12") as err:
+            h_alpha_info(log_power(1.0, 2.0), 1.5, 10**4)
+        assert err.value.residual > slowly_varying._H_ALPHA_RESIDUAL_TOL
+        assert math.isfinite(err.value.last_iterate)
+
     def test_nonexistent_fixed_point_raises(self):
         # alpha = 2, h == 1, N = 1: x = ln x has no positive root
         with pytest.raises(HAlphaConvergenceError) as err:
