@@ -43,9 +43,12 @@ breakpoints (for the past, the sign changes of each vector's c).  Its
 G_20/G_40 panels are bisected until their estimates are within _SPAN_RTOL
 of the integral or the integrand's round-off, about 1e-15 of the log-CF;
 at J = 1e4 the seam's estimate is as small.  The vectors share the prefix
-sums, the exact rows and the distinct panels of the closures, and the
-weight blocks are built in row chunks of bounded size; prefix sums whose
-peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are refused.
+sums, the exact rows and the distinct panels of the closures.  The weight
+blocks of the exact rows are built in row chunks of bounded size, each
+read as reversed slices of the prefix sums (_PrefixSums.rows); the four
+end rows per closed piece (_end_terms) go through prefix_weights.  Prefix
+sums whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
+refused.
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
@@ -103,16 +106,17 @@ def v_transform(u) -> np.ndarray:
 _CHUNK_ELEMENTS = 2**16
 
 
-def _psi_sums(S: np.ndarray, j0: int, j1: int, B, U: np.ndarray,
+def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
               params: SkewedStableParams) -> np.ndarray:
     """sum_{j0 <= j < j1} psi(c_j) for each column of U, with c = W @ U the
-    combination of the cumulative weights W of eps_j in S(t_1..t_m)."""
+    combination of the cumulative weights W of eps_j in S(t_1..t_m); each
+    chunk of W is read as slices of the prefix sums (_PrefixSums.rows)."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     re = np.zeros(U.shape[1])
     im = np.zeros(U.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         for lo in range(j0, j1, rows):
-            c = prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
+            c = S.rows(lo, min(lo + rows, j1), B) @ U
             g_re, g_im = log_cf_parts(params, c)
             re += g_re.sum(axis=0)
             im += g_im.sum(axis=0)
@@ -382,10 +386,13 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
 
 
 class _PrefixSums:
-    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals, read
-    like an array through take().  Each merged interval [lo, hi] holds
-    coefficient_sum(lo) plus the partial sums of a_k past lo, so no array
-    spans the gaps between the intervals."""
+    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals.  Each
+    merged interval [lo, hi] holds coefficient_sum(lo) plus the partial sums
+    of a_k past lo, so no array spans the gaps between the intervals.
+
+    rows() reads the weight block of a run of consecutive rows as reversed
+    slices of the intervals; take() reads scattered indices like an array,
+    for prefix_weights at the few end rows of the closed pieces."""
 
     def __init__(self, ell: SlowlyVaryingSpec, spans):
         merged = []
@@ -414,11 +421,33 @@ class _PrefixSums:
         seg = np.searchsorted(self._starts, idx, side="right") - 1
         return self._values.take(idx - self._shift.take(seg))
 
+    def rows(self, j0: int, j1: int, B) -> np.ndarray:
+        """prefix_weights(self, np.arange(j0, j1), B), bit for bit: the
+        (j1 - j0) x m weights S[max(B_i - j, 0)] - S[max(-j, 0)] of the rows
+        j0 <= j < j1 (B_i >= 0, so the second index is never the larger)."""
+        n = j1 - j0
+        block = np.stack([self._desc(b - j0, n) for b in B], axis=1)
+        return np.subtract(block, self._desc(-j0, n)[:, None], out=block)
+
+    def _desc(self, top: int, n: int) -> np.ndarray:
+        """S[max(top - r, 0)] for r = 0..n-1: the indices from top down to 0
+        are one reversed slice of the merged interval that holds top (the
+        intervals of _prefix_sums hold each such run whole), and the rest
+        repeat S[0]."""
+        k = min(max(top + 1, 0), n)
+        out = np.empty(n)
+        if k:
+            pos = top - int(self._shift[np.searchsorted(self._starts, top, side="right") - 1])
+            out[:k] = self._values[pos - k + 1:pos + 1][::-1]
+        out[k:] = self._values[0]  # the first interval starts at 0
+        return out
+
 
 def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
-    """S at every index that prefix_weights(S, j, B) reads for j0 <= j < j1,
-    (j0, j1) in rows: B_i - j clipped at 0, and -j for j < 0.  Index
-    0 is always held, so intervals that reach it are plain partial sums."""
+    """S at every index that S.rows(j0, j1, B) reads, (j0, j1) in rows:
+    B_i - j clipped at 0, and -j for j < 0, one span per term, so each run
+    rows() slices lies in one merged interval.  Index 0 is always held, so
+    intervals that reach it are plain partial sums."""
     spans = [(0, 1)]
     for j0, j1 in rows:
         spans.append((max(1 - j1, 0), max(-j0, 0)))

@@ -327,15 +327,16 @@ def _require_seed(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.simulate_n is None:
         raise ConfigError("simulate needs [simulate] n")
-    n, M = cfg.simulate_n, _resolve_truncation(cfg)
+    n = cfg.simulate_n
     if isinstance(cfg.innovation, Hook):
         require_budget(n, f"the {n} values of a path")
-        path = cfg.innovation.path(cfg.ell, M, n)
+        path = cfg.innovation.path(cfg.ell, _resolve_truncation(cfg), n)
     else:
-        try:  # a law whose draws overflow a double is refused before any sampling
+        try:  # a law whose draws overflow a double is refused before any work
             cfg.innovation.check_draws()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        M = _resolve_truncation(cfg)
         path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
     _atomic_write(out_dir / "simulate.csv", _path_csv(path))
     print(f"wrote {out_dir / 'simulate.csv'} ({n} rows)")
@@ -416,12 +417,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     _require(floor_index(cfg.n_list[0], cfg.fdd.times[-1]) >= 1,
              "need [N t_m] >= 1 for every N of [sweep] n_list")
     seed = _require_seed(cfg)
-    M = _resolve_truncation(cfg)
-    try:  # an h whose H overflows a double is refused before any sampling
+    try:  # an h whose H overflows a double is refused before any work
         for n in cfg.n_list:
             cfg.innovation.h_alpha(n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    M = _resolve_truncation(cfg)
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
 
     if exact:

@@ -293,6 +293,72 @@ class TestExactFddLogCf:
         assert abs(np.exp(out.value)) <= 1.0
 
 
+class TestSliceReader:
+    """_PrefixSums.rows reads the weight block of consecutive rows as
+    reversed slices, bit for bit the block prefix_weights gathers."""
+
+    ELLS = (ELL1, SlowlyVaryingSpec("log_power", 1.0, -2.0),
+            SlowlyVaryingSpec("log_power", 1.0, 0.7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_equal_prefix_weights(self, data):
+        ell = data.draw(st.sampled_from(self.ELLS))
+        N = data.draw(st.integers(1, 10**12))
+        m = data.draw(st.integers(1, 3))
+        B = sorted(data.draw(st.lists(st.integers(0, N), min_size=m, max_size=m)))
+        if data.draw(st.booleans()):
+            B[0] = 0
+        n = data.draw(st.integers(1, 300))
+        kind = data.draw(st.sampled_from(["past", "window", "kink", "straddle"]))
+        if kind == "past":
+            j0 = -n - data.draw(st.integers(0, 20_000))
+        elif kind == "window":
+            j0 = data.draw(st.integers(0, max(B[-1] - n, 0)))
+        elif kind == "kink":
+            j0 = data.draw(st.sampled_from(B)) - data.draw(st.integers(0, n))
+        else:
+            j0 = -data.draw(st.integers(1, n))
+            n = max(n, 1 - j0)
+        S = cf_oracle._prefix_sums(ell, B, [(j0, j0 + n)])
+        block = S.rows(j0, j0 + n, B)
+        gathered = linear_process.prefix_weights(S, np.arange(j0, j0 + n), B)
+        assert block.shape == gathered.shape == (n, m)
+        assert np.array_equal(block, gathered)
+        assert np.array_equal(np.signbit(block), np.signbit(gathered))
+
+    def test_psi_sums_reads_no_gathers(self, monkeypatch):
+        # the exact rows come from rows() alone; prefix_weights reads only
+        # the end rows of the closed pieces
+        calls = {"psi": 0, "gather": 0, "in_psi": 0, "rows": 0}
+        psi_sums, gather = cf_oracle._psi_sums, cf_oracle.prefix_weights
+        rows = cf_oracle._PrefixSums.rows
+
+        def counting_psi(*args):
+            calls["psi"] += 1
+            calls["in_psi"] += 1
+            try:
+                return psi_sums(*args)
+            finally:
+                calls["in_psi"] -= 1
+
+        def counting_gather(*args, **kwargs):
+            calls["gather"] += 1
+            assert calls["in_psi"] == 0, "_psi_sums gathered its rows"
+            return gather(*args, **kwargs)
+
+        def counting_rows(self, *args):
+            calls["rows"] += 1
+            return rows(self, *args)
+
+        monkeypatch.setattr(cf_oracle, "_psi_sums", counting_psi)
+        monkeypatch.setattr(cf_oracle, "prefix_weights", counting_gather)
+        monkeypatch.setattr(cf_oracle._PrefixSums, "rows", counting_rows)
+        out = exact_fdd_log_cf(ELL1, SYM15, 10**6, FddSpec((0.5, 1.0), (1.0, -0.5)))
+        assert out.tail_bound <= 1e-8
+        assert calls["psi"] > 0 and calls["rows"] >= calls["psi"] and calls["gather"] > 0
+
+
 class TestRayFold:
     """A call evaluates each ray of its frequency vectors once, at the ray's
     first vector, and scales: psi(lam w) = |lam|^alpha psi(w), conjugated

@@ -294,8 +294,8 @@ class TestVerify:
         assert calls == []
 
     test_empty_window_exit_2 = contract("TestVerify.test_empty_window_exit_2")
-    test_overflowing_truncation_tail_exit_1 = contract(
-        "TestVerify.test_overflowing_truncation_tail_exit_1")
+    test_overflowing_truncation_tail_exit_2 = contract(
+        "TestVerify.test_overflowing_truncation_tail_exit_2")
     test_extreme_pareto_laws_run_without_warning = contract(
         "TestVerify.test_extreme_pareto_laws_run_without_warning")
     test_replicate_budget_exit_1 = contract("TestVerify.test_replicate_budget_exit_1")

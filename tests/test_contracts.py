@@ -188,12 +188,17 @@ BUDGET = r"error: .*memory budget"
 PARETO_H_OVERFLOW = {"innovation = stable": "innovation = pareto\nsigma1 = 1.0\nsigma2 = 2.0"
                                             "\nh_kind = log_power\nh_c = 1e307\nh_p = 0.5"}
 SEED = "seed = 4242"
+H_OVERFLOW_AUTO = {"alpha = 1.5": "alpha = 2.0", "truncation = 200":
+                   "truncation = auto\nh_kind = log_power\nh_c = 1e307\nh_p = 2"}
 
 TABLE = {
     "test_contract": [
         # the law verify refuses on its H (pareto-h-overflow), simulate on its exact tails
         Row("simulate-h-overflow", "simulate", BASE, PARETO_H_OVERFLOW,
             err="config error: h overflows a double"),
+        # the same refusal whatever the truncation: the law is checked first
+        Row("simulate-h-overflow-auto", "simulate", PARETO, H_OVERFLOW_AUTO,
+            err="config error: h overflows a double", rlimit_as=LIMIT),
         # [tolerance] is the last section of the shipped config
         Row("verify_pareto-require_decreasing", "verify",
             (ROOT / "scripts/configs/verify_pareto.ini").read_text(),
@@ -300,12 +305,11 @@ TABLE = {
             err=r"config error: need \[N t_m\] >= 1")
         for family, base in (("stable", BASE), ("pareto", PARETO))
     ],
-    # truncation = auto with an h that overflows H at alpha = 2: the truncation
-    # tail names the non-finite panel instead of halving it until memory runs out
-    "TestVerify.test_overflowing_truncation_tail_exit_1": [Row("", "verify", PARETO + TOL, {
-        "alpha = 1.5": "alpha = 2.0",
-        "truncation = 200": "truncation = auto\nh_kind = log_power\nh_c = 1e307\nh_p = 2"},
-        code=1, err="error: non-finite integral", rlimit_as=LIMIT)],
+    # truncation = auto with an h that overflows H at alpha = 2: refused on
+    # its H before the truncation tail runs, which once ran out of memory on it
+    "TestVerify.test_overflowing_truncation_tail_exit_2": [Row(
+        "", "verify", PARETO + TOL, H_OVERFLOW_AUTO,
+        err="config error: H overflows a double", rlimit_as=LIMIT)],
     # x0^-a overflowed in the mass check, and the x-form bisection put a
     # threshold beyond 2**512 at inf (tail masses 0, or non-finite samples)
     "TestVerify.test_extreme_pareto_laws_run_without_warning": [
