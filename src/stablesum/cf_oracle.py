@@ -46,7 +46,11 @@ at J = 1e4 the seam's estimate is as small.  The vectors share the prefix
 sums, the exact rows and the distinct panels of the closures.  The weight
 blocks of the exact rows are built in row chunks of bounded size, each
 read as reversed slices of the prefix sums (_PrefixSums.rows); the four
-end rows per closed piece (_end_terms) go through prefix_weights.  Prefix
+end rows per closed piece (_end_terms) go through prefix_weights.  Each
+chunk is evaluated in place, in one workspace per _psi_sums call (a weight
+block and a term block): fresh blocks per chunk, past glibc's mmap
+threshold, had their pages faulted in anew, about 1600 minor faults per
+sup-grid run, of which the workspace leaves at most one.  Prefix
 sums whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
 refused.
 tail_bound adds up the estimates of both closures and their end
@@ -101,8 +105,10 @@ def v_transform(u) -> np.ndarray:
 
 
 # cap on rows x max(m, F) of one weight block W (rows x m) and of c = W @ U
-# (rows x F); a cap of 2**20 raised the peak memory of a 65-vector sweep by
-# 6% at no gain in speed
+# (rows x F), the workspace _psi_sums evaluates every chunk of a call in.
+# The chunks are summed in turn, so the cap fixes the summation order: a
+# smaller one moves oracle values in their last bits.  What cost time was
+# allocating the blocks afresh per chunk (512 KiB at F = 14), not the cap
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -110,14 +116,26 @@ def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
               params: SkewedStableParams) -> np.ndarray:
     """sum_{j0 <= j < j1} psi(c_j) for each column of U, with c = W @ U the
     combination of the cumulative weights W of eps_j in S(t_1..t_m); each
-    chunk of W is read as slices of the prefix sums (_PrefixSums.rows)."""
+    chunk of W is read as slices of the prefix sums (_PrefixSums.rows).
+
+    Every chunk is evaluated in one workspace of the call, a weight block
+    (rows x m) and a term block (rows x F): rows() writes W into the first,
+    and c, then the real parts of psi(c), overwrite the second
+    (log_cf_parts in place; at D != 0 the sign of c is one more array).
+    The blocks of a 14-vector chunk are 512 KiB, past glibc's 128 KiB mmap
+    threshold, and the three fresh arrays per chunk of an allocating loop
+    had their pages faulted in anew: about 1600 minor faults per warm
+    oracle_supgrid.ini run, against at most one here."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
+    n = min(rows, max(j1 - j0, 0))
+    weights, terms = np.empty((n, U.shape[0])), np.empty((n, U.shape[1]))
     re = np.zeros(U.shape[1])
     im = np.zeros(U.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         for lo in range(j0, j1, rows):
-            c = S.rows(lo, min(lo + rows, j1), B) @ U
-            g_re, g_im = log_cf_parts(params, c)
+            hi = min(lo + rows, j1)
+            c = np.matmul(S.rows(lo, hi, B, out=weights), U, out=terms[:hi - lo])
+            g_re, g_im = log_cf_parts(params, c, out=c)
             re += g_re.sum(axis=0)
             im += g_im.sum(axis=0)
     if not np.isfinite(re).all():
@@ -421,26 +439,34 @@ class _PrefixSums:
         seg = np.searchsorted(self._starts, idx, side="right") - 1
         return self._values.take(idx - self._shift.take(seg))
 
-    def rows(self, j0: int, j1: int, B) -> np.ndarray:
+    def rows(self, j0: int, j1: int, B, out=None) -> np.ndarray:
         """prefix_weights(self, np.arange(j0, j1), B), bit for bit: the
         (j1 - j0) x m weights S[max(B_i - j, 0)] - S[max(-j, 0)] of the rows
-        j0 <= j < j1 (B_i >= 0, so the second index is never the larger)."""
+        j0 <= j < j1 (B_i >= 0, so the second index is never the larger),
+        written into the first j1 - j0 rows of out when given."""
         n = j1 - j0
-        block = np.stack([self._desc(b - j0, n) for b in B], axis=1)
-        return np.subtract(block, self._desc(-j0, n)[:, None], out=block)
+        block = np.empty((n, len(B))) if out is None else out[:n]
+        for col, b in zip(block.T, B):
+            k, run = self._desc(b - j0, n)
+            col[:k] = run
+            col[k:] = self._values[0]
+        # S[max(-j, 0)] past its run is S[0] = 0 (the first interval starts
+        # at 0), whose subtraction leaves every bit as it is
+        k, run = self._desc(-j0, n)
+        np.subtract(block[:k], run[:, None], out=block[:k])
+        return block
 
-    def _desc(self, top: int, n: int) -> np.ndarray:
-        """S[max(top - r, 0)] for r = 0..n-1: the indices from top down to 0
-        are one reversed slice of the merged interval that holds top (the
-        intervals of _prefix_sums hold each such run whole), and the rest
-        repeat S[0]."""
+    def _desc(self, top: int, n: int):
+        """(k, run) with run = S[top - r] for r = 0..k-1, k = min(top + 1, n)
+        (0 for top < 0): the indices from top down to 0 are one reversed
+        slice of the merged interval that holds top (the intervals of
+        _prefix_sums hold each such run whole); S[max(top - r, 0)] repeats
+        S[0] for r >= k."""
         k = min(max(top + 1, 0), n)
-        out = np.empty(n)
-        if k:
-            pos = top - int(self._shift[np.searchsorted(self._starts, top, side="right") - 1])
-            out[:k] = self._values[pos - k + 1:pos + 1][::-1]
-        out[k:] = self._values[0]  # the first interval starts at 0
-        return out
+        if not k:
+            return 0, self._values[:0]
+        pos = top - int(self._shift[np.searchsorted(self._starts, top, side="right") - 1])
+        return k, self._values[pos - k + 1:pos + 1][::-1]
 
 
 def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
@@ -564,7 +590,8 @@ def default_frequency_grid(m: int) -> list:
 class SweepRow:
     n: int
     distance: float
-    past_part: float
+    past_part: float            # |past block| at the fdd's own frequencies
+    window_part: float          # |in-window block| there
     wall_ms: float
     j_depth: int
     tail_bound: float
@@ -575,11 +602,12 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
                          fdd: FddSpec, n_list, *, tol: float = 1e-8,
                          freq_grid=None) -> list:
     """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
-    the fdd's frequencies and freq_grid when given); past_part tracks the
-    past-block magnitude at the fdd's own frequencies and log_cf is the
-    exact value there.  The past depth is fixed, so with freq_grid log_cf
-    differs from a call without the grid only within both calls' tail_bound
-    and round-off.  A row whose tail_bound exceeds tol raises.
+    the fdd's frequencies and freq_grid when given); past_part and
+    window_part are the magnitudes of the past and in-window blocks at the
+    fdd's own frequencies and log_cf is the exact value there.  The past
+    depth is fixed, so with freq_grid log_cf differs from a call without the
+    grid only within both calls' tail_bound and round-off.  A row whose
+    tail_bound exceeds tol raises.
 
     One exact_fdd_log_cf call per N, in order, and the limits of all the
     vectors in one pass."""
@@ -594,7 +622,7 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
         out = exact_fdd_log_cf(ell, params, n, fdd, tol=tol, freq_grid=grid)
         dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
         wall = (time.perf_counter() - t0) * 1e3
-        return SweepRow(n, dist, abs(out.past_part), wall, out.j_depth,
-                        out.tail_bound, out.value)
+        return SweepRow(n, dist, abs(out.past_part), abs(out.window_part), wall,
+                        out.j_depth, out.tail_bound, out.value)
 
     return [row(n) for n in n_list]

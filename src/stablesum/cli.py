@@ -369,8 +369,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     _atomic_write(out_dir / "oracle.csv", ["\n".join(lines) + "\n"])
     doc = {"config": cfg.raw,
            "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
-                     "wall_ms": r.wall_ms, "j_depth": r.j_depth,
-                     "tail_bound": r.tail_bound} for r in rows]}
+                     "window_part": r.window_part, "wall_ms": r.wall_ms,
+                     "j_depth": r.j_depth, "tail_bound": r.tail_bound} for r in rows]}
     _atomic_write(out_dir / "oracle.json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     for r in rows:
         print(f"N={r.n} distance={r.distance:.6g} past_part={r.past_part:.6g}")

@@ -148,18 +148,25 @@ def log_cf(params: SkewedStableParams, u):
     return complex(out) if arr.ndim == 0 else out
 
 
-def log_cf_parts(params: SkewedStableParams, u):
+def log_cf_parts(params: SkewedStableParams, u, out=None):
     """Re and Im of log_cf, -sigma*|u|^alpha and sigma*D*|u|^alpha*sgn u, as
     real arrays, so that sums of them stay real; at D = 0 no sign pass is
     made and Im is a zero with every axis of length 1, which broadcasts
-    against u and its sums."""
+    against u and its sums.  Re is written into out when given, and out=u
+    evaluates in place: sgn u is taken first, and Im is formed in its
+    array."""
     arr = np.asarray(u, dtype=float)
-    re = np.abs(arr)
+    sign = None if params.D == 0.0 else np.sign(arr)
+    re = np.abs(arr, out=out)
     re **= params.alpha
     re *= -params.sigma
-    if params.D == 0.0:
+    if sign is None:
         return re, np.zeros((1,) * arr.ndim)
-    return re, -params.D * re * np.sign(arr)
+    # sgn u * re * -D: multiplying by sgn u is exact, so this is -D * re *
+    # sgn u bit for bit
+    sign *= re
+    sign *= -params.D
+    return re, sign
 
 
 def log_cf_slope(params: SkewedStableParams, u):

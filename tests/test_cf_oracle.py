@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -326,6 +327,38 @@ class TestSliceReader:
         assert block.shape == gathered.shape == (n, m)
         assert np.array_equal(block, gathered)
         assert np.array_equal(np.signbit(block), np.signbit(gathered))
+        # into a workspace longer than the run: its first n rows, all written
+        buf = np.full((n + data.draw(st.integers(0, 50)), m), np.nan)
+        written = S.rows(j0, j0 + n, B, out=buf)
+        assert np.shares_memory(written, buf) and written.shape == (n, m)
+        assert np.array_equal(written, gathered)
+        assert np.array_equal(np.signbit(written), np.signbit(gathered))
+        assert np.isnan(buf[n:]).all()
+
+    @pytest.mark.parametrize("params", [SYM15, LAWS[1]], ids=["D=0", "skewed"])
+    @pytest.mark.parametrize("F", [1, 14])
+    @pytest.mark.parametrize("where", ["past", "window", "straddle"])
+    def test_psi_sums_equal_chunked_reference(self, params, F, where):
+        # the workspace path gives, bit for bit, the sums of the allocating
+        # loop over the same chunks: prefix_weights @ U, psi from log_cf_parts
+        B = [40_000, 90_000, 150_000]
+        U = np.random.default_rng(F).normal(size=(3, F)) * 1e-3
+        rows = cf_oracle._CHUNK_ELEMENTS // max(U.shape)
+        n = 3 * rows + rows // 2
+        j0 = {"past": -n - 7, "window": 11, "straddle": -(n // 2)}[where]
+        j1 = j0 + n
+        S = cf_oracle._prefix_sums(ELL1, B, [(j0, j1)])
+        re, im = np.zeros(F), np.zeros(F)
+        chunks = range(j0, j1, rows)
+        for lo in chunks:
+            c = linear_process.prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
+            g_re, g_im = stable_law.log_cf_parts(params, c)
+            re += g_re.sum(axis=0)
+            im += g_im.sum(axis=0)
+        got = cf_oracle._psi_sums(S, j0, j1, B, U, params)
+        assert len(chunks) == 4
+        assert np.array_equal(got, re + 1j * im)
+        assert (got.imag != 0.0).all() == (params.D != 0.0)
 
     def test_psi_sums_reads_no_gathers(self, monkeypatch):
         # the exact rows come from rows() alone; prefix_weights reads only
@@ -347,9 +380,9 @@ class TestSliceReader:
             assert calls["in_psi"] == 0, "_psi_sums gathered its rows"
             return gather(*args, **kwargs)
 
-        def counting_rows(self, *args):
+        def counting_rows(self, *args, **kwargs):
             calls["rows"] += 1
-            return rows(self, *args)
+            return rows(self, *args, **kwargs)
 
         monkeypatch.setattr(cf_oracle, "_psi_sums", counting_psi)
         monkeypatch.setattr(cf_oracle, "prefix_weights", counting_gather)
@@ -401,6 +434,20 @@ class TestRayFold:
         fdd = self.FDD.get(m, FddSpec((0.2, 0.7, 1.0), (1.0, -0.5, 0.25)))
         exact_fdd_log_cf(ELL1, SYM15, 100, fdd, freq_grid=default_frequency_grid(m))
         assert seen == [rays]
+
+    @pytest.mark.parametrize("beta, digest, value", [
+        (0.0, "90771c9e4b85b3084ec263a69bd1e4a0fe52c64a6f90a302d6298a729ebec94b",
+         complex(-0.07725251364460997, -0.0)),
+        (0.7, "b6c4d40f592413de3a401ebf96a2135ecd555a1977b6c9c077ad7e9f5a7711ba",
+         complex(-0.07725251364460997, -0.006705221932591855))])
+    def test_sup_grid_values_unchanged(self, beta, digest, value):
+        # the 64 grid values of one sup-grid call, bit for bit (sha256 of
+        # their little-endian bytes), as the allocating chunk loop gave them
+        out = exact_fdd_log_cf(ELL1, exact_stable(1.5, beta, 1.0).cf_params, 1000,
+                               self.FDD[2], freq_grid=default_frequency_grid(2))
+        got = np.asarray(out.grid_values, dtype="<c16")
+        assert got.shape == (64,) and got[20] == value
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
     def test_single_vector_unchanged(self):
         # a call without a grid is its own ray at lam = 1: the values of the

@@ -206,8 +206,9 @@ class TestOracle:
         assert header == "N,distance,past_part,wall_ms"
         rows = json.loads((tmp_path / "out" / "oracle.json").read_text())["rows"]
         for row in rows:
-            assert set(row) == {"n", "distance", "past_part", "wall_ms",
+            assert set(row) == {"n", "distance", "past_part", "window_part", "wall_ms",
                                 "j_depth", "tail_bound"}
+            assert row["window_part"] > row["past_part"] > 0.0
             assert row["j_depth"] == 10_000
             assert 0.0 <= row["tail_bound"] <= 1e-8
 

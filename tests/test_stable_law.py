@@ -19,6 +19,7 @@ from stablesum.stable_law import (
     from_standard,
     from_tail_constants,
     log_cf,
+    log_cf_parts,
     sample,
     stable_tail_constant,
     to_standard,
@@ -204,6 +205,24 @@ class TestLogCf:
                        SkewedStableParams(1.5, 2.0, -1.0),
                        SkewedStableParams(2.0, 1.0, 0.0)):
             assert np.all(np.abs(np.exp(log_cf(params, grid))) <= 1.0 + 1e-15)
+
+    @pytest.mark.parametrize("params", [SkewedStableParams(1.5, 1.0, 0.0),
+                                        SkewedStableParams(1.2, 0.7, 1.0),
+                                        SkewedStableParams(1.5, 2.0, -0.5),
+                                        SkewedStableParams(2.0, 1.0, 0.0)])
+    def test_parts_in_place_match_allocating(self, params):
+        # out=u overwrites u with Re bit for bit, signed zeros included, and
+        # Im is -D * Re * sgn u as written
+        u = np.array([[0.0, -0.0, -1.5, 2.0], [5e-324, -1e-300, 3e100, -7.25]])
+        re, im = log_cf_parts(params, u.copy())
+        work = u.copy()
+        got_re, got_im = log_cf_parts(params, work, out=work)
+        assert got_re is work
+        assert np.array_equal(got_re, re) and np.array_equal(np.signbit(got_re), np.signbit(re))
+        assert got_im.shape == im.shape
+        assert np.array_equal(got_im, im) and np.array_equal(np.signbit(got_im), np.signbit(im))
+        want_im = (-params.D * re * np.sign(u) if params.D != 0.0 else np.zeros((1, 1)))
+        assert np.array_equal(im, want_im) and np.array_equal(np.signbit(im), np.signbit(want_im))
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
