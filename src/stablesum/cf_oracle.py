@@ -49,10 +49,11 @@ read as reversed slices of the prefix sums (_PrefixSums.rows); the four
 end rows per closed piece (_end_terms) go through prefix_weights.  Each
 chunk is evaluated in place, in one workspace per _psi_sums call (a weight
 block and a term block): fresh blocks per chunk, past glibc's mmap
-threshold, had their pages faulted in anew, about 1600 minor faults per
-sup-grid run, of which the workspace leaves at most one.  Prefix
-sums whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
-refused.
+threshold, had their pages faulted in anew, about 1580 minor faults per
+warm sup-grid run.  With the workspace a run takes 1 to 11 in one checkout
+directory and 221 to 255 in another: the path's length moves the heap
+layout against glibc's mmap and trim thresholds.  Prefix sums whose peak
+(three times their size) passes MEMORY_BUDGET_ELEMENTS are refused.
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
@@ -124,8 +125,9 @@ def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     (log_cf_parts in place; at D != 0 the sign of c is one more array).
     The blocks of a 14-vector chunk are 512 KiB, past glibc's 128 KiB mmap
     threshold, and the three fresh arrays per chunk of an allocating loop
-    had their pages faulted in anew: about 1600 minor faults per warm
-    oracle_supgrid.ini run, against at most one here."""
+    had their pages faulted in anew: about 1580 minor faults per warm
+    oracle_supgrid.ini run, against 1 to 11 here in one checkout directory
+    and 221 to 255 in another, as the path's length moves the heap layout."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     n = min(rows, max(j1 - j0, 0))
     weights, terms = np.empty((n, U.shape[0])), np.empty((n, U.shape[1]))

@@ -16,24 +16,20 @@ takes its ECF target from the sweep row.
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure, 2 configuration error.  Configuration errors include an unknown
-section or key, an [sweep] n_list that is not strictly increasing or has an
-N < 1, an N, [N t_m] or [simulate] n above 2**53, reps < 2, a negative seed
-or --seed-override, a j_tolerance that is not finite and positive,
-non-finite [fdd] times or freqs, [simulate] n < 1, a [tolerance] max_ks,
-max_ecf, max_distance_ratio or max_past_ratio that is not finite and
-positive, a non-finite hook_value, and in verify an [N t_m] < 1, a
-[tolerance] criterion whose column the innovation family does not produce
-or a Pareto h whose H overflows on the way to H_alpha(N); in simulate, a
-Pareto h that overflows a double on the exact tails;
-for halpha, an alpha outside (1, 2], an --n that is not a finite number
->= 1, a bad --c or --p (at alpha = 2, p > 6.2923864) and an h whose H
-overflows.  --threads < 1 is a usage error (also exit 2).  A run whose
-prefix sums, path or replicate sampling would exceed the memory budget at
-its peak exits 1 before it allocates them.
-
-The innovation families hook_zero, hook_const and hook_impulse are
-deterministic inputs for `simulate` (the Hook type); alpha, and every
-quantity derived from it, comes from the innovation law alone.
+section or key, a missing or blank required key, an [sweep] n_list that is
+not strictly increasing or has an N < 1, an N, [N t_m] or [simulate] n
+above 2**53, reps < 2, a negative seed or --seed-override, a j_tolerance
+that is not finite and positive, non-finite [fdd] times or freqs,
+[simulate] n < 1, a [tolerance] max_ks, max_ecf, max_distance_ratio or
+max_past_ratio that is not finite and positive, and in verify an
+[N t_m] < 1, a [tolerance] criterion whose column the innovation family
+does not produce or a Pareto h whose H overflows on the way to H_alpha(N);
+in simulate, a Pareto h that overflows a double on the exact tails; for
+halpha, an alpha outside (1, 2], an --n that is not a finite number >= 1,
+a bad --c or --p (at alpha = 2, p > 6.2923864) and an h whose H overflows.
+--threads < 1 is a usage error (also exit 2).  A run whose prefix sums,
+path or replicate sampling would exceed the memory budget at its peak
+exits 1 before it allocates them.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ import numpy as np
 from . import cf_oracle, verification
 from .innovations import InnovationSpec, ParetoTail, exact_stable
 from .linear_process import (
-    _M_FLOOR,
     MAX_INDEX,
     FddSpec,
     ProcessSpec,
@@ -62,14 +57,11 @@ from .linear_process import (
     fdd_weights,
     floor_index,
     normalized_fdd_sample,
-    require_budget,
     simulate_path,
 )
 from .slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
-    coefficient,
-    coefficient_sum,
     h_alpha_info,
 )
 from .stable_law import SkewedStableParams, cdf, to_standard
@@ -81,36 +73,9 @@ class ConfigError(Exception):
     pass
 
 
-_HOOKS = ("hook_zero", "hook_const", "hook_impulse")
-
-
-# simulate works in blocks of this many rows (the CSV text, the impulse
-# coefficients), so that the path's n values are its only array that grows
+# simulate writes its CSV in blocks of this many rows, so that the path's n
+# values are its only array that grows
 _BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class Hook:
-    """Deterministic innovations for `simulate`: all zero (hook_zero), all
-    `value` (hook_const) or a unit impulse at j = 0 (hook_impulse)."""
-
-    kind: str
-    value: float
-
-    has_exact_log_cf = False
-
-    def path(self, ell: SlowlyVaryingSpec, M: int, n: int) -> np.ndarray:
-        """X_1..X_n under lag cap M, in closed form: zeros; value * S(M) at
-        every n; or a_1..a_min(n, M), then zeros."""
-        if self.kind == "hook_const":
-            return np.full(n, self.value * coefficient_sum(ell, M))
-        out = np.zeros(n)
-        if self.kind == "hook_impulse":
-            k = min(n, M)
-            for start in range(0, k, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, k)
-                out[start:stop] = coefficient(ell, np.arange(start + 1.0, stop + 1.0))
-        return out
 
 
 # [tolerance] holds the fields of CriteriaConfig, one per verdict criterion
@@ -118,7 +83,7 @@ _CRITERIA_FIELDS = fields(verification.CriteriaConfig)
 _KNOWN_KEYS = {
     "process": {"ell_kind", "ell_c", "ell_p", "innovation", "alpha", "beta",
                 "scale", "sigma1", "sigma2", "h_kind", "h_c", "h_p", "x0",
-                "hook_value", "truncation"},
+                "truncation"},
     "simulate": {"n"},
     "fdd": {"times", "freqs"},
     "sweep": {"n_list", "reps", "seed", "j_tolerance", "sup_grid"},
@@ -129,7 +94,7 @@ _KNOWN_KEYS = {
 @dataclass
 class RunConfig:
     ell: SlowlyVaryingSpec
-    innovation: InnovationSpec | Hook
+    innovation: InnovationSpec
     truncation: int | str       # an int or "auto"
     simulate_n: int | None
     fdd: FddSpec | None
@@ -143,12 +108,11 @@ class RunConfig:
 
 
 def _get(section, key, conv, default=None, required=False):
-    if key not in section:
+    """The converted value of key; a blank value counts as a missing key."""
+    raw = section[key].strip() if key in section else ""
+    if raw == "":
         if required:
             raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = section[key].strip()
-    if raw == "":
         return default
     try:
         return conv(raw)
@@ -165,17 +129,10 @@ def _bool(raw):
     raise ValueError("expected a boolean")
 
 
-def _finite(raw):
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("need a finite number")
-    return value
-
-
 def _positive(raw):
-    value = _finite(raw)
-    if value <= 0.0:
-        raise ValueError("need a number > 0")
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("need a finite number > 0")
     return value
 
 
@@ -248,8 +205,6 @@ def parse_config(path) -> RunConfig:
                                     _get(proc, "sigma2", float, required=True),
                                     _sv_from(proc, "h"),
                                     _get(proc, "x0", float, default=1.0))
-        elif family in _HOOKS:
-            innovation = Hook(family, _get(proc, "hook_value", _finite, default=1.0))
         else:
             raise ConfigError(f"unknown innovation family {family!r}")
     except ValueError as exc:
@@ -313,8 +268,6 @@ def _atomic_write(path: Path, chunks) -> None:
 def _resolve_truncation(cfg: RunConfig) -> int:
     if cfg.truncation != "auto":
         return int(cfg.truncation)
-    if isinstance(cfg.innovation, Hook):
-        return _M_FLOOR
     return default_truncation_depth(cfg.ell, cfg.innovation)
 
 
@@ -328,16 +281,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.simulate_n is None:
         raise ConfigError("simulate needs [simulate] n")
     n = cfg.simulate_n
-    if isinstance(cfg.innovation, Hook):
-        require_budget(n, f"the {n} values of a path")
-        path = cfg.innovation.path(cfg.ell, _resolve_truncation(cfg), n)
-    else:
-        try:  # a law whose draws overflow a double is refused before any work
-            cfg.innovation.check_draws()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        M = _resolve_truncation(cfg)
-        path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
+    try:  # a law whose draws overflow a double is refused before any work
+        cfg.innovation.check_draws()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    M = _resolve_truncation(cfg)
+    path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
     _atomic_write(out_dir / "simulate.csv", _path_csv(path))
     print(f"wrote {out_dir / 'simulate.csv'} ({n} rows)")
     return 0
@@ -405,8 +354,6 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     value; no shipped verify config sets sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
-    if isinstance(cfg.innovation, Hook):
-        raise ConfigError("verify needs a random innovation family")
     exact = cfg.innovation.has_exact_log_cf
     produced = {"ecf_distance", "ks_marginal"}
     if exact:

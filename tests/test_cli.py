@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from test_contracts import BASE, PARETO, TOL, Row, contract, edited, printed, ru
 from stablesum import cf_oracle, cli, slowly_varying
 from stablesum import linear_process as lp
 from stablesum.cli import ConfigError, main, parse_config
-from stablesum.slowly_varying import coefficient, constant, log_power
+from stablesum.slowly_varying import constant, log_power
 from stablesum.verification import CriteriaConfig
 
 # test_x = contract(...): the rows of tests/test_contracts.py filed under test_x
@@ -66,7 +65,7 @@ class TestParse:
     def test_tolerance_keys_are_the_criteria(self, tmp_path):
         # each [tolerance] key sets the CriteriaConfig field of its name
         assert cli._KNOWN_KEYS.keys() == {"process", "simulate", "fdd", "sweep", "tolerance"}
-        assert sum(map(len, cli._KNOWN_KEYS.values())) == 29
+        assert sum(map(len, cli._KNOWN_KEYS.values())) == 28
         keys = ["max_ks", "max_ecf", "require_decreasing", "max_distance_ratio",
                 "require_decreasing_past", "max_past_ratio"]
         assert cli._KNOWN_KEYS["tolerance"] == set(keys)
@@ -85,26 +84,26 @@ test_bad_input_exit_2 = contract("test_bad_input_exit_2")
 
 class TestSimulate:
     @staticmethod
-    def simulated(tmp_path, innovation):
-        """The text rows of a 20-value path of the given innovations."""
-        run(Row("", "simulate", BASE, {"innovation = stable": f"innovation = {innovation}"},
-                code=0), tmp_path)
+    def simulated(tmp_path, edits):
+        """The text rows of a 20-value path of BASE under edits."""
+        run(Row("", "simulate", BASE, edits, code=0), tmp_path)
         lines = (tmp_path / "out" / "simulate.csv").read_text().splitlines()
         assert lines[0] == "n,x" and len(lines) == 21
         return [line.split(",")[1] for line in lines[1:]]
 
-    def test_hook_zero(self, tmp_path):
-        assert self.simulated(tmp_path, "hook_zero") == ["0.0"] * 20
-
-    def test_hook_impulse_reproduces_coefficients(self, tmp_path):
-        xs = np.array(self.simulated(tmp_path, "hook_impulse"), dtype=float)
-        want = coefficient(constant(1.0), np.arange(1.0, 21.0))
-        np.testing.assert_allclose(xs, want, rtol=1e-15)
-
-    def test_hook_const_sums_all_lags(self, tmp_path):
-        # constant innovations give X_n = value * sum_{i<=M} a_i at every n
-        xs = np.array(self.simulated(tmp_path, "hook_const\nhook_value = 2.5"), dtype=float)
-        np.testing.assert_allclose(xs, 2.5 * np.sum(1.0 / np.arange(1.0, 201.0)), rtol=1e-13)
+    @pytest.mark.parametrize("edits", [
+        {},
+        {"innovation = stable": "innovation = pareto\nsigma1 = 1.0\nsigma2 = 1.0"},
+        {"innovation = stable": "innovation = pareto\nsigma1 = 1.0\nsigma2 = 2.0"
+                                "\nh_kind = log_power\nh_p = 0.5"},
+    ], ids=["stable", "pareto", "pareto-log_power"])
+    def test_law_path_is_simulate_path(self, tmp_path, edits):
+        # the CSV holds simulate_path at the row's seed, each value by its repr
+        xs = self.simulated(tmp_path, edits)
+        cfg = parse_config(write(tmp_path, edited(BASE, edits), "law.ini"))
+        path = lp.simulate_path(lp.ProcessSpec(cfg.ell, cfg.innovation, cfg.truncation),
+                                20, cfg.seed)
+        assert xs == [repr(x) for x in path.tolist()]
 
     def test_deterministic_output(self, tmp_path):
         path = write(tmp_path, BASE)
@@ -115,49 +114,6 @@ class TestSimulate:
 
     test_path_peak_refused_under_address_limit = contract(
         "TestSimulate.test_path_peak_refused_under_address_limit")
-    test_hook_impulse_closed_form_under_address_limit = contract(
-        "TestSimulate.test_hook_impulse_closed_form_under_address_limit")
-
-    @pytest.mark.parametrize("kind", ["hook_zero", "hook_const", "hook_impulse"])
-    @pytest.mark.parametrize("ell", [constant(1.0), log_power(1.0, -2.0)],
-                             ids=["constant", "log_power"])
-    def test_hook_path_matches_convolution(self, kind, ell):
-        # the closed forms against the convolution of the hook innovations:
-        # bit for bit on both sides of n = M, the constant to a few ulps (a
-        # sum in another order)
-        hook = cli.Hook(kind, 2.5)
-        for n, M in ((20, 200), (700, 300)):
-            eps = np.full(n + M - 1, hook.value if kind == "hook_const" else 0.0)
-            if kind == "hook_impulse":
-                eps[M - 1] = 1.0
-            want = lp.path_from_innovations(ell, M, eps, n)
-            if kind == "hook_const":
-                np.testing.assert_allclose(hook.path(ell, M, n), want, rtol=1e-14)
-            else:
-                np.testing.assert_array_equal(hook.path(ell, M, n), want)
-
-    @pytest.mark.parametrize("ell", ["constant", "log_power\nell_p = -2.0"],
-                             ids=["constant", "log_power"])
-    def test_hook_path_peak_within_its_count(self, tmp_path, monkeypatch, ell):
-        # the hook route holds its n values, and a block of the CSV and of
-        # the coefficients: n - 1 in the budget refuses it
-        n = 200_000
-        cfg = parse_config(write(tmp_path, BASE.replace("ell_kind = constant", f"ell_kind = {ell}")
-                                 .replace("innovation = stable", "innovation = hook_impulse")
-                                 .replace("truncation = 200", f"truncation = {n}")
-                                 .replace("\nn = 20\n", f"\nn = {n}\n")))
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", n - 1)
-        with pytest.raises(ValueError, match=f"hold about {n} elements"):
-            cli.cmd_simulate(cfg, tmp_path / "refused")
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", n)
-        cli.cmd_simulate(cfg, tmp_path / "warm")
-        tracemalloc.start()
-        try:
-            assert cli.cmd_simulate(cfg, tmp_path / "out") == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n + 2**16
 
     def test_stable_run_within_its_count(self, tmp_path):
         # the CSV is written in blocks: at n = 2e5 and M = 10 the run peaked

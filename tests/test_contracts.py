@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from stablesum import cli
-from stablesum.slowly_varying import coefficient, constant
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,13 +158,6 @@ def printed(*patterns):
     return lambda stdout, out: all(re.search(pattern, stdout, re.M) for pattern in patterns)
 
 
-def impulse_is_a1_to_a30(stdout, out):
-    lines = (out / "simulate.csv").read_text().splitlines()
-    xs = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    return len(lines) == 31 and np.array_equal(xs, coefficient(constant(1.0),
-                                                               np.arange(1.0, 31.0)))
-
-
 def finite_report_rows(stdout, out):
     rows = json.loads((out / "report.json").read_text())["rows"]
     return all(np.isfinite([r["ecf_distance"], r["ks_marginal"]]).all() for r in rows)
@@ -241,9 +233,6 @@ TABLE = {
                                   ("inf", "inf"))
           for row in bad_input(f"t-{name}", "simulate",
                                {"\nn = 20\n": f"\nn = 20\nt = {value}\n"})),
-        *(row for value in ("nan", "inf")
-          for row in bad_input(f"hook_value-{value}", "simulate", {
-              "innovation = stable": f"innovation = hook_const\nhook_value = {value}"})),
         # laws whose CF scale is not a finite positive double
         *(row for value in ("1e300", "1e-320")
           for row in bad_input(f"scale-{value}", "verify", {"scale = 1.0": f"scale = {value}"})),
@@ -253,12 +242,28 @@ TABLE = {
         # a Pareto h whose H_alpha(N) overflows a double: once exit 1 after sampling
         *bad_input("pareto-h-overflow", "verify", PARETO_H_OVERFLOW,
                    err="config error: H overflows a double"),
+        # a required key left blank is missing: it once reached the code as None (exit 1)
+        *(row for id, command, edits in (
+            ("alpha", "simulate", {"alpha = 1.5": "alpha ="}),
+            ("times", "oracle", {"times = 0.5, 1.0": "times ="}),
+            ("freqs", "oracle", {"freqs = 1.0, -0.5": "freqs ="}),
+            ("pareto-sigma1", "simulate",
+             {"innovation = stable": "innovation = pareto\nsigma1 =\nsigma2 = 1.0"}))
+          for row in bad_input(f"blank-{id}", command, edits,
+                               err="config error: missing required key")),
     ],
     # the path length is [simulate] n alone, and every run writes its CSV and JSON
     "TestParse.test_removed_keys_exit_2": [
         Row("simulate-t", "simulate", BASE, {"\nn = 20\n": "\nn = 20\nt = 1.0\n"},
             err="config error: unknown"),
         Row("output", "oracle", BASE, {SEED: f"{SEED}\n\n[output]\nformats = csv"},
+            err="config error: unknown"),
+        # the removed hook families and their key: every innovation is a law that draws
+        *(Row(name, "simulate", BASE, {"innovation = stable": f"innovation = {name}"},
+              err="config error: unknown innovation family")
+          for name in ("hook_zero", "hook_const", "hook_impulse")),
+        Row("hook_value", "simulate", BASE,
+            {"truncation = 200": "truncation = 200\nhook_value = 1.0"},
             err="config error: unknown"),
     ],
     # n = 30, M = 1e8: the stable path passed a one-array check, then failed to allocate
@@ -268,10 +273,6 @@ TABLE = {
                                          "innovation = pareto\nsigma1 = 1.0\nsigma2 = 1.0"},
             code=1, err=BUDGET, rlimit_as=LIMIT),
     ],
-    # the impulse path is a_1..a_30 in closed form, with no innovation array of n + M - 1
-    "TestSimulate.test_hook_impulse_closed_form_under_address_limit": [Row(
-        "", "simulate", BASE, {**PATH_1E8, "innovation = stable": "innovation = hook_impulse"},
-        code=0, rlimit_as=LIMIT, check=impulse_is_a1_to_a30)],
     "TestParse.test_bad_domain_is_config_error": [
         Row("", "simulate", BASE, {"alpha = 1.5": "alpha = 0.5"})],
     "TestSimulate.test_missing_seed_is_config_error": [Row("", "simulate", BASE, {SEED: ""})],

@@ -348,7 +348,7 @@ class TestNormalizedFdd:
             np.testing.assert_allclose(rows[r], want, rtol=1e-12, atol=1e-14)
 
     def test_zero_innovations_row(self):
-        # the deterministic all-zero hook through the path route
+        # all-zero innovations through the path route give an all-zero row
         M, N = 10, 12
         eps = np.zeros(N + M - 1)
         path = path_from_innovations(ELL1, M, eps, N)
