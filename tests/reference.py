@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: aggregated coefficients,
 compensated prefix sums, path partial sums, the standard-parametrization
 log-CF, empirical tail constants, the slowly varying derivative, H for a
-scalar callable and the oracle's in-window block summed term by term.
+scalar callable, the oracle's in-window block summed term by term and the
+safeguarded Newton loop without its first-step shortcut.
 
 No CLI or library path needs them; the tests check the package against
 them."""
@@ -15,6 +16,8 @@ import numpy as np
 
 from stablesum.linear_process import floor_index, prefix_weights
 from stablesum.slowly_varying import (
+    _NEWTON_MAX_ITER,
+    _NEWTON_RTOL,
     SlowlyVaryingSpec,
     _big_h_integral,
     coefficient,
@@ -136,6 +139,26 @@ def sv_derivative(spec: SlowlyVaryingSpec, x):
     else:
         out = spec.c * spec.p * np.log(np.e + arr) ** (spec.p - 1.0) / (np.e + arr)
     return float(out) if arr.ndim == 0 else out
+
+
+def newton_loop(fn, z, w, lo, hi=np.inf):
+    """slowly_varying.newton_root as a plain loop: every step, the first
+    too, keeps the bracket [lo, hi] and bisects where the Newton step leaves
+    it; an element stops at its first step below _NEWTON_RTOL * max(|w|, 1)."""
+    moving = True
+    for _ in range(_NEWTON_MAX_ITER):
+        f, df = fn(w)
+        f = f + z
+        lo = np.where(f > 0.0, w, lo)
+        hi = np.where(f < 0.0, w, hi)
+        step = w - f / df
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        step = np.where(moving, step, w)
+        moving = np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
+        w = step
+        if not moving.any():
+            return w
+    raise RuntimeError(f"root did not converge in {_NEWTON_MAX_ITER} Newton steps")
 
 
 def big_h_from_callable(h_fn, t: float) -> float:

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from stablesum import innovations, slowly_varying
@@ -15,7 +18,7 @@ from stablesum.innovations import (
 from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv, log_power, newton_root
 from stablesum.stable_law import StandardStable, from_standard, from_tail_constants
 
-from reference import tail_ratio_check
+from reference import newton_loop, tail_ratio_check
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
 
@@ -159,6 +162,119 @@ class TestTailInversion:
         for k in (1, 50, 499):
             part = newton_root(log_survival, z[:k] - level, z[:k] / spec.alpha, 0.0)
             np.testing.assert_array_equal(whole[:k], part)
+
+
+# sha256 of the bytes of sample_innovations(law, 12000, seed), taken before
+# the tail draws were gathered per side and the first Newton step lost its
+# bracket: a faster sampler must keep every bit.  No 53-bit uniform reaches
+# the level floor of 1e-300 (g >= 2^-53 unless the uniform is 0), so the
+# clamp is pinned with the floor raised to 1e-2 after the root table is built.
+BENCH_LAW = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))
+PINNED_SAMPLES = {
+    ("bench", 1): "82717cf44c0b5b84af952e0bc47ddde6045c4c9a04922fb404b350c906e28708",
+    ("bench", 2): "41d8874951dcce0a94d4c9950de081f59cad59fa201abeabebc2c7d87f7cfae7",
+    ("p_minus_2", 1): "6cde1e8e63c409cc0da4ccaca05d667ef346489c2cf3411b22f189f6c0e6c3ce",
+    ("p_minus_2", 2): "a71cb76f963800ab26187d83d297c82fb84a6d5d3a4481f9ee2b7071dbd158ff",
+    ("constant", 1): "2160aa9570ba36e2941c386134624ed971c297edc0386dec3bb9062e228fdb01",
+    ("constant", 2): "e2a6e177e6899367d258f1ad443a04a2f0285507e9efa2043725e11b9ff807a8",
+    ("floor", 1): "3a8b1e7207713819d8e9738f1dec56efc341ced699e6697f977572b757fb279c",
+    ("floor", 2): "d328c59540e1b07ff2aeff31f41fcd0cf073f95277ef131649f3ff10b0c6adf0",
+}
+
+
+def sample_hash(spec, seed):
+    return hashlib.sha256(sample_innovations(spec, 12000, seed).tobytes()).hexdigest()
+
+
+class TestPinnedSamples:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name, h", [("bench", log_power(1.0, 0.5)),
+                                         ("p_minus_2", log_power(1.0, -2.0)),
+                                         ("constant", constant(1.0))])
+    def test_samples_match_their_pins(self, name, h, seed):
+        spec = ParetoTail(1.5, 1.0, 2.0, h)
+        assert sample_hash(spec, seed) == PINNED_SAMPLES[name, seed]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_clamped_samples_match_their_pins(self, monkeypatch, seed):
+        spec = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))
+        spec._tail_roots
+        monkeypatch.setattr(innovations, "_G_FLOOR", 1e-2)
+        x = sample_innovations(spec, 12000, seed)
+        # the clamped draws of each tail share the largest root
+        assert np.sum(x == x.min()) > 1 and np.sum(x == x.max()) > 1
+        assert sample_hash(spec, seed) == PINNED_SAMPLES["floor", seed]
+
+    @pytest.mark.parametrize("seed", [1, 2, 20240601])
+    def test_bench_draw_evaluates_the_survival_once(self, monkeypatch, seed):
+        # every tail draw of a bench replicate settles on its first Newton
+        # step, which then needs no second evaluation
+        BENCH_LAW._tail_roots
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return log_survival(*args)
+
+        log_survival = innovations._log_survival
+        monkeypatch.setattr(innovations, "_log_survival", counted)
+        sample_innovations(BENCH_LAW, 11999, seed)
+        assert len(calls) == 1
+
+
+def atan_slope(a, b, s):
+    """fn(w) = -(a w + b atan(w - s)) and its slope: decreasing, and for a
+    small against b its Newton steps overshoot far from the root."""
+    def fn(w):
+        return -(a * w + b * np.arctan(w - s)), -(a + b / (1.0 + (w - s) ** 2))
+    return fn
+
+
+class TestNewtonRoot:
+    # the first step, taken without a bracket, must not change one bit of
+    # what the bracketed loop returns
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 2.0), st.floats(0.0, 5.0), st.floats(-5.0, 5.0),
+           st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
+           st.sampled_from(["root", "near", "far", "scalar"]),
+           st.floats(-100.0, 0.0), st.one_of(st.just(math.inf), st.floats(0.0, 100.0)),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_bracketed_loop(self, a, b, s, z, start, lo, hi, seed):
+        fn, z = atan_slope(a, b, s), np.array(z)
+        rng = np.random.default_rng(seed)
+        root = newton_loop(fn, z, np.zeros_like(z), -1e6, 1e6)  # |root| < 6e4
+        if start == "root":  # settles on its first step
+            w = root
+        elif start == "near":
+            w = root * (1.0 + 1e-6 * rng.standard_normal(z.size))
+        elif start == "far":  # several steps, bisections, starts outside [lo, hi]
+            w = rng.uniform(-200.0, 200.0, z.size)
+        else:
+            w = float(rng.uniform(-200.0, 200.0))
+        with np.errstate(all="ignore"):  # bisections toward hi = inf
+            try:
+                want = newton_loop(fn, z, w, lo, hi)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="did not converge"):
+                    newton_root(fn, z, w, lo, hi)
+                return
+            assert np.array_equal(newton_root(fn, z, w, lo, hi), want, equal_nan=True)
+
+    @pytest.mark.parametrize("start, evals", [("root", 1), ("far", 2)])
+    def test_first_step_shortcut_taken_when_it_settles(self, start, evals):
+        calls = []
+        fn = atan_slope(0.01, 1.0, 0.5)
+
+        def counted(w):
+            calls.append(1)
+            return fn(w)
+
+        z = np.linspace(-1.0, 1.0, 7)  # roots within [-10, 10]
+        root = newton_loop(fn, z, np.zeros_like(z), -np.inf)
+        w = root if start == "root" else np.full_like(z, 150.0)
+        got = newton_root(counted, z, w, -10.0, 10.0)
+        assert np.array_equal(got, newton_loop(fn, z, w, -10.0, 10.0))
+        assert (len(calls) == 1) == (evals == 1)
 
 
 def bisection_threshold(spec):
