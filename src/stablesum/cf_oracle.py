@@ -48,12 +48,13 @@ blocks of the exact rows are built in row chunks of bounded size, each
 read as reversed slices of the prefix sums (_PrefixSums.rows); the four
 end rows per closed piece (_end_terms) go through prefix_weights.  Each
 chunk is evaluated in place, in one workspace per _psi_sums call (a weight
-block and a term block): fresh blocks per chunk, past glibc's mmap
-threshold, had their pages faulted in anew, about 1580 minor faults per
-warm sup-grid run.  With the workspace a run takes 1 to 11 in one checkout
-directory and 221 to 255 in another: the path's length moves the heap
-layout against glibc's mmap and trim thresholds.  Prefix sums whose peak
-(three times their size) passes MEMORY_BUDGET_ELEMENTS are refused.
+block, a term block and, at D != 0, an Im block): fresh blocks per chunk,
+past glibc's mmap threshold, had their pages faulted in anew, about 1580
+minor faults per warm sup-grid run.  With the workspace a run takes 1 to 11
+in one checkout directory and 221 to 255 in another: the path's length
+moves the heap layout against glibc's mmap and trim thresholds.  Prefix
+sums whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
+refused.
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
@@ -120,24 +121,32 @@ def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     chunk of W is read as slices of the prefix sums (_PrefixSums.rows).
 
     Every chunk is evaluated in one workspace of the call, a weight block
-    (rows x m) and a term block (rows x F): rows() writes W into the first,
-    and c, then the real parts of psi(c), overwrite the second
-    (log_cf_parts in place; at D != 0 the sign of c is one more array).
+    (rows x m), a term block (rows x F) and, at D != 0, an Im block
+    (rows x F) in the same array as the term block: rows() writes W into
+    the first, c, then the real parts of psi(c), overwrite the second, and
+    sgn c, then the imaginary parts, the third (log_cf_parts in place).
     The blocks of a 14-vector chunk are 512 KiB, past glibc's 128 KiB mmap
     threshold, and the three fresh arrays per chunk of an allocating loop
     had their pages faulted in anew: about 1580 minor faults per warm
     oracle_supgrid.ini run, against 1 to 11 here in one checkout directory
-    and 221 to 255 in another, as the path's length moves the heap layout."""
+    and 221 to 255 in another, as the path's length moves the heap layout.
+    At beta = 0.7 a fresh sgn c per chunk still took about 1650 a run; with
+    the Im block 2 to 9, in every checkout directory tried."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     n = min(rows, max(j1 - j0, 0))
-    weights, terms = np.empty((n, U.shape[0])), np.empty((n, U.shape[1]))
-    re = np.zeros(U.shape[1])
-    im = np.zeros(U.shape[1])
+    m, F = U.shape
+    weights = np.empty((n, m))
+    # the term block and, at D != 0, the Im block after it, in one array
+    space = np.empty(n * F * (1 if params.D == 0.0 else 2))
+    terms = space[:n * F].reshape(n, F)
+    imag = None if params.D == 0.0 else space[n * F:].reshape(n, F)
+    re = np.zeros(F)
+    im = np.zeros(F)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         for lo in range(j0, j1, rows):
             hi = min(lo + rows, j1)
             c = np.matmul(S.rows(lo, hi, B, out=weights), U, out=terms[:hi - lo])
-            g_re, g_im = log_cf_parts(params, c, out=c)
+            g_re, g_im = log_cf_parts(params, c, out=(c, None if imag is None else imag[:hi - lo]))
             re += g_re.sum(axis=0)
             im += g_im.sum(axis=0)
     if not np.isfinite(re).all():

@@ -31,13 +31,17 @@ safeguarded Newton iteration, finds log-power roots in ln(x / x_ref).
 
 The ParetoTail layout (x1, the tail masses and the interior interval) is
 deterministic, so it is resolved once per spec (ParetoTail.layout) and shared
-by every draw.  A Pareto sample takes one uniform per draw: the interior
-formula is applied to every draw, the tail draws are gathered once, and one
-inversion call serves both tails, the sign going in with the scatter.
-Constant h inverts in closed form.  Log-power Newton starts from a per-spec
-root table (ParetoTail._tail_roots, built on first use) within about 3e-14
-of the root, so practically every draw stops after its first step, and each
-draw's value depends on its own uniform alone.
+by every draw.  A Pareto sample takes one uniform per draw: each tail's
+draws are found by their own index, their levels are joined into one block
+that one inversion call serves, left tail first, and the roots go back by
+the same indices, negated on the left; the interior formula is applied to
+every draw in the uniforms' own array, which becomes the sample.  Constant
+h inverts in closed form.  Log-power Newton starts from a per-spec root
+table (ParetoTail._tail_roots, built on first use, its coefficients four
+contiguous rows) within about 3e-14 relative of the root, so practically
+every draw settles on its first step, which newton_root then returns
+without forming a bracket or evaluating the survival again.  Each draw's
+value depends on its own uniform alone.
 """
 
 from __future__ import annotations
@@ -221,11 +225,12 @@ class ParetoTail:
 
     @property
     def peak_arrays(self) -> int:
-        """The output plus, per tail draw (every draw counted as one), a side
-        flag, index, uniform and level, and then the root, its negation and
-        the scatter (constant h: 7.125 in all) or -ln g, the table start's
-        position, node, four coefficient rows and two Horner terms (14.125)."""
-        return 8 if self.h.kind == "constant" else 15
+        """The uniforms, which become the output, plus, per tail draw (every
+        draw counted as one), its index and level g, and then either the two
+        blocks g is joined from or the root (constant h: 4 in all), or
+        z = -ln g, the table start w and six arrays at once while the
+        survival and its slope are evaluated at w (11)."""
+        return 4 if self.h.kind == "constant" else 11
 
     def check_draws(self) -> None:
         """Resolves the layout: a ValueError where h overflows a double on
@@ -235,16 +240,24 @@ class ParetoTail:
     def draw(self, n: int, seed) -> np.ndarray:
         lay = self.layout
         q = np.random.default_rng(seed).random(n)
-        # uniform interior stretch balancing the mean, formed for every draw;
-        # the tail draws are overwritten below
-        out = lay.center + lay.width * (2.0 * (q - lay.p_left) / lay.p0 - 1.0)
-        tails = np.flatnonzero((q < lay.p_left) | (q >= lay.p_left + lay.p0))
-        q = q[tails]
-        right = q >= lay.p_left
-        # conditional survival level g in (0, 1] within each draw's own tail
-        g = np.where(right, 1.0 - q, q) / np.where(right, lay.p_right, lay.p_left)
+        left = np.flatnonzero(q < lay.p_left)
+        right = np.flatnonzero(q >= lay.p_left + lay.p0)
+        # conditional survival level g in (0, 1] within each draw's own tail,
+        # the left tail's block first; both blocks are inverted in one call
+        g = np.concatenate([q[left] / lay.p_left, (1.0 - q[right]) / lay.p_right])
+        # the uniform interior stretch balancing the mean, formed for every
+        # draw in q itself: center + width (2 (q - p_left) / p0 - 1), op for
+        # op; the tail draws are overwritten below
+        out = q
+        out -= lay.p_left
+        out *= 2.0
+        out /= lay.p0
+        out -= 1.0
+        out *= lay.width
+        out += lay.center
         x = _invert_tail_survival(self, np.maximum(g, _G_FLOOR, out=g))
-        out[tails] = np.where(right, x, -x)
+        out[right] = x[left.size:]
+        out[left] = np.negative(x[:left.size], out=x[:left.size])
         return out
 
     def h_alpha(self, N) -> float:
@@ -334,10 +347,12 @@ def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:
     root table (_tail_roots: cubic Hermite in w(z) on _TABLE_NODES nodes
     uniform in ln(1 + z) over [0, -ln _G_FLOOR]) and finished by
     newton_root, whose stop rule certifies the start in one step for
-    practically every draw."""
+    practically every draw, a step it takes without a bracket."""
     a, h, x1 = spec.alpha, spec.h, spec.layout.x1
     if h.kind == "constant":
-        return x1 * g ** (-1.0 / a)
+        x = g ** (-1.0 / a)
+        x *= x1
+        return x
     z = -np.log(g)
     w = spec._tail_roots.start(z)
     z -= spec._tail_roots.level
@@ -348,18 +363,24 @@ def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:
 class _TailRoots(NamedTuple):
     """Cubic Hermite pieces of the log-power tail root w(z): on node interval
     k, w = c0 + u (c1 + u (c2 + u c3)) with u = ln(1 + z) * per_step - k;
-    coef holds the rows c0..c3, level is _log_survival at x1 itself."""
+    coef holds c0..c3 as four contiguous rows, level is _log_survival at
+    x1 itself."""
 
     per_step: float
-    coef: np.ndarray
+    coef: tuple
     level: float
 
     def start(self, z: np.ndarray) -> np.ndarray:
         u = np.log1p(z) * self.per_step
         k = np.minimum(u.astype(np.intp), _TABLE_NODES - 2)
         u -= k
-        c0, c1, c2, c3 = self.coef.take(k, axis=1)
-        return c0 + u * (c1 + u * (c2 + u * c3))
+        # Horner in place, c0 + u (c1 + u (c2 + u c3)) op for op
+        c0, c1, c2, c3 = self.coef
+        w = c3.take(k)
+        for row in (c2, c1, c0):
+            w *= u
+            w += row.take(k)
+        return w
 
 
 def _tail_root_table(spec: ParetoTail) -> _TailRoots:
@@ -375,7 +396,7 @@ def _tail_root_table(spec: ParetoTail) -> _TailRoots:
     m = -step * (1.0 + z) / df
     d = np.diff(w)
     m0, m1 = m[:-1], m[1:]
-    coef = np.stack([w[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d])
+    coef = (w[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d)
     return _TailRoots(1.0 / step, coef, level)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -284,7 +283,8 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
 
     if len(starts) == 1:  # threads <= 1 or a single replicate: no pool
         fill(0)
-    else:
+    else:  # imported here, so that a run at threads <= 1 never loads it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(starts)) as pool:
             list(pool.map(fill, starts))
     return out

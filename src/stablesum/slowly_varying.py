@@ -290,21 +290,41 @@ def newton_root(fn, z, w, lo, hi=np.inf):
     bracket [lo, hi] around its root, a step that leaves it is replaced by
     a bisection, and it stops at the first step below
     _NEWTON_RTOL * max(|w|, 1), keeping that iterate, so its root depends
-    on its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps."""
+    on its own z alone; a RuntimeError after _NEWTON_MAX_ITER steps.
+
+    The first step forms no bracket: where every slope is negative, each
+    step goes uphill of w where f > 0 and downhill where f < 0, inside the
+    bracket the loop would form, so a first step that lies in [lo, hi] and
+    settles for every element is returned as it is; otherwise the loop goes
+    on from that same first evaluation.  Either way the iterates are the
+    loop's."""
     moving = True
-    for _ in range(_NEWTON_MAX_ITER):
+    for i in range(_NEWTON_MAX_ITER):
         f, df = fn(w)
         f = f + z
+        step = w - f / df
+        if i == 0 and _first_step_settles(w, step, df, lo, hi):
+            return step
         lo = np.where(f > 0.0, w, lo)
         hi = np.where(f < 0.0, w, hi)
-        step = w - f / df
         step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
         step = np.where(moving, step, w)
-        moving = np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
+        moving = _moving(w, step)
         w = step
         if not moving.any():
             return w
     raise RuntimeError(f"root did not converge in {_NEWTON_MAX_ITER} Newton steps")
+
+
+def _moving(w, step):
+    return np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
+
+
+def _first_step_settles(w, step, df, lo, hi) -> bool:
+    """Whether newton_root's bracketed first step would keep the Newton
+    step of every element and stop there (a NaN step fails step >= lo)."""
+    return bool(np.all((df < 0.0) & (step >= lo) & (step <= hi))
+                and not np.any(_moving(w, step)))
 
 
 def _log_big_h(h: SlowlyVaryingSpec, alpha: float, s):

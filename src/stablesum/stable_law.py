@@ -148,16 +148,17 @@ def log_cf(params: SkewedStableParams, u):
     return complex(out) if arr.ndim == 0 else out
 
 
-def log_cf_parts(params: SkewedStableParams, u, out=None):
+def log_cf_parts(params: SkewedStableParams, u, out=(None, None)):
     """Re and Im of log_cf, -sigma*|u|^alpha and sigma*D*|u|^alpha*sgn u, as
     real arrays, so that sums of them stay real; at D = 0 no sign pass is
     made and Im is a zero with every axis of length 1, which broadcasts
-    against u and its sums.  Re is written into out when given, and out=u
-    evaluates in place: sgn u is taken first, and Im is formed in its
-    array."""
+    against u and its sums.  out=(re, im) receives them as the outputs of a
+    two-output ufunc would (None allocates; im is not written at D = 0), and
+    re may be u itself: sgn u is taken into im first, then Re overwrites
+    u, and Im is formed in place."""
     arr = np.asarray(u, dtype=float)
-    sign = None if params.D == 0.0 else np.sign(arr)
-    re = np.abs(arr, out=out)
+    sign = None if params.D == 0.0 else np.sign(arr, out=out[1])
+    re = np.abs(arr, out=out[0])
     re **= params.alpha
     re *= -params.sigma
     if sign is None:

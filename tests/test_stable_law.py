@@ -211,13 +211,15 @@ class TestLogCf:
                                         SkewedStableParams(1.5, 2.0, -0.5),
                                         SkewedStableParams(2.0, 1.0, 0.0)])
     def test_parts_in_place_match_allocating(self, params):
-        # out=u overwrites u with Re bit for bit, signed zeros included, and
-        # Im is -D * Re * sgn u as written
+        # out=(u, im) overwrites u with Re bit for bit, signed zeros
+        # included, and im with Im, -D * Re * sgn u as written; at D = 0 im
+        # is left alone
         u = np.array([[0.0, -0.0, -1.5, 2.0], [5e-324, -1e-300, 3e100, -7.25]])
         re, im = log_cf_parts(params, u.copy())
-        work = u.copy()
-        got_re, got_im = log_cf_parts(params, work, out=work)
+        work, work_im = u.copy(), np.full_like(u, np.nan)
+        got_re, got_im = log_cf_parts(params, work, out=(work, work_im))
         assert got_re is work
+        assert (got_im is work_im) == (params.D != 0.0)
         assert np.array_equal(got_re, re) and np.array_equal(np.signbit(got_re), np.signbit(re))
         assert got_im.shape == im.shape
         assert np.array_equal(got_im, im) and np.array_equal(np.signbit(got_im), np.signbit(im))
