@@ -136,10 +136,9 @@ def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     n = min(rows, max(j1 - j0, 0))
     m, F = U.shape
     weights = np.empty((n, m))
-    # the term block and, at D != 0, the Im block after it, in one array
-    space = np.empty(n * F * (1 if params.D == 0.0 else 2))
-    terms = space[:n * F].reshape(n, F)
-    imag = None if params.D == 0.0 else space[n * F:].reshape(n, F)
+    # at D != 0 the Im block shares one array with the term block
+    blocks = np.empty((1 if params.D == 0.0 else 2, n, F))
+    terms, imag = blocks[0], (None if params.D == 0.0 else blocks[1])
     re = np.zeros(F)
     im = np.zeros(F)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
