@@ -130,8 +130,8 @@ def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     had their pages faulted in anew: about 1580 minor faults per warm
     oracle_supgrid.ini run, against 1 to 11 here in one checkout directory
     and 221 to 255 in another, as the path's length moves the heap layout.
-    At beta = 0.7 a fresh sgn c per chunk still took about 1650 a run; with
-    the Im block 2 to 9, in every checkout directory tried."""
+    At beta = 0.7 a fresh sgn c per chunk still took 1441 to 1707 a run;
+    with the Im block 3 to 11, in every checkout directory tried."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     n = min(rows, max(j1 - j0, 0))
     m, F = U.shape
