@@ -14,7 +14,7 @@ Levy-increment log-CF sum_i (t_i - t_{i-1}) * psi(v_i).
 
 No array in it grows with N.  A_N takes sum_{i<=N} a_i from
 slowly_varying.coefficient_sum, and the prefix sums the exact rows read are
-held on a union of short index intervals (_PrefixSums), each anchored at
+held on a union of short index intervals (PrefixSums), each anchored at
 coefficient_sum: the exact S[k] up to _SUM_ANCHOR and its smooth
 continuation beyond (digamma for constant ell, Euler-Maclaurin for
 log-power ell).
@@ -43,18 +43,20 @@ breakpoints (for the past, the sign changes of each vector's c).  Its
 G_20/G_40 panels are bisected until their estimates are within _SPAN_RTOL
 of the integral or the integrand's round-off, about 1e-15 of the log-CF;
 at J = 1e4 the seam's estimate is as small.  The vectors share the prefix
-sums, the exact rows and the distinct panels of the closures.  The weight
-blocks of the exact rows are built in row chunks of bounded size, each
-read as reversed slices of the prefix sums (_PrefixSums.rows); the four
-end rows per closed piece (_end_terms) go through prefix_weights.  Each
-chunk is evaluated in place, in one workspace per _psi_sums call (a weight
-block, a term block and, at D != 0, an Im block): fresh blocks per chunk,
-past glibc's mmap threshold, had their pages faulted in anew, about 1580
-minor faults per warm sup-grid run.  With the workspace a run takes 1 to 11
-in one checkout directory and 221 to 255 in another: the path's length
-moves the heap layout against glibc's mmap and trim thresholds.  Prefix
-sums whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
-refused.
+sums, the exact rows and the distinct panels of the closures.  Every
+weight block is read as reversed slices of the prefix sums
+(PrefixSums.rows, the reader of the Monte-Carlo window too): the exact
+rows in row chunks of bounded size, and the four end rows of the closed
+pieces (_end_terms) once per distinct run of four.  Each chunk is
+evaluated in place, in one workspace per _psi_sums call (a weight block, a
+term block and, at D != 0, an Im block): fresh blocks per chunk, past
+glibc's mmap threshold, had their pages faulted in anew, about 1580 minor
+faults per warm sup-grid run.  With the workspace a run takes 1 to 11 in
+one checkout directory and 221 to 255 in another: the path's length moves
+the heap layout against glibc's mmap and trim thresholds.  Prefix sums
+whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
+refused.  _prefix_sums holds every index the oracle reads, so rows() never
+fills past the last held index.
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
@@ -76,13 +78,8 @@ from itertools import product
 
 import numpy as np
 
-from .linear_process import FddSpec, floor_index, prefix_weights, require_budget
-from .slowly_varying import (
-    SlowlyVaryingSpec,
-    _scaled_spans,
-    coefficient_prefix_sums,
-    coefficient_sum,
-)
+from .linear_process import FddSpec, PrefixSums, floor_index
+from .slowly_varying import SlowlyVaryingSpec, _scaled_spans, coefficient_sum
 from .stable_law import (_PANEL_X, SkewedStableParams, log_cf, log_cf_parts, log_cf_slope,
                          panel_quad)
 
@@ -114,11 +111,11 @@ def v_transform(u) -> np.ndarray:
 _CHUNK_ELEMENTS = 2**16
 
 
-def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
+def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
               params: SkewedStableParams) -> np.ndarray:
     """sum_{j0 <= j < j1} psi(c_j) for each column of U, with c = W @ U the
     combination of the cumulative weights W of eps_j in S(t_1..t_m); each
-    chunk of W is read as slices of the prefix sums (_PrefixSums.rows).
+    chunk of W is read as slices of the prefix sums (PrefixSums.rows).
 
     Every chunk is evaluated in one workspace of the call, a weight block
     (rows x m), a term block (rows x F) and, at D != 0, an Im block
@@ -153,17 +150,25 @@ def _psi_sums(S: _PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     return re + 1j * im
 
 
-def _end_terms(S, B, W: np.ndarray, params: SkewedStableParams, rows: np.ndarray):
+def _end_terms(S: PrefixSums, B, W: np.ndarray, params: SkewedStableParams,
+               ends: np.ndarray, step: int):
     """The midpoint Euler-Maclaurin terms at the ends of closed pieces, one
-    per row of rows (n x 4, the exact rows outward of the end, nearest
-    first) and of W (n x m, the weights of its piece's column), and their
-    estimates.  With g_0..g_3 the terms psi(c_j) on those rows,
+    per entry of ends (the exact row next to the end) and row of W (n x m,
+    the weights of its piece's column), and their estimates.  The four
+    exact rows outward of an end, nearest first, are ends + step r,
+    r = 0..3, step = 1 above the end and -1 below it; each distinct run of
+    four is read once (PrefixSums.rows), and reversed below the end.
+
+    With g_0..g_3 the terms psi(c_j) on those rows,
     2 g_0 - 3 g_1 + g_2 = -+f' + 23/24 f''' at the end gives its correction
     -+f'/24; with the remainder's 7/5760 f''' the end adds at most
     (23/576 + 7/5760) |f'''|, f''' from the rows' third difference."""
+    starts, inverse = np.unique(ends if step > 0 else ends - 3, return_inverse=True)
+    runs = np.stack([S.rows(s, s + 4, B) for s in starts.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        g = log_cf(params, np.einsum("nrm,nm->nr", prefix_weights(S, rows, B), W))
+        g = log_cf(params, np.einsum("nrm,nm->nr", runs[:, ::step][inverse], W))
     if not np.isfinite(g).all():
+        rows = ends[:, None] + step * np.arange(4)
         raise ValueError(f"non-finite log-CF term psi(c_j) at row j = {rows[~np.isfinite(g)][0]}")
     return ((2.0 * g[:, 0] - 3.0 * g[:, 1] + g[:, 2]) / 24.0,
             np.abs(g[:, 0] - 3.0 * g[:, 1] + 3.0 * g[:, 2] - g[:, 3])
@@ -310,8 +315,7 @@ def _past(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B, params: SkewedStablePara
     closure estimate: the rows -J <= j < 0 (J = _J_DEPTH, held by S) term
     by term, and j < -J as a window piece with one end, at j = -J."""
     J = _J_DEPTH
-    seam, seam_est = _end_terms(S, B, UA.T, params,
-                                np.broadcast_to(np.arange(-J, -J + 4), (UA.shape[1], 4)))
+    seam, seam_est = _end_terms(S, B, UA.T, params, np.full(UA.shape[1], -J), 1)
     tail, tail_est = _past_closure(ell, UA, B, params, J)
     return _psi_sums(S, -J, 0, B, UA, params) + seam + tail, seam_est + tail_est
 
@@ -392,8 +396,8 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
         return total, est
     k, col, p, q = np.array(pieces).T
     W = UA.T[col]
-    for ends in (p[:, None] - np.arange(1, 5), q[:, None] + np.arange(4)):
-        correction, err = _end_terms(S, B, W, params, ends)
+    for ends, step in ((p - 1, -1), (q, 1)):
+        correction, err = _end_terms(S, B, W, params, ends, step)
         np.add.at(total, col, correction)
         np.add.at(est, col, err)
     Bf = np.asarray(B, dtype=float)
@@ -413,73 +417,7 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
     return total, est
 
 
-class _PrefixSums:
-    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals.  Each
-    merged interval [lo, hi] holds coefficient_sum(lo) plus the partial sums
-    of a_k past lo, so no array spans the gaps between the intervals.
-
-    rows() reads the weight block of a run of consecutive rows as reversed
-    slices of the intervals; take() reads scattered indices like an array,
-    for prefix_weights at the few end rows of the closed pieces."""
-
-    def __init__(self, ell: SlowlyVaryingSpec, spans):
-        merged = []
-        for lo, hi in sorted(spans):
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        lo, hi = np.array(merged).T
-        size = int(np.sum(hi - lo + 1))
-        # a part is built from three arrays of its length (log-power ell),
-        # and the parts are joined into a second copy: three times the size
-        require_budget(3 * size, f"the {size} oracle prefix sums")
-        parts = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo, hi)]
-        if lo.size > 1:  # the first interval starts at 0, where S is 0
-            for part, anchor in zip(parts[1:], coefficient_sum(ell, lo[1:])):
-                part += anchor
-        self._values = np.concatenate(parts)
-        self._starts = lo
-        # value of index i in interval s sits at i - shift[s]
-        self._shift = lo - np.concatenate([[0], np.cumsum(hi - lo + 1)[:-1]])
-
-    def take(self, idx):
-        if self._starts.size == 1:  # one interval, from 0
-            return self._values.take(idx)
-        seg = np.searchsorted(self._starts, idx, side="right") - 1
-        return self._values.take(idx - self._shift.take(seg))
-
-    def rows(self, j0: int, j1: int, B, out=None) -> np.ndarray:
-        """prefix_weights(self, np.arange(j0, j1), B), bit for bit: the
-        (j1 - j0) x m weights S[max(B_i - j, 0)] - S[max(-j, 0)] of the rows
-        j0 <= j < j1 (B_i >= 0, so the second index is never the larger),
-        written into the first j1 - j0 rows of out when given."""
-        n = j1 - j0
-        block = np.empty((n, len(B))) if out is None else out[:n]
-        for col, b in zip(block.T, B):
-            k, run = self._desc(b - j0, n)
-            col[:k] = run
-            col[k:] = self._values[0]
-        # S[max(-j, 0)] past its run is S[0] = 0 (the first interval starts
-        # at 0), whose subtraction leaves every bit as it is
-        k, run = self._desc(-j0, n)
-        np.subtract(block[:k], run[:, None], out=block[:k])
-        return block
-
-    def _desc(self, top: int, n: int):
-        """(k, run) with run = S[top - r] for r = 0..k-1, k = min(top + 1, n)
-        (0 for top < 0): the indices from top down to 0 are one reversed
-        slice of the merged interval that holds top (the intervals of
-        _prefix_sums hold each such run whole); S[max(top - r, 0)] repeats
-        S[0] for r >= k."""
-        k = min(max(top + 1, 0), n)
-        if not k:
-            return 0, self._values[:0]
-        pos = top - int(self._shift[np.searchsorted(self._starts, top, side="right") - 1])
-        return k, self._values[pos - k + 1:pos + 1][::-1]
-
-
-def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
+def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> PrefixSums:
     """S at every index that S.rows(j0, j1, B) reads, (j0, j1) in rows:
     B_i - j clipped at 0, and -j for j < 0, one span per term, so each run
     rows() slices lies in one merged interval.  Index 0 is always held, so
@@ -488,7 +426,7 @@ def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> _PrefixSums:
     for j0, j1 in rows:
         spans.append((max(1 - j1, 0), max(-j0, 0)))
         spans += [(max(b - j1 + 1, 0), max(b - j0, 0)) for b in B]
-    return _PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans])
+    return PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans])
 
 
 def _frequency_matrix(fdd: FddSpec, freq_grid) -> np.ndarray:

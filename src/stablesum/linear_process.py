@@ -30,7 +30,7 @@ __all__ = [
     "default_truncation_depth",
     "path_from_innovations",
     "simulate_path",
-    "prefix_weights",
+    "PrefixSums",
     "window_weights",
     "process_normalizer",
     "fdd_weights",
@@ -197,30 +197,81 @@ def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
     return path_from_innovations(process.ell, M, eps, n)
 
 
-def prefix_weights(S: np.ndarray, j, upper, *, cap: int | None = None) -> np.ndarray:
-    """Weight kernel: for each row j of the integer array j (any shape) and
-    each column c (a new last axis), the weight of eps_j in
-    sum_{n = 1}^{upper_c} X_n under lag cap `cap`,
+class PrefixSums:
+    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals.  Each
+    merged interval [lo, hi] holds coefficient_sum(lo) plus the partial sums
+    of a_k past lo, so no array spans the gaps between the intervals.
 
-        sum_{k = lo+1}^{hi} a_k = S[hi] - S[lo],
-        lo = max(-j, 0),  hi = min(max(upper_c - j, 0), cap),
+    rows() reads the weight block of a run of consecutive rows as reversed
+    slices of the intervals: the package's one reader of the weight of eps_j
+    in S(t_i), for the Monte-Carlo window (window_weights) and for the
+    oracle's exact rows and end rows."""
 
-    and exactly zero where hi <= lo (S[hi] - S[hi]), on both sides of
-    j = 0.  S is the coefficient prefix-sum array and must reach index
-    max_c upper_c - min j (or cap)."""
-    j = np.asarray(j)[..., None]
-    lo = np.maximum(-j, 0)
-    hi = np.clip(np.asarray(upper) - j, 0, cap)
-    return S.take(hi) - S.take(np.minimum(lo, hi))
+    def __init__(self, ell: SlowlyVaryingSpec, spans):
+        merged = []
+        for lo, hi in sorted(spans):
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        lo, hi = np.array(merged).T
+        size = int(np.sum(hi - lo + 1))
+        # a part is built from three arrays of its length (log-power ell),
+        # and the parts are joined into a second copy: three times the size
+        require_budget(3 * size, f"the {size} prefix sums")
+        parts = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo, hi)]
+        if lo.size > 1:  # the first interval starts at 0, where S is 0
+            for part, anchor in zip(parts[1:], coefficient_sum(ell, lo[1:])):
+                part += anchor
+        self._values = np.concatenate(parts)
+        self._starts = lo
+        self._last = int(hi[-1])
+        # value of index i in interval s sits at i - shift[s]
+        self._shift = lo - np.concatenate([[0], np.cumsum(hi - lo + 1)[:-1]])
+
+    def rows(self, j0: int, j1: int, B, out=None) -> np.ndarray:
+        """The (j1 - j0) x m weights S[min(max(B_i - j, 0), last)] - S[max(-j, 0)]
+        of the rows j0 <= j < j1 (B_i >= 0, so the second index is never the
+        larger), written into the first j1 - j0 rows of out when given.  last
+        is the largest index held: past it S stays S[last], as it does for a
+        process truncated at lag last (a_k = 0 for k > last)."""
+        n = j1 - j0
+        block = np.empty((n, len(B))) if out is None else out[:n]
+        # S[max(-j, 0)] past its run is S[0] = 0 (the first interval starts
+        # at 0), whose subtraction leaves every bit as it is
+        k0, run0 = self._desc(-j0, n)
+        for col, b in zip(block.T, B):
+            over = min(max(b - j0 - self._last, 0), n)
+            col[:over] = self._values[-1]
+            k, run = self._desc(b - j0 - over, n - over)
+            col[over:over + k] = run
+            col[over + k:] = self._values[0]
+            # column by column: a 2-d subtraction of the broadcast run takes
+            # a 64 KiB ufunc buffer at m >= 2
+            np.subtract(col[:k0], run0, out=col[:k0])
+        return block
+
+    def _desc(self, top: int, n: int):
+        """(k, run) with run = S[top - r] for r = 0..k-1, k = min(top + 1, n)
+        (0 for top < 0): the indices from top down to 0 are one reversed
+        slice of the merged interval that holds top (the intervals of
+        cf_oracle._prefix_sums, and a single interval from 0, hold each such
+        run whole); S[max(top - r, 0)] repeats S[0] for r >= k."""
+        k = min(max(top + 1, 0), n)
+        if not k:
+            return 0, self._values[:0]
+        pos = top - int(self._shift[np.searchsorted(self._starts, top, side="right") - 1])
+        return k, self._values[pos - k + 1:pos + 1][::-1]
 
 
 def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     """Total weight of eps_j in S(t_i) under lag truncation M, for
     j = 1-M .. [N t_m]-1: column stack over i of
-    sum_{n = max(1, j+1)}^{min([N t_i], j+M)} a_{n-j}, from prefix sums."""
+    sum_{n = max(1, j+1)}^{min([N t_i], j+M)} a_{n-j}, read from the M + 1
+    prefix sums S[0..M] (PrefixSums.rows, which holds S[M] past index M)."""
     M = int(M)
     B = [floor_index(N, t) for t in times]
-    return prefix_weights(coefficient_prefix_sums(ell, M), np.arange(1 - M, B[-1]), B, cap=M)
+    return PrefixSums(ell, [(0, M)]).rows(1 - M, B[-1], B)
 
 
 def process_normalizer(process: ProcessSpec, N: int) -> float:
@@ -241,16 +292,17 @@ def fdd_weights(process: ProcessSpec, N: int, fdd: FddSpec, reps: int, *,
     and process_normalizer.  Refused before anything is built or drawn when
     the peak memory of the whole sample would exceed MEMORY_BUDGET_ELEMENTS
     doubles.  The peak is the larger of two phases: window_weights (the
-    M + 1 prefix sums and index temporaries of K (2 + 4m) elements, K the
-    innovation count) and sampling (W, the reps x m samples and, for each
-    replicate in flight, the law's peak_arrays arrays of K)."""
+    larger of building the M + 1 prefix sums, 3 (M + 1), and holding them
+    with the K x m block W, K the innovation count) and sampling (W, the
+    reps x m samples and, for each replicate in flight, the law's
+    peak_arrays arrays of K)."""
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
     M, m = int(process.truncation), fdd.m
     K = floor_index(N, fdd.times[-1]) + M - 1
     in_flight = min(max(threads, 1), reps)
-    require_budget(max(M + 1 + K * (2 + 4 * m),
+    require_budget(max(3 * (M + 1), M + 1 + K * m,
                        K * m + reps * m + in_flight * process.innovation.peak_arrays * K),
                    f"{reps} replicates of {K} innovations on {in_flight} thread(s)")
     return window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N)

@@ -1,8 +1,9 @@
-"""Reference helpers that only the tests use: aggregated coefficients,
-compensated prefix sums, path partial sums, the standard-parametrization
-log-CF, empirical tail constants, the slowly varying derivative, H for a
-scalar callable, the oracle's in-window block summed term by term and the
-safeguarded Newton loop without its first-step shortcut.
+"""Reference helpers that only the tests use: the gathered weight kernel,
+aggregated coefficients, compensated prefix sums, path partial sums, the
+standard-parametrization log-CF, empirical tail constants, the slowly
+varying derivative, H for a scalar callable, the oracle's in-window block
+summed term by term and the safeguarded Newton loop without its first-step
+shortcut.
 
 No CLI or library path needs them; the tests check the package against
 them."""
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stablesum.linear_process import floor_index, prefix_weights
+from stablesum.linear_process import PrefixSums, floor_index
 from stablesum.slowly_varying import (
     _NEWTON_MAX_ITER,
     _NEWTON_RTOL,
@@ -25,6 +26,34 @@ from stablesum.slowly_varying import (
     eval_sv,
 )
 from stablesum.stable_law import SkewedStableParams, StandardStable, from_standard, log_cf
+
+
+def gather(S, idx) -> np.ndarray:
+    """S[idx] for an integer array idx of any shape, gathered: from an
+    array S, or from the merged intervals of a PrefixSums S, each index
+    read in the interval that holds it."""
+    if not isinstance(S, PrefixSums):
+        return S.take(idx)
+    seg = np.searchsorted(S._starts, idx, side="right") - 1
+    return S._values.take(idx - S._shift.take(seg))
+
+
+def prefix_weights(S, j, upper, *, cap: int | None = None) -> np.ndarray:
+    """Weight kernel, gathered: for each row j of the integer array j (any
+    shape) and each column c (a new last axis), the weight of eps_j in
+    sum_{n = 1}^{upper_c} X_n under lag cap `cap`,
+
+        sum_{k = lo+1}^{hi} a_k = S[hi] - S[lo],
+        lo = max(-j, 0),  hi = min(max(upper_c - j, 0), cap),
+
+    and exactly zero where hi <= lo (S[hi] - S[hi]), on both sides of
+    j = 0.  S (an array or a PrefixSums, see gather) must hold index
+    max_c upper_c - min j (or cap).  PrefixSums.rows reads the same
+    weights as reversed slices, bit for bit."""
+    j = np.asarray(j)[..., None]
+    lo = np.maximum(-j, 0)
+    hi = np.clip(np.asarray(upper) - j, 0, cap)
+    return gather(S, hi) - gather(S, np.minimum(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from reference import (
     compensated_prefix_sums,
     exact_window_sum,
     partial_sums,
+    prefix_weights,
     sv_derivative,
 )
 
@@ -276,11 +277,11 @@ class TestExactFddLogCf:
         count = 3 * sum(hi - lo + 1 for lo, hi in spans)
         monkeypatch.setattr(linear_process, "MEMORY_BUDGET_ELEMENTS", count - 1)
         with pytest.raises(ValueError, match=f"hold about {count} elements"):
-            cf_oracle._PrefixSums(ell, spans)
+            linear_process.PrefixSums(ell, spans)
         monkeypatch.setattr(linear_process, "MEMORY_BUDGET_ELEMENTS", count)
         tracemalloc.start()
         try:
-            cf_oracle._PrefixSums(ell, spans)
+            linear_process.PrefixSums(ell, spans)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -295,8 +296,9 @@ class TestExactFddLogCf:
 
 
 class TestSliceReader:
-    """_PrefixSums.rows reads the weight block of consecutive rows as
-    reversed slices, bit for bit the block prefix_weights gathers."""
+    """PrefixSums.rows reads the weight block of consecutive rows as
+    reversed slices, bit for bit the block the reference prefix_weights
+    gathers."""
 
     ELLS = (ELL1, SlowlyVaryingSpec("log_power", 1.0, -2.0),
             SlowlyVaryingSpec("log_power", 1.0, 0.7))
@@ -323,7 +325,7 @@ class TestSliceReader:
             n = max(n, 1 - j0)
         S = cf_oracle._prefix_sums(ell, B, [(j0, j0 + n)])
         block = S.rows(j0, j0 + n, B)
-        gathered = linear_process.prefix_weights(S, np.arange(j0, j0 + n), B)
+        gathered = prefix_weights(S, np.arange(j0, j0 + n), B)
         assert block.shape == gathered.shape == (n, m)
         assert np.array_equal(block, gathered)
         assert np.array_equal(np.signbit(block), np.signbit(gathered))
@@ -351,7 +353,7 @@ class TestSliceReader:
         re, im = np.zeros(F), np.zeros(F)
         chunks = range(j0, j1, rows)
         for lo in chunks:
-            c = linear_process.prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
+            c = prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
             g_re, g_im = stable_law.log_cf_parts(params, c)
             re += g_re.sum(axis=0)
             im += g_im.sum(axis=0)
@@ -360,36 +362,40 @@ class TestSliceReader:
         assert np.array_equal(got, re + 1j * im)
         assert (got.imag != 0.0).all() == (params.D != 0.0)
 
-    def test_psi_sums_reads_no_gathers(self, monkeypatch):
-        # the exact rows come from rows() alone; prefix_weights reads only
-        # the end rows of the closed pieces
-        calls = {"psi": 0, "gather": 0, "in_psi": 0, "rows": 0}
-        psi_sums, gather = cf_oracle._psi_sums, cf_oracle.prefix_weights
-        rows = cf_oracle._PrefixSums.rows
-
-        def counting_psi(*args):
-            calls["psi"] += 1
-            calls["in_psi"] += 1
-            try:
-                return psi_sums(*args)
-            finally:
-                calls["in_psi"] -= 1
-
-        def counting_gather(*args, **kwargs):
-            calls["gather"] += 1
-            assert calls["in_psi"] == 0, "_psi_sums gathered its rows"
-            return gather(*args, **kwargs)
+    def test_one_weight_reader(self, monkeypatch):
+        # the package has no gather: the Monte-Carlo window, the oracle's
+        # exact rows and its end rows all read through PrefixSums.rows
+        assert not hasattr(linear_process, "prefix_weights")
+        assert not hasattr(cf_oracle, "prefix_weights")
+        assert not hasattr(linear_process.PrefixSums, "take")
+        reads = {"window_weights": 0, "_psi_sums": 0, "_end_terms": 0}
+        caller = []
+        rows = linear_process.PrefixSums.rows
 
         def counting_rows(self, *args, **kwargs):
-            calls["rows"] += 1
+            reads[caller[-1]] += 1
             return rows(self, *args, **kwargs)
 
-        monkeypatch.setattr(cf_oracle, "_psi_sums", counting_psi)
-        monkeypatch.setattr(cf_oracle, "prefix_weights", counting_gather)
-        monkeypatch.setattr(cf_oracle._PrefixSums, "rows", counting_rows)
+        def reading(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                caller.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    caller.pop()
+            monkeypatch.setattr(module, name, wrapped)
+
+        monkeypatch.setattr(linear_process.PrefixSums, "rows", counting_rows)
+        reading(linear_process, "window_weights")
+        reading(cf_oracle, "_psi_sums")
+        reading(cf_oracle, "_end_terms")
+        linear_process.window_weights(ELL1, 100, (0.5, 1.0), 50)
+        # N = 1e6 closes window pieces, so end rows are read on both sides
         out = exact_fdd_log_cf(ELL1, SYM15, 10**6, FddSpec((0.5, 1.0), (1.0, -0.5)))
         assert out.tail_bound <= 1e-8
-        assert calls["psi"] > 0 and calls["rows"] >= calls["psi"] and calls["gather"] > 0
+        assert min(reads.values()) > 0, reads
 
 
 class TestRayFold:
@@ -504,8 +510,7 @@ def seam_term(ell, params, N, times, UA, J):
     and its estimate (cf_oracle._end_terms on the exact rows -J..-J+3)."""
     B = [floor_index(N, t) for t in times]
     S = cf_oracle._prefix_sums(ell, B, [(-J, -J + 4)])
-    return cf_oracle._end_terms(S, B, UA.T, params,
-                                np.broadcast_to(np.arange(-J, -J + 4), (UA.shape[1], 4)))
+    return cf_oracle._end_terms(S, B, UA.T, params, np.full(UA.shape[1], -J), 1)
 
 
 def mp_past_beyond(params, B, w, K):

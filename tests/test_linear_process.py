@@ -33,7 +33,7 @@ from stablesum.slowly_varying import (
     log_power,
 )
 
-from reference import partial_sums
+from reference import partial_sums, prefix_weights
 
 ELL1 = constant(1.0)
 H1 = constant(1.0)
@@ -290,6 +290,38 @@ class TestAggregationIdentity:
                 assert W[row, col] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
+class TestWindowReader:
+    """window_weights reads PrefixSums.rows over S[0..M], bit for bit the
+    gathered kernel under lag cap M."""
+
+    ELLS = (ELL1, log_power(1.0, -2.0), log_power(1.0, 0.7))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_window_weights_equal_reference_gather(self, data):
+        ell = data.draw(st.sampled_from(self.ELLS))
+        N = data.draw(st.integers(1, 3000))
+        m = data.draw(st.integers(1, 3))
+        ticks = sorted(data.draw(st.lists(st.integers(1, 4096), min_size=m, max_size=m,
+                                          unique=True)))
+        times = [k / 4096 for k in ticks]
+        if data.draw(st.booleans()):  # B_1 = 0
+            times[0] = min(times[0], 0.5 / N)
+        B = [floor_index(N, t) for t in times]
+        kind = data.draw(st.sampled_from(["one", "below", "above"]))
+        if kind == "one":
+            M = 1
+        elif kind == "below":  # M < [N t_m]
+            M = data.draw(st.integers(1, max(B[-1] - 1, 1)))
+        else:
+            M = data.draw(st.integers(B[-1] + 1, B[-1] + 3000))
+        W = window_weights(ell, N, times, M)
+        want = prefix_weights(coefficient_prefix_sums(ell, M), np.arange(1 - M, B[-1]), B, cap=M)
+        assert W.shape == want.shape == (B[-1] + M - 1, m)
+        assert np.array_equal(W, want)
+        assert np.array_equal(np.signbit(W), np.signbit(want))
+
+
 class TestNormalizedFdd:
     FDD = FddSpec((0.5, 1.0), (1.0, -0.5))
 
@@ -411,7 +443,9 @@ class TestNormalizedFdd:
 
     @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (0.2, 0.5, 1.0)])
     def test_window_weights_peak_within_its_count(self, times):
-        # the guard's window phase, up to 64 KiB that does not grow with K
+        # the guard's window phase: building the M + 1 prefix sums, or
+        # holding them with the K x m block, up to 64 KiB that does not grow
+        # with K (a gather's index arrays of K m would pass it)
         N, M = 1000, 100_000
         K = N + M - 1
         tracemalloc.start()
@@ -420,12 +454,13 @@ class TestNormalizedFdd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (M + 1 + K * (2 + 4 * len(times))) + 2**16
+        assert peak <= 8 * max(3 * (M + 1), M + 1 + K * len(times)) + 2**16
 
     @pytest.mark.parametrize("threads, refused", [(1, False), (2, True)])
     def test_budget_counts_replicates_in_flight(self, monkeypatch, threads, refused):
-        # K = 89 innovations, m = 2: window phase 90 + 89 * 10 = 980; sampling
-        # phase 89 * 2 + 4 * 2 + threads * 10 * 89 = 1076 or 1966
+        # K = 89 innovations, M = 70, m = 2: window phase
+        # max(3 * 71, 71 + 89 * 2) = 249; sampling phase
+        # 89 * 2 + 4 * 2 + threads * 10 * 89 = 1076 or 1966
         monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1500)
         proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 70)
         if refused:
