@@ -49,14 +49,23 @@ weight block is read as reversed slices of the prefix sums
 rows in row chunks of bounded size, and the four end rows of the closed
 pieces (_end_terms) once per distinct run of four.  Each chunk is
 evaluated in place, in one workspace per _psi_sums call (a weight block, a
-term block and, at D != 0, an Im block): fresh blocks per chunk, past
-glibc's mmap threshold, had their pages faulted in anew, about 1580 minor
-faults per warm sup-grid run.  With the workspace a run takes 1 to 11 in
-one checkout directory and 221 to 255 in another: the path's length moves
-the heap layout against glibc's mmap and trim thresholds.  Prefix sums
-whose peak (three times their size) passes MEMORY_BUDGET_ELEMENTS are
-refused.  _prefix_sums holds every index the oracle reads, so rows() never
-fills past the last held index.
+term block and, at D != 0, an Im block), and its terms are summed by
+column in row order (_column_sums): fresh blocks per chunk, past glibc's
+mmap threshold, had their pages faulted in anew, about 1580 minor faults
+per warm sup-grid run.  Prefix sums whose peak (the intervals built in
+turn, each from three arrays of its length, with those before it held)
+passes MEMORY_BUDGET_ELEMENTS are refused.  _prefix_sums holds every
+index the oracle reads, so rows() never fills past the last held index.
+
+One sweep (cf_convergence_sweep) does once what is the same for all its
+N (_Shared): the frequency matrix and its rays, and the partial sums from
+0, extended as an N reads further.  Each N's PrefixSums holds its interval
+from 0 as a view of those sums and its other intervals apart, with no
+joined copy.  Minor faults still move with the heap layout (the paths'
+lengths): over eight layouts a warm oracle_sym15.ini run took a median of
+131 or 219 (2 or about 290 when each N built its own sums and joined
+them), and a sup-grid run 3 or 215 (2 or about 225); the prefix sums'
+share is the intervals beyond 0 that each N builds.
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
@@ -78,8 +87,9 @@ from itertools import product
 
 import numpy as np
 
-from .linear_process import FddSpec, PrefixSums, floor_index
-from .slowly_varying import SlowlyVaryingSpec, _scaled_spans, coefficient_sum
+from .linear_process import FddSpec, PrefixSums, floor_index, require_budget
+from .slowly_varying import (SlowlyVaryingSpec, _scaled_spans, coefficient_prefix_sums,
+                             coefficient_sum)
 from .stable_law import (_PANEL_X, SkewedStableParams, log_cf, log_cf_parts, log_cf_slope,
                          panel_quad)
 
@@ -111,6 +121,15 @@ def v_transform(u) -> np.ndarray:
 _CHUNK_ELEMENTS = 2**16
 
 
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """block.sum(axis=0) of a C-ordered block, bit for bit: each column
+    summed in row order.  For F >= 2 columns, sum(axis=0) runs one inner
+    loop of F elements per row; einsum adds the rows in the same order in
+    one call.  A single column is contiguous, and sum(axis=0) sums it
+    pairwise, so it keeps sum(axis=0)."""
+    return block.sum(axis=0) if block.shape[1] == 1 else np.einsum("ij->j", block)
+
+
 def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
               params: SkewedStableParams) -> np.ndarray:
     """sum_{j0 <= j < j1} psi(c_j) for each column of U, with c = W @ U the
@@ -125,10 +144,11 @@ def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     The blocks of a 14-vector chunk are 512 KiB, past glibc's 128 KiB mmap
     threshold, and the three fresh arrays per chunk of an allocating loop
     had their pages faulted in anew: about 1580 minor faults per warm
-    oracle_supgrid.ini run, against 1 to 11 here in one checkout directory
-    and 221 to 255 in another, as the path's length moves the heap layout.
-    At beta = 0.7 a fresh sgn c per chunk still took 1441 to 1707 a run;
-    with the Im block 3 to 11, in every checkout directory tried."""
+    oracle_supgrid.ini run, against 1 to 11 with the workspace in one
+    checkout directory and 221 to 255 in another, as the path's length
+    moves the heap layout.  At beta = 0.7 a fresh sgn c per chunk still
+    took 1441 to 1707 a run; with the Im block 3 to 11, in every checkout
+    directory tried.  Each block's columns are summed by _column_sums."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     n = min(rows, max(j1 - j0, 0))
     m, F = U.shape
@@ -143,8 +163,9 @@ def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
             hi = min(lo + rows, j1)
             c = np.matmul(S.rows(lo, hi, B, out=weights), U, out=terms[:hi - lo])
             g_re, g_im = log_cf_parts(params, c, out=(c, None if imag is None else imag[:hi - lo]))
-            re += g_re.sum(axis=0)
-            im += g_im.sum(axis=0)
+            re += _column_sums(g_re)
+            if imag is not None:
+                im += _column_sums(g_im)
     if not np.isfinite(re).all():
         raise ValueError(f"non-finite log-CF term psi(c_j) in the rows {j0} <= j < {j1}")
     return re + 1j * im
@@ -417,16 +438,17 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
     return total, est
 
 
-def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> PrefixSums:
+def _prefix_sums(ell: SlowlyVaryingSpec, B, rows, head=None) -> PrefixSums:
     """S at every index that S.rows(j0, j1, B) reads, (j0, j1) in rows:
     B_i - j clipped at 0, and -j for j < 0, one span per term, so each run
     rows() slices lies in one merged interval.  Index 0 is always held, so
-    intervals that reach it are plain partial sums."""
+    intervals that reach it are plain partial sums, read from head when
+    given (PrefixSums)."""
     spans = [(0, 1)]
     for j0, j1 in rows:
         spans.append((max(1 - j1, 0), max(-j0, 0)))
         spans += [(max(b - j1 + 1, 0), max(b - j0, 0)) for b in B]
-    return PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans])
+    return PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans], head=head)
 
 
 def _frequency_matrix(fdd: FddSpec, freq_grid) -> np.ndarray:
@@ -452,8 +474,44 @@ def _rays(U: np.ndarray):
     return first, inverse, lead / lead[first][inverse]
 
 
+class _Shared:
+    """What every N of one cf_convergence_sweep call shares: the frequency
+    matrix U of the fdd and the grid, its rays (_rays), and the partial sums
+    S[0..K] from 0, which sums() extends as an N reads further.  It lives for
+    one call only: a cache across calls would let repeated runs in one
+    process skip work that every run does."""
+
+    def __init__(self, ell: SlowlyVaryingSpec, fdd: FddSpec, freq_grid):
+        self.ell = ell
+        self.U = _frequency_matrix(fdd, freq_grid)
+        self.rays = _rays(self.U)
+        self._S = None
+
+    def sums(self, hi: int) -> np.ndarray:
+        """The held partial sums S[0..K], read-only, extended first to K = hi
+        when hi > K: the running sum continues from S[K]
+        (coefficient_prefix_sums with out) into a new array that takes the
+        held sums, so every value is the one a cumsum from 0 gives."""
+        S = self._S
+        if S is not None and hi < S.size:
+            return S
+        K = -1 if S is None else S.size - 1
+        # the held sums, the new array and three arrays of the extension
+        require_budget(K + 1 + hi + 1 + 3 * (hi - K), f"the {hi + 1} held prefix sums")
+        if S is None:
+            S = coefficient_prefix_sums(self.ell, hi)
+        else:
+            S = np.empty(hi + 1)
+            S[:K + 1] = self._S
+            coefficient_prefix_sums(self.ell, hi, start=K, out=S[K:])
+        S.flags.writeable = False
+        self._S = S
+        return S
+
+
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
-                     fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None) -> ExactFddLogCf:
+                     fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None,
+                     shared: _Shared | None = None) -> ExactFddLogCf:
     """Exact joint log-CF of (A_N^{-1} S(t_1), ..., A_N^{-1} S(t_m)) at the
     fdd frequencies, for exactly stable innovations (h == 1, H_alpha == 1),
     and at each extra frequency vector of freq_grid (see grid_values).
@@ -470,14 +528,19 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     the largest summed estimate of the window and past closures; raises a
     RuntimeError when tail_bound exceeds tol, and a ValueError when a term,
     scaled or not, is not finite.
+
+    shared is cf_convergence_sweep's state for this ell, fdd and freq_grid
+    (freq_grid is then read from it); a call without it builds its own.
     """
     N = int(N)
-    U = _frequency_matrix(fdd, freq_grid)
+    shared = _Shared(ell, fdd, freq_grid) if shared is None else shared
+    U = shared.U
     B = [floor_index(N, t) for t in fdd.times]
-    first, inverse, lam = _rays(U)
+    first, inverse, lam = shared.rays
     UA = U[:, first] / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
-    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
+    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)],
+                     shared.sums)
     window, window_est = _window(ell, S, UA, B, params, plan)
     past, past_est = _past(ell, S, UA, B, params)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
@@ -557,17 +620,19 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
     grid only within both calls' tail_bound and round-off.  A row whose
     tail_bound exceeds tol raises.
 
-    One exact_fdd_log_cf call per N, in order, and the limits of all the
-    vectors in one pass."""
+    One exact_fdd_log_cf call per N, in order, sharing one _Shared state
+    (the frequency matrix, its rays and the sums from 0), and the limits of
+    all the vectors in one pass.  Each row is bit for bit that of its N
+    evaluated alone."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
-    grid = [] if freq_grid is None else list(freq_grid)
-    limits = _limit_log_cfs(params, fdd.times, _frequency_matrix(fdd, grid))
+    shared = _Shared(ell, fdd, freq_grid)
+    limits = _limit_log_cfs(params, fdd.times, shared.U)
 
     def row(n):
         t0 = time.perf_counter()
-        out = exact_fdd_log_cf(ell, params, n, fdd, tol=tol, freq_grid=grid)
+        out = exact_fdd_log_cf(ell, params, n, fdd, tol=tol, shared=shared)
         dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
         wall = (time.perf_counter() - t0) * 1e3
         return SweepRow(n, dist, abs(out.past_part), abs(out.window_part), wall,

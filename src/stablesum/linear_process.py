@@ -8,6 +8,7 @@ the full process converge almost surely.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,16 +199,20 @@ def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
 
 
 class PrefixSums:
-    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals.  Each
-    merged interval [lo, hi] holds coefficient_sum(lo) plus the partial sums
-    of a_k past lo, so no array spans the gaps between the intervals.
+    """S[k] = sum_{i<=k} a_i at the integers of a union of intervals, each
+    merged interval its own array, so that no array spans the gaps between
+    them and none joins them.  The first starts at 0 and holds the partial
+    sums S[0..hi]: built here, or with head a read-only view of the sums
+    S[0..K], K >= hi, that head(hi) returns and its caller holds (the
+    oracle sweep's, across N).  Each later one, [lo, hi], holds
+    coefficient_sum(lo) plus the partial sums of a_k past lo.
 
     rows() reads the weight block of a run of consecutive rows as reversed
     slices of the intervals: the package's one reader of the weight of eps_j
     in S(t_i), for the Monte-Carlo window (window_weights) and for the
     oracle's exact rows and end rows."""
 
-    def __init__(self, ell: SlowlyVaryingSpec, spans):
+    def __init__(self, ell: SlowlyVaryingSpec, spans, *, head=None):
         merged = []
         for lo, hi in sorted(spans):
             if merged and lo <= merged[-1][1] + 1:
@@ -215,19 +220,23 @@ class PrefixSums:
             else:
                 merged.append([lo, hi])
         lo, hi = np.array(merged).T
-        size = int(np.sum(hi - lo + 1))
-        # a part is built from three arrays of its length (log-power ell),
-        # and the parts are joined into a second copy: three times the size
-        require_budget(3 * size, f"the {size} prefix sums")
-        parts = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo, hi)]
-        if lo.size > 1:  # the first interval starts at 0, where S is 0
-            for part, anchor in zip(parts[1:], coefficient_sum(ell, lo[1:])):
-                part += anchor
-        self._values = np.concatenate(parts)
-        self._starts = lo
+        size = hi - lo + 1
+        # the intervals are built in turn, each from three arrays of its
+        # length (log-power ell), while those before it are held; the sums
+        # head returns are held whole, and built by head
+        build = 2 * size
+        if head is not None:
+            held = head(int(hi[0]))
+            size[0], build[0] = held.size, 0
+        require_budget(int(np.max(np.cumsum(size) + build)),
+                       f"the {int(size.sum())} prefix sums")
+        first = coefficient_prefix_sums(ell, hi[0]) if head is None else held[:hi[0] + 1]
+        rest = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo[1:], hi[1:])]
+        for part, anchor in zip(rest, coefficient_sum(ell, lo[1:])):
+            part += anchor
+        self._parts = [first] + rest
+        self._starts = lo.tolist()
         self._last = int(hi[-1])
-        # value of index i in interval s sits at i - shift[s]
-        self._shift = lo - np.concatenate([[0], np.cumsum(hi - lo + 1)[:-1]])
 
     def rows(self, j0: int, j1: int, B, out=None) -> np.ndarray:
         """The (j1 - j0) x m weights S[min(max(B_i - j, 0), last)] - S[max(-j, 0)]
@@ -242,10 +251,10 @@ class PrefixSums:
         k0, run0 = self._desc(-j0, n)
         for col, b in zip(block.T, B):
             over = min(max(b - j0 - self._last, 0), n)
-            col[:over] = self._values[-1]
+            col[:over] = self._parts[-1][-1]
             k, run = self._desc(b - j0 - over, n - over)
             col[over:over + k] = run
-            col[over + k:] = self._values[0]
+            col[over + k:] = self._parts[0][0]
             # column by column: a 2-d subtraction of the broadcast run takes
             # a 64 KiB ufunc buffer at m >= 2
             np.subtract(col[:k0], run0, out=col[:k0])
@@ -254,14 +263,15 @@ class PrefixSums:
     def _desc(self, top: int, n: int):
         """(k, run) with run = S[top - r] for r = 0..k-1, k = min(top + 1, n)
         (0 for top < 0): the indices from top down to 0 are one reversed
-        slice of the merged interval that holds top (the intervals of
+        slice of the interval that holds top (the intervals of
         cf_oracle._prefix_sums, and a single interval from 0, hold each such
         run whole); S[max(top - r, 0)] repeats S[0] for r >= k."""
         k = min(max(top + 1, 0), n)
         if not k:
-            return 0, self._values[:0]
-        pos = top - int(self._shift[np.searchsorted(self._starts, top, side="right") - 1])
-        return k, self._values[pos - k + 1:pos + 1][::-1]
+            return 0, self._parts[0][:0]
+        s = bisect_right(self._starts, top) - 1
+        pos = top - self._starts[s]
+        return k, self._parts[s][pos - k + 1:pos + 1][::-1]
 
 
 def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:

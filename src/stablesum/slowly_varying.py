@@ -98,13 +98,23 @@ def coefficient(ell: SlowlyVaryingSpec, i):
     return float(out) if arr.ndim == 0 else out
 
 
-def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int, *, start: int = 0) -> np.ndarray:
+def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int, *, start: int = 0,
+                            out=None) -> np.ndarray:
     """Cumulative sums sum_{start < i <= k} a_i for k = start..K (the first
-    is 0), in one vectorized pass; start = 0 gives S_k = sum_{i<=k} a_i."""
+    is 0), in one vectorized pass; start = 0 gives S_k = sum_{i<=k} a_i.
+
+    With out, K - start + 1 doubles whose first holds a sum s, the running
+    sum continues from s instead: out[k - start] = s + a_{start+1} + ... +
+    a_k, added in index order, so s = S_start extends S_0..S_start bit for
+    bit as the sums from 0 would run on.  The K - start sums past s, out[1:],
+    are returned."""
     K, start = int(K), int(start)
     if not 0 <= start < K:
         raise ValueError("need 0 <= start < K")
     a = coefficient(ell, np.arange(start + 1, K + 1, dtype=float))
+    if out is not None:
+        a[0] += out[0]
+        return np.cumsum(a, out=out[1:])
     out = np.empty(K - start + 1)
     out[0] = 0.0
     np.cumsum(a, out=out[1:])

@@ -31,11 +31,14 @@ from stablesum.stable_law import SkewedStableParams, StandardStable, from_standa
 def gather(S, idx) -> np.ndarray:
     """S[idx] for an integer array idx of any shape, gathered: from an
     array S, or from the merged intervals of a PrefixSums S, each index
-    read in the interval that holds it."""
+    read in the interval that holds it, at its offset in the intervals laid
+    end to end."""
     if not isinstance(S, PrefixSums):
         return S.take(idx)
-    seg = np.searchsorted(S._starts, idx, side="right") - 1
-    return S._values.take(idx - S._shift.take(seg))
+    starts = np.asarray(S._starts)
+    offsets = np.cumsum([0] + [part.size for part in S._parts[:-1]])
+    seg = np.searchsorted(starts, idx, side="right") - 1
+    return np.concatenate(S._parts).take(idx - starts.take(seg) + offsets.take(seg))
 
 
 def prefix_weights(S, j, upper, *, cap: int | None = None) -> np.ndarray:

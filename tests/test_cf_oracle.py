@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stablesum.linear_process import (
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     coefficient,
+    coefficient_prefix_sums,
     coefficient_sum,
     constant,
     eval_sv,
@@ -271,10 +273,15 @@ class TestExactFddLogCf:
                                        [(0, 1), (100_000, 250_000), (400_000, 500_000)]],
                              ids=["one", "three"])
     def test_prefix_sums_peak_within_its_count(self, monkeypatch, ell, spans):
-        # the guard counts three times the size: one element fewer in the
-        # budget refuses the prefix sums, and building them holds no more,
-        # up to 64 KiB that does not grow with the size
-        count = 3 * sum(hi - lo + 1 for lo, hi in spans)
+        # the guard counts the intervals built in turn, each from three
+        # arrays of its length while those before it are held, and no
+        # joined copy: one element fewer in the budget refuses the prefix
+        # sums, and building them holds no more, up to 64 KiB that does not
+        # grow with the size
+        held = count = 0
+        for lo, hi in spans:
+            count = max(count, held + 3 * (hi - lo + 1))
+            held += hi - lo + 1
         monkeypatch.setattr(linear_process, "MEMORY_BUDGET_ELEMENTS", count - 1)
         with pytest.raises(ValueError, match=f"hold about {count} elements"):
             linear_process.PrefixSums(ell, spans)
@@ -361,6 +368,21 @@ class TestSliceReader:
         assert len(chunks) == 4
         assert np.array_equal(got, re + 1j * im)
         assert (got.imag != 0.0).all() == (params.D != 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 14, 64]), st.data())
+    def test_column_sums_equal_sum_axis0(self, F, data):
+        # the rows of a C-ordered term block added in row order, bit for
+        # bit: values of both signs over 200 binades
+        rows = data.draw(st.integers(1, cf_oracle._CHUNK_ELEMENTS // F))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        block = np.ldexp(rng.uniform(-1.0, 1.0, size=(rows, F)),
+                         rng.integers(-100, 100, size=(rows, F)))
+        assert block.flags.c_contiguous
+        got = cf_oracle._column_sums(block)
+        want = block.sum(axis=0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_one_weight_reader(self, monkeypatch):
         # the package has no gather: the Monte-Carlo window, the oracle's
@@ -904,6 +926,75 @@ class TestSweep:
     def test_grid_cap(self):
         grid = default_frequency_grid(3)
         assert len(grid) == 64
+
+    FDDS = {1: FddSpec((1.0,), (1.0,)), 2: FddSpec((0.5, 1.0), (1.0, -0.5)),
+            3: FddSpec((0.2, 0.7, 1.0), (1.0, -0.5, 0.25))}
+    # the sums from 0 that the rows read reach 10010, 10100 and 20000, then
+    # 10000, and grow again: to 17075 at N = 1e9 with m = 3 and constant
+    # ell, to 13529 at N = 1e6 with the m = 3 grid and p = 0.7
+    N_LIST = [10, 100, 10**4, 10**5, 10**6, 10**9]
+
+    # every ell, D, m and grid, except the 64 rays of the m = 3 grid with a
+    # log-power ell, whose sweeps take 0.7 s each; p = 0.7 at D = 0.7 stays
+    ELLS = {"constant": ELL1, "p=-2": SlowlyVaryingSpec("log_power", 1.0, -2.0),
+            "p=0.7": SlowlyVaryingSpec("log_power", 1.0, 0.7)}
+    CASES = [(e, D, m, g) for e, D, m, g in product(ELLS, [0.0, 0.7], [1, 2, 3], [False, True])
+             if not (g and m == 3 and e != "constant") or (e, D) == ("p=0.7", 0.7)]
+
+    @pytest.mark.parametrize("ell, D, m, grid", CASES)
+    def test_rows_equal_their_n_alone(self, ell, D, m, grid):
+        # the sweep extends one set of sums from 0 across N and reads each
+        # N's as a view of them: every row is, bit for bit, that of a call
+        # that builds its own
+        ell, params = self.ELLS[ell], SkewedStableParams(1.5, 1.0, D)
+        fdd = self.FDDS[m]
+        freq_grid = default_frequency_grid(m) if grid else None
+        limits = cf_oracle._limit_log_cfs(
+            params, fdd.times, cf_oracle._frequency_matrix(fdd, freq_grid))
+        rows = cf_convergence_sweep(ell, params, fdd, self.N_LIST, freq_grid=freq_grid)
+        for r in rows:
+            one = exact_fdd_log_cf(ell, params, r.n, fdd, freq_grid=freq_grid)
+            dist = float(np.max(np.abs(np.append(one.value, one.grid_values) - limits)))
+            assert (r.log_cf, r.distance, r.past_part, r.window_part, r.tail_bound) == (
+                one.value, dist, abs(one.past_part), abs(one.window_part), one.tail_bound)
+
+    def test_second_sweep_builds_as_many_elements(self, monkeypatch):
+        # the held sums live for one sweep call: a second sweep in the same
+        # process builds what the first built, the sums from 0 once to their
+        # largest extent, 20000 (20001 elements, where each N building its
+        # own built 10101 + 11001 + 20001 + 10001 + 10001), and the
+        # two intervals of 14096 of N = 1e5 and of N = 1e6 (4 x 14096)
+        built = []
+        build = cf_oracle.coefficient_prefix_sums
+
+        def counting(*args, **kwargs):
+            out = build(*args, **kwargs)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(cf_oracle, "coefficient_prefix_sums", counting)
+        monkeypatch.setattr(linear_process, "coefficient_prefix_sums", counting)
+        fdd = self.FDDS[2]
+        counts = []
+        for _ in range(2):
+            built.clear()
+            cf_convergence_sweep(ELL1, SYM15, fdd, [100, 1000, 10**4, 10**5, 10**6])
+            counts.append(sum(built))
+        assert counts == [20001 + 4 * 14096] * 2
+
+    def test_prefix_sums_read_held_sums(self):
+        # with head, the interval from 0 is a read-only view of the sums
+        # head returns, which may run past it, and the values are those of
+        # sums built in place
+        ell = SlowlyVaryingSpec("log_power", 1.0, 0.7)
+        held = coefficient_prefix_sums(ell, 30_000)
+        held.flags.writeable = False
+        spans = [(0, 12_000), (15_000, 23_000), (39_000, 47_000)]
+        S = linear_process.PrefixSums(ell, spans, head=lambda hi: held)
+        own = linear_process.PrefixSums(ell, spans)
+        assert np.shares_memory(S._parts[0], held) and not S._parts[0].flags.writeable
+        B = [20_000, 44_000]
+        assert np.array_equal(S.rows(-3000, 5000, B), own.rows(-3000, 5000, B))
 
 
 class TestMcOracleCoherence:

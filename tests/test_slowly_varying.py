@@ -134,6 +134,17 @@ class TestCoefficientSum:
         with pytest.raises(ValueError):
             coefficient_prefix_sums(spec, 10, start=10)
 
+    @pytest.mark.parametrize("spec", [constant(1.0), SlowlyVaryingSpec("log_power", 1.3, -0.7)])
+    def test_prefix_sums_continue_from_out(self, spec):
+        # continued from S[3000], the running sum is that of the sums from
+        # 0, bit for bit, and only the 2000 sums past it are returned
+        whole = coefficient_prefix_sums(spec, 5000)
+        out = np.full(2001, np.nan)
+        out[0] = whole[3000]
+        got = coefficient_prefix_sums(spec, 5000, start=3000, out=out)
+        assert np.shares_memory(got, out) and got.shape == (2000,)
+        assert np.array_equal(out, whole[3000:])
+
     @pytest.mark.parametrize("spec", SPECS)
     def test_term_by_term_up_to_anchor(self, spec):
         # up to _SUM_ANCHOR it is the prefix-sum array itself, bit for bit
