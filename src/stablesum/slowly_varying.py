@@ -105,8 +105,8 @@ def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int, *, start: int = 0,
 
     With out, K - start + 1 doubles whose first holds a sum s, the running
     sum continues from s instead: out[k - start] = s + a_{start+1} + ... +
-    a_k, added in index order, so s = S_start extends S_0..S_start bit for
-    bit as the sums from 0 would run on.  The K - start sums past s, out[1:],
+    a_k, added in index order, so from s = S_start it gives S_start..S_K
+    bit for bit as the sums from 0 do.  The K - start sums past s, out[1:],
     are returned."""
     K, start = int(K), int(start)
     if not 0 <= start < K:
