@@ -49,10 +49,10 @@ weight block is read as reversed slices of the prefix sums
 rows in row chunks of bounded size, and the four end rows of the closed
 pieces (_end_terms) once per distinct run of four.  Each chunk is
 evaluated in place, in one workspace per _psi_sums call (a weight block, a
-term block and, at D != 0, an Im block), and its terms are summed by
-column in row order (_column_sums): fresh blocks per chunk, past glibc's
-mmap threshold, had their pages faulted in anew, about 1580 minor faults
-per warm sup-grid run.  Prefix sums whose peak (the intervals built in
+term block and, at D != 0, an Im block), so that no chunk allocates a
+block past glibc's mmap threshold, whose pages would be faulted in anew
+(BENCH_oracle_workspace.json), and its terms are summed by column in row
+order (_column_sums).  Prefix sums whose peak (the intervals built in
 turn, each from three arrays of its length, with those before it held)
 passes MEMORY_BUDGET_ELEMENTS are refused.  _prefix_sums holds every
 index the oracle reads, so rows() never fills past the last held index.
@@ -61,11 +61,10 @@ One sweep (cf_convergence_sweep) does once what is the same for all its
 N (_Shared): the frequency matrix and its rays, and the partial sums from
 0, extended as an N reads further.  Each N's PrefixSums holds its interval
 from 0 as a view of those sums and its other intervals apart, with no
-joined copy.  Minor faults still move with the heap layout (the paths'
-lengths): over eight layouts a warm oracle_sym15.ini run took a median of
-131 or 219 (2 or about 290 when each N built its own sums and joined
-them), and a sup-grid run 3 or 215 (2 or about 225); the prefix sums'
-share is the intervals beyond 0 that each N builds.
+joined copy (BENCH_oracle_sweep.json).  The minor faults that remain
+move with the heap layout, and so with the checkout path's length; the
+prefix sums' share of them is the intervals beyond 0 that each N builds.
+
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
 returning.
@@ -142,13 +141,10 @@ def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     the first, c, then the real parts of psi(c), overwrite the second, and
     sgn c, then the imaginary parts, the third (log_cf_parts in place).
     The blocks of a 14-vector chunk are 512 KiB, past glibc's 128 KiB mmap
-    threshold, and the three fresh arrays per chunk of an allocating loop
-    had their pages faulted in anew: about 1580 minor faults per warm
-    oracle_supgrid.ini run, against 1 to 11 with the workspace in one
-    checkout directory and 221 to 255 in another, as the path's length
-    moves the heap layout.  At beta = 0.7 a fresh sgn c per chunk still
-    took 1441 to 1707 a run; with the Im block 3 to 11, in every checkout
-    directory tried.  Each block's columns are summed by _column_sums."""
+    threshold, so arrays allocated per chunk, sgn c among them, would have
+    their pages faulted in anew on every chunk; the workspace is faulted in
+    once per call (BENCH_oracle_workspace.json measures both).  Each
+    block's columns are summed by _column_sums."""
     rows = max(1, _CHUNK_ELEMENTS // max(U.shape))
     n = min(rows, max(j1 - j0, 0))
     m, F = U.shape

@@ -15,21 +15,11 @@ every k.  `simulate` and `oracle` accept the flag and run on one thread.
 takes its ECF target from the sweep row.
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
-failure, 2 configuration error.  Configuration errors include an unknown
-section or key, a missing or blank required key, an [sweep] n_list that is
-not strictly increasing or has an N < 1, an N, [N t_m] or [simulate] n
-above 2**53, reps < 2, a negative seed or --seed-override, a j_tolerance
-that is not finite and positive, non-finite [fdd] times or freqs,
-[simulate] n < 1, a [tolerance] max_ks, max_ecf, max_distance_ratio or
-max_past_ratio that is not finite and positive, and in verify an
-[N t_m] < 1, a [tolerance] criterion whose column the innovation family
-does not produce or a Pareto h whose H overflows on the way to H_alpha(N);
-in simulate, a Pareto h that overflows a double on the exact tails; for
-halpha, an alpha outside (1, 2], an --n that is not a finite number >= 1,
-a bad --c or --p (at alpha = 2, p > 6.2923864) and an h whose H overflows.
---threads < 1 is a usage error (also exit 2).  A run whose prefix sums,
-path or replicate sampling would exceed the memory budget at its peak
-exits 1 before it allocates them.
+failure (one "error:" line), 2 configuration error (one "config error:"
+line) or usage error.  A run whose prefix sums, path or replicate sampling
+would exceed the memory budget (linear_process.MEMORY_BUDGET_ELEMENTS
+doubles) at its peak exits 1 before it allocates them.  Each contracted
+input is a row of TABLE in tests/test_contracts.py.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cf_oracle, verification
-from .innovations import InnovationSpec, ParetoTail, exact_stable
+from .innovations import ExactStable, InnovationSpec, ParetoTail
 from .linear_process import (
     MAX_INDEX,
     FddSpec,
@@ -196,9 +186,9 @@ def parse_config(path) -> RunConfig:
     family = _get(proc, "innovation", str, required=True)
     try:
         if family == "stable":
-            innovation = exact_stable(_get(proc, "alpha", float, required=True),
-                                      _get(proc, "beta", float, default=0.0),
-                                      _get(proc, "scale", float, default=1.0))
+            innovation = ExactStable(_get(proc, "alpha", float, required=True),
+                                     _get(proc, "beta", float, default=0.0),
+                                     _get(proc, "scale", float, default=1.0))
         elif family == "pareto":
             innovation = ParetoTail(_get(proc, "alpha", float, required=True),
                                     _get(proc, "sigma1", float, required=True),

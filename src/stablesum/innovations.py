@@ -1,16 +1,32 @@
 """Innovation laws in the domain of attraction of an alpha-stable law.
 
-Each family answers for itself what the package asks of an innovation law:
-alpha, tail_constants, cf_params (its attractor's CF constants), big_h and
-big_h_log (H at t and at ln t), h_alpha(N), has_exact_log_cf, and draw(n,
-seed) with peak_arrays, the arrays of n doubles that draw holds at once, and
-check_draws(), a ValueError where its draws would overflow a double.
-sample_innovations is the one checked entry point to draw.
+Each family answers for itself what the package asks of an innovation law,
+each question in one way:
+
+    alpha             the stable index (linear_process: the truncation tail
+                      and A_N);
+    big_h_log(lnt)    H at t = e^lnt, read from ln t alone (the truncation
+                      tail);
+    h_alpha(N)        H_alpha(N), the factor of A_N (process_normalizer, and
+                      verify's check before any work);
+    cf_params         its attractor's CF constants (the oracle sweep and the
+                      Levy limit);
+    has_exact_log_cf  whether the oracle's exact log-CF is its own (cli), and
+                      then weighted_sum(w), the exact law of sum_j w_j eps_j;
+    draw(n, seed)     n draws, through sample_innovations, the one checked
+                      entry point; peak_arrays, the arrays of n doubles that
+                      draw holds at once (the memory guards); check_draws(),
+                      a ValueError where its draws would overflow a double
+                      (simulate's check before any work).
+
+tail_constants (alpha, sigma1, sigma2, h) describe the tails; the package
+does not read them, and the tests hold them to cf_params and the samples.
 
 Two families are provided, both mean zero by construction:
 
-    ExactStable  -- wraps a StandardStable law, sampled exactly (CMS); its own
-                    attractor: H == H_alpha == 1, an exact log-CF, weighted_sum.
+    ExactStable  -- the StandardStable law itself, sampled exactly (CMS); its
+                    own attractor: H == H_alpha == 1, an exact log-CF,
+                    weighted_sum.
     ParetoTail   -- tails realized exactly: P(e > x) = s2*x^-a*h(x) and
                     P(e <= -x) = s1*x^-a*h(x) for all x >= x1, where
                     x1 = kappa * x_t, x_t solves (s1+s2)*x_t^-a*h(x_t) = 1 and
@@ -22,7 +38,8 @@ Two families are provided, both mean zero by construction:
                     (an additive shift would bias finite-quantile tail-constant
                     recovery).  Exact tails are what make the stored constants
                     empirically recoverable; x_t >= x0 (to the mass check's
-                    1e-12 tolerance).  H and H_alpha are those of its h.
+                    1e-12 tolerance).  H and H_alpha are those of its h;
+                    H_alpha(N) is solved once per N and kept with the spec.
 
 The survival (s1+s2) x^-a h(x) is written once, in ln x (_log_survival):
 the mass check at x0, the monotonicity check, the threshold and the tail
@@ -53,11 +70,12 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slowly_varying import (SlowlyVaryingSpec, big_h, big_h_log, constant, eval_sv, eval_sv_log,
+from .slowly_varying import (SlowlyVaryingSpec, big_h_log, constant, eval_sv, eval_sv_log,
                              h_alpha_info, log_sv_slope, newton_root)
 from .stable_law import (
     SkewedStableParams,
     StandardStable,
+    _check_alpha,
     from_standard,
     from_tail_constants,
     panel_quad,
@@ -69,7 +87,6 @@ __all__ = [
     "ExactStable",
     "ParetoTail",
     "InnovationSpec",
-    "exact_stable",
     "TailConstants",
     "ParetoLayout",
     "pareto_layout",
@@ -91,17 +108,13 @@ class TailConstants(NamedTuple):
     h: SlowlyVaryingSpec
 
 
-@dataclass(frozen=True)
-class ExactStable:
-    law: StandardStable
+class ExactStable(StandardStable):
+    """The StandardStable law (alpha, beta, scale) as an innovation law,
+    with the fields, checks, equality and hash of that dataclass."""
 
     has_exact_log_cf = True
     # the CMS kernel holds ten arrays of n doubles at once, output included
     peak_arrays = 10
-
-    @property
-    def alpha(self) -> float:
-        return self.law.alpha
 
     @property
     def tail_constants(self) -> TailConstants:
@@ -110,22 +123,21 @@ class ExactStable:
         that round-trip the CF constants exactly.  Below 2 the round trip is
         good to about 3e-12 relative at alpha = 1.99999, its rounding error
         growing like 1e-16 / (2 - alpha)."""
-        law = self.law
-        if law.alpha == 2.0:
-            half = 0.5 * law.scale**2
-            return TailConstants(law.alpha, half, half, constant(1.0))
-        c = stable_tail_constant(law.alpha) * law.scale**law.alpha
-        return TailConstants(law.alpha, c * (1.0 - law.beta) / 2.0,
-                             c * (1.0 + law.beta) / 2.0, constant(1.0))
+        if self.alpha == 2.0:
+            half = 0.5 * self.scale**2
+            return TailConstants(self.alpha, half, half, constant(1.0))
+        c = stable_tail_constant(self.alpha) * self.scale**self.alpha
+        return TailConstants(self.alpha, c * (1.0 - self.beta) / 2.0,
+                             c * (1.0 + self.beta) / 2.0, constant(1.0))
 
     @property
     def cf_params(self) -> SkewedStableParams:
         """Its own attractor's, by from_standard: no cancellation between the
         tail constant and Gamma(1-alpha)*cos(pi*alpha/2) near alpha = 2."""
-        return from_standard(self.law)
+        return from_standard(self)
 
     def draw(self, n: int, seed) -> np.ndarray:
-        return sample(self.law, n, seed)
+        return sample(self, n, seed)
 
     def check_draws(self) -> None:
         """CMS draws share no resolved state: nothing to check."""
@@ -133,22 +145,15 @@ class ExactStable:
     def h_alpha(self, N) -> float:
         return 1.0
 
-    def big_h(self, t):
+    def big_h_log(self, lnt):
         """H == 1: at alpha = 2 the Gaussian's sum a_i^2, not 2 ln t as for h == 1."""
-        return np.ones_like(t)
-
-    big_h_log = big_h
+        return np.ones_like(lnt)
 
     def weighted_sum(self, w) -> StandardStable:
         """The law of sum_j w_j eps_j for nonnegative weights w: it keeps beta
         and scales by the l^alpha norm of w."""
-        law = self.law
-        agg = float(np.sum(np.abs(w) ** law.alpha)) ** (1.0 / law.alpha)
-        return StandardStable(law.alpha, law.beta, law.scale * agg)
-
-
-def exact_stable(alpha: float, beta: float, scale: float) -> ExactStable:
-    return ExactStable(StandardStable(alpha, beta, scale))
+        agg = float(np.sum(np.abs(w) ** self.alpha)) ** (1.0 / self.alpha)
+        return StandardStable(self.alpha, self.beta, self.scale * agg)
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,7 @@ class ParetoTail:
     has_exact_log_cf = False
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValueError("need alpha in (1, 2]")
+        _check_alpha(self.alpha)
         try:
             from_tail_constants(self.alpha, self.sigma1, self.sigma2)
         except ValueError:
@@ -260,11 +264,15 @@ class ParetoTail:
         out[left] = np.negative(x[:left.size], out=x[:left.size])
         return out
 
-    def h_alpha(self, N) -> float:
-        return h_alpha_info(self.h, self.alpha, N).value
+    @cached_property
+    def _h_alphas(self) -> dict:
+        """H_alpha(N) by N, each solved on first use and kept with the spec."""
+        return {}
 
-    def big_h(self, t):
-        return big_h(self.h, self.alpha, t)
+    def h_alpha(self, N) -> float:
+        if N not in self._h_alphas:
+            self._h_alphas[N] = h_alpha_info(self.h, self.alpha, N).value
+        return self._h_alphas[N]
 
     def big_h_log(self, lnt):
         return big_h_log(self.h, self.alpha, lnt)

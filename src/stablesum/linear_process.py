@@ -115,8 +115,9 @@ _TAIL_BLOCK = 10_000
 def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) -> float:
     """Tail sum_{i>M} |a_i|^alpha H(|a_i|^-1) of the a.s.-convergence series,
     with alpha and H those of the innovation law (H == 1 for an exact stable
-    law: the factor 1.0 is exact).  The H argument is clamped to >= 1; only
-    lags with a_i < 1 matter in any tail regime this diagnostic inspects.
+    law: the factor 1.0 is exact).  H is read from the log of its argument
+    (big_h_log), which is clamped to >= 1; only lags with a_i < 1 matter in
+    any tail regime this diagnostic inspects.
 
     The _TAIL_BLOCK lags past M are summed exactly; a block holding a term
     below 1e-16 is the whole tail, summed over its terms of at least 1e-16.
@@ -133,7 +134,7 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
     alpha = innovation.alpha
     cut = M + _TAIL_BLOCK
     a = coefficient(ell, np.arange(M + 1, cut + 1, dtype=float))
-    terms = a**alpha * innovation.big_h(np.maximum(1.0 / a, 1.0))
+    terms = a**alpha * innovation.big_h_log(np.log(np.maximum(1.0 / a, 1.0)))
     keep = terms >= 1e-16
     if not keep.all():
         return float(np.sum(terms[keep]))

@@ -50,6 +50,13 @@ __all__ = [
     "CdfQuadratureError",
 ]
 
+
+def _check_alpha(alpha: float) -> None:
+    """The package's one check of the stable index's range."""
+    if not (1.0 < alpha <= 2.0):
+        raise ValueError("need alpha in (1, 2]")
+
+
 @dataclass(frozen=True)
 class SkewedStableParams:
     """CF constants (alpha, sigma, D); |exp(log_cf)| <= 1 forces sigma > 0."""
@@ -59,8 +66,7 @@ class SkewedStableParams:
     D: float
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValueError("need alpha in (1, 2]")
+        _check_alpha(self.alpha)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("need sigma > 0")
         if self.alpha == 2.0:
@@ -79,8 +85,7 @@ class StandardStable:
     scale: float
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValueError("need alpha in (1, 2]")
+        _check_alpha(self.alpha)
         if not (-1.0 <= self.beta <= 1.0):
             raise ValueError("need beta in [-1, 1]")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
@@ -113,8 +118,7 @@ def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> SkewedSta
     """
     if sigma1 < 0.0 or sigma2 < 0.0 or sigma1 + sigma2 <= 0.0:
         raise ValueError("need sigma1, sigma2 >= 0 with sigma1 + sigma2 > 0")
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError("need alpha in (1, 2]")
+    _check_alpha(alpha)
     if alpha == 2.0:
         return SkewedStableParams(2.0, sigma1 + sigma2, 0.0)
     total = sigma1 + sigma2
@@ -179,8 +183,12 @@ def log_cf_slope(params: SkewedStableParams, u):
     return arr
 
 
+# cos of the float nearest pi/2: the smallest cos(U) the uniform grid reaches
+_COS_FLOOR = math.cos(math.pi / 2.0)
+
+
 def sample(std: StandardStable, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws; deterministic given seed.
+    """n i.i.d. draws; deterministic given seed (a Generator is used as it is).
 
     Chambers-Mallows-Stuck angle/exponential construction for the S1 law at
     every alpha < 2, so the power tail that the tail constants give just below
@@ -190,14 +198,6 @@ def sample(std: StandardStable, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
-    return _sample_with(std, n, rng)
-
-
-# cos of the float nearest pi/2: the smallest cos(U) the uniform grid reaches
-_COS_FLOOR = math.cos(math.pi / 2.0)
-
-
-def _sample_with(std: StandardStable, n: int, rng) -> np.ndarray:
     alpha, beta, scale = std.alpha, std.beta, std.scale
     if alpha == 2.0:
         return rng.normal(0.0, math.sqrt(2.0) * scale, n)

@@ -2,8 +2,8 @@
 aggregated coefficients, compensated prefix sums, path partial sums, the
 standard-parametrization log-CF, empirical tail constants, the slowly
 varying derivative, H for a scalar callable, the oracle's in-window block
-summed term by term and the safeguarded Newton loop without its first-step
-shortcut.
+summed term by term, the safeguarded Newton loop without its first-step
+shortcut, and the SIMD target that keys the bit-for-bit pins.
 
 No CLI or library path needs them; the tests check the package against
 them."""
@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
+from numpy._core import _multiarray_umath
 
 from stablesum.linear_process import PrefixSums, floor_index
 from stablesum.slowly_varying import (
+    _NEWTON_BISECT_FROM,
     _NEWTON_MAX_ITER,
     _NEWTON_RTOL,
     SlowlyVaryingSpec,
@@ -176,15 +179,19 @@ def sv_derivative(spec: SlowlyVaryingSpec, x):
 def newton_loop(fn, z, w, lo, hi=np.inf):
     """slowly_varying.newton_root as a plain loop: every step, the first
     too, keeps the bracket [lo, hi] and bisects where the Newton step leaves
-    it; an element stops at its first step below _NEWTON_RTOL * max(|w|, 1)."""
+    it, and from step _NEWTON_BISECT_FROM on wherever the bracket is finite;
+    an element stops at its first step below _NEWTON_RTOL * max(|w|, 1)."""
     moving = True
-    for _ in range(_NEWTON_MAX_ITER):
+    for i in range(_NEWTON_MAX_ITER):
         f, df = fn(w)
         f = f + z
         lo = np.where(f > 0.0, w, lo)
         hi = np.where(f < 0.0, w, hi)
         step = w - f / df
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        newton = (step >= lo) & (step <= hi)
+        if i >= _NEWTON_BISECT_FROM:
+            newton &= np.isinf(hi - lo)
+        step = np.where(newton, step, 0.5 * (lo + hi))
         step = np.where(moving, step, w)
         moving = np.abs(step - w) > _NEWTON_RTOL * np.maximum(np.abs(step), 1.0)
         w = step
@@ -224,3 +231,26 @@ def exact_window_sum(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
         size += mag.sum(axis=0)
     return (params.sigma * (re + 1j * params.D * im),
             params.sigma * math.hypot(1.0, params.D) * size)
+
+
+# numpy's SIMD targets: AVX-512 as on a Sapphire Rapids host, and AVX2 (also
+# that host under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+AVX512 = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+AVX2 = "X86_V3"
+
+
+def simd_target() -> str:
+    """The SIMD targets numpy dispatches its kernels to here: the entries of
+    its dispatch list that this CPU has and the environment leaves enabled."""
+    enabled = _multiarray_umath.__cpu_features__
+    return " ".join(t for t in _multiarray_umath.__cpu_dispatch__ if enabled.get(t))
+
+
+def pinned(table: dict):
+    """table's entry for simd_target().  Samples and oracle values are
+    pinned bit for bit per target, since numpy's vectorized tan, log and exp
+    may round differently on each; a target with no pins fails by name."""
+    target = simd_target()
+    if target not in table:
+        pytest.fail(f"no pins for numpy's SIMD target {target!r}; pinned: {sorted(table)}")
+    return table[target]

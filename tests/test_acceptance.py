@@ -16,7 +16,7 @@ import pytest
 from scipy.special import ndtr
 
 from stablesum.cf_oracle import cf_convergence_sweep, limit_log_cf, v_transform
-from stablesum.innovations import ParetoTail, exact_stable, sample_innovations
+from stablesum.innovations import ExactStable, ParetoTail, sample_innovations
 from stablesum.linear_process import (
     FddSpec,
     ProcessSpec,
@@ -84,7 +84,7 @@ class TestCriterion2:
     def test_exact_finite_n_marginal(self):
         t0 = time.perf_counter()
         law = StandardStable(1.5, 0.0, 1.0)
-        process = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 10_000)
+        process = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 10_000)
         n, reps = 1000, 10_000
         fdd = FddSpec((1.0,), (1.0,))
         samples = normalized_fdd_sample(process, n, fdd, reps, 91)[:, 0]

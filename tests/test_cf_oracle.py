@@ -17,7 +17,7 @@ from stablesum.cf_oracle import (
     limit_log_cf,
     v_transform,
 )
-from stablesum.innovations import exact_stable
+from stablesum.innovations import ExactStable
 from stablesum.linear_process import (
     FddSpec,
     ProcessSpec,
@@ -36,10 +36,13 @@ from stablesum.stable_law import SkewedStableParams, log_cf
 from stablesum.verification import ecf
 
 from reference import (
+    AVX2,
+    AVX512,
     aggregated_coefficients,
     compensated_prefix_sums,
     exact_window_sum,
     partial_sums,
+    pinned,
     prefix_weights,
     sv_derivative,
 )
@@ -433,7 +436,7 @@ class TestRayFold:
         # the default grid, a negative multiple of the fdd vector and a zero
         # vector; tail_bound is the largest of the one-vector calls' bounds,
         # up to their round-off (they are differences of quadratures)
-        params = exact_stable(1.5, beta, 1.0).cf_params
+        params = ExactStable(1.5, beta, 1.0).cf_params
         fdd = self.FDD[m]
         u = np.array(fdd.freqs)
         grid = default_frequency_grid(m) + [-3.0 * u, np.zeros(m)]
@@ -471,26 +474,38 @@ class TestRayFold:
     def test_sup_grid_values_unchanged(self, beta, digest, value):
         # the 64 grid values of one sup-grid call, bit for bit (sha256 of
         # their little-endian bytes), as the allocating chunk loop gave them
-        out = exact_fdd_log_cf(ELL1, exact_stable(1.5, beta, 1.0).cf_params, 1000,
+        out = exact_fdd_log_cf(ELL1, ExactStable(1.5, beta, 1.0).cf_params, 1000,
                                self.FDD[2], freq_grid=default_frequency_grid(2))
         got = np.asarray(out.grid_values, dtype="<c16")
         assert got.shape == (64,) and got[20] == value
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
+    # (value, past_part, window_part, tail_bound) of a grid-free call at
+    # beta = 0 and 0.7, per SIMD target
+    SINGLE = {
+        AVX512: {0.0: (complex(-0.21850310504723994, 0.0),
+                       complex(-0.009459626735988233, 0.0),
+                       complex(-0.2090434783112517, 0.0), 2.0973674525993093e-20),
+                 0.7: (complex(-0.21850310504723994, 0.018965231591585884),
+                       complex(-0.009459626735988233, -0.006621738715191762),
+                       complex(-0.2090434783112517, 0.025586970306777646),
+                       2.46789573497925e-20)},
+        AVX2: {0.0: (complex(-0.21850310504723994, 0.0),
+                     complex(-0.009459626735988233, 0.0),
+                     complex(-0.2090434783112517, 0.0), 2.4361806315010294e-20),
+               0.7: (complex(-0.21850310504723994, 0.018965231591585897),
+                     complex(-0.009459626735988233, -0.006621738715191762),
+                     complex(-0.2090434783112517, 0.02558697030677766),
+                     2.935508966129917e-20)},
+    }
+
     def test_single_vector_unchanged(self):
         # a call without a grid is its own ray at lam = 1: the values of the
         # direct evaluation, bit for bit
-        fdd = self.FDD[2]
-        out = exact_fdd_log_cf(ELL1, SYM15, 1000, fdd)
-        assert out.value == complex(-0.21850310504723994, 0.0)
-        assert out.past_part == complex(-0.009459626735988233, 0.0)
-        assert out.window_part == complex(-0.2090434783112517, 0.0)
-        assert out.tail_bound == 2.0973674525993093e-20
-        out = exact_fdd_log_cf(ELL1, exact_stable(1.5, 0.7, 1.0).cf_params, 1000, fdd)
-        assert out.value == complex(-0.21850310504723994, 0.018965231591585884)
-        assert out.past_part == complex(-0.009459626735988233, -0.006621738715191762)
-        assert out.window_part == complex(-0.2090434783112517, 0.025586970306777646)
-        assert out.tail_bound == 2.46789573497925e-20
+        for beta, want in pinned(self.SINGLE).items():
+            params = ExactStable(1.5, beta, 1.0).cf_params
+            out = exact_fdd_log_cf(ELL1, params, 1000, self.FDD[2])
+            assert (out.value, out.past_part, out.window_part, out.tail_bound) == want
 
     @pytest.mark.filterwarnings("error")
     def test_multiples_far_apart_not_folded(self):
@@ -1002,7 +1017,7 @@ class TestMcOracleCoherence:
         # reps = 1e4, N = 1e3: empirical CF of the normalized fdd sample vs
         # the exact finite-N CF, within 4/sqrt(reps) plus truncation slack
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 10_000)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 10_000)
         reps, N = 10_000, 1000
         samples = normalized_fdd_sample(proc, N, fdd, reps, 2024)
         est, _ = ecf(samples, fdd.freqs)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_contracts import BASE, PARETO, TOL, Row, contract, edited, printed, run, write
 
-from stablesum import cf_oracle, cli, slowly_varying
+from stablesum import cf_oracle, cli, innovations, slowly_varying
 from stablesum import linear_process as lp
 from stablesum.cli import ConfigError, main, parse_config
 from stablesum.slowly_varying import constant, log_power
@@ -249,6 +249,23 @@ class TestVerify:
         run(Row("", "verify", PARETO + TOL + f"{criterion}\n",
                 {"truncation = 200": "truncation = auto"}), tmp_path)
         assert calls == []
+
+    def test_pareto_h_alpha_solved_once_per_n(self, tmp_path, monkeypatch):
+        # the pre-check before any work and A_N read one value per N, kept
+        # with the law; each run parses a new law and solves again
+        calls = []
+        original = innovations.h_alpha_info
+
+        def counted(h, alpha, N):
+            calls.append(N)
+            return original(h, alpha, N)
+
+        monkeypatch.setattr(innovations, "h_alpha_info", counted)
+        text = edited(PARETO + TOL, {"sigma2 = 1.0": "sigma2 = 1.0\nh_kind = log_power\nh_p = 0.5"})
+        path = write(tmp_path, text)
+        for out in ("a", "b"):
+            assert main(["verify", "--config", path, "--out-dir", str(tmp_path / out)]) == 0
+        assert calls == [20, 50, 20, 50]
 
     test_empty_window_exit_2 = contract("TestVerify.test_empty_window_exit_2")
     test_overflowing_truncation_tail_exit_2 = contract(

@@ -1,36 +1,41 @@
+import dataclasses
 import hashlib
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
-from stablesum import innovations, slowly_varying
+from stablesum import innovations, slowly_varying, stable_law
 from stablesum.innovations import (
+    ExactStable,
     ParetoTail,
-    exact_stable,
     pareto_layout,
     sample_innovations,
 )
-from stablesum.slowly_varying import SlowlyVaryingSpec, constant, eval_sv, log_power, newton_root
-from stablesum.stable_law import StandardStable, from_standard, from_tail_constants
+from stablesum.slowly_varying import (SlowlyVaryingSpec, constant, eval_sv, h_alpha_info,
+                                     log_power, newton_root)
+from stablesum.stable_law import (SkewedStableParams, StandardStable, cdf, from_standard,
+                                  from_tail_constants, sample)
 
-from reference import newton_loop, tail_ratio_check
+from reference import AVX2, AVX512, newton_loop, pinned, tail_ratio_check
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
 
 
 class TestSampling:
     def test_deterministic(self):
-        for spec in (exact_stable(1.5, 0.0, 1.0), SYM_PARETO):
+        for spec in (ExactStable(1.5, 0.0, 1.0), SYM_PARETO):
             np.testing.assert_array_equal(sample_innovations(spec, 3, 9),
                                           sample_innovations(spec, 3, 9))
 
     def test_gaussian_variance(self):
-        x = sample_innovations(exact_stable(2.0, 0.0, 1.0), 10**5, 5)
+        x = sample_innovations(ExactStable(2.0, 0.0, 1.0), 10**5, 5)
         assert np.var(x) == pytest.approx(2.0, abs=0.1)
 
     def test_symmetric_pareto_mean(self):
@@ -164,21 +169,50 @@ class TestTailInversion:
             np.testing.assert_array_equal(whole[:k], part)
 
 
-# sha256 of the bytes of sample_innovations(law, 12000, seed), taken before
-# the tail draws were gathered per side and the first Newton step lost its
-# bracket: a faster sampler must keep every bit.  No 53-bit uniform reaches
-# the level floor of 1e-300 (g >= 2^-53 unless the uniform is 0), so the
-# clamp is pinned with the floor raised to 1e-2 after the root table is built.
+# sha256 of the bytes of sample_innovations(law, 12000, seed) per SIMD
+# target.  The Pareto pins were taken before the tail draws were gathered per
+# side and the first Newton step lost its bracket, the CMS pins while
+# ExactStable still wrapped a StandardStable and sample called a helper with
+# its generator: a faster or simpler sampler must keep every bit.  No 53-bit
+# uniform reaches the level floor of 1e-300 (g >= 2^-53 unless the uniform is
+# 0), so the clamp is pinned with the floor raised to 1e-2 after the root
+# table is built.
 BENCH_LAW = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))
+CMS_LAWS = {"cms_sym15": (1.5, 0.0, 1.0), "cms_skew12": (1.2, 0.7, 2.0),
+            "cms_gauss": (2.0, 0.0, 1.0)}
 PINNED_SAMPLES = {
-    ("bench", 1): "82717cf44c0b5b84af952e0bc47ddde6045c4c9a04922fb404b350c906e28708",
-    ("bench", 2): "41d8874951dcce0a94d4c9950de081f59cad59fa201abeabebc2c7d87f7cfae7",
-    ("p_minus_2", 1): "6cde1e8e63c409cc0da4ccaca05d667ef346489c2cf3411b22f189f6c0e6c3ce",
-    ("p_minus_2", 2): "a71cb76f963800ab26187d83d297c82fb84a6d5d3a4481f9ee2b7071dbd158ff",
-    ("constant", 1): "2160aa9570ba36e2941c386134624ed971c297edc0386dec3bb9062e228fdb01",
-    ("constant", 2): "e2a6e177e6899367d258f1ad443a04a2f0285507e9efa2043725e11b9ff807a8",
-    ("floor", 1): "3a8b1e7207713819d8e9738f1dec56efc341ced699e6697f977572b757fb279c",
-    ("floor", 2): "d328c59540e1b07ff2aeff31f41fcd0cf073f95277ef131649f3ff10b0c6adf0",
+    AVX512: {
+        ("bench", 1): "82717cf44c0b5b84af952e0bc47ddde6045c4c9a04922fb404b350c906e28708",
+        ("bench", 2): "41d8874951dcce0a94d4c9950de081f59cad59fa201abeabebc2c7d87f7cfae7",
+        ("p_minus_2", 1): "6cde1e8e63c409cc0da4ccaca05d667ef346489c2cf3411b22f189f6c0e6c3ce",
+        ("p_minus_2", 2): "a71cb76f963800ab26187d83d297c82fb84a6d5d3a4481f9ee2b7071dbd158ff",
+        ("constant", 1): "2160aa9570ba36e2941c386134624ed971c297edc0386dec3bb9062e228fdb01",
+        ("constant", 2): "e2a6e177e6899367d258f1ad443a04a2f0285507e9efa2043725e11b9ff807a8",
+        ("floor", 1): "3a8b1e7207713819d8e9738f1dec56efc341ced699e6697f977572b757fb279c",
+        ("floor", 2): "d328c59540e1b07ff2aeff31f41fcd0cf073f95277ef131649f3ff10b0c6adf0",
+        ("cms_sym15", 1): "0ea03c1b1397a51e490085821ddfcfc46b37eab2fd504a1e1ae440792e3e2770",
+        ("cms_sym15", 2): "4a37f68a71049fdb5e9fbbbf1d0bc939d3bd0f13986d84539f1b5af9fe74abe2",
+        ("cms_skew12", 1): "be0260748003db93576c5c5e6311bf831ea4837a56e21954ef36d277e5a036ae",
+        ("cms_skew12", 2): "027660a43071b8cbede60bf3d009869d9ce26943aae0329ea95cc05fccf4cc3f",
+        ("cms_gauss", 1): "86771e8464a34d107ffd1d316c1f651e28b82c4cb67be51d30d157f30b1549d3",
+        ("cms_gauss", 2): "6c33476dc8853b94239daa257ef268f3005e4fa8203c863fa0465e63594ee2ec",
+    },
+    AVX2: {
+        ("bench", 1): "e9d9f85db3dc2dbb5f4d24cd78e29c4f5e1e4ac175cff1bdf33eb3b141977996",
+        ("bench", 2): "52224b4417005841c319c716b4c4318f76d69c45e208e892fe99849aafe7d0b9",
+        ("p_minus_2", 1): "3e7c89fa697aaa5d181049a473fb0f8436298f0b4457737a6af204b3d3bfce60",
+        ("p_minus_2", 2): "be0352dc2ed851a326216919b580e2c4d2775963128783b0a1992f30370ca939",
+        ("constant", 1): "912cf22011da074a6c12ca79c27193834a00dda261a159e213299f60f34662b0",
+        ("constant", 2): "b5b450d1a6e1ecd9b7cf9611f4a2c3b82448c0a6c7bba88a14a04c3f664192e3",
+        ("floor", 1): "b352c880169e9ce25eccef9348e02cf496b3a5f88eae441760281f498650b603",
+        ("floor", 2): "858a9f23153cab3170d261e4c38719a45e6f9ace7f18f6b18e87aa888ed24cb0",
+        ("cms_sym15", 1): "f4a1300d9d082514de45d28e6c153f56e4725fed4e5f5ed368dead759b8217c2",
+        ("cms_sym15", 2): "6113bd764fd28d4de1b3e8e0e97ca8bf5ee9753a9c80e9522d137e15877a4ec8",
+        ("cms_skew12", 1): "ce328166b784320c3665bb9cfe1ab1dc67d073fcc368d68efb9ef7dbddb9b762",
+        ("cms_skew12", 2): "5febd9f52711e453c38efe874d4e24a050a8a13faa187daf04f8511e0686d380",
+        ("cms_gauss", 1): "86771e8464a34d107ffd1d316c1f651e28b82c4cb67be51d30d157f30b1549d3",
+        ("cms_gauss", 2): "6c33476dc8853b94239daa257ef268f3005e4fa8203c863fa0465e63594ee2ec",
+    },
 }
 
 
@@ -193,7 +227,12 @@ class TestPinnedSamples:
                                          ("constant", constant(1.0))])
     def test_samples_match_their_pins(self, name, h, seed):
         spec = ParetoTail(1.5, 1.0, 2.0, h)
-        assert sample_hash(spec, seed) == PINNED_SAMPLES[name, seed]
+        assert sample_hash(spec, seed) == pinned(PINNED_SAMPLES)[name, seed]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CMS_LAWS))
+    def test_cms_samples_match_their_pins(self, name, seed):
+        assert sample_hash(ExactStable(*CMS_LAWS[name]), seed) == pinned(PINNED_SAMPLES)[name, seed]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_clamped_samples_match_their_pins(self, monkeypatch, seed):
@@ -203,7 +242,7 @@ class TestPinnedSamples:
         x = sample_innovations(spec, 12000, seed)
         # the clamped draws of each tail share the largest root
         assert np.sum(x == x.min()) > 1 and np.sum(x == x.max()) > 1
-        assert sample_hash(spec, seed) == PINNED_SAMPLES["floor", seed]
+        assert sample_hash(spec, seed) == pinned(PINNED_SAMPLES)["floor", seed]
 
     @pytest.mark.parametrize("seed", [1, 2, 20240601])
     def test_bench_draw_evaluates_the_survival_once(self, monkeypatch, seed):
@@ -234,6 +273,10 @@ class TestNewtonRoot:
     # the first step, taken without a bracket, must not change one bit of
     # what the bracketed loop returns
     @settings(max_examples=200, deadline=None)
+    # Newton creeping between the two ends of its bracket (see
+    # test_creeping_newton_bisects)
+    @example(a=0.5, b=5.0, s=4.75, z=[7.5], start="root", lo=0.0, hi=math.inf, seed=0)
+    @example(a=0.5, b=3.0, s=4.0, z=[4.0], start="root", lo=0.0, hi=math.inf, seed=0)
     @given(st.floats(1e-3, 2.0), st.floats(0.0, 5.0), st.floats(-5.0, 5.0),
            st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
            st.sampled_from(["root", "near", "far", "scalar"]),
@@ -259,6 +302,16 @@ class TestNewtonRoot:
                     newton_root(fn, z, w, lo, hi)
                 return
             assert np.array_equal(newton_root(fn, z, w, lo, hi), want, equal_nan=True)
+
+    def test_creeping_newton_bisects(self):
+        # from w = 0 the Newton steps of 7.5 - w/2 - 5 atan(w - 4.75) stay in
+        # the bracket but alternate between its ends, which close in on
+        # about 1.24 and 16.5 rather than on the root near 6: all 100 steps
+        # were taken, and the loop raised
+        fn, z = atan_slope(0.5, 5.0, 4.75), np.array([7.5])
+        root = newton_root(fn, z, np.zeros(1), -1e6, 1e6)
+        assert 6.0 < root[0] < 6.1
+        assert abs(z[0] + fn(root)[0][0]) <= 1e-11
 
     @pytest.mark.parametrize("start, evals", [("root", 1), ("far", 2)])
     def test_first_step_shortcut_taken_when_it_settles(self, start, evals):
@@ -387,7 +440,7 @@ class TestTailConstants:
         assert tc.h == constant(1.0)
 
     def test_exact_stable_symmetric(self):
-        tc = exact_stable(1.5, 0.0, 1.0).tail_constants
+        tc = ExactStable(1.5, 0.0, 1.0).tail_constants
         assert tc.sigma1 == tc.sigma2
 
     def test_exact_stable_empirical(self):
@@ -395,7 +448,7 @@ class TestTailConstants:
         # this pins the skew-sign calibration.  The lighter left tail is
         # pre-asymptotic at the 0.99 quantile, so sigma1 is held to the
         # deeper level only.
-        spec = exact_stable(1.5, 0.5, 1.0)
+        spec = ExactStable(1.5, 0.5, 1.0)
         tc = spec.tail_constants
         x = sample_innovations(spec, 10**6, 41)
         result = tail_ratio_check(x, 1.5, tc.h, [0.99, 0.999])
@@ -407,18 +460,18 @@ class TestTailConstants:
             tc.sigma2 / tc.sigma1, rel=0.25)
 
     def test_gaussian_constants(self):
-        tc = exact_stable(2.0, 0.0, 1.5).tail_constants
+        tc = ExactStable(2.0, 0.0, 1.5).tail_constants
         assert tc.sigma1 == tc.sigma2 == pytest.approx(0.5 * 1.5**2)
 
 
 class TestCfParams:
     def test_exact_stable_round_trip(self):
-        p = exact_stable(1.5, 0.0, 1.0).cf_params
+        p = ExactStable(1.5, 0.0, 1.0).cf_params
         assert p.sigma == pytest.approx(1.0, rel=1e-6)
         assert p.D == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_stable_round_trip_skewed(self):
-        p = exact_stable(1.3, 0.6, 2.0).cf_params
+        p = ExactStable(1.3, 0.6, 2.0).cf_params
         assert p.sigma == pytest.approx(2.0**1.3, rel=1e-12)
         assert p.D == pytest.approx(0.6 * math.tan(math.pi * 1.3 / 2.0), rel=1e-12)
 
@@ -426,7 +479,7 @@ class TestCfParams:
     def test_exact_stable_round_trip_near_two(self, alpha):
         # the Gaussian branch of tail_constants belongs to alpha = 2 only, so
         # the tail constants still round-trip to the law's CF constants
-        spec = exact_stable(alpha, 0.7, 1.3)
+        spec = ExactStable(alpha, 0.7, 1.3)
         want = from_standard(StandardStable(alpha, 0.7, 1.3))
         assert spec.cf_params == want
         tc = spec.tail_constants
@@ -481,3 +534,61 @@ class TestValidation:
             for call in (lambda: pareto_layout(spec), lambda: sample_innovations(spec, 10, 1)):
                 with pytest.raises(ValueError, match="^h overflows a double on the exact tails"):
                     call()
+
+
+class TestOneAnswerPerQuestion:
+    """The law layer answers each question in one way: ExactStable is the
+    stable law itself, H is read from ln t alone, H_alpha(N) comes from
+    h_alpha_info, CMS sampling from sample, and the alpha range is checked
+    in one place."""
+
+    def test_twins_are_gone(self):
+        for module, name in ((innovations, "exact_stable"), (slowly_varying, "big_h"),
+                             (slowly_varying, "h_alpha"), (stable_law, "_sample_with")):
+            assert not hasattr(module, name), name
+        law = ExactStable(1.5, 0.0, 1.0)
+        assert not hasattr(law, "law")
+        for spec in (law, BENCH_LAW):
+            assert not hasattr(spec, "big_h")
+
+    def test_exact_stable_is_the_stable_law(self):
+        law = ExactStable(1.5, 0.0, 1.0)
+        assert isinstance(law, StandardStable)
+        assert law == ExactStable(1.5, 0.0, 1.0)
+        assert hash(law) == hash(ExactStable(1.5, 0.0, 1.0))
+        assert law != StandardStable(1.5, 0.0, 1.0)
+        assert law != ExactStable(1.5, 0.1, 1.0)
+        assert repr(law) == "ExactStable(alpha=1.5, beta=0.0, scale=1.0)"
+        # sample, cdf and from_standard take it as they take the bare law
+        bare = StandardStable(1.2, 0.7, 2.0)
+        law = ExactStable(1.2, 0.7, 2.0)
+        np.testing.assert_array_equal(sample(law, 100, 3), sample(bare, 100, 3))
+        np.testing.assert_array_equal(sample_innovations(law, 100, 3), sample(bare, 100, 3))
+        assert cdf(law, 0.5) == cdf(bare, 0.5)
+        assert law.cf_params == from_standard(bare)
+
+    def test_exact_stable_keeps_the_checks(self):
+        with pytest.raises(ValueError, match=r"need beta in \[-1, 1\]"):
+            ExactStable(1.5, 1.5, 1.0)
+        with pytest.raises(ValueError, match="need scale > 0"):
+            ExactStable(1.5, 0.0, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExactStable(1.5, 0.0, 1.0).alpha = 1.2
+
+    @pytest.mark.parametrize("make", [
+        lambda: SkewedStableParams(2.5, 1.0, 0.0),
+        lambda: StandardStable(1.0, 0.0, 1.0),
+        lambda: ExactStable(2.0000001, 0.0, 1.0),
+        lambda: from_tail_constants(0.5, 1.0, 1.0),
+        lambda: ParetoTail(1.0, 1.0, 1.0, constant(1.0)),
+        lambda: h_alpha_info(constant(1.0), 2.5, 10.0),
+    ], ids=["skewed", "standard", "exact", "from_tail_constants", "pareto", "h_alpha_info"])
+    def test_alpha_range_message(self, make):
+        with pytest.raises(ValueError, match=r"^need alpha in \(1, 2\]$"):
+            make()
+
+    def test_alpha_range_checked_in_one_place(self):
+        src = Path(stable_law.__file__).parent
+        hits = [path.name for path in sorted(src.glob("*.py"))
+                for _ in re.finditer(re.escape('"need alpha in (1, 2]"'), path.read_text())]
+        assert hits == ["stable_law.py"]

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.special import zeta
 
 from stablesum import innovations
 from stablesum import linear_process as lp
-from stablesum.innovations import ParetoTail, exact_stable
+from stablesum.cli import parse_config
+from stablesum.innovations import ExactStable, ParetoTail
 from stablesum.linear_process import (
     FddSpec,
     ProcessSpec,
@@ -26,7 +28,7 @@ from stablesum.linear_process import (
 )
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
-    big_h,
+    big_h_log,
     coefficient,
     coefficient_prefix_sums,
     constant,
@@ -35,6 +37,7 @@ from stablesum.slowly_varying import (
 
 from reference import partial_sums, prefix_weights
 
+ROOT = Path(__file__).resolve().parents[1]
 ELL1 = constant(1.0)
 H1 = constant(1.0)
 
@@ -89,16 +92,17 @@ class TestTruncationTail:
         assert tails[0] > tails[1] > tails[2]
 
     def test_default_depth_policy(self):
-        spec = exact_stable(1.5, 0.0, 1.0)
+        spec = ExactStable(1.5, 0.0, 1.0)
         M = default_truncation_depth(ELL1, spec)
         full = truncation_tail(ELL1, spec, 0)
         assert truncation_tail(ELL1, spec, M) < 1e-3 * full
         assert M >= 10**4
 
     @pytest.mark.parametrize("ell, spec, alpha, want", [
-        (ELL1, exact_stable(1.5, 0.0, 1.0), 1.5, 640_000),
+        (ELL1, ExactStable(1.5, 0.0, 1.0), 1.5, 640_000),
         (log_power(1.0, -2.0), ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5)), 1.5, 10_000),
-        (log_power(1.0, 1.0), exact_stable(1.7, 0.0, 1.0), 1.7, 2_560_000),
+        (log_power(1.0, 1.0), ExactStable(1.7, 0.0, 1.0), 1.7, 2_560_000),
+        (ELL1, ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5)), 1.5, 5_120_000),
     ])
     def test_default_depth_is_first_passing_candidate(self, ell, spec, alpha, want):
         # the one-pass depth equals the first M = 1e4 * 2^k whose own
@@ -111,11 +115,26 @@ class TestTruncationTail:
         if M > 10_000:
             assert truncation_tail(ell, spec, M // 2) >= 1e-3 * full
 
+    @pytest.mark.parametrize("config, want", [
+        ("scripts/configs/oracle_sym15.ini", 640_000),
+        ("scripts/configs/simulate_sym15.ini", 640_000),
+        ("scripts/configs/verify_sym15.ini", 640_000),
+        ("scripts/configs/verify_pareto.ini", 640_000),
+        ("bench/configs/oracle_supgrid.ini", 640_000),
+        ("bench/configs/verify_pareto_logh.ini", 10_000),
+    ])
+    def test_config_depths_unchanged(self, config, want):
+        # the automatic depth of each shipped and bench config's law, as it
+        # was while truncation_tail read H at t (a config that fixes its
+        # truncation is resolved as if it read auto)
+        cfg = parse_config(ROOT / config)
+        assert default_truncation_depth(cfg.ell, cfg.innovation) == want
+
     def test_gaussian_series_is_sum_of_squares(self):
         # a Gaussian has H == 1: its series is sum a_i^2, met by an exact
         # block to 2e6; with the alpha = 2 Pareto H = 2 ln t of h == 1 the
         # automatic depth was 640000, the Gaussian's own series needs 40000
-        ell, gauss = log_power(1.0, 1.0), exact_stable(2.0, 0.0, 1.0)
+        ell, gauss = log_power(1.0, 1.0), ExactStable(2.0, 0.0, 1.0)
         end = 2 * 10**6
         a = coefficient(ell, np.arange(1.0, end + 1.0))
         rest = truncation_tail(ell, gauss, end)
@@ -144,16 +163,16 @@ class TestAlpha2LogPower:
     def test_lag_h_independent_of_array(self):
         h = self.SPEC.h
         t = 1.0 / coefficient(self.ELL, np.arange(1.0, 200_001.0))
-        whole = big_h(h, 2.0, np.maximum(t, 1.0))
+        whole = big_h_log(h, 2.0, np.log(np.maximum(t, 1.0)))
         for lo, hi in ((0, 10), (10_000, 20_000), (150_000, 150_001), (199_990, 200_000)):
-            part = big_h(h, 2.0, np.maximum(t[lo:hi], 1.0))
+            part = big_h_log(h, 2.0, np.log(np.maximum(t[lo:hi], 1.0)))
             np.testing.assert_allclose(part, whole[lo:hi], rtol=1e-14, atol=0.0)
 
     def test_h_matches_mpmath(self):
         import mpmath as mp
 
         t = np.array([1.7, 30.0, 5e4, 3e8, 1e12])
-        got = big_h(self.SPEC.h, 2.0, t)
+        got = big_h_log(self.SPEC.h, 2.0, np.log(t))
         with mp.workdps(30):
             def h(s):
                 return mp.log(mp.e + s) ** mp.mpf(0.5)
@@ -198,25 +217,25 @@ class TestPath:
         np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
     def test_simulate_deterministic(self):
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 50)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 50)
         np.testing.assert_array_equal(simulate_path(proc, 20, 77),
                                       simulate_path(proc, 20, 77))
 
     def test_memory_guard(self):
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 10**9)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 10**9)
         with pytest.raises(ValueError):
             simulate_path(proc, 10**9, 1)
 
     def test_empty_path_rejected(self):
         # n = 0 passes the length check of eps (M - 1 values), and the
         # convolution would return two values
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 5)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 5)
         with pytest.raises(ValueError, match="n_out >= 1"):
             simulate_path(proc, 0, 1)
 
     @pytest.mark.parametrize("ell", [ELL1, log_power(1.0, -2.0)], ids=["constant", "log_power"])
     @pytest.mark.parametrize("innovation", [
-        exact_stable(1.5, 0.3, 1.0),
+        ExactStable(1.5, 0.3, 1.0),
         ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
     ], ids=["stable", "pareto"])
     def test_peak_within_its_count(self, monkeypatch, ell, innovation):
@@ -326,7 +345,7 @@ class TestNormalizedFdd:
     FDD = FddSpec((0.5, 1.0), (1.0, -0.5))
 
     def test_deterministic(self):
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 40)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 40)
         a = normalized_fdd_sample(proc, 30, self.FDD, 8, 123)
         b = normalized_fdd_sample(proc, 30, self.FDD, 8, 123)
         np.testing.assert_array_equal(a, b)
@@ -342,7 +361,7 @@ class TestNormalizedFdd:
             return draw(*args)
 
         monkeypatch.setattr(lp, "sample_innovations", recorded)
-        for innovation in (exact_stable(1.5, 0.0, 1.0),
+        for innovation in (ExactStable(1.5, 0.0, 1.0),
                            ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))):
             proc = ProcessSpec(ELL1, innovation, 40)
             # threads first, so a Pareto layout is first resolved concurrently
@@ -370,7 +389,7 @@ class TestNormalizedFdd:
     def test_matches_path_route(self):
         # every replicate row equals simulate_path + partial_sums on the same
         # counter-derived seed (the aggregation identity, end to end)
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 25)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 25)
         N, reps, seed = 20, 6, 99
         rows = normalized_fdd_sample(proc, N, self.FDD, reps, seed)
         A = process_normalizer(proc, N)
@@ -384,14 +403,14 @@ class TestNormalizedFdd:
         M, N = 10, 12
         eps = np.zeros(N + M - 1)
         path = path_from_innovations(ELL1, M, eps, N)
-        A = process_normalizer(ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), M), N)
+        A = process_normalizer(ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), M), N)
         np.testing.assert_array_equal(partial_sums(path, N, self.FDD.times) / A,
                                       [0.0, 0.0])
 
     def test_replicate_budget_fails_fast(self):
         # reps x m beyond the budget is refused before the samples array is
         # allocated (at reps = 1e10 numpy asked for 149 GiB)
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 25)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 25)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="memory budget of 150000000 elements"):
@@ -402,8 +421,8 @@ class TestNormalizedFdd:
         assert peak < 2**20
 
     @pytest.mark.parametrize("innovation", [
-        exact_stable(1.5, 0.3, 1.0),
-        exact_stable(2.0, 0.0, 1.0),
+        ExactStable(1.5, 0.3, 1.0),
+        ExactStable(2.0, 0.0, 1.0),
         ParetoTail(1.0001, 1.0, 1.0, constant(1.0)),
         ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
         ParetoTail(1.0001, 1.0, 1.0, log_power(1.0, 3.0)),
@@ -462,7 +481,7 @@ class TestNormalizedFdd:
         # max(3 * 71, 71 + 89 * 2) = 249; sampling phase
         # 89 * 2 + 4 * 2 + threads * 10 * 89 = 1076 or 1966
         monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1500)
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 70)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 70)
         if refused:
             with pytest.raises(ValueError, match="hold about 1966 elements"):
                 normalized_fdd_sample(proc, 20, self.FDD, 4, 1, threads=threads)
@@ -472,7 +491,7 @@ class TestNormalizedFdd:
     def test_stable_normalizer_builds_no_n_array(self):
         # sum_{i<=N} a_i comes from coefficient_sum: the partial sums up to
         # 1000, bit for bit, and the continuation beyond, in flat memory
-        proc = ProcessSpec(ELL1, exact_stable(1.5, 0.0, 1.0), 10)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 10)
         S = coefficient_prefix_sums(ELL1, 1000)
         assert process_normalizer(proc, 1000) == 1000 ** (1 / 1.5) * S[1000]
         tracemalloc.start()
@@ -487,7 +506,7 @@ class TestNormalizedFdd:
     def test_pareto_normalizer_uses_h_alpha(self):
         # alpha = 2 heavy-tail family scales by sqrt(N H_alpha(N)), not sqrt(N)
         proc_pareto = ProcessSpec(ELL1, ParetoTail(2.0, 0.5, 0.5, H1), 10)
-        proc_gauss = ProcessSpec(ELL1, exact_stable(2.0, 0.0, 1.0), 10)
+        proc_gauss = ProcessSpec(ELL1, ExactStable(2.0, 0.0, 1.0), 10)
         a_pareto = process_normalizer(proc_pareto, 1000)
         a_gauss = process_normalizer(proc_gauss, 1000)
         assert a_pareto > 2.0 * a_gauss

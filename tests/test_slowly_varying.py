@@ -12,13 +12,12 @@ from stablesum.linear_process import ProcessSpec, process_normalizer
 from stablesum.slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
-    big_h,
+    big_h_log,
     coefficient,
     coefficient_prefix_sums,
     coefficient_sum,
     constant,
     eval_sv,
-    h_alpha,
     h_alpha_info,
     log_power,
 )
@@ -182,11 +181,11 @@ class TestCoefficientSum:
 
 class TestBigH:
     def test_below_two_is_h_itself(self):
-        assert big_h(constant(3.0), 1.5, 1e6) == 3.0
+        assert float(big_h_log(constant(3.0), 1.5, np.log(1e6))) == 3.0
 
     def test_alpha2_constant(self):
         # -int_1^e s^2 d(c/s^2) = 2c ln t = 2 at t = e
-        assert big_h(constant(1.0), 2.0, math.e) == pytest.approx(2.0, rel=1e-14)
+        assert float(big_h_log(constant(1.0), 2.0, np.log(math.e))) == pytest.approx(2.0, rel=1e-14)
 
     def test_alpha2_pure_log_variant(self):
         # h(s) = ln s gives ln^2 t - ln t, i.e. 2 at t = e^2
@@ -195,24 +194,20 @@ class TestBigH:
 
     def test_alpha2_log_power_matches_callable(self):
         spec = SlowlyVaryingSpec("log_power", 1.0, 1.0)
-        direct = big_h(spec, 2.0, 50.0)
+        direct = float(big_h_log(spec, 2.0, np.log(50.0)))
         via_callable = big_h_from_callable(lambda s: eval_sv(spec, s), 50.0)
         assert direct == pytest.approx(via_callable, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            big_h(constant(1.0), 1.5, 0.5)
 
 
 class TestHAlpha:
     def test_constant_fixed_point(self):
-        assert h_alpha(constant(1.0), 1.5, 10**6) == 1.0
+        assert h_alpha_info(constant(1.0), 1.5, 10**6).value == 1.0
 
     def test_log_power_closed_form_fixed_point(self):
         # h = ln(e + x) has the fixed point x = 2 where (N x)^(1/alpha) =
         # e^2 - e, so at N = (e^2 - e)^alpha / 2
         N = (math.e**2 - math.e) ** 1.5 / 2.0
-        assert h_alpha(log_power(1.0, 1.0), 1.5, N) == pytest.approx(2.0, rel=1e-14)
+        assert h_alpha_info(log_power(1.0, 1.0), 1.5, N).value == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("h, alpha, N", [
         (log_power(1.0, 3.0), 1.1, 1),        # slow contraction: once 2e-12 off
@@ -254,7 +249,7 @@ class TestHAlpha:
         N = 10**3
 
         def g(x):
-            return x - big_h(h, 2.0, math.sqrt(N) * math.sqrt(x))
+            return x - float(big_h_log(h, 2.0, np.log(math.sqrt(N) * math.sqrt(x))))
 
         lo, hi = 1e-6, 1e6
         assert g(hi) > 0.0 > g(1.0)
@@ -265,7 +260,7 @@ class TestHAlpha:
                 hi = mid
             else:
                 lo = mid
-        assert h_alpha(h, 2.0, N) == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+        assert h_alpha_info(h, 2.0, N).value == pytest.approx(0.5 * (lo + hi), rel=1e-9)
 
     def test_residual_contract(self):
         for h in (constant(1.0), SlowlyVaryingSpec("log_power", 1.0, 2.0),
@@ -286,22 +281,22 @@ class TestHAlpha:
     def test_nonexistent_fixed_point_raises(self):
         # alpha = 2, h == 1, N = 1: x = ln x has no positive root
         with pytest.raises(HAlphaConvergenceError) as err:
-            h_alpha(constant(1.0), 2.0, 1)
+            h_alpha_info(constant(1.0), 2.0, 1)
         assert err.value.last_iterate is not None
 
     def test_slow_variation_of_h_alpha(self):
         # doubling ratio within 5% at N = 1e8 where the band actually holds:
         # alpha < 2 with |p| <= 1, alpha = 2 with p <= 0 (the alpha = 2
         # transform gains a log power, pushing p = 1 to ratio 1.067)
-        for alpha, p in ((1.5, -1.0), (1.5, 1.0), (2.0, -1.0)):
+        def doubling(alpha, p, n):
             h = SlowlyVaryingSpec("log_power", 1.0, p)
-            ratio = h_alpha(h, alpha, 2 * 10**8) / h_alpha(h, alpha, 10**8)
-            assert abs(ratio - 1.0) < 0.05
+            return h_alpha_info(h, alpha, 2 * n).value / h_alpha_info(h, alpha, n).value
+
+        for alpha, p in ((1.5, -1.0), (1.5, 1.0), (2.0, -1.0)):
+            assert abs(doubling(alpha, p, 10**8) - 1.0) < 0.05
         # steeper cases miss 5% at 1e8; the gap still shrinks along N
         for alpha, p in ((1.5, 2.0), (2.0, 1.0)):
-            h = SlowlyVaryingSpec("log_power", 1.0, p)
-            gaps = [abs(h_alpha(h, alpha, 2 * n) / h_alpha(h, alpha, n) - 1.0)
-                    for n in (10**4, 10**8, 10**12)]
+            gaps = [abs(doubling(alpha, p, n) - 1.0) for n in (10**4, 10**8, 10**12)]
             assert gaps[0] > gaps[1] > gaps[2]
 
 

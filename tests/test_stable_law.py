@@ -14,7 +14,6 @@ from stablesum.stable_law import (
     CdfQuadratureError,
     SkewedStableParams,
     StandardStable,
-    _sample_with,
     cdf,
     from_standard,
     from_tail_constants,
@@ -93,10 +92,11 @@ def quad_cdf(std, x):
     return min(1.0, max(0.0, 0.5 - total / math.pi))
 
 
-class FixedDraws:
-    """Generator stub: every uniform is r and every exponential is w."""
+class FixedDraws(np.random.Generator):
+    """A Generator whose every uniform is r and every exponential is w."""
 
     def __init__(self, r, w):
+        super().__init__(np.random.PCG64(0))
         self.r, self.w = r, w
 
     def random(self, n):
@@ -288,8 +288,7 @@ class TestSample:
     def test_extreme_uniforms_finite(self, alpha, beta, r):
         # U = -pi/2 or the largest U below pi/2, where tan(U/2) may round to
         # +-1, with the smallest exponential
-        x = _sample_with(StandardStable(alpha, beta, 1.0), 3,
-                         FixedDraws(r, np.finfo(float).tiny))
+        x = sample(StandardStable(alpha, beta, 1.0), 3, FixedDraws(r, np.finfo(float).tiny))
         assert np.all(np.isfinite(x))
 
     def test_sum_stability(self):
