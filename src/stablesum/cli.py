@@ -8,11 +8,12 @@ verdict criterion.  All randomness flows from the [sweep] seed; a missing
 seed is a configuration error, never an implicit clock seed.  `oracle`
 writes oracle.csv and oracle.json, `verify` report.csv and report.json.
 
-`--threads k` (k >= 1) sets the replicates of `verify` only: those of each
-Monte-Carlo N run on up to k threads, and every output is the same for
-every k.  `simulate` and `oracle` accept the flag and run on one thread.
-`verify` computes the exact log-CF once per N, in the oracle sweep, and
-takes its ECF target from the sweep row.
+`--threads k` (k >= 1) sets the replicates of `verify` only: they run on up
+to k threads, and every output is the same for every k.  `simulate` and
+`oracle` accept the flag and run on one thread.  `verify` computes the
+exact log-CF once per N, in the oracle sweep, and takes its ECF target from
+the sweep row; one sampling pass over the replicates serves every N
+(linear_process.joint_fdd_sample).
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure (one "error:" line), 2 configuration error (one "config error:"
@@ -46,7 +47,7 @@ from .linear_process import (
     default_truncation_depth,
     fdd_weights,
     floor_index,
-    normalized_fdd_sample,
+    joint_fdd_sample,
     simulate_path,
 )
 from .slowly_varying import (
@@ -338,7 +339,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     for every N.  The ECF target is the sweep row's exact log-CF for stable
     innovations and the Levy limit otherwise, so the exact log-CF is
     computed once per N; so are the window weights and A_N, which give the
-    samples and the exact marginal law.  With sup_grid the target comes
+    samples and the exact marginal law.  Every N's weights are built under
+    one memory guard, then one sampling pass draws every N's samples, each
+    bit for bit those of its N alone, then ECF and KS run per N.  A row's
+    wall_time_s holds its oracle row's time, its own ECF and KS, and a
+    share of the weights and the sampling pass in proportion to its
+    innovation count K_N.  With sup_grid the target comes
     from the call over the whole grid, at the same fixed past depth as a
     grid-free call and within both calls' tail_bound and round-off of its
     value; no shipped verify config sets sup_grid."""
@@ -368,17 +374,20 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         sweep = [None] * len(cfg.n_list)
         limit = cf_oracle.limit_log_cf(cfg.innovation.cf_params, cfg.fdd)
 
+    t0 = time.perf_counter()
+    weights = fdd_weights(process, cfg.n_list, cfg.fdd, cfg.reps, threads=threads)
+    samples = joint_fdd_sample(process, cfg.n_list, cfg.fdd, cfg.reps, seed,
+                               threads=threads, weights=weights)
+    joint_s = time.perf_counter() - t0
+    K_total = sum(W.shape[0] for W, _ in weights)
     rows = []
-    for n, orow in zip(cfg.n_list, sweep):
+    for n, orow, (W, A), sample in zip(cfg.n_list, sweep, weights, samples):
         t0 = time.perf_counter()
-        weights = fdd_weights(process, n, cfg.fdd, cfg.reps, threads=threads)
-        samples = normalized_fdd_sample(process, n, cfg.fdd, cfg.reps, seed,
-                                        threads=threads, weights=weights)
-        est, _ = verification.ecf(samples, cfg.fdd.freqs)
+        est, _ = verification.ecf(sample, cfg.fdd.freqs)
         target = limit if orow is None else orow.log_cf
-        marginal = _marginal_cdf_target(cfg, *weights)
-        ks = verification.ks_distance(samples[:, -1], lambda x: cdf(marginal, x))
-        wall = time.perf_counter() - t0
+        marginal = _marginal_cdf_target(cfg, W, A)
+        ks = verification.ks_distance(sample[:, -1], lambda x: cdf(marginal, x))
+        wall = time.perf_counter() - t0 + joint_s * W.shape[0] / K_total
         distance, past, oracle_s = ((None, None, 0.0) if orow is None else
                                     (orow.distance, orow.past_part, orow.wall_ms / 1e3))
         rows.append(verification.ReportRow(n, distance, past, float(abs(est - np.exp(target))),

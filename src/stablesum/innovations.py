@@ -13,11 +13,17 @@ each question in one way:
                       Levy limit);
     has_exact_log_cf  whether the oracle's exact log-CF is its own (cli), and
                       then weighted_sum(w), the exact law of sum_j w_j eps_j;
-    draw(n, seed)     n draws, through sample_innovations, the one checked
-                      entry point; peak_arrays, the arrays of n doubles that
-                      draw holds at once (the memory guards); check_draws(),
-                      a ValueError where its draws would overflow a double
-                      (simulate's check before any work).
+    draw(lengths, seed, work)
+                      the draws of each length from one seed, each as a draw
+                      of that length alone gives it, through
+                      sample_innovations, the one checked entry point (work:
+                      arrays a caller keeps across draws, or None);
+                      peak_arrays, the arrays of n doubles that a draw of
+                      one length n holds at once, of which shared_arrays are
+                      held once, of the longest length, by a draw of several
+                      (the memory guards); check_draws(), a ValueError where
+                      its draws would overflow a double (simulate's check
+                      before any work).
 
 tail_constants (alpha, sigma1, sigma2, h) describe the tails; the package
 does not read them, and the tests hold them to cf_params and the samples.
@@ -79,7 +85,7 @@ from .stable_law import (
     from_standard,
     from_tail_constants,
     panel_quad,
-    sample,
+    sample_prefixes,
     stable_tail_constant,
 )
 
@@ -113,8 +119,12 @@ class ExactStable(StandardStable):
     with the fields, checks, equality and hash of that dataclass."""
 
     has_exact_log_cf = True
-    # the CMS kernel holds ten arrays of n doubles at once, output included
+    # the CMS kernel holds at most ten arrays of n doubles at once, output
+    # included (seven: the angle stage's six and the draw); all but each
+    # length's exponentials, which become its draw, belong to the angle
+    # stage, run once on the longest
     peak_arrays = 10
+    shared_arrays = 9
 
     @property
     def tail_constants(self) -> TailConstants:
@@ -136,8 +146,8 @@ class ExactStable(StandardStable):
         tail constant and Gamma(1-alpha)*cos(pi*alpha/2) near alpha = 2."""
         return from_standard(self)
 
-    def draw(self, n: int, seed) -> np.ndarray:
-        return sample(self, n, seed)
+    def draw(self, lengths, seed, work=None) -> list:
+        return sample_prefixes(self, lengths, seed, work)
 
     def check_draws(self) -> None:
         """CMS draws share no resolved state: nothing to check."""
@@ -236,14 +246,23 @@ class ParetoTail:
         survival and its slope are evaluated at w (11)."""
         return 4 if self.h.kind == "constant" else 11
 
+    @property
+    def shared_arrays(self) -> int:
+        """All of them: the draws of a shorter length are views of the
+        longest one (see draw)."""
+        return self.peak_arrays
+
     def check_draws(self) -> None:
         """Resolves the layout: a ValueError where h overflows a double on
         the exact tails."""
         self.layout
 
-    def draw(self, n: int, seed) -> np.ndarray:
+    def draw(self, lengths, seed, work=None) -> list:
+        """Each draw reads its own uniform alone, so the draws of a shorter
+        length are a prefix of the longest's: views of it.  Its arrays
+        depend on the draw (the tail counts), so work is not used."""
         lay = self.layout
-        q = np.random.default_rng(seed).random(n)
+        q = np.random.default_rng(seed).random(max(lengths))
         left = np.flatnonzero(q < lay.p_left)
         right = np.flatnonzero(q >= lay.p_left + lay.p0)
         # conditional survival level g in (0, 1] within each draw's own tail,
@@ -262,7 +281,7 @@ class ParetoTail:
         x = _invert_tail_survival(self, np.maximum(g, _G_FLOOR, out=g))
         out[right] = x[left.size:]
         out[left] = np.negative(x[:left.size], out=x[:left.size])
-        return out
+        return [out[:n] for n in lengths]
 
     @cached_property
     def _h_alphas(self) -> dict:
@@ -339,13 +358,18 @@ def pareto_layout(spec: ParetoTail) -> ParetoLayout:
     raise RuntimeError("could not place the interior balance interval")
 
 
-def sample_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
+def sample_innovations(spec: InnovationSpec, n, seed, work=None):
     """n i.i.d. mean-zero innovations by the family's draw; deterministic
-    given seed."""
-    n = int(n)
-    if n < 1:
+    given seed.  For a sequence of lengths n, the list of the draws of each
+    length from the one seed, in one pass: each equals the draw of that
+    length alone.  work, a dict the caller keeps from one call to the
+    next, lets a law reuse its arrays (stable_law.sample_prefixes); the
+    draws may then be views that the next such call overwrites."""
+    lengths = [int(k) for k in np.atleast_1d(n)]
+    if min(lengths, default=0) < 1:
         raise ValueError("need n >= 1")
-    return spec.draw(n, seed)
+    draws = spec.draw(lengths, seed, work)
+    return draws if np.ndim(n) else draws[0]
 
 
 def _invert_tail_survival(spec: ParetoTail, g: np.ndarray) -> np.ndarray:

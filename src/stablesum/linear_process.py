@@ -3,6 +3,12 @@
 The series is cut at lag M (truncation); the admissibility diagnostic is the
 tail of sum_i |a_i|^alpha H(|a_i|^-1), the same series whose finiteness makes
 the full process converge almost surely.
+
+joint_fdd_sample samples the normalized fdd of several N in one pass over
+the replicates: each replicate draws the innovations of every N from one
+seed, and the law does its shared work once (innovations.sample_innovations
+with several lengths), so every N's matrix is the one normalized_fdd_sample,
+its one-N case, gives at that N alone.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +42,7 @@ __all__ = [
     "window_weights",
     "process_normalizer",
     "fdd_weights",
+    "joint_fdd_sample",
     "normalized_fdd_sample",
     "MEMORY_BUDGET_ELEMENTS",
     "require_budget",
@@ -297,52 +305,68 @@ def process_normalizer(process: ProcessSpec, N: int) -> float:
         process.ell, N)
 
 
-def fdd_weights(process: ProcessSpec, N: int, fdd: FddSpec, reps: int, *,
-                threads: int = 1):
-    """(W, A_N) of normalized_fdd_sample: window_weights at the fdd times
-    and process_normalizer.  Refused before anything is built or drawn when
-    the peak memory of the whole sample would exceed MEMORY_BUDGET_ELEMENTS
-    doubles.  The peak is the larger of two phases: window_weights (the
+def fdd_weights(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, *,
+                threads: int = 1) -> list:
+    """[(W, A_N)] for each N of n_list, as joint_fdd_sample reads them:
+    window_weights at the fdd times and process_normalizer.  Refused before
+    anything is built or drawn when the joint peak memory would exceed
+    MEMORY_BUDGET_ELEMENTS doubles.  The peak is the larger of two phases:
+    window_weights, built N by N while the blocks before are held (each the
     larger of building the M + 1 prefix sums, 3 (M + 1), and holding them
-    with the K x m block W, K the innovation count) and sampling (W, the
-    reps x m samples and, for each replicate in flight, the law's
-    peak_arrays arrays of K)."""
+    with its K x m block W, K its innovation count), and sampling (every W,
+    every reps x m sample and, for each replicate in flight, the law's
+    shared_arrays arrays of the largest K and its other peak_arrays arrays
+    of each K)."""
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
     M, m = int(process.truncation), fdd.m
-    K = floor_index(N, fdd.times[-1]) + M - 1
+    Ks = [floor_index(N, fdd.times[-1]) + M - 1 for N in n_list]
     in_flight = min(max(threads, 1), reps)
-    require_budget(max(3 * (M + 1), M + 1 + K * m,
-                       K * m + reps * m + in_flight * process.innovation.peak_arrays * K),
-                   f"{reps} replicates of {K} innovations on {in_flight} thread(s)")
-    return window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N)
+    law = process.innovation
+    held = list(accumulate((K * m for K in Ks), initial=0))
+    window = max(h + max(3 * (M + 1), M + 1 + K * m) for h, K in zip(held, Ks))
+    draw = law.shared_arrays * max(Ks) + (law.peak_arrays - law.shared_arrays) * sum(Ks)
+    require_budget(max(window, held[-1] + len(Ks) * reps * m + in_flight * draw),
+                   f"{reps} replicates of {', '.join(map(str, Ks))} innovations "
+                   f"on {in_flight} thread(s)")
+    return [(window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N))
+            for N in n_list]
 
 
-def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
-                          seed, *, threads: int = 1, weights=None) -> np.ndarray:
-    """reps x m matrix of A_N^{-1} S(t_i) over independent replicates, from
-    weights = fdd_weights(process, N, fdd, reps, threads=threads), built
-    here when not given (a caller that also reads W passes them).
+def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed, *,
+                     threads: int = 1, weights=None) -> list:
+    """For each N of n_list, the reps x m matrix of A_N^{-1} S(t_i) over
+    independent replicates, from weights = fdd_weights(process, n_list,
+    fdd, reps, threads=threads), built here when not given (a caller that
+    also reads W passes them).
 
-    Replicate r draws its innovations from the counter-derived seed
-    (seed, r), so results are independent of execution order and any degree
-    of parallelism.  The replicates run in up to `threads` chunks on a
-    thread pool, the package's only one; at threads <= 1 they run inline in
-    the calling thread.  Each row equals the partial sums of simulate_path
-    on the same seed (asserted in tests); the weighted-sum form avoids
-    rebuilding the whole path per replicate.
+    One sampling pass serves every N: replicate r draws the innovations of
+    every N at once from the counter-derived seed (seed, r), by
+    sample_innovations with one length per N, so each law does its shared
+    work once (see its draw) and every matrix equals that of
+    normalized_fdd_sample at its N alone, bit for bit.  Results are
+    independent of execution order and any degree of parallelism.  The
+    replicates run in up to `threads` chunks on a thread pool, the
+    package's only one; at threads <= 1 they run inline in the calling
+    thread.  Each chunk keeps one work dict for its draws, so a CMS
+    replicate reuses the arrays of the one before it.  Each row equals the partial sums of simulate_path on the same
+    seed (asserted in tests); the weighted-sum form avoids rebuilding the
+    whole path per replicate.
     """
-    W, A = fdd_weights(process, N, fdd, reps, threads=threads) if weights is None else weights
-    K = W.shape[0]
-    out = np.empty((reps, fdd.m))
+    if weights is None:
+        weights = fdd_weights(process, n_list, fdd, reps, threads=threads)
+    lengths = [W.shape[0] for W, _ in weights]
+    outs = [np.empty((reps, fdd.m)) for _ in weights]
     step = -(-reps // max(threads, 1))
     starts = range(0, reps, step)
 
     def fill(r0):
+        work = {}
         for r in range(r0, min(r0 + step, reps)):
-            eps = sample_innovations(process.innovation, K, [seed, r])
-            out[r] = eps @ W / A
+            draws = sample_innovations(process.innovation, lengths, [seed, r], work)
+            for out, eps, (W, A) in zip(outs, draws, weights):
+                out[r] = eps @ W / A
 
     if len(starts) == 1:  # threads <= 1 or a single replicate: no pool
         fill(0)
@@ -350,4 +374,11 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(starts)) as pool:
             list(pool.map(fill, starts))
-    return out
+    return outs
+
+
+def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
+                          seed, *, threads: int = 1) -> np.ndarray:
+    """reps x m matrix of A_N^{-1} S(t_i) over independent replicates: the
+    one-N case of joint_fdd_sample."""
+    return joint_fdd_sample(process, [N], fdd, reps, seed, threads=threads)[0]

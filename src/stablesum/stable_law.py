@@ -17,7 +17,11 @@ exponential draws it agrees with plain CMS (libm sin/cos, two powers) to a
 median relative 1.5e-16 to 1.3e-15 and at most 2.7e-11 over 1e6 draws at
 each of eleven (alpha, beta) pairs with beta = +-1 and alpha near 1 and 2;
 the largest gaps sit at U within 1e-5 of +-pi/2, where plain CMS is equally
-ill-conditioned.
+ill-conditioned.  The kernel has two stages: the angle stage reads the
+uniforms alone, and the exponentials finish it.  sample_prefixes draws
+several lengths from one seed with one angle stage, on the longest draw's
+uniforms, of which every shorter draw's are a prefix; sample is its case of
+one length.
 
 cdf evaluates a whole array in one pass: Gil-Pelaez on fixed Gauss-Legendre
 panels in the body and the stable tail series beyond it (see cdf).
@@ -46,6 +50,7 @@ __all__ = [
     "log_cf_parts",
     "log_cf_slope",
     "sample",
+    "sample_prefixes",
     "cdf",
     "CdfQuadratureError",
 ]
@@ -193,31 +198,101 @@ def sample(std: StandardStable, n: int, seed) -> np.ndarray:
     Chambers-Mallows-Stuck angle/exponential construction for the S1 law at
     every alpha < 2, so the power tail that the tail constants give just below
     2 is sampled too; alpha = 2 is the exact Gaussian (variance 2*scale^2).
+    The draw of sample_prefixes with the one length n.
     """
-    n = int(n)
-    if n < 1:
+    return sample_prefixes(std, (n,), seed)[0]
+
+
+def sample_prefixes(std: StandardStable, lengths, seed, work=None) -> list:
+    """The draws of sample(std, n, seed) for each n of lengths, in one pass.
+
+    A draw of n takes n uniforms and then n exponentials from the generator,
+    so the uniforms of a shorter draw are a prefix of the longest one's.  The
+    angle stage, which reads the uniforms alone, runs once on the longest;
+    each length then finishes on its prefix with its own exponentials, drawn
+    after its own uniforms: the generator's state is restored and advanced
+    past them (each double takes one 64-bit output), which needs a bit
+    generator with advance (PCG64, default_rng's) whenever lengths differ.
+    A Gaussian draw (alpha = 2) reads its normals in order, so each shorter
+    draw is a prefix of the longest.  Equal lengths share one array.
+
+    work, a dict that the caller keeps, holds every array of a CMS draw
+    from one call to the next (None: fresh arrays); the draws are then
+    views that the next call with the same work overwrites.  A caller that
+    draws again and again so allocates once, where arrays allocated and
+    freed on every call may have their pages returned to the kernel and
+    faulted in anew.
+    """
+    lengths = [int(n) for n in lengths]
+    if min(lengths) < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     alpha, beta, scale = std.alpha, std.beta, std.scale
+    longest = max(lengths)
     if alpha == 2.0:
-        return rng.normal(0.0, math.sqrt(2.0) * scale, n)
-    U = np.pi * (rng.random(n) - 0.5)
-    W = np.maximum(rng.standard_exponential(n), np.finfo(float).tiny)
+        x = rng.normal(0.0, math.sqrt(2.0) * scale, longest)
+        return [x[:n] for n in lengths]
+    start = rng.bit_generator.state if min(lengths) < longest else None
     tb = beta * math.tan(math.pi * alpha / 2.0)
-    B = math.atan(tb) / alpha
     log_scale = math.log(scale) + math.log1p(tb * tb) / (2.0 * alpha)
-    # half-angle tangents s of U and q of theta = alpha*(U + B): np.tan is
-    # several times faster than np.sin/np.cos, and every factor below is a
-    # rational function of s and q (in-place steps keep temporaries few)
-    s = np.tan(0.5 * U)
-    q = np.tan((0.5 * alpha) * (U + B))
-    hs = 1.0 / (1.0 + s * s)
-    hq = 2.0 / (1.0 + q * q)
-    cos_u = (1.0 - s) * (1.0 + s)
+    cos_d, log_cos_u, sin_t = _angle_stage(alpha, math.atan(tb) / alpha, rng, longest, work)
+    draws = {}
+    for n in sorted(set(lengths), reverse=True):
+        if n < longest:  # the longest draws its exponentials straight on
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(n)
+        W = rng.standard_exponential(n, out=_array(work, n, n))
+        # x = scale*S*sin(theta)/cos(U)^(1/alpha)*(cos(U - theta)/W)^((1-alpha)/alpha)
+        e = np.divide(cos_d[:n], np.maximum(W, np.finfo(float).tiny, out=W), out=W)
+        np.log(e, out=e)
+        e *= (1.0 - alpha) / alpha
+        e -= log_cos_u[:n]
+        e += log_scale
+        np.exp(e, out=e)
+        e *= sin_t[:n]
+        draws[n] = e
+    return [draws[n] for n in lengths]
+
+
+def _array(work, key, n: int) -> np.ndarray:
+    """n doubles: fresh when work is None, else the first n of work[key],
+    which is replaced by a larger array when it holds fewer."""
+    if work is None:
+        return np.empty(n)
+    if key not in work or work[key].size < n:
+        work[key] = np.empty(n)
+    return work[key][:n]
+
+
+def _angle_stage(alpha: float, B: float, rng, n: int, work) -> tuple:
+    """The factors of n CMS draws that read their angles U alone, from n
+    uniforms of rng: cos(U - theta) and cos U, each floored at _COS_FLOOR,
+    the latter as ln(cos U)/alpha, and sin theta, theta = alpha*(U + B),
+    in six arrays of n from work (see sample_prefixes)."""
+    # half-angle tangents s of U and q of theta: np.tan is several times
+    # faster than np.sin/np.cos, and every factor below is a rational
+    # function of s and q, each step written into one of the six arrays
+    # (an out= or in-place step rounds as the expression it stands for)
+    U = rng.random(n, out=_array(work, "U", n))
+    U -= 0.5
+    U *= np.pi
+    s = np.multiply(U, 0.5, out=_array(work, "s", n))
+    np.tan(s, out=s)
+    q = np.add(U, B, out=U)
+    q *= 0.5 * alpha
+    np.tan(q, out=q)
+    hs = np.multiply(s, s, out=_array(work, "hs", n))
+    hs += 1.0
+    np.divide(1.0, hs, out=hs)
+    hq = np.multiply(q, q, out=_array(work, "hq", n))
+    hq += 1.0
+    np.divide(2.0, hq, out=hq)
+    cos_u = np.subtract(1.0, s, out=_array(work, "cos_u", n))
+    cos_u *= np.add(s, 1.0, out=_array(work, "t", n))
     cos_u *= hs
-    sin_t = q * hq
+    sin_t = np.multiply(q, hq, out=q)
     # cos(U - theta) = cos U cos theta + sin U sin theta
-    cos_d = hq - 1.0
+    cos_d = np.subtract(hq, 1.0, out=hq)
     cos_d *= cos_u
     s *= hs
     s *= sin_t
@@ -225,15 +300,9 @@ def sample(std: StandardStable, n: int, seed) -> np.ndarray:
     cos_d += s
     np.maximum(cos_u, _COS_FLOOR, out=cos_u)
     np.maximum(cos_d, _COS_FLOOR, out=cos_d)
-    cos_d /= W
-    # x = scale*S*sin(theta)/cos(U)^(1/alpha)*(cos(U - theta)/W)^((1-alpha)/alpha)
-    e = np.log(cos_d, out=cos_d)
-    e *= (1.0 - alpha) / alpha
-    e -= np.log(cos_u, out=cos_u) / alpha
-    e += log_scale
-    np.exp(e, out=e)
-    e *= sin_t
-    return e
+    log_cos_u = np.log(cos_u, out=cos_u)
+    log_cos_u /= alpha
+    return cos_d, log_cos_u, sin_t
 
 
 # log Gamma at the _CDF_SERIES_MAX + 1 scalars of the tail series, and erfc
@@ -483,8 +552,6 @@ def _gil_pelaez(alpha: float, bt: float, x_max: float, x: np.ndarray) -> tuple:
     trunc = (x_max + abs(bt)) * v0 * math.exp(-30.0) + math.exp(-_CDF_V_TAIL)
     err = (float(np.max(np.abs(vals[:, 0] - vals[:, 1]))) + trunc) / math.pi
     return 0.5 - vals[:, 0] / math.pi, err
-
-
 
 
 def _tail_series(alpha: float, bt: float, cut: float, x: np.ndarray) -> tuple:

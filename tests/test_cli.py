@@ -243,7 +243,7 @@ class TestVerify:
         # mismatch is refused before the depth search, the sweep or sampling
         calls = []
         for module, name in ((cli, "default_truncation_depth"),
-                             (cli, "normalized_fdd_sample"),
+                             (cli, "joint_fdd_sample"),
                              (cf_oracle, "cf_convergence_sweep")):
             monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
         run(Row("", "verify", PARETO + TOL + f"{criterion}\n",

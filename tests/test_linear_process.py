@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import threading
 import tracemalloc
@@ -35,7 +36,7 @@ from stablesum.slowly_varying import (
     log_power,
 )
 
-from reference import partial_sums, prefix_weights
+from reference import AVX2, AVX512, partial_sums, pinned, prefix_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 ELL1 = constant(1.0)
@@ -488,6 +489,42 @@ class TestNormalizedFdd:
         else:
             assert normalized_fdd_sample(proc, 20, self.FDD, 4, 1, threads=threads).shape == (4, 2)
 
+    def test_budget_counts_the_joint_peak(self, monkeypatch):
+        # N = 10, 20: K = 79, 89 innovations, M = 70, m = 2.  Each N alone
+        # peaks at 79 * 2 + 4 * 2 + 10 * 79 = 956 or 1076; the joint pass
+        # holds both W and both outputs, 178 + 158 + 2 * 8, and the angle
+        # stage once, 9 * 89, with each N's exponentials, 79 + 89: 1321
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1320)
+        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 70)
+        alone = [normalized_fdd_sample(proc, n, self.FDD, 4, 1) for n in (10, 20)]
+        with pytest.raises(ValueError, match="hold about 1321 elements"):
+            lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1)
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1321)
+        for got, want in zip(lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1), alone):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("innovation", [
+        ExactStable(1.5, 0.3, 1.0),
+        ExactStable(2.0, 0.0, 1.0),
+        ParetoTail(1.0001, 1.0, 1.0, constant(1.0)),
+        ParetoTail(1.2, 1.0, 1.0, log_power(1.0, 3.0)),
+    ])
+    def test_joint_draw_peak_within_its_count(self, innovation):
+        # the guard's per-replicate count of a draw of several lengths:
+        # shared_arrays arrays of the longest and the other peak_arrays
+        # arrays of each length, up to 64 KiB that does not grow with n
+        lengths = [20_000, 100_000, 200_000]
+        innovations.sample_innovations(innovation, 10, 1)  # layout and root table
+        tracemalloc.start()
+        try:
+            innovations.sample_innovations(innovation, lengths, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_length = innovation.peak_arrays - innovation.shared_arrays
+        count = innovation.shared_arrays * max(lengths) + per_length * sum(lengths)
+        assert peak <= 8 * count + 2**16
+
     def test_stable_normalizer_builds_no_n_array(self):
         # sum_{i<=N} a_i comes from coefficient_sum: the partial sums up to
         # 1000, bit for bit, and the continuation beyond, in flat memory
@@ -510,3 +547,86 @@ class TestNormalizedFdd:
         a_pareto = process_normalizer(proc_pareto, 1000)
         a_gauss = process_normalizer(proc_gauss, 1000)
         assert a_pareto > 2.0 * a_gauss
+
+
+class TestJointPass:
+    """One sampling pass over a 3-N grid gives each N's matrix of
+    normalized_fdd_sample at that N alone, bit for bit, at threads 1 and 2.
+    The sha256 of each matrix was taken per SIMD target before the pass was
+    joint (tests/reference.py: pinned)."""
+
+    FDD = FddSpec((0.5, 1.0), (1.0, -0.5))
+    NS, M, REPS, SEED = (20, 100, 400), 500, 8, 7
+    LAWS = {
+        "cms_sym15": ExactStable(1.5, 0.0, 1.0),
+        "cms_skew12": ExactStable(1.2, 0.7, 2.0),
+        "cms_gauss": ExactStable(2.0, 0.0, 1.0),
+        "pareto_constant": ParetoTail(1.5, 1.0, 2.0, constant(1.0)),
+        "pareto_log_power": ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5)),
+    }
+    PINS = {
+        AVX512: {
+            "cms_sym15": ("e4e35870a61b9faf0c4e659a15f22e00416e587e66c55debf7660649f308ef77",
+                          "ccc371eab6d104862e37fa101bd79bd4a3953ce7ca8534811aec399fd9607549",
+                          "278fcc1959c170a2606ae0061192980a2d87d29da21183c5589b5aa8b3251a3d"),
+            "cms_skew12": ("2d8d2a057aefeff5829204b8bf37666c87c2adacaa076083efc892a6e201b237",
+                           "68c85b14b88550bb3b5b773b84ea26bdcaa756f82773492e114b198b21b253bd",
+                           "17a59f3532d9908f72df579a1a7929ae5741ee4a0a48413b9f874dfac467a756"),
+            "cms_gauss": ("88f0e9d5cdf2032296ceb0517cd4279769a00cb020de66bde5892266848fb19e",
+                          "438cd9076a51e0f0797bcf79334160c65d85a67c97ca2bbcd5c53ef6f007d3fa",
+                          "b5f8d658e84b6916b31df3732a5ed0e84237be5e73cbb36e5b153b47c8516b3d"),
+            "pareto_constant": (
+                "856c67f7222981bce41fdadb33408b60531b452a94deb4180d4871172bc0a6f7",
+                "cd7485dfc619b811de1cd6983700bba5ba85d4d9f95022cb48dc40e2c0e43411",
+                "56ff77510c234fc317c575ee792dd89f2ca0ce971547a16d3f23aa55a6be387e"),
+            "pareto_log_power": (
+                "0cd098f52e94ae5007e0295d1c247224d99c5d296c6b7e2c036701a746a415ac",
+                "0deb9615c35d8aa39b4c40dee97f15130fc55c2d3a4be483b439f3eebe14b1fd",
+                "8fe59ea9122b486e44fb31c72c47334bc2aeabf8c2b840f0a043f2d9a0cebc4f"),
+        },
+        AVX2: {
+            "cms_sym15": ("370c5d17bbe89460401eb6b4a05c844a3a12dc17df9fd44c29a82d6d1343697d",
+                          "7dc12764de626a4c160dc4d3cfca7bdca1af55f6432388751b5ba8ca19cf56c1",
+                          "996656e79dc34d54c8a1b37ec9a6aeeb0bee1497446be4d37cc031f6d09a25b8"),
+            "cms_skew12": ("b05bee208ed04e80b30f3bae9fbe8cf8e71e37c7529de14ba35d4e6c734d7e94",
+                           "980820e944328af3fc3e253e6bd6c4357a5a9f34b104fbd1a616eab48dde9dbc",
+                           "b14c314b578fe852ca31bd9530dff28821539f5e71308934c1b150362b634ca7"),
+            "cms_gauss": ("88f0e9d5cdf2032296ceb0517cd4279769a00cb020de66bde5892266848fb19e",
+                          "438cd9076a51e0f0797bcf79334160c65d85a67c97ca2bbcd5c53ef6f007d3fa",
+                          "b5f8d658e84b6916b31df3732a5ed0e84237be5e73cbb36e5b153b47c8516b3d"),
+            "pareto_constant": (
+                "6694370d22e087edd5a37eaf3b4990720843828b6bf8dac6f891ce6d61630164",
+                "8bbd8aaa8f5aa44dafee77b9b421a388483d68b2448cd2c2183af22d916fdc9b",
+                "4b8e120183c3d1f519e993d7deccfc85365deac74385f2f887a1deb1262ba3b1"),
+            "pareto_log_power": (
+                "8d54a1786c8dd09dea0b297a21bac356858820e0790896e0a77acbb0bf2a2f3d",
+                "63e5b975ecc9c5ebb3fac656372453dfcad0831855a2b973df1f5ba9b85d1e91",
+                "9b3eb3703d2d6a19b6d0d85c55b5c5aaa84e86b7b94fed5c4ab9c84f843455bf"),
+        },
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_each_n_is_its_single_n_sample(self, name, threads):
+        proc = ProcessSpec(ELL1, self.LAWS[name], self.M)
+        joint = lp.joint_fdd_sample(proc, self.NS, self.FDD, self.REPS, self.SEED,
+                                    threads=threads)
+        for N, got, pin in zip(self.NS, joint, pinned(self.PINS)[name]):
+            alone = normalized_fdd_sample(proc, N, self.FDD, self.REPS, self.SEED,
+                                          threads=threads)
+            assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+            assert hashlib.sha256(got.tobytes()).hexdigest() == pin
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_shorter_draws_are_single_draws(self, name):
+        # the lengths of the grid's replicates, out of order and with a
+        # repeat, drawn with fresh arrays and with arrays kept across seeds
+        law = self.LAWS[name]
+        lengths = [floor_index(N, self.FDD.times[-1]) + self.M - 1 for N in self.NS]
+        lengths = [lengths[1], lengths[2], lengths[0], lengths[1]]
+        work = {}
+        for seed, kept in ((11, None), ([self.SEED, 0], work), ([self.SEED, 5], work)):
+            draws = innovations.sample_innovations(law, lengths, seed, kept)
+            for K, got in zip(lengths, draws):
+                want = innovations.sample_innovations(law, K, seed)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

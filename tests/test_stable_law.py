@@ -93,17 +93,25 @@ def quad_cdf(std, x):
 
 
 class FixedDraws(np.random.Generator):
-    """A Generator whose every uniform is r and every exponential is w."""
+    """A Generator whose every uniform is r and every exponential is w,
+    written into out when given, as a Generator's are."""
 
     def __init__(self, r, w):
         super().__init__(np.random.PCG64(0))
         self.r, self.w = r, w
 
-    def random(self, n):
-        return np.full(n, self.r)
+    def random(self, n, out=None):
+        return filled(n, self.r, out)
 
-    def standard_exponential(self, n):
-        return np.full(n, self.w)
+    def standard_exponential(self, n, out=None):
+        return filled(n, self.w, out)
+
+
+def filled(n, value, out=None):
+    """n copies of value, in out when given."""
+    out = np.empty(n) if out is None else out
+    out.fill(value)
+    return out
 
 
 # beta = +-1, alpha near 1 and near 2
