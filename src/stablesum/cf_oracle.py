@@ -14,10 +14,11 @@ Levy-increment log-CF sum_i (t_i - t_{i-1}) * psi(v_i).
 
 No array in it grows with N.  A_N takes sum_{i<=N} a_i from
 slowly_varying.coefficient_sum, and the prefix sums the exact rows read are
-held on a union of short index intervals (PrefixSums), each anchored at
-coefficient_sum: the exact S[k] up to _SUM_ANCHOR and its smooth
-continuation beyond (digamma for constant ell, Euler-Maclaurin for
-log-power ell).
+held on a union of short index intervals (PrefixSums): the one from 0 a
+view of the partial sums held on ell (slowly_varying.held_prefix_sums),
+each later one anchored at coefficient_sum, the exact S[k] up to
+_SUM_ANCHOR and its smooth continuation beyond (digamma for constant ell,
+Euler-Maclaurin for log-power ell).
 
 The in-window block splits into stretches [B_{k-1}, B_k) of the window,
 B_k = [N t_k], B_0 = 0.  On a stretch c is smooth but near its kink B_k and
@@ -52,18 +53,18 @@ evaluated in place, in one workspace per _psi_sums call (a weight block, a
 term block and, at D != 0, an Im block), so that no chunk allocates a
 block past glibc's mmap threshold, whose pages would be faulted in anew
 (BENCH_oracle_workspace.json), and its terms are summed by column in row
-order (_column_sums).  Prefix sums whose peak (the intervals built in
-turn, each from three arrays of its length, with those before it held)
-passes MEMORY_BUDGET_ELEMENTS are refused.  _prefix_sums holds every
-index the oracle reads, so rows() never fills past the last held index.
+order (_column_sums).  Prefix sums whose peak (the sums from 0 extended,
+then the later intervals built in turn, each from three arrays of its
+length, with the sums from 0 and those before it held) passes
+MEMORY_BUDGET_ELEMENTS are refused.  _prefix_sums holds every index the
+oracle reads, so rows() never fills past the last held index.
 
 One sweep (cf_convergence_sweep) does once what is the same for all its
-N (_Shared): the frequency matrix and its rays, and the partial sums from
-0, extended as an N reads further.  Each N's PrefixSums holds its interval
-from 0 as a view of those sums and its other intervals apart, with no
-joined copy (BENCH_oracle_sweep.json).  The minor faults that remain
-move with the heap layout, and so with the checkout path's length; the
-prefix sums' share of them is the intervals beyond 0 that each N builds.
+N (_Shared): the frequency matrix and its rays.  The partial sums from 0
+are held on ell, one array that every N, and a verify run's Monte-Carlo
+window, reads as a view, extended as an N reads further; each N builds
+only its intervals beyond 0, with no joined copy
+(BENCH_oracle_sweep.json).
 
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
@@ -86,9 +87,8 @@ from itertools import product
 
 import numpy as np
 
-from .linear_process import FddSpec, PrefixSums, floor_index, require_budget
-from .slowly_varying import (SlowlyVaryingSpec, _scaled_spans, coefficient_prefix_sums,
-                             coefficient_sum)
+from .linear_process import FddSpec, PrefixSums, floor_index
+from .slowly_varying import SlowlyVaryingSpec, _scaled_spans, coefficient_sum
 from .stable_law import (_PANEL_X, SkewedStableParams, log_cf, log_cf_parts, log_cf_slope,
                          panel_quad)
 
@@ -434,17 +434,17 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
     return total, est
 
 
-def _prefix_sums(ell: SlowlyVaryingSpec, B, rows, head=None) -> PrefixSums:
+def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> PrefixSums:
     """S at every index that S.rows(j0, j1, B) reads, (j0, j1) in rows:
     B_i - j clipped at 0, and -j for j < 0, one span per term, so each run
     rows() slices lies in one merged interval.  Index 0 is always held, so
-    intervals that reach it are plain partial sums, read from head when
-    given (PrefixSums)."""
+    intervals that reach it are views of the sums held on ell
+    (PrefixSums)."""
     spans = [(0, 1)]
     for j0, j1 in rows:
         spans.append((max(1 - j1, 0), max(-j0, 0)))
         spans += [(max(b - j1 + 1, 0), max(b - j0, 0)) for b in B]
-    return PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans], head=head)
+    return PrefixSums(ell, [(lo, max(hi, lo + 1)) for lo, hi in spans])
 
 
 def _frequency_matrix(fdd: FddSpec, freq_grid) -> np.ndarray:
@@ -472,37 +472,14 @@ def _rays(U: np.ndarray):
 
 class _Shared:
     """What every N of one cf_convergence_sweep call shares: the frequency
-    matrix U of the fdd and the grid, its rays (_rays), and the partial sums
-    S[0..K] from 0, which sums() extends as an N reads further.  It lives for
-    one call only: a cache across calls would let repeated runs in one
-    process skip work that every run does."""
+    matrix U of the fdd and the grid, and its rays (_rays).  It lives for
+    one call only, and the partial sums from 0 live on ell
+    (slowly_varying.held_prefix_sums), so no work carries from one run to
+    the next."""
 
-    def __init__(self, ell: SlowlyVaryingSpec, fdd: FddSpec, freq_grid):
-        self.ell = ell
+    def __init__(self, fdd: FddSpec, freq_grid):
         self.U = _frequency_matrix(fdd, freq_grid)
         self.rays = _rays(self.U)
-        self._S = None
-
-    def sums(self, hi: int) -> np.ndarray:
-        """The held partial sums S[0..K], read-only, extended first to K = hi
-        when hi > K: the running sum continues from S[K]
-        (coefficient_prefix_sums with out) into a new array that takes the
-        held sums, so every value is the one a cumsum from 0 gives."""
-        S = self._S
-        if S is not None and hi < S.size:
-            return S
-        K = -1 if S is None else S.size - 1
-        # the held sums, the new array and three arrays of the extension
-        require_budget(K + 1 + hi + 1 + 3 * (hi - K), f"the {hi + 1} held prefix sums")
-        if S is None:
-            S = coefficient_prefix_sums(self.ell, hi)
-        else:
-            S = np.empty(hi + 1)
-            S[:K + 1] = self._S
-            coefficient_prefix_sums(self.ell, hi, start=K, out=S[K:])
-        S.flags.writeable = False
-        self._S = S
-        return S
 
 
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
@@ -525,18 +502,17 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     RuntimeError when tail_bound exceeds tol, and a ValueError when a term,
     scaled or not, is not finite.
 
-    shared is cf_convergence_sweep's state for this ell, fdd and freq_grid
+    shared is cf_convergence_sweep's state for this fdd and freq_grid
     (freq_grid is then read from it); a call without it builds its own.
     """
     N = int(N)
-    shared = _Shared(ell, fdd, freq_grid) if shared is None else shared
+    shared = _Shared(fdd, freq_grid) if shared is None else shared
     U = shared.U
     B = [floor_index(N, t) for t in fdd.times]
     first, inverse, lam = shared.rays
     UA = U[:, first] / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
-    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)],
-                     shared.sums)
+    S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
     window, window_est = _window(ell, S, UA, B, params, plan)
     past, past_est = _past(ell, S, UA, B, params)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
@@ -617,13 +593,13 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
     tail_bound exceeds tol raises.
 
     One exact_fdd_log_cf call per N, in order, sharing one _Shared state
-    (the frequency matrix, its rays and the sums from 0), and the limits of
-    all the vectors in one pass.  Each row is bit for bit that of its N
-    evaluated alone."""
+    (the frequency matrix and its rays) and the sums from 0 held on ell,
+    and the limits of all the vectors in one pass.  Each row is bit for bit
+    that of its N evaluated alone."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
-    shared = _Shared(ell, fdd, freq_grid)
+    shared = _Shared(fdd, freq_grid)
     limits = _limit_log_cfs(params, fdd.times, shared.U)
 
     def row(n):

@@ -9,11 +9,12 @@ seed is a configuration error, never an implicit clock seed.  `oracle`
 writes oracle.csv and oracle.json, `verify` report.csv and report.json.
 
 `--threads k` (k >= 1) sets the replicates of `verify` only: they run on up
-to k threads, and every output is the same for every k.  `simulate` and
-`oracle` accept the flag and run on one thread.  `verify` computes the
-exact log-CF once per N, in the oracle sweep, and takes its ECF target from
-the sweep row; one sampling pass over the replicates serves every N
-(linear_process.joint_fdd_sample).
+to k threads, and every output is the same for every k.  On 2 CPUs the
+pool buys nothing, since OpenBLAS already runs each `eps @ W` on the
+second CPU.  `simulate` and `oracle` accept the flag and run on one
+thread.  `verify` computes the exact log-CF once per N, in the oracle
+sweep, and takes its ECF target from the sweep row; one sampling pass
+over the replicates serves every N (linear_process.joint_fdd_sample).
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure (one "error:" line), 2 configuration error (one "config error:"

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +26,8 @@ from .slowly_varying import (
     coefficient_prefix_sums,
     coefficient_sum,
     eval_sv_log,
+    held_growth,
+    held_prefix_sums,
 )
 from .stable_law import panel_quad
 
@@ -210,18 +211,18 @@ def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
 class PrefixSums:
     """S[k] = sum_{i<=k} a_i at the integers of a union of intervals, each
     merged interval its own array, so that no array spans the gaps between
-    them and none joins them.  The first starts at 0 and holds the partial
-    sums S[0..hi]: built here, or with head a read-only view of the sums
-    S[0..K], K >= hi, that head(hi) returns and its caller holds (the
-    oracle sweep's, across N).  Each later one, [lo, hi], holds
-    coefficient_sum(lo) plus the partial sums of a_k past lo.
+    them and none joins them.  The first starts at 0: a read-only view of
+    the partial sums held on ell (slowly_varying.held_prefix_sums), which
+    are extended to its end when they stop short of it.  Each later one,
+    [lo, hi], holds coefficient_sum(lo) plus the partial sums of a_k past
+    lo.
 
     rows() reads the weight block of a run of consecutive rows as reversed
     slices of the intervals: the package's one reader of the weight of eps_j
     in S(t_i), for the Monte-Carlo window (window_weights) and for the
     oracle's exact rows and end rows."""
 
-    def __init__(self, ell: SlowlyVaryingSpec, spans, *, head=None):
+    def __init__(self, ell: SlowlyVaryingSpec, spans):
         merged = []
         for lo, hi in sorted(spans):
             if merged and lo <= merged[-1][1] + 1:
@@ -230,16 +231,15 @@ class PrefixSums:
                 merged.append([lo, hi])
         lo, hi = np.array(merged).T
         size = hi - lo + 1
-        # the intervals are built in turn, each from three arrays of its
-        # length (log-power ell), while those before it are held; the sums
-        # head returns are held whole, and built by head
-        build = 2 * size
-        if head is not None:
-            held = head(int(hi[0]))
-            size[0], build[0] = held.size, 0
-        require_budget(int(np.max(np.cumsum(size) + build)),
+        # the held sums are extended first (held_growth), then the later
+        # intervals are built in turn, each from three arrays of its
+        # length (log-power ell), while the held sums and those before it
+        # are held
+        grow, size[0] = held_growth(ell, hi[0])
+        build = np.append(0, 2 * size[1:])
+        require_budget(max(grow, int(np.max(np.cumsum(size) + build))),
                        f"the {int(size.sum())} prefix sums")
-        first = coefficient_prefix_sums(ell, hi[0]) if head is None else held[:hi[0] + 1]
+        first = held_prefix_sums(ell, hi[0])[:hi[0] + 1]
         rest = [coefficient_prefix_sums(ell, h, start=l) for l, h in zip(lo[1:], hi[1:])]
         for part, anchor in zip(rest, coefficient_sum(ell, lo[1:])):
             part += anchor
@@ -286,8 +286,9 @@ class PrefixSums:
 def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     """Total weight of eps_j in S(t_i) under lag truncation M, for
     j = 1-M .. [N t_m]-1: column stack over i of
-    sum_{n = max(1, j+1)}^{min([N t_i], j+M)} a_{n-j}, read from the M + 1
-    prefix sums S[0..M] (PrefixSums.rows, which holds S[M] past index M)."""
+    sum_{n = max(1, j+1)}^{min([N t_i], j+M)} a_{n-j}, read from the
+    partial sums S[0..M] held on ell (PrefixSums.rows, which holds S[M] past
+    index M)."""
     M = int(M)
     B = [floor_index(N, t) for t in times]
     return PrefixSums(ell, [(0, M)]).rows(1 - M, B[-1], B)
@@ -311,12 +312,12 @@ def fdd_weights(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, *,
     window_weights at the fdd times and process_normalizer.  Refused before
     anything is built or drawn when the joint peak memory would exceed
     MEMORY_BUDGET_ELEMENTS doubles.  The peak is the larger of two phases:
-    window_weights, built N by N while the blocks before are held (each the
-    larger of building the M + 1 prefix sums, 3 (M + 1), and holding them
-    with its K x m block W, K its innovation count), and sampling (every W,
-    every reps x m sample and, for each replicate in flight, the law's
-    shared_arrays arrays of the largest K and its other peak_arrays arrays
-    of each K)."""
+    extending the partial sums held on ell to S[M] (held_growth; nothing
+    when an oracle sweep of the run has reached it), and sampling, with
+    those sums still held (every W, built N by N, every reps x m sample
+    and, for each replicate in flight, the law's shared_arrays arrays of
+    the largest K and its other peak_arrays arrays of each K, K the
+    innovation count of each N)."""
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
@@ -324,10 +325,9 @@ def fdd_weights(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, *,
     Ks = [floor_index(N, fdd.times[-1]) + M - 1 for N in n_list]
     in_flight = min(max(threads, 1), reps)
     law = process.innovation
-    held = list(accumulate((K * m for K in Ks), initial=0))
-    window = max(h + max(3 * (M + 1), M + 1 + K * m) for h, K in zip(held, Ks))
+    grow, held = held_growth(process.ell, M)
     draw = law.shared_arrays * max(Ks) + (law.peak_arrays - law.shared_arrays) * sum(Ks)
-    require_budget(max(window, held[-1] + len(Ks) * reps * m + in_flight * draw),
+    require_budget(max(grow, held + sum(Ks) * m + len(Ks) * reps * m + in_flight * draw),
                    f"{reps} replicates of {', '.join(map(str, Ks))} innovations "
                    f"on {in_flight} thread(s)")
     return [(window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N))

@@ -9,8 +9,12 @@ varying at infinity.  Two symbolic families are supported:
 ln(e + x) rather than ln(x) keeps evaluation total on [0, inf) (a_1 must be
 finite); the asymptotics are unchanged.
 
+The partial sums S[0..K] from 0 are built in one place, held_prefix_sums:
+one read-only array held on the ell spec, extended as a reader needs more,
+and read by coefficient_sum, the CF oracle and the Monte-Carlo window
+alike.
 coefficient_sum gives S(y) = sum_{i<=y} a_i at any y >= 0 without an
-array of y terms: the partial sums up to _SUM_ANCHOR, and beyond it the
+array of y terms: the held sums up to _SUM_ANCHOR, and beyond it the
 smooth continuation of _scaled_spans, which the CF oracle's closures
 integrate.  H is read from ln t alone (big_h_log).  H_alpha(N)
 (h_alpha_info) is the largest root of ln N + ln H(e^s) - alpha s in
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +39,8 @@ __all__ = [
     "coefficient",
     "coefficient_prefix_sums",
     "coefficient_sum",
+    "held_prefix_sums",
+    "held_growth",
     "h_alpha_info",
     "HAlphaResult",
     "HAlphaConvergenceError",
@@ -124,27 +129,58 @@ def coefficient_prefix_sums(ell: SlowlyVaryingSpec, K: int, *, start: int = 0,
 # from S[_SUM_ANCHOR]; from there on, the first term the Euler-Maclaurin
 # form omits, a'''(y)/720, is below 1e-14 of S
 _SUM_ANCHOR = 1000
+# the key under which a spec's __dict__ holds its partial sums from 0; the
+# spec is frozen, and they are not one of its fields
+_HELD = "_held_prefix_sums"
 
 
-@lru_cache(maxsize=32)
-def _anchor_sums(ell: SlowlyVaryingSpec) -> np.ndarray:
-    """S[0..K], K = _SUM_ANCHOR, built once per ell (the spec is frozen)
-    and read-only, since every caller shares it."""
-    S = coefficient_prefix_sums(ell, _SUM_ANCHOR)
+def held_prefix_sums(ell: SlowlyVaryingSpec, K: int = _SUM_ANCHOR) -> np.ndarray:
+    """The partial sums S[0..K'] from 0, K' >= max(K, _SUM_ANCHOR), held
+    read-only on ell: the package's one build of them, read by
+    coefficient_sum's anchor and by every PrefixSums.  Sums that end before
+    K are first extended to K: the running sum continues from the last held
+    one (coefficient_prefix_sums with out) into a new array that takes the
+    held sums, so every value is bit for bit that of a cumsum from 0.  They
+    live as long as ell, and parse_config builds one per run, so no run
+    reads the sums of another; held_growth counts an extension for the
+    callers' memory guards."""
+    K = max(int(K), _SUM_ANCHOR)
+    held = vars(ell).get(_HELD)
+    if held is not None and K < held.size:
+        return held
+    if held is None:
+        S = coefficient_prefix_sums(ell, K)
+    else:
+        S = np.empty(K + 1)
+        S[:held.size] = held
+        coefficient_prefix_sums(ell, K, start=held.size - 1, out=S[held.size - 1:])
     S.flags.writeable = False
+    vars(ell)[_HELD] = S
     return S
+
+
+def held_growth(ell: SlowlyVaryingSpec, K: int):
+    """(peak, size): the doubles that held_prefix_sums(ell, K) holds at its
+    peak, and the size of ell's sums after it.  The peak is 0 when they
+    reach K already; built from none, three arrays of their length; else
+    the held sums, the new array and three arrays of the extension."""
+    n0 = len(vars(ell).get(_HELD, ()))
+    size = max(n0, int(K) + 1, _SUM_ANCHOR + 1)
+    if size == n0:
+        return 0, size
+    return (n0 + size + 3 * (size - n0) if n0 else 3 * size), size
 
 
 def coefficient_sum(ell: SlowlyVaryingSpec, y):
     """S(y) = sum_{i <= y} a_i (scalar or array): term by term at integers
-    0 <= y <= K = _SUM_ANCHOR, and beyond K the continuation
-    S[K] + (S(y) - S(K)) of _scaled_spans, smooth in real y, from the
-    anchor S[0..K] that _anchor_sums keeps per ell.  For constant ell it is
+    0 <= y <= K = _SUM_ANCHOR, read from the sums held on ell
+    (held_prefix_sums), and beyond K the continuation S[K] + (S(y) - S(K))
+    of _scaled_spans, smooth in real y.  For constant ell it is
     c (digamma(y+1) + gamma), exact at integers; for log-power ell it
     matches the partial sums at integers to about 1e-15 relative."""
     arr = np.asarray(y, dtype=float)
     K = _SUM_ANCHOR
-    far, S = arr > K, _anchor_sums(ell)
+    far, S = arr > K, held_prefix_sums(ell)
     out = np.array(S.take(np.where(far, 0.0, arr).astype(int)))
     if far.any():
         out[far] = S[K] + _scaled_spans(ell, math.log(K), arr[far] - K) / K
@@ -205,6 +241,7 @@ def _euler_maclaurin_span(ell, lnx, r, b):
     xa = ellb / rb - ell0                                # x (a(x+b) - a(x))
     xap = db / rb - ellb * r / rb**2 - (d0 - ell0 * r)   # x (a'(x+b) - a'(x))
     return integral + 0.5 * xa + xap / 12.0
+
 
 def eval_sv_log(spec: SlowlyVaryingSpec, lnx):
     """The spec at x = exp(lnx) for an array lnx, with ln(e + x) taken as

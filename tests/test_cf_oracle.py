@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from stablesum import cf_oracle, linear_process, stable_law
+from stablesum import cf_oracle, linear_process, slowly_varying, stable_law
 from stablesum.cf_oracle import (
     cf_convergence_sweep,
     default_frequency_grid,
@@ -31,6 +31,7 @@ from stablesum.slowly_varying import (
     coefficient_sum,
     constant,
     eval_sv,
+    held_prefix_sums,
 )
 from stablesum.stable_law import SkewedStableParams, log_cf
 from stablesum.verification import ecf
@@ -270,21 +271,26 @@ class TestExactFddLogCf:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log_power", 1.0, 1.0)],
+    @pytest.mark.parametrize("kind, p", [("constant", 0.0), ("log_power", 1.0)],
                              ids=["constant", "log_power"])
     @pytest.mark.parametrize("spans", [[(0, 300_000)],
                                        [(0, 1), (100_000, 250_000), (400_000, 500_000)]],
                              ids=["one", "three"])
-    def test_prefix_sums_peak_within_its_count(self, monkeypatch, ell, spans):
-        # the guard counts the intervals built in turn, each from three
-        # arrays of its length while those before it are held, and no
-        # joined copy: one element fewer in the budget refuses the prefix
-        # sums, and building them holds no more, up to 64 KiB that does not
-        # grow with the size
-        held = count = 0
-        for lo, hi in spans:
+    def test_prefix_sums_peak_within_its_count(self, monkeypatch, kind, p, spans):
+        # on a fresh ell, the guard counts the sums from 0 built to the end
+        # of the first interval, and at least to S[1000] (coefficient_sum's
+        # anchor), from three arrays of their length; then the later
+        # intervals built in turn, each from three arrays of its length
+        # while the sums from 0 and those before it are held, and no joined
+        # copy.  One element fewer in the budget refuses the prefix sums,
+        # and building them holds no more, up to 64 KiB that does not grow
+        # with the size
+        held = max(spans[0][1], 1000) + 1
+        count = 3 * held
+        for lo, hi in spans[1:]:
             count = max(count, held + 3 * (hi - lo + 1))
             held += hi - lo + 1
+        ell = SlowlyVaryingSpec(kind, 1.0, p)
         monkeypatch.setattr(linear_process, "MEMORY_BUDGET_ELEMENTS", count - 1)
         with pytest.raises(ValueError, match=f"hold about {count} elements"):
             linear_process.PrefixSums(ell, spans)
@@ -974,42 +980,53 @@ class TestSweep:
                 one.value, dist, abs(one.past_part), abs(one.window_part), one.tail_bound)
 
     def test_second_sweep_builds_as_many_elements(self, monkeypatch):
-        # the held sums live for one sweep call: a second sweep in the same
-        # process builds what the first built, the sums from 0 once to their
-        # largest extent, 20000 (20001 elements, where each N building its
-        # own built 10101 + 11001 + 20001 + 10001 + 10001), and the
+        # a run's ell is built afresh (parse_config), so a second sweep on an
+        # equal ell builds what the first built: the sums from 0 once to
+        # their largest extent, 20000 (20001 elements, where each N building
+        # its own would build 10101 + 11001 + 20001 + 10001 + 10001), and the
         # two intervals of 14096 of N = 1e5 and of N = 1e6 (4 x 14096)
         built = []
-        build = cf_oracle.coefficient_prefix_sums
+        build = slowly_varying.coefficient_prefix_sums
 
         def counting(*args, **kwargs):
             out = build(*args, **kwargs)
             built.append(len(out))
             return out
 
-        monkeypatch.setattr(cf_oracle, "coefficient_prefix_sums", counting)
+        monkeypatch.setattr(slowly_varying, "coefficient_prefix_sums", counting)
         monkeypatch.setattr(linear_process, "coefficient_prefix_sums", counting)
-        fdd = self.FDDS[2]
+        fdd, n_list = self.FDDS[2], [100, 1000, 10**4, 10**5, 10**6]
         counts = []
         for _ in range(2):
             built.clear()
-            cf_convergence_sweep(ELL1, SYM15, fdd, [100, 1000, 10**4, 10**5, 10**6])
+            cf_convergence_sweep(constant(1.0), SYM15, fdd, n_list)
             counts.append(sum(built))
         assert counts == [20001 + 4 * 14096] * 2
+        # a second sweep on the same ell reads the sums it holds, and builds
+        # only the intervals beyond 0
+        ell = constant(1.0)
+        cf_convergence_sweep(ell, SYM15, fdd, n_list)
+        built.clear()
+        cf_convergence_sweep(ell, SYM15, fdd, n_list)
+        assert sum(built) == 4 * 14096
 
     def test_prefix_sums_read_held_sums(self):
-        # with head, the interval from 0 is a read-only view of the sums
-        # head returns, which may run past it, and the values are those of
-        # sums built in place
-        ell = SlowlyVaryingSpec("log_power", 1.0, 0.7)
-        held = coefficient_prefix_sums(ell, 30_000)
-        held.flags.writeable = False
+        # the interval from 0 is a read-only view of the sums held on ell,
+        # which reach past it (30000) or are first extended to its end (from
+        # 1000); either way its values are bit for bit those of one cumsum
+        # from 0, and the rows those of a fresh ell's prefix sums
         spans = [(0, 12_000), (15_000, 23_000), (39_000, 47_000)]
-        S = linear_process.PrefixSums(ell, spans, head=lambda hi: held)
-        own = linear_process.PrefixSums(ell, spans)
-        assert np.shares_memory(S._parts[0], held) and not S._parts[0].flags.writeable
         B = [20_000, 44_000]
-        assert np.array_equal(S.rows(-3000, 5000, B), own.rows(-3000, 5000, B))
+        own = linear_process.PrefixSums(SlowlyVaryingSpec("log_power", 1.0, 0.7), spans)
+        for reach in (30_000, 100):
+            ell = SlowlyVaryingSpec("log_power", 1.0, 0.7)
+            held_prefix_sums(ell, reach)
+            S = linear_process.PrefixSums(ell, spans)
+            store = held_prefix_sums(ell)
+            assert store.size == max(reach, 12_000) + 1
+            assert np.shares_memory(S._parts[0], store) and not S._parts[0].flags.writeable
+            assert np.array_equal(S._parts[0], coefficient_prefix_sums(ell, 12_000))
+            assert np.array_equal(S.rows(-3000, 5000, B), own.rows(-3000, 5000, B))
 
 
 class TestMcOracleCoherence:

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -266,6 +267,42 @@ class TestVerify:
         for out in ("a", "b"):
             assert main(["verify", "--config", path, "--out-dir", str(tmp_path / out)]) == 0
         assert calls == [20, 50, 20, 50]
+
+    def test_one_store_of_sums_per_run(self, tmp_path, monkeypatch):
+        # each run parses a new ell, whose partial sums from 0 are built from
+        # 0 once and then only extended, and are read as a view by the
+        # oracle's prefix sums and by every N's window; a second run in the
+        # same process builds as many elements again
+        built, made = [], []
+        build = slowly_varying.coefficient_prefix_sums
+
+        def counting(*args, **kwargs):
+            out = build(*args, **kwargs)
+            built.append((kwargs.get("start", 0), len(out)))
+            return out
+
+        class Recording(lp.PrefixSums):
+            def __init__(self, ell, spans):
+                super().__init__(ell, spans)
+                made.append((ell, self))
+
+        monkeypatch.setattr(slowly_varying, "coefficient_prefix_sums", counting)
+        monkeypatch.setattr(cf_oracle, "PrefixSums", Recording)
+        monkeypatch.setattr(lp, "PrefixSums", Recording)
+        path = write(tmp_path, BASE)
+        runs = []
+        for out in ("a", "b"):
+            built.clear()
+            made.clear()
+            assert main(["verify", "--config", path, "--out-dir", str(tmp_path / out)]) == 0
+            ell = made[0][0]
+            held = slowly_varying.held_prefix_sums(ell)
+            assert all(e is ell for e, _ in made) and len(made) == 4  # 2 oracle N, 2 windows
+            assert [start for start, _ in built].count(0) == 1
+            assert sum(n for _, n in built) == held.size == 10_051
+            assert all(np.shares_memory(S._parts[0], held) for _, S in made[2:])
+            runs.append((list(built), ell))
+        assert runs[0][0] == runs[1][0] and runs[0][1] is not runs[1][1]
 
     test_empty_window_exit_2 = contract("TestVerify.test_empty_window_exit_2")
     test_overflowing_truncation_tail_exit_2 = contract(

@@ -13,6 +13,7 @@ from scipy.special import zeta
 
 from stablesum import innovations
 from stablesum import linear_process as lp
+from stablesum.cf_oracle import cf_convergence_sweep
 from stablesum.cli import parse_config
 from stablesum.innovations import ExactStable, ParetoTail
 from stablesum.linear_process import (
@@ -33,6 +34,7 @@ from stablesum.slowly_varying import (
     coefficient,
     coefficient_prefix_sums,
     constant,
+    held_prefix_sums,
     log_power,
 )
 
@@ -463,7 +465,7 @@ class TestNormalizedFdd:
 
     @pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (0.2, 0.5, 1.0)])
     def test_window_weights_peak_within_its_count(self, times):
-        # the guard's window phase: building the M + 1 prefix sums, or
+        # building the sums from 0 held on a fresh ell, S[0..M], or
         # holding them with the K x m block, up to 64 KiB that does not grow
         # with K (a gather's index arrays of K m would pass it)
         N, M = 1000, 100_000
@@ -478,30 +480,66 @@ class TestNormalizedFdd:
 
     @pytest.mark.parametrize("threads, refused", [(1, False), (2, True)])
     def test_budget_counts_replicates_in_flight(self, monkeypatch, threads, refused):
-        # K = 89 innovations, M = 70, m = 2: window phase
-        # max(3 * 71, 71 + 89 * 2) = 249; sampling phase
-        # 89 * 2 + 4 * 2 + threads * 10 * 89 = 1076 or 1966
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1500)
-        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 70)
+        # K = 89 innovations, M = 70, m = 2, on a fresh ell whose sums from
+        # 0 are built before the budget is set: they hold S[0..1000], the
+        # anchor of coefficient_sum, so the guard extends nothing and the
+        # sampling phase is the peak, 1001 + 89 * 2 + 4 * 2 + threads * 10 * 89
+        # = 2077 or 2967
+        ell = constant(1.0)
+        assert held_prefix_sums(ell).size == 1001
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 2500)
+        proc = ProcessSpec(ell, ExactStable(1.5, 0.0, 1.0), 70)
         if refused:
-            with pytest.raises(ValueError, match="hold about 1966 elements"):
+            with pytest.raises(ValueError, match="hold about 2967 elements"):
                 normalized_fdd_sample(proc, 20, self.FDD, 4, 1, threads=threads)
         else:
             assert normalized_fdd_sample(proc, 20, self.FDD, 4, 1, threads=threads).shape == (4, 2)
 
     def test_budget_counts_the_joint_peak(self, monkeypatch):
-        # N = 10, 20: K = 79, 89 innovations, M = 70, m = 2.  Each N alone
-        # peaks at 79 * 2 + 4 * 2 + 10 * 79 = 956 or 1076; the joint pass
-        # holds both W and both outputs, 178 + 158 + 2 * 8, and the angle
-        # stage once, 9 * 89, with each N's exponentials, 79 + 89: 1321
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1320)
-        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 70)
+        # N = 10, 20: K = 79, 89 innovations, M = 70, m = 2, on a fresh ell
+        # whose sums from 0, S[0..1000], are built before the budget is set.
+        # Each N alone peaks at 1001 + 79 * 2 + 4 * 2 + 10 * 79 = 1957 or
+        # 2077; the joint pass holds the sums, both W and both outputs,
+        # 1001 + 178 + 158 + 2 * 8, and the angle stage once, 9 * 89, with
+        # each N's exponentials, 79 + 89: 2322
+        proc = ProcessSpec(constant(1.0), ExactStable(1.5, 0.0, 1.0), 70)
+        held_prefix_sums(proc.ell)
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 2321)
         alone = [normalized_fdd_sample(proc, n, self.FDD, 4, 1) for n in (10, 20)]
-        with pytest.raises(ValueError, match="hold about 1321 elements"):
+        with pytest.raises(ValueError, match="hold about 2322 elements"):
             lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1)
-        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 1321)
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 2322)
         for got, want in zip(lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1), alone):
             np.testing.assert_array_equal(got, want)
+
+    def test_verify_shape_within_its_count(self, monkeypatch):
+        # a verify run on a fresh ell: an oracle sweep to N = 1000, which
+        # leaves the sums from 0, S[0..11000], held on ell, then fdd_weights
+        # and the joint pass, which read them.  The guard counts the held
+        # sums, every W, every output and one replicate's draw; one element
+        # fewer refuses, and the traced peak, the held sums included, stays
+        # within it up to 64 KiB that does not grow with the sizes
+        n_list, reps, M = [100, 1000], 20, 10_000
+        proc = ProcessSpec(constant(1.0), ExactStable(1.5, 0.0, 1.0), M)
+        law, Ks = proc.innovation, [n + M - 1 for n in n_list]
+        tracemalloc.start()
+        try:
+            cf_convergence_sweep(proc.ell, law.cf_params, self.FDD, n_list)
+            held = held_prefix_sums(proc.ell).size
+            count = (held + 2 * sum(Ks) + 2 * reps * 2 + law.shared_arrays * max(Ks)
+                     + (law.peak_arrays - law.shared_arrays) * sum(Ks))
+            monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
+            with pytest.raises(ValueError, match=f"hold about {count} elements"):
+                lp.fdd_weights(proc, n_list, self.FDD, reps)
+            monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count)
+            tracemalloc.reset_peak()
+            weights = lp.fdd_weights(proc, n_list, self.FDD, reps)
+            lp.joint_fdd_sample(proc, n_list, self.FDD, reps, 5, weights=weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held == 11_001
+        assert peak <= 8 * count + 2**16
 
     @pytest.mark.parametrize("innovation", [
         ExactStable(1.5, 0.3, 1.0),

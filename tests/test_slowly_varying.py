@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from stablesum.slowly_varying import (
     constant,
     eval_sv,
     h_alpha_info,
+    held_growth,
+    held_prefix_sums,
     log_power,
 )
 
@@ -143,6 +146,28 @@ class TestCoefficientSum:
         got = coefficient_prefix_sums(spec, 5000, start=3000, out=out)
         assert np.shares_memory(got, out) and got.shape == (2000,)
         assert np.array_equal(out, whole[3000:])
+
+    def test_held_sums_extend_bit_for_bit(self):
+        # a spec holds its own partial sums from 0, read-only: built to the
+        # anchor at least, then extended by continuing the running sum, so
+        # every value is that of one cumsum from 0; held_growth counts each
+        # step's peak, which the traced memory stays within
+        spec = SlowlyVaryingSpec("log_power", 1.3, -0.7)
+        assert held_growth(spec, 10) == (3 * 1001, 1001)
+        S = held_prefix_sums(spec, 10)
+        assert S.size == 1001 and not S.flags.writeable
+        assert held_prefix_sums(spec, 1000) is S and held_growth(spec, 1000) == (0, 1001)
+        peak_count, size = held_growth(spec, 200_000)
+        assert (peak_count, size) == (1001 + 200_001 + 3 * 199_000, 200_001)
+        tracemalloc.start()
+        try:
+            T = held_prefix_sums(spec, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * peak_count + 2**16
+        assert held_prefix_sums(spec) is T and np.array_equal(T, coefficient_prefix_sums(spec, 200_000))
+        assert held_prefix_sums(SlowlyVaryingSpec("log_power", 1.3, -0.7)).size == 1001
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_term_by_term_up_to_anchor(self, spec):
