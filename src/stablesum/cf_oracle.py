@@ -28,7 +28,7 @@ and, per vector, within _L of a sign change of its c are summed term by
 term; the rest of each vector's stretch is closed by the midpoint
 Euler-Maclaurin form (_window), its integral in u = ln(B_k - x) and its end
 corrections from the exact rows next to each end (_end_terms).  A stretch
-of at most 2 _L rows is summed whole, so the oracle's cost no longer grows
+of at most 2 _L rows is summed whole, so the oracle's cost does not grow
 with N.
 
 The past block (j = -x < 0) decays only like J^{1-alpha} beyond depth J, so
@@ -115,8 +115,7 @@ def v_transform(u) -> np.ndarray:
 # cap on rows x max(m, F) of one weight block W (rows x m) and of c = W @ U
 # (rows x F), the workspace _psi_sums evaluates every chunk of a call in.
 # The chunks are summed in turn, so the cap fixes the summation order: a
-# smaller one moves oracle values in their last bits.  What cost time was
-# allocating the blocks afresh per chunk (512 KiB at F = 14), not the cap
+# smaller one moves oracle values in their last bits
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -437,10 +436,9 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
 def _prefix_sums(ell: SlowlyVaryingSpec, B, rows) -> PrefixSums:
     """S at every index that S.rows(j0, j1, B) reads, (j0, j1) in rows:
     B_i - j clipped at 0, and -j for j < 0, one span per term, so each run
-    rows() slices lies in one merged interval.  Index 0 is always held, so
-    intervals that reach it are views of the sums held on ell
-    (PrefixSums)."""
-    spans = [(0, 1)]
+    rows() slices lies in one merged interval; those that reach 0 are views
+    of the sums held on ell (PrefixSums)."""
+    spans = []
     for j0, j1 in rows:
         spans.append((max(1 - j1, 0), max(-j0, 0)))
         spans += [(max(b - j1 + 1, 0), max(b - j0, 0)) for b in B]

@@ -25,9 +25,6 @@ each question in one way:
                       its draws would overflow a double (simulate's check
                       before any work).
 
-tail_constants (alpha, sigma1, sigma2, h) describe the tails; the package
-does not read them, and the tests hold them to cf_params and the samples.
-
 Two families are provided, both mean zero by construction:
 
     ExactStable  -- the StandardStable law itself, sampled exactly (CMS); its
@@ -76,8 +73,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slowly_varying import (SlowlyVaryingSpec, big_h_log, constant, eval_sv, eval_sv_log,
-                             h_alpha_info, log_sv_slope, newton_root)
+from .slowly_varying import (SlowlyVaryingSpec, big_h_log, eval_sv, eval_sv_log, h_alpha_info,
+                             log_sv_slope, newton_root)
 from .stable_law import (
     SkewedStableParams,
     StandardStable,
@@ -86,14 +83,12 @@ from .stable_law import (
     from_tail_constants,
     panel_quad,
     sample_prefixes,
-    stable_tail_constant,
 )
 
 __all__ = [
     "ExactStable",
     "ParetoTail",
     "InnovationSpec",
-    "TailConstants",
     "ParetoLayout",
     "pareto_layout",
     "sample_innovations",
@@ -107,13 +102,6 @@ _G_FLOOR = 1e-300
 _TABLE_NODES = 4097
 
 
-class TailConstants(NamedTuple):
-    alpha: float
-    sigma1: float
-    sigma2: float
-    h: SlowlyVaryingSpec
-
-
 class ExactStable(StandardStable):
     """The StandardStable law (alpha, beta, scale) as an innovation law,
     with the fields, checks, equality and hash of that dataclass."""
@@ -125,20 +113,6 @@ class ExactStable(StandardStable):
     # stage, run once on the longest
     peak_arrays = 10
     shared_arrays = 9
-
-    @property
-    def tail_constants(self) -> TailConstants:
-        """From the standard stable tail constant; at alpha = 2 only, where it
-        degenerates to 0, the generalized sigma1 = sigma2 = scale^2/2 (h == 1)
-        that round-trip the CF constants exactly.  Below 2 the round trip is
-        good to about 3e-12 relative at alpha = 1.99999, its rounding error
-        growing like 1e-16 / (2 - alpha)."""
-        if self.alpha == 2.0:
-            half = 0.5 * self.scale**2
-            return TailConstants(self.alpha, half, half, constant(1.0))
-        c = stable_tail_constant(self.alpha) * self.scale**self.alpha
-        return TailConstants(self.alpha, c * (1.0 - self.beta) / 2.0,
-                             c * (1.0 + self.beta) / 2.0, constant(1.0))
 
     @property
     def cf_params(self) -> SkewedStableParams:
@@ -228,10 +202,6 @@ class ParetoTail:
     def _tail_roots(self) -> _TailRoots:
         """The root table of the log-power tail inversion, built on first use."""
         return _tail_root_table(self)
-
-    @property
-    def tail_constants(self) -> TailConstants:
-        return TailConstants(self.alpha, self.sigma1, self.sigma2, self.h)
 
     @property
     def cf_params(self) -> SkewedStableParams:

@@ -211,9 +211,10 @@ def simulate_path(process: ProcessSpec, n: int, seed) -> np.ndarray:
 class PrefixSums:
     """S[k] = sum_{i<=k} a_i at the integers of a union of intervals, each
     merged interval its own array, so that no array spans the gaps between
-    them and none joins them.  The first starts at 0: a read-only view of
-    the partial sums held on ell (slowly_varying.held_prefix_sums), which
-    are extended to its end when they stop short of it.  Each later one,
+    them and none joins them.  The first starts at 0 whether or not a span
+    reaches it, since rows() reads S[0] there: a read-only view of the
+    partial sums held on ell (slowly_varying.held_prefix_sums), which are
+    extended to its end when they stop short of it.  Each later one,
     [lo, hi], holds coefficient_sum(lo) plus the partial sums of a_k past
     lo.
 
@@ -223,9 +224,9 @@ class PrefixSums:
     oracle's exact rows and end rows."""
 
     def __init__(self, ell: SlowlyVaryingSpec, spans):
-        merged = []
+        merged = [[0, 0]]
         for lo, hi in sorted(spans):
-            if merged and lo <= merged[-1][1] + 1:
+            if lo <= merged[-1][1] + 1:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])

@@ -33,8 +33,6 @@ from .stable_law import _G40, _check_alpha, panel_quad
 
 __all__ = [
     "SlowlyVaryingSpec",
-    "constant",
-    "log_power",
     "eval_sv",
     "coefficient",
     "coefficient_prefix_sums",
@@ -66,14 +64,6 @@ class SlowlyVaryingSpec:
             raise ValueError("constant spec takes no exponent")
         if not math.isfinite(self.p):
             raise ValueError("need finite p")
-
-
-def constant(c: float = 1.0) -> SlowlyVaryingSpec:
-    return SlowlyVaryingSpec("constant", c)
-
-
-def log_power(c: float, p: float) -> SlowlyVaryingSpec:
-    return SlowlyVaryingSpec("log_power", c, p)
 
 
 def eval_sv(spec: SlowlyVaryingSpec, x):

@@ -42,7 +42,6 @@ import numpy as np
 __all__ = [
     "SkewedStableParams",
     "StandardStable",
-    "stable_tail_constant",
     "from_tail_constants",
     "to_standard",
     "from_standard",
@@ -99,15 +98,6 @@ class StandardStable:
             from_standard(self)
         except (ValueError, OverflowError):
             raise ValueError("need scale^alpha, the CF scale, a finite double > 0") from None
-
-
-def stable_tail_constant(alpha: float) -> float:
-    """C_alpha with lim x^alpha P(X > x) = C_alpha*(1+beta)/2*scale^alpha for
-    the S1 law; equals 2*Gamma(alpha)*sin(pi*alpha/2)/pi.  Degenerates to 0 at
-    alpha = 2 (no power tail)."""
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("need alpha in (1, 2)")
-    return 2.0 * math.gamma(alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
 def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> SkewedStableParams:

@@ -1,9 +1,10 @@
-"""Reference helpers that only the tests use: the gathered weight kernel,
-aggregated coefficients, compensated prefix sums, path partial sums, the
-standard-parametrization log-CF, empirical tail constants, the slowly
-varying derivative, H for a scalar callable, the oracle's in-window block
-summed term by term, the safeguarded Newton loop without its first-step
-shortcut, and the SIMD target that keys the bit-for-bit pins.
+"""Reference helpers that only the tests use: the constant and log-power
+slowly varying specs, the gathered weight kernel, aggregated coefficients,
+compensated prefix sums, path partial sums, the standard-parametrization
+log-CF, the stable tail constant C_alpha, empirical tail constants, the
+slowly varying derivative, H for a scalar callable, the oracle's in-window
+block summed term by term, the safeguarded Newton loop without its
+first-step shortcut, and the SIMD target that keys the bit-for-bit pins.
 
 No CLI or library path needs them; the tests check the package against
 them."""
@@ -29,6 +30,14 @@ from stablesum.slowly_varying import (
     eval_sv,
 )
 from stablesum.stable_law import SkewedStableParams, StandardStable, from_standard, log_cf
+
+
+def constant(c: float) -> SlowlyVaryingSpec:
+    return SlowlyVaryingSpec("constant", c)
+
+
+def log_power(c: float, p: float) -> SlowlyVaryingSpec:
+    return SlowlyVaryingSpec("log_power", c, p)
 
 
 def gather(S, idx) -> np.ndarray:
@@ -126,6 +135,15 @@ def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:
 def std_log_cf(std: StandardStable, u):
     """log CF of the StandardStable law (t = 1)."""
     return log_cf(from_standard(std), u)
+
+
+def stable_tail_constant(alpha: float) -> float:
+    """C_alpha = 2 Gamma(alpha) sin(pi alpha/2) / pi, for 1 < alpha < 2:
+    the S1 law (alpha, beta, scale) has lim x^alpha P(X > x) =
+    C_alpha (1+beta)/2 scale^alpha and lim x^alpha P(X < -x) =
+    C_alpha (1-beta)/2 scale^alpha."""
+    assert 1.0 < alpha < 2.0
+    return 2.0 * math.gamma(alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
 @dataclass(frozen=True)

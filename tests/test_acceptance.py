@@ -29,7 +29,6 @@ from stablesum.linear_process import (
 from stablesum.slowly_varying import (
     SlowlyVaryingSpec,
     coefficient,
-    constant,
     h_alpha_info,
 )
 from stablesum.stable_law import (
@@ -40,7 +39,8 @@ from stablesum.stable_law import (
 )
 from stablesum.verification import ks_distance
 
-from reference import aggregated_coefficients, partial_sums, std_log_cf, tail_ratio_check
+from reference import (aggregated_coefficients, constant, partial_sums, std_log_cf,
+                       tail_ratio_check)
 
 ELL1 = constant(1.0)
 CRIT_FDD = FddSpec((0.5, 1.0), (1.0, -0.5))

@@ -29,7 +29,6 @@ from stablesum.slowly_varying import (
     coefficient,
     coefficient_prefix_sums,
     coefficient_sum,
-    constant,
     eval_sv,
     held_prefix_sums,
 )
@@ -41,6 +40,7 @@ from reference import (
     AVX512,
     aggregated_coefficients,
     compensated_prefix_sums,
+    constant,
     exact_window_sum,
     partial_sums,
     pinned,
@@ -352,6 +352,14 @@ class TestSliceReader:
         assert np.array_equal(written, gathered)
         assert np.array_equal(np.signbit(written), np.signbit(gathered))
         assert np.isnan(buf[n:]).all()
+
+    @pytest.mark.parametrize("ell", ELLS, ids=["constant", "log_power-2", "log_power0.7"])
+    def test_spans_that_miss_zero(self, ell):
+        # index 0 is held even when no span reaches it, so the interval
+        # [5, 20], anchored at coefficient_sum(5), is read at its own offset
+        S = linear_process.PrefixSums(ell, [(5, 20)])
+        want = np.cumsum(coefficient(ell, np.arange(1, 21)))[[9, 8, 7], None]
+        np.testing.assert_allclose(S.rows(0, 3, [10]), want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("params", [SYM15, LAWS[1]], ids=["D=0", "skewed"])
     @pytest.mark.parametrize("F", [1, 14])

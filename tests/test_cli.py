@@ -14,8 +14,9 @@ from test_contracts import BASE, PARETO, TOL, Row, contract, edited, printed, ru
 from stablesum import cf_oracle, cli, innovations, slowly_varying
 from stablesum import linear_process as lp
 from stablesum.cli import ConfigError, main, parse_config
-from stablesum.slowly_varying import constant, log_power
 from stablesum.verification import CriteriaConfig
+
+from reference import constant, log_power
 
 # test_x = contract(...): the rows of tests/test_contracts.py filed under test_x
 

@@ -18,12 +18,12 @@ from stablesum.innovations import (
     pareto_layout,
     sample_innovations,
 )
-from stablesum.slowly_varying import (SlowlyVaryingSpec, constant, eval_sv, h_alpha_info,
-                                     log_power, newton_root)
+from stablesum.slowly_varying import SlowlyVaryingSpec, eval_sv, h_alpha_info, newton_root
 from stablesum.stable_law import (SkewedStableParams, StandardStable, cdf, from_standard,
                                   from_tail_constants, sample)
 
-from reference import AVX2, AVX512, newton_loop, pinned, tail_ratio_check
+from reference import (AVX2, AVX512, constant, log_power, newton_loop, pinned, stable_tail_constant,
+                       tail_ratio_check)
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
 
@@ -433,35 +433,22 @@ class TestTailFirstMoment:
 
 
 class TestTailConstants:
-    def test_pareto_pass_through(self):
-        spec = ParetoTail(1.5, 1.0, 2.0, constant(1.0))
-        tc = spec.tail_constants
-        assert (tc.alpha, tc.sigma1, tc.sigma2) == (1.5, 1.0, 2.0)
-        assert tc.h == constant(1.0)
-
-    def test_exact_stable_symmetric(self):
-        tc = ExactStable(1.5, 0.0, 1.0).tail_constants
-        assert tc.sigma1 == tc.sigma2
-
     def test_exact_stable_empirical(self):
         # empirical right-tail constant recovers sigma2 within 15% at 1e6;
         # this pins the skew-sign calibration.  The lighter left tail is
         # pre-asymptotic at the 0.99 quantile, so sigma1 is held to the
         # deeper level only.
-        spec = ExactStable(1.5, 0.5, 1.0)
-        tc = spec.tail_constants
-        x = sample_innovations(spec, 10**6, 41)
-        result = tail_ratio_check(x, 1.5, tc.h, [0.99, 0.999])
+        alpha, beta = 1.5, 0.5
+        c = stable_tail_constant(alpha)
+        sigma1, sigma2 = c * (1.0 - beta) / 2.0, c * (1.0 + beta) / 2.0
+        x = sample_innovations(ExactStable(alpha, beta, 1.0), 10**6, 41)
+        result = tail_ratio_check(x, alpha, constant(1.0), [0.99, 0.999])
         for got in result.sigma2_hat:
-            assert got == pytest.approx(tc.sigma2, rel=0.15)
-        assert result.sigma1_hat[1] == pytest.approx(tc.sigma1, rel=0.15)
+            assert got == pytest.approx(sigma2, rel=0.15)
+        assert result.sigma1_hat[1] == pytest.approx(sigma1, rel=0.15)
         # the heavy side must be the right one, in the right proportion
         assert result.sigma2_hat[1] / result.sigma1_hat[1] == pytest.approx(
-            tc.sigma2 / tc.sigma1, rel=0.25)
-
-    def test_gaussian_constants(self):
-        tc = ExactStable(2.0, 0.0, 1.5).tail_constants
-        assert tc.sigma1 == tc.sigma2 == pytest.approx(0.5 * 1.5**2)
+            sigma2 / sigma1, rel=0.25)
 
 
 class TestCfParams:
@@ -477,13 +464,13 @@ class TestCfParams:
 
     @pytest.mark.parametrize("alpha", [1.999, 1.9995, 1.99999])
     def test_exact_stable_round_trip_near_two(self, alpha):
-        # the Gaussian branch of tail_constants belongs to alpha = 2 only, so
-        # the tail constants still round-trip to the law's CF constants
+        # just below 2 the stable tail constants still round-trip to the
+        # law's CF constants, to about 3e-12 relative at alpha = 1.99999
         spec = ExactStable(alpha, 0.7, 1.3)
         want = from_standard(StandardStable(alpha, 0.7, 1.3))
         assert spec.cf_params == want
-        tc = spec.tail_constants
-        p = from_tail_constants(tc.alpha, tc.sigma1, tc.sigma2)
+        c = stable_tail_constant(alpha) * 1.3**alpha
+        p = from_tail_constants(alpha, c * (1.0 - 0.7) / 2.0, c * (1.0 + 0.7) / 2.0)
         assert p.alpha == alpha
         assert p.sigma == pytest.approx(want.sigma, rel=1e-9)
         assert p.D == pytest.approx(want.D, rel=1e-9)

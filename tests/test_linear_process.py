@@ -33,12 +33,10 @@ from stablesum.slowly_varying import (
     big_h_log,
     coefficient,
     coefficient_prefix_sums,
-    constant,
     held_prefix_sums,
-    log_power,
 )
 
-from reference import AVX2, AVX512, partial_sums, pinned, prefix_weights
+from reference import AVX2, AVX512, constant, log_power, partial_sums, pinned, prefix_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 ELL1 = constant(1.0)

@@ -17,15 +17,13 @@ from stablesum.slowly_varying import (
     coefficient,
     coefficient_prefix_sums,
     coefficient_sum,
-    constant,
     eval_sv,
     h_alpha_info,
     held_growth,
     held_prefix_sums,
-    log_power,
 )
 
-from reference import big_h_from_callable
+from reference import big_h_from_callable, constant, log_power
 
 
 class TestEval:

@@ -20,11 +20,10 @@ from stablesum.stable_law import (
     log_cf,
     log_cf_parts,
     sample,
-    stable_tail_constant,
     to_standard,
 )
 
-from reference import std_log_cf
+from reference import stable_tail_constant, std_log_cf
 
 
 def pareto_cf_oracle(alpha, s1, s2, u, x0=1.0):

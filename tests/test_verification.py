@@ -5,7 +5,6 @@ import pytest
 from scipy.special import erf
 
 from stablesum.innovations import ParetoTail, sample_innovations
-from stablesum.slowly_varying import constant
 from stablesum.stable_law import StandardStable, cdf, sample
 from stablesum.verification import (
     REPORT_CSV_HEADER,
@@ -19,7 +18,7 @@ from stablesum.verification import (
     report_to_json,
 )
 
-from reference import tail_ratio_check
+from reference import constant, tail_ratio_check
 
 
 class TestEcf:
