@@ -46,7 +46,6 @@ from .linear_process import (
     FddSpec,
     ProcessSpec,
     default_truncation_depth,
-    fdd_weights,
     floor_index,
     joint_fdd_sample,
     simulate_path,
@@ -158,10 +157,7 @@ def _sv_from(section, prefix):
     kind = _get(section, f"{prefix}_kind", str, default="constant")
     c = _get(section, f"{prefix}_c", float, default=1.0)
     p = _get(section, f"{prefix}_p", float, default=0.0)
-    try:
-        return _sv_spec(kind, c, p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _sv_spec(kind, c, p)
 
 
 def parse_config(path) -> RunConfig:
@@ -184,9 +180,11 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("missing [process] section")
 
     proc = parser["process"]
-    ell = _sv_from(proc, "ell")
-    family = _get(proc, "innovation", str, required=True)
+    # a spec's ValueError is a config error; _get and _require raise
+    # ConfigError themselves
     try:
+        ell = _sv_from(proc, "ell")
+        family = _get(proc, "innovation", str, required=True)
         if family == "stable":
             innovation = ExactStable(_get(proc, "alpha", float, required=True),
                                      _get(proc, "beta", float, default=0.0),
@@ -199,23 +197,20 @@ def parse_config(path) -> RunConfig:
                                     _get(proc, "x0", float, default=1.0))
         else:
             raise ConfigError(f"unknown innovation family {family!r}")
+
+        truncation = _get(proc, "truncation", _truncation, default="auto")
+
+        simulate_n = _get(parser["simulate"] if "simulate" in parser else {}, "n", int)
+        _require(simulate_n is None or 1 <= simulate_n <= MAX_INDEX,
+                 "need 1 <= [simulate] n <= 2**53")
+
+        fdd = None
+        if "fdd" in parser:
+            times = _get(parser["fdd"], "times", _float_list, required=True)
+            freqs = _get(parser["fdd"], "freqs", _float_list, required=True)
+            fdd = FddSpec(tuple(times), tuple(freqs))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    truncation = _get(proc, "truncation", _truncation, default="auto")
-
-    simulate_n = _get(parser["simulate"] if "simulate" in parser else {}, "n", int)
-    _require(simulate_n is None or 1 <= simulate_n <= MAX_INDEX,
-             "need 1 <= [simulate] n <= 2**53")
-
-    fdd = None
-    if "fdd" in parser:
-        times = _get(parser["fdd"], "times", _float_list, required=True)
-        freqs = _get(parser["fdd"], "freqs", _float_list, required=True)
-        try:
-            fdd = FddSpec(tuple(times), tuple(freqs))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     sweep = parser["sweep"] if "sweep" in parser else {}
     n_list = _get(sweep, "n_list", _int_list)
@@ -340,12 +335,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     for every N.  The ECF target is the sweep row's exact log-CF for stable
     innovations and the Levy limit otherwise, so the exact log-CF is
     computed once per N; so are the window weights and A_N, which give the
-    samples and the exact marginal law.  Every N's weights are built under
-    one memory guard, then one sampling pass draws every N's samples, each
-    bit for bit those of its N alone, then ECF and KS run per N.  A row's
-    wall_time_s holds its oracle row's time, its own ECF and KS, and a
-    share of the weights and the sampling pass in proportion to its
-    innovation count K_N.  With sup_grid the target comes
+    samples and the exact marginal law.  One joint_fdd_sample call guards
+    the memory of the whole pass, builds every N's weights and A_N and
+    draws every N's samples in one pass, each bit for bit those of its N
+    alone; then ECF and KS run per N.  A row's wall_time_s holds its oracle
+    row's time, its own ECF and KS, and a share of that call in proportion
+    to its innovation count K_N.  With sup_grid the target comes
     from the call over the whole grid, at the same fixed past depth as a
     grid-free call and within both calls' tail_bound and round-off of its
     value; no shipped verify config sets sup_grid."""
@@ -376,13 +371,11 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         limit = cf_oracle.limit_log_cf(cfg.innovation.cf_params, cfg.fdd)
 
     t0 = time.perf_counter()
-    weights = fdd_weights(process, cfg.n_list, cfg.fdd, cfg.reps, threads=threads)
-    samples = joint_fdd_sample(process, cfg.n_list, cfg.fdd, cfg.reps, seed,
-                               threads=threads, weights=weights)
+    joint = joint_fdd_sample(process, cfg.n_list, cfg.fdd, cfg.reps, seed, threads=threads)
     joint_s = time.perf_counter() - t0
-    K_total = sum(W.shape[0] for W, _ in weights)
+    K_total = sum(W.shape[0] for W, _, _ in joint)
     rows = []
-    for n, orow, (W, A), sample in zip(cfg.n_list, sweep, weights, samples):
+    for n, orow, (W, A, sample) in zip(cfg.n_list, sweep, joint):
         t0 = time.perf_counter()
         est, _ = verification.ecf(sample, cfg.fdd.freqs)
         target = limit if orow is None else orow.log_cf

@@ -4,11 +4,13 @@ The series is cut at lag M (truncation); the admissibility diagnostic is the
 tail of sum_i |a_i|^alpha H(|a_i|^-1), the same series whose finiteness makes
 the full process converge almost surely.
 
-joint_fdd_sample samples the normalized fdd of several N in one pass over
-the replicates: each replicate draws the innovations of every N from one
-seed, and the law does its shared work once (innovations.sample_innovations
-with several lengths), so every N's matrix is the one normalized_fdd_sample,
-its one-N case, gives at that N alone.
+joint_fdd_sample is the one call of the Monte-Carlo side: it guards the
+memory of the whole pass, builds each N's window weights and A_N, and
+samples the normalized fdd of every N in one pass over the replicates.  Each
+replicate draws the innovations of every N from one seed, and the law does
+its shared work once (innovations.sample_innovations with several lengths),
+so every N's matrix is the one normalized_fdd_sample, its one-N case, gives
+at that N alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "PrefixSums",
     "window_weights",
     "process_normalizer",
-    "fdd_weights",
     "joint_fdd_sample",
     "normalized_fdd_sample",
     "MEMORY_BUDGET_ELEMENTS",
@@ -307,18 +308,34 @@ def process_normalizer(process: ProcessSpec, N: int) -> float:
         process.ell, N)
 
 
-def fdd_weights(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, *,
-                threads: int = 1) -> list:
-    """[(W, A_N)] for each N of n_list, as joint_fdd_sample reads them:
-    window_weights at the fdd times and process_normalizer.  Refused before
-    anything is built or drawn when the joint peak memory would exceed
-    MEMORY_BUDGET_ELEMENTS doubles.  The peak is the larger of two phases:
-    extending the partial sums held on ell to S[M] (held_growth; nothing
-    when an oracle sweep of the run has reached it), and sampling, with
-    those sums still held (every W, built N by N, every reps x m sample
-    and, for each replicate in flight, the law's shared_arrays arrays of
+def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed, *,
+                     threads: int = 1) -> list:
+    """For each N of n_list, (W, A_N, X): the window weights at the fdd
+    times (window_weights), A_N (process_normalizer) and the reps x m
+    matrix X of A_N^{-1} S(t_i) over independent replicates.
+
+    Refused before anything is built or drawn when the joint peak memory
+    would exceed MEMORY_BUDGET_ELEMENTS doubles.  The peak is the larger of
+    two phases: extending the partial sums held on ell to S[M]
+    (held_growth; nothing when an oracle sweep of the run has reached it),
+    and sampling, with those sums still held (every W, built N by N, every
+    X and, for each replicate in flight, the law's shared_arrays arrays of
     the largest K and its other peak_arrays arrays of each K, K the
-    innovation count of each N)."""
+    innovation count of each N).
+
+    One sampling pass serves every N: replicate r draws the innovations of
+    every N at once from the counter-derived seed (seed, r), by
+    sample_innovations with one length per N, so each law does its shared
+    work once (see its draw) and every X equals that of
+    normalized_fdd_sample at its N alone, bit for bit.  Results are
+    independent of execution order and any degree of parallelism.  The
+    replicates run in up to `threads` chunks on a thread pool, the
+    package's only one; at threads <= 1 they run inline in the calling
+    thread.  Each chunk keeps one work dict for its draws, so a CMS
+    replicate reuses the arrays of the one before it.  Each row equals the
+    partial sums of simulate_path on the same seed (asserted in tests); the
+    weighted-sum form avoids rebuilding the whole path per replicate.
+    """
     reps = int(reps)
     if reps < 1:
         raise ValueError("need reps >= 1")
@@ -331,43 +348,17 @@ def fdd_weights(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, *,
     require_budget(max(grow, held + sum(Ks) * m + len(Ks) * reps * m + in_flight * draw),
                    f"{reps} replicates of {', '.join(map(str, Ks))} innovations "
                    f"on {in_flight} thread(s)")
-    return [(window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N))
-            for N in n_list]
-
-
-def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed, *,
-                     threads: int = 1, weights=None) -> list:
-    """For each N of n_list, the reps x m matrix of A_N^{-1} S(t_i) over
-    independent replicates, from weights = fdd_weights(process, n_list,
-    fdd, reps, threads=threads), built here when not given (a caller that
-    also reads W passes them).
-
-    One sampling pass serves every N: replicate r draws the innovations of
-    every N at once from the counter-derived seed (seed, r), by
-    sample_innovations with one length per N, so each law does its shared
-    work once (see its draw) and every matrix equals that of
-    normalized_fdd_sample at its N alone, bit for bit.  Results are
-    independent of execution order and any degree of parallelism.  The
-    replicates run in up to `threads` chunks on a thread pool, the
-    package's only one; at threads <= 1 they run inline in the calling
-    thread.  Each chunk keeps one work dict for its draws, so a CMS
-    replicate reuses the arrays of the one before it.  Each row equals the partial sums of simulate_path on the same
-    seed (asserted in tests); the weighted-sum form avoids rebuilding the
-    whole path per replicate.
-    """
-    if weights is None:
-        weights = fdd_weights(process, n_list, fdd, reps, threads=threads)
-    lengths = [W.shape[0] for W, _ in weights]
-    outs = [np.empty((reps, fdd.m)) for _ in weights]
+    joint = [(window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N),
+              np.empty((reps, m))) for N in n_list]
     step = -(-reps // max(threads, 1))
     starts = range(0, reps, step)
 
     def fill(r0):
         work = {}
         for r in range(r0, min(r0 + step, reps)):
-            draws = sample_innovations(process.innovation, lengths, [seed, r], work)
-            for out, eps, (W, A) in zip(outs, draws, weights):
-                out[r] = eps @ W / A
+            draws = sample_innovations(law, Ks, [seed, r], work)
+            for (W, A, X), eps in zip(joint, draws):
+                X[r] = eps @ W / A
 
     if len(starts) == 1:  # threads <= 1 or a single replicate: no pool
         fill(0)
@@ -375,11 +366,11 @@ def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(starts)) as pool:
             list(pool.map(fill, starts))
-    return outs
+    return joint
 
 
 def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
                           seed, *, threads: int = 1) -> np.ndarray:
     """reps x m matrix of A_N^{-1} S(t_i) over independent replicates: the
     one-N case of joint_fdd_sample."""
-    return joint_fdd_sample(process, [N], fdd, reps, seed, threads=threads)[0]
+    return joint_fdd_sample(process, [N], fdd, reps, seed, threads=threads)[0][2]

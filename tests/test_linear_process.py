@@ -421,6 +421,24 @@ class TestNormalizedFdd:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_refused_pass_builds_and_draws_nothing(self, monkeypatch):
+        # a fresh ell and M = 5000: the pass would build S[0..5000] and hold
+        # it with W, the output and one replicate's draw of K = 5019; one
+        # element below that count it builds no partial sums, no W and
+        # draws nothing
+        ell, M, N, reps = constant(1.0), 5000, 20, 4
+        proc = ProcessSpec(ell, ExactStable(1.5, 0.0, 1.0), M)
+        K = N + M - 1
+        count = (M + 1) + K * 2 + reps * 2 + proc.innovation.peak_arrays * K
+        calls = []
+        for name in ("window_weights", "sample_innovations"):
+            monkeypatch.setattr(lp, name, lambda *a, _n=name, **k: calls.append(_n))
+        monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
+        with pytest.raises(ValueError, match=f"hold about {count} elements"):
+            normalized_fdd_sample(proc, N, self.FDD, reps, 1)
+        assert not [v for v in vars(ell).values() if isinstance(v, np.ndarray)]
+        assert calls == []
+
     @pytest.mark.parametrize("innovation", [
         ExactStable(1.5, 0.3, 1.0),
         ExactStable(2.0, 0.0, 1.0),
@@ -507,13 +525,13 @@ class TestNormalizedFdd:
         with pytest.raises(ValueError, match="hold about 2322 elements"):
             lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1)
         monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", 2322)
-        for got, want in zip(lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1), alone):
+        for (_, _, got), want in zip(lp.joint_fdd_sample(proc, [10, 20], self.FDD, 4, 1), alone):
             np.testing.assert_array_equal(got, want)
 
     def test_verify_shape_within_its_count(self, monkeypatch):
         # a verify run on a fresh ell: an oracle sweep to N = 1000, which
-        # leaves the sums from 0, S[0..11000], held on ell, then fdd_weights
-        # and the joint pass, which read them.  The guard counts the held
+        # leaves the sums from 0, S[0..11000], held on ell, then the joint
+        # pass, whose weights read them.  The guard counts the held
         # sums, every W, every output and one replicate's draw; one element
         # fewer refuses, and the traced peak, the held sums included, stays
         # within it up to 64 KiB that does not grow with the sizes
@@ -528,11 +546,10 @@ class TestNormalizedFdd:
                      + (law.peak_arrays - law.shared_arrays) * sum(Ks))
             monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count - 1)
             with pytest.raises(ValueError, match=f"hold about {count} elements"):
-                lp.fdd_weights(proc, n_list, self.FDD, reps)
+                lp.joint_fdd_sample(proc, n_list, self.FDD, reps, 5)
             monkeypatch.setattr(lp, "MEMORY_BUDGET_ELEMENTS", count)
             tracemalloc.reset_peak()
-            weights = lp.fdd_weights(proc, n_list, self.FDD, reps)
-            lp.joint_fdd_sample(proc, n_list, self.FDD, reps, 5, weights=weights)
+            lp.joint_fdd_sample(proc, n_list, self.FDD, reps, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -647,7 +664,7 @@ class TestJointPass:
         proc = ProcessSpec(ELL1, self.LAWS[name], self.M)
         joint = lp.joint_fdd_sample(proc, self.NS, self.FDD, self.REPS, self.SEED,
                                     threads=threads)
-        for N, got, pin in zip(self.NS, joint, pinned(self.PINS)[name]):
+        for N, (_, _, got), pin in zip(self.NS, joint, pinned(self.PINS)[name]):
             alone = normalized_fdd_sample(proc, N, self.FDD, self.REPS, self.SEED,
                                           threads=threads)
             assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
