@@ -6,8 +6,9 @@ vector is a (countable) exact sum
     sum_j psi(A_N^{-1} * sum_i u_i * <weight of eps_j in S(t_i)>)
 
 with psi the innovation's log-CF, psi(w) = -sigma*|w|^alpha*(1 - i*D*sgn w),
-which the oracle reads from stable_law alone: log_cf_parts for its real and
-imaginary parts, log_cf_slope for the round-off an error in w leaves in it.
+which the oracle reads from the law it is given alone: its log_cf_parts for
+the real and imaginary parts, its log_cf_slope for the round-off an error in
+w leaves in it, and its alpha for A_N and the homogeneity below.
 The sum splits into the in-window block (j inside [0, [N t_m])) and the past
 block (j < 0), whose limit is zero; the whole vector converges to the
 Levy-increment log-CF sum_i (t_i - t_{i-1}) * psi(v_i).
@@ -89,8 +90,7 @@ import numpy as np
 
 from .linear_process import FddSpec, PrefixSums, floor_index
 from .slowly_varying import SlowlyVaryingSpec, _scaled_spans, coefficient_sum
-from .stable_law import (_PANEL_X, SkewedStableParams, log_cf, log_cf_parts, log_cf_slope,
-                         panel_quad)
+from .stable_law import _PANEL_X, StandardStable, panel_quad
 
 __all__ = [
     "v_transform",
@@ -129,7 +129,7 @@ def _column_sums(block: np.ndarray) -> np.ndarray:
 
 
 def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
-              params: SkewedStableParams) -> np.ndarray:
+              law: StandardStable) -> np.ndarray:
     """sum_{j0 <= j < j1} psi(c_j) for each column of U, with c = W @ U the
     combination of the cumulative weights W of eps_j in S(t_1..t_m); each
     chunk of W is read as slices of the prefix sums (PrefixSums.rows).
@@ -149,15 +149,15 @@ def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     m, F = U.shape
     weights = np.empty((n, m))
     # at D != 0 the Im block shares one array with the term block
-    blocks = np.empty((1 if params.D == 0.0 else 2, n, F))
-    terms, imag = blocks[0], (None if params.D == 0.0 else blocks[1])
+    blocks = np.empty((1 if law.D == 0.0 else 2, n, F))
+    terms, imag = blocks[0], (None if law.D == 0.0 else blocks[1])
     re = np.zeros(F)
     im = np.zeros(F)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         for lo in range(j0, j1, rows):
             hi = min(lo + rows, j1)
             c = np.matmul(S.rows(lo, hi, B, out=weights), U, out=terms[:hi - lo])
-            g_re, g_im = log_cf_parts(params, c, out=(c, None if imag is None else imag[:hi - lo]))
+            g_re, g_im = law.log_cf_parts(c, out=(c, None if imag is None else imag[:hi - lo]))
             re += _column_sums(g_re)
             if imag is not None:
                 im += _column_sums(g_im)
@@ -166,7 +166,7 @@ def _psi_sums(S: PrefixSums, j0: int, j1: int, B, U: np.ndarray,
     return re + 1j * im
 
 
-def _end_terms(S: PrefixSums, B, W: np.ndarray, params: SkewedStableParams,
+def _end_terms(S: PrefixSums, B, W: np.ndarray, law: StandardStable,
                ends: np.ndarray, step: int):
     """The midpoint Euler-Maclaurin terms at the ends of closed pieces, one
     per entry of ends (the exact row next to the end) and row of W (n x m,
@@ -182,7 +182,7 @@ def _end_terms(S: PrefixSums, B, W: np.ndarray, params: SkewedStableParams,
     starts, inverse = np.unique(ends if step > 0 else ends - 3, return_inverse=True)
     runs = np.stack([S.rows(s, s + 4, B) for s in starts.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        g = log_cf(params, np.einsum("nrm,nm->nr", runs[:, ::step][inverse], W))
+        g = law.log_cf(np.einsum("nrm,nm->nr", runs[:, ::step][inverse], W))
     if not np.isfinite(g).all():
         rows = ends[:, None] + step * np.arange(4)
         raise ValueError(f"non-finite log-CF term psi(c_j) at row j = {rows[~np.isfinite(g)][0]}")
@@ -278,7 +278,7 @@ def _judge(m: int):
     return judge
 
 
-def _closure(params: SkewedStableParams, W: np.ndarray, key, pts, owner, spans, jacobian):
+def _closure(law: StandardStable, W: np.ndarray, key, pts, owner, spans, jacobian):
     """int psi(w(t)) jacobian(t) dt over the span of each owner's pts, and
     each owner's summed panel estimates; w(t) = spans(t, key) @ W, with one
     row of W and of key per owner, and spans gets the nodes of the distinct
@@ -294,8 +294,8 @@ def _closure(params: SkewedStableParams, W: np.ndarray, key, pts, owner, spans, 
         ug = spans(t[first], key[o[first]])[inverse] * W[o][:, None]
         w = ug.sum(axis=-1)
         out = np.empty((3,) + w.shape)
-        out[0], out[1] = log_cf_parts(params, w)
-        out[2] = log_cf_slope(params, w) * _SPAN_RTOL * np.abs(ug).sum(axis=-1)
+        out[0], out[1] = law.log_cf_parts(w)
+        out[2] = law.log_cf_slope(w) * _SPAN_RTOL * np.abs(ug).sum(axis=-1)
         return out * jacobian(t)
 
     val, err = panel_quad(integrand, rtol=_SPAN_RTOL, pts=pts, owner=owner,
@@ -304,7 +304,7 @@ def _closure(params: SkewedStableParams, W: np.ndarray, key, pts, owner, spans, 
 
 
 def _past_closure(ell: SlowlyVaryingSpec, UA: np.ndarray, B,
-                  params: SkewedStableParams, J: int):
+                  law: StandardStable, J: int):
     """int_X^inf psi(c(-x)) dx, X = J + 1/2, for every column of UA at once,
     and each column's summed panel estimates: the integral of the past
     piece x > J, which _past closes like a window piece.
@@ -314,26 +314,26 @@ def _past_closure(ell: SlowlyVaryingSpec, UA: np.ndarray, B,
     integral is X^(1-alpha)/(alpha-1) int_0^1 psi(x c(x)) dt, whose
     integrand stays bounded as t -> 0 (_closure).  Each column's t-range is
     split where its c changes sign (the kink of |c|^alpha)."""
-    F, k = UA.shape[1], 1.0 / (params.alpha - 1.0)
-    lnX, scale = math.log(J + 0.5), (J + 0.5) ** (1.0 - params.alpha) / (params.alpha - 1.0)
+    F, k = UA.shape[1], 1.0 / (law.alpha - 1.0)
+    lnX, scale = math.log(J + 0.5), (J + 0.5) ** (1.0 - law.alpha) / (law.alpha - 1.0)
 
     def spans(t):
         return _scaled_spans(ell, lnX - k * np.log(t), B)
 
     t, col = _sign_changes(spans, UA)
     cols = np.arange(F)
-    return _closure(params, UA.T, np.zeros(F), np.concatenate([np.zeros(F), np.ones(F), t]),
+    return _closure(law, UA.T, np.zeros(F), np.concatenate([np.zeros(F), np.ones(F), t]),
                     np.concatenate([cols, cols, col]), lambda t, _: spans(t), lambda t: scale)
 
 
-def _past(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B, params: SkewedStableParams):
+def _past(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B, law: StandardStable):
     """sum_{j < 0} psi(c_j) for every column of UA, and each column's
     closure estimate: the rows -J <= j < 0 (J = _J_DEPTH, held by S) term
     by term, and j < -J as a window piece with one end, at j = -J."""
     J = _J_DEPTH
-    seam, seam_est = _end_terms(S, B, UA.T, params, np.full(UA.shape[1], -J), 1)
-    tail, tail_est = _past_closure(ell, UA, B, params, J)
-    return _psi_sums(S, -J, 0, B, UA, params) + seam + tail, seam_est + tail_est
+    seam, seam_est = _end_terms(S, B, UA.T, law, np.full(UA.shape[1], -J), 1)
+    tail, tail_est = _past_closure(ell, UA, B, law, J)
+    return _psi_sums(S, -J, 0, B, UA, law) + seam + tail, seam_est + tail_est
 
 
 def _window_plan(ell: SlowlyVaryingSpec, UA: np.ndarray, B):
@@ -384,7 +384,7 @@ def _window_plan(ell: SlowlyVaryingSpec, UA: np.ndarray, B):
 
 
 def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
-            params: SkewedStableParams, plan):
+            law: StandardStable, plan):
     """sum_{0 <= j < B_m} psi(c_j) for every column of UA, and each column's
     closure estimate; S holds the rows and kinks of plan (_window_plan).
 
@@ -405,15 +405,15 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
     F = UA.shape[1]
     total, est = np.zeros(F, dtype=complex), np.zeros(F)
     for lo, hi in rows:
-        total += _psi_sums(S, lo, hi, B, UA, params)
+        total += _psi_sums(S, lo, hi, B, UA, law)
     for f, r0, r1 in kinks:
-        total[f] += _psi_sums(S, r0, r1, B, UA[:, [f]], params)[0]
+        total[f] += _psi_sums(S, r0, r1, B, UA[:, [f]], law)[0]
     if not pieces:
         return total, est
     k, col, p, q = np.array(pieces).T
     W = UA.T[col]
     for ends, step in ((p - 1, -1), (q, 1)):
-        correction, err = _end_terms(S, B, W, params, ends, step)
+        correction, err = _end_terms(S, B, W, law, ends, step)
         np.add.at(total, col, correction)
         np.add.at(est, col, err)
     Bf = np.asarray(B, dtype=float)
@@ -425,7 +425,7 @@ def _window(ell: SlowlyVaryingSpec, S, UA: np.ndarray, B,
         return coefficient_sum(ell, np.maximum(y + (Bf - Bf[stretch][:, None])[:, None], y))
 
     ids = np.arange(k.size)
-    value, err = _closure(params, W * (np.arange(len(B)) >= k[:, None]), k,
+    value, err = _closure(law, W * (np.arange(len(B)) >= k[:, None]), k,
                           np.log(np.concatenate([Bf[k] - q, Bf[k] - p]) + 0.5),
                           np.concatenate([ids, ids]), spans, np.exp)
     np.add.at(total, col, value)
@@ -480,7 +480,7 @@ class _Shared:
         self.rays = _rays(self.U)
 
 
-def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
+def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
                      fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None,
                      shared: _Shared | None = None) -> ExactFddLogCf:
     """Exact joint log-CF of (A_N^{-1} S(t_1), ..., A_N^{-1} S(t_m)) at the
@@ -508,13 +508,13 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     U = shared.U
     B = [floor_index(N, t) for t in fdd.times]
     first, inverse, lam = shared.rays
-    UA = U[:, first] / (float(N) ** (1.0 / params.alpha) * coefficient_sum(ell, N))
+    UA = U[:, first] / (float(N) ** (1.0 / law.alpha) * coefficient_sum(ell, N))
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
     S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
-    window, window_est = _window(ell, S, UA, B, params, plan)
-    past, past_est = _past(ell, S, UA, B, params)
+    window, window_est = _window(ell, S, UA, B, law, plan)
+    past, past_est = _past(ell, S, UA, B, law)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-        scale = np.abs(lam) ** params.alpha
+        scale = np.abs(lam) ** law.alpha
 
         def unfold(x):
             x = x[inverse] * scale
@@ -533,13 +533,13 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
                          bound, _J_DEPTH, value[1:])
 
 
-def _limit_log_cfs(params: SkewedStableParams, times, U: np.ndarray) -> np.ndarray:
+def _limit_log_cfs(law: StandardStable, times, U: np.ndarray) -> np.ndarray:
     """Levy-limit log-CF sum_i (t_i - t_{i-1}) psi(v_i) of each column of U
     (v = v_transform(U)), in one log_cf_parts call; a ValueError when a term
     overflows."""
     dt = np.diff(np.concatenate([[0.0], times]))[:, None]
     with np.errstate(over="ignore"):  # raised below instead
-        re, im = log_cf_parts(params, v_transform(U))
+        re, im = law.log_cf_parts(v_transform(U))
     finite = np.isfinite(re).all(axis=0)
     if not finite.all():
         raise ValueError(f"non-finite limit log-CF term psi(v_i) at the "
@@ -547,10 +547,10 @@ def _limit_log_cfs(params: SkewedStableParams, times, U: np.ndarray) -> np.ndarr
     return (dt * re).sum(axis=0) + 1j * (dt * im).sum(axis=0)
 
 
-def limit_log_cf(params: SkewedStableParams, fdd: FddSpec) -> complex:
+def limit_log_cf(law: StandardStable, fdd: FddSpec) -> complex:
     """Levy-limit log-CF: sum_i (t_i - t_{i-1}) psi(v_i); a ValueError when
     a term overflows."""
-    return complex(_limit_log_cfs(params, fdd.times, np.array(fdd.freqs)[:, None])[0])
+    return complex(_limit_log_cfs(law, fdd.times, np.array(fdd.freqs)[:, None])[0])
 
 
 _GRID_VALUES = (-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0)
@@ -579,7 +579,7 @@ class SweepRow:
     log_cf: complex             # exact log-CF at the fdd's own frequencies
 
 
-def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
+def cf_convergence_sweep(ell: SlowlyVaryingSpec, law: StandardStable,
                          fdd: FddSpec, n_list, *, tol: float = 1e-8,
                          freq_grid=None) -> list:
     """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
@@ -598,11 +598,11 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, params: SkewedStableParams,
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
     shared = _Shared(fdd, freq_grid)
-    limits = _limit_log_cfs(params, fdd.times, shared.U)
+    limits = _limit_log_cfs(law, fdd.times, shared.U)
 
     def row(n):
         t0 = time.perf_counter()
-        out = exact_fdd_log_cf(ell, params, n, fdd, tol=tol, shared=shared)
+        out = exact_fdd_log_cf(ell, law, n, fdd, tol=tol, shared=shared)
         dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
         wall = (time.perf_counter() - t0) * 1e3
         return SweepRow(n, dist, abs(out.past_part), abs(out.window_part), wall,

@@ -55,7 +55,7 @@ from .slowly_varying import (
     SlowlyVaryingSpec,
     h_alpha_info,
 )
-from .stable_law import SkewedStableParams, cdf, to_standard
+from .stable_law import StandardStable, cdf
 
 __all__ = ["main", "ConfigError", "RunConfig", "parse_config"]
 
@@ -294,7 +294,7 @@ def _run_sweep(cfg: RunConfig):
         raise ConfigError("oracle needs [fdd] and [sweep] n_list")
     grid = cf_oracle.default_frequency_grid(cfg.fdd.m) if cfg.sup_grid else None
     return cf_oracle.cf_convergence_sweep(
-        cfg.ell, cfg.innovation.cf_params, cfg.fdd, cfg.n_list,
+        cfg.ell, cfg.innovation, cfg.fdd, cfg.n_list,
         tol=cfg.j_tolerance, freq_grid=grid)
 
 
@@ -320,9 +320,8 @@ def _marginal_cdf_target(cfg: RunConfig, W: np.ndarray, A: float):
     law = cfg.innovation
     if law.has_exact_log_cf:
         return law.weighted_sum(W[:, -1] / A)
-    params = law.cf_params
-    return to_standard(SkewedStableParams(params.alpha, params.sigma * cfg.fdd.times[-1],
-                                          params.D))
+    a = law.attractor
+    return StandardStable.from_cf(a.alpha, a.sigma * cfg.fdd.times[-1], a.D)
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
@@ -368,7 +367,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         sweep = _run_sweep(cfg)
     else:
         sweep = [None] * len(cfg.n_list)
-        limit = cf_oracle.limit_log_cf(cfg.innovation.cf_params, cfg.fdd)
+        limit = cf_oracle.limit_log_cf(cfg.innovation.attractor, cfg.fdd)
 
     t0 = time.perf_counter()
     joint = joint_fdd_sample(process, cfg.n_list, cfg.fdd, cfg.reps, seed, threads=threads)

@@ -9,10 +9,12 @@ each question in one way:
                       tail);
     h_alpha(N)        H_alpha(N), the factor of A_N (process_normalizer, and
                       verify's check before any work);
-    cf_params         its attractor's CF constants (the oracle sweep and the
-                      Levy limit);
     has_exact_log_cf  whether the oracle's exact log-CF is its own (cli), and
                       then weighted_sum(w), the exact law of sum_j w_j eps_j;
+                      such a law is its own attractor, which the oracle
+                      sweep takes;
+    attractor         of a law without an exact log-CF: the StandardStable
+                      law of its Levy limit;
     draw(lengths, seed, work)
                       the draws of each length from one seed, each as a draw
                       of that length alone gives it, through
@@ -76,10 +78,8 @@ import numpy as np
 from .slowly_varying import (SlowlyVaryingSpec, big_h_log, eval_sv, eval_sv_log, h_alpha_info,
                              log_sv_slope, newton_root)
 from .stable_law import (
-    SkewedStableParams,
     StandardStable,
     _check_alpha,
-    from_standard,
     from_tail_constants,
     panel_quad,
     sample_prefixes,
@@ -104,7 +104,10 @@ _TABLE_NODES = 4097
 
 class ExactStable(StandardStable):
     """The StandardStable law (alpha, beta, scale) as an innovation law,
-    with the fields, checks, equality and hash of that dataclass."""
+    with the fields, checks, equality and hash of that dataclass.  It is
+    its own attractor, with sigma = scale^alpha taken directly: no
+    cancellation between a tail constant and Gamma(1-alpha)*cos(pi*alpha/2)
+    near alpha = 2."""
 
     has_exact_log_cf = True
     # the CMS kernel holds at most ten arrays of n doubles at once, output
@@ -113,12 +116,6 @@ class ExactStable(StandardStable):
     # stage, run once on the longest
     peak_arrays = 10
     shared_arrays = 9
-
-    @property
-    def cf_params(self) -> SkewedStableParams:
-        """Its own attractor's, by from_standard: no cancellation between the
-        tail constant and Gamma(1-alpha)*cos(pi*alpha/2) near alpha = 2."""
-        return from_standard(self)
 
     def draw(self, lengths, seed, work=None) -> list:
         return sample_prefixes(self, lengths, seed, work)
@@ -204,7 +201,7 @@ class ParetoTail:
         return _tail_root_table(self)
 
     @property
-    def cf_params(self) -> SkewedStableParams:
+    def attractor(self) -> StandardStable:
         return from_tail_constants(self.alpha, self.sigma1, self.sigma2)
 
     @property

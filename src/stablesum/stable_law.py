@@ -1,13 +1,16 @@
-"""The alpha-stable law in two parametrizations.
+"""The alpha-stable law, StandardStable, in both of its parametrizations.
 
-SkewedStableParams carries the characteristic-function constants (alpha,
-sigma, D) with log CF  -t*sigma*|u|^alpha*(1 - i*D*sgn u), written once, in
-log_cf_parts (its slope in log_cf_slope); StandardStable is the
-sampling-side S1 parametrization (alpha, beta, scale) with CF
-exp(-scale^alpha*|u|^alpha*(1 - i*beta*tan(pi*alpha/2)*sgn u)) for alpha < 2
-and exp(-scale^2 u^2) for alpha = 2 (a Gaussian with variance 2*scale^2).
-
-The two are in exact bijection: sigma = scale^alpha, D = beta*tan(pi*alpha/2).
+A law holds the S1 pair (alpha, beta, scale), which the sampler and the CDF
+read, with CF exp(-scale^alpha*|u|^alpha*(1 - i*beta*tan(pi*alpha/2)*sgn u))
+for alpha < 2 and exp(-scale^2 u^2) for alpha = 2 (a Gaussian with
+variance 2*scale^2), and the CF constants (sigma, D) of its log CF
+-sigma*|u|^alpha*(1 - i*D*sgn u), written once, in log_cf_parts (its slope
+in log_cf_slope), which the oracle and the Levy limit read.  On paper
+sigma = scale^alpha and D = beta*tan(pi*alpha/2), but in doubles the two
+maps are not inverse to each other, so a law holds the pair it is built
+from as given and the other as derived from it once:
+StandardStable(alpha, beta, scale) derives (sigma, D), and
+StandardStable.from_cf(alpha, sigma, D) derives (beta, scale).
 
 sample uses Chambers-Mallows-Stuck with a kernel built on two tangents:
 sin and cos of U and of theta = alpha*(U + B) are rational in tan(U/2) and
@@ -35,19 +38,13 @@ Pareto tail first moment and H at alpha = 2 all go through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "SkewedStableParams",
     "StandardStable",
     "from_tail_constants",
-    "to_standard",
-    "from_standard",
-    "log_cf",
-    "log_cf_parts",
-    "log_cf_slope",
     "sample",
     "sample_prefixes",
     "cdf",
@@ -62,31 +59,18 @@ def _check_alpha(alpha: float) -> None:
 
 
 @dataclass(frozen=True)
-class SkewedStableParams:
-    """CF constants (alpha, sigma, D); |exp(log_cf)| <= 1 forces sigma > 0."""
-
-    alpha: float
-    sigma: float
-    D: float
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError("need sigma > 0")
-        if self.alpha == 2.0:
-            if self.D != 0.0:
-                raise ValueError("need D = 0 at alpha = 2")
-        elif abs(self.D) > abs(math.tan(math.pi * self.alpha / 2.0)) * (1 + 1e-12):
-            raise ValueError("need |D| <= |tan(pi*alpha/2)|")
-
-
-@dataclass(frozen=True)
 class StandardStable:
-    """Sampling parametrization (alpha, beta, scale), location fixed to 0."""
+    """The alpha-stable law, location 0: the S1 pair (alpha, beta, scale)
+    and the CF constants (sigma, D), each pair as given or derived (see the
+    module docstring).  Equality, hash and repr cover both pairs, so laws
+    of one S1 pair built by the two constructors may differ, and show it.
+    |exp(log_cf)| <= 1 forces sigma > 0."""
 
     alpha: float
     beta: float
     scale: float
+    sigma: float = field(init=False)
+    D: float = field(init=False)
 
     def __post_init__(self):
         _check_alpha(self.alpha)
@@ -95,14 +79,78 @@ class StandardStable:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError("need scale > 0")
         try:
-            from_standard(self)
-        except (ValueError, OverflowError):
-            raise ValueError("need scale^alpha, the CF scale, a finite double > 0") from None
+            sigma = self.scale**self.alpha  # a finite scale raises on overflow
+        except OverflowError:
+            sigma = math.inf
+        if not (0.0 < sigma < math.inf):
+            raise ValueError("need scale^alpha, the CF scale, a finite double > 0")
+        object.__setattr__(self, "sigma", sigma)
+        # beta*tan(pi) is not 0 in doubles
+        object.__setattr__(self, "D", 0.0 if self.alpha == 2.0 else
+                           self.beta * math.tan(math.pi * self.alpha / 2.0))
+
+    @classmethod
+    def from_cf(cls, alpha: float, sigma: float, D: float) -> StandardStable:
+        """The law with the CF constants (alpha, sigma, D), held as given;
+        its S1 pair is beta = D/tan(pi*alpha/2), clamped to [-1, 1], and
+        scale = sigma^(1/alpha) (beta = 0 and scale = sqrt(sigma) at
+        alpha = 2)."""
+        _check_alpha(alpha)
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise ValueError("need sigma > 0")
+        if alpha == 2.0:
+            if D != 0.0:
+                raise ValueError("need D = 0 at alpha = 2")
+            law = cls(2.0, 0.0, math.sqrt(sigma))
+        else:
+            tan = math.tan(math.pi * alpha / 2.0)
+            if not abs(D) <= abs(tan) * (1 + 1e-12):  # refuses a NaN D too
+                raise ValueError("need |D| <= |tan(pi*alpha/2)|")
+            law = cls(alpha, min(1.0, max(-1.0, D / tan)), sigma ** (1.0 / alpha))
+        object.__setattr__(law, "sigma", sigma)
+        object.__setattr__(law, "D", D)
+        return law
+
+    def log_cf(self, u):
+        """log E e^{iuZ_1} = -sigma*|u|^alpha*(1 - i*D*sgn u); real part <= 0."""
+        arr = np.asarray(u, dtype=float)
+        re, im = self.log_cf_parts(arr)
+        out = re + 1j * im
+        return complex(out) if arr.ndim == 0 else out
+
+    def log_cf_parts(self, u, out=(None, None)):
+        """Re and Im of log_cf, -sigma*|u|^alpha and sigma*D*|u|^alpha*sgn u,
+        as real arrays, so that sums of them stay real; at D = 0 no sign
+        pass is made and Im is a zero with every axis of length 1, which
+        broadcasts against u and its sums.  out=(re, im) receives them as
+        the outputs of a two-output ufunc would (None allocates; im is not
+        written at D = 0), and re may be u itself: sgn u is taken into im
+        first, then Re overwrites u, and Im is formed in place."""
+        arr = np.asarray(u, dtype=float)
+        sign = None if self.D == 0.0 else np.sign(arr, out=out[1])
+        re = np.abs(arr, out=out[0])
+        re **= self.alpha
+        re *= -self.sigma
+        if sign is None:
+            return re, np.zeros((1,) * arr.ndim)
+        # sgn u * re * -D: multiplying by sgn u is exact, so this is -D * re *
+        # sgn u bit for bit
+        sign *= re
+        sign *= -self.D
+        return re, sign
+
+    def log_cf_slope(self, u):
+        """|d log_cf / du| = alpha*sigma*|u|^(alpha-1)*hypot(1, D), which
+        turns an error in u into one in log_cf."""
+        arr = np.abs(np.asarray(u, dtype=float))
+        arr **= self.alpha - 1.0
+        arr *= self.alpha * self.sigma * math.hypot(1.0, self.D)
+        return arr
 
 
-def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> SkewedStableParams:
-    """CF constants of the attractor of a mean-zero law with tail constants
-    (sigma1 left, sigma2 right).
+def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> StandardStable:
+    """The attractor of a mean-zero law with tail constants (sigma1 left,
+    sigma2 right), by its CF constants.
 
     sigma = (s1+s2)*|Gamma(1-alpha)*cos(pi*alpha/2)| and
     D = ((s2-s1)/(s1+s2))*tan(pi*alpha/2): the unique constants for which
@@ -115,67 +163,11 @@ def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> SkewedSta
         raise ValueError("need sigma1, sigma2 >= 0 with sigma1 + sigma2 > 0")
     _check_alpha(alpha)
     if alpha == 2.0:
-        return SkewedStableParams(2.0, sigma1 + sigma2, 0.0)
+        return StandardStable.from_cf(2.0, sigma1 + sigma2, 0.0)
     total = sigma1 + sigma2
     sigma = total * abs(math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0))
     D = (sigma2 - sigma1) / total * math.tan(math.pi * alpha / 2.0)
-    return SkewedStableParams(alpha, sigma, D)
-
-
-def to_standard(params: SkewedStableParams) -> StandardStable:
-    """Convert CF constants to the sampling parametrization (exact bijection)."""
-    if params.alpha == 2.0:
-        return StandardStable(2.0, 0.0, math.sqrt(params.sigma))
-    beta = params.D / math.tan(math.pi * params.alpha / 2.0)
-    beta = min(1.0, max(-1.0, beta))
-    return StandardStable(params.alpha, beta, params.sigma ** (1.0 / params.alpha))
-
-
-def from_standard(std: StandardStable) -> SkewedStableParams:
-    """Inverse of to_standard."""
-    if std.alpha == 2.0:
-        return SkewedStableParams(2.0, std.scale**2, 0.0)
-    D = std.beta * math.tan(math.pi * std.alpha / 2.0)
-    return SkewedStableParams(std.alpha, std.scale**std.alpha, D)
-
-
-def log_cf(params: SkewedStableParams, u):
-    """log E e^{iuZ_1} = -sigma*|u|^alpha*(1 - i*D*sgn u); real part <= 0."""
-    arr = np.asarray(u, dtype=float)
-    re, im = log_cf_parts(params, arr)
-    out = re + 1j * im
-    return complex(out) if arr.ndim == 0 else out
-
-
-def log_cf_parts(params: SkewedStableParams, u, out=(None, None)):
-    """Re and Im of log_cf, -sigma*|u|^alpha and sigma*D*|u|^alpha*sgn u, as
-    real arrays, so that sums of them stay real; at D = 0 no sign pass is
-    made and Im is a zero with every axis of length 1, which broadcasts
-    against u and its sums.  out=(re, im) receives them as the outputs of a
-    two-output ufunc would (None allocates; im is not written at D = 0), and
-    re may be u itself: sgn u is taken into im first, then Re overwrites
-    u, and Im is formed in place."""
-    arr = np.asarray(u, dtype=float)
-    sign = None if params.D == 0.0 else np.sign(arr, out=out[1])
-    re = np.abs(arr, out=out[0])
-    re **= params.alpha
-    re *= -params.sigma
-    if sign is None:
-        return re, np.zeros((1,) * arr.ndim)
-    # sgn u * re * -D: multiplying by sgn u is exact, so this is -D * re *
-    # sgn u bit for bit
-    sign *= re
-    sign *= -params.D
-    return re, sign
-
-
-def log_cf_slope(params: SkewedStableParams, u):
-    """|d log_cf / du| = alpha*sigma*|u|^(alpha-1)*hypot(1, D), which turns
-    an error in u into one in log_cf."""
-    arr = np.abs(np.asarray(u, dtype=float))
-    arr **= params.alpha - 1.0
-    arr *= params.alpha * params.sigma * math.hypot(1.0, params.D)
-    return arr
+    return StandardStable.from_cf(alpha, sigma, D)
 
 
 # cos of the float nearest pi/2: the smallest cos(U) the uniform grid reaches

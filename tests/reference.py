@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: the constant and log-power
 slowly varying specs, the gathered weight kernel, aggregated coefficients,
-compensated prefix sums, path partial sums, the standard-parametrization
-log-CF, the stable tail constant C_alpha, empirical tail constants, the
+compensated prefix sums, path partial sums, the two conversions between
+the stable law's parametrizations and the standard-parametrization log-CF
+built on one, the stable tail constant C_alpha, empirical tail constants, the
 slowly varying derivative, H for a scalar callable, the oracle's in-window
 block summed term by term, the safeguarded Newton loop without its
 first-step shortcut, and the SIMD target that keys the bit-for-bit pins.
@@ -29,7 +30,7 @@ from stablesum.slowly_varying import (
     coefficient_prefix_sums,
     eval_sv,
 )
-from stablesum.stable_law import SkewedStableParams, StandardStable, from_standard, log_cf
+from stablesum.stable_law import StandardStable
 
 
 def constant(c: float) -> SlowlyVaryingSpec:
@@ -132,9 +133,32 @@ def partial_sums(path: np.ndarray, N: int, times) -> np.ndarray:
     return cs[np.asarray(idx, dtype=int)]
 
 
+def from_standard(alpha: float, beta: float, scale: float) -> tuple:
+    """The CF constants (alpha, sigma, D) of the S1 law (alpha, beta, scale):
+    sigma = scale^alpha and D = beta*tan(pi*alpha/2), or sigma = scale^2 and
+    D = 0 at alpha = 2, in the arithmetic StandardStable derives them by."""
+    if alpha == 2.0:
+        return 2.0, scale**2, 0.0
+    return alpha, scale**alpha, beta * math.tan(math.pi * alpha / 2.0)
+
+
+def to_standard(alpha: float, sigma: float, D: float) -> tuple:
+    """The S1 pair (alpha, beta, scale) of the CF constants (alpha, sigma, D):
+    beta = D/tan(pi*alpha/2) clamped to [-1, 1] and scale = sigma^(1/alpha),
+    or beta = 0 and scale = sqrt(sigma) at alpha = 2, in the arithmetic
+    StandardStable.from_cf derives them by."""
+    if alpha == 2.0:
+        return 2.0, 0.0, math.sqrt(sigma)
+    beta = min(1.0, max(-1.0, D / math.tan(math.pi * alpha / 2.0)))
+    return alpha, beta, sigma ** (1.0 / alpha)
+
+
 def std_log_cf(std: StandardStable, u):
-    """log CF of the StandardStable law (t = 1)."""
-    return log_cf(from_standard(std), u)
+    """log CF of the StandardStable law (t = 1), -sigma*|u|^alpha*(1 -
+    i*D*sgn u) with (sigma, D) from its S1 pair (from_standard)."""
+    alpha, sigma, D = from_standard(std.alpha, std.beta, std.scale)
+    u = np.asarray(u, dtype=float)
+    return -sigma * np.abs(u) ** alpha * (1.0 - 1j * D * np.sign(u))
 
 
 def stable_tail_constant(alpha: float) -> float:
@@ -229,7 +253,7 @@ def big_h_from_callable(h_fn, t: float) -> float:
     return float(_big_h_integral(h_log, math.log(t)))
 
 
-def exact_window_sum(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
+def exact_window_sum(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
                      times, UA: np.ndarray) -> tuple:
     """The in-window block sum_{0 <= j < [N t_m]} psi(c_j), c = W @ UA, of the
     exact log-CF, term by term from the whole prefix-sum array, in the row
@@ -242,13 +266,13 @@ def exact_window_sum(ell: SlowlyVaryingSpec, params: SkewedStableParams, N: int,
     re, im, size = (np.zeros(UA.shape[1]) for _ in range(3))
     for lo in range(0, B[-1], rows):
         c = prefix_weights(S, np.arange(lo, min(lo + rows, B[-1])), B) @ UA
-        mag = np.abs(c) ** params.alpha
+        mag = np.abs(c) ** law.alpha
         re -= mag.sum(axis=0)
-        if params.D != 0.0:
+        if law.D != 0.0:
             im += (mag * np.sign(c)).sum(axis=0)
         size += mag.sum(axis=0)
-    return (params.sigma * (re + 1j * params.D * im),
-            params.sigma * math.hypot(1.0, params.D) * size)
+    return (law.sigma * (re + 1j * law.D * im),
+            law.sigma * math.hypot(1.0, law.D) * size)
 
 
 # numpy's SIMD targets: AVX-512 as on a Sapphire Rapids host, and AVX2 (also

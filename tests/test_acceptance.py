@@ -32,7 +32,6 @@ from stablesum.slowly_varying import (
     h_alpha_info,
 )
 from stablesum.stable_law import (
-    SkewedStableParams,
     StandardStable,
     cdf,
     sample,
@@ -54,7 +53,7 @@ def report(k, label, ok, detail):
 
 @pytest.fixture(scope="module")
 def criterion1_sweep():
-    params = SkewedStableParams(1.5, 1.0, 0.0)
+    params = StandardStable.from_cf(1.5, 1.0, 0.0)
     t0 = time.perf_counter()
     rows = cf_convergence_sweep(ELL1, params, CRIT_FDD, CRIT_NS)
     return rows, time.perf_counter() - t0
@@ -235,7 +234,7 @@ class TestCriterion8:
         cdf_err = max(abs(cdf(std, x) - float(ndtr(x / math.sqrt(2.0))))
                       for x in grid)
 
-        params = SkewedStableParams(2.0, 1.0, 0.0)
+        params = StandardStable.from_cf(2.0, 1.0, 0.0)
         v = v_transform(CRIT_FDD.freqs)
         dt = np.diff(np.concatenate([[0.0], np.asarray(CRIT_FDD.times)]))
         closed_form = complex(-float(np.sum(dt * 1.0 * v**2)), 0.0)

@@ -32,7 +32,7 @@ from stablesum.slowly_varying import (
     eval_sv,
     held_prefix_sums,
 )
-from stablesum.stable_law import SkewedStableParams, log_cf
+from stablesum.stable_law import StandardStable
 from stablesum.verification import ecf
 
 from reference import (
@@ -49,10 +49,10 @@ from reference import (
 )
 
 ELL1 = constant(1.0)
-SYM15 = SkewedStableParams(1.5, 1.0, 0.0)
+SYM15 = StandardStable.from_cf(1.5, 1.0, 0.0)
 # the reference comparisons run each law: a unit and a non-unit sigma, both
 # skewed, so that a misplaced sigma or D shows
-LAWS = (SkewedStableParams(1.5, 1.0, -0.5), SkewedStableParams(1.5, 2.0, -0.5))
+LAWS = (StandardStable.from_cf(1.5, 1.0, -0.5), StandardStable.from_cf(1.5, 2.0, -0.5))
 EPS = np.finfo(float).eps
 finite_floats = st.floats(-20.0, 20.0, allow_nan=False)
 
@@ -213,7 +213,7 @@ class TestExactFddLogCf:
         # one call over a frequency grid agrees with one call per vector,
         # within both tail_bounds and the round-off of summing the J + N
         # rows in other chunks
-        params = SkewedStableParams(1.5, 1.0, -0.5)
+        params = StandardStable.from_cf(1.5, 1.0, -0.5)
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
         grid = default_frequency_grid(2)[::8]
         out = exact_fdd_log_cf(ELL1, params, 100, fdd, freq_grid=grid)
@@ -233,7 +233,7 @@ class TestExactFddLogCf:
         assert out.tail_bound <= 1e-8
 
     def test_chunk_size_independent(self, monkeypatch):
-        params = SkewedStableParams(1.5, 1.0, -0.5)
+        params = StandardStable.from_cf(1.5, 1.0, -0.5)
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
         grid = [(2.0, 0.25), (-1.0, 0.5), (0.0, 0.0)]
         base = exact_fdd_log_cf(ELL1, params, 100, fdd, freq_grid=grid)
@@ -304,7 +304,7 @@ class TestExactFddLogCf:
         assert peak <= 8 * count + 2**16
 
     def test_skewed_params_complex_value(self):
-        params = SkewedStableParams(1.5, 1.0, -0.5)
+        params = StandardStable.from_cf(1.5, 1.0, -0.5)
         out = exact_fdd_log_cf(ELL1, params, 100, self.FDD1)
         assert out.value.real < 0.0
         assert out.value.imag != 0.0
@@ -378,7 +378,7 @@ class TestSliceReader:
         chunks = range(j0, j1, rows)
         for lo in chunks:
             c = prefix_weights(S, np.arange(lo, min(lo + rows, j1)), B) @ U
-            g_re, g_im = stable_law.log_cf_parts(params, c)
+            g_re, g_im = params.log_cf_parts(c)
             re += g_re.sum(axis=0)
             im += g_im.sum(axis=0)
         got = cf_oracle._psi_sums(S, j0, j1, B, U, params)
@@ -450,7 +450,7 @@ class TestRayFold:
         # the default grid, a negative multiple of the fdd vector and a zero
         # vector; tail_bound is the largest of the one-vector calls' bounds,
         # up to their round-off (they are differences of quadratures)
-        params = ExactStable(1.5, beta, 1.0).cf_params
+        params = ExactStable(1.5, beta, 1.0)
         fdd = self.FDD[m]
         u = np.array(fdd.freqs)
         grid = default_frequency_grid(m) + [-3.0 * u, np.zeros(m)]
@@ -488,7 +488,7 @@ class TestRayFold:
     def test_sup_grid_values_unchanged(self, beta, digest, value):
         # the 64 grid values of one sup-grid call, bit for bit (sha256 of
         # their little-endian bytes), as the allocating chunk loop gave them
-        out = exact_fdd_log_cf(ELL1, ExactStable(1.5, beta, 1.0).cf_params, 1000,
+        out = exact_fdd_log_cf(ELL1, ExactStable(1.5, beta, 1.0), 1000,
                                self.FDD[2], freq_grid=default_frequency_grid(2))
         got = np.asarray(out.grid_values, dtype="<c16")
         assert got.shape == (64,) and got[20] == value
@@ -517,7 +517,7 @@ class TestRayFold:
         # a call without a grid is its own ray at lam = 1: the values of the
         # direct evaluation, bit for bit
         for beta, want in pinned(self.SINGLE).items():
-            params = ExactStable(1.5, beta, 1.0).cf_params
+            params = ExactStable(1.5, beta, 1.0)
             out = exact_fdd_log_cf(ELL1, params, 1000, self.FDD[2])
             assert (out.value, out.past_part, out.window_part, out.tail_bound) == want
 
@@ -656,7 +656,7 @@ class TestPastClosure:
         import mpmath as mp
 
         N, J, K, B = 100, 10_000, 30_000, (50, 100)
-        params = SkewedStableParams(1.5, 1.0, -0.5)
+        params = StandardStable.from_cf(1.5, 1.0, -0.5)
         out = exact_fdd_log_cf(ELL1, params, N, self.FDD, freq_grid=[self.LATE_SIGN_CHANGE])
         H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, K + B[1] + 1))])
         A = N ** (1 / 1.5) * H[N]
@@ -827,10 +827,10 @@ class TestPastReference:
         S = compensated_prefix_sums(ell, self.K + B[-1])
         x = np.arange(1, self.K + 1)[:, None]
         c = (S[x + B] - S[x]) @ UA
-        terms = log_cf(params, c)
+        terms = params.log_cf(c)
         tail = beyond(params, B, UA)
         want = np.array([math.fsum(t.real) + 1j * math.fsum(t.imag) for t in terms.T]) + tail
-        moved = stable_law.log_cf_slope(params, c) * ((S[x + B] + S[x]) @ np.abs(UA))
+        moved = params.log_cf_slope(c) * ((S[x + B] + S[x]) @ np.abs(UA))
         roundoff = (cf_oracle._SPAN_RTOL * (moved.sum(axis=0) + params.alpha * np.abs(tail))
                     + math.log2(self.K) * EPS * (np.abs(terms).sum(axis=0) + np.abs(tail)))
         assert np.all(np.abs(got - want) <= estimate + roundoff)
@@ -887,11 +887,51 @@ class TestLimitLogCf:
         assert limit_log_cf(LAWS[1], fdd) == pytest.approx(-2.0 + 1.0j)
 
     def test_alpha2_quadratic(self):
-        params = SkewedStableParams(2.0, 0.7, 0.0)
+        params = StandardStable.from_cf(2.0, 0.7, 0.0)
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
         v = v_transform(fdd.freqs)
         want = -(0.5 * 0.7 * v[0] ** 2 + 0.5 * 0.7 * v[1] ** 2)
         assert limit_log_cf(params, fdd) == pytest.approx(want, rel=1e-15)
+
+
+class TestLawInterface:
+    PSI = ("log_cf", "log_cf_parts", "log_cf_slope")
+
+    def test_psi_read_off_the_law(self):
+        # the oracle and the limit evaluate psi by the methods of the law
+        # they are given: a subclass that counts its calls gives the base
+        # law's values bit for bit, through every one of them (N = 1e5
+        # closes window pieces as well as the past)
+        calls = dict.fromkeys(self.PSI, 0)
+
+        class Counting(StandardStable):
+            def log_cf(self, u):
+                calls["log_cf"] += 1
+                return super().log_cf(u)
+
+            def log_cf_parts(self, u, out=(None, None)):
+                calls["log_cf_parts"] += 1
+                return super().log_cf_parts(u, out)
+
+            def log_cf_slope(self, u):
+                calls["log_cf_slope"] += 1
+                return super().log_cf_slope(u)
+
+        base, law = (cls.from_cf(1.5, 2.0, -0.5) for cls in (StandardStable, Counting))
+        fdd, grid = FddSpec((0.5, 1.0), (1.0, -0.5)), [np.array([1.0, 1.0]),
+                                                        np.array([-2.0, 0.25])]
+        got = exact_fdd_log_cf(ELL1, law, 10**5, fdd, freq_grid=grid)
+        want = exact_fdd_log_cf(ELL1, base, 10**5, fdd, freq_grid=grid)
+        assert ((got.value, got.past_part, got.window_part, got.tail_bound, got.j_depth)
+                == (want.value, want.past_part, want.window_part, want.tail_bound,
+                    want.j_depth))
+        assert np.array_equal(got.grid_values, want.grid_values)
+        assert limit_log_cf(law, fdd) == limit_log_cf(base, fdd)
+        assert all(calls[name] > 0 for name in self.PSI), calls
+
+    def test_no_psi_of_its_own(self):
+        # cf_oracle binds no log_cf* function that could bypass the law's
+        assert [name for name in vars(cf_oracle) if name.startswith("log_cf")] == []
 
 
 class TestTelescoping:
@@ -975,7 +1015,7 @@ class TestSweep:
         # the sweep extends one set of sums from 0 across N and reads each
         # N's as a view of them: every row is, bit for bit, that of a call
         # that builds its own
-        ell, params = self.ELLS[ell], SkewedStableParams(1.5, 1.0, D)
+        ell, params = self.ELLS[ell], StandardStable.from_cf(1.5, 1.0, D)
         fdd = self.FDDS[m]
         freq_grid = default_frequency_grid(m) if grid else None
         limits = cf_oracle._limit_log_cfs(

@@ -19,11 +19,10 @@ from stablesum.innovations import (
     sample_innovations,
 )
 from stablesum.slowly_varying import SlowlyVaryingSpec, eval_sv, h_alpha_info, newton_root
-from stablesum.stable_law import (SkewedStableParams, StandardStable, cdf, from_standard,
-                                  from_tail_constants, sample)
+from stablesum.stable_law import StandardStable, cdf, from_tail_constants, sample
 
-from reference import (AVX2, AVX512, constant, log_power, newton_loop, pinned, stable_tail_constant,
-                       tail_ratio_check)
+from reference import (AVX2, AVX512, constant, from_standard, log_power, newton_loop, pinned,
+                       stable_tail_constant, tail_ratio_check)
 
 SYM_PARETO = ParetoTail(1.5, 0.5, 0.5, constant(1.0))
 
@@ -43,7 +42,7 @@ class TestSampling:
         # a ~1 sigma band (fixed seed); the sound 4-width bound follows
         x = sample_innovations(SYM_PARETO, 10**6, 4)
         assert abs(np.mean(x)) < 0.02
-        width = SYM_PARETO.cf_params.sigma ** (2.0 / 3.0) * 10**-2
+        width = SYM_PARETO.attractor.sigma ** (2.0 / 3.0) * 10**-2
         for seed in (1, 2, 3):
             y = sample_innovations(SYM_PARETO, 10**6, seed)
             assert abs(np.mean(y)) < 4.0 * width
@@ -52,7 +51,7 @@ class TestSampling:
         # |mean| < 4 * dispersion / n^{1-1/alpha} at the stable-CLT rate
         spec = ParetoTail(1.5, 1.0, 2.0, constant(1.0))
         x = sample_innovations(spec, 10**6, 17)
-        scale_est = spec.cf_params.sigma ** (1.0 / 1.5)
+        scale_est = spec.attractor.sigma ** (1.0 / 1.5)
         assert abs(np.mean(x)) < 4.0 * scale_est / 10**6 ** (1.0 - 1.0 / 1.5)
 
     def test_layout_geometry(self):
@@ -453,12 +452,12 @@ class TestTailConstants:
 
 class TestCfParams:
     def test_exact_stable_round_trip(self):
-        p = ExactStable(1.5, 0.0, 1.0).cf_params
+        p = ExactStable(1.5, 0.0, 1.0)
         assert p.sigma == pytest.approx(1.0, rel=1e-6)
         assert p.D == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_stable_round_trip_skewed(self):
-        p = ExactStable(1.3, 0.6, 2.0).cf_params
+        p = ExactStable(1.3, 0.6, 2.0)
         assert p.sigma == pytest.approx(2.0**1.3, rel=1e-12)
         assert p.D == pytest.approx(0.6 * math.tan(math.pi * 1.3 / 2.0), rel=1e-12)
 
@@ -467,16 +466,16 @@ class TestCfParams:
         # just below 2 the stable tail constants still round-trip to the
         # law's CF constants, to about 3e-12 relative at alpha = 1.99999
         spec = ExactStable(alpha, 0.7, 1.3)
-        want = from_standard(StandardStable(alpha, 0.7, 1.3))
-        assert spec.cf_params == want
+        want = from_standard(alpha, 0.7, 1.3)
+        assert (spec.alpha, spec.sigma, spec.D) == want
         c = stable_tail_constant(alpha) * 1.3**alpha
         p = from_tail_constants(alpha, c * (1.0 - 0.7) / 2.0, c * (1.0 + 0.7) / 2.0)
         assert p.alpha == alpha
-        assert p.sigma == pytest.approx(want.sigma, rel=1e-9)
-        assert p.D == pytest.approx(want.D, rel=1e-9)
+        assert p.sigma == pytest.approx(spec.sigma, rel=1e-9)
+        assert p.D == pytest.approx(spec.D, rel=1e-9)
 
     def test_symmetric_pareto(self):
-        p = SYM_PARETO.cf_params
+        p = SYM_PARETO.attractor
         assert p.D == 0.0
         assert p.sigma == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
@@ -484,7 +483,7 @@ class TestCfParams:
         # partial sums of the pareto family land on the attractor CF:
         # ECF of S_n / n^{1/alpha} at u -> exp(sigma-weighted exponent)
         spec = SYM_PARETO
-        p = spec.cf_params
+        p = spec.attractor
         n, reps = 4000, 4000
         x = sample_innovations(spec, n * reps, 77).reshape(reps, n)
         s = x.sum(axis=1) / n ** (1.0 / spec.alpha)
@@ -545,14 +544,14 @@ class TestOneAnswerPerQuestion:
         assert hash(law) == hash(ExactStable(1.5, 0.0, 1.0))
         assert law != StandardStable(1.5, 0.0, 1.0)
         assert law != ExactStable(1.5, 0.1, 1.0)
-        assert repr(law) == "ExactStable(alpha=1.5, beta=0.0, scale=1.0)"
-        # sample, cdf and from_standard take it as they take the bare law
+        assert repr(law) == "ExactStable(alpha=1.5, beta=0.0, scale=1.0, sigma=1.0, D=-0.0)"
+        # sample, cdf and the oracle read it as they read the bare law
         bare = StandardStable(1.2, 0.7, 2.0)
         law = ExactStable(1.2, 0.7, 2.0)
         np.testing.assert_array_equal(sample(law, 100, 3), sample(bare, 100, 3))
         np.testing.assert_array_equal(sample_innovations(law, 100, 3), sample(bare, 100, 3))
         assert cdf(law, 0.5) == cdf(bare, 0.5)
-        assert law.cf_params == from_standard(bare)
+        assert (law.sigma, law.D) == (bare.sigma, bare.D)
 
     def test_exact_stable_keeps_the_checks(self):
         with pytest.raises(ValueError, match=r"need beta in \[-1, 1\]"):
@@ -563,7 +562,7 @@ class TestOneAnswerPerQuestion:
             ExactStable(1.5, 0.0, 1.0).alpha = 1.2
 
     @pytest.mark.parametrize("make", [
-        lambda: SkewedStableParams(2.5, 1.0, 0.0),
+        lambda: StandardStable.from_cf(2.5, 1.0, 0.0),
         lambda: StandardStable(1.0, 0.0, 1.0),
         lambda: ExactStable(2.0000001, 0.0, 1.0),
         lambda: from_tail_constants(0.5, 1.0, 1.0),

@@ -540,7 +540,7 @@ class TestNormalizedFdd:
         law, Ks = proc.innovation, [n + M - 1 for n in n_list]
         tracemalloc.start()
         try:
-            cf_convergence_sweep(proc.ell, law.cf_params, self.FDD, n_list)
+            cf_convergence_sweep(proc.ell, law, self.FDD, n_list)
             held = held_prefix_sums(proc.ell).size
             count = (held + 2 * sum(Ks) + 2 * reps * 2 + law.shared_arrays * max(Ks)
                      + (law.peak_arrays - law.shared_arrays) * sum(Ks))

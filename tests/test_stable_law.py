@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma, ndtr
@@ -12,18 +12,15 @@ from scipy.special import gamma, ndtr
 from stablesum import stable_law
 from stablesum.stable_law import (
     CdfQuadratureError,
-    SkewedStableParams,
     StandardStable,
     cdf,
-    from_standard,
     from_tail_constants,
-    log_cf,
-    log_cf_parts,
     sample,
-    to_standard,
 )
 
-from reference import stable_tail_constant, std_log_cf
+from reference import from_standard, stable_tail_constant, std_log_cf, to_standard
+
+from_cf = StandardStable.from_cf
 
 
 def pareto_cf_oracle(alpha, s1, s2, u, x0=1.0):
@@ -168,63 +165,89 @@ class TestFromTailConstants:
             assert prod == pytest.approx(1.0, rel=1e-12)
 
 
+# the attractor of the shipped Pareto law (alpha 1.5, s1 = 1, s2 = 2)
+SHIPPED_PARETO = from_tail_constants(1.5, 1.0, 2.0)
+
+
 class TestConversion:
     def test_symmetric(self):
-        std = to_standard(SkewedStableParams(1.5, 1.0, 0.0))
+        std = from_cf(1.5, 1.0, 0.0)
         assert (std.alpha, std.beta, std.scale) == (1.5, 0.0, 1.0)
 
     def test_gaussian(self):
-        std = to_standard(SkewedStableParams(2.0, 1.0, 0.0))
+        std = from_cf(2.0, 1.0, 0.0)
         assert (std.alpha, std.beta, std.scale) == (2.0, 0.0, 1.0)
 
     def test_scale_power(self):
-        assert to_standard(SkewedStableParams(1.5, 8.0, 0.0)).scale == pytest.approx(4.0)
+        assert from_cf(1.5, 8.0, 0.0).scale == pytest.approx(4.0)
 
     @given(st.floats(1.05, 1.99), st.floats(-1.0, 1.0), st.floats(0.1, 10.0))
     @settings(max_examples=80)
     def test_round_trip(self, alpha, beta, scale):
         std = StandardStable(alpha, beta, scale)
-        back = to_standard(from_standard(std))
+        back = from_cf(std.alpha, std.sigma, std.D)
         assert back.alpha == std.alpha
         assert back.beta == pytest.approx(std.beta, rel=1e-12, abs=1e-12)
         assert back.scale == pytest.approx(std.scale, rel=1e-12)
 
     def test_tail_side_matches_skew_sign(self):
-        # params from (s1=1, s2=0) must map to beta = -1 (no right tail)
-        std = to_standard(from_tail_constants(1.5, 1.0, 0.0))
-        assert std.beta == pytest.approx(-1.0)
+        # the attractor of (s1=1, s2=0) has beta = -1 (no right tail)
+        assert from_tail_constants(1.5, 1.0, 0.0).beta == pytest.approx(-1.0)
+
+    @given(st.one_of(st.just(2.0), st.floats(1.01, 1.99)),
+           st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+           st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+           st.one_of(st.sampled_from([-1.0 - 1e-13, 1.0 + 1e-13]), st.floats(-1.0, 1.0)))
+    @example(2.0, 1.0, 1.0, 3.0, 0.0)
+    @example(1.5, -1.0, 2.0, 1.0, -1.0)
+    @example(1.5, 1.0, 2.0, 1.0, 1.0 + 1e-13)  # D/tan past 1: beta clamps to 1
+    @example(1.5, 0.0, 1.0, SHIPPED_PARETO.sigma, 1.0 / 3.0)
+    @settings(max_examples=200)
+    def test_constructors_match_reference(self, alpha, beta, scale, sigma, skew):
+        # each constructor holds its own pair as given and derives the other
+        # bit for bit as the reference conversions do
+        law = StandardStable(alpha, beta, scale)
+        assert ((law.alpha, law.sigma, law.D) == from_standard(alpha, beta, scale)
+                and (law.beta, law.scale) == (beta, scale))
+        D = 0.0 if alpha == 2.0 else skew * math.tan(math.pi * alpha / 2.0)
+        law = from_cf(alpha, sigma, D)
+        assert ((law.alpha, law.beta, law.scale) == to_standard(alpha, sigma, D)
+                and (law.sigma, law.D) == (sigma, D))
+
+    def test_shipped_pareto_attractor(self):
+        # from_tail_constants holds the constants it computes, and the S1
+        # pair is the reference's conversion of them
+        law = SHIPPED_PARETO
+        assert (law.sigma, law.D) == (7.519884823893001, 1.0 / 3.0 * math.tan(math.pi * 1.5 / 2.0))
+        assert (law.alpha, law.beta, law.scale) == to_standard(1.5, law.sigma, law.D)
 
 
 class TestLogCf:
     def test_zero_frequency(self):
-        assert log_cf(SkewedStableParams(1.5, 1.0, 0.0), 0.0) == 0.0
+        assert from_cf(1.5, 1.0, 0.0).log_cf(0.0) == 0.0
 
     def test_unit(self):
-        assert log_cf(SkewedStableParams(1.5, 1.0, 0.0), 1.0) == -1.0
+        assert from_cf(1.5, 1.0, 0.0).log_cf(1.0) == -1.0
 
     def test_hand_value(self):
-        got = log_cf(SkewedStableParams(1.5, 6.0, -1.0), -1.0)
+        got = from_cf(1.5, 6.0, -1.0).log_cf(-1.0)
         assert got == pytest.approx(-6.0 * (1.0 - 1.0j))
 
     def test_modulus_bounded(self):
         grid = np.linspace(-50.0, 50.0, 401)
-        for params in (SkewedStableParams(1.2, 0.7, 1.0),
-                       SkewedStableParams(1.5, 2.0, -1.0),
-                       SkewedStableParams(2.0, 1.0, 0.0)):
-            assert np.all(np.abs(np.exp(log_cf(params, grid))) <= 1.0 + 1e-15)
+        for law in (from_cf(1.2, 0.7, 1.0), from_cf(1.5, 2.0, -1.0), from_cf(2.0, 1.0, 0.0)):
+            assert np.all(np.abs(np.exp(law.log_cf(grid))) <= 1.0 + 1e-15)
 
-    @pytest.mark.parametrize("params", [SkewedStableParams(1.5, 1.0, 0.0),
-                                        SkewedStableParams(1.2, 0.7, 1.0),
-                                        SkewedStableParams(1.5, 2.0, -0.5),
-                                        SkewedStableParams(2.0, 1.0, 0.0)])
+    @pytest.mark.parametrize("params", [from_cf(1.5, 1.0, 0.0), from_cf(1.2, 0.7, 1.0),
+                                        from_cf(1.5, 2.0, -0.5), from_cf(2.0, 1.0, 0.0)])
     def test_parts_in_place_match_allocating(self, params):
         # out=(u, im) overwrites u with Re bit for bit, signed zeros
         # included, and im with Im, -D * Re * sgn u as written; at D = 0 im
         # is left alone
         u = np.array([[0.0, -0.0, -1.5, 2.0], [5e-324, -1e-300, 3e100, -7.25]])
-        re, im = log_cf_parts(params, u.copy())
+        re, im = params.log_cf_parts(u.copy())
         work, work_im = u.copy(), np.full_like(u, np.nan)
-        got_re, got_im = log_cf_parts(params, work, out=(work, work_im))
+        got_re, got_im = params.log_cf_parts(work, out=(work, work_im))
         assert got_re is work
         assert (got_im is work_im) == (params.D != 0.0)
         assert np.array_equal(got_re, re) and np.array_equal(np.signbit(got_re), np.signbit(re))
@@ -234,12 +257,19 @@ class TestLogCf:
         assert np.array_equal(im, want_im) and np.array_equal(np.signbit(im), np.signbit(want_im))
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SkewedStableParams(2.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            SkewedStableParams(1.5, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            SkewedStableParams(1.5, 1.0, 1.5)  # |D| > |tan(3 pi/4)| = 1
+        with pytest.raises(ValueError, match="^need D = 0 at alpha = 2$"):
+            from_cf(2.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="^need sigma > 0$"):
+            from_cf(1.5, -1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^need \|D\| <= \|tan\(pi\*alpha/2\)\|$"):
+            from_cf(1.5, 1.0, 1.5)  # |D| > |tan(3 pi/4)| = 1
+
+    @pytest.mark.parametrize("D", [math.nan, math.inf, -math.inf])
+    def test_non_finite_skew_refused(self, D):
+        # a NaN D slipped past |D| > bound, and gave a law whose log_cf is
+        # nan+nanj while its S1 pair read beta = -1
+        with pytest.raises(ValueError, match=r"^need \|D\| <= \|tan\(pi\*alpha/2\)\|$"):
+            from_cf(1.5, 1.0, D)
 
 
 class TestSample:
