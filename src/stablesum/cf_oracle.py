@@ -88,7 +88,7 @@ from itertools import product
 
 import numpy as np
 
-from .linear_process import FddSpec, PrefixSums, floor_index
+from .linear_process import FddSpec, PrefixSums, floor_index, require_normalizer
 from .slowly_varying import SlowlyVaryingSpec, _scaled_spans, coefficient_sum
 from .stable_law import _PANEL_X, StandardStable, panel_quad
 
@@ -497,8 +497,8 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
 
     Returns the value together with its past/in-window split and tail_bound,
     the largest summed estimate of the window and past closures; raises a
-    RuntimeError when tail_bound exceeds tol, and a ValueError when a term,
-    scaled or not, is not finite.
+    RuntimeError when tail_bound exceeds tol, and a ValueError when A_N is
+    not a positive normal double or a term, scaled or not, is not finite.
 
     shared is cf_convergence_sweep's state for this fdd and freq_grid
     (freq_grid is then read from it); a call without it builds its own.
@@ -508,7 +508,8 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
     U = shared.U
     B = [floor_index(N, t) for t in fdd.times]
     first, inverse, lam = shared.rays
-    UA = U[:, first] / (float(N) ** (1.0 / law.alpha) * coefficient_sum(ell, N))
+    A_N = require_normalizer(float(N) ** (1.0 / law.alpha) * coefficient_sum(ell, N), N)
+    UA = U[:, first] / A_N
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
     S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
     window, window_est = _window(ell, S, UA, B, law, plan)

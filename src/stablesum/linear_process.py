@@ -16,6 +16,7 @@ at that N alone.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -27,9 +28,9 @@ from .slowly_varying import (
     coefficient,
     coefficient_prefix_sums,
     coefficient_sum,
-    eval_sv_log,
     held_growth,
     held_prefix_sums,
+    log_sv_slope,
 )
 from .stable_law import panel_quad
 
@@ -43,6 +44,7 @@ __all__ = [
     "simulate_path",
     "PrefixSums",
     "window_weights",
+    "require_normalizer",
     "process_normalizer",
     "joint_fdd_sample",
     "normalized_fdd_sample",
@@ -130,22 +132,27 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
     any tail regime this diagnostic inspects.
 
     The _TAIL_BLOCK lags past M are summed exactly; a block holding a term
-    below 1e-16 is the whole tail, summed over its terms of at least 1e-16.
-    Otherwise the remainder sum_{i > cut} f(i), f(x) = a(x)^alpha H(1/a(x)),
-    cut = M + _TAIL_BLOCK, is taken as int_X^inf f, X = cut + 1/2 (midpoint
-    rule).  With x = X t^(-k), k = 1/(alpha-1), it is
-    k X^(1-alpha) int_0^1 ell(x)^alpha H(x/ell(x)) dt, whose integrand is
-    bounded up to a log as t -> 0.  ln x reaches about 1e3 on panel_quad's
-    ladder, so the integrand is evaluated from ln x.
+    below 1e-16 times the series' first term f(1) is the whole tail, summed
+    over its terms of at least that, so the cut does not move with the
+    scale of ell.  Otherwise the remainder sum_{i > cut} f(i),
+    f(x) = a(x)^alpha H(1/a(x)), cut = M + _TAIL_BLOCK, is taken as
+    int_X^inf f, X = cut + 1/2 (midpoint rule).  With x = X t^(-k),
+    k = 1/(alpha-1), it is k X^(1-alpha) int_0^1 ell(x)^alpha H(x/ell(x)) dt,
+    whose integrand is bounded up to a log as t -> 0.  ln x reaches about
+    1e3 on panel_quad's ladder, and a(x) may underflow, so ln(1/a(x)) =
+    ln x - ln ell(x) is taken from logs, in the block and the integrand.
     """
     M = int(M)
     if M < 0:
         raise ValueError("need M >= 0")
     alpha = innovation.alpha
     cut = M + _TAIL_BLOCK
-    a = coefficient(ell, np.arange(M + 1, cut + 1, dtype=float))
-    terms = a**alpha * innovation.big_h_log(np.log(np.maximum(1.0 / a, 1.0)))
-    keep = terms >= 1e-16
+    i = np.concatenate([[1.0], np.arange(M + 1, cut + 1, dtype=float)])
+    ln_i = np.log(i)
+    ln_a = _log_ell(ell, ln_i) - ln_i
+    f = coefficient(ell, i)**alpha * innovation.big_h_log(np.maximum(-ln_a, 0.0))
+    terms = f[1:]
+    keep = terms >= 1e-16 * f[0]
     if not keep.all():
         return float(np.sum(terms[keep]))
     k = 1.0 / (alpha - 1.0)
@@ -153,11 +160,16 @@ def truncation_tail(ell: SlowlyVaryingSpec, innovation: InnovationSpec, M: int) 
 
     def integrand(t, _):
         lnx = lnX - k * np.log(t)
-        ell_x = eval_sv_log(ell, lnx)
-        return ell_x**alpha * innovation.big_h_log(np.maximum(lnx - np.log(ell_x), 0.0))
+        ln_ell = _log_ell(ell, lnx)
+        return np.exp(alpha * ln_ell) * innovation.big_h_log(np.maximum(lnx - ln_ell, 0.0))
 
     rem, _ = panel_quad(integrand)
     return float(np.sum(terms)) + k * (cut + 0.5) ** (1.0 - alpha) * float(rem[0])
+
+
+def _log_ell(ell: SlowlyVaryingSpec, lnx):
+    """ln ell(x) from ln x >= 0, which underflows for no p."""
+    return math.log(ell.c) + log_sv_slope(ell, lnx)[0]
 
 
 _M_FLOOR = 10_000
@@ -296,16 +308,24 @@ def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     return PrefixSums(ell, [(0, M)]).rows(1 - M, B[-1], B)
 
 
+def require_normalizer(A_N: float, N: int) -> float:
+    """A_N itself, or a ValueError unless it is a positive normal double:
+    dividing by a subnormal or zero A_N overflows."""
+    if not sys.float_info.min <= A_N < math.inf:
+        raise ValueError(f"A_N at N = {N} is {A_N:.6g}, not a positive normal double")
+    return A_N
+
+
 def process_normalizer(process: ProcessSpec, N: int) -> float:
     """A_N = N^{1/alpha} H_alpha(N)^{1/alpha} sum_{i<=N} a_i, at the alpha
     and H_alpha of the innovation law (H_alpha == 1 for an exact stable
     law; the factor 1.0 is exact), with sum_{i<=N} a_i from coefficient_sum
-    (no N-length array)."""
+    (no N-length array); refused unless a positive normal double."""
     N, law = int(N), process.innovation
     if N < 1:
         raise ValueError("need N >= 1")
-    return N ** (1.0 / law.alpha) * law.h_alpha(N) ** (1.0 / law.alpha) * coefficient_sum(
-        process.ell, N)
+    return require_normalizer(N ** (1.0 / law.alpha) * law.h_alpha(N) ** (1.0 / law.alpha)
+                              * coefficient_sum(process.ell, N), N)
 
 
 def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed, *,

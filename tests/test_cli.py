@@ -351,7 +351,8 @@ class TestThreads:
 class TestImportFootprint:
     """numpy is the only runtime dependency: no run loads a scipy module,
     including the ones that need quadrature (log-power h with an automatic
-    truncation depth, H and the Gaussian CDF at alpha = 2)."""
+    truncation depth, H and the Gaussian CDF at alpha = 2).  Nor does a run
+    load numpy's masked arrays, which the package never uses."""
 
     CLI = (
         "from stablesum import cli\n"
@@ -366,11 +367,11 @@ class TestImportFootprint:
         "reps = 60": "reps = 20"})
 
     @staticmethod
-    def scipy_modules(code, argv=()):
+    def loaded(code, argv=(), package="scipy"):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         script = ("import sys\n" + code + "print(sorted(m for m in sys.modules "
-                  "if m == 'scipy' or m.startswith('scipy.')))\n")
+                  f"if m == {package!r} or m.startswith({package + '.'!r})))\n")
         done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -381,13 +382,19 @@ class TestImportFootprint:
         argv = [] if command is None else [
             command, "--config", write(tmp_path, BASE + TOL),
             "--out-dir", str(tmp_path / "out")]
-        assert self.scipy_modules(self.CLI, argv) == "[]"
+        assert self.loaded(self.CLI, argv) == "[]"
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0])
     def test_no_scipy_in_log_power_h_verify(self, tmp_path, alpha):
         argv = ["verify", "--config", write(tmp_path, self.LOG_POWER_H.format(alpha=alpha)),
                 "--out-dir", str(tmp_path / "out")]
-        assert self.scipy_modules(self.CLI, argv) == "[]"
+        assert self.loaded(self.CLI, argv) == "[]"
+
+    def test_verify_loads_no_masked_arrays(self, tmp_path):
+        # the KS distance's CDF groups its bands by index: np.unique without
+        # index outputs imports numpy.ma
+        argv = ["verify", "--config", write(tmp_path, BASE), "--out-dir", str(tmp_path / "out")]
+        assert self.loaded(self.CLI, argv, "numpy.ma") == "[]"
 
 
 class TestHalpha:

@@ -293,7 +293,17 @@ TABLE = {
             ({"ell_kind = constant": "ell_kind = log_power\nell_p = 200"},
              "non-finite coefficient weight"),
             ({"ell_kind = constant": "ell_kind = log_power\nell_p = 400"},
-             "non-finite coefficient a_i = ell(i)/i at i = 362")])
+             "non-finite coefficient a_i = ell(i)/i at i = 362"),
+            # a_1 = ln(e + 1)^p is subnormal below p = -2599.5 and 0 below
+            # p = -2734.3: dividing by A_N overflowed and warned
+            *(({"ell_kind = constant": f"ell_kind = log_power\nell_p = {p}",
+                "truncation = 200": "truncation = 10000"}, f"A_N at N = 20 is {A_N}, not")
+              for p, A_N in ((-2650, "1.72376e-313"), (-3000, "0")))])
+    ] + [
+        Row("verify-pareto", "verify", PARETO + TOL, {
+            "ell_kind = constant": "ell_kind = log_power\nell_p = -3000",
+            "truncation = 200": "truncation = 10000"},
+            code=1, err=re.escape("error: A_N at N = 20 is 0, not"))
     ],
     "TestOracle.test_pareto_rejected": [Row("", "oracle", PARETO)],
     "TestVerify.test_impossible_criteria_fail": [

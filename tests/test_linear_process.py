@@ -3,6 +3,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,25 @@ class TestTruncationTail:
             want = math.fsum((a[M:] ** 2).tolist()) + rest
             assert truncation_tail(ell, gauss, M) == pytest.approx(want, rel=1e-10)
         assert default_truncation_depth(ell, gauss) == 40_000
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
+    def test_default_depth_independent_of_ell_scale(self, c):
+        # with H == 1, tail(M) / tail(0) does not depend on c; an absolute
+        # cut of the terms at 1e-16 gave 40000 at c = 1e-6, and the 1e8 cap
+        # at c = 1e-12, where every term is below it and tail(0) read 0
+        assert default_truncation_depth(constant(c), ExactStable(1.5, 0.0, 1.0)) == 640_000
+
+    @pytest.mark.parametrize("spec", [ExactStable(1.5, 0.0, 1.0),
+                                      ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))],
+                             ids=["stable", "pareto"])
+    @pytest.mark.parametrize("p", [-91.0, -300.0])
+    def test_default_depth_of_a_vanishing_ell(self, spec, p):
+        # every stable term a_i^1.5, a_i = ln(e + i)^p / i, is below 1e-16 at
+        # p = -91: the absolute cut read a tail(0) of 0 and ran to the cap,
+        # and at p = -300 1/a_i overflowed on the way, on the Pareto law's H
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert default_truncation_depth(log_power(1.0, p), spec) == 10_000
 
     def test_default_depth_capped(self):
         # at alpha = 1.2 no candidate below the 1e8 cap passes; the loop used

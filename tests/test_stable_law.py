@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,8 @@ from stablesum.stable_law import (
     sample,
 )
 
-from reference import from_standard, stable_tail_constant, std_log_cf, to_standard
+from reference import (AVX2, AVX512, from_standard, pinned, stable_tail_constant, std_log_cf,
+                       to_standard)
 
 from_cf = StandardStable.from_cf
 
@@ -436,3 +438,36 @@ class TestCdf:
         with pytest.raises(CdfQuadratureError) as info:
             cdf(StandardStable(1.5, 0.3, 1.0), np.linspace(-5.0, 5.0, 11))
         assert info.value.achieved > 1e-6
+
+
+def cdf_pin_grid(alpha, beta):
+    """Points just below, at and just above every band edge of cdf's body
+    (|x| = 1, 2, 4, 8, 16 and the cutoff to the tail series), 0, points
+    inside the bands and far into both tails, with both signs."""
+    cut = 12.0 + 2.0 * abs(beta * math.tan(math.pi * alpha / 2.0))
+    edges = [e for e in (1.0, 2.0, 4.0, 8.0, 16.0) if e < cut] + [cut]
+    mags = [m for e in edges for m in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+    mags += [0.5, 3.0, 1.5 * cut, 100.0, 1e4, 1e6]
+    return np.array(sorted({s * m for m in mags for s in (-1.0, 1.0)} | {0.0}))
+
+
+# sha256 of cdf at unit scale on cdf_pin_grid, one batched call per law
+PINNED_CDF = {
+    AVX512: {
+        (1.5, 0.0): "5184d2c7525cdd25d288cc9b3c35b93f507a9b7d7c0eb20f1823e052bc3c3e20",
+        (1.5, 0.7): "0c291d2f17e5304ef8a71ac064787b02c38b61d1492524ae4bb048c0860db07b",
+        (1.1, -1.0): "7ab8338df2f2eb577de497178c37bf1690f2d97aca573f815175b64e107eadd7",
+    },
+    AVX2: {
+        (1.5, 0.0): "3d8c819f59ae391690d4fe2f68e16c24d959882bc7e2653f123907590a0ad6da",
+        (1.5, 0.7): "64d295f1a991db5c16f9deb8748a2a6493d6e0f489c193f2d1dc144a6e082d5d",
+        (1.1, -1.0): "2084a59f8239f87a0e053ee28f067f6f6f5830c5244303ec215471799ba2133d",
+    },
+}
+
+
+class TestPinnedCdf:
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 0.0), (1.5, 0.7), (1.1, -1.0)])
+    def test_cdf_matches_its_pins(self, alpha, beta):
+        got = cdf(StandardStable(alpha, beta, 1.0), cdf_pin_grid(alpha, beta))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == pinned(PINNED_CDF)[alpha, beta]
