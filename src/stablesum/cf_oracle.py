@@ -8,7 +8,9 @@ vector is a (countable) exact sum
 with psi the innovation's log-CF, psi(w) = -sigma*|w|^alpha*(1 - i*D*sgn w),
 which the oracle reads from the law it is given alone: its log_cf_parts for
 the real and imaginary parts, its log_cf_slope for the round-off an error in
-w leaves in it, and its alpha for A_N and the homogeneity below.
+w leaves in it, and its alpha for the homogeneity below.  A_N is
+linear_process.normalizer, the one the Monte-Carlo samples divide by, at the
+law's alpha and H_alpha(N) (1 for a stable law).
 The sum splits into the in-window block (j inside [0, [N t_m])) and the past
 block (j < 0), whose limit is zero; the whole vector converges to the
 Levy-increment log-CF sum_i (t_i - t_{i-1}) * psi(v_i).
@@ -60,12 +62,10 @@ length, with the sums from 0 and those before it held) passes
 MEMORY_BUDGET_ELEMENTS are refused.  _prefix_sums holds every index the
 oracle reads, so rows() never fills past the last held index.
 
-One sweep (cf_convergence_sweep) does once what is the same for all its
-N (_Shared): the frequency matrix and its rays.  The partial sums from 0
-are held on ell, one array that every N, and a verify run's Monte-Carlo
-window, reads as a view, extended as an N reads further; each N builds
-only its intervals beyond 0, with no joined copy
-(BENCH_oracle_sweep.json).
+In one sweep (cf_convergence_sweep) the partial sums from 0 are held on
+ell, one array that every N, and a verify run's Monte-Carlo window, reads
+as a view, extended as an N reads further; each N builds only its
+intervals beyond 0, with no joined copy (BENCH_oracle_sweep.json).
 
 tail_bound adds up the estimates of both closures and their end
 corrections, and a call whose tail_bound exceeds tol raises instead of
@@ -84,11 +84,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .linear_process import FddSpec, PrefixSums, floor_index, require_normalizer
+from .linear_process import FddSpec, PrefixSums, floor_index, normalizer
 from .slowly_varying import SlowlyVaryingSpec, _scaled_spans, coefficient_sum
 from .stable_law import _PANEL_X, StandardStable, panel_quad
 
@@ -468,21 +467,8 @@ def _rays(U: np.ndarray):
     return first, inverse, lead / lead[first][inverse]
 
 
-class _Shared:
-    """What every N of one cf_convergence_sweep call shares: the frequency
-    matrix U of the fdd and the grid, and its rays (_rays).  It lives for
-    one call only, and the partial sums from 0 live on ell
-    (slowly_varying.held_prefix_sums), so no work carries from one run to
-    the next."""
-
-    def __init__(self, fdd: FddSpec, freq_grid):
-        self.U = _frequency_matrix(fdd, freq_grid)
-        self.rays = _rays(self.U)
-
-
 def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
-                     fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None,
-                     shared: _Shared | None = None) -> ExactFddLogCf:
+                     fdd: FddSpec, *, tol: float = 1e-8, freq_grid=None) -> ExactFddLogCf:
     """Exact joint log-CF of (A_N^{-1} S(t_1), ..., A_N^{-1} S(t_m)) at the
     fdd frequencies, for exactly stable innovations (h == 1, H_alpha == 1),
     and at each extra frequency vector of freq_grid (see grid_values).
@@ -498,17 +484,14 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
     Returns the value together with its past/in-window split and tail_bound,
     the largest summed estimate of the window and past closures; raises a
     RuntimeError when tail_bound exceeds tol, and a ValueError when A_N is
-    not a positive normal double or a term, scaled or not, is not finite.
-
-    shared is cf_convergence_sweep's state for this fdd and freq_grid
-    (freq_grid is then read from it); a call without it builds its own.
+    not a positive normal double (linear_process.normalizer) or a term,
+    scaled or not, is not finite.
     """
     N = int(N)
-    shared = _Shared(fdd, freq_grid) if shared is None else shared
-    U = shared.U
+    U = _frequency_matrix(fdd, freq_grid)
     B = [floor_index(N, t) for t in fdd.times]
-    first, inverse, lam = shared.rays
-    A_N = require_normalizer(float(N) ** (1.0 / law.alpha) * coefficient_sum(ell, N), N)
+    first, inverse, lam = _rays(U)
+    A_N = normalizer(ell, law, N)
     UA = U[:, first] / A_N
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
     S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
@@ -559,13 +542,15 @@ _GRID_CAP = 64
 
 
 def default_frequency_grid(m: int) -> list:
-    """Per-coordinate grid for sup-distances; an even stride keeps the point
-    count at _GRID_CAP when the full product would exceed it."""
-    full = list(product(_GRID_VALUES, repeat=m))
-    if len(full) <= _GRID_CAP:
-        return [np.array(g) for g in full]
-    stride = len(full) / _GRID_CAP
-    return [np.array(full[int(k * stride)]) for k in range(_GRID_CAP)]
+    """Per-coordinate grid for sup-distances: the product of _GRID_VALUES
+    over m coordinates, in itertools.product order, or when it has more
+    than _GRID_CAP points the _GRID_CAP of index k b^m // _GRID_CAP (an even
+    stride; b = len(_GRID_VALUES)).  Each kept point is read from the base-b
+    digits of its index, so no other point is built."""
+    b = len(_GRID_VALUES)
+    size = b**m
+    kept = range(size) if size <= _GRID_CAP else [k * size // _GRID_CAP for k in range(_GRID_CAP)]
+    return [np.array([_GRID_VALUES[i // b**(m - 1 - d) % b] for d in range(m)]) for i in kept]
 
 
 @dataclass(frozen=True)
@@ -591,19 +576,17 @@ def cf_convergence_sweep(ell: SlowlyVaryingSpec, law: StandardStable,
     grid only within both calls' tail_bound and round-off.  A row whose
     tail_bound exceeds tol raises.
 
-    One exact_fdd_log_cf call per N, in order, sharing one _Shared state
-    (the frequency matrix and its rays) and the sums from 0 held on ell,
-    and the limits of all the vectors in one pass.  Each row is bit for bit
-    that of its N evaluated alone."""
+    One exact_fdd_log_cf call per N, in order, sharing the sums from 0
+    held on ell, and the limits of all the vectors in one pass.  Each row is
+    bit for bit that of its N evaluated alone."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need a nonempty increasing N list")
-    shared = _Shared(fdd, freq_grid)
-    limits = _limit_log_cfs(law, fdd.times, shared.U)
+    limits = _limit_log_cfs(law, fdd.times, _frequency_matrix(fdd, freq_grid))
 
     def row(n):
         t0 = time.perf_counter()
-        out = exact_fdd_log_cf(ell, law, n, fdd, tol=tol, shared=shared)
+        out = exact_fdd_log_cf(ell, law, n, fdd, tol=tol, freq_grid=freq_grid)
         dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
         wall = (time.perf_counter() - t0) * 1e3
         return SweepRow(n, dist, abs(out.past_part), abs(out.window_part), wall,

@@ -264,14 +264,23 @@ def _require_seed(cfg: RunConfig) -> int:
     return cfg.seed
 
 
+def _check_law(cfg: RunConfig, n_list=()) -> None:
+    """A ConfigError, before any work, for a law whose H_alpha(N), N of
+    n_list, or whose draws would overflow a double: H_alpha first, so that
+    a law failing both is refused on its H."""
+    try:
+        for n in n_list:
+            cfg.innovation.h_alpha(n)
+        cfg.innovation.check_draws()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.simulate_n is None:
         raise ConfigError("simulate needs [simulate] n")
     n = cfg.simulate_n
-    try:  # a law whose draws overflow a double is refused before any work
-        cfg.innovation.check_draws()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_law(cfg)
     M = _resolve_truncation(cfg)
     path = simulate_path(ProcessSpec(cfg.ell, cfg.innovation, M), n, _require_seed(cfg))
     _atomic_write(out_dir / "simulate.csv", _path_csv(path))
@@ -330,19 +339,20 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
     The columns the criteria read are checked against the ones the
     innovation family produces (the oracle's distance and past part exist
-    for exactly stable innovations only) before any work, as is [N t_m] >= 1
-    for every N.  The ECF target is the sweep row's exact log-CF for stable
-    innovations and the Levy limit otherwise, so the exact log-CF is
-    computed once per N; so are the window weights and A_N, which give the
-    samples and the exact marginal law.  One joint_fdd_sample call guards
-    the memory of the whole pass, builds every N's weights and A_N and
-    draws every N's samples in one pass, each bit for bit those of its N
-    alone; then ECF and KS run per N.  A row's wall_time_s holds its oracle
-    row's time, its own ECF and KS, and a share of that call in proportion
-    to its innovation count K_N.  With sup_grid the target comes
-    from the call over the whole grid, at the same fixed past depth as a
-    grid-free call and within both calls' tail_bound and round-off of its
-    value; no shipped verify config sets sup_grid."""
+    for exactly stable innovations only) before any work, as are [N t_m] >= 1
+    for every N and the law (_check_law).  The ECF target is the sweep row's
+    exact log-CF for stable innovations and the Levy limit otherwise, so the
+    exact log-CF is computed once per N; so are the window weights and A_N,
+    which give the samples and the exact marginal law.  One
+    joint_fdd_sample call guards the memory of the whole pass, builds every
+    N's weights and A_N and draws every N's samples in one pass, each bit
+    for bit those of its N alone; then ECF and KS run per N.  A row's
+    wall_time_s holds its oracle row's time, its own ECF and KS, and a
+    share of that call in proportion to its innovation count K_N.  With
+    sup_grid the target comes from the call over the whole grid, at the
+    same fixed past depth as a grid-free call and within both calls'
+    tail_bound and round-off of its value; no shipped verify config sets
+    sup_grid."""
     if cfg.fdd is None or cfg.n_list is None or cfg.reps is None:
         raise ConfigError("verify needs [fdd] and [sweep] n_list, reps")
     exact = cfg.innovation.has_exact_log_cf
@@ -355,11 +365,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     _require(floor_index(cfg.n_list[0], cfg.fdd.times[-1]) >= 1,
              "need [N t_m] >= 1 for every N of [sweep] n_list")
     seed = _require_seed(cfg)
-    try:  # an h whose H overflows a double is refused before any work
-        for n in cfg.n_list:
-            cfg.innovation.h_alpha(n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_law(cfg, cfg.n_list)
     M = _resolve_truncation(cfg)
     process = ProcessSpec(cfg.ell, cfg.innovation, M)
 

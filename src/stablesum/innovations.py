@@ -7,8 +7,8 @@ each question in one way:
                       and A_N);
     big_h_log(lnt)    H at t = e^lnt, read from ln t alone (the truncation
                       tail);
-    h_alpha(N)        H_alpha(N), the factor of A_N (process_normalizer, and
-                      verify's check before any work);
+    h_alpha(N)        H_alpha(N), the factor of A_N (linear_process.normalizer,
+                      and verify's check before any work);
     has_exact_log_cf  whether the oracle's exact log-CF is its own (cli), and
                       then weighted_sum(w), the exact law of sum_j w_j eps_j;
                       such a law is its own attractor, which the oracle
@@ -122,9 +122,6 @@ class ExactStable(StandardStable):
 
     def check_draws(self) -> None:
         """CMS draws share no resolved state: nothing to check."""
-
-    def h_alpha(self, N) -> float:
-        return 1.0
 
     def big_h_log(self, lnt):
         """H == 1: at alpha = 2 the Gaussian's sum a_i^2, not 2 ln t as for h == 1."""

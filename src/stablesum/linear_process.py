@@ -4,6 +4,10 @@ The series is cut at lag M (truncation); the admissibility diagnostic is the
 tail of sum_i |a_i|^alpha H(|a_i|^-1), the same series whose finiteness makes
 the full process converge almost surely.
 
+normalizer is the package's one A_N, N^{1/alpha} H_alpha(N)^{1/alpha}
+sum_{i<=N} a_i: the Monte-Carlo samples and the oracle's exact log-CF
+(cf_oracle) both divide by it.
+
 joint_fdd_sample is the one call of the Monte-Carlo side: it guards the
 memory of the whole pass, builds each N's window weights and A_N, and
 samples the normalized fdd of every N in one pass over the replicates.  Each
@@ -32,7 +36,7 @@ from .slowly_varying import (
     held_prefix_sums,
     log_sv_slope,
 )
-from .stable_law import panel_quad
+from .stable_law import StandardStable, panel_quad
 
 __all__ = [
     "ProcessSpec",
@@ -44,8 +48,7 @@ __all__ = [
     "simulate_path",
     "PrefixSums",
     "window_weights",
-    "require_normalizer",
-    "process_normalizer",
+    "normalizer",
     "joint_fdd_sample",
     "normalized_fdd_sample",
     "MEMORY_BUDGET_ELEMENTS",
@@ -308,30 +311,28 @@ def window_weights(ell: SlowlyVaryingSpec, N: int, times, M: int) -> np.ndarray:
     return PrefixSums(ell, [(0, M)]).rows(1 - M, B[-1], B)
 
 
-def require_normalizer(A_N: float, N: int) -> float:
-    """A_N itself, or a ValueError unless it is a positive normal double:
-    dividing by a subnormal or zero A_N overflows."""
+def normalizer(ell: SlowlyVaryingSpec, law: InnovationSpec | StandardStable, N: int) -> float:
+    """A_N = N^{1/alpha} H_alpha(N)^{1/alpha} sum_{i<=N} a_i, at the alpha
+    and H_alpha of the law (H_alpha == 1 for a stable law; the factor 1.0
+    is exact), with sum_{i<=N} a_i from coefficient_sum (no N-length
+    array): the package's one A_N, which the Monte-Carlo samples and the
+    oracle's exact log-CF both divide by.  A ValueError for N < 1, and
+    unless A_N is a positive normal double: dividing by a subnormal or zero
+    A_N overflows."""
+    N = int(N)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    A_N = (N ** (1.0 / law.alpha) * law.h_alpha(N) ** (1.0 / law.alpha)
+           * coefficient_sum(ell, N))
     if not sys.float_info.min <= A_N < math.inf:
         raise ValueError(f"A_N at N = {N} is {A_N:.6g}, not a positive normal double")
     return A_N
 
 
-def process_normalizer(process: ProcessSpec, N: int) -> float:
-    """A_N = N^{1/alpha} H_alpha(N)^{1/alpha} sum_{i<=N} a_i, at the alpha
-    and H_alpha of the innovation law (H_alpha == 1 for an exact stable
-    law; the factor 1.0 is exact), with sum_{i<=N} a_i from coefficient_sum
-    (no N-length array); refused unless a positive normal double."""
-    N, law = int(N), process.innovation
-    if N < 1:
-        raise ValueError("need N >= 1")
-    return require_normalizer(N ** (1.0 / law.alpha) * law.h_alpha(N) ** (1.0 / law.alpha)
-                              * coefficient_sum(process.ell, N), N)
-
-
 def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed, *,
                      threads: int = 1) -> list:
     """For each N of n_list, (W, A_N, X): the window weights at the fdd
-    times (window_weights), A_N (process_normalizer) and the reps x m
+    times (window_weights), A_N (normalizer) and the reps x m
     matrix X of A_N^{-1} S(t_i) over independent replicates.
 
     Refused before anything is built or drawn when the joint peak memory
@@ -368,7 +369,7 @@ def joint_fdd_sample(process: ProcessSpec, n_list, fdd: FddSpec, reps: int, seed
     require_budget(max(grow, held + sum(Ks) * m + len(Ks) * reps * m + in_flight * draw),
                    f"{reps} replicates of {', '.join(map(str, Ks))} innovations "
                    f"on {in_flight} thread(s)")
-    joint = [(window_weights(process.ell, N, fdd.times, M), process_normalizer(process, N),
+    joint = [(window_weights(process.ell, N, fdd.times, M), normalizer(process.ell, law, N),
               np.empty((reps, m))) for N in n_list]
     step = -(-reps // max(threads, 1))
     starts = range(0, reps, step)

@@ -150,6 +150,11 @@ class StandardStable:
         arr *= self.alpha * self.sigma * math.hypot(1.0, self.D)
         return arr
 
+    def h_alpha(self, N) -> float:
+        """H_alpha(N), the factor of A_N (linear_process.normalizer): 1 for
+        a stable law, whose H is 1."""
+        return 1.0
+
 
 def from_tail_constants(alpha: float, sigma1: float, sigma2: float) -> StandardStable:
     """The attractor of a mean-zero law with tail constants (sigma1 left,

@@ -22,8 +22,8 @@ from stablesum.linear_process import (
     ProcessSpec,
     floor_index,
     normalized_fdd_sample,
+    normalizer,
     path_from_innovations,
-    process_normalizer,
     window_weights,
 )
 from stablesum.slowly_varying import (
@@ -88,7 +88,7 @@ class TestCriterion2:
         fdd = FddSpec((1.0,), (1.0,))
         samples = normalized_fdd_sample(process, n, fdd, reps, 91)[:, 0]
         W = window_weights(ELL1, n, fdd.times, 10_000)[:, 0]
-        A = process_normalizer(process, n)
+        A = normalizer(process.ell, process.innovation, n)
         marg = StandardStable(1.5, 0.0,
                               float(np.sum(np.abs(W / A) ** 1.5)) ** (1 / 1.5))
         ks = ks_distance(samples, lambda x: cdf(marg, x))

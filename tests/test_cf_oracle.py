@@ -996,6 +996,18 @@ class TestSweep:
         grid = default_frequency_grid(3)
         assert len(grid) == 64
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_grid_is_the_strided_product(self, m):
+        # each kept point is read from its index's digits; the reference
+        # lists the whole product (8^m points) and strides through it
+        full = list(product(cf_oracle._GRID_VALUES, repeat=m))
+        stride = max(len(full) // cf_oracle._GRID_CAP, 1)
+        want = full[::stride]
+        got = default_frequency_grid(m)
+        assert len(got) == len(want) == min(8**m, 64)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and np.array_equal(g, w)
+
     FDDS = {1: FddSpec((1.0,), (1.0,)), 2: FddSpec((0.5, 1.0), (1.0, -0.5)),
             3: FddSpec((0.2, 0.7, 1.0), (1.0, -0.5, 0.25))}
     # the sums from 0 that the rows read reach 10010, 10100 and 20000, then

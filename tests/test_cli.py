@@ -305,6 +305,24 @@ class TestVerify:
             runs.append((list(built), ell))
         assert runs[0][0] == runs[1][0] and runs[0][1] is not runs[1][1]
 
+    def test_one_normalizer_for_target_and_samples(self, tmp_path, monkeypatch):
+        # the ECF target (the oracle sweep) and the samples divide by one
+        # A_N: each namespace that binds normalizer calls it once per N, and
+        # the two get equal values
+        calls = {cf_oracle: [], lp: []}
+        original = lp.normalizer
+        for module, seen in calls.items():
+            def recorded(ell, law, N, _seen=seen):
+                A = original(ell, law, N)
+                _seen.append((N, A))
+                return A
+
+            monkeypatch.setattr(module, "normalizer", recorded)
+        assert main(["verify", "--config", write(tmp_path, BASE),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert [N for N, _ in calls[cf_oracle]] == [20, 50]
+        assert calls[cf_oracle] == calls[lp]
+
     test_empty_window_exit_2 = contract("TestVerify.test_empty_window_exit_2")
     test_overflowing_truncation_tail_exit_2 = contract(
         "TestVerify.test_overflowing_truncation_tail_exit_2")

@@ -182,6 +182,12 @@ PARETO_H_OVERFLOW = {"innovation = stable": "innovation = pareto\nsigma1 = 1.0\n
 SEED = "seed = 4242"
 H_OVERFLOW_AUTO = {"alpha = 1.5": "alpha = 2.0", "truncation = 200":
                    "truncation = auto\nh_kind = log_power\nh_c = 1e307\nh_p = 2"}
+# H_alpha(N) is finite, but h overflows on the exact tails the draws read
+DRAWS_OVERFLOW = {"sigma2 = 1.0": "sigma2 = 2.0\nh_kind = log_power\nh_c = 5e306\nh_p = 0.5"}
+# m = 9: the strided sup grid is 64 of the 8^9 points of the full product
+M9 = {"times = 0.5, 1.0": "times = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0",
+      "freqs = 1.0, -0.5": "freqs = 1.0, -0.5, 0.25, 1.0, -0.5, 0.25, 1.0, -0.5, 0.25",
+      SEED: f"{SEED}\nsup_grid = true"}
 
 TABLE = {
     "test_contract": [
@@ -191,6 +197,16 @@ TABLE = {
         # the same refusal whatever the truncation: the law is checked first
         Row("simulate-h-overflow-auto", "simulate", PARETO, H_OVERFLOW_AUTO,
             err="config error: h overflows a double", rlimit_as=LIMIT),
+        # verify refuses the law on its draws before any work, as simulate
+        # does: it once passed its H check and exited 1 on the first draw
+        Row("verify-draws-overflow", "verify", PARETO, DRAWS_OVERFLOW,
+            err="config error: h overflows a double"),
+        Row("verify-draws-overflow-auto", "verify", PARETO,
+            {**DRAWS_OVERFLOW, "truncation = 200": "truncation = auto"},
+            err="config error: h overflows a double"),
+        # the grid once listed all 8^9 points first: a bare MemoryError line
+        Row("oracle-sup_grid-m9", "oracle", BASE, M9, code=0, rlimit_as=LIMIT,
+            check=printed("^N=50 distance=")),
         # [tolerance] is the last section of the shipped config
         Row("verify_pareto-require_decreasing", "verify",
             (ROOT / "scripts/configs/verify_pareto.ini").read_text(),

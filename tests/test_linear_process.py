@@ -23,8 +23,8 @@ from stablesum.linear_process import (
     default_truncation_depth,
     floor_index,
     normalized_fdd_sample,
+    normalizer,
     path_from_innovations,
-    process_normalizer,
     simulate_path,
     truncation_tail,
     window_weights,
@@ -413,7 +413,7 @@ class TestNormalizedFdd:
         proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 25)
         N, reps, seed = 20, 6, 99
         rows = normalized_fdd_sample(proc, N, self.FDD, reps, seed)
-        A = process_normalizer(proc, N)
+        A = normalizer(proc.ell, proc.innovation, N)
         for r in range(reps):
             path = simulate_path(proc, floor_index(N, self.FDD.times[-1]), [seed, r])
             want = partial_sums(path, N, self.FDD.times) / A
@@ -424,7 +424,7 @@ class TestNormalizedFdd:
         M, N = 10, 12
         eps = np.zeros(N + M - 1)
         path = path_from_innovations(ELL1, M, eps, N)
-        A = process_normalizer(ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), M), N)
+        A = normalizer(ELL1, ExactStable(1.5, 0.0, 1.0), N)
         np.testing.assert_array_equal(partial_sums(path, N, self.FDD.times) / A,
                                       [0.0, 0.0])
 
@@ -601,12 +601,12 @@ class TestNormalizedFdd:
     def test_stable_normalizer_builds_no_n_array(self):
         # sum_{i<=N} a_i comes from coefficient_sum: the partial sums up to
         # 1000, bit for bit, and the continuation beyond, in flat memory
-        proc = ProcessSpec(ELL1, ExactStable(1.5, 0.0, 1.0), 10)
+        law = ExactStable(1.5, 0.0, 1.0)
         S = coefficient_prefix_sums(ELL1, 1000)
-        assert process_normalizer(proc, 1000) == 1000 ** (1 / 1.5) * S[1000]
+        assert normalizer(ELL1, law, 1000) == 1000 ** (1 / 1.5) * S[1000]
         tracemalloc.start()
         try:
-            A = process_normalizer(proc, 10**12)
+            A = normalizer(ELL1, law, 10**12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -615,11 +615,17 @@ class TestNormalizedFdd:
 
     def test_pareto_normalizer_uses_h_alpha(self):
         # alpha = 2 heavy-tail family scales by sqrt(N H_alpha(N)), not sqrt(N)
-        proc_pareto = ProcessSpec(ELL1, ParetoTail(2.0, 0.5, 0.5, H1), 10)
-        proc_gauss = ProcessSpec(ELL1, ExactStable(2.0, 0.0, 1.0), 10)
-        a_pareto = process_normalizer(proc_pareto, 1000)
-        a_gauss = process_normalizer(proc_gauss, 1000)
+        a_pareto = normalizer(ELL1, ParetoTail(2.0, 0.5, 0.5, H1), 1000)
+        a_gauss = normalizer(ELL1, ExactStable(2.0, 0.0, 1.0), 1000)
         assert a_pareto > 2.0 * a_gauss
+
+    def test_pareto_normalizer_carries_its_h_alpha(self):
+        # against the stable law of the same alpha (H_alpha == 1), a Pareto
+        # law's A_N is larger by its own H_alpha(N)^(1/alpha)
+        law = ParetoTail(1.5, 1.0, 2.0, log_power(1.0, 0.5))
+        ratio = normalizer(ELL1, law, 1000) / normalizer(ELL1, ExactStable(1.5, 0.0, 1.0), 1000)
+        assert law.h_alpha(1000) > 1.5
+        assert ratio == pytest.approx(law.h_alpha(1000) ** (1 / 1.5), rel=1e-15)
 
 
 class TestJointPass:

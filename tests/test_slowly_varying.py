@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stablesum import slowly_varying
 from stablesum.innovations import ParetoTail
-from stablesum.linear_process import ProcessSpec, process_normalizer
+from stablesum.linear_process import normalizer
 from stablesum.slowly_varying import (
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
@@ -323,10 +323,10 @@ class TestHAlpha:
             assert gaps[0] > gaps[1] > gaps[2]
 
 
-def _pareto(alpha):
-    """Constant ell = 1 and a Pareto-tail law with h == 1, whose A_N carries
-    the H_alpha of that h."""
-    return ProcessSpec(constant(1.0), ParetoTail(alpha, 0.5, 0.5, constant(1.0)), 1)
+def _a_n(alpha, N):
+    """A_N of constant ell = 1 and a Pareto-tail law with h == 1, which
+    carries the H_alpha of that h."""
+    return normalizer(constant(1.0), ParetoTail(alpha, 0.5, 0.5, constant(1.0)), N)
 
 
 class TestSteepH:
@@ -344,28 +344,27 @@ class TestSteepH:
 
 class TestNormalizer:
     def test_unit(self):
-        assert process_normalizer(_pareto(1.5), 1) == pytest.approx(1.0, rel=1e-14)
+        assert _a_n(1.5, 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_two(self):
-        assert process_normalizer(_pareto(1.5), 2) == pytest.approx(
-            2.0 ** (2.0 / 3.0) * 1.5, rel=1e-12)
+        assert _a_n(1.5, 2) == pytest.approx(2.0 ** (2.0 / 3.0) * 1.5, rel=1e-12)
 
     def test_alpha2_unit_has_no_fixed_point(self):
         # with the cutoff-1 transform H(t) = 2 ln t, x = ln(Nx) is insolvable
         # at N = 1, so the advertised trivial value 1 cannot exist
         with pytest.raises(HAlphaConvergenceError):
-            process_normalizer(_pareto(2.0), 1)
+            _a_n(2.0, 1)
 
     def test_monotone_in_n(self):
-        vals = [process_normalizer(_pareto(1.5), n) for n in range(1, 1001)]
+        vals = [_a_n(1.5, n) for n in range(1, 1001)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_n_alpha2(self):
-        vals = [process_normalizer(_pareto(2.0), n) for n in range(3, 400)]
+        vals = [_a_n(2.0, n) for n in range(3, 400)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            process_normalizer(_pareto(1.0), 10)
+            _a_n(1.0, 10)
         with pytest.raises(ValueError):
-            process_normalizer(_pareto(1.5), 0)
+            _a_n(1.5, 0)

@@ -225,6 +225,12 @@ class TestConversion:
 
 
 class TestLogCf:
+    def test_h_alpha_is_one(self):
+        # H == 1: A_N (linear_process.normalizer) carries no factor for any
+        # law the oracle gets, from_cf laws included
+        assert from_cf(1.5, 2.0, -0.5).h_alpha(10**6) == 1.0
+        assert from_cf(2.0, 1.0, 0.0).h_alpha(7) == 1.0
+
     def test_zero_frequency(self):
         assert from_cf(1.5, 1.0, 0.0).log_cf(0.0) == 0.0
 
