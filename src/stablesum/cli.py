@@ -8,13 +8,14 @@ verdict criterion.  All randomness flows from the [sweep] seed; a missing
 seed is a configuration error, never an implicit clock seed.  `oracle`
 writes oracle.csv and oracle.json, `verify` report.csv and report.json.
 
-`--threads k` (k >= 1) sets the replicates of `verify` only: they run on up
-to k threads, and every output is the same for every k.  On 2 CPUs the
-pool buys nothing, since OpenBLAS already runs each `eps @ W` on the
-second CPU.  `simulate` and `oracle` accept the flag and run on one
-thread.  `verify` computes the exact log-CF once per N, in the oracle
-sweep, and takes its ECF target from the sweep row; one sampling pass
-over the replicates serves every N (linear_process.joint_fdd_sample).
+`--threads k` is accepted for compatibility (bench/run.py passes it; it
+goes with ROADMAP item 23's benchmark half) and refused below 1, but
+changes nothing and starts no thread: every command runs in the calling
+thread, and OpenBLAS's own pool, which runs each `eps @ W` on the second
+CPU, is a run's only parallelism.  `verify` computes the exact log-CF once
+per N, in the oracle sweep, and takes its ECF target from the sweep row;
+one sampling pass over the replicates serves every N
+(linear_process.joint_fdd_sample).
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
 failure (one "error:" line), 2 configuration error (one "config error:"
@@ -333,7 +334,7 @@ def _marginal_cdf_target(cfg: RunConfig, W: np.ndarray, A: float):
     return StandardStable.from_cf(a.alpha, a.sigma * cfg.fdd.times[-1], a.D)
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     """Oracle sweep (stable innovations only) plus Monte Carlo per N, one
     ReportRow per N, verdicted against the [tolerance] criteria.
 
@@ -376,7 +377,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         limit = cf_oracle.limit_log_cf(cfg.innovation.attractor, cfg.fdd)
 
     t0 = time.perf_counter()
-    joint = joint_fdd_sample(process, cfg.n_list, cfg.fdd, cfg.reps, seed, threads=threads)
+    joint = joint_fdd_sample(process, cfg.n_list, cfg.fdd, cfg.reps, seed)
     joint_s = time.perf_counter() - t0
     K_total = sum(W.shape[0] for W, _, _ in joint)
     rows = []
@@ -457,7 +458,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, out_dir)
         if args.command == "oracle":
             return cmd_oracle(cfg, out_dir)
-        return cmd_verify(cfg, out_dir, args.threads)
+        return cmd_verify(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

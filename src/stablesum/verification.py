@@ -153,16 +153,12 @@ def evaluate_verdicts(rows, criteria: CriteriaConfig) -> dict:
     return verdicts
 
 
-def report_to_json(report: ConvergenceReport, *, include_timing: bool = True) -> str:
-    """Deterministic JSON body; timing excluded for byte-identity checks."""
-    rows = []
-    for r in report.rows:
-        d = {"n": r.n, "oracle_distance": r.oracle_distance,
-             "past_part": r.past_part, "ecf_distance": r.ecf_distance,
-             "ks_marginal": r.ks_marginal}
-        if include_timing:
-            d["wall_time_s"] = r.wall_time_s
-        rows.append(d)
+def report_to_json(report: ConvergenceReport) -> str:
+    """Deterministic JSON body: keys sorted, so equal reports give equal
+    bytes, and only wall_time_s differs between runs of one config."""
+    rows = [{"n": r.n, "oracle_distance": r.oracle_distance, "past_part": r.past_part,
+             "ecf_distance": r.ecf_distance, "ks_marginal": r.ks_marginal,
+             "wall_time_s": r.wall_time_s} for r in report.rows]
     doc = {"metadata": report.metadata, "rows": rows, "verdicts": report.verdicts}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -351,6 +352,23 @@ class TestThreads:
 
     def test_thread_count_does_not_change_outputs(self, tmp_path):
         assert self.outputs(tmp_path, 1) == self.outputs(tmp_path, 3)
+
+    def test_no_thread_started(self, tmp_path, monkeypatch):
+        # --threads is accepted and ignored: a verify run at 64 starts no
+        # thread and reports what a run at 1 does
+        _, expected = self.outputs(tmp_path, 1)
+
+        def refused(self):
+            raise RuntimeError("verify started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        out = tmp_path / "threads64"
+        assert main(["verify", "--config", write(tmp_path, BASE), "--out-dir", str(out),
+                     "--threads", "64"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for row in report["rows"]:
+            del row["wall_time_s"]
+        assert report == expected
 
     def test_verify_calls_oracle_once_per_n(self, tmp_path, monkeypatch):
         calls = []

@@ -125,8 +125,7 @@ class TestReport:
     def test_deterministic_body(self):
         a = _report(CriteriaConfig(max_ks=0.02), metadata={"seed": 1})
         b = _report(CriteriaConfig(max_ks=0.02), metadata={"seed": 1})
-        assert (report_to_json(a, include_timing=False)
-                == report_to_json(b, include_timing=False))
+        assert report_to_json(a) == report_to_json(b)
 
     def test_verdicts_recomputable_from_rows(self):
         criteria = CriteriaConfig(max_ks=0.02, require_decreasing=True,
