@@ -3,8 +3,8 @@
 Configuration is a flat INI file with sections mirroring the run blocks
 (process, simulate, fdd, sweep, tolerance); see scripts/configs/ for
 annotated examples.  [simulate] n is the length of the simulated path.  The
-[tolerance] keys are the fields of verification.CriteriaConfig, one per
-verdict criterion.  All randomness flows from the [sweep] seed; a missing
+[tolerance] keys are the keys of verification.CRITERIA, one per verdict
+criterion.  All randomness flows from the [sweep] seed; a missing
 seed is a configuration error, never an implicit clock seed.  `oracle`
 writes oracle.csv and oracle.json, `verify` report.csv and report.json.
 
@@ -35,7 +35,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +70,6 @@ class ConfigError(Exception):
 _BLOCK_ROWS = 256
 
 
-# [tolerance] holds the fields of CriteriaConfig, one per verdict criterion
-_CRITERIA_FIELDS = fields(verification.CriteriaConfig)
 _KNOWN_KEYS = {
     "process": {"ell_kind", "ell_c", "ell_p", "innovation", "alpha", "beta",
                 "scale", "sigma1", "sigma2", "h_kind", "h_c", "h_p", "x0",
@@ -79,7 +77,7 @@ _KNOWN_KEYS = {
     "simulate": {"n"},
     "fdd": {"times", "freqs"},
     "sweep": {"n_list", "reps", "seed", "j_tolerance", "sup_grid"},
-    "tolerance": {f.name for f in _CRITERIA_FIELDS},
+    "tolerance": set(verification.CRITERIA),
 }
 
 
@@ -95,7 +93,7 @@ class RunConfig:
     seed: int | None
     j_tolerance: float
     sup_grid: bool
-    criteria: verification.CriteriaConfig
+    criteria: dict              # the enabled [tolerance] keys and their values
     raw: dict
 
 
@@ -228,11 +226,13 @@ def parse_config(path) -> RunConfig:
     _require(reps is None or reps >= 2, "need [sweep] reps >= 2")
     _require(seed is None or seed >= 0, "need [sweep] seed >= 0")
 
-    # a flag (default False) is a boolean, a threshold a positive number
+    # a key whose test is _decreasing is a boolean flag, any other a positive
+    # threshold, so only an absent key (None) and a false flag are falsy;
+    # both leave their criterion out
     tol = parser["tolerance"] if "tolerance" in parser else {}
-    criteria = verification.CriteriaConfig(**{
-        f.name: _get(tol, f.name, _bool if f.default is False else _positive, default=f.default)
-        for f in _CRITERIA_FIELDS})
+    values = {key: _get(tol, key, _bool if test is verification._decreasing else _positive)
+              for key, (_, _, test) in verification.CRITERIA.items()}
+    criteria = {key: value for key, value in values.items() if value}
 
     raw = {s: dict(parser[s]) for s in parser.sections()}
     return RunConfig(ell, innovation, truncation, simulate_n, fdd,
@@ -336,12 +336,13 @@ def _marginal_cdf_target(cfg: RunConfig, W: np.ndarray, A: float):
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     """Oracle sweep (stable innovations only) plus Monte Carlo per N, one
-    ReportRow per N, verdicted against the [tolerance] criteria.
+    report row per N, verdicted against the [tolerance] criteria.
 
     The columns the criteria read are checked against the ones the
     innovation family produces (the oracle's distance and past part exist
-    for exactly stable innovations only) before any work, as are [N t_m] >= 1
-    for every N and the law (_check_law).  The ECF target is the sweep row's
+    for exactly stable innovations only) before any work, as are a second N
+    for a criterion that compares N's, [N t_m] >= 1 for every N and the law
+    (_check_law).  The ECF target is the sweep row's
     exact log-CF for stable innovations and the Levy limit otherwise, so the
     exact log-CF is computed once per N; so are the window weights and A_N,
     which give the samples and the exact marginal law.  One
@@ -360,9 +361,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     produced = {"ecf_distance", "ks_marginal"}
     if exact:
         produced |= {"oracle_distance", "past_part"}
-    absent = sorted(cfg.criteria.columns() - produced)
+    absent = sorted({verification.CRITERIA[key][1] for key in cfg.criteria} - produced)
     _require(not absent, f"[tolerance] criteria read {absent}, which only the oracle "
                          "sweep of exactly stable innovations produces")
+    trend = [key for key in cfg.criteria
+             if verification.CRITERIA[key][2] is not verification._max_below]
+    _require(len(cfg.n_list) > 1 or not trend,
+             f"[tolerance] {trend} compare N's, but [sweep] n_list has one N")
     _require(floor_index(cfg.n_list[0], cfg.fdd.times[-1]) >= 1,
              "need [N t_m] >= 1 for every N of [sweep] n_list")
     seed = _require_seed(cfg)
@@ -390,18 +395,18 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         wall = time.perf_counter() - t0 + joint_s * W.shape[0] / K_total
         distance, past, oracle_s = ((None, None, 0.0) if orow is None else
                                     (orow.distance, orow.past_part, orow.wall_ms / 1e3))
-        rows.append(verification.ReportRow(n, distance, past, float(abs(est - np.exp(target))),
-                                           float(ks), oracle_s + wall))
+        rows.append({"n": n, "oracle_distance": distance, "past_part": past,
+                     "ecf_distance": float(abs(est - np.exp(target))),
+                     "ks_marginal": float(ks), "wall_time_s": oracle_s + wall})
 
     metadata = {"config": cfg.raw, "seed": seed, "reps": cfg.reps,
                 "truncation": M, "n_list": list(cfg.n_list)}
-    report = verification.ConvergenceReport(
-        metadata, rows, verification.evaluate_verdicts(rows, cfg.criteria))
-    _atomic_write(out_dir / "report.json", [verification.report_to_json(report)])
-    _atomic_write(out_dir / "report.csv", [verification.report_rows_to_csv(report)])
-    passed = report.passed
-    n_pass = sum(report.verdicts.values())
-    print(f"verdict={'PASS' if passed else 'FAIL'} ({n_pass}/{len(report.verdicts)} criteria)")
+    verdicts = verification.evaluate_verdicts(rows, cfg.criteria)
+    _atomic_write(out_dir / "report.json", [verification.report_to_json(metadata, rows, verdicts)])
+    _atomic_write(out_dir / "report.csv", [verification.report_rows_to_csv(rows)])
+    passed = all(verdicts.values())
+    n_pass = sum(verdicts.values())
+    print(f"verdict={'PASS' if passed else 'FAIL'} ({n_pass}/{len(verdicts)} criteria)")
     return 0 if passed else 1
 
 

@@ -1,26 +1,24 @@
 """Statistical verification machinery and convergence reports.
 
-`verify` turns each N of its grid into one ReportRow (the Monte-Carlo ECF
-and KS distances, plus the oracle sweep's distance and past part for exactly
-stable innovations) and verdicts the rows against the [tolerance] criteria.
-Each criterion is one entry of _CRITERIA: its [tolerance] key, its verdict
-key, the ReportRow column it reads and its test.  CriteriaConfig is built
-from the table, one field per key, and the CLI reads the [tolerance] keys
-and their types from the fields, so each key is spelled once."""
+`verify` turns each N of its grid into one row, the dict that report.json
+holds: n, the oracle sweep's distance and past part (None off the exactly
+stable family), the Monte-Carlo ECF and KS distances, and the N's wall
+time.  It verdicts the rows against the [tolerance] criteria.  Each
+criterion is one entry of CRITERIA: its [tolerance] key, its verdict key,
+the row column it reads and its test.  The CLI reads the [tolerance] keys
+and whether each is a flag from the table, so each key is spelled once."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 __all__ = [
     "ecf",
     "ks_distance",
-    "ReportRow",
-    "CriteriaConfig",
-    "ConvergenceReport",
+    "CRITERIA",
+    "evaluate_verdicts",
     "report_to_json",
     "report_rows_to_csv",
     "REPORT_CSV_HEADER",
@@ -68,20 +66,6 @@ def ks_distance(samples, cdf) -> float:
     return float(max(d_plus, d_minus, 0.0))
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One N of a verify run: the oracle sweep's distance and past part
-    (None off the exactly stable family), the Monte-Carlo ECF and KS
-    distances, and the N's wall time."""
-
-    n: int
-    oracle_distance: float | None
-    past_part: float | None
-    ecf_distance: float | None
-    ks_marginal: float | None
-    wall_time_s: float
-
-
 def _decreasing(col, _):
     return all(a > b for a, b in zip(col, col[1:]))
 
@@ -94,85 +78,50 @@ def _max_below(col, bound):
     return max(col) < bound
 
 
-# one entry per criterion: its [tolerance] key, which is also its
-# CriteriaConfig field, its verdict key, the ReportRow column it reads, and
-# its test of that column against the key's value
-_CRITERIA = (
-    ("require_decreasing", "distance_decreasing", "oracle_distance", _decreasing),
-    ("max_distance_ratio", "distance_ratio", "oracle_distance", _ratio_below),
-    ("require_decreasing_past", "past_decreasing", "past_part", _decreasing),
-    ("max_past_ratio", "past_ratio", "past_part", _ratio_below),
-    ("max_ks", "ks_max", "ks_marginal", _max_below),
-    ("max_ecf", "ecf_max", "ecf_distance", _max_below),
-)
+# each [tolerance] key: its verdict key, the report column it reads and its
+# test of that column against the key's value.  A key whose test is
+# _decreasing is a flag, every other key a positive threshold; every test but
+# _max_below compares N's, so verify refuses it on a one-N grid
+CRITERIA = {
+    "require_decreasing": ("distance_decreasing", "oracle_distance", _decreasing),
+    "max_distance_ratio": ("distance_ratio", "oracle_distance", _ratio_below),
+    "require_decreasing_past": ("past_decreasing", "past_part", _decreasing),
+    "max_past_ratio": ("past_ratio", "past_part", _ratio_below),
+    "max_ks": ("ks_max", "ks_marginal", _max_below),
+    "max_ecf": ("ecf_max", "ecf_distance", _max_below),
+}
 
 
-def _columns(self) -> set:
-    """The ReportRow columns that the configured criteria read."""
-    return {column for _, column, _, _ in _configured(self)}
-
-
-# thresholds to verdict against, one field per _CRITERIA key: a flag
-# (default False) for a _decreasing test, else a number or None; None (or
-# False) disables a check
-CriteriaConfig = make_dataclass(
-    "CriteriaConfig",
-    [(key, bool, field(default=False)) if test is _decreasing
-     else (key, "float | None", field(default=None)) for key, _, _, test in _CRITERIA],
-    namespace={"__module__": __name__, "columns": _columns}, frozen=True)
-
-
-def _configured(criteria: CriteriaConfig):
-    """(verdict key, column, test, value) of each enabled criterion."""
-    for name, key, column, test in _CRITERIA:
-        value = getattr(criteria, name)
-        if value is not None and value is not False:
-            yield key, column, test, value
-
-
-@dataclass
-class ConvergenceReport:
-    metadata: dict
-    rows: list
-    verdicts: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-
-def evaluate_verdicts(rows, criteria: CriteriaConfig) -> dict:
-    """Pass/fail flag of each configured criterion, recomputable from the
-    rows alone; a ValueError if a row lacks a column a criterion reads."""
+def evaluate_verdicts(rows, criteria: dict) -> dict:
+    """Pass/fail flag of each criterion of criteria (the enabled [tolerance]
+    keys and their values), recomputable from the rows alone; a ValueError
+    if a row lacks a column a criterion reads."""
     verdicts = {}
-    for key, column, test, value in _configured(criteria):
-        col = [getattr(r, column) for r in rows]
+    for name, value in criteria.items():
+        key, column, test = CRITERIA[name]
+        col = [r[column] for r in rows]
         if any(v is None for v in col):
             raise ValueError(f"criterion {key!r} reads the absent column {column!r}")
         verdicts[key] = test(col, value)
     return verdicts
 
 
-def report_to_json(report: ConvergenceReport) -> str:
+def report_to_json(metadata: dict, rows: list, verdicts: dict) -> str:
     """Deterministic JSON body: keys sorted, so equal reports give equal
     bytes, and only wall_time_s differs between runs of one config."""
-    rows = [{"n": r.n, "oracle_distance": r.oracle_distance, "past_part": r.past_part,
-             "ecf_distance": r.ecf_distance, "ks_marginal": r.ks_marginal,
-             "wall_time_s": r.wall_time_s} for r in report.rows]
-    doc = {"metadata": report.metadata, "rows": rows, "verdicts": report.verdicts}
+    doc = {"metadata": metadata, "rows": rows, "verdicts": verdicts}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 REPORT_CSV_HEADER = "N,oracle_distance,past_part,ecf_distance,ks_marginal,wall_time"
+# the row column of each CSV column after N
+_CSV_COLUMNS = ("oracle_distance", "past_part", "ecf_distance", "ks_marginal", "wall_time_s")
 
 
-def report_rows_to_csv(report: ConvergenceReport) -> str:
+def report_rows_to_csv(rows: list) -> str:
     def cell(v):
         return "" if v is None else repr(float(v))
 
     lines = [REPORT_CSV_HEADER]
-    for r in report.rows:
-        lines.append(",".join([str(r.n), cell(r.oracle_distance), cell(r.past_part),
-                               cell(r.ecf_distance), cell(r.ks_marginal),
-                               cell(r.wall_time_s)]))
+    lines += [",".join([str(r["n"]), *(cell(r[c]) for c in _CSV_COLUMNS)]) for r in rows]
     return "\n".join(lines) + "\n"

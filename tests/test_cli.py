@@ -15,7 +15,7 @@ from test_contracts import BASE, PARETO, TOL, Row, contract, edited, printed, ru
 from stablesum import cf_oracle, cli, innovations, slowly_varying
 from stablesum import linear_process as lp
 from stablesum.cli import ConfigError, main, parse_config
-from stablesum.verification import CriteriaConfig
+from stablesum.verification import evaluate_verdicts
 
 from reference import constant, log_power
 
@@ -66,7 +66,8 @@ class TestParse:
     test_removed_keys_exit_2 = contract("TestParse.test_removed_keys_exit_2")
 
     def test_tolerance_keys_are_the_criteria(self, tmp_path):
-        # each [tolerance] key sets the CriteriaConfig field of its name
+        # each [tolerance] key is a key of verification.CRITERIA; a criterion
+        # is left out of the parsed dict when its key is absent or a false flag
         assert cli._KNOWN_KEYS.keys() == {"process", "simulate", "fdd", "sweep", "tolerance"}
         assert sum(map(len, cli._KNOWN_KEYS.values())) == 28
         keys = ["max_ks", "max_ecf", "require_decreasing", "max_distance_ratio",
@@ -74,10 +75,12 @@ class TestParse:
         assert cli._KNOWN_KEYS["tolerance"] == set(keys)
         values = ["0.5", "0.25", "true", "0.75", "yes", "0.125"]
         text = BASE + "\n[tolerance]\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys, values))
-        assert parse_config(write(tmp_path, text)).criteria == CriteriaConfig(
-            max_ks=0.5, max_ecf=0.25, require_decreasing=True, max_distance_ratio=0.75,
-            require_decreasing_past=True, max_past_ratio=0.125)
-        assert parse_config(write(tmp_path, BASE, "bare.ini")).criteria == CriteriaConfig()
+        assert parse_config(write(tmp_path, text)).criteria == {
+            "max_ks": 0.5, "max_ecf": 0.25, "require_decreasing": True,
+            "max_distance_ratio": 0.75, "require_decreasing_past": True, "max_past_ratio": 0.125}
+        assert parse_config(write(tmp_path, BASE, "bare.ini")).criteria == {}
+        off = BASE + "\n[tolerance]\nrequire_decreasing = false\n"
+        assert parse_config(write(tmp_path, off, "off.ini")).criteria == {}
 
     test_bad_domain_is_config_error = contract("TestParse.test_bad_domain_is_config_error")
 
@@ -382,6 +385,38 @@ class TestThreads:
         assert main(["verify", "--config", write(tmp_path, BASE),
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == [20, 50]
+
+
+class TestOutputFormats:
+    """Each output file is pinned by re-rendering it, byte for byte, from
+    its own JSON: a JSON file is its parsed body dumped with sorted keys, and
+    each CSV line is rebuilt from the JSON rows in order."""
+
+    @staticmethod
+    def parsed(path):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        return json.loads(text)
+
+    def test_oracle(self, tmp_path):
+        run(Row("", "oracle", BASE + TOL, code=0), tmp_path)
+        rows = self.parsed(tmp_path / "out" / "oracle.json")["rows"]
+        lines = (tmp_path / "out" / "oracle.csv").read_text().splitlines(keepends=True)
+        assert lines == ["N,distance,past_part,wall_ms\n"] + [
+            f"{r['n']},{r['distance']!r},{r['past_part']!r},{r['wall_ms']:.3f}\n" for r in rows]
+
+    @pytest.mark.parametrize("base", [BASE, PARETO], ids=["stable", "pareto"])
+    def test_verify(self, tmp_path, base):
+        run(Row("", "verify", base + TOL, code=0), tmp_path)
+        report = self.parsed(tmp_path / "out" / "report.json")
+        columns = ["oracle_distance", "past_part", "ecf_distance", "ks_marginal", "wall_time_s"]
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines(keepends=True)
+        assert lines == ["N,oracle_distance,past_part,ecf_distance,ks_marginal,wall_time\n"] + [
+            ",".join([str(r["n"]), *("" if r[c] is None else repr(float(r[c])) for c in columns)])
+            + "\n" for r in report["rows"]]
+        criteria = parse_config(str(tmp_path / "run.ini")).criteria
+        verdicts = evaluate_verdicts(report["rows"], criteria)
+        assert verdicts == report["verdicts"] == {"ks_max": True}
 
 
 class TestImportFootprint:

@@ -189,6 +189,12 @@ M9 = {"times = 0.5, 1.0": "times = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0",
       "freqs = 1.0, -0.5": "freqs = 1.0, -0.5, 0.25, 1.0, -0.5, 0.25, 1.0, -0.5, 0.25",
       SEED: f"{SEED}\nsup_grid = true"}
 
+
+def one_n(tolerance):
+    """BASE's edits to a one-N grid verdicted against the [tolerance] lines."""
+    return {"n_list = 20, 50": "n_list = 50", SEED: f"{SEED}\n\n[tolerance]\n{tolerance}"}
+
+
 TABLE = {
     "test_contract": [
         # the law verify refuses on its H (pareto-h-overflow), simulate on its exact tails
@@ -211,6 +217,9 @@ TABLE = {
         Row("verify_pareto-require_decreasing", "verify",
             (ROOT / "scripts/configs/verify_pareto.ini").read_text(),
             {"max_ks = 0.2": "max_ks = 0.2\nrequire_decreasing = true"}),
+        # a criterion that reads one N at a time stays valid on a one-N grid
+        Row("one-N-max_ks-max_ecf", "verify", BASE, one_n("max_ks = 1.0\nmax_ecf = 1.0"),
+            code=0, check=printed(r"^verdict=PASS \(2/2 criteria\)$")),
         Row("readme-halpha-log-power", "halpha",
             argv="--alpha 1.5 --kind log_power --c 1 --p -2 --n 100000", code=0,
             check=printed("^residual=")),
@@ -244,6 +253,20 @@ TABLE = {
           for value in ("nan", "inf", "0", "-1")
           for row in bad_input(f"{key}-{value}", "verify",
                                {SEED: f"{SEED}\n\n[tolerance]\n{key} = {value}"})),
+        # a trend criterion compares N's: on a one-N grid the ratios once
+        # compared d(50) with itself (exit 1 at 0.9, exit 0 at 1.5) and the
+        # flags passed vacuously
+        *(row for id, tolerance, named in (
+            ("max_distance_ratio-0.9", "max_distance_ratio = 0.9", "'max_distance_ratio'"),
+            ("max_distance_ratio-1.5", "max_distance_ratio = 1.5", "'max_distance_ratio'"),
+            ("require_decreasing", "require_decreasing = true", "'require_decreasing'"),
+            ("require_decreasing_past", "require_decreasing_past = true",
+             "'require_decreasing_past'"),
+            ("max_past_ratio", "max_past_ratio = 0.9", "'max_past_ratio'"),
+            ("all", "max_ks = 1.0\nrequire_decreasing = true\nmax_past_ratio = 0.9",
+             "'require_decreasing', 'max_past_ratio'"))
+          for row in bad_input(f"one-N-{id}", "verify", one_n(tolerance),
+                               err=re.escape(f"config error: [tolerance] [{named}] compare N's"))),
         # [simulate] t is no key: the path length is [simulate] n, whatever t says
         *(row for name, value in (("zero", "0"), ("negative", "-1.0"), ("nan", "nan"),
                                   ("inf", "inf"))

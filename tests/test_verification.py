@@ -7,10 +7,8 @@ from scipy.special import erf
 from stablesum.innovations import ParetoTail, sample_innovations
 from stablesum.stable_law import StandardStable, cdf, sample
 from stablesum.verification import (
+    CRITERIA,
     REPORT_CSV_HEADER,
-    ConvergenceReport,
-    CriteriaConfig,
-    ReportRow,
     ecf,
     evaluate_verdicts,
     ks_distance,
@@ -103,65 +101,76 @@ class TestTailRatio:
 
 
 def _rows(mc=True):
-    """Two N of a stable verify run; mc=False leaves the Monte-Carlo columns
-    absent."""
+    """Two N of a stable verify run, as report.json holds them; mc=False
+    leaves the Monte-Carlo columns absent."""
     ecf_ks = [(0.01, 0.015), (0.012, 0.013)] if mc else [(None, None)] * 2
-    return [ReportRow(100, 0.3, 0.05, *ecf_ks[0], 1.01),
-            ReportRow(1000, 0.2, 0.03, *ecf_ks[1], 2.02)]
+    return [{"n": n, "oracle_distance": d, "past_part": past, "ecf_distance": e,
+             "ks_marginal": ks, "wall_time_s": wall}
+            for n, d, past, (e, ks), wall in ((100, 0.3, 0.05, ecf_ks[0], 1.01),
+                                              (1000, 0.2, 0.03, ecf_ks[1], 2.02))]
 
 
 def _report(criteria, rows=None, metadata=None):
+    """The report.json document of rows verdicted against criteria."""
     rows = _rows() if rows is None else rows
-    return ConvergenceReport(dict(metadata or {}), rows, evaluate_verdicts(rows, criteria))
+    return {"metadata": dict(metadata or {}), "rows": rows,
+            "verdicts": evaluate_verdicts(rows, criteria)}
+
+
+def _passed(report):
+    return all(report["verdicts"].values())
+
+
+def _columns(criteria):
+    """The row columns that the criteria read."""
+    return {CRITERIA[key][1] for key in criteria}
 
 
 class TestReport:
     def test_oracle_only_marks_mc_absent(self):
-        rep = _report(CriteriaConfig(require_decreasing=True), _rows(mc=False))
-        assert all(r.ecf_distance is None and r.ks_marginal is None for r in rep.rows)
-        assert rep.verdicts == {"distance_decreasing": True}
-        assert rep.passed
+        rep = _report({"require_decreasing": True}, _rows(mc=False))
+        assert all(r["ecf_distance"] is None and r["ks_marginal"] is None for r in rep["rows"])
+        assert rep["verdicts"] == {"distance_decreasing": True}
+        assert _passed(rep)
 
     def test_deterministic_body(self):
-        a = _report(CriteriaConfig(max_ks=0.02), metadata={"seed": 1})
-        b = _report(CriteriaConfig(max_ks=0.02), metadata={"seed": 1})
-        assert report_to_json(a) == report_to_json(b)
+        a = _report({"max_ks": 0.02}, metadata={"seed": 1})
+        b = _report({"max_ks": 0.02}, metadata={"seed": 1})
+        assert report_to_json(**a) == report_to_json(**b)
 
     def test_verdicts_recomputable_from_rows(self):
-        criteria = CriteriaConfig(max_ks=0.02, require_decreasing=True,
-                                  max_distance_ratio=0.9)
+        criteria = {"max_ks": 0.02, "require_decreasing": True, "max_distance_ratio": 0.9}
         rep = _report(criteria)
-        assert rep.verdicts == {"distance_decreasing": True, "distance_ratio": True,
-                                "ks_max": True}
+        assert rep["verdicts"] == {"distance_decreasing": True, "distance_ratio": True,
+                                   "ks_max": True}
 
     def test_every_criterion_verdicts_its_column(self):
-        criteria = CriteriaConfig(max_ks=0.014, max_ecf=0.02,
-                                  require_decreasing=True, max_distance_ratio=0.5,
-                                  require_decreasing_past=True, max_past_ratio=0.7)
+        criteria = {"max_ks": 0.014, "max_ecf": 0.02,
+                    "require_decreasing": True, "max_distance_ratio": 0.5,
+                    "require_decreasing_past": True, "max_past_ratio": 0.7}
         assert evaluate_verdicts(_rows(), criteria) == {
             "ks_max": False, "ecf_max": True, "distance_decreasing": True,
             "distance_ratio": False, "past_decreasing": True, "past_ratio": True}
-        assert criteria.columns() == {"ks_marginal", "ecf_distance", "oracle_distance",
+        assert _columns(criteria) == {"ks_marginal", "ecf_distance", "oracle_distance",
                                       "past_part"}
 
     def test_columns_of_configured_criteria_only(self):
-        assert CriteriaConfig().columns() == set()
-        assert CriteriaConfig(max_ks=0.1).columns() == {"ks_marginal"}
-        assert CriteriaConfig(require_decreasing_past=True).columns() == {"past_part"}
-        assert CriteriaConfig(require_decreasing=False,
-                              max_distance_ratio=0.9).columns() == {"oracle_distance"}
+        assert _columns({}) == set()
+        assert _columns({"max_ks": 0.1}) == {"ks_marginal"}
+        assert _columns({"require_decreasing_past": True}) == {"past_part"}
+        assert _columns({"max_distance_ratio": 0.9}) == {"oracle_distance"}
 
     def test_failing_verdict(self):
-        rep = _report(CriteriaConfig(max_ks=0.01))
-        assert not rep.passed
+        rep = _report({"max_ks": 0.01})
+        assert not _passed(rep)
 
     def test_criterion_without_column_rejected(self):
         with pytest.raises(ValueError, match="ks_marginal"):
-            evaluate_verdicts(_rows(mc=False), CriteriaConfig(max_ks=0.02))
+            evaluate_verdicts(_rows(mc=False), {"max_ks": 0.02})
 
     def test_csv_schema(self):
-        rep = _report(CriteriaConfig(), _rows(mc=False))
-        text = report_rows_to_csv(rep)
+        rep = _report({}, _rows(mc=False))
+        text = report_rows_to_csv(rep["rows"])
         lines = text.strip().split("\n")
         assert lines[0] == REPORT_CSV_HEADER
         assert lines[1].startswith("100,0.3,0.05,,,")
