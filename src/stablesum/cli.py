@@ -2,19 +2,24 @@
 
 Configuration is a flat INI file with sections mirroring the run blocks
 (process, simulate, fdd, sweep, tolerance); see scripts/configs/ for
-annotated examples.  [simulate] n is the length of the simulated path.  The
-[tolerance] keys are the keys of verification.CRITERIA, one per verdict
-criterion.  All randomness flows from the [sweep] seed; a missing
-seed is a configuration error, never an implicit clock seed.  `oracle`
-writes oracle.csv and oracle.json, `verify` report.csv and report.json.
+annotated examples.  CONFIG declares each section's keys, each with its
+converter and default; the [tolerance] keys are the keys of
+verification.CRITERIA, one per verdict criterion.  Every key a file gives
+is converted and checked, with the range its converter holds, the same way
+for every command and innovation family, whether or not the run reads it:
+`oracle` refuses `max_ks = -1`, and a stable config `sigma1 = abc`.  A
+check that needs another key, or that builds a law, runs where that value
+is built.  [simulate] n is the length of the simulated path.  All
+randomness flows from the [sweep] seed; a missing seed is a configuration
+error, never an implicit clock seed.  `oracle` writes oracle.csv and
+oracle.json, `verify` report.csv and report.json.
 
-`--threads k` is accepted for compatibility (bench/run.py passes it; it
-goes with ROADMAP item 23's benchmark half) and refused below 1, but
-changes nothing and starts no thread: every command runs in the calling
-thread, and OpenBLAS's own pool, which runs each `eps @ W` on the second
-CPU, is a run's only parallelism.  `verify` computes the exact log-CF once
-per N, in the oracle sweep, and takes its ECF target from the sweep row;
-one sampling pass over the replicates serves every N
+`--threads k` is accepted and refused below 1, but changes nothing and
+starts no thread: every command runs in the calling thread, and
+OpenBLAS's own pool, which runs each `eps @ W` on the second CPU, is a
+run's only parallelism.  `verify` computes the exact log-CF once per N, in
+the oracle sweep, and takes its ECF target from the sweep row; one
+sampling pass over the replicates serves every N
 (linear_process.joint_fdd_sample).
 
 Exit codes: 0 success (verify: all criteria pass), 1 runtime or criteria
@@ -70,17 +75,6 @@ class ConfigError(Exception):
 _BLOCK_ROWS = 256
 
 
-_KNOWN_KEYS = {
-    "process": {"ell_kind", "ell_c", "ell_p", "innovation", "alpha", "beta",
-                "scale", "sigma1", "sigma2", "h_kind", "h_c", "h_p", "x0",
-                "truncation"},
-    "simulate": {"n"},
-    "fdd": {"times", "freqs"},
-    "sweep": {"n_list", "reps", "seed", "j_tolerance", "sup_grid"},
-    "tolerance": set(verification.CRITERIA),
-}
-
-
 @dataclass
 class RunConfig:
     ell: SlowlyVaryingSpec
@@ -95,19 +89,6 @@ class RunConfig:
     sup_grid: bool
     criteria: dict              # the enabled [tolerance] keys and their values
     raw: dict
-
-
-def _get(section, key, conv, default=None, required=False):
-    """The converted value of key; a blank value counts as a missing key."""
-    raw = section[key].strip() if key in section else ""
-    if raw == "":
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
 
 def _bool(raw):
@@ -142,6 +123,54 @@ def _truncation(raw):
     return int(raw)
 
 
+# the default of a key that its section, when given, must set
+_REQUIRED = object()
+
+# each section's keys, each key's (converter, default); a key absent or blank
+# takes its default.  A [tolerance] key whose test is _decreasing is a
+# boolean flag, any other a positive threshold, so only an absent key (None)
+# and a false flag are falsy; both leave their criterion out
+CONFIG = {
+    "process": {
+        "innovation": (str, _REQUIRED), "alpha": (float, _REQUIRED),
+        "ell_kind": (str, "constant"), "ell_c": (float, 1.0), "ell_p": (float, 0.0),
+        "truncation": (_truncation, "auto"),
+        # stable
+        "beta": (float, 0.0), "scale": (float, 1.0),
+        # pareto; sigma1 and sigma2 are required of it
+        "sigma1": (float, None), "sigma2": (float, None),
+        "h_kind": (str, "constant"), "h_c": (float, 1.0), "h_p": (float, 0.0),
+        "x0": (float, 1.0),
+    },
+    "simulate": {"n": (int, None)},
+    "fdd": {"times": (_float_list, _REQUIRED), "freqs": (_float_list, _REQUIRED)},
+    "sweep": {"n_list": (_int_list, None), "reps": (int, None), "seed": (int, None),
+              "j_tolerance": (_positive, 1e-8), "sup_grid": (_bool, False)},
+    "tolerance": {key: (_bool if test is verification._decreasing else _positive, None)
+                  for key, (_, _, test) in verification.CRITERIA.items()},
+}
+
+
+def _convert(parser, name):
+    """The values of CONFIG[name]'s keys in the file's section name: a key
+    absent or blank takes its default, or is None if the section is absent
+    too and the key required."""
+    given = parser[name] if name in parser else {}
+    values = {}
+    for key, (conv, default) in CONFIG[name].items():
+        raw = given.get(key, "").strip()
+        if raw == "":
+            _require(default is not _REQUIRED or name not in parser,
+                     f"missing required key {key!r}")
+            values[key] = None if default is _REQUIRED else default
+            continue
+        try:
+            values[key] = conv(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+    return values
+
+
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ConfigError(message)
@@ -152,16 +181,12 @@ def _sv_spec(kind: str, c: float, p: float) -> SlowlyVaryingSpec:
     return SlowlyVaryingSpec(kind, c, 0.0 if kind == "constant" else p)
 
 
-def _sv_from(section, prefix):
-    kind = _get(section, f"{prefix}_kind", str, default="constant")
-    c = _get(section, f"{prefix}_c", float, default=1.0)
-    p = _get(section, f"{prefix}_p", float, default=0.0)
-    return _sv_spec(kind, c, p)
-
-
 def parse_config(path) -> RunConfig:
+    """The run a config file sets: every key given is converted and checked
+    against CONFIG, then the specs and the cross-key checks are built."""
+    # no header can be empty, so [DEFAULT] is an ordinary (unknown) section
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:  # its message may span lines
@@ -170,53 +195,40 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in CONFIG:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = set(parser[section]) - CONFIG[section].keys()
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
     if "process" not in parser:
         raise ConfigError("missing [process] section")
+    values = {name: _convert(parser, name) for name in CONFIG}
 
-    proc = parser["process"]
-    # a spec's ValueError is a config error; _get and _require raise
-    # ConfigError themselves
+    proc, sweep = values["process"], values["sweep"]
+    # a spec's ValueError is a config error
     try:
-        ell = _sv_from(proc, "ell")
-        family = _get(proc, "innovation", str, required=True)
+        ell = _sv_spec(proc["ell_kind"], proc["ell_c"], proc["ell_p"])
+        family = proc["innovation"]
         if family == "stable":
-            innovation = ExactStable(_get(proc, "alpha", float, required=True),
-                                     _get(proc, "beta", float, default=0.0),
-                                     _get(proc, "scale", float, default=1.0))
+            innovation = ExactStable(proc["alpha"], proc["beta"], proc["scale"])
         elif family == "pareto":
-            innovation = ParetoTail(_get(proc, "alpha", float, required=True),
-                                    _get(proc, "sigma1", float, required=True),
-                                    _get(proc, "sigma2", float, required=True),
-                                    _sv_from(proc, "h"),
-                                    _get(proc, "x0", float, default=1.0))
+            for key in ("sigma1", "sigma2"):
+                _require(proc[key] is not None, f"missing required key {key!r}")
+            innovation = ParetoTail(proc["alpha"], proc["sigma1"], proc["sigma2"],
+                                    _sv_spec(proc["h_kind"], proc["h_c"], proc["h_p"]),
+                                    proc["x0"])
         else:
             raise ConfigError(f"unknown innovation family {family!r}")
-
-        truncation = _get(proc, "truncation", _truncation, default="auto")
-
-        simulate_n = _get(parser["simulate"] if "simulate" in parser else {}, "n", int)
-        _require(simulate_n is None or 1 <= simulate_n <= MAX_INDEX,
-                 "need 1 <= [simulate] n <= 2**53")
-
         fdd = None
         if "fdd" in parser:
-            times = _get(parser["fdd"], "times", _float_list, required=True)
-            freqs = _get(parser["fdd"], "freqs", _float_list, required=True)
-            fdd = FddSpec(tuple(times), tuple(freqs))
+            fdd = FddSpec(tuple(values["fdd"]["times"]), tuple(values["fdd"]["freqs"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep = parser["sweep"] if "sweep" in parser else {}
-    n_list = _get(sweep, "n_list", _int_list)
-    reps = _get(sweep, "reps", int)
-    seed = _get(sweep, "seed", int)
-    j_tol = _get(sweep, "j_tolerance", _positive, default=1e-8)
-    sup_grid = _get(sweep, "sup_grid", _bool, default=False)
+    simulate_n = values["simulate"]["n"]
+    _require(simulate_n is None or 1 <= simulate_n <= MAX_INDEX,
+             "need 1 <= [simulate] n <= 2**53")
+    n_list, reps, seed = sweep["n_list"], sweep["reps"], sweep["seed"]
     _require(n_list is None or bool(n_list) and min(n_list) >= 1
              and all(b > a for a, b in zip(n_list, n_list[1:])),
              "need [sweep] n_list strictly increasing with every N >= 1")
@@ -226,17 +238,10 @@ def parse_config(path) -> RunConfig:
     _require(reps is None or reps >= 2, "need [sweep] reps >= 2")
     _require(seed is None or seed >= 0, "need [sweep] seed >= 0")
 
-    # a key whose test is _decreasing is a boolean flag, any other a positive
-    # threshold, so only an absent key (None) and a false flag are falsy;
-    # both leave their criterion out
-    tol = parser["tolerance"] if "tolerance" in parser else {}
-    values = {key: _get(tol, key, _bool if test is verification._decreasing else _positive)
-              for key, (_, _, test) in verification.CRITERIA.items()}
-    criteria = {key: value for key, value in values.items() if value}
-
+    criteria = {key: value for key, value in values["tolerance"].items() if value}
     raw = {s: dict(parser[s]) for s in parser.sections()}
-    return RunConfig(ell, innovation, truncation, simulate_n, fdd,
-                     n_list, reps, seed, j_tol, sup_grid, criteria, raw)
+    return RunConfig(ell, innovation, proc["truncation"], simulate_n, fdd, n_list, reps, seed,
+                     sweep["j_tolerance"], sweep["sup_grid"], criteria, raw)
 
 
 def _atomic_write(path: Path, chunks) -> None:

@@ -151,8 +151,8 @@ class ParetoTail:
         except ValueError:
             raise ValueError("need sigma1, sigma2 >= 0 with sigma1 + sigma2 > 0 and a "
                              "finite CF scale") from None
-        if not (self.x0 > 0.0):
-            raise ValueError("need x0 > 0")
+        if not (math.isfinite(self.x0) and self.x0 > 0.0):
+            raise ValueError("need a finite x0 > 0")
         # S must decrease past x0, so its log-slope must be negative at x0 and
         # at x* = e*(p/a - 1), where a*ln(e+x) - p*x/(e+x) is least; and
         # ln S(x0) is _log_survival plus its constant at x_ref = 1

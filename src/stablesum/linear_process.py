@@ -377,7 +377,5 @@ def normalized_fdd_sample(process: ProcessSpec, N: int, fdd: FddSpec, reps: int,
                           seed, *, threads: int = 1) -> np.ndarray:
     """reps x m matrix of A_N^{-1} S(t_i) over independent replicates: the
     one-N case of joint_fdd_sample.  `threads` is accepted and ignored: the
-    replicates run in the calling thread whatever its value.  It stays only
-    because bench/run.py's t2_speedup check passes it, and goes with that
-    metric (ROADMAP item 23, its benchmark half)."""
+    replicates run in the calling thread whatever its value."""
     return joint_fdd_sample(process, [N], fdd, reps, seed)[0][2]

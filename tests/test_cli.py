@@ -1,16 +1,19 @@
+import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from test_contracts import BASE, PARETO, TOL, Row, contract, edited, printed, run, write
+from test_contracts import BASE, PARETO, ROOT, TOL, Row, contract, edited, printed, run, write
 
 from stablesum import cf_oracle, cli, innovations, slowly_varying
 from stablesum import linear_process as lp
@@ -68,11 +71,8 @@ class TestParse:
     def test_tolerance_keys_are_the_criteria(self, tmp_path):
         # each [tolerance] key is a key of verification.CRITERIA; a criterion
         # is left out of the parsed dict when its key is absent or a false flag
-        assert cli._KNOWN_KEYS.keys() == {"process", "simulate", "fdd", "sweep", "tolerance"}
-        assert sum(map(len, cli._KNOWN_KEYS.values())) == 28
         keys = ["max_ks", "max_ecf", "require_decreasing", "max_distance_ratio",
                 "require_decreasing_past", "max_past_ratio"]
-        assert cli._KNOWN_KEYS["tolerance"] == set(keys)
         values = ["0.5", "0.25", "true", "0.75", "yes", "0.125"]
         text = BASE + "\n[tolerance]\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys, values))
         assert parse_config(write(tmp_path, text)).criteria == {
@@ -83,6 +83,41 @@ class TestParse:
         assert parse_config(write(tmp_path, off, "off.ini")).criteria == {}
 
     test_bad_domain_is_config_error = contract("TestParse.test_bad_domain_is_config_error")
+
+    def test_readme_names_the_config_keys(self):
+        # README's "Config format" block spells out every key of cli.CONFIG,
+        # section by section; a parenthesis there annotates and names none
+        readme = (ROOT / "README.md").read_text().split("### Config format", 1)[1]
+        block = " ".join(line for line in readme.split("\n## ", 1)[0].splitlines()
+                         if line.startswith("    "))
+        named = re.split(r"\[(\w+)\]", re.sub(r"\([^)]*\)", "", block))[1:]
+        assert {section: set(re.findall(r"\w+", keys))
+                for section, keys in zip(named[::2], named[1::2])} == {
+            section: set(keys) for section, keys in cli.CONFIG.items()}
+
+    # each key's edge values either parse or are refused by its converter or
+    # its spec, with no warning, under either family; the profile sets the
+    # count (100 in tier-1, 1000 in CI's explore step)
+    @given(st.sampled_from([(section, key) for section, keys in cli.CONFIG.items()
+                            for key in keys]),
+           st.sampled_from(["", "0", "-1", "nan", "inf", "1e400", "5e-324", "abc",
+                            "12345678901234567890123"]),
+           st.sampled_from([BASE, PARETO]))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_key_parses_or_is_refused(self, tmp_path, entry, value, base):
+        section, key = entry
+        config = configparser.ConfigParser(interpolation=None)
+        config.read_string(base)
+        config[section] = {**(config[section] if section in config else {}), key: value}
+        path = tmp_path / "edge.ini"
+        with path.open("w") as handle:
+            config.write(handle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                parse_config(path)
+            except ConfigError:
+                pass
 
 
 test_bad_input_exit_2 = contract("test_bad_input_exit_2")

@@ -290,6 +290,32 @@ TABLE = {
              {"innovation = stable": "innovation = pareto\nsigma1 =\nsigma2 = 1.0"}))
           for row in bad_input(f"blank-{id}", command, edits,
                                err="config error: missing required key")),
+        # every key a file gives is checked the same way for every command and
+        # family, whether or not the run reads it; a stable sigma1 and a Pareto
+        # beta were once never converted (exit 0)
+        Row("simulate-j_tolerance", "simulate", BASE, {SEED: f"{SEED}\nj_tolerance = -1"},
+            err="config error: bad value for 'j_tolerance'"),
+        Row("verify-simulate-n", "verify", BASE + TOL, {"\nn = 20\n": "\nn = 0\n"},
+            err=re.escape("config error: need 1 <= [simulate] n")),
+        Row("oracle-reps", "oracle", BASE, {"reps = 60": "reps = 1"},
+            err=re.escape("config error: need [sweep] reps >= 2")),
+        Row("oracle_sym15-max_ks", "oracle",
+            (ROOT / "scripts/configs/oracle_sym15.ini").read_text(),
+            {"[tolerance]\n": "[tolerance]\nmax_ks = -1\n"},
+            err="config error: bad value for 'max_ks'"),
+        Row("stable-sigma1", "simulate", BASE, {"scale = 1.0": "scale = 1.0\nsigma1 = abc"},
+            err="config error: bad value for 'sigma1'"),
+        Row("pareto-beta", "simulate", PARETO, {"beta = 0.0": "beta = abc"},
+            err="config error: bad value for 'beta'"),
+        # the tail check once ran on x0 = inf: a RuntimeWarning, then exit 0
+        Row("pareto-x0-inf", "simulate", PARETO,
+            {"truncation = 200": "truncation = 200\nx0 = inf"},
+            err=re.escape("config error: need a finite x0 > 0")),
+        # configparser copied [DEFAULT]'s keys into every section, so the
+        # error once named [process]
+        Row("DEFAULT-section", "simulate", BASE,
+            {"\n[process]\n": "\n[DEFAULT]\nseed = 1\n\n[process]\n"},
+            err=re.escape("config error: unknown section [DEFAULT]")),
     ],
     # the path length is [simulate] n alone, and every run writes its CSV and JSON
     "TestParse.test_removed_keys_exit_2": [
