@@ -62,16 +62,22 @@ length, with the sums from 0 and those before it held) passes
 MEMORY_BUDGET_ELEMENTS are refused.  _prefix_sums holds every index the
 oracle reads, so rows() never fills past the last held index.
 
-In one sweep (cf_convergence_sweep) the partial sums from 0 are held on
-ell, one array that every N, and a verify run's Monte-Carlo window, reads
-as a view, extended as an N reads further; each N builds only its
-intervals beyond 0, with no joined copy (BENCH_oracle_sweep.json).
+A run calls exact_fdd_log_cf once per N, in order, on one ell: the partial
+sums from 0 are held on ell, one array that every N, and a verify run's
+Monte-Carlo window, reads as a view, extended as an N reads further; each
+N builds only its intervals beyond 0, with no joined copy
+(BENCH_oracle_sweep.json).
 
-tail_bound adds up the estimates of both closures and their end
-corrections, and a call whose tail_bound exceeds tol raises instead of
-returning.
+Each call returns one ExactFddLogCf, the oracle's whole answer at its N:
+the exact log-CF at the fdd's own frequencies and at each freq_grid vector,
+its past and in-window parts, distance (the largest |exact - Levy-limit
+log-CF| over those vectors), tail_bound, j_depth and wall_ms.  The limit is
+evaluated at every vector first, before any sum, so a non-finite limit term
+is refused before any work.  tail_bound adds up the estimates of both
+closures and their end corrections, and a call whose tail_bound exceeds tol
+raises instead of returning.
 
-A sweep's frequency vectors are evaluated once per ray: every term is
+A call's frequency vectors are evaluated once per ray: every term is
 psi(c_j) with c_j linear in the vector, so the sums at lam u are those at
 u times |lam|^alpha (the stable law's homogeneity), conjugated for lam < 0
 (psi(-w) = conj psi(w), true of any real law).  The 65 vectors of the
@@ -96,8 +102,6 @@ __all__ = [
     "ExactFddLogCf",
     "exact_fdd_log_cf",
     "limit_log_cf",
-    "SweepRow",
-    "cf_convergence_sweep",
     "default_frequency_grid",
 ]
 
@@ -204,18 +208,23 @@ _L = 4096
 
 @dataclass(frozen=True)
 class ExactFddLogCf:
-    """value, past_part and window_part are at the fdd's own frequencies;
-    grid_values holds the log-CF at each freq_grid vector, in order;
-    tail_bound is the largest, over them all, of the summed estimates of
-    the window and past closures; j_depth is the past depth summed term by
-    term."""
+    """The oracle's result at one N.  value, past_part and window_part are
+    at the fdd's own frequencies; grid_values holds the log-CF at each
+    freq_grid vector, in order; distance is the largest |exact - Levy-limit
+    log-CF| over the fdd's vector and freq_grid; tail_bound is the largest,
+    over them all, of the summed estimates of the window and past closures;
+    j_depth is the past depth summed term by term; wall_ms is the call's
+    time."""
 
+    n: int
     value: complex
     past_part: complex
     window_part: complex
+    distance: float
     tail_bound: float
     j_depth: int
     grid_values: np.ndarray
+    wall_ms: float
 
 
 # sign of c sampled here (t in (0, 1]) to place the closures' breakpoints
@@ -481,23 +490,27 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
     the fdd's own vector as given, and the other vectors of the ray take
     them scaled, as do the closure estimates.
 
-    Returns the value together with its past/in-window split and tail_bound,
-    the largest summed estimate of the window and past closures; raises a
-    RuntimeError when tail_bound exceeds tol, and a ValueError when A_N is
-    not a positive normal double (linear_process.normalizer) or a term,
-    scaled or not, is not finite.
+    The Levy limit is evaluated at every vector first, before any sum, and
+    distance is the largest |exact - limit| over them.  Returns the
+    ExactFddLogCf of N; raises a RuntimeError when tail_bound exceeds tol,
+    and a ValueError when a limit term is not finite, when A_N is not a
+    positive normal double (linear_process.normalizer) or when a term,
+    scaled or not, or a closure is not finite.
     """
+    t0 = time.perf_counter()
     N = int(N)
     U = _frequency_matrix(fdd, freq_grid)
+    limits = _limit_log_cfs(law, fdd.times, U)
     B = [floor_index(N, t) for t in fdd.times]
     first, inverse, lam = _rays(U)
     A_N = normalizer(ell, law, N)
     UA = U[:, first] / A_N
     rows, kinks, _ = plan = _window_plan(ell, UA, B)
     S = _prefix_sums(ell, B, rows + [(r0, r1) for _, r0, r1 in kinks] + [(-_J_DEPTH, 0)])
-    window, window_est = _window(ell, S, UA, B, law, plan)
-    past, past_est = _past(ell, S, UA, B, law)
+    # the end corrections combine finite terms near the largest double
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        window, window_est = _window(ell, S, UA, B, law, plan)
+        past, past_est = _past(ell, S, UA, B, law)
         scale = np.abs(lam) ** law.alpha
 
         def unfold(x):
@@ -513,8 +526,9 @@ def exact_fdd_log_cf(ell: SlowlyVaryingSpec, law: StandardStable, N: int,
     if not bound <= tol:
         raise RuntimeError(f"the exact log-CF at N = {N} certifies only {bound:.3g} "
                            f"(tolerance {tol})")
-    return ExactFddLogCf(complex(value[0]), complex(past[0]), complex(window[0]),
-                         bound, _J_DEPTH, value[1:])
+    return ExactFddLogCf(N, complex(value[0]), complex(past[0]), complex(window[0]),
+                         float(np.max(np.abs(value - limits))), bound, _J_DEPTH, value[1:],
+                         (time.perf_counter() - t0) * 1e3)
 
 
 def _limit_log_cfs(law: StandardStable, times, U: np.ndarray) -> np.ndarray:
@@ -551,45 +565,3 @@ def default_frequency_grid(m: int) -> list:
     size = b**m
     kept = range(size) if size <= _GRID_CAP else [k * size // _GRID_CAP for k in range(_GRID_CAP)]
     return [np.array([_GRID_VALUES[i // b**(m - 1 - d) % b] for d in range(m)]) for i in kept]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    distance: float
-    past_part: float            # |past block| at the fdd's own frequencies
-    window_part: float          # |in-window block| there
-    wall_ms: float
-    j_depth: int
-    tail_bound: float
-    log_cf: complex             # exact log-CF at the fdd's own frequencies
-
-
-def cf_convergence_sweep(ell: SlowlyVaryingSpec, law: StandardStable,
-                         fdd: FddSpec, n_list, *, tol: float = 1e-8,
-                         freq_grid=None) -> list:
-    """distance(N) = |exact_fdd_log_cf - limit_log_cf| per N (supremum over
-    the fdd's frequencies and freq_grid when given); past_part and
-    window_part are the magnitudes of the past and in-window blocks at the
-    fdd's own frequencies and log_cf is the exact value there.  The past
-    depth is fixed, so with freq_grid log_cf differs from a call without the
-    grid only within both calls' tail_bound and round-off.  A row whose
-    tail_bound exceeds tol raises.
-
-    One exact_fdd_log_cf call per N, in order, sharing the sums from 0
-    held on ell, and the limits of all the vectors in one pass.  Each row is
-    bit for bit that of its N evaluated alone."""
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("need a nonempty increasing N list")
-    limits = _limit_log_cfs(law, fdd.times, _frequency_matrix(fdd, freq_grid))
-
-    def row(n):
-        t0 = time.perf_counter()
-        out = exact_fdd_log_cf(ell, law, n, fdd, tol=tol, freq_grid=freq_grid)
-        dist = float(np.max(np.abs(np.append(out.value, out.grid_values) - limits)))
-        wall = (time.perf_counter() - t0) * 1e3
-        return SweepRow(n, dist, abs(out.past_part), abs(out.window_part), wall,
-                        out.j_depth, out.tail_bound, out.value)
-
-    return [row(n) for n in n_list]

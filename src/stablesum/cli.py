@@ -18,7 +18,7 @@ oracle.json, `verify` report.csv and report.json.
 starts no thread: every command runs in the calling thread, and
 OpenBLAS's own pool, which runs each `eps @ W` on the second CPU, is a
 run's only parallelism.  `verify` computes the exact log-CF once per N, in
-the oracle sweep, and takes its ECF target from the sweep row; one
+the oracle sweep, and takes its ECF target from the N's exact result; one
 sampling pass over the replicates serves every N
 (linear_process.joint_fdd_sample).
 
@@ -57,6 +57,7 @@ from .linear_process import (
     simulate_path,
 )
 from .slowly_varying import (
+    _KINDS,
     HAlphaConvergenceError,
     SlowlyVaryingSpec,
     h_alpha_info,
@@ -92,12 +93,10 @@ class RunConfig:
 
 
 def _bool(raw):
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean")
+    # configparser's own spellings: 1, yes, true, on and 0, no, false, off
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("expected a boolean")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _positive(raw):
@@ -113,6 +112,12 @@ def _float_list(raw):
 
 def _int_list(raw):
     return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _kind(raw):
+    if raw not in _KINDS:
+        raise ValueError(f"expected one of {_KINDS}")
+    return raw
 
 
 def _truncation(raw):
@@ -133,13 +138,13 @@ _REQUIRED = object()
 CONFIG = {
     "process": {
         "innovation": (str, _REQUIRED), "alpha": (float, _REQUIRED),
-        "ell_kind": (str, "constant"), "ell_c": (float, 1.0), "ell_p": (float, 0.0),
+        "ell_kind": (_kind, "constant"), "ell_c": (float, 1.0), "ell_p": (float, 0.0),
         "truncation": (_truncation, "auto"),
         # stable
         "beta": (float, 0.0), "scale": (float, 1.0),
         # pareto; sigma1 and sigma2 are required of it
         "sigma1": (float, None), "sigma2": (float, None),
-        "h_kind": (str, "constant"), "h_c": (float, 1.0), "h_p": (float, 0.0),
+        "h_kind": (_kind, "constant"), "h_c": (float, 1.0), "h_p": (float, 0.0),
         "x0": (float, 1.0),
     },
     "simulate": {"n": (int, None)},
@@ -303,28 +308,30 @@ def _path_csv(path: np.ndarray):
 
 
 def _run_sweep(cfg: RunConfig):
+    """The exact result of each N of n_list, in order, on the run's one ell
+    (cf_oracle.exact_fdd_log_cf)."""
     if not cfg.innovation.has_exact_log_cf:
         raise ConfigError("the CF oracle needs exactly stable innovations")
     if cfg.fdd is None or cfg.n_list is None:
         raise ConfigError("oracle needs [fdd] and [sweep] n_list")
     grid = cf_oracle.default_frequency_grid(cfg.fdd.m) if cfg.sup_grid else None
-    return cf_oracle.cf_convergence_sweep(
-        cfg.ell, cfg.innovation, cfg.fdd, cfg.n_list,
-        tol=cfg.j_tolerance, freq_grid=grid)
+    return [cf_oracle.exact_fdd_log_cf(cfg.ell, cfg.innovation, n, cfg.fdd,
+                                       tol=cfg.j_tolerance, freq_grid=grid)
+            for n in cfg.n_list]
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     rows = _run_sweep(cfg)
     lines = ["N,distance,past_part,wall_ms"]
-    lines += [f"{r.n},{r.distance!r},{r.past_part!r},{r.wall_ms:.3f}" for r in rows]
+    lines += [f"{r.n},{r.distance!r},{abs(r.past_part)!r},{r.wall_ms:.3f}" for r in rows]
     _atomic_write(out_dir / "oracle.csv", ["\n".join(lines) + "\n"])
     doc = {"config": cfg.raw,
-           "rows": [{"n": r.n, "distance": r.distance, "past_part": r.past_part,
-                     "window_part": r.window_part, "wall_ms": r.wall_ms,
+           "rows": [{"n": r.n, "distance": r.distance, "past_part": abs(r.past_part),
+                     "window_part": abs(r.window_part), "wall_ms": r.wall_ms,
                      "j_depth": r.j_depth, "tail_bound": r.tail_bound} for r in rows]}
     _atomic_write(out_dir / "oracle.json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     for r in rows:
-        print(f"N={r.n} distance={r.distance:.6g} past_part={r.past_part:.6g}")
+        print(f"N={r.n} distance={r.distance:.6g} past_part={abs(r.past_part):.6g}")
     return 0
 
 
@@ -347,14 +354,14 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     innovation family produces (the oracle's distance and past part exist
     for exactly stable innovations only) before any work, as are a second N
     for a criterion that compares N's, [N t_m] >= 1 for every N and the law
-    (_check_law).  The ECF target is the sweep row's
-    exact log-CF for stable innovations and the Levy limit otherwise, so the
+    (_check_law).  The ECF target is the log-CF value of the N's exact
+    result for stable innovations and the Levy limit otherwise, so the
     exact log-CF is computed once per N; so are the window weights and A_N,
     which give the samples and the exact marginal law.  One
     joint_fdd_sample call guards the memory of the whole pass, builds every
     N's weights and A_N and draws every N's samples in one pass, each bit
     for bit those of its N alone; then ECF and KS run per N.  A row's
-    wall_time_s holds its oracle row's time, its own ECF and KS, and a
+    wall_time_s holds its exact result's time, its own ECF and KS, and a
     share of that call in proportion to its innovation count K_N.  With
     sup_grid the target comes from the call over the whole grid, at the
     same fixed past depth as a grid-free call and within both calls'
@@ -394,12 +401,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     for n, orow, (W, A, sample) in zip(cfg.n_list, sweep, joint):
         t0 = time.perf_counter()
         est, _ = verification.ecf(sample, cfg.fdd.freqs)
-        target = limit if orow is None else orow.log_cf
+        target = limit if orow is None else orow.value
         marginal = _marginal_cdf_target(cfg, W, A)
         ks = verification.ks_distance(sample[:, -1], lambda x: cdf(marginal, x))
         wall = time.perf_counter() - t0 + joint_s * W.shape[0] / K_total
         distance, past, oracle_s = ((None, None, 0.0) if orow is None else
-                                    (orow.distance, orow.past_part, orow.wall_ms / 1e3))
+                                    (orow.distance, abs(orow.past_part), orow.wall_ms / 1e3))
         rows.append({"n": n, "oracle_distance": distance, "past_part": past,
                      "ecf_distance": float(abs(est - np.exp(target))),
                      "ks_marginal": float(ks), "wall_time_s": oracle_s + wall})
@@ -444,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-override", type=int, default=None)
     p = sub.add_parser("halpha")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--kind", choices=("constant", "log_power"), default="constant")
+    p.add_argument("--kind", choices=_KINDS, default="constant")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--p", type=float, default=0.0)
     p.add_argument("--n", type=float, required=True)

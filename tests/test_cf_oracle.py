@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.special import zeta
 
 from stablesum import cf_oracle, linear_process, slowly_varying, stable_law
 from stablesum.cf_oracle import (
-    cf_convergence_sweep,
     default_frequency_grid,
     exact_fdd_log_cf,
     limit_log_cf,
@@ -197,8 +197,19 @@ class TestExactFddLogCf:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_term_named(self):
-        with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) in the rows 0 <="):
-            exact_fdd_log_cf(ELL1, SYM15, 20, FddSpec((0.5, 1.0), (1e300, 1.0)))
+        # each limit is finite, so the exact terms are reached.  At N = 1
+        # the log-CF is -zeta(1.5) |u|^1.5 against the limit's -|u|^1.5: at
+        # u = 2.5e205 the past rows' terms are finite, but not their sum
+        with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) in the rows "
+                                             r"-10000 <= j < 0"):
+            exact_fdd_log_cf(ELL1, SYM15, 1, FddSpec((1.0,), (2.5e205,)))
+        # ell(x)/x of a log-power ell with p = 20 grows up to x = e^20, so
+        # the past's deepest exact rows weigh the most: its end rows at the
+        # seam j = -J overflow first
+        ell = SlowlyVaryingSpec("log_power", 1.0, 20.0)
+        with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) at row "
+                                             r"j = -10000$"):
+            exact_fdd_log_cf(ell, SYM15, 20, FddSpec((0.5, 1.0), (1e200, 1.0)))
 
     def test_log_power_ell_continuation(self, monkeypatch):
         # the Euler-Maclaurin continuation agrees with a brute-force past
@@ -534,15 +545,16 @@ class TestRayFold:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_scaled_term_named(self):
-        # the log-CF at the fdd vector is -4.7e303; 1e7 times it, in the same
-        # band, its scaled sums overflow, as its terms do in a direct
-        # evaluation
-        fdd = FddSpec((0.5, 1.0), (1e203, -5e202))
+        # at N = 1 the log-CF at u is -zeta(1.5) |u|^1.5, -8.3e304 at the fdd
+        # vector u = 1e203; 250 times it, in the same band, the limit is
+        # -1.25e308, finite, but the scaled sums overflow, as the past rows'
+        # sum does in a direct evaluation
+        fdd = FddSpec((1.0,), (1e203,))
         with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) at the "
-                                             r"frequencies \(1e\+210, -5e\+209\)"):
-            exact_fdd_log_cf(ELL1, SYM15, 20, fdd, freq_grid=[(1e210, -5e209)])
+                                             r"frequencies \(2\.5e\+205,\)"):
+            exact_fdd_log_cf(ELL1, SYM15, 1, fdd, freq_grid=[(2.5e205,)])
         with pytest.raises(ValueError, match=r"non-finite log-CF term psi\(c_j\) in the rows"):
-            exact_fdd_log_cf(ELL1, SYM15, 20, FddSpec(fdd.times, (1e210, -5e209)))
+            exact_fdd_log_cf(ELL1, SYM15, 1, FddSpec(fdd.times, (2.5e205,)))
 
 
 def past_block(ell, params, N, times, U):
@@ -955,42 +967,42 @@ class TestTelescoping:
 
 
 class TestSweep:
+    """A run's sweep: exact_fdd_log_cf at each N in turn, on one ell."""
+
     def test_zero_frequencies_all_zero(self):
-        rows = cf_convergence_sweep(ELL1, SYM15, FddSpec((1.0,), (0.0,)), [10, 100])
-        assert all(r.distance == 0.0 for r in rows)
+        fdd = FddSpec((1.0,), (0.0,))
+        assert all(exact_fdd_log_cf(ELL1, SYM15, n, fdd).distance == 0.0 for n in (10, 100))
 
     def test_criterion_config_decreasing_small(self):
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
-        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [100, 1000, 10_000])
+        rows = [exact_fdd_log_cf(ELL1, SYM15, n, fdd) for n in (100, 1000, 10_000)]
         assert rows[0].distance > rows[1].distance > rows[2].distance
-        assert rows[0].past_part > rows[1].past_part > rows[2].past_part
+        assert abs(rows[0].past_part) > abs(rows[1].past_part) > abs(rows[2].past_part)
 
     def test_m1_approaches_limit(self):
         # the m=1 exact value crosses the limit (not monotone); it stays near
         fdd = FddSpec((1.0,), (1.0,))
-        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [100, 10_000])
+        rows = [exact_fdd_log_cf(ELL1, SYM15, n, fdd) for n in (100, 10_000)]
         assert rows[0].distance == pytest.approx(0.033984, abs=2e-5)
         assert rows[1].distance == pytest.approx(0.031541, abs=2e-5)
         assert all(r.distance < 0.05 for r in rows)
 
     def test_rows_carry_exact_value_in_order(self):
+        # each result names its N, and its distance is that of its value
+        # from the limit
         fdd = FddSpec((0.5, 1.0), (1.0, -0.5))
-        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [20, 50, 100])
-        assert [r.n for r in rows] == [20, 50, 100]
-        for r in rows:
-            assert r.log_cf == exact_fdd_log_cf(ELL1, SYM15, r.n, fdd).value
-
-    def test_nonincreasing_n_rejected(self):
-        with pytest.raises(ValueError):
-            cf_convergence_sweep(ELL1, SYM15, FddSpec((1.0,), (1.0,)), [100, 100])
+        limit = limit_log_cf(SYM15, fdd)
+        for n in (20, 50, 100):
+            r = exact_fdd_log_cf(ELL1, SYM15, n, fdd)
+            assert r.n == n and r.grid_values.shape == (0,)
+            assert r.distance == abs(r.value - limit)
 
     def test_sup_grid(self):
         fdd = FddSpec((1.0,), (1.0,))
         grid = default_frequency_grid(1)
         assert len(grid) == 8
-        rows = cf_convergence_sweep(ELL1, SYM15, fdd, [50], freq_grid=grid)
-        base = cf_convergence_sweep(ELL1, SYM15, fdd, [50])
-        assert rows[0].distance >= base[0].distance
+        out = exact_fdd_log_cf(ELL1, SYM15, 50, fdd, freq_grid=grid)
+        assert out.distance >= exact_fdd_log_cf(ELL1, SYM15, 50, fdd).distance
 
     def test_grid_cap(self):
         grid = default_frequency_grid(3)
@@ -1024,20 +1036,24 @@ class TestSweep:
 
     @pytest.mark.parametrize("ell, D, m, grid", CASES)
     def test_rows_equal_their_n_alone(self, ell, D, m, grid):
-        # the sweep extends one set of sums from 0 across N and reads each
-        # N's as a view of them: every row is, bit for bit, that of a call
-        # that builds its own
+        # the N taken in turn on one ell extend one set of sums from 0 and
+        # read each N's as a view of them: every field but the time is, bit
+        # for bit, that of a call on a fresh, equal ell that builds its own,
+        # and distance is that of the values from the limits
         ell, params = self.ELLS[ell], StandardStable.from_cf(1.5, 1.0, D)
         fdd = self.FDDS[m]
         freq_grid = default_frequency_grid(m) if grid else None
         limits = cf_oracle._limit_log_cfs(
             params, fdd.times, cf_oracle._frequency_matrix(fdd, freq_grid))
-        rows = cf_convergence_sweep(ell, params, fdd, self.N_LIST, freq_grid=freq_grid)
-        for r in rows:
-            one = exact_fdd_log_cf(ell, params, r.n, fdd, freq_grid=freq_grid)
-            dist = float(np.max(np.abs(np.append(one.value, one.grid_values) - limits)))
-            assert (r.log_cf, r.distance, r.past_part, r.window_part, r.tail_bound) == (
-                one.value, dist, abs(one.past_part), abs(one.window_part), one.tail_bound)
+        turn = replace(ell)
+        for n in self.N_LIST:
+            r = exact_fdd_log_cf(turn, params, n, fdd, freq_grid=freq_grid)
+            one = exact_fdd_log_cf(replace(ell), params, n, fdd, freq_grid=freq_grid)
+            for f in fields(r):
+                if f.name != "wall_ms":
+                    got, want = np.asarray(getattr(r, f.name)), np.asarray(getattr(one, f.name))
+                    assert got.tobytes() == want.tobytes(), f.name
+            assert r.distance == float(np.max(np.abs(np.append(r.value, r.grid_values) - limits)))
 
     def test_second_sweep_builds_as_many_elements(self, monkeypatch):
         # a run's ell is built afresh (parse_config), so a second sweep on an
@@ -1056,18 +1072,23 @@ class TestSweep:
         monkeypatch.setattr(slowly_varying, "coefficient_prefix_sums", counting)
         monkeypatch.setattr(linear_process, "coefficient_prefix_sums", counting)
         fdd, n_list = self.FDDS[2], [100, 1000, 10**4, 10**5, 10**6]
+
+        def sweep(ell):
+            for n in n_list:
+                exact_fdd_log_cf(ell, SYM15, n, fdd)
+
         counts = []
         for _ in range(2):
             built.clear()
-            cf_convergence_sweep(constant(1.0), SYM15, fdd, n_list)
+            sweep(constant(1.0))
             counts.append(sum(built))
         assert counts == [20001 + 4 * 14096] * 2
         # a second sweep on the same ell reads the sums it holds, and builds
         # only the intervals beyond 0
         ell = constant(1.0)
-        cf_convergence_sweep(ell, SYM15, fdd, n_list)
+        sweep(ell)
         built.clear()
-        cf_convergence_sweep(ell, SYM15, fdd, n_list)
+        sweep(ell)
         assert sum(built) == 4 * 14096
 
     def test_prefix_sums_read_held_sums(self):

@@ -82,6 +82,15 @@ class TestParse:
         off = BASE + "\n[tolerance]\nrequire_decreasing = false\n"
         assert parse_config(write(tmp_path, off, "off.ini")).criteria == {}
 
+    def test_flag_spellings(self, tmp_path):
+        # a flag takes configparser's spellings, in any case, and no other
+        for raw, want in (("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+                          ("0", False), ("no", False), ("False", False), ("OFF", False)):
+            assert parse_config(write(tmp_path, BASE + f"sup_grid = {raw}\n")).sup_grid is want
+        for raw in ("maybe", "2", "y"):
+            with pytest.raises(ConfigError, match="bad value for 'sup_grid'"):
+                parse_config(write(tmp_path, BASE + f"sup_grid = {raw}\n"))
+
     test_bad_domain_is_config_error = contract("TestParse.test_bad_domain_is_config_error")
 
     def test_readme_names_the_config_keys(self):
@@ -285,7 +294,7 @@ class TestVerify:
         calls = []
         for module, name in ((cli, "default_truncation_depth"),
                              (cli, "joint_fdd_sample"),
-                             (cf_oracle, "cf_convergence_sweep")):
+                             (cf_oracle, "exact_fdd_log_cf")):
             monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
         run(Row("", "verify", PARETO + TOL + f"{criterion}\n",
                 {"truncation = 200": "truncation = auto"}), tmp_path)

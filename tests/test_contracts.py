@@ -307,6 +307,11 @@ TABLE = {
             err="config error: bad value for 'sigma1'"),
         Row("pareto-beta", "simulate", PARETO, {"beta = 0.0": "beta = abc"},
             err="config error: bad value for 'beta'"),
+        # h_kind was converted by str, and a stable run never built its h (exit 0)
+        Row("stable-h_kind", "simulate", BASE, {"scale = 1.0": "scale = 1.0\nh_kind = bogus"},
+            err="config error: bad value for 'h_kind'"),
+        Row("stable-ell_kind", "simulate", BASE, {"ell_kind = constant": "ell_kind = bogus"},
+            err="config error: bad value for 'ell_kind'"),
         # the tail check once ran on x0 = inf: a RuntimeWarning, then exit 0
         Row("pareto-x0-inf", "simulate", PARETO,
             {"truncation = 200": "truncation = 200\nx0 = inf"},
@@ -363,7 +368,12 @@ TABLE = {
             # p = -2734.3: dividing by A_N overflowed and warned
             *(({"ell_kind = constant": f"ell_kind = log_power\nell_p = {p}",
                 "truncation = 200": "truncation = 10000"}, f"A_N at N = 20 is {A_N}, not")
-              for p, A_N in ((-2650, "1.72376e-313"), (-3000, "0")))])
+              for p, A_N in ((-2650, "1.72376e-313"), (-3000, "0"))),
+            # the end corrections combine finite terms near the largest
+            # double: they once overflowed outside any errstate (an
+            # unnamed "error: overflow encountered in multiply")
+            ({"ell_kind = constant": "ell_kind = log_power\nell_p = 60",
+              "freqs = 1.0, -0.5": "freqs = 1e180, 1.0"}, "non-finite")])
     ] + [
         Row("verify-pareto", "verify", PARETO + TOL, {
             "ell_kind = constant": "ell_kind = log_power\nell_p = -3000",

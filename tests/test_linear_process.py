@@ -14,7 +14,7 @@ from scipy.special import zeta
 
 from stablesum import innovations
 from stablesum import linear_process as lp
-from stablesum.cf_oracle import cf_convergence_sweep
+from stablesum.cf_oracle import exact_fdd_log_cf
 from stablesum.cli import parse_config
 from stablesum.innovations import ExactStable, ParetoTail
 from stablesum.linear_process import (
@@ -559,7 +559,8 @@ class TestNormalizedFdd:
         law, Ks = proc.innovation, [n + M - 1 for n in n_list]
         tracemalloc.start()
         try:
-            cf_convergence_sweep(proc.ell, law, self.FDD, n_list)
+            for n in n_list:
+                exact_fdd_log_cf(proc.ell, law, n, self.FDD)
             held = held_prefix_sums(proc.ell).size
             count = (held + 2 * sum(Ks) + 2 * reps * 2 + law.shared_arrays * max(Ks)
                      + (law.peak_arrays - law.shared_arrays) * sum(Ks))

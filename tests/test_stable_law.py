@@ -437,6 +437,16 @@ class TestCdf:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @given(st.one_of(st.just(2.0), st.floats(1.1, 2.0, exclude_max=True)),
+           st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    def test_seams_in_range_and_nondecreasing(self, alpha, beta):
+        # on both sides of each band edge 2^k and of the cutoff to the tail
+        # series, where one evaluation hands over to the next, the values
+        # lie in [0, 1] and fall by no more than round-off
+        got = cdf(StandardStable(alpha, beta, 1.0), cdf_pin_grid(alpha, beta))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.diff(got).min() >= -1e-12
+
     def test_quadrature_error_raised(self, monkeypatch):
         # three and two nodes per panel cannot resolve the integrand
         monkeypatch.setattr(stable_law, "_CDF_RULES", (stable_law._gauss_legendre(3),
